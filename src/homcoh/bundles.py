@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
+from typing import Callable
 
 from . import levi, roots
 from .roots import B4, B4_Q4, D5, D5_P4, DomainError, LieDatum, Parabolic, Weight
@@ -145,14 +146,7 @@ def convert_twist(obj: Sum, space: Parabolic) -> Sum | None:
 def rank(obj: BundleObject) -> int:
     if isinstance(obj, Sum):
         return sum(m * levi.levi_dim(obj.space, w) for w, m in obj.parts)
-    seq, idx, t = _any_match(obj)
-    total = 0
-    for j, term in enumerate(seq.terms):
-        if j == idx:
-            continue
-        sign = 1 if (j - idx) % 2 else -1
-        total += sign * coeff_dim(term.coeff) * rank(twist(term.obj, t))
-    return total
+    return alternating_sum(*_any_match(obj), rank)
 
 
 def first_chern(obj: BundleObject) -> int:
@@ -167,15 +161,7 @@ def first_chern(obj: BundleObject) -> int:
         if total.denominator != 1:
             raise roots.InternalConsistencyError("non-integral first Chern class")
         return int(total)
-    seq, idx, t = _any_match(obj)
-    total = 0
-    for j, term in enumerate(seq.terms):
-        if j == idx:
-            continue
-        sign = 1 if (j - idx) % 2 else -1
-        tw = twist(term.obj, t)
-        total += sign * coeff_dim(term.coeff) * first_chern(tw)
-    return total
+    return alternating_sum(*_any_match(obj), first_chern)
 
 
 # --- sequences -------------------------------------------------------------
@@ -211,6 +197,21 @@ class Sequence:
             if t is not None:
                 out.append((i, t))
         return out
+
+
+def alternating_sum(seq: Sequence, idx: int, t: int, value: Callable[[BundleObject], int]) -> int:
+    """An additive invariant of term idx of seq twisted by t, from the other terms.
+
+    Exactness makes the alternating sum over all terms vanish, so the
+    unknown term carries the signed sum of value() over the others, each
+    weighted by the dimension of its coefficient.
+    """
+    total = 0
+    for j, term in enumerate(seq.terms):
+        if j != idx:
+            sign = 1 if (j - idx) % 2 else -1
+            total += sign * coeff_dim(term.coeff) * value(twist(term.obj, t))
+    return total
 
 
 def coeff_dim(coeff: Coeff) -> int:
@@ -409,17 +410,9 @@ def standard_sequences() -> tuple[Sequence, ...]:
 
 
 @lru_cache(maxsize=None)
-def _named_matches(obj: BundleObject) -> tuple[tuple[Sequence, int, int], ...]:
-    out = []
-    for seq in standard_sequences():
-        for idx, t in seq.match(obj):
-            out.append((seq, idx, t))
-    return tuple(out)
-
-
 def sequence_matches(obj: BundleObject) -> tuple[tuple[Sequence, int, int], ...]:
     """All (sequence, index, twist) triples realizing obj as a sequence term."""
-    return _named_matches(obj)
+    return tuple((seq, idx, t) for seq in standard_sequences() for idx, t in seq.match(obj))
 
 
 def _any_match(obj: BundleObject) -> tuple[Sequence, int, int]:

@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success / all checks pass; 1 a verification or replay check
-failed; 2 usage or parse error; 3 an Ext computation was ambiguous.
+failed; 2 usage or parse error; 3 an Ext computation was ambiguous; 4 an
+internal error (a bug, such as an InternalConsistencyError), reported on
+one line of stderr.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import sys
 
 from . import bundles, corpus, ext as ext_mod, levi, mutations, parser as bparser, roots
 from .bbw import bbw_cohomology, weyl_dim
-from .ext import Ambiguous, ExtResult
+from .ext import Ambiguous
 from .mutations import Collection, KOnly
 from .parser import BundleSyntaxError, bundle_expr, parse_bundle
 from .roots import B4_Q4, D5_P4, DomainError, InvalidDatum, LieDatum, Parabolic
@@ -21,6 +23,7 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_AMBIGUOUS = 3
+EXIT_INTERNAL = 4
 
 
 class UsageError(ValueError):
@@ -50,25 +53,6 @@ def _parse_weight(datum: LieDatum, text: str) -> tuple[int, ...]:
     if len(coords) != datum.rank:
         raise UsageError(f"weight needs {datum.rank} coordinates, found {len(coords)}")
     return coords
-
-
-def _fmt_weight(w) -> str:
-    return "[" + ",".join(str(c) for c in w) + "]"
-
-
-def _fmt_graded(res: ExtResult) -> list[str]:
-    if res.is_zero:
-        return ["0"]
-    lines = []
-    for p, layer in res.graded:
-        for entry, m in layer:
-            if not entry:
-                lines.append(f"C[{-p}]" if m == 1 else f"C^{m}[{-p}]")
-            else:
-                reps = " * ".join(f"V{_fmt_weight(w)}" for _, w in entry)
-                prefix = f"{m}*" if m > 1 else ""
-                lines.append(f"{prefix}{reps} @ {p}")
-    return lines
 
 
 def _fmt_invariants(dims: dict[int, int]) -> list[str]:
@@ -115,9 +99,9 @@ def cmd_coh(args) -> int:
         print("0" if args.quiet else "H^* = 0")
     else:
         if args.quiet:
-            print(f"V{_fmt_weight(coh.weight)} @ {coh.degree}")
+            print(f"V{ext_mod.format_weight(coh.weight)} @ {coh.degree}")
         else:
-            print(f"H^{coh.degree} = V{_fmt_weight(coh.weight)}, dim {coh.dim}")
+            print(f"H^{coh.degree} = V{ext_mod.format_weight(coh.weight)}, dim {coh.dim}")
     return EXIT_OK
 
 
@@ -136,7 +120,7 @@ def cmd_tensor(args) -> int:
     decomp = levi.tensor_decompose(pb, w1, w2)
     for w, m in sorted(decomp.items()):
         prefix = f"{m} x " if m > 1 else ""
-        print(f"{prefix}E{_fmt_weight(w)}")
+        print(f"{prefix}E{ext_mod.format_weight(w)}")
     return EXIT_OK
 
 
@@ -160,7 +144,7 @@ def cmd_ext(args) -> int:
         if branched:
             print("# full-group classes restricted through the odd orthogonal branching")
         return EXIT_OK
-    for line in _fmt_graded(res):
+    for line in ext_mod.format_graded(res):
         print(line)
     return EXIT_OK
 
@@ -229,12 +213,8 @@ def cmd_mutate(args) -> int:
         payload["collection"] = [_obj_expr(o) for o in new.objects]
         print(json.dumps(payload, indent=2))
     else:
-        hyp = step.hypothesis
-        hyp_text = (
-            " + ".join(_fmt_graded(hyp)) if isinstance(hyp, ExtResult) else str(hyp)
-        )
         print(f"{step.direction} at {args.position}: recipe {step.recipe}")
-        print(f"hypothesis: {hyp_text}")
+        print(f"hypothesis: {step.hypothesis}")
         print(f"result: {_obj_expr(step.result)}")
         for line in step.notes:
             print(f"note: {line}")
@@ -275,14 +255,9 @@ def cmd_replay(args) -> int:
         print(json.dumps(payload, indent=2))
     else:
         for i, s in enumerate(rr.steps, start=1):
-            hyp = (
-                " + ".join(_fmt_graded(s.hypothesis))
-                if isinstance(s.hypothesis, ExtResult)
-                else str(s.hypothesis)
-            )
             print(
                 f"step {i:2d}: {s.direction} at {s.position + 1:2d} "
-                f"[{s.recipe}] -> {_obj_expr(s.result)}  | Ext: {hyp}"
+                f"[{s.recipe}] -> {_obj_expr(s.result)}  | Ext: {s.hypothesis}"
             )
             for line in s.notes:
                 print(f"         note: {line}")
@@ -393,6 +368,9 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, BundleSyntaxError, InvalidDatum, DomainError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as e:  # anything else is a bug: one line, not a traceback
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

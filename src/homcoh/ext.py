@@ -18,6 +18,7 @@ of the full group are never required).
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from . import bbw, bundles, levi, roots
@@ -26,6 +27,7 @@ from .roots import DomainError, InternalConsistencyError
 
 Entry = tuple[bundles.RepFactor, ...]
 Graded = dict[int, dict[Entry, int]]
+Route = tuple[Sequence, int, int, bool]  # a chase: sequence, index, twist, contravariant
 
 
 def _entry(*factors: bundles.RepFactor) -> Entry:
@@ -97,7 +99,7 @@ class ExtResult:
         return levi.invariant_multiplicity(self.as_dict())
 
     def __repr__(self) -> str:
-        return format_graded(self)
+        return " + ".join(format_graded(self))
 
 
 @dataclass(frozen=True)
@@ -129,9 +131,14 @@ def rep_result(datum: roots.LieDatum, spec: dict[int, list]) -> ExtResult:
     return ExtResult.from_dict(acc)
 
 
-def format_graded(res: ExtResult) -> str:
+def format_weight(w: roots.Weight) -> str:
+    return "[" + ",".join(map(str, w)) + "]"
+
+
+def format_graded(res: ExtResult) -> list[str]:
+    """The graded pieces of res in order, one string each; ["0"] when it vanishes."""
     if res.is_zero:
-        return "0"
+        return ["0"]
     pieces = []
     for p, layer in res.graded:
         for entry, m in layer:
@@ -139,10 +146,10 @@ def format_graded(res: ExtResult) -> str:
                 label = "C" if m == 1 else f"C^{m}"
                 pieces.append(f"{label}[{-p}]")
             else:
-                reps = " * ".join(f"V{list(w)}" for _, w in entry)
+                reps = " * ".join(f"V{format_weight(w)}" for _, w in entry)
                 prefix = f"{m}*" if m > 1 else ""
                 pieces.append(f"{prefix}{reps} @ {p}")
-    return " + ".join(pieces)
+    return pieces
 
 
 def _tensor_coeff(graded: Graded, coeff: bundles.Coeff) -> Graded:
@@ -165,6 +172,7 @@ class ExtEngine:
         self._euler_memo: dict = {}
         self._stack: set = set()
         self._euler_stack: set = set()
+        self.kform = None  # the Euler form on K-theory, built by mutations.KForm.standard
 
     # -- public surface ------------------------------------------------
 
@@ -209,40 +217,40 @@ class ExtEngine:
 
     # -- strategies ------------------------------------------------------
 
+    def _routes(self, E: BundleObject, F: BundleObject) -> Iterator[Route | None]:
+        """Every reduction of (E, F) other than the direct BBW route, in order.
+
+        First None, standing for additivity over the summands of a
+        cross-description pair in which some side has more than one summand
+        (counted with multiplicity); then every registered chase through E,
+        then through F, as (sequence, index, twist, contravariant).  Chasing
+        is restricted to objects that genuinely need a resolution: named
+        objects, and the B4-side factor of a cross-description pair.
+        Resolving those strictly reduces toward same-description pairs, so
+        the recursion terminates.
+        """
+        cross = isinstance(E, Sum) and isinstance(F, Sum) and E.space != F.space
+        if cross and sum(m for _, m in E.parts + F.parts) > 2:
+            yield None
+        for obj, contravariant in ((E, True), (F, False)):
+            if isinstance(obj, Named) or (cross and obj.space == bundles.B4_Q4):
+                for seq, idx, t in bundles.sequence_matches(obj):
+                    yield seq, idx, t, contravariant
+
     def _compute(self, E: BundleObject, F: BundleObject) -> ExtResult | Ambiguous:
         direct = self._direct(E, F)
         if direct is not None:
             return direct
 
         results: list[ExtResult] = []
-        # Chasing is restricted to objects that genuinely need a resolution:
-        # named objects, and the B4-side factor of a cross-description pair.
-        # Resolving those strictly reduces toward same-description pairs, so
-        # the recursion terminates.
-        if isinstance(E, Named):
-            for seq, idx, t in bundles.sequence_matches(E):
-                res = self._chase(seq, idx, t, F, contravariant=True)
-                if isinstance(res, ExtResult):
-                    results.append(res)
-        if isinstance(F, Named):
-            for seq, idx, t in bundles.sequence_matches(F):
-                res = self._chase(seq, idx, t, E, contravariant=False)
-                if isinstance(res, ExtResult):
-                    results.append(res)
-        if isinstance(E, Sum) and isinstance(F, Sum) and E.space != F.space:
-            split = self._cross_split(E, F)
-            if split is not None:
-                results.append(split)
-            if E.space == bundles.B4_Q4:
-                for seq, idx, t in bundles.sequence_matches(E):
-                    res = self._chase(seq, idx, t, F, contravariant=True)
-                    if isinstance(res, ExtResult):
-                        results.append(res)
-            if F.space == bundles.B4_Q4:
-                for seq, idx, t in bundles.sequence_matches(F):
-                    res = self._chase(seq, idx, t, E, contravariant=False)
-                    if isinstance(res, ExtResult):
-                        results.append(res)
+        for route in self._routes(E, F):
+            if route is None:
+                res = self._cross_split(E, F)
+            else:
+                seq, idx, t, contravariant = route
+                res = self._chase(seq, idx, t, F if contravariant else E, contravariant=contravariant)
+            if isinstance(res, ExtResult):
+                results.append(res)
 
         if results:
             first = results[0]
@@ -271,8 +279,6 @@ class ExtEngine:
 
     def _cross_split(self, E: Sum, F: Sum) -> ExtResult | None:
         """Additivity over summands for a cross-description pair."""
-        if len(E.parts) == 1 and E.parts[0][1] == 1 and len(F.parts) == 1 and F.parts[0][1] == 1:
-            return None
         acc: Graded = {}
         for w1, m1 in E.parts:
             for w2, m2 in F.parts:
@@ -348,49 +354,23 @@ class ExtEngine:
         res = self._memo.get((E, F))
         if isinstance(res, ExtResult):
             return res.euler()
-        if isinstance(E, Sum) and isinstance(F, Sum):
-            direct = self._direct(E, F)
-            if direct is not None:
-                return direct.euler()
-            if E.space != F.space:
-                # additivity over summands, then reduce the B4 factor
-                if len(E.parts) > 1 or E.parts[0][1] > 1 or len(F.parts) > 1 or F.parts[0][1] > 1:
+        direct = self._direct(E, F)
+        if direct is not None:
+            return direct.euler()
+        for route in self._routes(E, F):
+            try:
+                if route is None:
                     return sum(
                         m1 * m2 * self.euler(bundles.irr(E.space, w1), bundles.irr(F.space, w2))
                         for w1, m1 in E.parts
                         for w2, m2 in F.parts
                     )
-
-        def reducible(obj: BundleObject, partner: BundleObject) -> bool:
-            if isinstance(obj, Named):
-                return True
-            return (
-                isinstance(partner, Sum)
-                and obj.space == bundles.B4_Q4
-                and partner.space != obj.space
-            )
-
-        for side_E in (True, False):
-            obj, partner = (E, F) if side_E else (F, E)
-            if not reducible(obj, partner):
+                seq, idx, t, contravariant = route
+                if contravariant:
+                    return bundles.alternating_sum(seq, idx, t, lambda other: self.euler(other, F))
+                return bundles.alternating_sum(seq, idx, t, lambda other: self.euler(E, other))
+            except DomainError:
                 continue
-            for seq, idx, t in bundles.sequence_matches(obj):
-                total = 0
-                ok = True
-                for j, term in enumerate(seq.terms):
-                    if j == idx:
-                        continue
-                    sign = 1 if (j - idx) % 2 else -1
-                    other = bundles.twist(term.obj, t)
-                    pair = (other, F) if side_E else (E, other)
-                    try:
-                        sub = self.euler(*pair)
-                    except DomainError:
-                        ok = False
-                        break
-                    total += sign * bundles.coeff_dim(term.coeff) * sub
-                if ok:
-                    return total
         raise DomainError(f"no route to the Euler pairing of ({E}, {F})")
 
 
@@ -414,22 +394,22 @@ def _solve_ses(cols: list[Graded | None], idx: int) -> Graded | None:
     """
     a, b, c = cols
     if idx == 0:
-        known1, known2 = b, c  # adjacency b^p -> c^p
-        if any(_dims_at(known1, p) and _dims_at(known2, p) for p in _degrees(known1, known2)):
+        # adjacency b^p -> c^p
+        if any(_dims_at(b, p) and _dims_at(c, p) for p in _degrees(b, c)):
             return None
         out: Graded = {}
         _merge(out, c, +1)
         _merge(out, b, 0)
         return out
     if idx == 1:
-        known1, known2 = c, a  # adjacency c^p -> a^{p+1}
+        # adjacency c^p -> a^{p+1}
         if any(_dims_at(c, p) and _dims_at(a, p + 1) for p in _degrees(c, a)):
             return None
         out = {}
         _merge(out, a, 0)
         _merge(out, c, 0)
         return out
-    known1, known2 = a, b  # adjacency a^p -> b^p
+    # adjacency a^p -> b^p
     if any(_dims_at(a, p) and _dims_at(b, p) for p in _degrees(a, b)):
         return None
     out = {}

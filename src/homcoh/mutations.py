@@ -201,7 +201,13 @@ class KForm:
 
     @staticmethod
     def standard(engine: ExtEngine | None = None) -> "KForm":
-        return _standard_form(engine or ext_mod.get_engine())
+        """The form of the engine, built from its Euler pairings on first use."""
+        eng = engine or ext_mod.get_engine()
+        if eng.kform is None:
+            basis = kuznetsov_collection().objects
+            gram = tuple(tuple(eng.euler(a, b) for b in basis) for a in basis)
+            eng.kform = KForm(basis, gram, _int_inverse(gram))
+        return eng.kform
 
     def kclass(self, obj: BundleObject, engine: ExtEngine) -> KVector:
         return tuple(engine.euler(b, obj) for b in self.basis)
@@ -210,20 +216,6 @@ class KForm:
         # kclass(E) = G * coords(E), so chi(E, F) = coords(E)^T kclass(F)
         coords = [sum(self.gram_inv[i][j] * ka[j] for j in range(len(ka))) for i in range(len(ka))]
         return sum(c * kb[i] for i, c in enumerate(coords))
-
-
-_form_cache: dict[int, KForm] = {}
-
-
-def _standard_form(engine: ExtEngine) -> KForm:
-    key = id(engine)
-    if key not in _form_cache:
-        basis = kuznetsov_collection().objects
-        gram = tuple(
-            tuple(engine.euler(a, b) for b in basis) for a in basis
-        )
-        _form_cache[key] = KForm(basis, gram, _int_inverse(gram))
-    return _form_cache[key]
 
 
 def _kclass_of(obj: CollectionObject, form: KForm, engine: ExtEngine) -> KVector:
@@ -246,38 +238,6 @@ def k_mutate_left(vectors: list[KVector], i: int, form: KForm) -> list[KVector]:
     out = list(vectors)
     out[i], out[i + 1] = tuple(x - chi * y for x, y in zip(b, a)), a
     return out
-
-
-def hermite_normal_form(rows: list[KVector]) -> tuple[KVector, ...]:
-    """Row-style Hermite normal form over the integers."""
-    m = [list(r) for r in rows]
-    n_rows, n_cols = len(m), len(m[0])
-    pivot_row = 0
-    for col in range(n_cols):
-        # find a nonzero entry at or below pivot_row
-        nz = [r for r in range(pivot_row, n_rows) if m[r][col] != 0]
-        if not nz:
-            continue
-        while True:
-            nz = [r for r in range(pivot_row, n_rows) if m[r][col] != 0]
-            if len(nz) == 1:
-                break
-            nz.sort(key=lambda r: abs(m[r][col]))
-            r0 = nz[0]
-            for r in nz[1:]:
-                q = m[r][col] // m[r0][col]
-                m[r] = [a - q * b for a, b in zip(m[r], m[r0])]
-        r0 = nz[0]
-        m[pivot_row], m[r0] = m[r0], m[pivot_row]
-        if m[pivot_row][col] < 0:
-            m[pivot_row] = [-a for a in m[pivot_row]]
-        for r in range(pivot_row):
-            q = m[r][col] // m[pivot_row][col]
-            m[r] = [a - q * b for a, b in zip(m[r], m[pivot_row])]
-        pivot_row += 1
-        if pivot_row == n_rows:
-            break
-    return tuple(tuple(r) for r in m)
 
 
 # --- mutation engine --------------------------------------------------------
@@ -430,21 +390,21 @@ def mutate(
     form = KForm.standard(eng)
     k1 = _kclass_of(E1, form, eng)
     k2 = _kclass_of(E2, form, eng)
-    chi = form.chi(k1, k2)
 
     notes: tuple[str, ...] = ()
     if not isinstance(hyp, Ambiguous) and _hyp_is_zero(hyp):
         recipe, result, shift = "transposition", (E1 if direction == "R" else E2), 0
-        cone_k = k1 if direction == "R" else k2
     else:
+        if direction == "R":
+            cone_k = k_mutate_right([k1, k2], 0, form)[1]
+        else:
+            cone_k = k_mutate_left([k1, k2], 0, form)[0]
         found = None if isinstance(hyp, Ambiguous) else _find_recipe(direction, E1, E2, hyp)
         if found is None:
-            cone_k = _cone_kclass(direction, k1, k2, chi)
             result = KOnly(cone_k)
             recipe, shift = "k-only", 0
         else:
             recipe, result, shift = found
-            cone_k = _cone_kclass(direction, k1, k2, chi)
             rk = _kclass_of(result, form, eng)
             sign = -1 if shift % 2 else 1
             if tuple(sign * x for x in rk) != cone_k:
@@ -468,12 +428,6 @@ def mutate(
         notes,
     )
     return new, step
-
-
-def _cone_kclass(direction: str, k1: KVector, k2: KVector, chi: int) -> KVector:
-    if direction == "R":
-        return tuple(a - chi * b for a, b in zip(k1, k2))
-    return tuple(b - chi * a for a, b in zip(k1, k2))
 
 
 class AmbiguousMutation(RuntimeError):

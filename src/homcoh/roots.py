@@ -29,7 +29,7 @@ class InternalConsistencyError(RuntimeError):
     """A structural invariant failed; indicates a bug, not bad input."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class LieDatum:
     family: str
     rank: int

@@ -3,7 +3,9 @@ import json
 import pytest
 
 from homcoh import cli
+from homcoh.ext import ExtEngine
 from homcoh.parser import parse_bundle
+from homcoh.roots import InternalConsistencyError
 
 
 def run(capsys, *argv):
@@ -52,6 +54,23 @@ def test_ext_text(capsys):
     assert code == 0 and out.strip() == "16"
     code, out = run(capsys, "ext", "Sym2 Rv", "Uv", "--equivariant")
     assert code == 0 and out.splitlines()[0] == "C[-1]"
+
+
+def test_ext_mixed_descriptions(capsys):
+    # factors of both groups in one graded piece must sort
+    code, out = run(capsys, "ext", "Uv", "Rv(-1)")
+    assert code == 0 and out.strip() == "0"
+
+
+def test_internal_error_exit_code(capsys, monkeypatch):
+    def broken(self, E, F):
+        raise InternalConsistencyError("routes disagree")
+
+    monkeypatch.setattr(ExtEngine, "ext", broken)
+    code = cli.main(["ext", "O", "O"])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err == "internal error: InternalConsistencyError: routes disagree\n"
 
 
 def test_ext_ambiguous_exit_code(capsys):

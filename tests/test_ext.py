@@ -5,8 +5,9 @@ import pytest
 from homcoh import bundles as B
 from homcoh import ext as X
 from homcoh import roots
-from homcoh.ext import Ambiguous, ExtEngine, ls_chase, rep_result, trivial_result
-from homcoh.roots import B4, D5, D5_P4
+from homcoh.ext import Ambiguous, ExtEngine, ExtResult, ls_chase, rep_result, trivial_result
+from homcoh.parser import parse_bundle
+from homcoh.roots import B4, D5, D5_P4, InternalConsistencyError
 
 
 @pytest.fixture(scope="module")
@@ -131,3 +132,43 @@ def test_cross_description_multi_part(eng):
     res = eng.ext(lhs, B.Uv())
     assert not isinstance(res, Ambiguous)
     assert res.dims() == {1: 1}
+
+
+GRID_GENERATORS = (
+    "O", "U", "Uv", "R", "Rv", "T", "That", "Thatv", "Ktilde", "Ktildev",
+    "Sym2 Uv", "Sym2 Rv", "Wedge2 Rv",
+)
+# Pairs whose routes disagree (a known defect of the half-spin weights),
+# pinned so that the defect stays visible until it is root-caused.
+KNOWN_DISAGREEING = {
+    ("Rv", "Thatv(0)"), ("Rv", "Ktilde(1)"), ("T", "R(1)"), ("That", "R(0)"), ("Ktildev", "R(1)"),
+}
+
+
+def test_generator_grid_is_consistent():
+    # A fresh engine queried in a fixed order: which pairs disagree depends
+    # on what the engine has already memoized.
+    eng = ExtEngine()
+    exact = {}
+    disagreeing = set()
+    for e in GRID_GENERATORS:
+        for f in GRID_GENERATORS:
+            for t in (-1, 0, 1):
+                E, F = parse_bundle(e), parse_bundle(f"{f}({t})")
+                try:
+                    res = eng.ext(E, F)
+                except InternalConsistencyError:
+                    disagreeing.add((e, f"{f}({t})"))
+                    continue
+                if isinstance(res, Ambiguous):
+                    assert res.euler == eng.euler(E, F), (e, f, t)
+                else:
+                    assert res.euler() == eng.euler(E, F), (e, f, t)
+                    exact[(e, f, t)] = res
+    assert disagreeing == KNOWN_DISAGREEING
+    # Serre duality on the tenfold (dimension 10, canonical bundle O(-8)):
+    # Ext^p(E, F) = Ext^{10-p}(F, E(-8))^*, checked wherever both are exact.
+    for (e, f, t), res in exact.items():
+        dual = eng.ext(parse_bundle(f"{f}({t})"), parse_bundle(f"{e}(-8)"))
+        if isinstance(dual, ExtResult):
+            assert res.dims() == {10 - p: d for p, d in dual.dims().items()}, (e, f, t)
