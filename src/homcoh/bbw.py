@@ -10,7 +10,6 @@ anywhere along the way kills all cohomology.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction as Q
 from functools import lru_cache
 from typing import Callable, Optional
 
@@ -26,19 +25,21 @@ from .roots import (
 
 @lru_cache(maxsize=None)
 def weyl_dim(datum: LieDatum, mu: Weight) -> int:
-    """Exact dimension of the irreducible module with dominant highest weight mu."""
+    """Exact dimension of the irreducible module with dominant highest weight mu.
+
+    Weyl's product over the positive roots beta of (mu + rho, beta) / (rho, beta),
+    taken on the integer rows of roots.weyl_rows.
+    """
     if not roots.is_dominant(mu):
         raise DomainError(f"{mu} is not dominant")
-    mu_eps = roots.omega_to_eps(datum, mu)
-    rho_eps = roots.omega_to_eps(datum, roots.rho(datum))
-    num, den = Q(1), Q(1)
-    for alpha in roots.positive_roots_eps(datum):
-        num *= roots._dot(tuple(m + r for m, r in zip(mu_eps, rho_eps)), alpha)
-        den *= roots._dot(rho_eps, alpha)
-    val = num / den
-    if val.denominator != 1 or val <= 0:
+    num, den = 1, 1
+    for row in roots.weyl_rows(datum):
+        num *= sum(r * (m + 1) for r, m in zip(row, mu))
+        den *= sum(row)
+    dim, rest = divmod(num, den)
+    if rest or dim <= 0:
         raise InternalConsistencyError("Weyl dimension is not a positive integer")
-    return int(val)
+    return dim
 
 
 @dataclass(frozen=True)
@@ -81,7 +82,7 @@ def bbw_cohomology(
         raise DomainError(f"{weight} is not Levi-dominant on {pb}")
     v = tuple(w + r for w, r in zip(weight, roots.rho(datum)))
     steps = 0
-    bound = len(roots.positive_roots_eps(datum))
+    bound = len(roots.positive_roots(datum))
     while True:
         if any(c == 0 for c in v):
             return Cohomology.zero()

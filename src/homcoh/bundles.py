@@ -14,7 +14,6 @@ coefficient (multiplicity space).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction as Q
 from functools import lru_cache
 from typing import Callable
 
@@ -150,17 +149,14 @@ def rank(obj: BundleObject) -> int:
 
 
 def first_chern(obj: BundleObject) -> int:
-    """c1 in units of O(1)."""
+    """c1 in units of O(1): rank times doubled GL size, summed, over that of O(1)."""
     if isinstance(obj, Sum):
-        total = Q(0)
-        unit_norm = Q(2, 5) if obj.space == D5_P4 else Q(1, 2)
-        for w, m in obj.parts:
-            glv = levi.to_gl(obj.space, w)
-            charge = sum(glv, Q(0)) * unit_norm
-            total += m * levi.levi_dim(obj.space, w) * charge
-        if total.denominator != 1:
+        space = obj.space
+        total = sum(m * levi.levi_dim(space, w) * levi.doubled_gl_size(space, w) for w, m in obj.parts)
+        c1, rest = divmod(total, levi.doubled_gl_size(space, _unit_weight(space)))
+        if rest:
             raise roots.InternalConsistencyError("non-integral first Chern class")
-        return int(total)
+        return c1
     return alternating_sum(*_any_match(obj), first_chern)
 
 

@@ -53,10 +53,6 @@ def add_piece(graded: Graded, degree: int, entry: Entry, mult: int) -> None:
         del graded[degree]
 
 
-def normalize(graded: Graded) -> Graded:
-    return {p: dict(layer) for p, layer in sorted(graded.items()) if layer}
-
-
 @dataclass(frozen=True)
 class ExtResult:
     """Exact graded Ext, entries keyed by formal tensors of irreducibles."""
@@ -166,8 +162,7 @@ def _tensor_coeff(graded: Graded, coeff: bundles.Coeff) -> Graded:
 class ExtEngine:
     """Memoizing Ext calculator over a fixed sequence registry."""
 
-    def __init__(self, sequences: tuple[Sequence, ...] | None = None):
-        self.sequences = bundles.standard_sequences() if sequences is None else sequences
+    def __init__(self) -> None:
         self._memo: dict = {}
         self._euler_memo: dict = {}
         self._stack: set = set()

@@ -3,13 +3,16 @@
 Supported parabolics are the two homogeneous descriptions of the spinor
 tenfold: D5/P4 (Levi SL(5) x C*) and B4/Q4 (Levi SL(4) x C*).  Both Levis
 are type A with a one-dimensional center, so a Levi-dominant weight maps
-to a weakly decreasing GL vector (entries in (1/2)Z, all congruent mod 1)
-and tensor products reduce to the Littlewood-Richardson rule on integer
-partitions, with the central charge carried separately.
+to a weakly decreasing GL vector and tensor products reduce to the
+Littlewood-Richardson rule on integer partitions, with the central charge
+carried separately.  GL entries lie in (1/2)Z, all congruent mod 1, so the
+module works on twice the GL vector, an integer vector; `to_gl`/`from_gl`
+give the exact rational view.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction as Q
 from functools import lru_cache
 
@@ -19,72 +22,96 @@ from .roots import B4_Q4, D5_P4, DomainError, InternalConsistencyError, Paraboli
 Partition = tuple[int, ...]
 GLVector = tuple[Q, ...]
 
+# Each Levi is GL(n) on a chain of unmarked nodes: consecutive GL entries
+# differ by the label of the chain node between them, and the marked node
+# fixes the last entry.  Per Levi: the chain, and twice the last GL entry as
+# integer coefficients on the labels (coefficient 1 at the marked node).
+#   D5/P4: GL = (e1, e2, e3, e4, -e5), chain 1-2-3-5, 2 gl_5 = w4 - w5.
+#   B4/Q4: GL = (e1, e2, e3, e4),      chain 1-2-3,   2 gl_4 = w4.
+_LEVI = {
+    D5_P4: ((1, 2, 3, 5), (0, 0, 0, 1, -1)),
+    B4_Q4: ((1, 2, 3), (0, 0, 0, 1)),
+}
+
 
 class UnsupportedLevi(DomainError):
     """The operation is only implemented for the two spinor-tenfold parabolics."""
 
 
 def _require_supported(pb: Parabolic) -> None:
-    if pb not in (D5_P4, B4_Q4):
+    if pb not in _LEVI:
         raise UnsupportedLevi(f"Levi operations not implemented for {pb}")
+
+
+def _gl2(pb: Parabolic, w: Weight) -> tuple[int, ...]:
+    # Twice the GL vector of w.
+    chain, last = _LEVI[pb]
+    v = [sum(c * x for c, x in zip(last, w))]
+    for node in reversed(chain):
+        v.append(v[-1] + 2 * w[node - 1])
+    return tuple(reversed(v))
+
+
+def _from_gl2(pb: Parabolic, v: tuple[int, ...]) -> Weight:
+    # The weight whose doubled GL vector is v.
+    chain, last = _LEVI[pb]
+    w = [0] * pb.rank
+    for k, node in enumerate(chain):
+        label, odd = divmod(v[k] - v[k + 1], 2)
+        if odd:
+            raise InternalConsistencyError(f"GL vector {v}/2 is not in the weight lattice")
+        w[node - 1] = label
+    (m,) = pb.marked
+    w[m - 1] = v[-1] - sum(c * x for c, x in zip(last, w))
+    return tuple(w)
 
 
 def levi_rank(pb: Parabolic) -> int:
     """Size of the GL factor: 5 for D5/P4, 4 for B4/Q4."""
     _require_supported(pb)
-    return 5 if pb == D5_P4 else 4
+    return len(_LEVI[pb][0]) + 1
 
 
 def to_gl(pb: Parabolic, w: Weight) -> GLVector:
     """GL-vector of a weight; weakly decreasing exactly when Levi-dominant."""
     _require_supported(pb)
-    eps = roots.omega_to_eps(pb.datum, w)
-    if pb == D5_P4:
-        return (eps[0], eps[1], eps[2], eps[3], -eps[4])
-    return eps
+    return tuple(Q(c, 2) for c in _gl2(pb, w))
 
 
 def from_gl(pb: Parabolic, v: GLVector) -> Weight:
     _require_supported(pb)
-    if pb == D5_P4:
-        eps = (v[0], v[1], v[2], v[3], -v[4])
-    else:
-        eps = v
-    return roots.eps_to_omega(pb.datum, eps)
+    doubled = [2 * Q(c) for c in v]
+    if any(c.denominator != 1 for c in doubled):
+        raise InternalConsistencyError(f"GL vector {v} is not in the weight lattice")
+    return _from_gl2(pb, tuple(int(c) for c in doubled))
 
 
-def gl_dim(v: GLVector) -> int:
-    """Weyl dimension formula for GL(n); exact."""
-    n = len(v)
-    num, den = 1, 1
-    for i in range(n):
-        for j in range(i + 1, n):
-            num *= v[i] - v[j] + j - i
-            den *= j - i
-    val = Q(num, den)
-    if val.denominator != 1 or val <= 0:
-        raise InternalConsistencyError("GL dimension is not a positive integer")
-    return int(val)
+def doubled_gl_size(pb: Parabolic, w: Weight) -> int:
+    """Twice the sum of the GL vector of w: the doubled central charge."""
+    _require_supported(pb)
+    return sum(_gl2(pb, w))
+
+
+def _split(pb: Parabolic, w: Weight) -> tuple[Partition, int]:
+    # 2 GL(w) = 2p + s(1,...,1) with p a partition ending in 0.
+    v = _gl2(pb, w)
+    return tuple((c - v[-1]) // 2 for c in v), v[-1]
 
 
 def levi_dim(pb: Parabolic, w: Weight) -> int:
+    """Weyl's dimension formula for GL(n) on the partition of w; exact."""
     if not roots.is_levi_dominant(pb, w):
         raise DomainError(f"{w} is not Levi-dominant on {pb}")
-    return gl_dim(to_gl(pb, w))
-
-
-def _split_partition(v: GLVector) -> tuple[Partition, Q]:
-    # v = p + s*(1,...,1) with p an integer partition ending in 0.
-    s = v[-1]
-    p = []
-    for c in v:
-        d = c - s
-        if d.denominator != 1 or d < 0:
-            raise DomainError(f"GL vector {v} is not weakly decreasing / congruent")
-        p.append(int(d))
-    if any(p[i] < p[i + 1] for i in range(len(p) - 1)):
-        raise DomainError(f"GL vector {v} is not weakly decreasing")
-    return tuple(p), s
+    _require_supported(pb)
+    p, _ = _split(pb, w)
+    num, den = 1, 1
+    for i, j in itertools.combinations(range(len(p)), 2):
+        num *= p[i] - p[j] + j - i
+        den *= j - i
+    dim, rest = divmod(num, den)
+    if rest or dim <= 0:
+        raise InternalConsistencyError("GL dimension is not a positive integer")
+    return dim
 
 
 @lru_cache(maxsize=None)
@@ -146,14 +173,12 @@ def tensor_decompose(pb: Parabolic, w1: Weight, w2: Weight) -> dict[Weight, int]
         if not roots.is_levi_dominant(pb, w):
             raise DomainError(f"{w} is not Levi-dominant on {pb}")
     n = levi_rank(pb)
-    p1, s1 = _split_partition(to_gl(pb, w1))
-    p2, s2 = _split_partition(to_gl(pb, w2))
-    shift = s1 + s2
+    p1, s1 = _split(pb, w1)
+    p2, s2 = _split(pb, w2)
     out: dict[Weight, int] = {}
     for nu, mult in lr_multiply(p1, p2, n):
         padded = list(nu) + [0] * (n - len(nu))
-        glv = tuple(Q(c) + shift for c in padded)
-        w = from_gl(pb, glv)
+        w = _from_gl2(pb, tuple(2 * c + s1 + s2 for c in padded))
         out[w] = out.get(w, 0) + mult
     return out
 
@@ -164,7 +189,7 @@ def sym_power(pb: Parabolic, r: int) -> Weight:
     if r < 0:
         raise DomainError("negative symmetric power")
     n = levi_rank(pb)
-    return from_gl(pb, tuple(Q(r if i == 0 else 0) for i in range(n)))
+    return _from_gl2(pb, (2 * r,) + (0,) * (n - 1))
 
 
 def wedge_power(pb: Parabolic, r: int) -> Weight:
@@ -173,40 +198,23 @@ def wedge_power(pb: Parabolic, r: int) -> Weight:
     n = levi_rank(pb)
     if not 0 <= r <= n:
         raise DomainError(f"wedge power {r} out of range 0..{n}")
-    return from_gl(pb, tuple(Q(1 if i < r else 0) for i in range(n)))
+    return _from_gl2(pb, (2,) * r + (0,) * (n - r))
 
 
 def branch_d5_to_b4(mu: Weight) -> dict[Weight, int]:
-    """so(10) -> so(9) restriction by the interlacing rule; multiplicity-free."""
+    """so(10) -> so(9) restriction by the interlacing rule; multiplicity-free.
+
+    Runs on doubled epsilon vectors, whose entries share one parity.  The
+    D5 epsilon vector of mu is its D5/P4 GL vector up to the sign of the last
+    entry, which interlacing reads only through its absolute value, and the
+    B4/Q4 GL vector is the B4 epsilon vector.
+    """
     if not roots.is_dominant(mu):
         raise DomainError(f"{mu} is not dominant")
-    lam = roots.omega_to_eps(roots.D5, mu)
-    out: dict[Weight, int] = {}
+    lam = _gl2(D5_P4, mu)
     bounds = [(lam[1], lam[0]), (lam[2], lam[1]), (lam[3], lam[2]), (abs(lam[4]), lam[3])]
-
-    def steps(lo: Q, hi: Q) -> list[Q]:
-        # values in [lo, hi] congruent to hi mod 1
-        first = lo + ((hi - lo) % 1)
-        vals = []
-        v = first
-        while v <= hi:
-            vals.append(v)
-            v += 1
-        return vals
-
-    def rec(i: int, acc: list[Q]) -> None:
-        if i == 4:
-            w = roots.eps_to_omega(roots.B4, tuple(acc))
-            out[w] = out.get(w, 0) + 1
-            return
-        lo, hi = bounds[i]
-        for v in steps(lo, hi):
-            acc.append(v)
-            rec(i + 1, acc)
-            acc.pop()
-
-    rec(0, [])
-    return out
+    nus = itertools.product(*(range(lo, hi + 1, 2) for lo, hi in bounds))
+    return {_from_gl2(B4_Q4, nu): 1 for nu in nus}
 
 
 @lru_cache(maxsize=None)

@@ -10,7 +10,6 @@ against the cone formula in K-theory.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction as Q
 
 from . import bundles, ext as ext_mod
 from .bundles import BundleObject, Named, Sequence, Sum, Term
@@ -167,30 +166,6 @@ def gram_matrix(col: Collection, engine: ExtEngine | None = None) -> tuple[tuple
 # --- K-theory --------------------------------------------------------------
 
 
-def _int_inverse(matrix: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
-    n = len(matrix)
-    aug = [[Q(matrix[i][j]) for j in range(n)] + [Q(1 if k == i else 0) for k in range(n)] for i in range(n)]
-    for c in range(n):
-        piv = next(r for r in range(c, n) if aug[r][c] != 0)
-        aug[c], aug[piv] = aug[piv], aug[c]
-        inv = Q(1) / aug[c][c]
-        aug[c] = [x * inv for x in aug[c]]
-        for r in range(n):
-            if r != c and aug[r][c] != 0:
-                f = aug[r][c]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[c])]
-    out = []
-    for r in range(n):
-        row = []
-        for c in range(n):
-            v = aug[r][n + c]
-            if v.denominator != 1:
-                raise InternalConsistencyError("Gram matrix is not unimodular")
-            row.append(int(v))
-        out.append(tuple(row))
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class KForm:
     """Euler form on K-theory in the basis of the Kuznetsov collection."""
@@ -206,8 +181,21 @@ class KForm:
         if eng.kform is None:
             basis = kuznetsov_collection().objects
             gram = tuple(tuple(eng.euler(a, b) for b in basis) for a in basis)
-            eng.kform = KForm(basis, gram, _int_inverse(gram))
+            eng.kform = KForm.from_gram(basis, gram)
         return eng.kform
+
+    @staticmethod
+    def from_gram(basis: tuple[BundleObject, ...], gram: tuple[tuple[int, ...], ...]) -> "KForm":
+        """The form of an exceptional basis: its Gram matrix is upper
+        unitriangular, so integer back substitution inverts it."""
+        n = len(gram)
+        if any(gram[i][j] != int(i == j) for i in range(n) for j in range(i + 1)):
+            raise InternalConsistencyError("Gram matrix is not upper unitriangular")
+        inv = [[int(i == j) for j in range(n)] for i in range(n)]
+        for c in range(n):
+            for r in range(c - 1, -1, -1):
+                inv[r][c] = -sum(gram[r][k] * inv[k][c] for k in range(r + 1, c + 1))
+        return KForm(basis, gram, tuple(map(tuple, inv)))
 
     def kclass(self, obj: BundleObject, engine: ExtEngine) -> KVector:
         return tuple(engine.euler(b, obj) for b in self.basis)
@@ -357,12 +345,6 @@ def _hyp_is_trivial_line(hyp) -> bool:
     return hyp == {1: 1}
 
 
-def _hyp_is_zero(hyp) -> bool:
-    if isinstance(hyp, ExtResult):
-        return hyp.is_zero
-    return hyp == {}
-
-
 def mutate(
     col: Collection,
     direction: str,
@@ -391,8 +373,7 @@ def mutate(
     k1 = _kclass_of(E1, form, eng)
     k2 = _kclass_of(E2, form, eng)
 
-    notes: tuple[str, ...] = ()
-    if not isinstance(hyp, Ambiguous) and _hyp_is_zero(hyp):
+    if not isinstance(hyp, Ambiguous) and _is_zero(hyp):
         recipe, result, shift = "transposition", (E1 if direction == "R" else E2), 0
     else:
         if direction == "R":
@@ -425,7 +406,6 @@ def mutate(
         result,
         shift,
         _kclass_of(result, form, eng) if not isinstance(result, KOnly) else result.kclass,
-        notes,
     )
     return new, step
 

@@ -1,10 +1,11 @@
 """Exact root-system and weight combinatorics for the classical families.
 
-Weights are stored as integer vectors in the fundamental-weight basis
-(omega-basis) of a fixed Lie datum.  Epsilon coordinates (the orthonormal
-realization) are a derived view with exact rational entries; for spin
-weights of types B and D the denominator is 2, so everything is done
-with Fraction arithmetic and round-trips exactly.
+Weights are integer vectors in the fundamental-weight basis (omega-basis)
+of a fixed Lie datum, and positive roots are integer vectors of
+simple-root coordinates grown from the integer Cartan matrix; every table
+the other layers use is integral.  Epsilon coordinates (the orthonormal
+realization) are a derived view for display and tests, with exact
+rational entries: spin weights of types B and D have denominator 2.
 """
 
 from __future__ import annotations
@@ -121,33 +122,6 @@ def simple_roots_eps(datum: LieDatum) -> tuple[EpsVector, ...]:
 
 
 @lru_cache(maxsize=None)
-def positive_roots_eps(datum: LieDatum) -> tuple[EpsVector, ...]:
-    n, dim = datum.rank, _eps_dim(datum)
-
-    def vec(entries: dict[int, int]) -> EpsVector:
-        v = [Q(0)] * dim
-        for i, c in entries.items():
-            v[i] = Q(c)
-        return tuple(v)
-
-    out: list[EpsVector] = []
-    if datum.family == "A":
-        for i in range(n + 1):
-            for j in range(i + 1, n + 1):
-                out.append(vec({i: 1, j: -1}))
-        return tuple(out)
-    for i in range(n):
-        for j in range(i + 1, n):
-            out.append(vec({i: 1, j: -1}))
-            out.append(vec({i: 1, j: 1}))
-    if datum.family == "B":
-        out.extend(vec({i: 1}) for i in range(n))
-    elif datum.family == "C":
-        out.extend(vec({i: 2}) for i in range(n))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
 def cartan_matrix(datum: LieDatum) -> tuple[tuple[int, ...], ...]:
     """Row i holds alpha_i written in the omega-basis."""
     simple = simple_roots_eps(datum)
@@ -161,6 +135,56 @@ def cartan_matrix(datum: LieDatum) -> tuple[tuple[int, ...], ...]:
             row.append(int(val))
         rows.append(tuple(row))
     return tuple(rows)
+
+
+@lru_cache(maxsize=None)
+def positive_roots(datum: LieDatum) -> tuple[tuple[int, ...], ...]:
+    """Positive roots in simple-root coordinates, lowest height first.
+
+    Grown by alpha_i-strings: for a root beta != alpha_i, beta + alpha_i is
+    a root exactly when p - <beta, alpha_i^vee> > 0, where p counts the
+    roots beta - alpha_i, beta - 2 alpha_i, ... already found below it.
+    """
+    cartan = cartan_matrix(datum)
+    n = datum.rank
+    level = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+    out = list(level)
+    while level:
+        grown = []
+        for beta in level:
+            for i in range(n):
+                down = list(beta)
+                down[i] -= 1
+                while tuple(down) in out:
+                    down[i] -= 1
+                p = beta[i] - down[i] - 1
+                up = beta[:i] + (beta[i] + 1,) + beta[i + 1 :]
+                if p > sum(c * cartan[k][i] for k, c in enumerate(beta)) and up not in grown:
+                    grown.append(up)
+        out.extend(grown)
+        level = grown
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def weyl_rows(datum: LieDatum) -> tuple[tuple[int, ...], ...]:
+    """Per positive root beta = sum c_k alpha_k, the row c_k |alpha_k|^2.
+
+    Since (omega_j, alpha_k) = delta_jk |alpha_k|^2 / 2, the row's dot
+    product with a weight lam in the omega-basis is 2 (lam, beta).
+    """
+    norms = [int(_dot(a, a)) for a in simple_roots_eps(datum)]
+    return tuple(tuple(c * d for c, d in zip(beta, norms)) for beta in positive_roots(datum))
+
+
+@lru_cache(maxsize=None)
+def positive_roots_eps(datum: LieDatum) -> tuple[EpsVector, ...]:
+    """The positive roots as epsilon vectors: the view sum c_k alpha_k."""
+    simple = simple_roots_eps(datum)
+    return tuple(
+        tuple(sum((c * a[k] for c, a in zip(beta, simple)), Q(0)) for k in range(_eps_dim(datum)))
+        for beta in positive_roots(datum)
+    )
 
 
 def _solve_exact(matrix: list[list[Q]], rhs: list[Q]) -> list[Q]:
@@ -240,7 +264,7 @@ def dominant_conjugate(datum: LieDatum, w: Weight) -> tuple[Weight, int]:
     """The dominant Weyl-orbit representative and the number of reflections used."""
     v = tuple(w)
     count = 0
-    bound = 2 * len(positive_roots_eps(datum)) + 1
+    bound = 2 * len(positive_roots(datum)) + 1
     while not is_dominant(v):
         i = next(k + 1 for k, c in enumerate(v) if c < 0)
         v = simple_reflection(datum, i, v)
@@ -272,7 +296,7 @@ def dualize_levi(pb: Parabolic, w: Weight) -> Weight:
     datum = pb.datum
     v = tuple(-c for c in w)
     count = 0
-    bound = 2 * len(positive_roots_eps(datum)) + 1
+    bound = 2 * len(positive_roots(datum)) + 1
     while True:
         neg = [i for i in pb.unmarked() if v[i - 1] < 0]
         if not neg:
@@ -283,42 +307,21 @@ def dualize_levi(pb: Parabolic, w: Weight) -> Weight:
             raise InternalConsistencyError("Levi dualization did not terminate")
 
 
-@lru_cache(maxsize=None)
-def _simple_root_coordinates(datum: LieDatum) -> dict[EpsVector, tuple[int, ...]]:
-    # Expand each positive root over the simple roots (always non-negative ints).
-    # Solved through the Gram matrix, which is regular for any independent basis.
-    simple = simple_roots_eps(datum)
-    n = datum.rank
-    gram = [[_dot(simple[k], simple[j]) for k in range(n)] for j in range(n)]
-    table: dict[EpsVector, tuple[int, ...]] = {}
-    for root in positive_roots_eps(datum):
-        rhs = [_dot(root, simple[j]) for j in range(n)]
-        coords = _solve_exact([row[:] for row in gram], rhs)
-        ints = []
-        for c in coords:
-            if c.denominator != 1 or c < 0:
-                raise InternalConsistencyError("positive root with bad expansion")
-            ints.append(int(c))
-        table[root] = tuple(ints)
-    return table
+def _roots_outside_levi(pb: Parabolic) -> list[tuple[int, ...]]:
+    return [beta for beta in positive_roots(pb.datum) if any(beta[i - 1] for i in pb.marked)]
 
 
 def canonical_weight(pb: Parabolic) -> Weight:
     """Weight of the canonical bundle: minus the sum of roots outside the Levi."""
-    datum = pb.datum
-    dim = _eps_dim(datum)
-    total = [Q(0)] * dim
-    for root, coords in _simple_root_coordinates(datum).items():
-        if any(coords[i - 1] != 0 for i in pb.marked):
-            for k in range(dim):
-                total[k] += root[k]
-    return eps_to_omega(datum, tuple(-t for t in total))
+    cartan = cartan_matrix(pb.datum)
+    total = [0] * pb.rank
+    for beta in _roots_outside_levi(pb):
+        for c, row in zip(beta, cartan):
+            for k in range(pb.rank):
+                total[k] -= c * row[k]
+    return tuple(total)
 
 
 def homogeneous_dimension(pb: Parabolic) -> int:
     """dim G/P = number of positive roots outside the Levi."""
-    count = 0
-    for coords in _simple_root_coordinates(pb.datum).values():
-        if any(coords[i - 1] != 0 for i in pb.marked):
-            count += 1
-    return count
+    return len(_roots_outside_levi(pb))

@@ -1,11 +1,12 @@
 import itertools
 import random
+from fractions import Fraction as Q
 
 import pytest
 
 from homcoh import bbw, roots
 from homcoh.bbw import bbw_cohomology, weyl_dim
-from homcoh.roots import B4, B4_Q4, D5, D5_P4
+from homcoh.roots import B4, B4_Q4, D5, D5_P4, LieDatum
 
 
 def test_weyl_dim_vector_and_spinors():
@@ -122,3 +123,40 @@ def test_twist_in_the_ample_direction_preserves_sections():
         for k in range(4):
             tw = tuple(c + (k if i == 3 else 0) for i, c in enumerate(w))
             assert bbw_cohomology(D5_P4, tw).degree == 0
+
+
+# Epsilon-coordinate tables, written out independently of homcoh.roots: the
+# fundamental weights (partial sums of e_i, halved spin weights for B and D;
+# type A in GL coordinates, which Weyl's product does not distinguish from
+# the trace-free ones) and the classical positive roots.
+def _eps_tables(family, n):
+    dim = n + 1 if family == "A" else n
+    omegas = [[Q(int(k <= j)) for k in range(dim)] for j in range(n)]
+    if family == "B":
+        omegas[n - 1] = [Q(1, 2)] * n
+    if family == "D":
+        omegas[n - 2] = [Q(1, 2)] * (n - 1) + [Q(-1, 2)]
+        omegas[n - 1] = [Q(1, 2)] * n
+    pos = []
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            pos.append([int(k == i) - int(k == j) for k in range(dim)])
+            if family != "A":
+                pos.append([int(k == i) + int(k == j) for k in range(dim)])
+    if family in "BC":
+        pos += [[(1 if family == "B" else 2) * int(k == i) for k in range(dim)] for i in range(n)]
+    return omegas, pos
+
+
+def test_weyl_dim_matches_epsilon_product_oracle():
+    for family, n in (("D", 5), ("B", 4), ("A", 3), ("C", 3)):
+        omegas, pos = _eps_tables(family, n)
+        datum = LieDatum(family, n)
+        for mu in itertools.product(range(3), repeat=n):
+            shifted = [sum((m + 1) * w[k] for m, w in zip(mu, omegas)) for k in range(len(omegas[0]))]
+            rho = [sum(w[k] for w in omegas) for k in range(len(omegas[0]))]
+            val = Q(1)
+            for beta in pos:
+                val *= sum(x * b for x, b in zip(shifted, beta)) / sum(x * b for x, b in zip(rho, beta))
+            assert bbw.weyl_dim(datum, mu) == val, (datum, mu)
+

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction as Q
 
 import pytest
 
@@ -141,3 +142,23 @@ def test_gl_vector_roundtrip():
         for _ in range(50):
             w = _random_levi_dominant(rng, pb, 5)
             assert levi.from_gl(pb, levi.to_gl(pb, w)) == w
+
+
+def test_to_gl_is_the_epsilon_view():
+    # The Levi GL vector is the epsilon vector, with D5's last entry negated.
+    rng = random.Random(37)
+    for pb in (D5_P4, B4_Q4):
+        for _ in range(80):
+            w = _random_levi_dominant(rng, pb, 6)
+            eps = roots.omega_to_eps(pb.datum, w)
+            want = eps[:4] + (-eps[4],) if pb == D5_P4 else eps
+            assert levi.to_gl(pb, w) == want
+
+
+def test_from_gl_rejects_off_lattice_vectors():
+    with pytest.raises(roots.InternalConsistencyError):
+        levi.from_gl(D5_P4, (Q(1, 4),) * 5)
+    with pytest.raises(roots.InternalConsistencyError):
+        levi.from_gl(B4_Q4, (Q(3, 4), Q(1, 4), Q(1, 4), Q(1, 4)))
+    with pytest.raises(roots.InternalConsistencyError):
+        levi.from_gl(B4_Q4, (Q(1), Q(1, 2), Q(1, 2), Q(1, 2)))  # entries not congruent mod 1

@@ -7,6 +7,7 @@ from homcoh import ext as X
 from homcoh import mutations as M
 from homcoh.ext import ExtEngine
 from homcoh.mutations import Collection, KOnly
+from homcoh.roots import InternalConsistencyError
 
 
 @pytest.fixture(scope="module")
@@ -231,3 +232,20 @@ def test_hermite_normal_form_basics():
     assert hermite_normal_form([(2, 0), (0, 2)]) == ((2, 0), (0, 2))
     assert hermite_normal_form([(0, 1), (1, 0)]) == ((1, 0), (0, 1))
     assert hermite_normal_form([(2, 2), (2, -2)]) == ((2, 2), (0, 4))
+
+
+def test_kform_inverse_by_back_substitution(form):
+    n = len(form.gram)
+    inv, gram = form.gram_inv, form.gram
+    product = [[sum(inv[i][k] * gram[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    assert product == [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def test_kform_rejects_gram_that_is_not_unitriangular(form):
+    lower = [list(row) for row in form.gram]
+    lower[3][1] = 1  # a backward pairing: the basis would not be exceptional
+    diagonal = [list(row) for row in form.gram]
+    diagonal[2][2] = 2
+    for gram in (lower, diagonal):
+        with pytest.raises(InternalConsistencyError):
+            M.KForm.from_gram(form.basis, tuple(map(tuple, gram)))

@@ -208,3 +208,61 @@ def test_dual_weight_swaps_spin_nodes():
     assert roots.dual_weight(D5, (0, 0, 0, 0, 1)) == (0, 0, 0, 1, 0)
     assert roots.dual_weight(D5, (1, 0, 0, 0, 0)) == (1, 0, 0, 0, 0)
     assert roots.dual_weight(B4, (0, 1, 0, 1)) == (0, 1, 0, 1)
+
+
+def _eps_positive_roots(family, n):
+    # The classical positive roots written out: e_i - e_j and, outside type A,
+    # e_i + e_j, plus e_i (type B) or 2 e_i (type C).
+    dim = n + 1 if family == "A" else n
+
+    def vec(*entries):
+        v = [0] * dim
+        for i, c in entries:
+            v[i] += c
+        return tuple(v)
+
+    out = {vec((i, 1), (j, -1)) for i in range(dim) for j in range(i + 1, dim)}
+    if family != "A":
+        out |= {vec((i, 1), (j, 1)) for i in range(n) for j in range(i + 1, n)}
+    if family == "B":
+        out |= {vec((i, 1)) for i in range(n)}
+    if family == "C":
+        out |= {vec((i, 2)) for i in range(n)}
+    return out
+
+
+A4_SIMPLE = [(1, -1, 0, 0, 0), (0, 1, -1, 0, 0), (0, 0, 1, -1, 0), (0, 0, 0, 1, -1)]
+C3_SIMPLE = [(1, -1, 0), (0, 1, -1), (0, 0, 2)]
+
+
+def test_positive_roots_match_epsilon_enumeration():
+    # positive_roots grows the roots from the Cartan matrix alone; expanded
+    # over this file's own simple roots they must be the classical list.
+    cases = (("A", 4, A4_SIMPLE), ("B", 4, B4_SIMPLE), ("C", 3, C3_SIMPLE), ("D", 5, D5_SIMPLE))
+    for family, n, simple in cases:
+        coords = roots.positive_roots(LieDatum(family, n))
+        assert all(c >= 0 for beta in coords for c in beta)
+        dim = len(simple[0])
+        expanded = [tuple(sum(c * a[k] for c, a in zip(beta, simple)) for k in range(dim)) for beta in coords]
+        assert len(set(expanded)) == len(expanded)
+        assert set(expanded) == _eps_positive_roots(family, n)
+        assert set(roots.positive_roots_eps(LieDatum(family, n))) == _eps_positive_roots(family, n)
+
+
+def test_weight_format_stays_behind_roots_and_levi():
+    # Weights are integer omega-vectors; the Fraction view lives in roots and
+    # levi only, so the layers above never build a Fraction.
+    import ast
+    import inspect
+
+    from homcoh import bbw, bundles, ext, mutations
+
+    for module in (bbw, bundles, ext, mutations):
+        tree = ast.parse(inspect.getsource(module))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {a.name.split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                imported.add(node.module.split(".")[0])
+        assert "fractions" not in imported, module.__name__
