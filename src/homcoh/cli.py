@@ -3,27 +3,30 @@
 Exit codes: 0 success / all checks pass; 1 a verification or replay check
 failed; 2 usage or parse error; 3 an Ext computation was ambiguous; 4 an
 internal error (a bug, such as an InternalConsistencyError), reported on
-one line of stderr.
+one line of stderr; 141 (128 + SIGPIPE) the reader closed standard output
+early, as in `homcoh corpus | head -1`, which prints nothing to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
-from . import bundles, corpus, ext as ext_mod, levi, mutations, parser as bparser, roots
+from . import corpus, ext as ext_mod, levi, mutations, parser as bparser, roots
 from .bbw import bbw_cohomology, weyl_dim
 from .ext import Ambiguous
 from .mutations import Collection, KOnly
 from .parser import BundleSyntaxError, bundle_expr, parse_bundle
-from .roots import B4_Q4, D5_P4, DomainError, InvalidDatum, LieDatum, Parabolic
+from .roots import DomainError, InvalidDatum, LieDatum, Parabolic
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_AMBIGUOUS = 3
 EXIT_INTERNAL = 4
+EXIT_BROKEN_PIPE = 141
 
 
 class UsageError(ValueError):
@@ -66,8 +69,6 @@ def _load_collection(path: str) -> Collection:
         "spinor-kp": mutations.kp_collection,
         "kuznetsov": mutations.kuznetsov_collection,
     }
-    import os
-
     if path in builtins and not os.path.exists(path):
         return builtins[path]()
     try:
@@ -364,10 +365,22 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at shutdown
+        return code
     except (UsageError, BundleSyntaxError, InvalidDatum, DomainError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:
+        # The reader is gone.  Point stdout at devnull so that the flush at
+        # interpreter shutdown does not raise a second time.
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, OSError, ValueError):
+            pass
+        else:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+        return EXIT_BROKEN_PIPE
     except Exception as e:  # anything else is a bug: one line, not a traceback
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_INTERNAL

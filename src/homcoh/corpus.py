@@ -11,10 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from . import bbw, bundles, ext as ext_mod, levi, roots
+from . import bundles
 from .bundles import B4_Q4, D5_P4
 from .ext import Ambiguous, ExtEngine, ExtResult, ls_chase, rep_result, trivial_result
-from .roots import B4, D5
+from .roots import D5
 
 CaseResult = tuple[str, bool, str, str]  # (case id, ok, computed, stated)
 

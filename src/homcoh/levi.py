@@ -3,16 +3,19 @@
 Supported parabolics are the two homogeneous descriptions of the spinor
 tenfold: D5/P4 (Levi SL(5) x C*) and B4/Q4 (Levi SL(4) x C*).  Both Levis
 are type A with a one-dimensional center, so a Levi-dominant weight maps
-to a weakly decreasing GL vector and tensor products reduce to the
-Littlewood-Richardson rule on integer partitions, with the central charge
-carried separately.  GL entries lie in (1/2)Z, all congruent mod 1, so the
-module works on twice the GL vector, an integer vector; `to_gl`/`from_gl`
-give the exact rational view.
+to a weakly decreasing GL vector, a partition plus a central charge.
+Tensor products multiply the partitions by Brauer-Klimyk on GL(n): the
+Kostka numbers of one factor's dominant weights, from Gelfand-Tsetlin
+patterns, straightened against the other factor by the dot action of the
+symmetric group; the central charges add.  GL entries lie in (1/2)Z, all
+congruent mod 1, so the module works on twice the GL vector, an integer
+vector; `to_gl`/`from_gl` give the exact rational view.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from fractions import Fraction as Q
 from functools import lru_cache
 
@@ -114,56 +117,72 @@ def levi_dim(pb: Parabolic, w: Weight) -> int:
     return dim
 
 
+def _kostka(mu: Partition) -> dict[Partition, int]:
+    """Dominant weights of the GL(n) irreducible mu with their Kostka numbers.
+
+    Counts Gelfand-Tsetlin patterns with top row mu, peeled from the top:
+    each row interlaces the row above it, and the size it loses is the
+    weight entry at that row's position, read from the last entry up.  A
+    dominant weight is weakly decreasing, so a chain survives only while
+    the removed sizes weakly increase toward the bottom and the rest of the
+    row can still pay at least the last removed size per entry.
+    """
+    level = {(mu, ()): 1}
+    for k in range(len(mu) - 1, -1, -1):
+        nxt: dict[tuple[Partition, Partition], int] = {}
+        for (row, tail), count in level.items():
+            size = sum(row)
+            floor = tail[0] if tail else 0
+            spans = (range(row[i + 1], row[i] + 1) for i in range(k))
+            for below in itertools.product(*spans):
+                removed = size - sum(below)
+                if removed >= floor and size - removed >= removed * k:
+                    key = (below, (removed,) + tail)
+                    nxt[key] = nxt.get(key, 0) + count
+        level = nxt
+    return {tail: count for (_, tail), count in level.items()}
+
+
 @lru_cache(maxsize=None)
 def lr_multiply(lam: Partition, mu: Partition, max_rows: int) -> tuple[tuple[Partition, int], ...]:
     """Littlewood-Richardson expansion of s_lam * s_mu, rows capped at max_rows.
 
-    Enumerates chains of horizontal strips labelled by the rows of mu; a
-    chain survives when the cumulative counts satisfy the lattice-word
-    condition: for every label k >= 2 and row r,
-    #(k in rows 1..r) <= #(k-1 in rows 1..r-1).
+    Brauer-Klimyk on GL(max_rows): every weight of the factor with the
+    smaller size, counted by its Kostka number, is added to the other
+    factor's lam + rho.  A sum with a repeated entry cancels; any other is
+    sorted to a strictly decreasing vector, with the sign of the sorting
+    permutation, and shifted back by rho.
     """
     lam = tuple(c for c in lam if c)
     mu = tuple(c for c in mu if c)
     if len(lam) > max_rows or len(mu) > max_rows:
         raise DomainError("partition has more rows than max_rows")
+    if sum(mu) > sum(lam):
+        lam, mu = mu, lam
+    rho = range(max_rows - 1, -1, -1)
+    shifted = [c + r for c, r in zip(lam + (0,) * max_rows, rho)]
+    # A dominant weight of mu has at most |mu| nonzero entries, and its
+    # Kostka number does not depend on the zeros after them; its other
+    # weights place those entries, in some order, on some of the rows.
+    rows = min(max_rows, sum(mu))
     out: dict[Partition, int] = {}
-
-    def place(label: int, shape: tuple[int, ...], prev_cum: tuple[int, ...]) -> None:
-        if label > len(mu):
-            key = tuple(c for c in shape if c)
-            out[key] = out.get(key, 0) + 1
-            return
-        size = mu[label - 1]
-        new_shape = list(shape)
-
-        def rows(r: int, remaining: int) -> None:
-            if r == max_rows:
-                if remaining:
-                    return
-                cum = [0] * (max_rows + 1)
-                for rr in range(max_rows):
-                    cum[rr + 1] = cum[rr] + (new_shape[rr] - shape[rr])
-                if label >= 2 and any(
-                    cum[rr] > prev_cum[rr - 1] for rr in range(1, max_rows + 1)
-                ):
-                    return
-                place(label + 1, tuple(new_shape), tuple(cum))
-                return
-            # horizontal strip: row r may grow up to the previous row's old length
-            hi = shape[r] + remaining
-            if r >= 1:
-                hi = min(hi, shape[r - 1])
-            for target in range(shape[r], hi + 1):
-                new_shape[r] = target
-                rows(r + 1, remaining - (target - shape[r]))
-            new_shape[r] = shape[r]
-
-        rows(0, size)
-
-    start = tuple(list(lam) + [0] * (max_rows - len(lam)))
-    place(1, start, (0,) * (max_rows + 1))
-    return tuple(sorted(out.items()))
+    for weight, count in _kostka((mu + (0,) * rows)[:rows]).items():
+        head = tuple(c for c in weight if c)
+        orders = set(itertools.permutations(head))
+        for places in itertools.combinations(range(max_rows), len(head)):
+            for order in orders:
+                v = shifted.copy()
+                for p, c in zip(places, order):
+                    v[p] += c
+                if len(set(v)) < max_rows:
+                    continue
+                inversions = sum(a < b for a, b in itertools.combinations(v, 2))
+                v.sort(reverse=True)
+                nu = tuple(map(operator.sub, v, rho))
+                out[nu] = out.get(nu, 0) + (-count if inversions % 2 else count)
+    if any(c < 0 for c in out.values()):
+        raise InternalConsistencyError(f"negative Brauer-Klimyk coefficient in {lam} * {mu}")
+    return tuple(sorted((tuple(c for c in nu if c), m) for nu, m in out.items() if m))
 
 
 def tensor_decompose(pb: Parabolic, w1: Weight, w2: Weight) -> dict[Weight, int]:

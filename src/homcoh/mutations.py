@@ -9,10 +9,10 @@ against the cone formula in K-theory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import bundles, ext as ext_mod
-from .bundles import BundleObject, Named, Sequence, Sum, Term
+from .bundles import BundleObject, Sequence, Term
 from .ext import Ambiguous, ExtEngine, ExtResult
 from .roots import DomainError, InternalConsistencyError
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -71,6 +75,41 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     err = capsys.readouterr().err
     assert code == 4
     assert err == "internal error: InternalConsistencyError: routes disagree\n"
+
+
+def test_closed_pipe_is_not_an_internal_error(capsys, monkeypatch):
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    code = cli.main(["corpus"])
+    assert code == 141
+    assert capsys.readouterr().err == ""
+
+
+def test_closed_pipe_exits_quietly_in_a_process():
+    # The reader end is closed before the process starts, as in
+    # `homcoh dim ... | true`; shutdown must not report a second error.
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "homcoh.cli", "dim", "D5", "[1,0,0,0,0]"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == b""
 
 
 def test_ext_ambiguous_exit_code(capsys):

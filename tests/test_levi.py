@@ -22,6 +22,108 @@ def test_lr_pieri_column():
     assert dict(levi.lr_multiply((1,), (1, 1), 5)) == {(2, 1): 1, (1, 1, 1): 1}
 
 
+def test_lr_one_row_adds_lengths():
+    for a in range(4):
+        for b in range(4):
+            assert levi.lr_multiply((a,), (b,), 1) == ((tuple(c for c in (a + b,) if c), 1),)
+
+
+def test_lr_empty_partition_is_the_unit():
+    for lam in ((), (3,), (2, 1), (2, 2, 1, 1)):
+        for empty in ((), (0, 0, 0)):
+            assert levi.lr_multiply(lam, empty, 4) == ((lam, 1),)
+            assert levi.lr_multiply(empty, lam, 4) == ((lam, 1),)
+
+
+def test_lr_row_cap_drops_longer_shapes():
+    assert dict(levi.lr_multiply((1, 1), (1, 1), 2)) == {(2, 2): 1}
+
+
+def test_lr_rejects_more_rows_than_max_rows():
+    with pytest.raises(roots.DomainError):
+        levi.lr_multiply((1, 1, 1), (1,), 2)
+    with pytest.raises(roots.DomainError):
+        levi.lr_multiply((1,), (1, 1, 1), 2)
+
+
+def test_lr_negative_coefficient_is_an_internal_error(monkeypatch):
+    # s_11 * s_2 without the weight (1, 1) of s_2 would need -s_22.
+    monkeypatch.setattr(levi, "_kostka", lambda mu: {(2, 0): 1} if mu == (2, 0) else {mu: 1})
+    with pytest.raises(roots.InternalConsistencyError):
+        levi.lr_multiply.__wrapped__((1, 1), (2,), 2)
+
+
+# Schur-polynomial oracle: s_lam(x) = det(x_i^(lam_j + n - j)) / det(x_i^(n - j)),
+# evaluated exactly at integer points with no homcoh arithmetic.
+SCHUR_POINTS = ((2, 3, 5, 7, 11), (-1, 4, 6, 9, 13), (1, 2, 3, 4, 5))
+
+
+def _bareiss_det(matrix):
+    a = [list(row) for row in matrix]
+    n, sign, prev = len(a), 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1] if n else 1
+
+
+def _alternant(shape, x):
+    n = len(x)
+    padded = list(shape) + [0] * (n - len(shape))
+    return _bareiss_det([[xi ** (padded[j] + n - 1 - j) for j in range(n)] for xi in x])
+
+
+def _schur_identity_holds(lam, mu, rows, terms):
+    for point in SCHUR_POINTS:
+        x = point[:rows]
+        vandermonde = _alternant((), x)
+
+        def schur(shape):
+            quotient, rest = divmod(_alternant(shape, x), vandermonde)
+            assert rest == 0
+            return quotient
+
+        if schur(lam) * schur(mu) != sum(c * schur(nu) for nu, c in terms):
+            return False
+    return True
+
+
+def _chain_partition(pb, w):
+    # Partition of a Levi-dominant weight: row k sums the labels of the GL
+    # chain nodes from the k-th on (D5/P4: 1-2-3-5, B4/Q4: 1-2-3).
+    chain = (1, 2, 3, 5) if pb == D5_P4 else (1, 2, 3)
+    return tuple(sum(w[node - 1] for node in chain[k:]) for k in range(len(chain) + 1))
+
+
+def test_lr_matches_schur_polynomial_oracle():
+    rng = random.Random(13)  # the draw of test_tensor_commutative_and_dimensional
+    cases = [((9, 6, 3, 2), (9, 7, 6, 3), 5)]  # the slowest product of the bench
+    for pb in (D5_P4, B4_Q4):
+        for _ in range(30):
+            a = _random_levi_dominant(rng, pb)
+            b = _random_levi_dominant(rng, pb)
+            p, q = _chain_partition(pb, a), _chain_partition(pb, b)
+            cases.append((p, q, len(p)))
+    for lam, mu, rows in cases:
+        assert _schur_identity_holds(lam, mu, rows, levi.lr_multiply(lam, mu, rows)), (lam, mu)
+
+
+def test_schur_oracle_catches_a_raised_coefficient():
+    terms = levi.lr_multiply((2, 1), (2, 1), 3)
+    assert _schur_identity_holds((2, 1), (2, 1), 3, terms)
+    for k, (nu, c) in enumerate(terms):
+        raised = terms[:k] + ((nu, c + 1),) + terms[k + 1 :]
+        assert not _schur_identity_holds((2, 1), (2, 1), 3, raised), nu
+
+
 def test_tensor_examples():
     w1 = (1, 0, 0, 0, 0)
     assert levi.tensor_decompose(D5_P4, w1, w1) == {(2, 0, 0, 0, 0): 1, (0, 1, 0, 0, 0): 1}
