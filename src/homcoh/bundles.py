@@ -43,6 +43,11 @@ class Sum:
                 raise DomainError("multiplicities must be positive")
             if not roots.is_levi_dominant(self.space, w):
                 raise DomainError(f"{w} is not Levi-dominant on {self.space}")
+        object.__setattr__(self, "_hash", hash((self.space, self.parts)))
+
+    def __hash__(self) -> int:
+        # Kept once per instance, like the hashes of LieDatum and Parabolic.
+        return self._hash
 
     def twist_amount(self) -> int | None:
         """k when the object is O(k)^m for some m, else None."""
@@ -69,6 +74,12 @@ class Named:
 
     name: str
     twist: int
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.name, self.twist)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __repr__(self) -> str:
         return f"{self.name}({self.twist})"

@@ -195,7 +195,7 @@ def _step_payload(step: mutations.MutationStep) -> dict:
         "ext": {str(p): d for p, d in step.hypothesis_dims().items()},
         "recipe": step.recipe,
         "result-expr": _obj_expr(step.result),
-        "kclass": list(step.kclass) if step.kclass is not None else None,
+        "kclass": list(step.kclass),
         "notes": list(step.notes),
     }
 

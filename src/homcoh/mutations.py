@@ -156,11 +156,8 @@ def verify_exceptional(col: Collection, engine: ExtEngine | None = None) -> Veri
 def gram_matrix(col: Collection, engine: ExtEngine | None = None) -> tuple[tuple[int, ...], ...]:
     eng = engine or ext_mod.get_engine()
     form = KForm.standard(eng)
-    rows = []
-    for a in col.objects:
-        ka = _kclass_of(a, form, eng)
-        rows.append(tuple(form.chi(ka, _kclass_of(b, form, eng)) for b in col.objects))
-    return tuple(rows)
+    classes = [_kclass_of(obj, form, eng) for obj in col.objects]
+    return tuple(tuple(_dot(ca, kb) for kb in classes) for ca in map(form.coords, classes))
 
 
 # --- K-theory --------------------------------------------------------------
@@ -168,7 +165,14 @@ def gram_matrix(col: Collection, engine: ExtEngine | None = None) -> tuple[tuple
 
 @dataclass(frozen=True)
 class KForm:
-    """Euler form on K-theory in the basis of the Kuznetsov collection."""
+    """Euler form on K-theory in the basis of the Kuznetsov collection.
+
+    An object E is stored as its class kclass(E) = (chi(b, E) for b in
+    basis), so kclass(E) = gram * coords(E), where coords(E) are the
+    coefficients of E in the basis.  `coords` inverts that relation, and
+    chi(E, F) = coords(E) . kclass(F): a table of pairings needs coords
+    once per row, not once per entry.
+    """
 
     basis: tuple[BundleObject, ...]
     gram: tuple[tuple[int, ...], ...]
@@ -200,10 +204,16 @@ class KForm:
     def kclass(self, obj: BundleObject, engine: ExtEngine) -> KVector:
         return tuple(engine.euler(b, obj) for b in self.basis)
 
+    def coords(self, k: KVector) -> KVector:
+        """Coefficients in the basis of the class whose kclass is k: gram_inv * k."""
+        return tuple(_dot(row, k) for row in self.gram_inv)
+
     def chi(self, ka: KVector, kb: KVector) -> int:
-        # kclass(E) = G * coords(E), so chi(E, F) = coords(E)^T kclass(F)
-        coords = [sum(self.gram_inv[i][j] * ka[j] for j in range(len(ka))) for i in range(len(ka))]
-        return sum(c * kb[i] for i, c in enumerate(coords))
+        return _dot(self.coords(ka), kb)
+
+
+def _dot(u: KVector, v: KVector) -> int:
+    return sum(x * y for x, y in zip(u, v))
 
 
 def _kclass_of(obj: CollectionObject, form: KForm, engine: ExtEngine) -> KVector:
@@ -240,7 +250,7 @@ class MutationStep:
     recipe: str
     result: CollectionObject
     shift: int
-    kclass: KVector | None = None
+    kclass: KVector
     notes: tuple[str, ...] = ()
 
     def hypothesis_dims(self) -> dict[int, int]:
@@ -374,7 +384,8 @@ def mutate(
     k2 = _kclass_of(E2, form, eng)
 
     if not isinstance(hyp, Ambiguous) and _is_zero(hyp):
-        recipe, result, shift = "transposition", (E1 if direction == "R" else E2), 0
+        recipe, shift = "transposition", 0
+        result, rk = (E1, k1) if direction == "R" else (E2, k2)
     else:
         if direction == "R":
             cone_k = k_mutate_right([k1, k2], 0, form)[1]
@@ -382,7 +393,7 @@ def mutate(
             cone_k = k_mutate_left([k1, k2], 0, form)[0]
         found = None if isinstance(hyp, Ambiguous) else _find_recipe(direction, E1, E2, hyp)
         if found is None:
-            result = KOnly(cone_k)
+            result, rk = KOnly(cone_k), cone_k
             recipe, shift = "k-only", 0
         else:
             recipe, result, shift = found
@@ -397,16 +408,7 @@ def mutate(
         new = col.replaced(position, (E2, result))
     else:
         new = col.replaced(position, (result, E1))
-    step = MutationStep(
-        direction,
-        position,
-        (E1, E2),
-        hyp,
-        recipe,
-        result,
-        shift,
-        _kclass_of(result, form, eng) if not isinstance(result, KOnly) else result.kclass,
-    )
+    step = MutationStep(direction, position, (E1, E2), hyp, recipe, result, shift, rk)
     return new, step
 
 

@@ -42,6 +42,12 @@ class LieDatum:
             raise InvalidDatum("rank must be positive")
         if self.family == "D" and self.rank < 3:
             raise InvalidDatum("family D needs rank >= 3")
+        # Data, parabolics and bundles key every memo table of the engine:
+        # each hashes its fields once and keeps the value outside them.
+        object.__setattr__(self, "_hash", hash((self.family, self.rank)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __repr__(self) -> str:
         return f"{self.family}{self.rank}"
@@ -61,13 +67,19 @@ class Parabolic:
             raise InvalidDatum("marked nodes must be strictly increasing")
         if any(i < 1 or i > self.datum.rank for i in self.marked):
             raise InvalidDatum("marked node out of range")
+        object.__setattr__(self, "_hash", hash((self.datum, self.marked)))
+        unmarked = tuple(i for i in range(1, self.datum.rank + 1) if i not in self.marked)
+        object.__setattr__(self, "_unmarked", unmarked)
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def rank(self) -> int:
         return self.datum.rank
 
     def unmarked(self) -> tuple[int, ...]:
-        return tuple(i for i in range(1, self.rank + 1) if i not in self.marked)
+        return self._unmarked
 
     def __repr__(self) -> str:
         nodes = ",".join(str(i) for i in self.marked)

@@ -104,3 +104,22 @@ def test_sum_validation():
         B.irr(D5_P4, (-1, 0, 0, 0, 0))
     with pytest.raises(DomainError):
         B.make_sum(D5_P4, [((1, 0, 0, 0, 0), 0)])
+
+
+def test_equal_bundles_built_along_different_routes_are_one_key():
+    from homcoh.parser import parse_bundle
+
+    pairs = [
+        (B.O(2), B.twist(B.O(0), 2)),
+        (parse_bundle("Uv(3)"), B.Uv(3)),
+        (parse_bundle("Sym2 Uv (2)"), B.twist(B.sym_Uv(2, 0), 2)),
+        (B.twist(B.That(5), 1), B.That(6)),
+        (B.dual(B.That(-6)), parse_bundle("Thatv(6)")),
+    ]
+    for a, b in pairs:
+        assert a is not b and a == b and hash(a) == hash(b)
+    table = {a: i for i, (a, _) in enumerate(pairs)}
+    assert [table[b] for _, b in pairs] == list(range(len(pairs)))
+    distinct = [B.O(2), B.O(3), B.O(2, B4_Q4), B.Uv(3), B.U(3), B.That(6), B.Thatv(6), B.That(5)]
+    assert len(set(distinct)) == len(distinct)
+    assert all(a != b for i, a in enumerate(distinct) for b in distinct[i + 1:])

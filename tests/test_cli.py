@@ -91,11 +91,27 @@ def test_closed_pipe_is_not_an_internal_error(capsys, monkeypatch):
     assert capsys.readouterr().err == ""
 
 
+def _child_env() -> dict:
+    src = Path(cli.__file__).resolve().parents[1]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+
+
+def test_package_runs_as_a_module():
+    proc = subprocess.run(
+        [sys.executable, "-m", "homcoh", "replay", "spinor-kp"],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "FINAL = Kuznetsov collection: MATCH"
+
+
 def test_closed_pipe_exits_quietly_in_a_process():
     # The reader end is closed before the process starts, as in
     # `homcoh dim ... | true`; shutdown must not report a second error.
-    src = Path(cli.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    env = _child_env()
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:

@@ -249,3 +249,48 @@ def test_kform_rejects_gram_that_is_not_unitriangular(form):
     for gram in (lower, diagonal):
         with pytest.raises(InternalConsistencyError):
             M.KForm.from_gram(form.basis, tuple(map(tuple, gram)))
+
+
+COLLECTIONS = (M.kp_collection, M.kuznetsov_collection)
+
+
+def test_gram_matrix_is_the_table_of_euler_pairings(eng):
+    # The oracle pairs the objects through the engine, without KForm.
+    for make in COLLECTIONS:
+        objs = make().objects
+        assert M.gram_matrix(make(), eng) == tuple(tuple(eng.euler(a, b) for b in objs) for a in objs)
+
+
+def test_gram_matrix_reads_k_only_objects_by_their_class(eng, form):
+    for make in COLLECTIONS:
+        col = make()
+        expected = M.gram_matrix(col, eng)
+        for i in (0, 5, len(col) - 1):
+            k_only = KOnly(form.kclass(col.objects[i], eng))
+            objs = col.objects[:i] + (k_only,) + col.objects[i + 1:]
+            assert M.gram_matrix(Collection(objs), eng) == expected, (col.label, i)
+
+
+def test_gram_matrix_computes_each_kclass_once(eng, form, monkeypatch):
+    calls = []
+    kclass = M.KForm.kclass
+
+    def counted(self, obj, engine):
+        calls.append(obj)
+        return kclass(self, obj, engine)
+
+    monkeypatch.setattr(M.KForm, "kclass", counted)
+    col = M.kuznetsov_collection()
+    M.gram_matrix(col, eng)
+    assert calls == list(col.objects)
+
+
+def test_step_kclass_is_the_class_of_the_result(eng, form):
+    # Transpositions in both directions, an object-level recipe and a K-only cone.
+    steps = [s for s in M.replay_main_proof(eng).steps]
+    steps.append(M.mutate(Collection((B.U(6), B.Uv(5))), "L", 0, eng)[1])
+    steps.append(M.mutate(Collection((B.O(0), B.O(1))), "R", 0, eng)[1])
+    assert {s.recipe for s in steps} == {"transposition", "left-kernel", "right-cokernel", "k-only"}
+    assert {s.direction for s in steps if s.recipe == "transposition"} == {"L", "R"}
+    for s in steps:
+        assert s.kclass == M._kclass_of(s.result, form, eng)

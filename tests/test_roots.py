@@ -266,3 +266,18 @@ def test_weight_format_stays_behind_roots_and_levi():
             elif isinstance(node, ast.ImportFrom) and node.module:
                 imported.add(node.module.split(".")[0])
         assert "fractions" not in imported, module.__name__
+
+
+def test_equal_parabolics_are_one_key_and_data_keep_their_order():
+    datum = LieDatum("D", 5)
+    assert datum is not D5 and datum == D5 and hash(datum) == hash(D5)
+    pb = Parabolic(datum, (4,))
+    assert pb is not D5_P4 and pb == D5_P4 and hash(pb) == hash(D5_P4)
+    assert {D5_P4: "P4"}[pb] == "P4"
+    assert len({D5_P4, Parabolic(D5, (5,)), Parabolic(D5, (4, 5)), B4_Q4}) == 4
+    assert sorted([D5, B4, LieDatum("A", 4), LieDatum("B", 2)]) == [
+        LieDatum("A", 4), LieDatum("B", 2), B4, D5,
+    ]
+    assert pb.unmarked() == (1, 2, 3, 5)
+    assert Parabolic(D5, (1, 4)).unmarked() == (2, 3, 5)
+    assert B4_Q4.unmarked() == (1, 2, 3)
