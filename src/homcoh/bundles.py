@@ -24,6 +24,7 @@ RepFactor = tuple[LieDatum, Weight]
 Coeff = tuple[tuple[RepFactor, int], ...]  # multiset of full-group weights
 
 
+@lru_cache(maxsize=None)
 def _unit_weight(space: Parabolic) -> Weight:
     # Generator of the twisting direction: the marked fundamental weight.
     (m,) = space.marked
@@ -112,10 +113,9 @@ def twist(obj: BundleObject, k: int) -> BundleObject:
     if isinstance(obj, Named):
         return Named(obj.name, obj.twist + k)
     unit = _unit_weight(obj.space)
-    return make_sum(
-        obj.space,
-        [(tuple(c + k * u for c, u in zip(w, unit)), m) for w, m in obj.parts],
-    )
+    # Adding one vector to every part keeps the parts sorted and distinct,
+    # so the Sum is built directly; Sum.__post_init__ still validates it.
+    return Sum(obj.space, tuple((tuple(c + k * u for c, u in zip(w, unit)), m) for w, m in obj.parts))
 
 
 def dual(obj: BundleObject) -> BundleObject:

@@ -203,9 +203,10 @@ def _step_payload(step: mutations.MutationStep) -> dict:
 def cmd_mutate(args) -> int:
     eng = ext_mod.get_engine()
     col = _load_collection(args.collection)
-    pos = args.position - 1
+    if not 1 <= args.position <= len(col) - 1:
+        raise UsageError(f"position {args.position} out of range 1..{len(col) - 1}")
     try:
-        new, step = mutations.mutate(col, args.direction, pos, eng)
+        new, step = mutations.mutate(col, args.direction, args.position - 1, eng)
     except mutations.AmbiguousMutation as e:
         print(f"ambiguous: {e}")
         return EXIT_AMBIGUOUS

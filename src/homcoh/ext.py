@@ -14,11 +14,23 @@ Graded pieces are stored as multisets of formal tensors of full-group
 irreducibles; a coefficient representation multiplying a nontrivial
 cohomology representation stays unexpanded (tensor product decompositions
 of the full group are never required).
+
+A chase asks for the same pure values many times: the BBW pieces of one
+pair of irreducibles, a Levi dual, a BBW walk, a sequence term at a twist.
+Each ExtEngine keeps them in its own tables (see ExtEngine), keyed by
+hashable values, created empty with the engine and dropped with it.  They
+are per engine, not module-level caches, for two reasons.  A fresh engine
+recomputes through the roots, bbw and levi functions installed at that
+moment, so a fault injected into them, or a tracer wrapped around them,
+is seen by the next engine even when another engine is already warm.  And
+their memory is held only while an engine is alive and only for what it
+asked; callers of levi.tensor_decompose outside an engine (the tensor
+command, bundles.tensor) pay nothing for them.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 from . import bbw, bundles, levi, roots
@@ -40,6 +52,17 @@ def entry_dim(entry: Entry) -> int:
     for datum, w in entry:
         d *= bbw.weyl_dim(datum, w)
     return d
+
+
+_MISSING = object()
+
+
+def _lookup(table: dict, fn: Callable, *args):
+    """fn(*args), computed on the first call with these args and kept in table."""
+    value = table.get(args, _MISSING)
+    if value is _MISSING:
+        value = table[args] = fn(*args)
+    return value
 
 
 def add_piece(graded: Graded, degree: int, entry: Entry, mult: int) -> None:
@@ -160,13 +183,36 @@ def _tensor_coeff(graded: Graded, coeff: bundles.Coeff) -> Graded:
 
 
 class ExtEngine:
-    """Memoizing Ext calculator over a fixed sequence registry."""
+    """Memoizing Ext calculator over a fixed sequence registry.
+
+    Besides the Ext and Euler memos, an engine keeps five kernel tables of
+    pure values, each filled on its first lookup through _lookup and keyed
+    by the arguments of the function that fills it:
+
+    - _pairs: (pb, w1, w2) -> the direct BBW pieces of Ext(E_w1, E_w2) for
+      two irreducibles, as (degree, entry, mult) tuples (_pair_pieces);
+    - _levi_duals: (pb, w) -> roots.dualize_levi(pb, w);
+    - _cohomology: (pb, nu) -> bbw.bbw_cohomology(pb, nu);
+    - _terms: (term, t, contravariant) -> the term's object twisted by t
+      and its coefficient, dualized when contravariant (_term_at);
+    - _duals: (datum, w) -> roots.dual_weight(datum, w), for coefficients.
+
+    The tables start empty and live exactly as long as the engine, so a
+    fault injected into roots, bbw or levi reaches every engine built
+    after it, and their memory goes with the engine (see the module
+    docstring).
+    """
 
     def __init__(self) -> None:
         self._memo: dict = {}
         self._euler_memo: dict = {}
         self._stack: set = set()
         self._euler_stack: set = set()
+        self._pairs: dict = {}
+        self._levi_duals: dict = {}
+        self._cohomology: dict = {}
+        self._terms: dict = {}
+        self._duals: dict = {}
         self.kform = None  # the Euler form on K-theory, built by mutations.KForm.standard
 
     # -- public surface ------------------------------------------------
@@ -298,30 +344,41 @@ class ExtEngine:
                     return None
                 F = other
         pb = E.space
-        datum = pb.datum
         acc: Graded = {}
         for w1, m1 in E.parts:
-            w1d = roots.dualize_levi(pb, w1)
             for w2, m2 in F.parts:
-                for nu, mult in levi.tensor_decompose(pb, w1d, w2).items():
-                    coh = bbw.bbw_cohomology(pb, nu)
-                    if not coh.vanishes:
-                        add_piece(acc, coh.degree, _entry((datum, coh.weight)), m1 * m2 * mult)
+                for degree, entry, mult in _lookup(self._pairs, self._pair_pieces, pb, w1, w2):
+                    add_piece(acc, degree, entry, m1 * m2 * mult)
         return ExtResult.from_dict(acc)
+
+    def _pair_pieces(
+        self, pb: roots.Parabolic, w1: roots.Weight, w2: roots.Weight
+    ) -> tuple[tuple[int, Entry, int], ...]:
+        """BBW of E_w1-dual tensor E_w2, one (degree, entry, mult) per nonvanishing piece."""
+        datum = pb.datum
+        w1d = _lookup(self._levi_duals, roots.dualize_levi, pb, w1)
+        pieces = []
+        for nu, mult in levi.tensor_decompose(pb, w1d, w2).items():
+            coh = _lookup(self._cohomology, bbw.bbw_cohomology, pb, nu)
+            if not coh.vanishes:
+                pieces.append((coh.degree, _entry((datum, coh.weight)), mult))
+        return tuple(pieces)
 
     # -- chase machinery ---------------------------------------------------
 
     def _column(self, term: Term, t: int, partner: BundleObject, contravariant: bool) -> Graded | None:
-        obj = bundles.twist(term.obj, t)
-        if contravariant:
-            res = self.ext(obj, partner)
-            coeff = bundles.coeff_dual(term.coeff)
-        else:
-            res = self.ext(partner, obj)
-            coeff = term.coeff
+        obj, coeff = _lookup(self._terms, self._term_at, term, t, contravariant)
+        res = self.ext(obj, partner) if contravariant else self.ext(partner, obj)
         if isinstance(res, Ambiguous):
             return None
         return _tensor_coeff(res.as_dict(), coeff)
+
+    def _term_at(self, term: Term, t: int, contravariant: bool) -> tuple[BundleObject, bundles.Coeff]:
+        """The term twisted by t, and its coefficient, dualized when contravariant."""
+        obj = bundles.twist(term.obj, t)
+        if not contravariant:
+            return obj, term.coeff
+        return obj, tuple(((d, _lookup(self._duals, roots.dual_weight, d, w)), m) for (d, w), m in term.coeff)
 
     def _chase(
         self, seq: Sequence, idx: int, t: int, partner: BundleObject, contravariant: bool

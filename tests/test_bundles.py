@@ -123,3 +123,22 @@ def test_equal_bundles_built_along_different_routes_are_one_key():
     distinct = [B.O(2), B.O(3), B.O(2, B4_Q4), B.Uv(3), B.U(3), B.That(6), B.Thatv(6), B.That(5)]
     assert len(set(distinct)) == len(distinct)
     assert all(a != b for i, a in enumerate(distinct) for b in distinct[i + 1:])
+
+
+def test_twist_of_a_sum_is_the_sum_of_the_shifted_parts():
+    from homcoh.parser import parse_bundle
+
+    unit = {D5_P4: (0, 0, 0, 1, 0), B4_Q4: (0, 0, 0, 1)}  # the marked fundamental weights
+    for text in ("Sym2 Uv + Uv + O", "Sym2 Rv + Rv", "Sym2 Uv + Uv + Uv + O(-1)"):
+        E = parse_bundle(text)
+        assert len(E.parts) > 1
+        u = unit[E.space]
+        for k in range(-3, 4):
+            got = B.twist(E, k)
+            shifted = [(tuple(c + k * x for c, x in zip(w, u)), m) for w, m in E.parts]
+            want = B.make_sum(E.space, shifted)
+            assert got == want and hash(got) == hash(want), (text, k)
+            assert got.parts == tuple(sorted(shifted)) == want.parts
+            assert len({w for w, _ in got.parts}) == len(got.parts)
+            for j in range(-3, 4):
+                assert B.twist(got, j) == B.twist(E, k + j), (text, k, j)

@@ -177,6 +177,14 @@ def test_mutate_ambiguous_exit(tmp_path, capsys):
     assert code == 3
 
 
+def test_mutate_position_out_of_range_names_the_given_position(capsys):
+    for position in ("0", "16"):
+        code = cli.main(["mutate", "spinor-kp", "R", position])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.strip() == f"error: position {position} out of range 1..15"
+
+
 def test_replay(capsys):
     code, out = run(capsys, "replay", "spinor-kp")
     assert code == 0

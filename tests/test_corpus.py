@@ -2,6 +2,8 @@ import pytest
 
 from homcoh import corpus, roots
 from homcoh.corpus import ENTRIES, run_corpus
+from homcoh.ext import ExtEngine
+from homcoh.parser import parse_bundle
 
 
 def test_full_corpus_passes():
@@ -25,7 +27,7 @@ def test_empty_filter_match_is_vacuous_pass():
     assert report.passed and not report.results
 
 
-def test_fault_in_short_root_row_breaks_exactly_the_b4_side(monkeypatch):
+def _inject_short_root_fault(monkeypatch):
     original = roots.cartan_matrix
 
     def faulty(datum):
@@ -37,13 +39,34 @@ def test_fault_in_short_root_row_breaks_exactly_the_b4_side(monkeypatch):
         return matrix
 
     monkeypatch.setattr(roots, "cartan_matrix", faulty)
-    report = run_corpus()
+
+
+def _assert_fails_exactly_on_the_b4_side(report):
     failed = {label for label, _ in report.failures}
     b4_labels = {e.label for e in ENTRIES if e.side == "B4"}
     d5_labels = {e.label for e in ENTRIES if e.side == "D5"}
     assert failed, "the fault must be detected"
     assert failed <= b4_labels, f"only rank-4 entries may fail, got {failed}"
     assert not (failed & d5_labels)
+
+
+def test_fault_in_short_root_row_breaks_exactly_the_b4_side(monkeypatch):
+    _inject_short_root_fault(monkeypatch)
+    _assert_fails_exactly_on_the_b4_side(run_corpus())
+
+
+def test_fault_reaches_a_fresh_engine_after_another_engine_is_warm(monkeypatch):
+    # The engine's kernel tables must not outlive it: an engine that has
+    # already seen every B4/Q4 pair of the corpus must not shield a fresh
+    # one from a fault injected afterwards.
+    warm = ExtEngine()
+    assert run_corpus(engine=warm).passed
+    for e in ("R", "Rv", "Sym2 Rv", "Wedge2 Rv"):
+        for f in ("O", "R", "Rv", "Sym2 Rv", "Wedge2 Rv"):
+            for t in (-2, 0, 2):
+                warm.ext(parse_bundle(e), parse_bundle(f"{f}({t})"))
+    _inject_short_root_fault(monkeypatch)
+    _assert_fails_exactly_on_the_b4_side(run_corpus())
 
 
 def test_corpus_survives_after_fault_removed():

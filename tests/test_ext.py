@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from homcoh import bbw
 from homcoh import bundles as B
 from homcoh import ext as X
 from homcoh import roots
@@ -132,6 +133,48 @@ def test_cross_description_multi_part(eng):
     res = eng.ext(lhs, B.Uv())
     assert not isinstance(res, Ambiguous)
     assert res.dims() == {1: 1}
+
+
+# Direct pairs, covariant and contravariant chases, coefficient columns
+# (the affine and quadric sequences) and cross-description pairs.
+TABLE_QUERIES = (
+    ("Sym2 Uv", "Uv(-2)"), ("O", "That(5)"), ("That", "O(-1)"), ("Thatv", "Ktilde(1)"),
+    ("Ktilde", "Uv"), ("Ktildev", "O(1)"), ("Rv", "Uv"), ("Sym2 Rv", "Uv"),
+    ("U", "Sym2 Uv(1)"), ("Wedge2 Rv", "Rv"),
+)
+
+
+def _log_calls(monkeypatch, module, name: str, log: list) -> None:
+    original = getattr(module, name)
+
+    def counting(*args):
+        log.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counting)
+
+
+def test_kernel_tables_compute_each_key_once_per_engine(monkeypatch):
+    calls = {"bbw_cohomology": [], "dual_weight": []}
+    _log_calls(monkeypatch, bbw, "bbw_cohomology", calls["bbw_cohomology"])
+    _log_calls(monkeypatch, roots, "dual_weight", calls["dual_weight"])
+    pairs = [(parse_bundle(e), parse_bundle(f)) for e, f in TABLE_QUERIES]
+
+    def run_fresh_engine():
+        for keys in calls.values():
+            keys.clear()
+        eng = ExtEngine()
+        for E, F in pairs:
+            eng.ext(E, F)
+            eng.euler(E, F)
+        return {name: list(keys) for name, keys in calls.items()}
+
+    first = run_fresh_engine()
+    for name, keys in first.items():
+        assert keys, f"{name} was never reached"
+        assert len(keys) == len(set(keys)), f"{name}: {len(keys)} calls for {len(set(keys))} keys"
+    # The tables belong to the engine: a second one computes everything again.
+    assert run_fresh_engine() == first
 
 
 GRID_GENERATORS = (
