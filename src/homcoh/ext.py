@@ -24,8 +24,11 @@ recomputes through the roots, bbw and levi functions installed at that
 moment, so a fault injected into them, or a tracer wrapped around them,
 is seen by the next engine even when another engine is already warm.  And
 their memory is held only while an engine is alive and only for what it
-asked; callers of levi.tensor_decompose outside an engine (the tensor
-command, bundles.tensor) pay nothing for them.
+asked.  Below them, levi.tensor_decompose keeps one table of its own for
+the process, the Levi products of each pair of partitions at central
+charge 0: every caller fills it, in an engine or not (the tensor command,
+bundles.tensor), and a fault in the Brauer-Klimyk loop reaches only the
+pairs it has not yet seen.
 """
 
 from __future__ import annotations
@@ -194,7 +197,8 @@ class ExtEngine:
     - _levi_duals: (pb, w) -> roots.dualize_levi(pb, w);
     - _cohomology: (pb, nu) -> bbw.bbw_cohomology(pb, nu);
     - _terms: (term, t, contravariant) -> the term's object twisted by t
-      and its coefficient, dualized when contravariant (_term_at);
+      and its coefficient, dualized when contravariant (_term_at), for
+      chase columns and Euler reductions alike;
     - _duals: (datum, w) -> roots.dual_weight(datum, w), for coefficients.
 
     The tables start empty and live exactly as long as the engine, so a
@@ -417,10 +421,16 @@ class ExtEngine:
                         for w1, m1 in E.parts
                         for w2, m2 in F.parts
                     )
+                # bundles.alternating_sum, on the twisted terms of the _terms table;
+                # a dualized coefficient has the same dimension.
                 seq, idx, t, contravariant = route
-                if contravariant:
-                    return bundles.alternating_sum(seq, idx, t, lambda other: self.euler(other, F))
-                return bundles.alternating_sum(seq, idx, t, lambda other: self.euler(E, other))
+                total = 0
+                for j, term in enumerate(seq.terms):
+                    if j != idx:
+                        obj, coeff = _lookup(self._terms, self._term_at, term, t, contravariant)
+                        chi = self.euler(obj, F) if contravariant else self.euler(E, obj)
+                        total += (1 if (j - idx) % 2 else -1) * bundles.coeff_dim(coeff) * chi
+                return total
             except DomainError:
                 continue
         raise DomainError(f"no route to the Euler pairing of ({E}, {F})")

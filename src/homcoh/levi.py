@@ -10,6 +10,11 @@ patterns, straightened against the other factor by the dot action of the
 symmetric group; the central charges add.  GL entries lie in (1/2)Z, all
 congruent mod 1, so the module works on twice the GL vector, an integer
 vector; `to_gl`/`from_gl` give the exact rational view.
+
+`tensor_decompose` reads the table `_PRODUCTS`, keyed by the two partitions
+(pb, p1, p2) of `_split`: the product's Levi weights at central charge 0,
+filled once per key, to whose marked coordinate a call adds the summed
+doubled charge.  The lattice check lives in `_from_gl2`, for `from_gl`.
 """
 
 from __future__ import annotations
@@ -55,18 +60,22 @@ def _gl2(pb: Parabolic, w: Weight) -> tuple[int, ...]:
     return tuple(reversed(v))
 
 
-def _from_gl2(pb: Parabolic, v: tuple[int, ...]) -> Weight:
-    # The weight whose doubled GL vector is v.
+def _weight(pb: Parabolic, labels, last2: int) -> Weight:
+    # The weight with these labels on the chain and twice the last GL entry last2.
     chain, last = _LEVI[pb]
     w = [0] * pb.rank
-    for k, node in enumerate(chain):
-        label, odd = divmod(v[k] - v[k + 1], 2)
-        if odd:
-            raise InternalConsistencyError(f"GL vector {v}/2 is not in the weight lattice")
+    for node, label in zip(chain, labels):
         w[node - 1] = label
-    (m,) = pb.marked
-    w[m - 1] = v[-1] - sum(c * x for c, x in zip(last, w))
+    w[pb.marked[0] - 1] = last2 - sum(map(operator.mul, last, w))
     return tuple(w)
+
+
+def _from_gl2(pb: Parabolic, v: tuple[int, ...]) -> Weight:
+    # The weight whose doubled GL vector is v.
+    steps = list(map(operator.sub, v, v[1:]))
+    if any(c % 2 for c in steps):
+        raise InternalConsistencyError(f"GL vector {v}/2 is not in the weight lattice")
+    return _weight(pb, [c // 2 for c in steps], v[-1])
 
 
 def levi_rank(pb: Parabolic) -> int:
@@ -97,14 +106,14 @@ def doubled_gl_size(pb: Parabolic, w: Weight) -> int:
 
 def _split(pb: Parabolic, w: Weight) -> tuple[Partition, int]:
     # 2 GL(w) = 2p + s(1,...,1) with p a partition ending in 0.
+    if not roots.is_levi_dominant(pb, w):
+        raise DomainError(f"{w} is not Levi-dominant on {pb}")
     v = _gl2(pb, w)
     return tuple((c - v[-1]) // 2 for c in v), v[-1]
 
 
 def levi_dim(pb: Parabolic, w: Weight) -> int:
     """Weyl's dimension formula for GL(n) on the partition of w; exact."""
-    if not roots.is_levi_dominant(pb, w):
-        raise DomainError(f"{w} is not Levi-dominant on {pb}")
     _require_supported(pb)
     p, _ = _split(pb, w)
     num, den = 1, 1
@@ -143,63 +152,67 @@ def _kostka(mu: Partition) -> dict[Partition, int]:
     return {tail: count for (_, tail), count in level.items()}
 
 
-@lru_cache(maxsize=None)
-def lr_multiply(lam: Partition, mu: Partition, max_rows: int) -> tuple[tuple[Partition, int], ...]:
-    """Littlewood-Richardson expansion of s_lam * s_mu, rows capped at max_rows.
+def _brauer_klimyk(lam: Partition, mu: Partition, n: int) -> dict[Partition, int]:
+    """s_lam * s_mu on GL(n) as sorted n-entry partitions; trailing zeros are ignored.
 
-    Brauer-Klimyk on GL(max_rows): every weight of the factor with the
-    smaller size, counted by its Kostka number, is added to the other
-    factor's lam + rho.  A sum with a repeated entry cancels; any other is
-    sorted to a strictly decreasing vector, with the sign of the sorting
-    permutation, and shifted back by rho.
+    Each weight of the smaller factor, counted by its Kostka number, joins the
+    other's lam + rho: a strictly decreasing sum counts as it is, one with a repeated
+    entry cancels, any other is sorted with its permutation's sign; all shift back by rho.
     """
-    lam = tuple(c for c in lam if c)
-    mu = tuple(c for c in mu if c)
-    if len(lam) > max_rows or len(mu) > max_rows:
-        raise DomainError("partition has more rows than max_rows")
     if sum(mu) > sum(lam):
         lam, mu = mu, lam
-    rho = range(max_rows - 1, -1, -1)
-    shifted = [c + r for c, r in zip(lam + (0,) * max_rows, rho)]
+    rho = range(n - 1, -1, -1)
+    shifted = [c + r for c, r in zip(lam + (0,) * n, rho)]
     # A dominant weight of mu has at most |mu| nonzero entries, and its
     # Kostka number does not depend on the zeros after them; its other
     # weights place those entries, in some order, on some of the rows.
-    rows = min(max_rows, sum(mu))
+    rows = min(n, sum(mu))
     out: dict[Partition, int] = {}
     for weight, count in _kostka((mu + (0,) * rows)[:rows]).items():
         head = tuple(c for c in weight if c)
         orders = set(itertools.permutations(head))
-        for places in itertools.combinations(range(max_rows), len(head)):
+        for places in itertools.combinations(range(n), len(head)):
             for order in orders:
                 v = shifted.copy()
                 for p, c in zip(places, order):
                     v[p] += c
-                if len(set(v)) < max_rows:
-                    continue
-                inversions = sum(a < b for a, b in itertools.combinations(v, 2))
-                v.sort(reverse=True)
+                inversions = 0
+                if not all(map(operator.gt, v, v[1:])):
+                    if len(set(v)) < n:
+                        continue
+                    inversions = sum(a < b for a, b in itertools.combinations(v, 2))
+                    v.sort(reverse=True)
                 nu = tuple(map(operator.sub, v, rho))
                 out[nu] = out.get(nu, 0) + (-count if inversions % 2 else count)
     if any(c < 0 for c in out.values()):
         raise InternalConsistencyError(f"negative Brauer-Klimyk coefficient in {lam} * {mu}")
-    return tuple(sorted((tuple(c for c in nu if c), m) for nu, m in out.items() if m))
+    return {nu: c for nu, c in sorted(out.items()) if c}
+
+
+@lru_cache(maxsize=None)
+def lr_multiply(lam: Partition, mu: Partition, max_rows: int) -> tuple[tuple[Partition, int], ...]:
+    """Littlewood-Richardson expansion of s_lam * s_mu in max_rows rows, zeros stripped."""
+    if max(len(lam) - lam.count(0), len(mu) - mu.count(0)) > max_rows:
+        raise DomainError("partition has more rows than max_rows")
+    return tuple((tuple(c for c in nu if c), m) for nu, m in _brauer_klimyk(lam, mu, max_rows).items())
+
+
+# (pb, p1, p2) -> ((weight, multiplicity), ...) of V_p1 (x) V_p2 at central charge 0.
+_PRODUCTS: dict[tuple[Parabolic, Partition, Partition], tuple[tuple[Weight, int], ...]] = {}
 
 
 def tensor_decompose(pb: Parabolic, w1: Weight, w2: Weight) -> dict[Weight, int]:
     """Decompose the tensor product of two irreducible Levi representations."""
     _require_supported(pb)
-    for w in (w1, w2):
-        if not roots.is_levi_dominant(pb, w):
-            raise DomainError(f"{w} is not Levi-dominant on {pb}")
-    n = levi_rank(pb)
-    p1, s1 = _split(pb, w1)
-    p2, s2 = _split(pb, w2)
-    out: dict[Weight, int] = {}
-    for nu, mult in lr_multiply(p1, p2, n):
-        padded = list(nu) + [0] * (n - len(nu))
-        w = _from_gl2(pb, tuple(2 * c + s1 + s2 for c in padded))
-        out[w] = out.get(w, 0) + mult
-    return out
+    (p1, s1), (p2, s2) = _split(pb, w1), _split(pb, w2)
+    terms = _PRODUCTS.get((pb, p1, p2))
+    if terms is None:
+        # Labels are differences of nu: 2*nu has even ones, so _from_gl2's parity test could not fail.
+        product = _brauer_klimyk(p1, p2, len(p1)).items()
+        terms = tuple((_weight(pb, map(operator.sub, nu, nu[1:]), 2 * nu[-1]), c) for nu, c in product)
+        _PRODUCTS[pb, p1, p2] = terms
+    m, s = pb.marked[0] - 1, s1 + s2
+    return {w[:m] + (w[m] + s,) + w[m + 1 :]: mult for w, mult in terms}
 
 
 def sym_power(pb: Parabolic, r: int) -> Weight:
@@ -207,8 +220,7 @@ def sym_power(pb: Parabolic, r: int) -> Weight:
     _require_supported(pb)
     if r < 0:
         raise DomainError("negative symmetric power")
-    n = levi_rank(pb)
-    return _from_gl2(pb, (2 * r,) + (0,) * (n - 1))
+    return _weight(pb, (r,), 0)  # GL vector (r, 0, ..., 0)
 
 
 def wedge_power(pb: Parabolic, r: int) -> Weight:
@@ -237,37 +249,27 @@ def branch_d5_to_b4(mu: Weight) -> dict[Weight, int]:
 
 
 @lru_cache(maxsize=None)
-def _branch_cached(mu: Weight) -> tuple[tuple[Weight, int], ...]:
-    return tuple(sorted(branch_d5_to_b4(mu).items()))
-
-
 def b4_content(group: roots.LieDatum, w: Weight) -> tuple[tuple[Weight, int], ...]:
     """View a D5 or B4 representation as a multiset of B4 irreducibles."""
     if group == roots.B4:
         return ((w, 1),)
     if group == roots.D5:
-        return _branch_cached(w)
+        return tuple(sorted(branch_d5_to_b4(w).items()))
     raise DomainError(f"no branching to B4 from {group}")
 
 
 def invariant_multiplicity_entry(factors: tuple[tuple[roots.LieDatum, Weight], ...]) -> int:
     """Multiplicity of the trivial B4 representation in a formal tensor product.
 
-    Handles zero, one or two nontrivial factors; every B4 irreducible is
-    self-dual, so a two-factor product has invariants equal to the overlap
-    of the two branched multiplicity vectors.
+    Handles zero, one or two nontrivial factors, a missing one counting as
+    trivial; every B4 irreducible is self-dual, so a two-factor product has
+    invariants equal to the overlap of the two branched multiplicity vectors.
     """
     nontrivial = [(g, w) for g, w in factors if any(w)]
-    if len(nontrivial) == 0:
-        return 1
-    if len(nontrivial) == 1:
-        g, w = nontrivial[0]
-        return dict(b4_content(g, w)).get((0, 0, 0, 0), 0)
-    if len(nontrivial) == 2:
-        a = dict(b4_content(*nontrivial[0]))
-        b = dict(b4_content(*nontrivial[1]))
-        return sum(m * b.get(t, 0) for t, m in a.items())
-    raise InternalConsistencyError("invariants of >2 formal tensor factors not supported")
+    if len(nontrivial) > 2:
+        raise InternalConsistencyError("invariants of >2 formal tensor factors not supported")
+    a, b = [dict(b4_content(g, w)) for g, w in nontrivial] + [{(0, 0, 0, 0): 1}] * (2 - len(nontrivial))
+    return sum(m * b.get(t, 0) for t, m in a.items())
 
 
 def invariant_multiplicity(graded_reps: dict[int, dict]) -> dict[int, int]:
@@ -279,9 +281,7 @@ def invariant_multiplicity(graded_reps: dict[int, dict]) -> dict[int, int]:
     """
     out: dict[int, int] = {}
     for degree, entries in graded_reps.items():
-        total = 0
-        for factors, mult in entries.items():
-            total += mult * invariant_multiplicity_entry(factors)
+        total = sum(mult * invariant_multiplicity_entry(factors) for factors, mult in entries.items())
         if total:
             out[degree] = total
     return out

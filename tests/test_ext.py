@@ -177,6 +177,25 @@ def test_kernel_tables_compute_each_key_once_per_engine(monkeypatch):
     assert run_fresh_engine() == first
 
 
+# Direct pairs on both descriptions and two chases.
+RHO_FAULT_QUERIES = (
+    ("O", "O"), ("Uv", "Uv"), ("R", "R"), ("O", "Sym2 Rv"), ("Sym2 Uv", "Uv(-2)"), ("U", "Sym2 Uv(1)"),
+)
+
+
+def test_bbw_fault_reaches_a_fresh_engine_after_another_engine_is_warm(monkeypatch):
+    # A wrong rho reaches only the BBW walk: the Levi duals and products of
+    # these pairs stay as they were, so a fresh engine sees the fault only
+    # if no BBW result outlives the engine that computed it.
+    pairs = [(parse_bundle(e), parse_bundle(f)) for e, f in RHO_FAULT_QUERIES]
+    warm = ExtEngine()
+    before = [warm.ext(E, F) for E, F in pairs]
+    monkeypatch.setattr(roots, "rho", lambda datum: (2,) + (1,) * (datum.rank - 1))
+    fresh = ExtEngine()
+    for (E, F), answer in zip(pairs, before):
+        assert fresh.ext(E, F) != answer, (E, F)
+
+
 GRID_GENERATORS = (
     "O", "U", "Uv", "R", "Rv", "T", "That", "Thatv", "Ktilde", "Ktildev",
     "Sym2 Uv", "Sym2 Rv", "Wedge2 Rv",

@@ -116,6 +116,31 @@ def test_lr_matches_schur_polynomial_oracle():
         assert _schur_identity_holds(lam, mu, rows, levi.lr_multiply(lam, mu, rows)), (lam, mu)
 
 
+def _doubled_last_entry(pb, w):
+    # Twice the last GL entry: w4 - w5 on D5/P4, w4 on B4/Q4.
+    return w[3] - w[4] if pb == D5_P4 else w[3]
+
+
+def test_tensor_decompose_matches_schur_polynomial_oracle():
+    # The cases of the test above, as Levi weights with their central charges.
+    rng = random.Random(13)
+    cases = [(D5_P4, (3, 3, 1, 2, 2), (2, 1, 3, 3, 3))]  # GL vectors (9,6,3,2,0), (9,7,6,3,0)
+    for pb in (D5_P4, B4_Q4):
+        for _ in range(30):
+            cases.append((pb, _random_levi_dominant(rng, pb), _random_levi_dominant(rng, pb)))
+    for pb, a, b in cases:
+        terms = []
+        for w, m in levi.tensor_decompose(pb, a, b).items():
+            # The factors' partitions end in 0; the rest of the last entry is the charge.
+            full, odd = divmod(
+                _doubled_last_entry(pb, w) - _doubled_last_entry(pb, a) - _doubled_last_entry(pb, b), 2
+            )
+            assert not odd, (pb, a, b, w)
+            terms.append((tuple(c + full for c in _chain_partition(pb, w)), m))
+        lam, mu = _chain_partition(pb, a), _chain_partition(pb, b)
+        assert _schur_identity_holds(lam, mu, len(lam), terms), (pb, a, b)
+
+
 def test_schur_oracle_catches_a_raised_coefficient():
     terms = levi.lr_multiply((2, 1), (2, 1), 3)
     assert _schur_identity_holds((2, 1), (2, 1), 3, terms)
@@ -169,6 +194,65 @@ def test_tensor_self_duality():
             for w, m in dec.items():
                 remapped[roots.dualize_levi(pb, w)] = m
             assert remapped == dual_dec
+
+
+def _marked_shift(pb, w, k):
+    m = pb.marked[0] - 1
+    return w[:m] + (w[m] + k,) + w[m + 1 :]
+
+
+def _property_cases():
+    # 150 pairs per parabolic, each with two twists in -3..3.
+    rng = random.Random(43)
+    for pb in (D5_P4, B4_Q4):
+        for _ in range(150):
+            a, b = _random_levi_dominant(rng, pb, 2), _random_levi_dominant(rng, pb, 2)
+            yield pb, a, b, rng.randint(-3, 3), rng.randint(-3, 3)
+
+
+def test_tensor_twist_covariance():
+    # A twist by O(k) moves only the marked coordinate, on the factors and
+    # on every term alike.
+    for pb, a, b, x, y in _property_cases():
+        base = levi.tensor_decompose(pb, a, b)
+        shifted = {_marked_shift(pb, w, x + y): m for w, m in base.items()}
+        assert levi.tensor_decompose(pb, _marked_shift(pb, a, x), _marked_shift(pb, b, y)) == shifted
+
+
+def test_tensor_central_charges_add():
+    for pb, a, b, _, _ in _property_cases():
+        charge = levi.doubled_gl_size(pb, a) + levi.doubled_gl_size(pb, b)
+        for w in levi.tensor_decompose(pb, a, b):
+            assert levi.doubled_gl_size(pb, w) == charge, (pb, a, b, w)
+
+
+def test_changing_a_tensor_result_leaves_the_next_call_alone():
+    a, b = (1, 1, 0, -2, 1), (2, 0, 1, 3, 0)
+    want = levi.tensor_decompose(D5_P4, a, b)
+    got = levi.tensor_decompose(D5_P4, a, b)
+    got[next(iter(got))] += 5
+    got[(9, 9, 9, 9, 9)] = 1
+    del got[list(want)[-1]]
+    assert levi.tensor_decompose(D5_P4, a, b) == want
+
+
+def test_tensor_computes_each_partition_pair_once(monkeypatch):
+    calls = []
+    original = levi._brauer_klimyk
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(levi, "_PRODUCTS", {})
+    monkeypatch.setattr(levi, "_brauer_klimyk", counting)
+    bases = [(D5_P4, (1, 0, 1, 0, 2), (0, 2, 0, 0, 1)), (D5_P4, (2, 1, 0, 0, 0), (1, 0, 0, 0, 1))]
+    bases += [(B4_Q4, (1, 1, 0, 0), (0, 1, 2, 0)), (B4_Q4, (0, 1, 2, 0), (2, 0, 0, 1))]
+    for pb, a, b in bases:
+        for x in range(-3, 4):
+            for y in range(-3, 4):
+                levi.tensor_decompose(pb, _marked_shift(pb, a, x), _marked_shift(pb, b, y))
+    assert len(calls) == len(bases)
 
 
 def test_schur_power_weights():
