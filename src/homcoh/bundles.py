@@ -206,18 +206,27 @@ class Sequence:
         return out
 
 
-def alternating_sum(seq: Sequence, idx: int, t: int, value: Callable[[BundleObject], int]) -> int:
+def alternating_sum(
+    seq: Sequence,
+    idx: int,
+    t: int,
+    value: Callable[[BundleObject], int],
+    term_at: Callable[[Term], tuple[BundleObject, Coeff]] | None = None,
+) -> int:
     """An additive invariant of term idx of seq twisted by t, from the other terms.
 
     Exactness makes the alternating sum over all terms vanish, so the
     unknown term carries the signed sum of value() over the others, each
-    weighted by the dimension of its coefficient.
+    weighted by the dimension of its coefficient.  term_at reads a term as
+    its object twisted by t and its coefficient; by default it twists
+    term.obj and keeps term.coeff.
     """
     total = 0
     for j, term in enumerate(seq.terms):
         if j != idx:
+            obj, coeff = term_at(term) if term_at else (twist(term.obj, t), term.coeff)
             sign = 1 if (j - idx) % 2 else -1
-            total += sign * coeff_dim(term.coeff) * value(twist(term.obj, t))
+            total += sign * coeff_dim(coeff) * value(obj)
     return total
 
 

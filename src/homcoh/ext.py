@@ -421,16 +421,15 @@ class ExtEngine:
                         for w1, m1 in E.parts
                         for w2, m2 in F.parts
                     )
-                # bundles.alternating_sum, on the twisted terms of the _terms table;
-                # a dualized coefficient has the same dimension.
                 seq, idx, t, contravariant = route
-                total = 0
-                for j, term in enumerate(seq.terms):
-                    if j != idx:
-                        obj, coeff = _lookup(self._terms, self._term_at, term, t, contravariant)
-                        chi = self.euler(obj, F) if contravariant else self.euler(E, obj)
-                        total += (1 if (j - idx) % 2 else -1) * bundles.coeff_dim(coeff) * chi
-                return total
+
+                def term_at(term: Term) -> tuple[BundleObject, bundles.Coeff]:
+                    # A dualized coefficient has the same dimension.
+                    return _lookup(self._terms, self._term_at, term, t, contravariant)
+
+                if contravariant:
+                    return bundles.alternating_sum(seq, idx, t, lambda other: self.euler(other, F), term_at)
+                return bundles.alternating_sum(seq, idx, t, lambda other: self.euler(E, other), term_at)
             except DomainError:
                 continue
         raise DomainError(f"no route to the Euler pairing of ({E}, {F})")

@@ -66,7 +66,8 @@ def _weight(pb: Parabolic, labels, last2: int) -> Weight:
     w = [0] * pb.rank
     for node, label in zip(chain, labels):
         w[node - 1] = label
-    w[pb.marked[0] - 1] = last2 - sum(map(operator.mul, last, w))
+    (m,) = pb.marked
+    w[m - 1] = last2 - sum(c * x for c, x in zip(last, w))
     return tuple(w)
 
 
@@ -155,9 +156,11 @@ def _kostka(mu: Partition) -> dict[Partition, int]:
 def _brauer_klimyk(lam: Partition, mu: Partition, n: int) -> dict[Partition, int]:
     """s_lam * s_mu on GL(n) as sorted n-entry partitions; trailing zeros are ignored.
 
-    Each weight of the smaller factor, counted by its Kostka number, joins the
-    other's lam + rho: a strictly decreasing sum counts as it is, one with a repeated
-    entry cancels, any other is sorted with its permutation's sign; all shift back by rho.
+    Brauer-Klimyk: every weight of the factor with the smaller size, counted
+    by its Kostka number, is added to the other factor's lam + rho.  A sum
+    with a repeated entry cancels; any other is sorted to a strictly
+    decreasing vector, with the sign of the sorting permutation, and shifted
+    back by rho.
     """
     if sum(mu) > sum(lam):
         lam, mu = mu, lam
@@ -176,12 +179,10 @@ def _brauer_klimyk(lam: Partition, mu: Partition, n: int) -> dict[Partition, int
                 v = shifted.copy()
                 for p, c in zip(places, order):
                     v[p] += c
-                inversions = 0
-                if not all(map(operator.gt, v, v[1:])):
-                    if len(set(v)) < n:
-                        continue
-                    inversions = sum(a < b for a, b in itertools.combinations(v, 2))
-                    v.sort(reverse=True)
+                if len(set(v)) < n:
+                    continue
+                inversions = sum(a < b for a, b in itertools.combinations(v, 2))
+                v.sort(reverse=True)
                 nu = tuple(map(operator.sub, v, rho))
                 out[nu] = out.get(nu, 0) + (-count if inversions % 2 else count)
     if any(c < 0 for c in out.values()):
@@ -192,7 +193,9 @@ def _brauer_klimyk(lam: Partition, mu: Partition, n: int) -> dict[Partition, int
 @lru_cache(maxsize=None)
 def lr_multiply(lam: Partition, mu: Partition, max_rows: int) -> tuple[tuple[Partition, int], ...]:
     """Littlewood-Richardson expansion of s_lam * s_mu in max_rows rows, zeros stripped."""
-    if max(len(lam) - lam.count(0), len(mu) - mu.count(0)) > max_rows:
+    lam = tuple(c for c in lam if c)
+    mu = tuple(c for c in mu if c)
+    if len(lam) > max_rows or len(mu) > max_rows:
         raise DomainError("partition has more rows than max_rows")
     return tuple((tuple(c for c in nu if c), m) for nu, m in _brauer_klimyk(lam, mu, max_rows).items())
 
@@ -207,12 +210,16 @@ def tensor_decompose(pb: Parabolic, w1: Weight, w2: Weight) -> dict[Weight, int]
     (p1, s1), (p2, s2) = _split(pb, w1), _split(pb, w2)
     terms = _PRODUCTS.get((pb, p1, p2))
     if terms is None:
-        # Labels are differences of nu: 2*nu has even ones, so _from_gl2's parity test could not fail.
-        product = _brauer_klimyk(p1, p2, len(p1)).items()
-        terms = tuple((_weight(pb, map(operator.sub, nu, nu[1:]), 2 * nu[-1]), c) for nu, c in product)
+        # The chain labels are the differences of nu, those of 2*nu halved:
+        # _from_gl2's parity test could not fail on them.
+        terms = tuple(
+            (_weight(pb, map(operator.sub, nu, nu[1:]), 2 * nu[-1]), mult)
+            for nu, mult in _brauer_klimyk(p1, p2, len(p1)).items()
+        )
         _PRODUCTS[pb, p1, p2] = terms
-    m, s = pb.marked[0] - 1, s1 + s2
-    return {w[:m] + (w[m] + s,) + w[m + 1 :]: mult for w, mult in terms}
+    (m,) = pb.marked
+    s = s1 + s2
+    return {w[: m - 1] + (w[m - 1] + s,) + w[m:]: mult for w, mult in terms}
 
 
 def sym_power(pb: Parabolic, r: int) -> Weight:
@@ -220,7 +227,8 @@ def sym_power(pb: Parabolic, r: int) -> Weight:
     _require_supported(pb)
     if r < 0:
         raise DomainError("negative symmetric power")
-    return _weight(pb, (r,), 0)  # GL vector (r, 0, ..., 0)
+    n = levi_rank(pb)
+    return _from_gl2(pb, (2 * r,) + (0,) * (n - 1))
 
 
 def wedge_power(pb: Parabolic, r: int) -> Weight:
@@ -249,27 +257,37 @@ def branch_d5_to_b4(mu: Weight) -> dict[Weight, int]:
 
 
 @lru_cache(maxsize=None)
+def _branch_cached(mu: Weight) -> tuple[tuple[Weight, int], ...]:
+    return tuple(sorted(branch_d5_to_b4(mu).items()))
+
+
 def b4_content(group: roots.LieDatum, w: Weight) -> tuple[tuple[Weight, int], ...]:
     """View a D5 or B4 representation as a multiset of B4 irreducibles."""
     if group == roots.B4:
         return ((w, 1),)
     if group == roots.D5:
-        return tuple(sorted(branch_d5_to_b4(w).items()))
+        return _branch_cached(w)
     raise DomainError(f"no branching to B4 from {group}")
 
 
 def invariant_multiplicity_entry(factors: tuple[tuple[roots.LieDatum, Weight], ...]) -> int:
     """Multiplicity of the trivial B4 representation in a formal tensor product.
 
-    Handles zero, one or two nontrivial factors, a missing one counting as
-    trivial; every B4 irreducible is self-dual, so a two-factor product has
-    invariants equal to the overlap of the two branched multiplicity vectors.
+    Handles zero, one or two nontrivial factors; every B4 irreducible is
+    self-dual, so a two-factor product has invariants equal to the overlap
+    of the two branched multiplicity vectors.
     """
     nontrivial = [(g, w) for g, w in factors if any(w)]
-    if len(nontrivial) > 2:
-        raise InternalConsistencyError("invariants of >2 formal tensor factors not supported")
-    a, b = [dict(b4_content(g, w)) for g, w in nontrivial] + [{(0, 0, 0, 0): 1}] * (2 - len(nontrivial))
-    return sum(m * b.get(t, 0) for t, m in a.items())
+    if len(nontrivial) == 0:
+        return 1
+    if len(nontrivial) == 1:
+        g, w = nontrivial[0]
+        return dict(b4_content(g, w)).get((0, 0, 0, 0), 0)
+    if len(nontrivial) == 2:
+        a = dict(b4_content(*nontrivial[0]))
+        b = dict(b4_content(*nontrivial[1]))
+        return sum(m * b.get(t, 0) for t, m in a.items())
+    raise InternalConsistencyError("invariants of >2 formal tensor factors not supported")
 
 
 def invariant_multiplicity(graded_reps: dict[int, dict]) -> dict[int, int]:
@@ -281,7 +299,9 @@ def invariant_multiplicity(graded_reps: dict[int, dict]) -> dict[int, int]:
     """
     out: dict[int, int] = {}
     for degree, entries in graded_reps.items():
-        total = sum(mult * invariant_multiplicity_entry(factors) for factors, mult in entries.items())
+        total = 0
+        for factors, mult in entries.items():
+            total += mult * invariant_multiplicity_entry(factors)
         if total:
             out[degree] = total
     return out
