@@ -13,7 +13,14 @@ as Ambiguous, which still carries the exact Euler characteristic.
 Graded pieces are stored as multisets of formal tensors of full-group
 irreducibles; a coefficient representation multiplying a nontrivial
 cohomology representation stays unexpanded (tensor product decompositions
-of the full group are never required).
+of the full group are never required).  Only Spin(9) acts on a pair with
+a B4/Q4 summand that is not a twist of O, so every D5 factor of its
+answer is branched to B4 before the routes are compared: such a pair is
+labelled by B4 irreducibles alone.
+
+Ext(E(k), F(k)) = Ext(E, F), labels included, so an engine's Ext memo
+holds one entry per twist class, Ambiguous answers included when nothing
+was cut while computing them (see ExtEngine).
 
 A chase asks for the same pure values many times: the BBW pieces of one
 pair of irreducibles, a Levi dual, a BBW walk, a sequence term at a twist.
@@ -33,6 +40,8 @@ pairs it has not yet seen.
 
 from __future__ import annotations
 
+import itertools
+import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
@@ -174,6 +183,28 @@ def format_graded(res: ExtResult) -> list[str]:
     return pieces
 
 
+def _at_level_zero(E: BundleObject, F: BundleObject) -> tuple[BundleObject, BundleObject]:
+    """(E, F) twisted by -k, where k is the level of E: its twist when named,
+    else the marked coordinate of its first part.  Ext(E(k), F(k)) = Ext(E, F)."""
+    if isinstance(E, Named):
+        k = E.twist
+    else:
+        (m,) = E.space.marked
+        k = E.parts[0][0][m - 1]
+    return (bundles.twist(E, -k), bundles.twist(F, -k)) if k else (E, F)
+
+
+def _branch_to_b4(res: ExtResult) -> ExtResult:
+    """res with every D5 factor of every entry branched to its B4 irreducibles."""
+    acc: Graded = {}
+    for p, layer in res.graded:
+        for entry, m in layer:
+            for combo in itertools.product(*(levi.b4_content(d, w) for d, w in entry)):
+                mult = m * math.prod(c for _, c in combo)
+                add_piece(acc, p, _entry(*((roots.B4, w) for w, _ in combo)), mult)
+    return ExtResult.from_dict(acc)
+
+
 def _tensor_coeff(graded: Graded, coeff: bundles.Coeff) -> Graded:
     if not coeff:
         return graded
@@ -187,6 +218,17 @@ def _tensor_coeff(graded: Graded, coeff: bundles.Coeff) -> Graded:
 
 class ExtEngine:
     """Memoizing Ext calculator over a fixed sequence registry.
+
+    The Ext memo is keyed by the pair twisted to level zero (_at_level_zero:
+    E's twist when named, else the marked coordinate of its first part).
+    O(1) is the same line bundle on D5/P4 and B4/Q4, and every registered
+    sequence matches at every twist, so the routes of (E(k), F(k)) and
+    (E, F) correspond one to one and give equal answers.  An ExtResult is
+    always memoized, also when a cut happened below it.  An Ambiguous is
+    memoized only when _cuts did not move while it was computed: _cuts
+    counts the placeholders handed out, the "cyclic dependency" answer to a
+    pair already on the stack and the chi = 0 of an Euler characteristic
+    that could not be reduced, and neither is ever stored.
 
     Besides the Ext and Euler memos, an engine keeps five kernel tables of
     pure values, each filled on its first lookup through _lookup and keyed
@@ -211,6 +253,7 @@ class ExtEngine:
         self._memo: dict = {}
         self._euler_memo: dict = {}
         self._stack: set = set()
+        self._cuts = 0  # placeholders handed out: cycle cuts and Euler fallbacks
         self._euler_stack: set = set()
         self._pairs: dict = {}
         self._levi_duals: dict = {}
@@ -222,17 +265,20 @@ class ExtEngine:
     # -- public surface ------------------------------------------------
 
     def ext(self, E: BundleObject, F: BundleObject) -> ExtResult | Ambiguous:
+        E, F = _at_level_zero(E, F)
         key = (E, F)
         if key in self._memo:
             return self._memo[key]
         if key in self._stack:
+            self._cuts += 1
             return Ambiguous(0, "cyclic dependency")
         self._stack.add(key)
+        cuts = self._cuts
         try:
             result = self._compute(E, F)
         finally:
             self._stack.discard(key)
-        if isinstance(result, ExtResult):
+        if isinstance(result, ExtResult) or self._cuts == cuts:
             self._memo[key] = result
         return result
 
@@ -287,6 +333,13 @@ class ExtEngine:
         if direct is not None:
             return direct
 
+        # Only Spin(9) acts on a pair with a B4/Q4 summand that is not a twist
+        # of O, and both half-spin representations of Spin(10) restrict to its
+        # spin representation: label such an Ext by B4 irreducibles, or the
+        # D5 labels would depend on the route.
+        on_b4 = any(
+            isinstance(X, Sum) and X.space == bundles.B4_Q4 and X.twist_amount() is None for X in (E, F)
+        )
         results: list[ExtResult] = []
         for route in self._routes(E, F):
             if route is None:
@@ -295,7 +348,7 @@ class ExtEngine:
                 seq, idx, t, contravariant = route
                 res = self._chase(seq, idx, t, F if contravariant else E, contravariant=contravariant)
             if isinstance(res, ExtResult):
-                results.append(res)
+                results.append(_branch_to_b4(res) if on_b4 else res)
 
         if results:
             first = results[0]
@@ -319,6 +372,7 @@ class ExtEngine:
         try:
             chi = self.euler(E, F)
         except DomainError:
+            self._cuts += 1  # chi 0 is a placeholder: keep this answer out of the memo
             chi = 0
         return Ambiguous(chi, f"no degenerate chase for Ext({E}, {F})")
 
@@ -407,6 +461,8 @@ class ExtEngine:
     # -- Euler characteristics --------------------------------------------
 
     def _euler(self, E: BundleObject, F: BundleObject) -> int:
+        # The memo holds pairs at level zero; a pair at another level is not
+        # twisted here just for this lookup and goes on to the routes.
         res = self._memo.get((E, F))
         if isinstance(res, ExtResult):
             return res.euler()

@@ -12,9 +12,10 @@ congruent mod 1, so the module works on twice the GL vector, an integer
 vector; `to_gl`/`from_gl` give the exact rational view.
 
 `tensor_decompose` reads the table `_PRODUCTS`, keyed by the two partitions
-(pb, p1, p2) of `_split`: the product's Levi weights at central charge 0,
-filled once per key, to whose marked coordinate a call adds the summed
-doubled charge.  The lattice check lives in `_from_gl2`, for `from_gl`.
+(pb, p1, p2) of `_split` in sorted order, since the product is symmetric:
+the product's Levi weights at central charge 0, filled once per unordered
+pair, to whose marked coordinate a call adds the summed doubled charge.
+The lattice check lives in `_from_gl2`, for `from_gl`.
 """
 
 from __future__ import annotations
@@ -200,7 +201,9 @@ def lr_multiply(lam: Partition, mu: Partition, max_rows: int) -> tuple[tuple[Par
     return tuple((tuple(c for c in nu if c), m) for nu, m in _brauer_klimyk(lam, mu, max_rows).items())
 
 
-# (pb, p1, p2) -> ((weight, multiplicity), ...) of V_p1 (x) V_p2 at central charge 0.
+# (pb, p1, p2) with p1 <= p2 -> ((weight, multiplicity), ...) of V_p1 (x) V_p2
+# at central charge 0.  _brauer_klimyk sorts its terms, so both orders of a
+# pair would fill the same tuple.
 _PRODUCTS: dict[tuple[Parabolic, Partition, Partition], tuple[tuple[Weight, int], ...]] = {}
 
 
@@ -208,6 +211,8 @@ def tensor_decompose(pb: Parabolic, w1: Weight, w2: Weight) -> dict[Weight, int]
     """Decompose the tensor product of two irreducible Levi representations."""
     _require_supported(pb)
     (p1, s1), (p2, s2) = _split(pb, w1), _split(pb, w2)
+    if p2 < p1:
+        p1, p2 = p2, p1
     terms = _PRODUCTS.get((pb, p1, p2))
     if terms is None:
         # The chain labels are the differences of nu, those of 2*nu halved:

@@ -128,6 +128,13 @@ def test_closed_pipe_exits_quietly_in_a_process():
     assert proc.stderr == b""
 
 
+def test_ext_cross_description_pair_has_a_b4_label(capsys):
+    # Both half-spin representations restrict to the spin representation of B4.
+    code, out = run(capsys, "ext", "T", "R(1)")
+    assert code == 0
+    assert out.strip() == "V[0,0,0,1] @ 1"
+
+
 def test_ext_ambiguous_exit_code(capsys):
     code, out = run(capsys, "ext", "Rv", "Uv")
     assert code == 3

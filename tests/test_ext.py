@@ -200,11 +200,9 @@ GRID_GENERATORS = (
     "O", "U", "Uv", "R", "Rv", "T", "That", "Thatv", "Ktilde", "Ktildev",
     "Sym2 Uv", "Sym2 Rv", "Wedge2 Rv",
 )
-# Pairs whose routes disagree (a known defect of the half-spin weights),
-# pinned so that the defect stays visible until it is root-caused.
-KNOWN_DISAGREEING = {
-    ("Rv", "Thatv(0)"), ("Rv", "Ktilde(1)"), ("T", "R(1)"), ("That", "R(0)"), ("Ktildev", "R(1)"),
-}
+# Pairs whose routes disagree: none, since a pair with a B4/Q4 summand that
+# is not a twist of O is labelled by B4 irreducibles on every route.
+KNOWN_DISAGREEING: set = set()
 
 
 def test_generator_grid_is_consistent():
@@ -234,3 +232,77 @@ def test_generator_grid_is_consistent():
         dual = eng.ext(parse_bundle(f"{f}({t})"), parse_bundle(f"{e}(-8)"))
         if isinstance(dual, ExtResult):
             assert res.dims() == {10 - p: d for p, d in dual.dims().items()}, (e, f, t)
+
+
+GRID = [(e, f"{f}({t})") for e in GRID_GENERATORS for f in GRID_GENERATORS for t in (-1, 0, 1)]
+
+
+def _answer_grid(order):
+    """Every grid pair on a fresh engine, queried in this order, as reprs.
+
+    Also checks the memo rule on every query that computed: an exact answer
+    is kept, and an Ambiguous one exactly when no placeholder was handed
+    out while it was computed."""
+    eng = ExtEngine()
+    answers = {}
+    for e, f in order:
+        E, F = parse_bundle(e), parse_bundle(f)
+        key = X._at_level_zero(E, F)
+        computed, cuts = key not in eng._memo, eng._cuts
+        res = eng.ext(E, F)
+        answers[(e, f)] = repr(res)
+        if computed:
+            kept = isinstance(res, ExtResult) or eng._cuts == cuts
+            assert (key in eng._memo) == kept, (e, f)
+    assert not any(getattr(v, "reason", "") == "cyclic dependency" for v in eng._memo.values())
+    return answers
+
+
+def test_grid_answers_do_not_depend_on_the_query_order():
+    fixed = _answer_grid(GRID)
+    for seed in (1, 2, 3):
+        shuffled = _answer_grid(random.Random(seed).sample(GRID, len(GRID)))
+        assert shuffled == fixed, [pair for pair in GRID if shuffled[pair] != fixed[pair]]
+
+
+TWIST_CLASS_PAIRS = (
+    ("That", "Uv"),  # a named object
+    ("T", "R(1)"),  # a cross-description pair
+    ("Rv", "Ktilde(1)"),  # a B4/Q4 bundle against a named object
+    ("Sym2 Rv + Sym2 Rv(1)", "Uv"),  # a Sum with several parts
+)
+
+
+@pytest.mark.parametrize("e,f", TWIST_CLASS_PAIRS)
+def test_ext_is_constant_on_twist_classes(e, f):
+    E, F = parse_bundle(e), parse_bundle(f)
+    want = ExtEngine().ext(E, F)
+    assert isinstance(want, ExtResult), want
+    for k in range(-3, 4):
+        assert ExtEngine().ext(B.twist(E, k), B.twist(F, k)) == want, k
+
+
+def test_uncut_ambiguous_answer_is_kept_with_its_euler_characteristic(monkeypatch):
+    computed = []
+    _log_calls(monkeypatch, ExtEngine, "_compute", computed)
+    eng = ExtEngine()
+    first = eng.ext(B.Uv(), B.sym_Rv(2))
+    # No placeholder was handed out on the way (Ext(Rv, Uv) would see two cuts).
+    assert isinstance(first, Ambiguous) and eng._cuts == 0
+    before = len(computed)
+    assert eng.ext(B.Uv(), B.sym_Rv(2)) is first
+    assert eng.ext(B.Uv(-2), B.sym_Rv(2, -2)) is first
+    assert len(computed) == before
+    assert first.euler == ExtEngine().euler(B.Uv(), B.sym_Rv(2)) == 9
+
+
+def test_ambiguous_with_a_placeholder_euler_characteristic_is_not_kept(monkeypatch):
+    def unreducible(E, F):
+        raise roots.DomainError("no route")
+
+    eng = ExtEngine()
+    monkeypatch.setattr(eng, "euler", unreducible)
+    # An Ambiguous pair that is kept when its Euler characteristic reduces.
+    res = eng.ext(B.Uv(), B.sym_Rv(2))
+    assert isinstance(res, Ambiguous) and res.euler == 0
+    assert (B.Uv(), B.sym_Rv(2)) not in eng._memo

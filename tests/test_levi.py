@@ -255,6 +255,16 @@ def test_tensor_computes_each_partition_pair_once(monkeypatch):
     assert len(calls) == len(bases)
 
 
+def test_tensor_fills_one_entry_for_both_orders_of_a_pair(monkeypatch):
+    monkeypatch.setattr(levi, "_PRODUCTS", {})
+    pairs = [(D5_P4, (1, 0, 1, 0, 2), (0, 2, 0, 0, 1)), (D5_P4, (2, 1, 0, -1, 0), (1, 0, 0, 3, 1))]
+    pairs += [(B4_Q4, (1, 1, 0, 0), (0, 1, 2, 0)), (B4_Q4, (0, 1, 2, -3), (2, 0, 0, 1))]
+    for pb, a, b in pairs:
+        forward = levi.tensor_decompose(pb, a, b)
+        assert list(levi.tensor_decompose(pb, b, a).items()) == list(forward.items()), (a, b)
+    assert len(levi._PRODUCTS) == len(pairs)
+
+
 def test_schur_power_weights():
     assert levi.wedge_power(D5_P4, 4) == (0, 0, 0, 1, 1)
     assert levi.wedge_power(D5_P4, 5) == (0, 0, 0, 2, 0)  # the determinant twist
