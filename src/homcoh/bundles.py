@@ -8,14 +8,13 @@ its dual, and the kernel bundle of the evaluation on quadratic sections).
 The registry holds the exact sequences the computations run on.  Each is
 stored once at a reference twist; matching against a query object detects
 the common twist.  Terms may carry a representation of the full group as a
-coefficient (multiplicity space).
+coefficient (multiplicity space).  `kclass` gives an object's class in K_0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 from . import levi, roots
 from .roots import B4, B4_Q4, D5, D5_P4, DomainError, LieDatum, Parabolic, Weight
@@ -153,22 +152,40 @@ def convert_twist(obj: Sum, space: Parabolic) -> Sum | None:
     return make_sum(space, {tuple(k * u for u in unit): mult})
 
 
-def rank(obj: BundleObject) -> int:
+KClass = dict[tuple[Parabolic, Weight], int]  # virtual multiset of Levi irreducibles
+
+
+def kclass(obj: BundleObject) -> KClass:
+    """The class of obj in K_0, through the ring map R(L) -> K_0: a Sum is its
+    parts; a named object is the signed sum of the other terms of its first
+    registered sequence, each coefficient counted by its dimension (V (x) O = O^dim V)."""
     if isinstance(obj, Sum):
-        return sum(m * levi.levi_dim(obj.space, w) for w, m in obj.parts)
-    return alternating_sum(*_any_match(obj), rank)
+        return {(obj.space, w): m for w, m in obj.parts}
+    seq, idx, t = _any_match(obj)
+    out: KClass = {}
+    for j, term in enumerate(seq.terms):
+        if j != idx:
+            sign = 1 if (j - idx) % 2 else -1
+            n = sign * coeff_dim(term.coeff)
+            for piece, m in kclass(twist(term.obj, t)).items():
+                out[piece] = out.get(piece, 0) + n * m
+    return {piece: m for piece, m in out.items() if m}
+
+
+def rank(obj: BundleObject) -> int:
+    return sum(m * levi.levi_dim(space, w) for (space, w), m in kclass(obj).items())
 
 
 def first_chern(obj: BundleObject) -> int:
     """c1 in units of O(1): rank times doubled GL size, summed, over that of O(1)."""
-    if isinstance(obj, Sum):
-        space = obj.space
-        total = sum(m * levi.levi_dim(space, w) * levi.doubled_gl_size(space, w) for w, m in obj.parts)
-        c1, rest = divmod(total, levi.doubled_gl_size(space, _unit_weight(space)))
+    total = 0
+    for (space, w), m in kclass(obj).items():
+        size = m * levi.levi_dim(space, w) * levi.doubled_gl_size(space, w)
+        c1, rest = divmod(size, levi.doubled_gl_size(space, _unit_weight(space)))
         if rest:
             raise roots.InternalConsistencyError("non-integral first Chern class")
-        return c1
-    return alternating_sum(*_any_match(obj), first_chern)
+        total += c1
+    return total
 
 
 # --- sequences -------------------------------------------------------------
@@ -204,30 +221,6 @@ class Sequence:
             if t is not None:
                 out.append((i, t))
         return out
-
-
-def alternating_sum(
-    seq: Sequence,
-    idx: int,
-    t: int,
-    value: Callable[[BundleObject], int],
-    term_at: Callable[[Term], tuple[BundleObject, Coeff]] | None = None,
-) -> int:
-    """An additive invariant of term idx of seq twisted by t, from the other terms.
-
-    Exactness makes the alternating sum over all terms vanish, so the
-    unknown term carries the signed sum of value() over the others, each
-    weighted by the dimension of its coefficient.  term_at reads a term as
-    its object twisted by t and its coefficient; by default it twists
-    term.obj and keeps term.coeff.
-    """
-    total = 0
-    for j, term in enumerate(seq.terms):
-        if j != idx:
-            obj, coeff = term_at(term) if term_at else (twist(term.obj, t), term.coeff)
-            sign = 1 if (j - idx) % 2 else -1
-            total += sign * coeff_dim(coeff) * value(obj)
-    return total
 
 
 def coeff_dim(coeff: Coeff) -> int:

@@ -134,7 +134,7 @@ def cmd_ext(args) -> int:
         return EXIT_OK
     res = eng.ext(E, F)
     if isinstance(res, Ambiguous):
-        print(f"ambiguous: {res.reason}; chi = {res.euler}")
+        print(f"ambiguous: Ext({E}, {F}): {res.reason}; chi = {res.euler}")
         return EXIT_AMBIGUOUS
     if args.equivariant:
         branched = any(

@@ -10,6 +10,11 @@ dimension reasons: every connecting map between two known columns has a
 zero source or target in every degree.  Otherwise the result is reported
 as Ambiguous, which still carries the exact Euler characteristic.
 
+The Euler characteristic takes no route, so it checks the chases from
+outside: chi(E, F) pairs the K-classes of bundles.kclass, a sum of direct
+BBW terms chi(L1-dual (x) L2) over their Levi pieces, on B4/Q4 when a piece
+lives there (D5/P4 pieces branched by levi.branch_levi).
+
 Graded pieces are stored as multisets of formal tensors of full-group
 irreducibles; a coefficient representation multiplying a nontrivial
 cohomology representation stays unexpanded (tensor product decompositions
@@ -19,8 +24,8 @@ answer is branched to B4 before the routes are compared: such a pair is
 labelled by B4 irreducibles alone.
 
 Ext(E(k), F(k)) = Ext(E, F), labels included, so an engine's Ext memo
-holds one entry per twist class, Ambiguous answers included when nothing
-was cut while computing them (see ExtEngine).
+holds one entry per twist class, Ambiguous answers included when no cycle
+was cut while computing them (see ExtEngine), their reasons naming no pair.
 
 A chase asks for the same pure values many times: the BBW pieces of one
 pair of irreducibles, a Levi dual, a BBW walk, a sequence term at a twist.
@@ -35,7 +40,8 @@ asked.  Below them, levi.tensor_decompose keeps one table of its own for
 the process, the Levi products of each pair of partitions at central
 charge 0: every caller fills it, in an engine or not (the tensor command,
 bundles.tensor), and a fault in the Brauer-Klimyk loop reaches only the
-pairs it has not yet seen.
+pairs it has not yet seen.  The branchings of levi.branch_levi and
+levi.b4_content are kept for the process in the same way.
 """
 
 from __future__ import annotations
@@ -47,7 +53,7 @@ from dataclasses import dataclass
 
 from . import bbw, bundles, levi, roots
 from .bundles import BundleObject, Named, Sequence, Sum, Term
-from .roots import DomainError, InternalConsistencyError
+from .roots import InternalConsistencyError
 
 Entry = tuple[bundles.RepFactor, ...]
 Graded = dict[int, dict[Entry, int]]
@@ -205,6 +211,15 @@ def _branch_to_b4(res: ExtResult) -> ExtResult:
     return ExtResult.from_dict(acc)
 
 
+def _on_space(pb: roots.Parabolic, cls: bundles.KClass) -> dict[roots.Weight, int]:
+    """A class as Levi weights on pb, its D5/P4 pieces branched when pb is B4/Q4."""
+    out: dict[roots.Weight, int] = {}
+    for (space, w), n in cls.items():
+        for v in (w,) if space == pb else levi.branch_levi(w):
+            out[v] = out.get(v, 0) + n
+    return out
+
+
 def _tensor_coeff(graded: Graded, coeff: bundles.Coeff) -> Graded:
     if not coeff:
         return graded
@@ -226,21 +241,22 @@ class ExtEngine:
     (E, F) correspond one to one and give equal answers.  An ExtResult is
     always memoized, also when a cut happened below it.  An Ambiguous is
     memoized only when _cuts did not move while it was computed: _cuts
-    counts the placeholders handed out, the "cyclic dependency" answer to a
-    pair already on the stack and the chi = 0 of an Euler characteristic
-    that could not be reduced, and neither is ever stored.
+    counts the cycle cuts, the "cyclic dependency" placeholder answered to a
+    pair already on the stack, which is never stored.
 
-    Besides the Ext and Euler memos, an engine keeps five kernel tables of
+    Besides the Ext and Euler memos, an engine keeps six kernel tables of
     pure values, each filled on its first lookup through _lookup and keyed
     by the arguments of the function that fills it:
 
     - _pairs: (pb, w1, w2) -> the direct BBW pieces of Ext(E_w1, E_w2) for
       two irreducibles, as (degree, entry, mult) tuples (_pair_pieces);
+    - _levi_chis: (pb, w1, w2) -> chi(E_w1-dual (x) E_w2), summed over the
+      _pairs pieces (_levi_chi), with w1 at level zero, for the Euler form;
     - _levi_duals: (pb, w) -> roots.dualize_levi(pb, w);
     - _cohomology: (pb, nu) -> bbw.bbw_cohomology(pb, nu);
     - _terms: (term, t, contravariant) -> the term's object twisted by t
       and its coefficient, dualized when contravariant (_term_at), for
-      chase columns and Euler reductions alike;
+      chase columns;
     - _duals: (datum, w) -> roots.dual_weight(datum, w), for coefficients.
 
     The tables start empty and live exactly as long as the engine, so a
@@ -253,9 +269,9 @@ class ExtEngine:
         self._memo: dict = {}
         self._euler_memo: dict = {}
         self._stack: set = set()
-        self._cuts = 0  # placeholders handed out: cycle cuts and Euler fallbacks
-        self._euler_stack: set = set()
+        self._cuts = 0  # "cyclic dependency" placeholders handed out
         self._pairs: dict = {}
+        self._levi_chis: dict = {}
         self._levi_duals: dict = {}
         self._cohomology: dict = {}
         self._terms: dict = {}
@@ -293,18 +309,7 @@ class ExtEngine:
         return res.invariants()
 
     def euler(self, E: BundleObject, F: BundleObject) -> int:
-        key = (E, F)
-        if key in self._euler_memo:
-            return self._euler_memo[key]
-        if key in self._euler_stack:
-            raise DomainError("cyclic Euler reduction")
-        self._euler_stack.add(key)
-        try:
-            val = self._euler(E, F)
-        finally:
-            self._euler_stack.discard(key)
-        self._euler_memo[key] = val
-        return val
+        return _lookup(self._euler_memo, self._pairing, E, F)
 
     # -- strategies ------------------------------------------------------
 
@@ -369,12 +374,7 @@ class ExtEngine:
                         )
                 return plain[0]
             return first
-        try:
-            chi = self.euler(E, F)
-        except DomainError:
-            self._cuts += 1  # chi 0 is a placeholder: keep this answer out of the memo
-            chi = 0
-        return Ambiguous(chi, f"no degenerate chase for Ext({E}, {F})")
+        return Ambiguous(self.euler(E, F), "no degenerate chase")
 
     def _cross_split(self, E: Sum, F: Sum) -> ExtResult | None:
         """Additivity over summands for a cross-description pair."""
@@ -460,35 +460,27 @@ class ExtEngine:
 
     # -- Euler characteristics --------------------------------------------
 
-    def _euler(self, E: BundleObject, F: BundleObject) -> int:
-        # The memo holds pairs at level zero; a pair at another level is not
-        # twisted here just for this lookup and goes on to the routes.
-        res = self._memo.get((E, F))
-        if isinstance(res, ExtResult):
-            return res.euler()
-        direct = self._direct(E, F)
-        if direct is not None:
-            return direct.euler()
-        for route in self._routes(E, F):
-            try:
-                if route is None:
-                    return sum(
-                        m1 * m2 * self.euler(bundles.irr(E.space, w1), bundles.irr(F.space, w2))
-                        for w1, m1 in E.parts
-                        for w2, m2 in F.parts
-                    )
-                seq, idx, t, contravariant = route
+    def _pairing(self, E: BundleObject, F: BundleObject) -> int:
+        """chi(E, F): the sum of a b chi(L1-dual (x) L2) over the pieces a L1 of the
+        class of E and b L2 of that of F, on D5/P4 unless a piece lives on B4/Q4."""
+        classes = bundles.kclass(E), bundles.kclass(F)
+        on_b4 = any(space == bundles.B4_Q4 for cls in classes for space, _ in cls)
+        pb = bundles.B4_Q4 if on_b4 else bundles.D5_P4
+        a, b = (_on_space(pb, cls) for cls in classes)
+        i = pb.marked[0] - 1
+        total = 0
+        for w1, n1 in a.items():
+            # chi(L1(k)-dual (x) L2(k)) = chi(L1-dual (x) L2): read each pair with L1 at level zero.
+            k = w1[i]
+            for w2, n2 in b.items():
+                key = (w1[:i] + (0,) + w1[i + 1 :], w2[:i] + (w2[i] - k,) + w2[i + 1 :])
+                total += n1 * n2 * _lookup(self._levi_chis, self._levi_chi, pb, *key)
+        return total
 
-                def term_at(term: Term) -> tuple[BundleObject, bundles.Coeff]:
-                    # A dualized coefficient has the same dimension.
-                    return _lookup(self._terms, self._term_at, term, t, contravariant)
-
-                if contravariant:
-                    return bundles.alternating_sum(seq, idx, t, lambda other: self.euler(other, F), term_at)
-                return bundles.alternating_sum(seq, idx, t, lambda other: self.euler(E, other), term_at)
-            except DomainError:
-                continue
-        raise DomainError(f"no route to the Euler pairing of ({E}, {F})")
+    def _levi_chi(self, pb: roots.Parabolic, w1: roots.Weight, w2: roots.Weight) -> int:
+        """chi(E_w1-dual (x) E_w2) for two irreducibles, from their direct BBW pieces."""
+        pieces = _lookup(self._pairs, self._pair_pieces, pb, w1, w2)
+        return sum((-1) ** p * mult * entry_dim(entry) for p, entry, mult in pieces)
 
 
 def _dims_at(col: Graded, p: int) -> int:

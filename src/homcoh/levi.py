@@ -15,7 +15,9 @@ vector; `to_gl`/`from_gl` give the exact rational view.
 (pb, p1, p2) of `_split` in sorted order, since the product is symmetric:
 the product's Levi weights at central charge 0, filled once per unordered
 pair, to whose marked coordinate a call adds the summed doubled charge.
-The lattice check lives in `_from_gl2`, for `from_gl`.
+The lattice check lives in `_from_gl2`, for `from_gl`.  `branch_levi`
+(GL(5) -> GL(4)) gives the graded pieces of a D5/P4 fibre as a Q4-module,
+its class on B4/Q4; `branch_d5_to_b4` is so(10) -> so(9).
 """
 
 from __future__ import annotations
@@ -248,22 +250,34 @@ def wedge_power(pb: Parabolic, r: int) -> Weight:
 def branch_d5_to_b4(mu: Weight) -> dict[Weight, int]:
     """so(10) -> so(9) restriction by the interlacing rule; multiplicity-free.
 
-    Runs on doubled epsilon vectors, whose entries share one parity.  The
-    D5 epsilon vector of mu is its D5/P4 GL vector up to the sign of the last
-    entry, which interlacing reads only through its absolute value, and the
-    B4/Q4 GL vector is the B4 epsilon vector.
+    The D5 epsilon vector of mu is its D5/P4 GL vector up to the sign of the
+    last entry, which interlacing reads only through its absolute value, and
+    the B4/Q4 GL vector is the B4 epsilon vector: this is branch_levi of the
+    D5/P4 weight whose GL vector ends in that absolute value.
     """
     if not roots.is_dominant(mu):
         raise DomainError(f"{mu} is not dominant")
     lam = _gl2(D5_P4, mu)
-    bounds = [(lam[1], lam[0]), (lam[2], lam[1]), (lam[3], lam[2]), (abs(lam[4]), lam[3])]
-    nus = itertools.product(*(range(lo, hi + 1, 2) for lo, hi in bounds))
-    return {_from_gl2(B4_Q4, nu): 1 for nu in nus}
+    return dict.fromkeys(branch_levi(_from_gl2(D5_P4, lam[:4] + (abs(lam[4]),))), 1)
 
 
 @lru_cache(maxsize=None)
 def _branch_cached(mu: Weight) -> tuple[tuple[Weight, int], ...]:
     return tuple(sorted(branch_d5_to_b4(mu).items()))
+
+
+@lru_cache(maxsize=None)
+def branch_levi(w: Weight) -> tuple[Weight, ...]:
+    """GL(5) -> GL(4) restriction of a D5/P4 Levi irreducible to B4/Q4; multiplicity-free.
+
+    Q4 = P4 meets Spin(9), whose torus drops the fifth epsilon coordinate:
+    the doubled GL vectors of the pieces interlace that of w, in steps of 2.
+    """
+    if not roots.is_levi_dominant(D5_P4, w):
+        raise DomainError(f"{w} is not Levi-dominant on {D5_P4}")
+    lam = _gl2(D5_P4, w)
+    nus = itertools.product(*(range(lo, hi + 1, 2) for lo, hi in zip(lam[1:], lam)))
+    return tuple(_from_gl2(B4_Q4, nu) for nu in nus)
 
 
 def b4_content(group: roots.LieDatum, w: Weight) -> tuple[tuple[Weight, int], ...]:

@@ -141,6 +141,13 @@ def test_ext_ambiguous_exit_code(capsys):
     assert "ambiguous" in out
 
 
+def test_ext_ambiguous_names_the_pair_asked(capsys):
+    # The engine answers the whole twist class at level zero; the CLI names the twist asked.
+    code, out = run(capsys, "ext", "Rv(1)", "Uv(1)")
+    assert code == 3
+    assert "Ext(B4/P4<E[1, 0, 0, 1]>, D5/P4<E[1, 0, 0, 1, 0]>): no degenerate chase; chi = -9" in out
+
+
 def test_verify_builtin_collections(capsys):
     code, out = run(capsys, "verify", "spinor-kp")
     assert code == 0

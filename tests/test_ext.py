@@ -237,12 +237,38 @@ def test_generator_grid_is_consistent():
 GRID = [(e, f"{f}({t})") for e in GRID_GENERATORS for f in GRID_GENERATORS for t in (-1, 0, 1)]
 
 
+def test_euler_form_takes_no_route(monkeypatch):
+    # The Euler form pairs K-classes, so it checks the chases from outside:
+    # an engine that can take no route gives every exact answer's Euler
+    # characteristic, and every Ambiguous one's.
+    def no_route(*args, **kwargs):
+        raise AssertionError("the Euler form took a route")
+
+    routeless = ExtEngine()
+    for name in ("_routes", "_chase", "_compute"):
+        monkeypatch.setattr(routeless, name, no_route)
+    eng = ExtEngine()
+    for e, f in GRID:
+        E, F = parse_bundle(e), parse_bundle(f)
+        res = eng.ext(E, F)
+        chi = res.euler() if isinstance(res, ExtResult) else res.euler
+        assert routeless.euler(E, F) == eng.euler(E, F) == chi, (e, f)
+
+
+def test_euler_form_is_serre_dual():
+    # chi(E, F) = chi(F, E (x) K) on the tenfold, K = O(-8), dimension 10.
+    eng = ExtEngine()
+    for e, f in GRID:
+        chi = eng.euler(parse_bundle(e), parse_bundle(f))
+        assert chi == eng.euler(parse_bundle(f), parse_bundle(f"{e}(-8)")), (e, f)
+
+
 def _answer_grid(order):
     """Every grid pair on a fresh engine, queried in this order, as reprs.
 
     Also checks the memo rule on every query that computed: an exact answer
-    is kept, and an Ambiguous one exactly when no placeholder was handed
-    out while it was computed."""
+    is kept, and an Ambiguous one exactly when no cycle was cut while it
+    was computed."""
     eng = ExtEngine()
     answers = {}
     for e, f in order:
@@ -287,22 +313,10 @@ def test_uncut_ambiguous_answer_is_kept_with_its_euler_characteristic(monkeypatc
     _log_calls(monkeypatch, ExtEngine, "_compute", computed)
     eng = ExtEngine()
     first = eng.ext(B.Uv(), B.sym_Rv(2))
-    # No placeholder was handed out on the way (Ext(Rv, Uv) would see two cuts).
+    # No cycle was cut on the way (Ext(Rv, Uv) would see two cuts).
     assert isinstance(first, Ambiguous) and eng._cuts == 0
     before = len(computed)
     assert eng.ext(B.Uv(), B.sym_Rv(2)) is first
     assert eng.ext(B.Uv(-2), B.sym_Rv(2, -2)) is first
     assert len(computed) == before
     assert first.euler == ExtEngine().euler(B.Uv(), B.sym_Rv(2)) == 9
-
-
-def test_ambiguous_with_a_placeholder_euler_characteristic_is_not_kept(monkeypatch):
-    def unreducible(E, F):
-        raise roots.DomainError("no route")
-
-    eng = ExtEngine()
-    monkeypatch.setattr(eng, "euler", unreducible)
-    # An Ambiguous pair that is kept when its Euler characteristic reduces.
-    res = eng.ext(B.Uv(), B.sym_Rv(2))
-    assert isinstance(res, Ambiguous) and res.euler == 0
-    assert (B.Uv(), B.sym_Rv(2)) not in eng._memo

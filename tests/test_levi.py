@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as Q
 
@@ -309,6 +310,44 @@ def test_branching_preserves_dimension_small_cases():
 def test_branching_rejects_non_dominant():
     with pytest.raises(roots.DomainError):
         levi.branch_d5_to_b4((0, 0, 1, -2, 0))
+
+
+def test_levi_branching_examples():
+    # U -> R + O and Uv -> Rv + O (0 -> R -> U -> O -> 0 on B4/Q4), O(1) -> O(1).
+    U, R = (0, 0, 0, -1, 1), (0, 0, 1, -2)
+    assert sorted(levi.branch_levi(U)) == sorted([R, (0, 0, 0, 0)])
+    assert sorted(levi.branch_levi((1, 0, 0, 0, 0))) == sorted([(1, 0, 0, 0), (0, 0, 0, 0)])
+    assert levi.branch_levi((0, 0, 0, 1, 0)) == ((0, 0, 0, 1),)
+    with pytest.raises(roots.DomainError):
+        levi.branch_levi((0, 0, 1, -2, -1))
+
+
+def _gl_dim(p):
+    # Weyl's dimension formula for GL(n) on a partition.
+    num, den = 1, 1
+    for i, j in itertools.combinations(range(len(p)), 2):
+        num *= p[i] - p[j] + j - i
+        den *= j - i
+    return Q(num, den)
+
+
+def _rank_and_c1(pb, w):
+    # Rank, and c1 in units of O(1): rank times twice the GL size of w, which
+    # is 2|p| + n * (doubled last entry), over n, twice the GL size of O(1).
+    p = _chain_partition(pb, w)
+    dim = _gl_dim(p)
+    return dim, dim * (2 * sum(p) + len(p) * _doubled_last_entry(pb, w)) / len(p)
+
+
+def test_levi_branching_keeps_rank_and_first_chern():
+    rng = random.Random(13)  # the draw of test_tensor_commutative_and_dimensional
+    for _ in range(300):
+        w = _random_levi_dominant(rng, D5_P4)
+        pieces = levi.branch_levi(w)
+        assert len(set(pieces)) == len(pieces), w
+        assert all(roots.is_levi_dominant(B4_Q4, nu) for nu in pieces), w
+        sums = [sum(col) for col in zip(*(_rank_and_c1(B4_Q4, nu) for nu in pieces))]
+        assert sums == list(_rank_and_c1(D5_P4, w)), w
 
 
 def test_invariant_multiplicity_examples():

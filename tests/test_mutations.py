@@ -228,6 +228,19 @@ def test_object_mutation_matches_cone_class(eng, form):
     assert tuple(-x for x in k_res) == tuple(b - chi * a for a, b in zip(k_o, k_s))
 
 
+def test_registered_sequences_vanish_in_k_theory(eng, form):
+    # The Kuznetsov collection is full, so its 16 pairings determine a class.
+    # A named object's class is its first sequence's alternating sum, so only
+    # that sequence cancels by construction; the 7 sequences with a B4/Q4
+    # term check the Levi branching.
+    for seq in B.standard_sequences():
+        total = [0] * len(form.basis)
+        for j, term in enumerate(seq.terms):
+            n = (-1) ** j * B.coeff_dim(term.coeff)
+            total = [t + n * k for t, k in zip(total, form.kclass(term.obj, eng))]
+        assert not any(total), seq.name
+
+
 def test_hermite_normal_form_basics():
     assert hermite_normal_form([(2, 0), (0, 2)]) == ((2, 0), (0, 2))
     assert hermite_normal_form([(0, 1), (1, 0)]) == ((1, 0), (0, 1))
