@@ -51,15 +51,11 @@ class Sum:
 
     def twist_amount(self) -> int | None:
         """k when the object is O(k)^m for some m, else None."""
-        unit = _unit_weight(self.space)
-        ks = set()
-        for w, _ in self.parts:
-            nz = [(c, u) for c, u in zip(w, unit) if u]
-            k = nz[0][0]
-            if tuple(k * u for u in unit) != w:
-                return None
-            ks.add(k)
-        return ks.pop() if len(ks) == 1 else None
+        if len(self.parts) != 1:
+            return None  # distinct parts are not twists of O by one k
+        ((w, _),) = self.parts
+        k = w[self.space.marked[0] - 1]
+        return k if w == tuple(k * u for u in _unit_weight(self.space)) else None
 
     def __repr__(self) -> str:
         body = " + ".join(
@@ -112,9 +108,16 @@ def twist(obj: BundleObject, k: int) -> BundleObject:
     if isinstance(obj, Named):
         return Named(obj.name, obj.twist + k)
     unit = _unit_weight(obj.space)
-    # Adding one vector to every part keeps the parts sorted and distinct,
-    # so the Sum is built directly; Sum.__post_init__ still validates it.
-    return Sum(obj.space, tuple((tuple(c + k * u for c, u in zip(w, unit)), m) for w, m in obj.parts))
+    # Adding k times the marked fundamental weight changes no unmarked
+    # coordinate, so every part stays Levi-dominant, and it moves every part
+    # by one vector, so the parts stay sorted and distinct: the Sum is built
+    # without Sum.__post_init__, which would check all of that again.
+    parts = tuple((tuple(c + k * u for c, u in zip(w, unit)), m) for w, m in obj.parts)
+    out = object.__new__(Sum)
+    object.__setattr__(out, "space", obj.space)
+    object.__setattr__(out, "parts", parts)
+    object.__setattr__(out, "_hash", hash((obj.space, parts)))
+    return out
 
 
 def dual(obj: BundleObject) -> BundleObject:
@@ -195,6 +198,12 @@ def first_chern(obj: BundleObject) -> int:
 class Term:
     obj: BundleObject
     coeff: Coeff = ()
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.obj, self.coeff)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __repr__(self) -> str:
         if not self.coeff:

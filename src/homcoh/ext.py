@@ -23,9 +23,10 @@ a B4/Q4 summand that is not a twist of O, so every D5 factor of its
 answer is branched to B4 before the routes are compared: such a pair is
 labelled by B4 irreducibles alone.
 
-Ext(E(k), F(k)) = Ext(E, F), labels included, so an engine's Ext memo
-holds one entry per twist class, Ambiguous answers included when no cycle
-was cut while computing them (see ExtEngine), their reasons naming no pair.
+Ext(E(k), F(k)) = Ext(E, F), labels included, so an engine computes one
+Ext per twist class and keeps it under every pair asked from that class,
+Ambiguous answers included when no cycle was cut while computing them (see
+ExtEngine), their reasons naming no pair.
 
 A chase asks for the same pure values many times: the BBW pieces of one
 pair of irreducibles, a Levi dual, a BBW walk, a sequence term at a twist.
@@ -189,9 +190,21 @@ def format_graded(res: ExtResult) -> list[str]:
     return pieces
 
 
+def _on_d5(X: BundleObject) -> BundleObject:
+    """X, or its D5/P4 form when it is a twist of O written on B4/Q4."""
+    if isinstance(X, Sum) and X.space == bundles.B4_Q4 and X.twist_amount() is not None:
+        return bundles.convert_twist(X, bundles.D5_P4)
+    return X
+
+
 def _at_level_zero(E: BundleObject, F: BundleObject) -> tuple[BundleObject, BundleObject]:
-    """(E, F) twisted by -k, where k is the level of E: its twist when named,
-    else the marked coordinate of its first part.  Ext(E(k), F(k)) = Ext(E, F)."""
+    """(E, F) with twists of O written on D5/P4, twisted by -k, where k is the
+    level of E: its twist when named, else the marked coordinate of its first
+    part.  Ext(E(k), F(k)) = Ext(E, F).
+
+    O(k) is the same line bundle on both descriptions; written on D5/P4 it
+    gets the labels of every other pair with a D5/P4 side."""
+    E, F = _on_d5(E), _on_d5(F)
     if isinstance(E, Named):
         k = E.twist
     else:
@@ -234,17 +247,21 @@ def _tensor_coeff(graded: Graded, coeff: bundles.Coeff) -> Graded:
 class ExtEngine:
     """Memoizing Ext calculator over a fixed sequence registry.
 
-    The Ext memo is keyed by the pair twisted to level zero (_at_level_zero:
-    E's twist when named, else the marked coordinate of its first part).
-    O(1) is the same line bundle on D5/P4 and B4/Q4, and every registered
-    sequence matches at every twist, so the routes of (E(k), F(k)) and
-    (E, F) correspond one to one and give equal answers.  An ExtResult is
-    always memoized, also when a cut happened below it.  An Ambiguous is
-    memoized only when _cuts did not move while it was computed: _cuts
-    counts the cycle cuts, the "cyclic dependency" placeholder answered to a
-    pair already on the stack, which is never stored.
+    The Ext memo holds each answer under two keys: the pair as it was
+    asked, so that a repeated query is one dictionary lookup, and the pair
+    at level zero (_at_level_zero: a twist of O written on B4/Q4 rewritten
+    on D5/P4, then both twisted by minus E's twist when named, else by
+    minus the marked coordinate of its first part), which is computed only
+    when the asked pair misses.  O(1) is the same line bundle on D5/P4 and
+    B4/Q4, and every registered sequence matches at every twist, so the
+    routes of (E(k), F(k)) and (E, F) correspond one to one and give equal
+    answers.  An ExtResult is always memoized, also when a cut happened
+    below it.  An Ambiguous is memoized only when _cuts did not move while
+    it was computed: _cuts counts the cycle cuts, the "cyclic dependency"
+    placeholder answered to a pair already on the stack, which is never
+    stored.
 
-    Besides the Ext and Euler memos, an engine keeps six kernel tables of
+    Besides the Ext and Euler memos, an engine keeps seven kernel tables of
     pure values, each filled on its first lookup through _lookup and keyed
     by the arguments of the function that fills it:
 
@@ -257,7 +274,9 @@ class ExtEngine:
     - _terms: (term, t, contravariant) -> the term's object twisted by t
       and its coefficient, dualized when contravariant (_term_at), for
       chase columns;
-    - _duals: (datum, w) -> roots.dual_weight(datum, w), for coefficients.
+    - _duals: (datum, w) -> roots.dual_weight(datum, w), for coefficients;
+    - _classes: (obj,) -> bundles.kclass(obj), the K-classes the Euler form
+      pairs.
 
     The tables start empty and live exactly as long as the engine, so a
     fault injected into roots, bbw or levi reaches every engine built
@@ -276,15 +295,22 @@ class ExtEngine:
         self._cohomology: dict = {}
         self._terms: dict = {}
         self._duals: dict = {}
+        self._classes: dict = {}
         self.kform = None  # the Euler form on K-theory, built by mutations.KForm.standard
 
     # -- public surface ------------------------------------------------
 
     def ext(self, E: BundleObject, F: BundleObject) -> ExtResult | Ambiguous:
+        asked = (E, F)
+        result = self._memo.get(asked, _MISSING)
+        if result is not _MISSING:
+            return result
         E, F = _at_level_zero(E, F)
         key = (E, F)
-        if key in self._memo:
-            return self._memo[key]
+        result = self._memo.get(key, _MISSING)
+        if result is not _MISSING:
+            self._memo[asked] = result
+            return result
         if key in self._stack:
             self._cuts += 1
             return Ambiguous(0, "cyclic dependency")
@@ -295,12 +321,11 @@ class ExtEngine:
         finally:
             self._stack.discard(key)
         if isinstance(result, ExtResult) or self._cuts == cuts:
-            self._memo[key] = result
+            self._memo[key] = self._memo[asked] = result
         return result
 
     def cohomology(self, E: BundleObject) -> ExtResult | Ambiguous:
-        space = E.space if isinstance(E, Sum) else bundles.D5_P4
-        return self.ext(bundles.O(0, space), E)
+        return self.ext(bundles.O(), E)
 
     def ext_equivariant(self, E: BundleObject, F: BundleObject) -> dict[int, int] | Ambiguous:
         res = self.ext(E, F)
@@ -339,12 +364,10 @@ class ExtEngine:
             return direct
 
         # Only Spin(9) acts on a pair with a B4/Q4 summand that is not a twist
-        # of O, and both half-spin representations of Spin(10) restrict to its
-        # spin representation: label such an Ext by B4 irreducibles, or the
-        # D5 labels would depend on the route.
-        on_b4 = any(
-            isinstance(X, Sum) and X.space == bundles.B4_Q4 and X.twist_amount() is None for X in (E, F)
-        )
+        # of O (ext writes those on D5/P4), and both half-spin representations
+        # of Spin(10) restrict to its spin representation: label such an Ext
+        # by B4 irreducibles, or the D5 labels would depend on the route.
+        on_b4 = any(isinstance(X, Sum) and X.space == bundles.B4_Q4 for X in (E, F))
         results: list[ExtResult] = []
         for route in self._routes(E, F):
             if route is None:
@@ -463,7 +486,7 @@ class ExtEngine:
     def _pairing(self, E: BundleObject, F: BundleObject) -> int:
         """chi(E, F): the sum of a b chi(L1-dual (x) L2) over the pieces a L1 of the
         class of E and b L2 of that of F, on D5/P4 unless a piece lives on B4/Q4."""
-        classes = bundles.kclass(E), bundles.kclass(F)
+        classes = _lookup(self._classes, bundles.kclass, E), _lookup(self._classes, bundles.kclass, F)
         on_b4 = any(space == bundles.B4_Q4 for cls in classes for space, _ in cls)
         pb = bundles.B4_Q4 if on_b4 else bundles.D5_P4
         a, b = (_on_space(pb, cls) for cls in classes)
@@ -499,12 +522,14 @@ def _solve_ses(cols: list[Graded | None], idx: int) -> Graded | None:
 
     cols follow covariant LES order: ... -> c0^p -> c1^p -> c2^p -> c0^{p+1} -> ...
     The unknown column is determined when every map between the two known
-    columns is forced to vanish degree-by-degree.
+    columns is forced to vanish degree-by-degree.  A map is forced to vanish
+    unless both its source and its target are nonzero, so the degrees of
+    its source column are the only ones to walk.
     """
     a, b, c = cols
     if idx == 0:
         # adjacency b^p -> c^p
-        if any(_dims_at(b, p) and _dims_at(c, p) for p in _degrees(b, c)):
+        if any(_dims_at(b, p) and _dims_at(c, p) for p in b):
             return None
         out: Graded = {}
         _merge(out, c, +1)
@@ -512,27 +537,18 @@ def _solve_ses(cols: list[Graded | None], idx: int) -> Graded | None:
         return out
     if idx == 1:
         # adjacency c^p -> a^{p+1}
-        if any(_dims_at(c, p) and _dims_at(a, p + 1) for p in _degrees(c, a)):
+        if any(_dims_at(c, p) and _dims_at(a, p + 1) for p in c):
             return None
         out = {}
         _merge(out, a, 0)
         _merge(out, c, 0)
         return out
     # adjacency a^p -> b^p
-    if any(_dims_at(a, p) and _dims_at(b, p) for p in _degrees(a, b)):
+    if any(_dims_at(a, p) and _dims_at(b, p) for p in a):
         return None
     out = {}
     _merge(out, b, 0)
     _merge(out, a, -1)
-    return out
-
-
-def _degrees(*cols: Graded) -> set[int]:
-    out: set[int] = set()
-    for col in cols:
-        out.update(col.keys())
-        out.update(p + 1 for p in col.keys())
-        out.update(p - 1 for p in col.keys())
     return out
 
 

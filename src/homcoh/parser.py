@@ -25,26 +25,30 @@ from .roots import B4_Q4, D5_P4, DomainError
 
 _TOKEN = re.compile(r"\s*(?:(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<int>-?\d+)|(?P<sym>[()\[\],+*]))")
 
+# Each atom is built once: bundle objects are immutable, and U and R would
+# otherwise go through roots.dualize_levi on every parse.
 _ATOMS = {
-    "O": lambda: bundles.O(),
-    "U": bundles.U,
-    "Uv": bundles.Uv,
-    "R": bundles.R,
-    "Rv": bundles.Rv,
-    "W": bundles.W,
-    "T": bundles.T,
-    "That": bundles.That,
-    "Thatv": bundles.Thatv,
-    "Ktilde": bundles.Ktilde,
-    "Ktildev": bundles.Ktildev,
+    "O": bundles.O(),
+    "U": bundles.U(),
+    "Uv": bundles.Uv(),
+    "R": bundles.R(),
+    "Rv": bundles.Rv(),
+    "W": bundles.W(),
+    "T": bundles.T(),
+    "That": bundles.That(),
+    "Thatv": bundles.Thatv(),
+    "Ktilde": bundles.Ktilde(),
+    "Ktildev": bundles.Ktildev(),
 }
 
 _GENERATORS = {
-    "D5+": bundles.Uv(),
-    "D5-": bundles.U(),
-    "B4+": bundles.Rv(),
-    "B4-": bundles.R(),
+    "D5+": _ATOMS["Uv"],
+    "D5-": _ATOMS["U"],
+    "B4+": _ATOMS["Rv"],
+    "B4-": _ATOMS["R"],
 }
+
+_SCHUR = re.compile(r"(Sym|Wedge)(\d+)")
 
 
 class BundleSyntaxError(ValueError):
@@ -163,7 +167,7 @@ class _Parser:
                 return self.weight_literal()
             if tok.text in _ATOMS:
                 self.take()
-                return _ATOMS[tok.text]()
+                return _ATOMS[tok.text]
             raise BundleSyntaxError(f"unknown bundle name {tok.text!r}", tok.pos)
         raise BundleSyntaxError(f"expected a bundle expression, found {tok.text!r}", tok.pos)
 
@@ -187,7 +191,7 @@ class _Parser:
 
 
 def _schur_op(text: str) -> tuple[str, int] | None:
-    m = re.fullmatch(r"(Sym|Wedge)(\d+)", text)
+    m = _SCHUR.fullmatch(text)
     if m:
         return m.group(1), int(m.group(2))
     return None

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from homcoh import bundles as B
@@ -142,3 +144,29 @@ def test_twist_of_a_sum_is_the_sum_of_the_shifted_parts():
             assert len({w for w, _ in got.parts}) == len(got.parts)
             for j in range(-3, 4):
                 assert B.twist(got, j) == B.twist(E, k + j), (text, k, j)
+
+
+def _random_levi_dominant_sum(rng, space):
+    # Oracle draw: unmarked coordinates in 0..2, the marked one in -3..3.
+    marked = space.marked[0] - 1
+    parts = {}
+    for _ in range(rng.randint(1, 4)):
+        w = tuple(rng.randint(-3, 3) if i == marked else rng.randint(0, 2) for i in range(space.rank))
+        parts[w] = rng.randint(1, 3)
+    return B.make_sum(space, parts)
+
+
+def test_unvalidated_twist_equals_the_validated_sum():
+    # twist builds a Sum without Sum.__post_init__; the same parts shifted by
+    # hand and validated through make_sum must give the same object.
+    rng = random.Random(29)
+    for space in (D5_P4, B4_Q4):
+        marked = space.marked[0] - 1
+        for _ in range(60):
+            S = _random_levi_dominant_sum(rng, space)
+            for k in range(-3, 4):
+                shifted = [(w[:marked] + (w[marked] + k,) + w[marked + 1:], m) for w, m in S.parts]
+                want = B.make_sum(space, shifted)
+                got = B.twist(S, k)
+                assert got == want and hash(got) == hash(want), (S, k)
+                assert repr(got) == repr(want), (S, k)

@@ -154,10 +154,30 @@ def _log_calls(monkeypatch, module, name: str, log: list) -> None:
     monkeypatch.setattr(module, name, counting)
 
 
+def _log_outer_calls(monkeypatch, module, name: str, log: list) -> None:
+    """_log_calls, leaving out calls made while another call to name runs."""
+    original = getattr(module, name)
+    running = []
+
+    def counting(*args):
+        if not running:
+            log.append(args)
+        running.append(args)
+        try:
+            return original(*args)
+        finally:
+            running.pop()
+
+    monkeypatch.setattr(module, name, counting)
+
+
 def test_kernel_tables_compute_each_key_once_per_engine(monkeypatch):
-    calls = {"bbw_cohomology": [], "dual_weight": []}
+    calls = {"bbw_cohomology": [], "dual_weight": [], "kclass": []}
     _log_calls(monkeypatch, bbw, "bbw_cohomology", calls["bbw_cohomology"])
     _log_calls(monkeypatch, roots, "dual_weight", calls["dual_weight"])
+    # kclass of a named object recurses into the terms of its sequence:
+    # count only the classes the engine asks for.
+    _log_outer_calls(monkeypatch, B, "kclass", calls["kclass"])
     pairs = [(parse_bundle(e), parse_bundle(f)) for e, f in TABLE_QUERIES]
 
     def run_fresh_engine():
@@ -175,6 +195,28 @@ def test_kernel_tables_compute_each_key_once_per_engine(monkeypatch):
         assert len(keys) == len(set(keys)), f"{name}: {len(keys)} calls for {len(set(keys))} keys"
     # The tables belong to the engine: a second one computes everything again.
     assert run_fresh_engine() == first
+
+
+def test_repeated_query_is_a_memo_hit(monkeypatch):
+    # A pair asked before, with an answer the memo keeps, is answered from
+    # the memo as it was asked: no twist to level zero, no route.
+    eng = ExtEngine()
+    pairs = [
+        (B.twist(parse_bundle(e), k), B.twist(parse_bundle(f), k))
+        for e, f in TABLE_QUERIES
+        for k in (-2, 0, 3)
+    ]
+    first = {pair: eng.ext(*pair) for pair in pairs}
+    kept = {pair: answer for pair, answer in first.items() if pair in eng._memo}
+    # Only an Ambiguous computed under a cycle cut is not kept.
+    assert all(isinstance(answer, Ambiguous) for pair, answer in first.items() if pair not in kept)
+    assert len(kept) > len(pairs) // 2
+    calls = {"twist": [], "_compute": []}
+    _log_calls(monkeypatch, B, "twist", calls["twist"])
+    _log_calls(monkeypatch, ExtEngine, "_compute", calls["_compute"])
+    for (E, F), answer in kept.items():
+        assert eng.ext(E, F) is answer, (E, F)
+    assert calls == {"twist": [], "_compute": []}
 
 
 # Direct pairs on both descriptions and two chases.
@@ -289,6 +331,63 @@ def test_grid_answers_do_not_depend_on_the_query_order():
     for seed in (1, 2, 3):
         shuffled = _answer_grid(random.Random(seed).sample(GRID, len(GRID)))
         assert shuffled == fixed, [pair for pair in GRID if shuffled[pair] != fixed[pair]]
+
+
+@pytest.mark.parametrize("name", ["That", "Thatv", "Ktilde", "Ktildev"])
+def test_twists_of_o_written_on_b4_get_the_labels_of_o(name):
+    # O(k) is one line bundle on both descriptions, so Ext against it must
+    # not depend on how it is written, labels included.
+    E = parse_bundle(name)
+    for k in (0, 1):
+        want = ExtEngine().ext(E, B.O(k))
+        assert ExtEngine().ext(E, parse_bundle(f"B4[0,0,0,{k}]")) == want, k
+        assert ExtEngine().ext(parse_bundle(f"B4[0,0,0,{k}]"), E) == ExtEngine().ext(B.O(k), E), k
+
+
+def _old_degenerates(cols, idx):
+    """The degeneration test of _solve_ses as it read with a set of degrees:
+    every degree of a known column and its two neighbours."""
+
+    def degrees(*cs):
+        out = set()
+        for col in cs:
+            out.update(col.keys())
+            out.update(p + 1 for p in col.keys())
+            out.update(p - 1 for p in col.keys())
+        return out
+
+    a, b, c = cols
+    if idx == 0:
+        return not any(X._dims_at(b, p) and X._dims_at(c, p) for p in degrees(b, c))
+    if idx == 1:
+        return not any(X._dims_at(c, p) and X._dims_at(a, p + 1) for p in degrees(c, a))
+    return not any(X._dims_at(a, p) and X._dims_at(b, p) for p in degrees(a, b))
+
+
+def test_solve_ses_degenerates_as_the_degree_set_test_did():
+    rng = random.Random(41)
+    entries = [(), X._entry((D5, (1, 0, 0, 0, 0))), X._entry((B4, (0, 0, 0, 1)))]
+
+    def column():
+        col = {}
+        for p in rng.sample(range(-2, 4), rng.randint(0, 3)):
+            col[p] = {e: rng.randint(1, 3) for e in rng.sample(entries, rng.randint(1, 2))}
+        return col
+
+    seen = set()
+    for _ in range(400):
+        for idx in range(3):
+            cols = [column(), column(), column()]
+            cols[idx] = None
+            known = [col for col in cols if col is not None]
+            degenerate = _old_degenerates(cols, idx)
+            seen.add(degenerate)
+            solved = X._solve_ses(cols, idx)
+            assert (solved is not None) == degenerate, (cols, idx)
+            if solved is not None:
+                total = sum(X._dims_at(col, p) for col in known for p in col)
+                assert sum(X._dims_at(solved, p) for p in solved) == total
+    assert seen == {True, False}
 
 
 TWIST_CLASS_PAIRS = (

@@ -87,3 +87,21 @@ def test_collection_files():
     with pytest.raises(BundleSyntaxError) as err:
         parse_collection("O\nbad-name\n")
     assert "line 2" in str(err.value)
+
+
+ATOM_CONSTRUCTORS = {
+    "O": B.O, "U": B.U, "Uv": B.Uv, "R": B.R, "Rv": B.Rv, "W": B.W, "T": B.T,
+    "That": B.That, "Thatv": B.Thatv, "Ktilde": B.Ktilde, "Ktildev": B.Ktildev,
+}
+
+
+def test_atom_table_equals_the_bundle_constructors():
+    # The parser builds each atom once; every name must still give what its
+    # bundles constructor gives, at level zero and twisted.
+    from homcoh import parser
+
+    assert set(parser._ATOMS) == set(ATOM_CONSTRUCTORS)
+    for name, make in ATOM_CONSTRUCTORS.items():
+        assert parse_bundle(name) == make(), name
+        for k in (-2, 2):
+            assert parse_bundle(f"{name}({k})") == make(k), (name, k)
