@@ -359,10 +359,17 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return ap
 
 
+_arg_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    ap = build_arg_parser()
+    # Built on the first call, not at import, and kept for the process:
+    # parse_args leaves nothing behind in the parser for the next call.
+    global _arg_parser
+    if _arg_parser is None:
+        _arg_parser = build_arg_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _arg_parser.parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:

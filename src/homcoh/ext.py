@@ -29,10 +29,13 @@ Ambiguous answers included when no cycle was cut while computing them (see
 ExtEngine), their reasons naming no pair.
 
 A chase asks for the same pure values many times: the BBW pieces of one
-pair of irreducibles, a Levi dual, a BBW walk, a sequence term at a twist.
-Each ExtEngine keeps them in its own tables (see ExtEngine), keyed by
-hashable values, created empty with the engine and dropped with it.  They
-are per engine, not module-level caches, for two reasons.  A fresh engine
+pair of irreducibles, a Levi dual, a BBW walk, a sequence term at a twist,
+an object at level zero.  Each ExtEngine keeps them in nine tables of its
+own (see ExtEngine), keyed by hashable values, created empty with the
+engine and dropped with it.  Two of them, _levels keyed by (obj,) and
+_shifts keyed by (obj, -k), take a pair asked to its level-zero memo key
+in two lookups once both objects have been seen.  The tables are per
+engine, not module-level caches, for two reasons.  A fresh engine
 recomputes through the roots, bbw and levi functions installed at that
 moment, so a fault injected into them, or a tracer wrapped around them,
 is seen by the next engine even when another engine is already warm.  And
@@ -197,20 +200,28 @@ def _on_d5(X: BundleObject) -> BundleObject:
     return X
 
 
-def _at_level_zero(E: BundleObject, F: BundleObject) -> tuple[BundleObject, BundleObject]:
-    """(E, F) with twists of O written on D5/P4, twisted by -k, where k is the
-    level of E: its twist when named, else the marked coordinate of its first
-    part.  Ext(E(k), F(k)) = Ext(E, F).
+def _level_zero(E: BundleObject) -> tuple[BundleObject, int]:
+    """E written on D5/P4 when it is a twist of O, twisted by -k, and its
+    level k: its twist when named, else the marked coordinate of its first
+    part.  Ext(E(k), F(k)) = Ext(E, F), so an engine computes Ext(E, F) at
+    level zero, with F shifted by -k through _shift.
 
     O(k) is the same line bundle on both descriptions; written on D5/P4 it
     gets the labels of every other pair with a D5/P4 side."""
-    E, F = _on_d5(E), _on_d5(F)
+    E = _on_d5(E)
     if isinstance(E, Named):
         k = E.twist
     else:
         (m,) = E.space.marked
         k = E.parts[0][0][m - 1]
-    return (bundles.twist(E, -k), bundles.twist(F, -k)) if k else (E, F)
+    return bundles.twist(E, -k), k
+
+
+def _shift(F: BundleObject, t: int) -> BundleObject:
+    """F written on D5/P4 when it is a twist of O, twisted by t: the second
+    object of a level-zero pair, t being minus the level of the first (see
+    _level_zero)."""
+    return bundles.twist(_on_d5(F), t)
 
 
 def _branch_to_b4(res: ExtResult) -> ExtResult:
@@ -249,10 +260,10 @@ class ExtEngine:
 
     The Ext memo holds each answer under two keys: the pair as it was
     asked, so that a repeated query is one dictionary lookup, and the pair
-    at level zero (_at_level_zero: a twist of O written on B4/Q4 rewritten
-    on D5/P4, then both twisted by minus E's twist when named, else by
-    minus the marked coordinate of its first part), which is computed only
-    when the asked pair misses.  O(1) is the same line bundle on D5/P4 and
+    at level zero (_level_key: a twist of O written on B4/Q4 rewritten on
+    D5/P4, then both twisted by minus E's twist when named, else by minus
+    the marked coordinate of its first part), which is looked up only when
+    the asked pair misses.  O(1) is the same line bundle on D5/P4 and
     B4/Q4, and every registered sequence matches at every twist, so the
     routes of (E(k), F(k)) and (E, F) correspond one to one and give equal
     answers.  An ExtResult is always memoized, also when a cut happened
@@ -261,7 +272,7 @@ class ExtEngine:
     placeholder answered to a pair already on the stack, which is never
     stored.
 
-    Besides the Ext and Euler memos, an engine keeps seven kernel tables of
+    Besides the Ext and Euler memos, an engine keeps nine kernel tables of
     pure values, each filled on its first lookup through _lookup and keyed
     by the arguments of the function that fills it:
 
@@ -276,7 +287,10 @@ class ExtEngine:
       chase columns;
     - _duals: (datum, w) -> roots.dual_weight(datum, w), for coefficients;
     - _classes: (obj,) -> bundles.kclass(obj), the K-classes the Euler form
-      pairs.
+      pairs;
+    - _levels: (obj,) -> obj at level zero and its level k (_level_zero),
+      for the first object of a pair;
+    - _shifts: (obj, -k) -> obj twisted by -k (_shift), for the second.
 
     The tables start empty and live exactly as long as the engine, so a
     fault injected into roots, bbw or levi reaches every engine built
@@ -296,6 +310,8 @@ class ExtEngine:
         self._terms: dict = {}
         self._duals: dict = {}
         self._classes: dict = {}
+        self._levels: dict = {}
+        self._shifts: dict = {}
         self.kform = None  # the Euler form on K-theory, built by mutations.KForm.standard
 
     # -- public surface ------------------------------------------------
@@ -305,8 +321,8 @@ class ExtEngine:
         result = self._memo.get(asked, _MISSING)
         if result is not _MISSING:
             return result
-        E, F = _at_level_zero(E, F)
-        key = (E, F)
+        key = self._level_key(E, F)
+        E, F = key
         result = self._memo.get(key, _MISSING)
         if result is not _MISSING:
             self._memo[asked] = result
@@ -323,6 +339,11 @@ class ExtEngine:
         if isinstance(result, ExtResult) or self._cuts == cuts:
             self._memo[key] = self._memo[asked] = result
         return result
+
+    def _level_key(self, E: BundleObject, F: BundleObject) -> tuple[BundleObject, BundleObject]:
+        """The pair at level zero that Ext(E, F) is computed and memoized under."""
+        E, k = _lookup(self._levels, _level_zero, E)
+        return E, _lookup(self._shifts, _shift, F, -k)
 
     def cohomology(self, E: BundleObject) -> ExtResult | Ambiguous:
         return self.ext(bundles.O(), E)

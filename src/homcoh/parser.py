@@ -12,6 +12,15 @@ Grammar:
 Postfix twists bind to the whole prefixed factor, so `Sym2 Uv (2)` is the
 second symmetric power twisted by 2.  Schur functors apply only to (twists
 of) the tautological generators U, Uv, R, Rv.
+
+parse_bundle keeps each object it returns for the rest of the process,
+keyed by the text it was parsed from, as _ATOMS keeps the atoms: bundle
+objects are immutable values, and a session asks for the same few strings
+again and again.  A failed parse is never kept, so a bad string raises on
+every call.  The limit is the one of the atoms: a fault injected into
+roots.dualize_levi, or anything else a parse calls, after a string was
+first parsed does not reach that string's object, and one injected before
+stays in it.  The table grows by one entry per distinct string parsed.
 """
 
 from __future__ import annotations
@@ -49,6 +58,8 @@ _GENERATORS = {
 }
 
 _SCHUR = re.compile(r"(Sym|Wedge)(\d+)")
+
+_PARSED: dict[str, BundleObject] = {}
 
 
 class BundleSyntaxError(ValueError):
@@ -207,7 +218,10 @@ def _apply_schur(power: tuple[str, int], inner: BundleObject, pos: int) -> Sum:
         if t is None:
             continue
         space = gen.space
-        base = levi.sym_power(space, r) if op == "Sym" else levi.wedge_power(space, r)
+        try:
+            base = levi.sym_power(space, r) if op == "Sym" else levi.wedge_power(space, r)
+        except DomainError as e:
+            raise BundleSyntaxError(str(e), pos) from None
         out = bundles.irr(space, base)
         if key.endswith("-"):
             out = bundles.dual(out)
@@ -217,7 +231,10 @@ def _apply_schur(power: tuple[str, int], inner: BundleObject, pos: int) -> Sum:
 
 def parse_bundle(text: str) -> BundleObject:
     """Parse one bundle expression; raises BundleSyntaxError with a position."""
-    return _Parser(text).parse()
+    obj = _PARSED.get(text)
+    if obj is None:
+        obj = _PARSED[text] = _Parser(text).parse()
+    return obj
 
 
 def parse_collection(text: str, label: str = "") -> list[BundleObject]:

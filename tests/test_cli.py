@@ -232,6 +232,39 @@ def test_unknown_command_is_usage_error(capsys):
     assert cli.main(["frobnicate"]) == 2
 
 
+def test_calls_in_one_process_behave_like_separate_processes(capsys):
+    # The argument parser is built once per process; no call may leave a
+    # flag or an error behind for the next one.
+    assert run(capsys, "ext", "O")[0] == 2
+    assert run(capsys, "ext", "O", "O") == (0, "C[0]\n")
+    built = cli._arg_parser
+    code, out = run(capsys, "gram", "kuznetsov", "--json")
+    assert code == 0
+    matrix = json.loads(out)
+    code, out = run(capsys, "gram", "kuznetsov")
+    assert code == 0
+    assert [[int(v) for v in line.split()] for line in out.splitlines()] == matrix
+    assert cli._arg_parser is built is not None
+
+
+def test_argument_parser_is_not_built_at_import():
+    proc = subprocess.run(
+        [sys.executable, "-c", "from homcoh import cli; print(cli._arg_parser)"],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "None\n"
+
+
+def test_schur_power_out_of_range_is_a_usage_error_with_a_position(capsys):
+    code = cli.main(["ext", "Sym-1 Uv", "O"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: negative symmetric power (at position 0)\n"
+
+
 def test_deterministic_output(capsys):
     _, out1 = run(capsys, "ext", "O", "That(5)")
     _, out2 = run(capsys, "ext", "O", "That(5)")

@@ -172,13 +172,20 @@ def _log_outer_calls(monkeypatch, module, name: str, log: list) -> None:
 
 
 def test_kernel_tables_compute_each_key_once_per_engine(monkeypatch):
-    calls = {"bbw_cohomology": [], "dual_weight": [], "kclass": []}
+    calls = {"bbw_cohomology": [], "dual_weight": [], "kclass": [], "_level_zero": [], "_shift": []}
     _log_calls(monkeypatch, bbw, "bbw_cohomology", calls["bbw_cohomology"])
     _log_calls(monkeypatch, roots, "dual_weight", calls["dual_weight"])
     # kclass of a named object recurses into the terms of its sequence:
     # count only the classes the engine asks for.
     _log_outer_calls(monkeypatch, B, "kclass", calls["kclass"])
-    pairs = [(parse_bundle(e), parse_bundle(f)) for e, f in TABLE_QUERIES]
+    _log_calls(monkeypatch, X, "_level_zero", calls["_level_zero"])
+    _log_calls(monkeypatch, X, "_shift", calls["_shift"])
+    # Also at common twists, so that one object is asked at several levels.
+    pairs = [
+        (B.twist(parse_bundle(e), k), B.twist(parse_bundle(f), k))
+        for e, f in TABLE_QUERIES
+        for k in (0, -2, 3)
+    ]
 
     def run_fresh_engine():
         for keys in calls.values():
@@ -315,7 +322,7 @@ def _answer_grid(order):
     answers = {}
     for e, f in order:
         E, F = parse_bundle(e), parse_bundle(f)
-        key = X._at_level_zero(E, F)
+        key = eng._level_key(E, F)
         computed, cuts = key not in eng._memo, eng._cuts
         res = eng.ext(E, F)
         answers[(e, f)] = repr(res)

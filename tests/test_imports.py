@@ -29,3 +29,45 @@ def test_modules_reference_every_name_they_import():
 def test_unused_import_scan_catches_a_dead_name():
     source = "from . import bbw, levi\nimport os.path\nfrom .roots import B4 as b4\nlevi.lr_multiply\n"
     assert _unused_imports(source) == {"bbw", "os", "b4"}
+
+
+def _unreferenced_private_definitions(sources: list[str]) -> set[str]:
+    """Private module-level functions and classes, and private methods, that
+    no code refers to outside their own definition."""
+    trees = [ast.parse(source) for source in sources]
+    definitions = []
+    for tree in trees:
+        for node in tree.body:
+            nodes = [node] + (node.body if isinstance(node, ast.ClassDef) else [])
+            definitions += [d for d in nodes if isinstance(d, (ast.FunctionDef, ast.ClassDef))]
+    private = [d for d in definitions if d.name.startswith("_") and not d.name.endswith("__")]
+
+    def references(root: ast.AST) -> list[str]:
+        return [
+            node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(root)
+            if isinstance(node, (ast.Name, ast.Attribute))
+        ]
+
+    everywhere = [name for tree in trees for name in references(tree)]
+    return {d.name for d in private if everywhere.count(d.name) == references(d).count(d.name)}
+
+
+def test_package_refers_to_every_private_definition():
+    # A private name that only the tests call is dead code: a test of it
+    # checks nothing the program does.
+    sources = [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))]
+    assert _unreferenced_private_definitions(sources) == set()
+
+
+def test_private_definition_scan_catches_dead_code():
+    source = (
+        "def _used(): return 1\n"
+        "def _dead(n): return _dead(n - 1)\n"
+        "class _Kept:\n"
+        "    def _method(self): return _used()\n"
+        "    def __repr__(self): return ''\n"
+        "class _Gone: pass\n"
+        "_Kept()\n"
+    )
+    assert _unreferenced_private_definitions([source]) == {"_dead", "_method", "_Gone"}

@@ -1,6 +1,7 @@
 import pytest
 
 from homcoh import bundles as B
+from homcoh import parser
 from homcoh.parser import BundleSyntaxError, bundle_expr, parse_bundle, parse_collection
 
 
@@ -62,6 +63,16 @@ def test_errors_carry_positions():
         parse_bundle("")
     with pytest.raises(BundleSyntaxError):
         parse_bundle("D5 [1,0,0,0,0] trailing")
+    # Schur powers out of range name the operator's position.
+    for text, message, position in (
+        ("Sym-1 Uv", "negative symmetric power", 0),
+        ("Wedge9 Rv", "wedge power 9 out of range 0..4", 0),
+        ("O + Sym-1 Uv(2)", "negative symmetric power", 4),
+    ):
+        with pytest.raises(BundleSyntaxError) as err:
+            parse_bundle(text)
+        assert err.value.position == position, text
+        assert str(err.value) == f"{message} (at position {position})", text
 
 
 def test_expr_roundtrip():
@@ -98,10 +109,30 @@ ATOM_CONSTRUCTORS = {
 def test_atom_table_equals_the_bundle_constructors():
     # The parser builds each atom once; every name must still give what its
     # bundles constructor gives, at level zero and twisted.
-    from homcoh import parser
-
     assert set(parser._ATOMS) == set(ATOM_CONSTRUCTORS)
     for name, make in ATOM_CONSTRUCTORS.items():
         assert parse_bundle(name) == make(), name
         for k in (-2, 2):
             assert parse_bundle(f"{name}({k})") == make(k), (name, k)
+
+
+# The generators of the ext-sweep benchmark workload, each asked bare and at twists -3..3.
+SWEEP_GENERATORS = (
+    "O", "U", "Uv", "R", "Rv", "T", "That", "Thatv", "Ktilde", "Ktildev",
+    "Sym2 Uv", "Sym2 Rv", "Wedge2 Rv",
+)
+
+
+def test_each_string_is_parsed_once():
+    texts = [*SWEEP_GENERATORS, *(f"{g}({t})" for g in SWEEP_GENERATORS for t in range(-3, 4))]
+    for text in texts:
+        obj = parse_bundle(text)
+        assert parse_bundle(text) is obj, text
+        assert obj == parser._Parser(text).parse(), text
+
+
+def test_a_failed_parse_is_not_kept():
+    for text in ("O * foo", "Sym-1 Uv", "U * R"):
+        for _ in range(2):
+            with pytest.raises(BundleSyntaxError):
+                parse_bundle(text)
