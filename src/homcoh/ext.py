@@ -40,11 +40,13 @@ recomputes through the roots, bbw and levi functions installed at that
 moment, so a fault injected into them, or a tracer wrapped around them,
 is seen by the next engine even when another engine is already warm.  And
 their memory is held only while an engine is alive and only for what it
-asked.  Below them, levi.tensor_decompose keeps one table of its own for
-the process, the Levi products of each pair of partitions at central
-charge 0: every caller fills it, in an engine or not (the tensor command,
-bundles.tensor), and a fault in the Brauer-Klimyk loop reaches only the
-pairs it has not yet seen.  The branchings of levi.branch_levi and
+asked.  Below them, levi keeps two tables of its own for the process,
+filled by every caller, in an engine or not (the tensor command,
+bundles.tensor): _PRODUCTS, the Levi products of each pair of partitions
+at central charge 0, and _KOSTKA, the Kostka numbers of each weight-side
+partition of the Brauer-Klimyk loop.  A fault in that loop reaches only the
+pairs it has not yet seen, and one in levi._kostka only the partitions it
+has not yet seen.  The branchings of levi.branch_levi and
 levi.b4_content are kept for the process in the same way.
 """
 

@@ -11,10 +11,19 @@ symmetric group; the central charges add.  GL entries lie in (1/2)Z, all
 congruent mod 1, so the module works on twice the GL vector, an integer
 vector; `to_gl`/`from_gl` give the exact rational view.
 
-`tensor_decompose` reads the table `_PRODUCTS`, keyed by the two partitions
+Two tables live for the process, filled on first use by every caller.
+`tensor_decompose` reads `_PRODUCTS`, keyed by the two partitions
 (pb, p1, p2) of `_split` in sorted order, since the product is symmetric:
 the product's Levi weights at central charge 0, filled once per unordered
 pair, to whose marked coordinate a call adds the summed doubled charge.
+`_brauer_klimyk` reads `_KOSTKA`, keyed by the weight-side partition: its
+dominant weights with their Kostka numbers, filled by `_kostka`, looked up
+on the module at fill time.  A fault injected into `_brauer_klimyk`
+reaches only the partition pairs not yet in `_PRODUCTS`, and one injected
+into `_kostka` only the partitions not yet in `_KOSTKA`; a faulty entry
+stays for the process.  `lr_multiply` keeps its own lru_cache and
+shares `_KOSTKA`.
+
 The lattice check lives in `_from_gl2`, for `from_gl`.  `branch_levi`
 (GL(5) -> GL(4)) gives the graded pieces of a D5/P4 fibre as a Q4-module,
 its class on B4/Q4; `branch_d5_to_b4` is so(10) -> so(9).
@@ -63,15 +72,27 @@ def _gl2(pb: Parabolic, w: Weight) -> tuple[int, ...]:
     return tuple(reversed(v))
 
 
+def _read_back(pb: Parabolic) -> tuple[operator.itemgetter, tuple[int, ...]]:
+    # For _weight: each coordinate of the weight as an index into the chain
+    # labels followed by the marked label, and the chain labels' coefficients
+    # in twice the last GL entry.
+    chain, last = _LEVI[pb]
+    (m,) = pb.marked
+    order = [0] * pb.rank
+    for k, node in enumerate(chain):
+        order[node - 1] = k
+    order[m - 1] = len(chain)
+    return operator.itemgetter(*order), tuple(last[node - 1] for node in chain)
+
+
+_READ_BACK = {pb: _read_back(pb) for pb in _LEVI}
+
+
 def _weight(pb: Parabolic, labels, last2: int) -> Weight:
     # The weight with these labels on the chain and twice the last GL entry last2.
-    chain, last = _LEVI[pb]
-    w = [0] * pb.rank
-    for node, label in zip(chain, labels):
-        w[node - 1] = label
-    (m,) = pb.marked
-    w[m - 1] = last2 - sum(c * x for c, x in zip(last, w))
-    return tuple(w)
+    pick, coefficients = _READ_BACK[pb]
+    labels = tuple(labels)
+    return pick(labels + (last2 - sum(map(operator.mul, coefficients, labels)),))
 
 
 def _from_gl2(pb: Parabolic, v: tuple[int, ...]) -> Weight:
@@ -156,6 +177,16 @@ def _kostka(mu: Partition) -> dict[Partition, int]:
     return {tail: count for (_, tail), count in level.items()}
 
 
+# The two process tables of the Brauer-Klimyk fills (see the module docstring).
+# mu -> ((dominant weight, Kostka number), ...) of the GL(len(mu)) irreducible
+# mu, as _kostka gives them: the weight side of every fill that reads mu.
+_KOSTKA: dict[Partition, tuple[tuple[Partition, int], ...]] = {}
+# (pb, p1, p2) with p1 <= p2 -> ((weight, multiplicity), ...) of V_p1 (x) V_p2
+# at central charge 0.  _brauer_klimyk sorts its terms, so both orders of a
+# pair would fill the same tuple.
+_PRODUCTS: dict[tuple[Parabolic, Partition, Partition], tuple[tuple[Weight, int], ...]] = {}
+
+
 def _brauer_klimyk(lam: Partition, mu: Partition, n: int) -> dict[Partition, int]:
     """s_lam * s_mu on GL(n) as sorted n-entry partitions; trailing zeros are ignored.
 
@@ -171,23 +202,26 @@ def _brauer_klimyk(lam: Partition, mu: Partition, n: int) -> dict[Partition, int
     shifted = [c + r for c, r in zip(lam + (0,) * n, rho)]
     # A dominant weight of mu has at most |mu| nonzero entries, and its
     # Kostka number does not depend on the zeros after them; its other
-    # weights place those entries, in some order, on some of the rows.
+    # weights are the distinct orderings of it, padded with zeros to n rows.
     rows = min(n, sum(mu))
+    side = (mu + (0,) * rows)[:rows]
+    weights = _KOSTKA.get(side)
+    if weights is None:
+        weights = _KOSTKA[side] = tuple(_kostka(side).items())
+    pad = (0,) * (n - rows)
     out: dict[Partition, int] = {}
-    for weight, count in _kostka((mu + (0,) * rows)[:rows]).items():
-        head = tuple(c for c in weight if c)
-        orders = set(itertools.permutations(head))
-        for places in itertools.combinations(range(n), len(head)):
-            for order in orders:
-                v = shifted.copy()
-                for p, c in zip(places, order):
-                    v[p] += c
-                if len(set(v)) < n:
-                    continue
-                inversions = sum(a < b for a, b in itertools.combinations(v, 2))
-                v.sort(reverse=True)
-                nu = tuple(map(operator.sub, v, rho))
-                out[nu] = out.get(nu, 0) + (-count if inversions % 2 else count)
+    get = out.get
+    for weight, count in weights:
+        for orbit_weight in set(itertools.permutations(weight + pad)):
+            v = list(map(operator.add, shifted, orbit_weight))
+            if len(set(v)) < n:
+                continue
+            ordered = sorted(v, reverse=True)
+            nu = tuple(map(operator.sub, ordered, rho))
+            if ordered != v and sum(itertools.starmap(operator.lt, itertools.combinations(v, 2))) % 2:
+                out[nu] = get(nu, 0) - count
+            else:
+                out[nu] = get(nu, 0) + count
     if any(c < 0 for c in out.values()):
         raise InternalConsistencyError(f"negative Brauer-Klimyk coefficient in {lam} * {mu}")
     return {nu: c for nu, c in sorted(out.items()) if c}
@@ -201,12 +235,6 @@ def lr_multiply(lam: Partition, mu: Partition, max_rows: int) -> tuple[tuple[Par
     if len(lam) > max_rows or len(mu) > max_rows:
         raise DomainError("partition has more rows than max_rows")
     return tuple((tuple(c for c in nu if c), m) for nu, m in _brauer_klimyk(lam, mu, max_rows).items())
-
-
-# (pb, p1, p2) with p1 <= p2 -> ((weight, multiplicity), ...) of V_p1 (x) V_p2
-# at central charge 0.  _brauer_klimyk sorts its terms, so both orders of a
-# pair would fill the same tuple.
-_PRODUCTS: dict[tuple[Parabolic, Partition, Partition], tuple[tuple[Weight, int], ...]] = {}
 
 
 def tensor_decompose(pb: Parabolic, w1: Weight, w2: Weight) -> dict[Weight, int]:

@@ -48,10 +48,112 @@ def test_lr_rejects_more_rows_than_max_rows():
 
 
 def test_lr_negative_coefficient_is_an_internal_error(monkeypatch):
-    # s_11 * s_2 without the weight (1, 1) of s_2 would need -s_22.
+    # s_11 * s_2 without the weight (1, 1) of s_2 would need -s_22.  A fresh
+    # table, so that the faulty entry reaches this fill and leaves with it.
+    monkeypatch.setattr(levi, "_KOSTKA", {})
     monkeypatch.setattr(levi, "_kostka", lambda mu: {(2, 0): 1} if mu == (2, 0) else {mu: 1})
     with pytest.raises(roots.InternalConsistencyError):
         levi.lr_multiply.__wrapped__((1, 1), (2,), 2)
+
+
+def _reference_brauer_klimyk(lam, mu, n):
+    # Reference for levi._brauer_klimyk: no table, each weight's orbit as
+    # places x orders of its nonzero entries, inversions counted pair by pair;
+    # levi._kostka is called directly.
+    if sum(mu) > sum(lam):
+        lam, mu = mu, lam
+    rho = range(n - 1, -1, -1)
+    shifted = [c + r for c, r in zip(lam + (0,) * n, rho)]
+    rows = min(n, sum(mu))
+    out = {}
+    for weight, count in levi._kostka((mu + (0,) * rows)[:rows]).items():
+        head = tuple(c for c in weight if c)
+        orders = set(itertools.permutations(head))
+        for places in itertools.combinations(range(n), len(head)):
+            for order in orders:
+                v = shifted.copy()
+                for p, c in zip(places, order):
+                    v[p] += c
+                if len(set(v)) < n:
+                    continue
+                inversions = sum(a < b for a, b in itertools.combinations(v, 2))
+                v.sort(reverse=True)
+                nu = tuple(c - r for c, r in zip(v, rho))
+                out[nu] = out.get(nu, 0) + (-count if inversions % 2 else count)
+    return {nu: c for nu, c in sorted(out.items()) if c}
+
+
+def _partitions(size, rows, largest=None):
+    # Partitions of size into at most rows parts, each at most largest.
+    if size == 0:
+        yield ()
+        return
+    if rows == 0:
+        return
+    for first in range(min(size, largest or size), 0, -1):
+        for rest in _partitions(size - first, rows - 1, first):
+            yield (first,) + rest
+
+
+def _oracle_cases():
+    for n in (4, 5):
+        small = [p for size in range(7) for p in _partitions(size, n)]
+        for lam, mu in itertools.product(small, repeat=2):
+            yield lam, mu, n  # as lr_multiply passes them
+            yield lam + (0,) * (n - len(lam)), mu + (0,) * (n - len(mu)), n  # as tensor_decompose does
+    rng = random.Random(13)  # the draw of test_tensor_commutative_and_dimensional
+    for pb in (D5_P4, B4_Q4):
+        for _ in range(30):
+            p = _chain_partition(pb, _random_levi_dominant(rng, pb))
+            q = _chain_partition(pb, _random_levi_dominant(rng, pb))
+            yield p, q, len(p)
+    yield (9, 6, 3, 2, 0), (9, 7, 6, 3, 0), 5  # the slowest product of the bench
+
+
+def test_brauer_klimyk_matches_the_reference_loop(monkeypatch):
+    assert list(_partitions(4, 5)) == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
+    monkeypatch.setattr(levi, "_KOSTKA", {})
+    cases = 0
+    for lam, mu, n in _oracle_cases():
+        want = _reference_brauer_klimyk(lam, mu, n)
+        assert list(levi._brauer_klimyk(lam, mu, n).items()) == list(want.items()), (lam, mu, n)
+        cases += 1
+    assert cases == 2 * (29**2 + 27**2) + 61
+
+
+def test_kostka_table_fills_each_partition_once(monkeypatch):
+    calls = []
+    original = levi._kostka
+
+    def counting(mu):
+        calls.append(mu)
+        return original(mu)
+
+    monkeypatch.setattr(levi, "_KOSTKA", {})
+    monkeypatch.setattr(levi, "_PRODUCTS", {})
+    monkeypatch.setattr(levi, "_kostka", counting)
+    rng = random.Random(17)
+    for pb in (D5_P4, B4_Q4):
+        for _ in range(60):
+            levi.tensor_decompose(pb, _random_levi_dominant(rng, pb, 2), _random_levi_dominant(rng, pb, 2))
+    assert len(calls) == len(set(calls)) == len(levi._KOSTKA) < len(levi._PRODUCTS)
+    assert all(levi._KOSTKA[mu] == tuple(original(mu).items()) for mu in calls)
+
+
+def test_kostka_fault_reaches_only_partitions_not_yet_tabled(monkeypatch):
+    monkeypatch.setattr(levi, "_KOSTKA", {})
+    seen = levi._brauer_klimyk((2, 1, 0), (2, 1, 0), 3)  # tables the weight side (2, 1, 0)
+    larger = _reference_brauer_klimyk((3, 1, 0), (2, 1, 0), 3)
+
+    def broken(mu):
+        raise RuntimeError(f"kostka fault at {mu}")
+
+    monkeypatch.setattr(levi, "_kostka", broken)
+    assert levi._brauer_klimyk((3, 1, 0), (2, 1, 0), 3) == larger
+    assert levi._brauer_klimyk((2, 1, 0), (2, 1, 0), 3) == seen
+    with pytest.raises(RuntimeError, match="kostka fault"):
+        levi._brauer_klimyk((3, 1, 0), (1, 1, 0), 3)
+    assert list(levi._KOSTKA) == [(2, 1, 0)]
 
 
 # Schur-polynomial oracle: s_lam(x) = det(x_i^(lam_j + n - j)) / det(x_i^(n - j)),
