@@ -30,7 +30,7 @@ from .levi import (
     tensor_decompose,
     wedge_power,
 )
-from .bundles import Named, Sum, dual, standard_sequences, tensor, twist
+from .bundles import Named, Sum, bundle_expr, dual, standard_sequences, tensor, twist
 from .ext import Ambiguous, ExtEngine, ExtResult, get_engine, ls_chase, reset_engine
 from .mutations import (
     Collection,
@@ -46,6 +46,6 @@ from .mutations import (
     right_dual,
     verify_exceptional,
 )
-from .parser import BundleSyntaxError, bundle_expr, parse_bundle, parse_collection
+from .parser import BundleSyntaxError, parse_bundle, parse_collection
 
 __version__ = "0.1.0"

@@ -31,7 +31,7 @@ def weyl_dim(datum: LieDatum, mu: Weight) -> int:
     taken on the integer rows of roots.weyl_rows.
     """
     if not roots.is_dominant(mu):
-        raise DomainError(f"{mu} is not dominant")
+        raise DomainError(f"{roots.format_weight(mu)} is not dominant")
     num, den = 1, 1
     for row in roots.weyl_rows(datum):
         num *= sum(r * (m + 1) for r, m in zip(row, mu))
@@ -61,7 +61,7 @@ class Cohomology:
     def __repr__(self) -> str:
         if self.vanishes:
             return "0"
-        return f"V{list(self.weight)} @ {self.degree} (dim {self.dim})"
+        return f"V{roots.format_weight(self.weight)} @ {self.degree} (dim {self.dim})"
 
 
 def bbw_cohomology(
@@ -79,7 +79,7 @@ def bbw_cohomology(
     if len(weight) != datum.rank:
         raise DomainError(f"weight length {len(weight)} != rank {datum.rank}")
     if not roots.is_levi_dominant(pb, weight):
-        raise DomainError(f"{weight} is not Levi-dominant on {pb}")
+        raise DomainError(f"{roots.format_weight(weight)} is not Levi-dominant on {pb}")
     v = tuple(w + r for w, r in zip(weight, roots.rho(datum)))
     steps = 0
     bound = len(roots.positive_roots(datum))

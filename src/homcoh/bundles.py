@@ -9,6 +9,14 @@ The registry holds the exact sequences the computations run on.  Each is
 stored once at a reference twist; matching against a query object detects
 the common twist.  Terms may carry a representation of the full group as a
 coefficient (multiplicity space).  `kclass` gives an object's class in K_0.
+
+Every object prints in one form, bundle_expr, which is also the repr of Sum
+and Named: an expression of the bundle language that parser.parse_bundle
+reads back to the same object.  An irreducible prints as the first familiar
+bundle it is a twist of (O, Uv, U, T and the Schur powers of Uv and U on
+D5/P4; Rv, R and the Schur powers of both on B4/Q4), else as a weight
+literal such as `D5 [1,2,0,-3,1]`.  O(k) on B4/Q4 prints as a weight
+literal, because `O` parses to D5/P4.
 """
 
 from __future__ import annotations
@@ -42,7 +50,7 @@ class Sum:
             if m <= 0:
                 raise DomainError("multiplicities must be positive")
             if not roots.is_levi_dominant(self.space, w):
-                raise DomainError(f"{w} is not Levi-dominant on {self.space}")
+                raise DomainError(f"{roots.format_weight(w)} is not Levi-dominant on {self.space}")
         object.__setattr__(self, "_hash", hash((self.space, self.parts)))
 
     def __hash__(self) -> int:
@@ -58,10 +66,7 @@ class Sum:
         return k if w == tuple(k * u for u in _unit_weight(self.space)) else None
 
     def __repr__(self) -> str:
-        body = " + ".join(
-            (f"{m}*" if m > 1 else "") + f"E{list(w)}" for w, m in self.parts
-        )
-        return f"{self.space}<{body}>"
+        return bundle_expr(self)
 
 
 @dataclass(frozen=True)
@@ -78,7 +83,7 @@ class Named:
         return self._hash
 
     def __repr__(self) -> str:
-        return f"{self.name}({self.twist})"
+        return bundle_expr(self)
 
 
 BundleObject = Sum | Named
@@ -204,15 +209,6 @@ class Term:
 
     def __hash__(self) -> int:
         return self._hash
-
-    def __repr__(self) -> str:
-        if not self.coeff:
-            return repr(self.obj)
-        pieces = []
-        for (datum, w), m in self.coeff:
-            s = f"V{datum}{list(w)}"
-            pieces.append(f"{m}*{s}" if m > 1 else s)
-        return "(" + "+".join(pieces) + ") (x) " + repr(self.obj)
 
 
 @dataclass(frozen=True)
@@ -345,6 +341,51 @@ def Ktilde(k: int = 0) -> Named:
 
 def Ktildev(k: int = 0) -> Named:
     return Named("Ktildev", k)
+
+
+# --- the printed form --------------------------------------------------------
+
+# space -> {Levi weight without its marked coordinate: (name, marked
+# coordinate of the named bundle)}, built on the first bundle_expr there.
+_NAMES: dict[Parabolic, dict[Weight, tuple[str, int]]] = {}
+
+
+def _named_irreducibles(space: Parabolic) -> list[tuple[str, Sum]]:
+    # The familiar bundles bundle_expr names an irreducible by, in order of
+    # preference.  O on B4/Q4 is left out: `O` parses to D5/P4.
+    if space == D5_P4:
+        named = [("O", O()), ("Uv", Uv()), ("U", U()), ("T", T())]
+        schur, powers = (("Uv", sym_Uv, wedge_Uv), ("U", sym_U, wedge_U)), (2, 3, 4)
+    else:
+        named = [("Rv", Rv()), ("R", R())]
+        schur, powers = (("Rv", sym_Rv, wedge_Rv), ("R", sym_R, wedge_R)), (2, 3)
+    for r in powers:
+        for gen, sym, wedge in schur:
+            named += [(f"Sym{r} {gen}", sym(r)), (f"Wedge{r} {gen}", wedge(r))]
+    return named
+
+
+def _irr_expr(space: Parabolic, w: Weight) -> str:
+    i = space.marked[0] - 1
+    names = _NAMES.get(space)
+    if names is None:
+        names = _NAMES[space] = {}
+        for name, obj in _named_irreducibles(space):
+            ((v, _),) = obj.parts
+            names.setdefault(v[:i] + v[i + 1 :], (name, v[i]))
+    hit = names.get(w[:i] + w[i + 1 :])
+    if hit is None:
+        return f"{space.datum} {roots.format_weight(w)}"
+    name, k = hit
+    return name + (f" ({w[i] - k})" if w[i] != k else "")
+
+
+def bundle_expr(obj: BundleObject) -> str:
+    """The printed form of an object: an expression parser.parse_bundle reads
+    back to it, naming each irreducible by a familiar bundle when one fits."""
+    if isinstance(obj, Named):
+        return f"{obj.name}({obj.twist})" if obj.twist else obj.name
+    return " + ".join(_irr_expr(obj.space, w) for w, m in obj.parts for _ in range(m))
 
 
 def _rep(datum: LieDatum, *weights: Weight) -> Coeff:

@@ -17,8 +17,8 @@ import sys
 from . import corpus, ext as ext_mod, levi, mutations, parser as bparser, roots
 from .bbw import bbw_cohomology, weyl_dim
 from .ext import Ambiguous
-from .mutations import Collection, KOnly
-from .parser import BundleSyntaxError, bundle_expr, parse_bundle
+from .mutations import Collection
+from .parser import BundleSyntaxError, parse_bundle
 from .roots import DomainError, InvalidDatum, LieDatum, Parabolic
 
 EXIT_OK = 0
@@ -58,12 +58,6 @@ def _parse_weight(datum: LieDatum, text: str) -> tuple[int, ...]:
     return coords
 
 
-def _fmt_invariants(dims: dict[int, int]) -> list[str]:
-    if not dims:
-        return ["0"]
-    return [f"C[{-p}]" if d == 1 else f"C^{d}[{-p}]" for p, d in sorted(dims.items())]
-
-
 def _load_collection(path: str) -> Collection:
     builtins = {
         "spinor-kp": mutations.kp_collection,
@@ -82,12 +76,6 @@ def _load_collection(path: str) -> Collection:
     return Collection(tuple(objs), label=path)
 
 
-def _obj_expr(obj) -> str:
-    if isinstance(obj, KOnly):
-        return repr(obj)
-    return bundle_expr(obj)
-
-
 # --- subcommands ------------------------------------------------------------
 
 
@@ -100,9 +88,9 @@ def cmd_coh(args) -> int:
         print("0" if args.quiet else "H^* = 0")
     else:
         if args.quiet:
-            print(f"V{ext_mod.format_weight(coh.weight)} @ {coh.degree}")
+            print(f"V{roots.format_weight(coh.weight)} @ {coh.degree}")
         else:
-            print(f"H^{coh.degree} = V{ext_mod.format_weight(coh.weight)}, dim {coh.dim}")
+            print(f"H^{coh.degree} = V{roots.format_weight(coh.weight)}, dim {coh.dim}")
     return EXIT_OK
 
 
@@ -121,7 +109,7 @@ def cmd_tensor(args) -> int:
     decomp = levi.tensor_decompose(pb, w1, w2)
     for w, m in sorted(decomp.items()):
         prefix = f"{m} x " if m > 1 else ""
-        print(f"{prefix}E{ext_mod.format_weight(w)}")
+        print(f"{prefix}E{roots.format_weight(w)}")
     return EXIT_OK
 
 
@@ -140,7 +128,7 @@ def cmd_ext(args) -> int:
         branched = any(
             datum == roots.D5 for _, layer in res.graded for entry, _ in layer for datum, _w in entry
         )
-        for line in _fmt_invariants(res.invariants()):
+        for line in ext_mod.format_graded(res.invariant_part()):
             print(line)
         if branched:
             print("# full-group classes restricted through the odd orthogonal branching")
@@ -158,7 +146,7 @@ def cmd_verify(args) -> int:
     report = mutations.verify_exceptional(col, eng)
     if args.json:
         payload = {
-            "objects": [_obj_expr(o) for o in col.objects],
+            "objects": [repr(o) for o in col.objects],
             "passed": report.passed,
             "ambiguous": len(report.ambiguous_pairs),
             "checks": [
@@ -178,10 +166,8 @@ def cmd_verify(args) -> int:
         print(f"collection of {n} objects: {n} identity checks, {n*(n-1)//2} vanishing checks")
         for c in report.checks:
             if not c.ok:
-                value = c.value
-                shown = repr(value) if not isinstance(value, dict) else _fmt_invariants(value)
                 tag = "AMBIGUOUS" if c.ambiguous else "FAIL"
-                print(f"{tag} ({c.row},{c.col}) expected {c.expected}: {shown}")
+                print(f"{tag} ({c.row},{c.col}) expected {c.expected}: {c.value}")
         print("PASS" if report.passed else "FAIL")
     if report.ambiguous_pairs:
         return EXIT_AMBIGUOUS
@@ -194,7 +180,7 @@ def _step_payload(step: mutations.MutationStep) -> dict:
         "position": step.position + 1,
         "ext": {str(p): d for p, d in step.hypothesis_dims().items()},
         "recipe": step.recipe,
-        "result-expr": _obj_expr(step.result),
+        "result-expr": repr(step.result),
         "kclass": list(step.kclass),
         "notes": list(step.notes),
     }
@@ -212,16 +198,16 @@ def cmd_mutate(args) -> int:
         return EXIT_AMBIGUOUS
     if args.json:
         payload = _step_payload(step)
-        payload["collection"] = [_obj_expr(o) for o in new.objects]
+        payload["collection"] = [repr(o) for o in new.objects]
         print(json.dumps(payload, indent=2))
     else:
         print(f"{step.direction} at {args.position}: recipe {step.recipe}")
         print(f"hypothesis: {step.hypothesis}")
-        print(f"result: {_obj_expr(step.result)}")
+        print(f"result: {step.result}")
         for line in step.notes:
             print(f"note: {line}")
         for obj in new.objects:
-            print(_obj_expr(obj))
+            print(obj)
     return EXIT_OK
 
 
@@ -250,7 +236,7 @@ def cmd_replay(args) -> int:
     if args.json:
         payload = {
             "steps": [_step_payload(s) for s in rr.steps],
-            "final": [_obj_expr(o) for o in rr.final.objects],
+            "final": [repr(o) for o in rr.final.objects],
             "final-matches": rr.final_matches,
             "gram-matches": rr.gram_matches,
         }
@@ -259,7 +245,7 @@ def cmd_replay(args) -> int:
         for i, s in enumerate(rr.steps, start=1):
             print(
                 f"step {i:2d}: {s.direction} at {s.position + 1:2d} "
-                f"[{s.recipe}] -> {_obj_expr(s.result)}  | Ext: {s.hypothesis}"
+                f"[{s.recipe}] -> {s.result}  | Ext: {s.hypothesis}"
             )
             for line in s.notes:
                 print(f"         note: {line}")

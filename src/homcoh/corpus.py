@@ -27,17 +27,9 @@ class CorpusEntry:
     run: Callable[[ExtEngine], list[CaseResult]]
 
 
-def _show(value) -> str:
-    if isinstance(value, Ambiguous):
-        return f"ambiguous (chi = {value.euler})"
-    if isinstance(value, ExtResult):
-        return repr(value)
-    return repr(value)
-
-
 def _case(case_id: str, computed, stated) -> CaseResult:
     ok = not isinstance(computed, Ambiguous) and computed == stated
-    return case_id, ok, _show(computed), _show(stated)
+    return case_id, ok, repr(computed), repr(stated)
 
 
 def _coh(eng: ExtEngine, space, weight) -> ExtResult | Ambiguous:
@@ -156,7 +148,7 @@ def _sym2_rank4_vanishing(eng: ExtEngine) -> list[CaseResult]:
     # Hom(-, O(-8)) pairs the chain against the canonical twist; Serre-dual
     # of the section statement, still forced to vanish degreewise at H^10.
     ok = not isinstance(chased, Ambiguous)
-    out.append(("mixed chain chase is unambiguous", ok, _show(chased), "any exact value"))
+    out.append(("mixed chain chase is unambiguous", ok, repr(chased), "any exact value"))
     return out
 
 

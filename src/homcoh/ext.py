@@ -138,8 +138,12 @@ class ExtResult:
         """True when no graded piece carries an unexpanded tensor factor."""
         return all(len(entry) <= 1 for _, layer in self.graded for entry, _ in layer)
 
-    def invariants(self) -> dict[int, int]:
-        return levi.invariant_multiplicity(self.as_dict())
+    def invariant_part(self) -> "ExtResult":
+        """The equivariant answer: per degree p, C^m[-p] with m the
+        multiplicity of the trivial B4 representation (levi.invariant_multiplicity)."""
+        return ExtResult.from_dict(
+            {p: {(): m} for p, m in levi.invariant_multiplicity(self.as_dict()).items()}
+        )
 
     def __repr__(self) -> str:
         return " + ".join(format_graded(self))
@@ -155,6 +159,9 @@ class Ambiguous:
     @property
     def is_zero(self) -> bool:
         return False
+
+    def __repr__(self) -> str:
+        return f"ambiguous ({self.reason}; chi = {self.euler})"
 
 
 def trivial_result(*degrees: int) -> ExtResult:
@@ -174,10 +181,6 @@ def rep_result(datum: roots.LieDatum, spec: dict[int, list]) -> ExtResult:
     return ExtResult.from_dict(acc)
 
 
-def format_weight(w: roots.Weight) -> str:
-    return "[" + ",".join(map(str, w)) + "]"
-
-
 def format_graded(res: ExtResult) -> list[str]:
     """The graded pieces of res in order, one string each; ["0"] when it vanishes."""
     if res.is_zero:
@@ -189,7 +192,7 @@ def format_graded(res: ExtResult) -> list[str]:
                 label = "C" if m == 1 else f"C^{m}"
                 pieces.append(f"{label}[{-p}]")
             else:
-                reps = " * ".join(f"V{format_weight(w)}" for _, w in entry)
+                reps = " * ".join(f"V{roots.format_weight(w)}" for _, w in entry)
                 prefix = f"{m}*" if m > 1 else ""
                 pieces.append(f"{prefix}{reps} @ {p}")
     return pieces
@@ -351,10 +354,11 @@ class ExtEngine:
         return self.ext(bundles.O(), E)
 
     def ext_equivariant(self, E: BundleObject, F: BundleObject) -> dict[int, int] | Ambiguous:
+        """The dimensions of ext(E, F).invariant_part(), degree by degree."""
         res = self.ext(E, F)
         if isinstance(res, Ambiguous):
             return res
-        return res.invariants()
+        return res.invariant_part().dims()
 
     def euler(self, E: BundleObject, F: BundleObject) -> int:
         return _lookup(self._euler_memo, self._pairing, E, F)
@@ -544,34 +548,20 @@ def _solve_ses(cols: list[Graded | None], idx: int) -> Graded | None:
     """Solve one short exact sequence column-wise.
 
     cols follow covariant LES order: ... -> c0^p -> c1^p -> c2^p -> c0^{p+1} -> ...
-    The unknown column is determined when every map between the two known
-    columns is forced to vanish degree-by-degree.  A map is forced to vanish
-    unless both its source and its target are nonzero, so the degrees of
-    its source column are the only ones to walk.
+    The unknown column U = cols[idx] is followed by x = cols[idx + 1] and
+    preceded by y = cols[idx + 2] (indices mod 3), and the map x -> y raises
+    the degree by one exactly when it wraps from c2 to c0 (idx == 1).  When
+    that map is forced to vanish in every degree, U is y, shifted up by one
+    when U is c0, plus x, shifted down by one when U is c2.  A map is forced
+    to vanish unless both its source and its target are nonzero, so the
+    degrees of its source column are the only ones to walk.
     """
-    a, b, c = cols
-    if idx == 0:
-        # adjacency b^p -> c^p
-        if any(_dims_at(b, p) and _dims_at(c, p) for p in b):
-            return None
-        out: Graded = {}
-        _merge(out, c, +1)
-        _merge(out, b, 0)
-        return out
-    if idx == 1:
-        # adjacency c^p -> a^{p+1}
-        if any(_dims_at(c, p) and _dims_at(a, p + 1) for p in c):
-            return None
-        out = {}
-        _merge(out, a, 0)
-        _merge(out, c, 0)
-        return out
-    # adjacency a^p -> b^p
-    if any(_dims_at(a, p) and _dims_at(b, p) for p in a):
+    x, y = cols[(idx + 1) % 3], cols[(idx + 2) % 3]
+    if any(_dims_at(x, p) and _dims_at(y, p + (idx == 1)) for p in x):
         return None
-    out = {}
-    _merge(out, b, 0)
-    _merge(out, a, -1)
+    out: Graded = {}
+    _merge(out, y, int(idx == 0))
+    _merge(out, x, -int(idx == 2))
     return out
 
 

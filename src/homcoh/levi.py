@@ -132,7 +132,7 @@ def doubled_gl_size(pb: Parabolic, w: Weight) -> int:
 def _split(pb: Parabolic, w: Weight) -> tuple[Partition, int]:
     # 2 GL(w) = 2p + s(1,...,1) with p a partition ending in 0.
     if not roots.is_levi_dominant(pb, w):
-        raise DomainError(f"{w} is not Levi-dominant on {pb}")
+        raise DomainError(f"{roots.format_weight(w)} is not Levi-dominant on {pb}")
     v = _gl2(pb, w)
     return tuple((c - v[-1]) // 2 for c in v), v[-1]
 
@@ -284,7 +284,7 @@ def branch_d5_to_b4(mu: Weight) -> dict[Weight, int]:
     D5/P4 weight whose GL vector ends in that absolute value.
     """
     if not roots.is_dominant(mu):
-        raise DomainError(f"{mu} is not dominant")
+        raise DomainError(f"{roots.format_weight(mu)} is not dominant")
     lam = _gl2(D5_P4, mu)
     return dict.fromkeys(branch_levi(_from_gl2(D5_P4, lam[:4] + (abs(lam[4]),))), 1)
 
@@ -302,7 +302,7 @@ def branch_levi(w: Weight) -> tuple[Weight, ...]:
     the doubled GL vectors of the pieces interlace that of w, in steps of 2.
     """
     if not roots.is_levi_dominant(D5_P4, w):
-        raise DomainError(f"{w} is not Levi-dominant on {D5_P4}")
+        raise DomainError(f"{roots.format_weight(w)} is not Levi-dominant on {D5_P4}")
     lam = _gl2(D5_P4, w)
     nus = itertools.product(*(range(lo, hi + 1, 2) for lo, hi in zip(lam[1:], lam)))
     return tuple(_from_gl2(B4_Q4, nu) for nu in nus)

@@ -21,7 +21,12 @@ KVector = tuple[int, ...]
 
 @dataclass(frozen=True)
 class KOnly:
-    """A mutation result known only by its class in K-theory."""
+    """A mutation result known only by its class in K-theory.
+
+    Its printed form, K-only[...], is the one printed form of a collection
+    object that parser.parse_bundle does not read back: the class is not
+    an expression of the bundle language.
+    """
 
     kclass: KVector
     label: str = "K-only"
@@ -93,7 +98,7 @@ class PairCheck:
     row: int
     col: int
     expected: str  # "identity" or "zero"
-    value: object  # ExtResult | dict | Ambiguous
+    value: ExtResult | Ambiguous
     ok: bool
     ambiguous: bool
 
@@ -116,40 +121,33 @@ class VerifyReport:
         return not self.failures
 
 
-def _is_identity(value) -> bool:
-    if isinstance(value, ExtResult):
-        return value.dims() == {0: 1}
-    return value == {0: 1}
-
-
-def _is_zero(value) -> bool:
-    if isinstance(value, ExtResult):
-        return value.is_zero
-    return value == {}
+def _hypothesis(
+    col: Collection, a: CollectionObject, b: CollectionObject, eng: ExtEngine
+) -> ExtResult | Ambiguous:
+    """Ext(a, b) as the collection asks for it: its invariant part when the
+    collection is equivariant."""
+    if isinstance(a, KOnly) or isinstance(b, KOnly):
+        return Ambiguous(0, "K-only object")
+    res = eng.ext(a, b)
+    if col.equivariant and isinstance(res, ExtResult):
+        return res.invariant_part()
+    return res
 
 
 def verify_exceptional(col: Collection, engine: ExtEngine | None = None) -> VerifyReport:
     """Diagonal identity checks plus vanishing of every backward Ext."""
     eng = engine or ext_mod.get_engine()
     checks: list[PairCheck] = []
-
-    def compute(a: CollectionObject, b: CollectionObject):
-        if isinstance(a, KOnly) or isinstance(b, KOnly):
-            return Ambiguous(0, "K-only object")
-        if col.equivariant:
-            return eng.ext_equivariant(a, b)
-        return eng.ext(a, b)
-
     n = len(col)
     for i in range(n):
-        value = compute(col.objects[i], col.objects[i])
+        value = _hypothesis(col, col.objects[i], col.objects[i], eng)
         amb = isinstance(value, Ambiguous)
-        checks.append(PairCheck(i, i, "identity", value, not amb and _is_identity(value), amb))
+        checks.append(PairCheck(i, i, "identity", value, not amb and value.dims() == {0: 1}, amb))
     for j in range(n):
         for i in range(j):
-            value = compute(col.objects[j], col.objects[i])
+            value = _hypothesis(col, col.objects[j], col.objects[i], eng)
             amb = isinstance(value, Ambiguous)
-            checks.append(PairCheck(j, i, "zero", value, not amb and _is_zero(value), amb))
+            checks.append(PairCheck(j, i, "zero", value, not amb and value.is_zero, amb))
     return VerifyReport(col, checks)
 
 
@@ -246,7 +244,7 @@ class MutationStep:
     direction: str  # "L" | "R"
     position: int  # 0-based position of the left object of the mutated pair
     pair: tuple[CollectionObject, CollectionObject]
-    hypothesis: object  # ExtResult | dict (equivariant) | Ambiguous
+    hypothesis: ExtResult | Ambiguous  # the invariant part when equivariant
     recipe: str
     result: CollectionObject
     shift: int
@@ -254,11 +252,9 @@ class MutationStep:
     notes: tuple[str, ...] = ()
 
     def hypothesis_dims(self) -> dict[int, int]:
-        if isinstance(self.hypothesis, ExtResult):
-            return self.hypothesis.dims()
-        if isinstance(self.hypothesis, dict):
-            return dict(self.hypothesis)
-        return {}
+        if isinstance(self.hypothesis, Ambiguous):
+            return {}
+        return self.hypothesis.dims()
 
 
 def _rep_multiset(res: ExtResult, degree: int):
@@ -271,16 +267,10 @@ def _rep_multiset(res: ExtResult, degree: int):
     return tuple(sorted(out.items()))
 
 
-def _concentration(value) -> tuple[int, object] | None:
-    """(degree, payload) when the hypothesis lives in a single degree."""
-    if isinstance(value, ExtResult):
-        dims = value.dims()
-    else:
-        dims = value
-    degrees = [p for p, d in dims.items() if d]
-    if len(degrees) != 1:
-        return None
-    return degrees[0], dims[degrees[0]]
+def _concentration(hyp: ExtResult) -> int | None:
+    """The degree of the hypothesis when it lives in a single degree."""
+    degrees = [p for p, d in hyp.dims().items() if d]
+    return degrees[0] if len(degrees) == 1 else None
 
 
 def _three_term_sequences() -> list[Sequence]:
@@ -293,25 +283,22 @@ def _match_plain(term: Term, obj: CollectionObject, t: int) -> bool:
     return bundles.twist(term.obj, t) == obj
 
 
-def _coeff_matches(coeff: bundles.Coeff, value, degree: int, dualize: bool) -> bool:
-    if isinstance(value, ExtResult):
-        reps = _rep_multiset(value, degree)
-        if reps is None:
-            return False
-        want = bundles.coeff_dual(coeff) if dualize else tuple(sorted(coeff))
-        return reps == want
-    # equivariant hypothesis: compare total invariant dimension only when the
-    # coefficient is a trivial character; block mutations never need this.
-    return False
+def _coeff_matches(coeff: bundles.Coeff, hyp: ExtResult, degree: int, dualize: bool) -> bool:
+    # An equivariant hypothesis has only trivial pieces, which match no
+    # coefficient; block mutations never need one to.
+    reps = _rep_multiset(hyp, degree)
+    if reps is None:
+        return False
+    want = bundles.coeff_dual(coeff) if dualize else tuple(sorted(coeff))
+    return reps == want
 
 
-def _find_recipe(direction: str, E1: CollectionObject, E2: CollectionObject, hyp):
+def _find_recipe(direction: str, E1: CollectionObject, E2: CollectionObject, hyp: ExtResult):
     """Return (recipe name, result object, shift) or None."""
-    conc = _concentration(hyp)
-    if conc is None:
+    degree = _concentration(hyp)
+    if degree is None:
         return None
-    degree, _ = conc
-    if degree == 1 and _hyp_is_trivial_line(hyp):
+    if hyp == ext_mod.trivial_result(1):
         for seq in _three_term_sequences():
             a, b, c = seq.terms
             if b.coeff or a.coeff or c.coeff:
@@ -322,7 +309,7 @@ def _find_recipe(direction: str, E1: CollectionObject, E2: CollectionObject, hyp
             if _match_plain(c, E1, t):
                 return ("extension", bundles.twist(b.obj, t), 0)
         return None
-    if degree != 0 or not isinstance(hyp, ExtResult):
+    if degree != 0:
         return None
     if direction == "L":
         # 0 -> F -> V (x) E1 -> E2 -> 0 with Ext(E1, E2) = V[0]
@@ -349,12 +336,6 @@ def _find_recipe(direction: str, E1: CollectionObject, E2: CollectionObject, hyp
     return None
 
 
-def _hyp_is_trivial_line(hyp) -> bool:
-    if isinstance(hyp, ExtResult):
-        return hyp.as_dict() == {1: {(): 1}}
-    return hyp == {1: 1}
-
-
 def mutate(
     col: Collection,
     direction: str,
@@ -369,13 +350,7 @@ def mutate(
     eng = engine or ext_mod.get_engine()
     E1, E2 = col.objects[position], col.objects[position + 1]
 
-    if isinstance(E1, KOnly) or isinstance(E2, KOnly):
-        hyp: object = Ambiguous(0, "K-only pair")
-    elif col.equivariant:
-        hyp = eng.ext_equivariant(E1, E2)
-    else:
-        hyp = eng.ext(E1, E2)
-
+    hyp = _hypothesis(col, E1, E2, eng)
     if isinstance(hyp, Ambiguous) and not (isinstance(E1, KOnly) or isinstance(E2, KOnly)):
         raise AmbiguousMutation(f"Ext({E1}, {E2}) is ambiguous")
 
@@ -383,7 +358,7 @@ def mutate(
     k1 = _kclass_of(E1, form, eng)
     k2 = _kclass_of(E2, form, eng)
 
-    if not isinstance(hyp, Ambiguous) and _is_zero(hyp):
+    if not isinstance(hyp, Ambiguous) and hyp.is_zero:
         recipe, shift = "transposition", 0
         result, rk = (E1, k1) if direction == "R" else (E2, k2)
     else:

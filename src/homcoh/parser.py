@@ -21,9 +21,9 @@ every call.  The limit is the one of the atoms: a fault injected into
 roots.dualize_levi, or anything else a parse calls, after a string was
 first parsed does not reach that string's object, and one injected before
 stays in it.  The table grows by one entry per distinct string parsed.
-bundle_expr keeps, per space, the named bundles it tries an irreducible
-against (_CANDIDATES), built on its first call for that space, under the
-same limit.
+
+The printed form that this parser reads back is bundles.bundle_expr, the
+repr of every bundle object.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ import re
 from dataclasses import dataclass
 
 from . import bundles, levi
-from .bundles import BundleObject, Named, Sum
-from .roots import B4_Q4, D5_P4, DomainError, Parabolic
+from .bundles import BundleObject, Sum
+from .roots import B4_Q4, D5_P4, DomainError
 
 _TOKEN = re.compile(r"\s*(?:(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<int>-?\d+)|(?P<sym>[()\[\],+*]))")
 
@@ -63,9 +63,6 @@ _GENERATORS = {
 _SCHUR = re.compile(r"(Sym|Wedge)(\d+)")
 
 _PARSED: dict[str, BundleObject] = {}
-
-# space -> the named bundles _irr_expr tries, built on its first call there.
-_CANDIDATES: dict[Parabolic, tuple[tuple[Sum, str], ...]] = {}
 
 
 class BundleSyntaxError(ValueError):
@@ -129,20 +126,20 @@ class _Parser:
     def expr(self) -> BundleObject:
         obj = self.term()
         while self.peek().text == "+":
-            self.take()
+            op = self.take()
             rhs = self.term()
             if not (isinstance(obj, Sum) and isinstance(rhs, Sum)):
-                raise BundleSyntaxError("direct sums of named objects are not supported", self.peek().pos)
+                raise BundleSyntaxError("direct sums of named objects are not supported", op.pos)
             obj = bundles.direct_sum(obj, rhs)
         return obj
 
     def term(self) -> BundleObject:
         obj = self.factor()
         while self.peek().text == "*":
-            self.take()
+            op = self.take()
             rhs = self.factor()
             if not (isinstance(obj, Sum) and isinstance(rhs, Sum) and obj.space == rhs.space):
-                raise BundleSyntaxError("tensor products need two sums in one description", self.peek().pos)
+                raise BundleSyntaxError("tensor products need two sums in one description", op.pos)
             obj = bundles.tensor(obj, rhs)
         return obj
 
@@ -255,46 +252,3 @@ def parse_collection(text: str, label: str = "") -> list[BundleObject]:
         except BundleSyntaxError as e:
             raise BundleSyntaxError(f"line {lineno}: {e}", e.position) from None
     return objs
-
-
-def bundle_expr(obj: BundleObject) -> str:
-    """A parseable expression for an object, preferring the familiar names."""
-    if isinstance(obj, Named):
-        return f"{obj.name}({obj.twist})" if obj.twist else obj.name
-    pieces = []
-    for w, m in obj.parts:
-        expr = _irr_expr(obj.space, w)
-        pieces.extend([expr] * m)
-    return " + ".join(pieces)
-
-
-def _build_candidates(space: Parabolic) -> tuple[tuple[Sum, str], ...]:
-    # The familiar bundles bundle_expr names an irreducible by, in order.
-    if space == D5_P4:
-        candidates = [(bundles.O(), "O"), (bundles.Uv(), "Uv"), (bundles.U(), "U"), (bundles.T(), "T")]
-        for r in (2, 3, 4):
-            candidates.append((bundles.sym_Uv(r), f"Sym{r} Uv"))
-            candidates.append((bundles.wedge_Uv(r), f"Wedge{r} Uv"))
-            candidates.append((bundles.sym_U(r), f"Sym{r} U"))
-            candidates.append((bundles.wedge_U(r), f"Wedge{r} U"))
-    else:
-        candidates = [(bundles.O(0, B4_Q4), "O"), (bundles.Rv(), "Rv"), (bundles.R(), "R")]
-        for r in (2, 3):
-            candidates.append((bundles.sym_Rv(r), f"Sym{r} Rv"))
-            candidates.append((bundles.wedge_Rv(r), f"Wedge{r} Rv"))
-            candidates.append((bundles.sym_R(r), f"Sym{r} R"))
-            candidates.append((bundles.wedge_R(r), f"Wedge{r} R"))
-    return tuple(candidates)
-
-
-def _irr_expr(space, w) -> str:
-    candidates = _CANDIDATES.get(space)
-    if candidates is None:
-        candidates = _CANDIDATES[space] = _build_candidates(space)
-    target = bundles.irr(space, w)
-    for gen, name in candidates:
-        delta = bundles._twist_delta(gen, target)
-        if delta is not None:
-            return name + (f" ({delta})" if delta else "")
-    datum = "D5" if space == D5_P4 else "B4"
-    return f"{datum} [{','.join(str(c) for c in w)}]"

@@ -293,6 +293,11 @@ def dual_weight(datum: LieDatum, w: Weight) -> Weight:
     return dominant_conjugate(datum, tuple(-c for c in w))[0]
 
 
+def format_weight(w: Weight) -> str:
+    """The printed form of a weight, [a1,...,an], as the bundle parser reads it."""
+    return "[" + ",".join(map(str, w)) + "]"
+
+
 def is_levi_dominant(pb: Parabolic, w: Weight) -> bool:
     return all(w[i - 1] >= 0 for i in pb.unmarked())
 
@@ -304,7 +309,7 @@ def dualize_levi(pb: Parabolic, w: Weight) -> Weight:
     negative coefficient until Levi-dominant.
     """
     if not is_levi_dominant(pb, w):
-        raise DomainError(f"{w} is not Levi-dominant on {pb}")
+        raise DomainError(f"{format_weight(w)} is not Levi-dominant on {pb}")
     datum = pb.datum
     v = tuple(-c for c in w)
     count = 0

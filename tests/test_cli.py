@@ -6,8 +6,10 @@ from pathlib import Path
 
 import pytest
 
+from homcoh import bundles as B
 from homcoh import cli
 from homcoh.ext import ExtEngine
+from homcoh.mutations import kp_collection, kuznetsov_collection
 from homcoh.parser import parse_bundle
 from homcoh.roots import InternalConsistencyError
 
@@ -145,7 +147,16 @@ def test_ext_ambiguous_names_the_pair_asked(capsys):
     # The engine answers the whole twist class at level zero; the CLI names the twist asked.
     code, out = run(capsys, "ext", "Rv(1)", "Uv(1)")
     assert code == 3
-    assert "Ext(B4/P4<E[1, 0, 0, 1]>, D5/P4<E[1, 0, 0, 1, 0]>): no degenerate chase; chi = -9" in out
+    assert "Ext(Rv (1), Uv (1)): no degenerate chase; chi = -9" in out
+
+
+def test_weights_in_errors_print_as_the_parser_reads_them(capsys):
+    code = cli.main(["ext", "B4[0,0,-1,0]", "O"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: [0,0,-1,0] is not Levi-dominant on B4/P4 (at position 0)\n"
+    code = cli.main(["dim", "D5", "[0,-1,0,0,0]"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: [0,-1,0,0,0] is not dominant\n"
 
 
 def test_verify_builtin_collections(capsys):
@@ -153,6 +164,9 @@ def test_verify_builtin_collections(capsys):
     assert code == 0
     assert "PASS" in out
     assert "16 identity checks, 120 vanishing checks" in out
+    code, out = run(capsys, "verify", "spinor-kp", "--json")
+    assert code == 0
+    assert [parse_bundle(e) for e in json.loads(out)["objects"]] == list(kp_collection().objects)
 
 
 def test_verify_failing_collection(tmp_path, capsys):
@@ -161,6 +175,12 @@ def test_verify_failing_collection(tmp_path, capsys):
     code, out = run(capsys, "verify", str(f))
     assert code == 1
     assert "FAIL" in out
+    code, out = run(capsys, "verify", str(f), "--equivariant")
+    assert code == 1
+    assert out.splitlines()[1:] == ["FAIL (1,0) expected zero: C[0]", "FAIL"]
+    code, out = run(capsys, "verify", str(f), "--json")
+    assert code == 1
+    assert [parse_bundle(e) for e in json.loads(out)["objects"]] == [B.O(), B.O()]
 
 
 def test_gram(capsys):
@@ -179,9 +199,8 @@ def test_mutate_json_roundtrip(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["recipe"] == "left-kernel"
     assert payload["ext"] == {"0": 10}
-    assert parse_bundle(payload["result-expr"]) is not None
-    reparsed = [parse_bundle(e) for e in payload["collection"]]
-    assert len(reparsed) == 2
+    assert parse_bundle(payload["result-expr"]) == B.U(2)
+    assert [parse_bundle(e) for e in payload["collection"]] == [B.U(2), B.O(2)]
 
 
 def test_mutate_ambiguous_exit(tmp_path, capsys):
@@ -189,6 +208,7 @@ def test_mutate_ambiguous_exit(tmp_path, capsys):
     f.write_text("Rv\nUv\n")
     code, out = run(capsys, "mutate", str(f), "R", "1")
     assert code == 3
+    assert out == "ambiguous: Ext(Rv, Uv) is ambiguous\n"
 
 
 def test_mutate_position_out_of_range_names_the_given_position(capsys):
@@ -205,6 +225,11 @@ def test_replay(capsys):
     lines = out.strip().splitlines()
     assert sum(1 for line in lines if line.startswith("step")) == 16
     assert lines[-1] == "FINAL = Kuznetsov collection: MATCH"
+    notes = [line.strip() for line in lines if line.strip().startswith("note: reverse")]
+    assert notes == [
+        "note: reverse direction Ext(Uv (1), U (2)) = 0",
+        "note: reverse direction Ext(Uv (5), U (6)) = 0",
+    ]
 
 
 def test_replay_json(capsys):
@@ -216,8 +241,11 @@ def test_replay_json(capsys):
     step1 = payload["steps"][0]
     assert set(step1) >= {"direction", "position", "ext", "recipe", "result-expr", "kclass"}
     assert len(step1["kclass"]) == 16
-    for step in payload["steps"]:
-        assert parse_bundle(step["result-expr"]) is not None
+    results = [parse_bundle(step["result-expr"]) for step in payload["steps"]]
+    assert results[0] == B.U(7) and results[-1] == B.Uv(7)
+    assert [parse_bundle(e) for e in payload["final"]] == list(kuznetsov_collection().objects)
+    notes = [note for step in payload["steps"] for note in step["notes"] if note.startswith("reverse")]
+    assert notes == ["reverse direction Ext(Uv (1), U (2)) = 0", "reverse direction Ext(Uv (5), U (6)) = 0"]
 
 
 def test_corpus_cli(capsys):

@@ -2,7 +2,8 @@ import pytest
 
 from homcoh import bundles as B
 from homcoh import parser
-from homcoh.parser import BundleSyntaxError, bundle_expr, parse_bundle, parse_collection
+from homcoh.bundles import bundle_expr
+from homcoh.parser import BundleSyntaxError, parse_bundle, parse_collection
 
 
 def test_spec_examples():
@@ -63,11 +64,14 @@ def test_errors_carry_positions():
         parse_bundle("")
     with pytest.raises(BundleSyntaxError):
         parse_bundle("D5 [1,0,0,0,0] trailing")
-    # Schur powers out of range name the operator's position.
+    # Schur powers out of range and binary operators that cannot apply
+    # name the operator's position.
     for text, message, position in (
         ("Sym-1 Uv", "negative symmetric power", 0),
         ("Wedge9 Rv", "wedge power 9 out of range 0..4", 0),
         ("O + Sym-1 Uv(2)", "negative symmetric power", 4),
+        ("That + O", "direct sums of named objects are not supported", 5),
+        ("(Uv + O) * Rv(2)", "tensor products need two sums in one description", 9),
     ):
         with pytest.raises(BundleSyntaxError) as err:
             parse_bundle(text)
@@ -76,14 +80,25 @@ def test_errors_carry_positions():
 
 
 def test_expr_roundtrip():
+    # Every object prints in one form, its repr, and that form parses back.
     objs = [
         B.O(5), B.Uv(3), B.U(7), B.sym_Uv(2, 2), B.That(6), B.Thatv(1),
         B.Ktilde(2), B.Ktildev(-2), B.T(4), B.wedge_Rv(2, 4), B.sym_Rv(2, 3),
         B.R(), B.wedge_R(3, 1), B.irr(B.D5_P4, (1, 2, 0, -3, 1)),
         B.direct_sum(B.Uv(), B.O(1)),
+        # multi-part sums, with multiplicities and unnamed parts
+        B.make_sum(B.D5_P4, {(1, 0, 0, 0, 0): 2, (0, 0, 0, 1, 0): 1, (1, 2, 0, -3, 1): 3}),
+        B.make_sum(B.B4_Q4, {(1, 0, 0, 0): 1, (0, 0, 0, 2): 2, (2, 0, 1, -1): 1}),
+        B.tensor(B.sym_Uv(2), B.U(1)),
+        # O(k) on B4/Q4 prints as a weight, since `O` parses to D5/P4
+        *(B.O(k, B.B4_Q4) for k in range(-3, 4)),
     ]
+    objs += [parse_bundle(f"{g}({t})") for g in SWEEP_GENERATORS for t in range(-3, 4)]
+    objs += [term.obj for seq in B.standard_sequences() for term in seq.terms]
     for obj in objs:
-        assert parse_bundle(bundle_expr(obj)) == obj, obj
+        assert repr(obj) == bundle_expr(obj)
+        assert parse_bundle(repr(obj)) == obj, obj
+    assert repr(B.O(2, B.B4_Q4)) == "B4 [0,0,0,2]"
 
 
 def test_collection_files():
