@@ -13,7 +13,10 @@ as Ambiguous, which still carries the exact Euler characteristic.
 The Euler characteristic takes no route, so it checks the chases from
 outside: chi(E, F) pairs the K-classes of bundles.kclass, a sum of direct
 BBW terms chi(L1-dual (x) L2) over their Levi pieces, on B4/Q4 when a piece
-lives there (D5/P4 pieces branched by levi.branch_levi).
+lives there (D5/P4 pieces branched by levi.branch_levi).  An engine keeps
+each object's class as pieces on both descriptions and each chi(L1-dual (x)
+L2) under the pair as asked, so a pairing of objects already seen reads
+one table entry per pair of pieces and computes nothing.
 
 Graded pieces are stored as multisets of formal tensors of full-group
 irreducibles; a coefficient representation multiplying a nontrivial
@@ -30,11 +33,11 @@ ExtEngine), their reasons naming no pair.
 
 A chase asks for the same pure values many times: the BBW pieces of one
 pair of irreducibles, a Levi dual, a BBW walk, a sequence term at a twist,
-an object at level zero.  Each ExtEngine keeps them in nine tables of its
-own (see ExtEngine), keyed by hashable values, created empty with the
-engine and dropped with it.  Two of them, _levels keyed by (obj,) and
-_shifts keyed by (obj, -k), take a pair asked to its level-zero memo key
-in two lookups once both objects have been seen.  The tables are per
+an object at level zero, an object's K-class.  Each ExtEngine keeps them in
+nine tables of its own (see ExtEngine), keyed by hashable values, created
+empty with the engine and dropped with it.  Two of them, _levels keyed by
+(obj,) and _shifts keyed by (obj, -k), take a pair asked to its level-zero
+memo key in two lookups once both objects have been seen.  The tables are per
 engine, not module-level caches, for two reasons.  A fresh engine
 recomputes through the roots, bbw and levi functions installed at that
 moment, so a fault injected into them, or a tracer wrapped around them,
@@ -249,6 +252,20 @@ def _on_space(pb: roots.Parabolic, cls: bundles.KClass) -> dict[roots.Weight, in
     return out
 
 
+Pieces = tuple[tuple[roots.Weight, int], ...]
+
+
+def _class_pieces(obj: BundleObject) -> tuple[Pieces | None, Pieces]:
+    """The class of obj (bundles.kclass) as nonzero (Levi weight, n) pieces
+    twice: on D5/P4, or None when a piece lives on B4/Q4; and on B4/Q4, its
+    D5/P4 pieces branched (_on_space)."""
+    cls = bundles.kclass(obj)
+    on_b4 = tuple((w, n) for w, n in _on_space(bundles.B4_Q4, cls).items() if n)
+    if any(space == bundles.B4_Q4 for space, _ in cls):
+        return None, on_b4
+    return tuple((w, n) for (_, w), n in cls.items()), on_b4
+
+
 def _tensor_coeff(graded: Graded, coeff: bundles.Coeff) -> Graded:
     if not coeff:
         return graded
@@ -284,15 +301,20 @@ class ExtEngine:
     - _pairs: (pb, w1, w2) -> the direct BBW pieces of Ext(E_w1, E_w2) for
       two irreducibles, as (degree, entry, mult) tuples (_pair_pieces);
     - _levi_chis: (pb, w1, w2) -> chi(E_w1-dual (x) E_w2), summed over the
-      _pairs pieces (_levi_chi), with w1 at level zero, for the Euler form;
+      _pairs pieces (_levi_chi), for the Euler form.  Like the Ext memo it
+      keeps each value under two keys: with w1 at level zero, where
+      _levi_chi computes it, and the pair as _pairing asked it, so that a
+      repeated pair is one dictionary read (_fill_levi_chi);
     - _levi_duals: (pb, w) -> roots.dualize_levi(pb, w);
     - _cohomology: (pb, nu) -> bbw.bbw_cohomology(pb, nu);
     - _terms: (term, t, contravariant) -> the term's object twisted by t
       and its coefficient, dualized when contravariant (_term_at), for
       chase columns;
     - _duals: (datum, w) -> roots.dual_weight(datum, w), for coefficients;
-    - _classes: (obj,) -> bundles.kclass(obj), the K-classes the Euler form
-      pairs;
+    - _classes: (obj,) -> the K-class of obj (one bundles.kclass call) as
+      (weight, n) pieces on D5/P4, or None when a piece lives on B4/Q4,
+      and as pieces on B4/Q4, branched once (_class_pieces): the classes
+      the Euler form pairs;
     - _levels: (obj,) -> obj at level zero and its level k (_level_zero),
       for the first object of a pair;
     - _shifts: (obj, -k) -> obj twisted by -k (_shift), for the second.
@@ -512,20 +534,41 @@ class ExtEngine:
 
     def _pairing(self, E: BundleObject, F: BundleObject) -> int:
         """chi(E, F): the sum of a b chi(L1-dual (x) L2) over the pieces a L1 of the
-        class of E and b L2 of that of F, on D5/P4 unless a piece lives on B4/Q4."""
-        classes = _lookup(self._classes, bundles.kclass, E), _lookup(self._classes, bundles.kclass, F)
-        on_b4 = any(space == bundles.B4_Q4 for cls in classes for space, _ in cls)
-        pb = bundles.B4_Q4 if on_b4 else bundles.D5_P4
-        a, b = (_on_space(pb, cls) for cls in classes)
-        i = pb.marked[0] - 1
+        class of E and b L2 of that of F, on D5/P4 unless a piece lives on B4/Q4.
+
+        A warm pairing is two _classes reads and one _levi_chis read per pair
+        of pieces; only a pair of pieces seen for the first time goes on to
+        _fill_levi_chi."""
+        classes = self._classes
+        a, a_b4 = classes.get((E,)) or _lookup(classes, _class_pieces, E)
+        b, b_b4 = classes.get((F,)) or _lookup(classes, _class_pieces, F)
+        if a is None or b is None:
+            pb, a, b = bundles.B4_Q4, a_b4, b_b4
+        else:
+            pb = bundles.D5_P4
+        chis = self._levi_chis
         total = 0
-        for w1, n1 in a.items():
-            # chi(L1(k)-dual (x) L2(k)) = chi(L1-dual (x) L2): read each pair with L1 at level zero.
-            k = w1[i]
-            for w2, n2 in b.items():
-                key = (w1[:i] + (0,) + w1[i + 1 :], w2[:i] + (w2[i] - k,) + w2[i + 1 :])
-                total += n1 * n2 * _lookup(self._levi_chis, self._levi_chi, pb, *key)
+        for w1, n1 in a:
+            for w2, n2 in b:
+                chi = chis.get((pb, w1, w2))
+                if chi is None:
+                    chi = self._fill_levi_chi(pb, w1, w2)
+                total += n1 * n2 * chi
         return total
+
+    def _fill_levi_chi(self, pb: roots.Parabolic, w1: roots.Weight, w2: roots.Weight) -> int:
+        """chi(E_w1-dual (x) E_w2) for a pair missing from _levi_chis.
+
+        chi(L1(k)-dual (x) L2(k)) = chi(L1-dual (x) L2), so the value is read,
+        or computed once, under the pair with w1 at level zero, and then kept
+        under the pair as asked too, as the Ext memo keeps an answer."""
+        i = pb.marked[0] - 1
+        k = w1[i]
+        chi = _lookup(
+            self._levi_chis, self._levi_chi, pb, w1[:i] + (0,) + w1[i + 1 :], w2[:i] + (w2[i] - k,) + w2[i + 1 :]
+        )
+        self._levi_chis[pb, w1, w2] = chi
+        return chi
 
     def _levi_chi(self, pb: roots.Parabolic, w1: roots.Weight, w2: roots.Weight) -> int:
         """chi(E_w1-dual (x) E_w2) for two irreducibles, from their direct BBW pieces."""

@@ -125,9 +125,11 @@ def _hypothesis(
     col: Collection, a: CollectionObject, b: CollectionObject, eng: ExtEngine
 ) -> ExtResult | Ambiguous:
     """Ext(a, b) as the collection asks for it: its invariant part when the
-    collection is equivariant."""
+    collection is equivariant.  With a K-only object only the Euler
+    characteristic is known, exactly, from the two K-classes."""
     if isinstance(a, KOnly) or isinstance(b, KOnly):
-        return Ambiguous(0, "K-only object")
+        form = KForm.standard(eng)
+        return Ambiguous(form.chi(_kclass_of(a, form, eng), _kclass_of(b, form, eng)), "K-only object")
     res = eng.ext(a, b)
     if col.equivariant and isinstance(res, ExtResult):
         return res.invariant_part()

@@ -82,8 +82,10 @@ class Parabolic:
         return self._unmarked
 
     def __repr__(self) -> str:
+        # Q names the parabolic of B4 that meets the P4 of D5: B4/Q4.
+        letter = "Q" if (self.datum, self.marked) == (B4, (4,)) else "P"
         nodes = ",".join(str(i) for i in self.marked)
-        return f"{self.datum}/P{nodes}"
+        return f"{self.datum}/{letter}{nodes}"
 
 
 D5 = LieDatum("D", 5)

@@ -153,7 +153,7 @@ def test_ext_ambiguous_names_the_pair_asked(capsys):
 def test_weights_in_errors_print_as_the_parser_reads_them(capsys):
     code = cli.main(["ext", "B4[0,0,-1,0]", "O"])
     assert code == 2
-    assert capsys.readouterr().err == "error: [0,0,-1,0] is not Levi-dominant on B4/P4 (at position 0)\n"
+    assert capsys.readouterr().err == "error: [0,0,-1,0] is not Levi-dominant on B4/Q4 (at position 0)\n"
     code = cli.main(["dim", "D5", "[0,-1,0,0,0]"])
     assert code == 2
     assert capsys.readouterr().err == "error: [0,-1,0,0,0] is not dominant\n"

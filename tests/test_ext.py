@@ -180,6 +180,14 @@ def test_kernel_tables_compute_each_key_once_per_engine(monkeypatch):
     _log_outer_calls(monkeypatch, B, "kclass", calls["kclass"])
     _log_calls(monkeypatch, X, "_level_zero", calls["_level_zero"])
     _log_calls(monkeypatch, X, "_shift", calls["_shift"])
+    calls["_levi_chi"] = []
+    levi_chi = ExtEngine._levi_chi
+
+    def logged_levi_chi(self, *args):
+        calls["_levi_chi"].append(args)
+        return levi_chi(self, *args)
+
+    monkeypatch.setattr(ExtEngine, "_levi_chi", logged_levi_chi)
     # Also at common twists, so that one object is asked at several levels.
     pairs = [
         (B.twist(parse_bundle(e), k), B.twist(parse_bundle(f), k))
@@ -200,6 +208,8 @@ def test_kernel_tables_compute_each_key_once_per_engine(monkeypatch):
     for name, keys in first.items():
         assert keys, f"{name} was never reached"
         assert len(keys) == len(set(keys)), f"{name}: {len(keys)} calls for {len(set(keys))} keys"
+    # The Euler form computes chi(L1-dual (x) L2) only with L1 at level zero.
+    assert all(w1[pb.marked[0] - 1] == 0 for pb, w1, _ in first["_levi_chi"])
     # The tables belong to the engine: a second one computes everything again.
     assert run_fresh_engine() == first
 
@@ -310,6 +320,87 @@ def test_euler_form_is_serre_dual():
     for e, f in GRID:
         chi = eng.euler(parse_bundle(e), parse_bundle(f))
         assert chi == eng.euler(parse_bundle(f), parse_bundle(f"{e}(-8)")), (e, f)
+
+
+def _old_pairing(ref, E, F):
+    """ExtEngine._pairing as it read before the engine kept classes as
+    pieces: both classes taken from bundles.kclass and put on one space on
+    every call, every pair of pieces read from the table of ref at level zero."""
+    classes = B.kclass(E), B.kclass(F)
+    on_b4 = any(space == B.B4_Q4 for cls in classes for space, _ in cls)
+    pb = B.B4_Q4 if on_b4 else B.D5_P4
+    a, b = (X._on_space(pb, cls) for cls in classes)
+    i = pb.marked[0] - 1
+    total = 0
+    for w1, n1 in a.items():
+        k = w1[i]
+        for w2, n2 in b.items():
+            key = (w1[:i] + (0,) + w1[i + 1 :], w2[:i] + (w2[i] - k,) + w2[i + 1 :])
+            total += n1 * n2 * X._lookup(ref._levi_chis, ref._levi_chi, pb, *key)
+    return total
+
+
+# The 13 x 13 grid at twists -3..3 and the Serre dual (F, E(-8)) of each pair.
+EULER_GRID = [(e, f"{f}({t})") for e in GRID_GENERATORS for f in GRID_GENERATORS for t in range(-3, 4)]
+EULER_GRID += [(f, f"{e}(-8)") for e, f in EULER_GRID]
+# Sums whose parts sit at different levels, so that pieces are asked away
+# from level zero and the two-key fill of _levi_chis is exercised.
+MIXED_LEVELS = ("O + O(2)", "Uv + Sym2 Uv(1)", "U(-1) + Uv(1)", "Rv(-1) + Sym2 Rv(2)", "R + Wedge2 Rv(1)", "That", "Ktildev")
+
+
+@pytest.fixture(scope="module")
+def euler_reference():
+    ref = ExtEngine()
+    pairs = [(parse_bundle(e), parse_bundle(f)) for e, f in EULER_GRID]
+    return {(E, F): _old_pairing(ref, E, F) for E, F in pairs}
+
+
+def _assert_same_pairings(eng, reference, order):
+    for E, F in order:
+        assert eng.euler(E, F) == reference[E, F], (E, F)
+
+
+def test_euler_matches_the_old_pairing_on_a_fresh_and_a_warm_engine(euler_reference):
+    pairs = list(euler_reference)
+    assert len(pairs) == 2366
+    _assert_same_pairings(ExtEngine(), euler_reference, pairs)
+    warm = ExtEngine()
+    _assert_same_pairings(warm, euler_reference, random.Random(5).sample(pairs, len(pairs)))
+    warm._euler_memo.clear()
+    _assert_same_pairings(warm, euler_reference, pairs)
+
+
+def test_euler_matches_the_old_pairing_on_pieces_at_different_levels():
+    ref, eng = ExtEngine(), ExtEngine()
+    objs = [B.twist(parse_bundle(e), k) for e in MIXED_LEVELS for k in (-2, 0, 1)]
+    for E in objs:
+        for F in objs:
+            assert eng.euler(E, F) == _old_pairing(ref, E, F), (E, F)
+    # Every pair kept away from level zero is kept at level zero too, with the same value.
+    away = 0
+    for (pb, w1, w2), chi in eng._levi_chis.items():
+        i = pb.marked[0] - 1
+        k = w1[i]
+        if k:
+            away += 1
+            zero = (pb, w1[:i] + (0,) + w1[i + 1 :], w2[:i] + (w2[i] - k,) + w2[i + 1 :])
+            assert eng._levi_chis[zero] == chi, (pb, w1, w2)
+    assert away
+
+
+def test_a_warm_pairing_computes_nothing(monkeypatch, euler_reference):
+    eng = ExtEngine()
+    pairs = list(euler_reference)
+    first = [eng.euler(E, F) for E, F in pairs]
+    eng._euler_memo.clear()
+
+    def computes(*args, **kwargs):
+        raise AssertionError("a warm pairing computed")
+
+    monkeypatch.setattr(B, "kclass", computes)
+    monkeypatch.setattr(ExtEngine, "_levi_chi", computes)
+    monkeypatch.setattr(X, "_on_space", computes)
+    assert [eng.euler(E, F) for E, F in pairs] == first
 
 
 def _answer_grid(order):

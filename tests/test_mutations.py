@@ -88,6 +88,22 @@ def test_k_only_fallback(eng, form):
     assert step.result.kclass == tuple(a - 16 * b for a, b in zip(k_o, k_o1))
 
 
+def test_k_only_hypothesis_carries_the_exact_euler_characteristic(eng, form):
+    col = Collection((B.sym_Rv(2, 2), B.Rv(2), B.O(3)))
+    col, first = M.mutate(col, "R", 0, eng)
+    assert isinstance(first.result, KOnly)
+    k_only, o3 = col.objects[1], col.objects[2]
+    _, step = M.mutate(col, "R", 1, eng)
+    assert isinstance(step.hypothesis, X.Ambiguous)
+    chi = form.chi(k_only.kclass, form.kclass(o3, eng))
+    assert step.hypothesis.euler == chi == -16
+    report = M.verify_exceptional(col, eng)
+    for check in report.checks:
+        a, b = col.objects[check.row], col.objects[check.col]
+        if isinstance(a, KOnly) or isinstance(b, KOnly):
+            assert check.value.euler == form.chi(M._kclass_of(a, form, eng), M._kclass_of(b, form, eng))
+
+
 def test_mutation_rejects_bad_positions(eng):
     col = M.kuznetsov_collection()
     with pytest.raises(Exception):
