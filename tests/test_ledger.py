@@ -1,0 +1,47 @@
+"""The code against the committed answer ledger (see tests/ledger.py).
+
+An exact grid answer must be reproduced byte for byte.  An ambiguous one
+may turn exact, but only with the Euler characteristic it recorded.  Every
+CLI snapshot must be reproduced byte for byte, exit code included.
+"""
+
+import pytest
+
+import ledger
+
+
+def _recorded_grid() -> list[list[str]]:
+    return [line.split("\t") for line in ledger.GRID_FILE.read_text(encoding="utf-8").splitlines()]
+
+
+def test_grid_matches_the_ledger():
+    recorded = _recorded_grid()
+    assert [(e, f) for e, f, _ in recorded] == ledger.GRID
+    changed = []
+    for (e, f, was), (_, _, now, chi) in zip(recorded, ledger.grid_answers()):
+        if now == was:
+            continue
+        if was.startswith("ambiguous chi=") and not now.startswith("ambiguous") and chi == int(was[14:]):
+            continue
+        changed.append((e, f, was, now))
+    assert not changed, changed[:10]
+
+
+@pytest.mark.parametrize("name, argv", ledger.CLI_RUNS, ids=[name for name, _ in ledger.CLI_RUNS])
+def test_cli_output_matches_the_ledger(name, argv):
+    recorded = (ledger.CLI_DIR / f"{name}.txt").read_text(encoding="utf-8")
+    assert ledger.cli_snapshot(argv) == recorded
+
+
+def test_ledger_check_sees_a_changed_answer(monkeypatch):
+    # A wrong degree in one exact answer must fail the grid comparison.
+    from homcoh import ext
+
+    real = ext.format_graded
+
+    def shifted(res):
+        return [p.replace("C[0]", "C[-1]") for p in real(res)]
+
+    monkeypatch.setattr(ext, "format_graded", shifted)
+    with pytest.raises(AssertionError):
+        test_grid_matches_the_ledger()
