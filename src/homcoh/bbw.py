@@ -9,6 +9,8 @@ anywhere along the way kills all cohomology.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
@@ -24,18 +26,29 @@ from .roots import (
 
 
 @lru_cache(maxsize=None)
+def _weyl_table(datum: LieDatum) -> tuple[tuple[tuple[int, ...], ...], int]:
+    # The rows of roots.weyl_rows and their constant denominator: the
+    # product of the rows' dot products with rho, which are their sums.
+    rows = roots.weyl_rows(datum)
+    return rows, math.prod(map(sum, rows))
+
+
+@lru_cache(maxsize=None)
 def weyl_dim(datum: LieDatum, mu: Weight) -> int:
     """Exact dimension of the irreducible module with dominant highest weight mu.
 
     Weyl's product over the positive roots beta of (mu + rho, beta) / (rho, beta),
     taken on the integer rows of roots.weyl_rows.
     """
+    if len(mu) != datum.rank:
+        raise DomainError(f"weight length {len(mu)} != rank {datum.rank}")
     if not roots.is_dominant(mu):
         raise DomainError(f"{roots.format_weight(mu)} is not dominant")
-    num, den = 1, 1
-    for row in roots.weyl_rows(datum):
-        num *= sum(r * (m + 1) for r, m in zip(row, mu))
-        den *= sum(row)
+    rows, den = _weyl_table(datum)
+    shifted = [m + 1 for m in mu]
+    num = 1
+    for row in rows:
+        num *= sum(map(operator.mul, row, shifted))
     dim, rest = divmod(num, den)
     if rest or dim <= 0:
         raise InternalConsistencyError("Weyl dimension is not a positive integer")
@@ -54,14 +67,14 @@ class Cohomology:
     def vanishes(self) -> bool:
         return self.degree is None
 
-    @staticmethod
-    def zero() -> "Cohomology":
-        return Cohomology(None, None, 0)
-
     def __repr__(self) -> str:
         if self.vanishes:
             return "0"
         return f"V{roots.format_weight(self.weight)} @ {self.degree} (dim {self.dim})"
+
+
+# The one vanishing answer, shared: a frozen dataclass cannot be changed.
+_ZERO = Cohomology(None, None, 0)
 
 
 def bbw_cohomology(
@@ -73,27 +86,37 @@ def bbw_cohomology(
 
     `choose_node` picks which strictly negative node to reflect at when
     several are available; the result is independent of the choice (the
-    default takes the smallest index).
+    default takes the smallest index).  rho and the Cartan matrix are read
+    from roots once per call, and each reflection subtracts a multiple of
+    one Cartan row.
     """
     datum = pb.datum
     if len(weight) != datum.rank:
         raise DomainError(f"weight length {len(weight)} != rank {datum.rank}")
     if not roots.is_levi_dominant(pb, weight):
         raise DomainError(f"{roots.format_weight(weight)} is not Levi-dominant on {pb}")
-    v = tuple(w + r for w, r in zip(weight, roots.rho(datum)))
-    steps = 0
+    cartan = roots.cartan_matrix(datum)
     bound = len(roots.positive_roots(datum))
-    while True:
-        if any(c == 0 for c in v):
-            return Cohomology.zero()
-        negatives = [i + 1 for i, c in enumerate(v) if c < 0]
-        if not negatives:
+    v = tuple(map(operator.add, weight, roots.rho(datum)))
+    for steps in range(bound + 1):
+        if 0 in v:
+            return _ZERO
+        i = None
+        if choose_node is None:
+            for k, c in enumerate(v):
+                if c < 0:
+                    i = k
+                    break
+        else:
+            negatives = [k + 1 for k, c in enumerate(v) if c < 0]
+            if negatives:
+                node = choose_node(negatives)
+                if node not in negatives:
+                    raise DomainError("choose_node must return a strictly negative node")
+                i = node - 1
+        if i is None:
             mu = tuple(c - 1 for c in v)
             return Cohomology(steps, mu, weyl_dim(datum, mu))
-        node = negatives[0] if choose_node is None else choose_node(negatives)
-        if node not in negatives:
-            raise DomainError("choose_node must return a strictly negative node")
-        v = roots.simple_reflection(datum, node, v)
-        steps += 1
-        if steps > bound:
-            raise InternalConsistencyError("reflection walk exceeded |positive roots|")
+        c = v[i]
+        v = tuple([x - c * r for x, r in zip(v, cartan[i])])
+    raise InternalConsistencyError("reflection walk exceeded |positive roots|")

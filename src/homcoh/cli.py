@@ -233,6 +233,7 @@ def cmd_replay(args) -> int:
     except mutations.ReplayError as e:
         print(f"REPLAY ABORTED: {e}")
         return EXIT_FAIL
+    ok = rr.final_matches and rr.gram_matches
     if args.json:
         payload = {
             "steps": [_step_payload(s) for s in rr.steps],
@@ -249,11 +250,8 @@ def cmd_replay(args) -> int:
             )
             for line in s.notes:
                 print(f"         note: {line}")
-        ok = rr.final_matches and rr.gram_matches
         print(f"FINAL = Kuznetsov collection: {'MATCH' if ok else 'MISMATCH'}")
-        if not ok:
-            return EXIT_FAIL
-    return EXIT_OK
+    return EXIT_OK if ok else EXIT_FAIL
 
 
 def cmd_corpus(args) -> int:

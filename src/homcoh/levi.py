@@ -131,6 +131,8 @@ def doubled_gl_size(pb: Parabolic, w: Weight) -> int:
 
 def _split(pb: Parabolic, w: Weight) -> tuple[Partition, int]:
     # 2 GL(w) = 2p + s(1,...,1) with p a partition ending in 0.
+    if len(w) != pb.rank:
+        raise DomainError(f"weight length {len(w)} != rank {pb.rank}")
     if not roots.is_levi_dominant(pb, w):
         raise DomainError(f"{roots.format_weight(w)} is not Levi-dominant on {pb}")
     v = _gl2(pb, w)

@@ -9,7 +9,7 @@ against the cone formula in K-theory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import bundles, ext as ext_mod
 from .bundles import BundleObject, Sequence, Term
@@ -172,11 +172,23 @@ class KForm:
     coefficients of E in the basis.  `coords` inverts that relation, and
     chi(E, F) = coords(E) . kclass(F): a table of pairings needs coords
     once per row, not once per entry.
+
+    A form belongs to the engine that built it (`standard` keeps it as
+    engine.kform), and `kclass` is asked with that engine.  It keeps two
+    tables, which take no part in comparison or printing: _classes, object
+    -> kclass, filled by `kclass` from the engine's Euler pairings, and
+    _coords, class -> coords, filled by `coords`.  So each object costs
+    its basis pairings once per engine, and the tables live exactly as
+    long as the engine, as its kernel tables do: a fault injected below
+    reaches every engine built after it.  A form built by `from_gram`
+    starts with both tables empty.
     """
 
     basis: tuple[BundleObject, ...]
     gram: tuple[tuple[int, ...], ...]
     gram_inv: tuple[tuple[int, ...], ...]
+    _classes: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _coords: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @staticmethod
     def standard(engine: ExtEngine | None = None) -> "KForm":
@@ -202,11 +214,17 @@ class KForm:
         return KForm(basis, gram, tuple(map(tuple, inv)))
 
     def kclass(self, obj: BundleObject, engine: ExtEngine) -> KVector:
-        return tuple(engine.euler(b, obj) for b in self.basis)
+        k = self._classes.get(obj)
+        if k is None:
+            k = self._classes[obj] = tuple(engine.euler(b, obj) for b in self.basis)
+        return k
 
     def coords(self, k: KVector) -> KVector:
         """Coefficients in the basis of the class whose kclass is k: gram_inv * k."""
-        return tuple(_dot(row, k) for row in self.gram_inv)
+        c = self._coords.get(k)
+        if c is None:
+            c = self._coords[k] = tuple(_dot(row, k) for row in self.gram_inv)
+        return c
 
     def chi(self, ka: KVector, kb: KVector) -> int:
         return _dot(self.coords(ka), kb)

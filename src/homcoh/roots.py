@@ -2,10 +2,12 @@
 
 Weights are integer vectors in the fundamental-weight basis (omega-basis)
 of a fixed Lie datum, and positive roots are integer vectors of
-simple-root coordinates grown from the integer Cartan matrix; every table
-the other layers use is integral.  Epsilon coordinates (the orthonormal
-realization) are a derived view for display and tests, with exact
-rational entries: spin weights of types B and D have denominator 2.
+simple-root coordinates grown from the integer Cartan matrix.  The Cartan
+matrix and the root lengths come from the integer formulas of families A,
+B, C and D, so every table the other layers use is integral.  Epsilon
+coordinates (the orthonormal realization) are a derived view for display
+and tests, with exact rational entries: spin weights of types B and D have
+denominator 2.
 """
 
 from __future__ import annotations
@@ -137,18 +139,25 @@ def simple_roots_eps(datum: LieDatum) -> tuple[EpsVector, ...]:
 
 @lru_cache(maxsize=None)
 def cartan_matrix(datum: LieDatum) -> tuple[tuple[int, ...], ...]:
-    """Row i holds alpha_i written in the omega-basis."""
-    simple = simple_roots_eps(datum)
-    rows = []
-    for a in simple:
-        row = []
-        for b in simple:
-            val = 2 * _dot(a, b) / _dot(b, b)
-            if val.denominator != 1:
-                raise InternalConsistencyError("non-integral Cartan entry")
-            row.append(int(val))
-        rows.append(tuple(row))
-    return tuple(rows)
+    """Row i holds alpha_i written in the omega-basis.
+
+    Entry (i, j) is 2 (alpha_i, alpha_j) / (alpha_j, alpha_j): 2 on the
+    diagonal, -1 per Dynkin edge, except at the double bond of types B and C,
+    whose entry in the column of the short root is -2: (n - 1, n) in type B,
+    where alpha_n is short, and (n, n - 1) in type C, where it is long.
+    """
+    n = datum.rank
+    rows = [[2 * (i == j) for j in range(n)] for i in range(n)]
+    edges = [(i, i + 1) for i in range(n - 1)]
+    if datum.family == "D":
+        edges[-1] = (n - 3, n - 1)  # the fork: alpha_n hangs off alpha_{n-2}
+    for i, j in edges:
+        rows[i][j] = rows[j][i] = -1
+    if n > 1 and datum.family == "B":
+        rows[n - 2][n - 1] = -2
+    elif n > 1 and datum.family == "C":
+        rows[n - 1][n - 2] = -2
+    return tuple(map(tuple, rows))
 
 
 @lru_cache(maxsize=None)
@@ -187,7 +196,8 @@ def weyl_rows(datum: LieDatum) -> tuple[tuple[int, ...], ...]:
     Since (omega_j, alpha_k) = delta_jk |alpha_k|^2 / 2, the row's dot
     product with a weight lam in the omega-basis is 2 (lam, beta).
     """
-    norms = [int(_dot(a, a)) for a in simple_roots_eps(datum)]
+    # |alpha_k|^2 is 2, but for the last simple root of B (e_n) and C (2 e_n).
+    norms = [2] * (datum.rank - 1) + [{"B": 1, "C": 4}.get(datum.family, 2)]
     return tuple(tuple(c * d for c, d in zip(beta, norms)) for beta in positive_roots(datum))
 
 

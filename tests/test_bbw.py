@@ -6,7 +6,7 @@ import pytest
 
 from homcoh import bbw, roots
 from homcoh.bbw import bbw_cohomology, weyl_dim
-from homcoh.roots import B4, B4_Q4, D5, D5_P4, LieDatum
+from homcoh.roots import B4, B4_Q4, D5, D5_P4, LieDatum, Parabolic
 
 
 def test_weyl_dim_vector_and_spinors():
@@ -160,3 +160,75 @@ def test_weyl_dim_matches_epsilon_product_oracle():
                 val *= sum(x * b for x, b in zip(shifted, beta)) / sum(x * b for x, b in zip(rho, beta))
             assert bbw.weyl_dim(datum, mu) == val, (datum, mu)
 
+
+
+def test_weights_of_the_wrong_length_are_domain_errors():
+    for w in ((1, 0, 0, 0, 0, 0), (1, 0, 0)):
+        with pytest.raises(roots.DomainError, match=f"^weight length {len(w)} != rank 5$"):
+            weyl_dim(D5, w)
+
+
+def _reference_walk(pb, weight, choose_node=None):
+    # The walk as it was before it read rho and the Cartan matrix once per
+    # call: one roots.simple_reflection per step, which reads its row anew.
+    datum = pb.datum
+    v = tuple(w + r for w, r in zip(weight, roots.rho(datum)))
+    steps = 0
+    while True:
+        if any(c == 0 for c in v):
+            return None, None, 0
+        negatives = [i + 1 for i, c in enumerate(v) if c < 0]
+        if not negatives:
+            mu = tuple(c - 1 for c in v)
+            return steps, mu, weyl_dim(datum, mu)
+        node = negatives[0] if choose_node is None else choose_node(negatives)
+        v = roots.simple_reflection(datum, node, v)
+        steps += 1
+
+
+WALK_BOXES = (
+    (D5_P4, -10), (B4_Q4, -9),
+    (Parabolic(LieDatum("A", 3), (2,)), -6), (Parabolic(LieDatum("C", 3), (3,)), -7),
+    (Parabolic(LieDatum("B", 2), (1,)), -6), (Parabolic(LieDatum("D", 4), (1,)), -9),
+)
+
+
+def _box(pb, low):
+    # Every Levi-dominant weight with unmarked coordinates in 0..2 and the
+    # marked one in low..2: the walks from no step up to dim G/P steps.
+    ranges = [range(low, 3) if i + 1 in pb.marked else range(3) for i in range(pb.rank)]
+    return itertools.product(*ranges)
+
+
+def test_walk_matches_the_reference_walk_on_a_box():
+    rng = random.Random(23)
+    for pb, low in WALK_BOXES:
+        degrees = set()
+        for w in _box(pb, low):
+            expected = _reference_walk(pb, w)
+            coh = bbw_cohomology(pb, w)
+            assert (coh.degree, coh.weight, coh.dim) == expected, (pb, w)
+            alt = bbw_cohomology(pb, w, choose_node=rng.choice)
+            assert (alt.degree, alt.weight, alt.dim) == expected, (pb, w)
+            degrees.add(coh.degree)
+        assert {None, 0, roots.homogeneous_dimension(pb)} <= degrees, pb
+
+
+def test_walk_reads_rho_and_the_cartan_matrix_once_per_call(monkeypatch):
+    calls = []
+    for name in ("rho", "cartan_matrix"):
+        real = getattr(roots, name)
+
+        def counted(datum, real=real, name=name):
+            calls.append(name)
+            return real(datum)
+
+        monkeypatch.setattr(roots, name, counted)
+    coh = bbw_cohomology(D5_P4, (0, 0, 0, -8, 0))
+    assert coh.degree == 10
+    assert sorted(calls) == ["cartan_matrix", "rho"]
+
+
+def test_walk_rejects_a_node_that_is_not_negative():
+    with pytest.raises(roots.DomainError, match="strictly negative"):
+        bbw_cohomology(D5_P4, (0, 0, 0, -8, 0), choose_node=lambda negatives: 5)

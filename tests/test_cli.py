@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from homcoh import bundles as B
-from homcoh import cli
+from homcoh import cli, mutations
 from homcoh.ext import ExtEngine
 from homcoh.mutations import kp_collection, kuznetsov_collection
 from homcoh.parser import parse_bundle
@@ -246,6 +246,19 @@ def test_replay_json(capsys):
     assert [parse_bundle(e) for e in payload["final"]] == list(kuznetsov_collection().objects)
     notes = [note for step in payload["steps"] for note in step["notes"] if note.startswith("reverse")]
     assert notes == ["reverse direction Ext(Uv (1), U (2)) = 0", "reverse direction Ext(Uv (5), U (6)) = 0"]
+
+
+@pytest.mark.parametrize("check", ["final_matches", "gram_matches"])
+def test_replay_check_failure_exits_1_in_both_modes(capsys, monkeypatch, check):
+    monkeypatch.setattr(mutations.ReplayResult, check, property(lambda self: False))
+    code, out = run(capsys, "replay", "spinor-kp")
+    assert code == 1
+    assert out.strip().splitlines()[-1] == "FINAL = Kuznetsov collection: MISMATCH"
+    code, out = run(capsys, "replay", "spinor-kp", "--json")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload[check.replace("_", "-")] is False
+    assert len(payload["steps"]) == 16
 
 
 def test_corpus_cli(capsys):

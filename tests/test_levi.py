@@ -499,3 +499,13 @@ def test_from_gl_rejects_off_lattice_vectors():
         levi.from_gl(B4_Q4, (Q(3, 4), Q(1, 4), Q(1, 4), Q(1, 4)))
     with pytest.raises(roots.InternalConsistencyError):
         levi.from_gl(B4_Q4, (Q(1), Q(1, 2), Q(1, 2), Q(1, 2)))  # entries not congruent mod 1
+
+
+def test_weights_of_the_wrong_length_are_domain_errors():
+    message = "^weight length 3 != rank 5$"
+    with pytest.raises(roots.DomainError, match=message):
+        levi.levi_dim(D5_P4, (1, 0, 0))
+    with pytest.raises(roots.DomainError, match="^weight length 4 != rank 5$"):
+        levi.tensor_decompose(D5_P4, (1, 0, 0, 0), (0, 0, 0, 0, 0))
+    with pytest.raises(roots.DomainError, match=message):
+        levi.tensor_decompose(D5_P4, (0, 0, 0, 0, 0), (1, 0, 0))

@@ -323,3 +323,61 @@ def test_step_kclass_is_the_class_of_the_result(eng, form):
     assert {s.direction for s in steps if s.recipe == "transposition"} == {"L", "R"}
     for s in steps:
         assert s.kclass == M._kclass_of(s.result, form, eng)
+
+
+def test_replay_computes_each_class_once_per_form(monkeypatch):
+    # Every KForm.kclass call after an object's first reads the form's table:
+    # it asks the engine for no Euler pairing.
+    eng = ExtEngine()
+    form = M.KForm.standard(eng)
+    asked = []
+    per_object = {}
+    euler, kclass = ExtEngine.euler, M.KForm.kclass
+
+    def counted_euler(self, E, F):
+        asked.append((E, F))
+        return euler(self, E, F)
+
+    def counted_kclass(self, obj, engine):
+        before = len(asked)
+        k = kclass(self, obj, engine)
+        per_object.setdefault(obj, []).append(len(asked) - before)
+        return k
+
+    monkeypatch.setattr(ExtEngine, "euler", counted_euler)
+    monkeypatch.setattr(M.KForm, "kclass", counted_kclass)
+    M.replay_main_proof(eng)
+    assert set(per_object) == set(form._classes)
+    assert {obj: counts[0] for obj, counts in per_object.items()} == dict.fromkeys(per_object, 16)
+    assert not any(c for counts in per_object.values() for c in counts[1:])
+    assert sum(len(counts) - 1 for counts in per_object.values()) > len(per_object)
+
+    fresh = ExtEngine()
+    for obj, k in form._classes.items():
+        assert k == tuple(fresh.euler(b, obj) for b in form.basis), obj
+    for k, coords in form._coords.items():
+        assert coords == tuple(sum(r * x for r, x in zip(row, k)) for row in form.gram_inv)
+    asked.clear()
+    M.replay_main_proof(eng)
+    assert asked == []
+
+
+def test_kclass_fault_reaches_a_fresh_engine_after_another_form_is_warm(monkeypatch):
+    # The form's tables live with its engine: a warm form keeps the classes
+    # it computed, and a fresh engine's form sees the fault.
+    warm = ExtEngine()
+    col = M.kp_collection()
+    before = M.gram_matrix(col, warm)
+    real = B.kclass
+
+    def faulty(obj):
+        cls = real(obj)
+        return cls if isinstance(obj, B.Sum) else {piece: -m for piece, m in cls.items()}
+
+    monkeypatch.setattr(B, "kclass", faulty)
+    assert M.gram_matrix(col, warm) == before
+    fresh = ExtEngine()
+    form = M.KForm.standard(fresh)
+    assert form.gram == M.KForm.standard(warm).gram
+    assert form.kclass(B.That(5), fresh) == tuple(-c for c in warm.kform.kclass(B.That(5), warm))
+    assert M.gram_matrix(col, fresh) != before

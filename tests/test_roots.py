@@ -33,9 +33,56 @@ def _oracle_cartan(simple):
     )
 
 
+def _simple_eps(family, n):
+    # Bourbaki's simple roots: e_i - e_{i+1}, then e_n (B), 2 e_n (C),
+    # e_{n-1} + e_n (D), or e_n - e_{n+1} in the n + 1 coordinates of type A.
+    dim = n + 1 if family == "A" else n
+
+    def vec(*entries):
+        v = [0] * dim
+        for i, c in entries:
+            v[i] += c
+        return tuple(v)
+
+    last = {
+        "A": ((n - 1, 1), (n, -1)),
+        "B": ((n - 1, 1),),
+        "C": ((n - 1, 2),),
+        "D": ((n - 2, 1), (n - 1, 1)),
+    }[family]
+    return [vec((i, 1), (i + 1, -1)) for i in range(n - 1)] + [vec(*last)]
+
+
+ORACLE_DATA = (
+    [("A", n) for n in range(1, 7)]
+    + [("B", n) for n in range(2, 7)]
+    + [("C", n) for n in range(2, 7)]
+    + [("D", n) for n in range(3, 7)]
+)
+
+
 def test_cartan_matrix_matches_epsilon_oracle():
-    assert roots.cartan_matrix(D5) == _oracle_cartan(D5_SIMPLE)
-    assert roots.cartan_matrix(B4) == _oracle_cartan(B4_SIMPLE)
+    assert _simple_eps("D", 5) == D5_SIMPLE and _simple_eps("B", 4) == B4_SIMPLE
+    for family, n in ORACLE_DATA:
+        datum = LieDatum(family, n)
+        assert roots.cartan_matrix(datum) == _oracle_cartan(_simple_eps(family, n)), datum
+
+
+def test_weyl_rows_match_epsilon_oracle():
+    # Row c_k |alpha_k|^2 of beta = sum c_k alpha_k: dividing by the norms of
+    # this file's simple roots and expanding must give each classical
+    # positive root once.
+    for family, n in ORACLE_DATA:
+        simple = _simple_eps(family, n)
+        norms = [_dot(a, a) for a in simple]
+        rows = roots.weyl_rows(LieDatum(family, n))
+        assert all(r % d == 0 for row in rows for r, d in zip(row, norms))
+        expanded = [
+            tuple(sum(r // d * a[k] for r, d, a in zip(row, norms, simple)) for k in range(len(simple[0])))
+            for row in rows
+        ]
+        assert len(set(expanded)) == len(expanded)
+        assert set(expanded) == _eps_positive_roots(family, n), (family, n)
 
 
 def test_cartan_d5_third_row():
