@@ -13,7 +13,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Optional
 
 from . import roots
 from .roots import (
@@ -77,18 +77,11 @@ class Cohomology:
 _ZERO = Cohomology(None, None, 0)
 
 
-def bbw_cohomology(
-    pb: Parabolic,
-    weight: Weight,
-    choose_node: Optional[Callable[[list[int]], int]] = None,
-) -> Cohomology:
-    """Run the reflection walk on weight + rho.
-
-    `choose_node` picks which strictly negative node to reflect at when
-    several are available; the result is independent of the choice (the
-    default takes the smallest index).  rho and the Cartan matrix are read
-    from roots once per call, and each reflection subtracts a multiple of
-    one Cartan row.
+def bbw_cohomology(pb: Parabolic, weight: Weight) -> Cohomology:
+    """Run the reflection walk on weight + rho, reflecting at the first
+    strictly negative node; the result does not depend on the choice.  rho
+    and the Cartan matrix are read from roots once per call, and each
+    reflection subtracts a multiple of one Cartan row.
     """
     datum = pb.datum
     if len(weight) != datum.rank:
@@ -101,22 +94,11 @@ def bbw_cohomology(
     for steps in range(bound + 1):
         if 0 in v:
             return _ZERO
-        i = None
-        if choose_node is None:
-            for k, c in enumerate(v):
-                if c < 0:
-                    i = k
-                    break
+        for i, c in enumerate(v):
+            if c < 0:
+                break
         else:
-            negatives = [k + 1 for k, c in enumerate(v) if c < 0]
-            if negatives:
-                node = choose_node(negatives)
-                if node not in negatives:
-                    raise DomainError("choose_node must return a strictly negative node")
-                i = node - 1
-        if i is None:
             mu = tuple(c - 1 for c in v)
             return Cohomology(steps, mu, weyl_dim(datum, mu))
-        c = v[i]
         v = tuple([x - c * r for x, r in zip(v, cartan[i])])
     raise InternalConsistencyError("reflection walk exceeded |positive roots|")

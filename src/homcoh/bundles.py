@@ -8,7 +8,13 @@ its dual, and the kernel bundle of the evaluation on quadratic sections).
 The registry holds the exact sequences the computations run on.  Each is
 stored once at a reference twist; matching against a query object detects
 the common twist.  Terms may carry a representation of the full group as a
-coefficient (multiplicity space).  `kclass` gives an object's class in K_0.
+coefficient (multiplicity space).  Eleven base sequences are written out
+term by term (base_sequences); the other eleven are derived from them by
+three generic operations, so a derived entry has no coefficient of its own
+to mistype: dual_sequence (the duals, one at a twist), tensor_sequence (a
+twist, or a tensor by a bundle) and splice (the paper's four- and five-term
+resolutions, joined at a common term).  `kclass` gives an object's class
+in K_0.
 
 Every object prints in one form, bundle_expr, which is also the repr of Sum
 and Named: an expression of the bundle language that parser.parse_bundle
@@ -25,7 +31,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import levi, roots
-from .roots import B4, B4_Q4, D5, D5_P4, DomainError, LieDatum, Parabolic, Weight
+from .roots import B4, B4_Q4, D5, D5_P4, DomainError, InternalConsistencyError, LieDatum, Parabolic, Weight
 
 RepFactor = tuple[LieDatum, Weight]
 Coeff = tuple[tuple[RepFactor, int], ...]  # multiset of full-group weights
@@ -191,7 +197,7 @@ def first_chern(obj: BundleObject) -> int:
         size = m * levi.levi_dim(space, w) * levi.doubled_gl_size(space, w)
         c1, rest = divmod(size, levi.doubled_gl_size(space, _unit_weight(space)))
         if rest:
-            raise roots.InternalConsistencyError("non-integral first Chern class")
+            raise InternalConsistencyError("non-integral first Chern class")
         total += c1
     return total
 
@@ -237,7 +243,7 @@ def coeff_dim(coeff: Coeff) -> int:
 
 
 def coeff_dual(coeff: Coeff) -> Coeff:
-    return tuple(((datum, roots.dual_weight(datum, w)), m) for (datum, w), m in coeff)
+    return tuple(sorted(((datum, roots.dual_weight(datum, w)), m) for (datum, w), m in coeff))
 
 
 def _twist_delta(base: BundleObject, obj: BundleObject) -> int | None:
@@ -395,76 +401,98 @@ def _rep(datum: LieDatum, *weights: Weight) -> Coeff:
     return tuple(sorted(merged.items()))
 
 
-@lru_cache(maxsize=None)
-def standard_sequences() -> tuple[Sequence, ...]:
+def dual_sequence(name: str, seq: Sequence, k: int = 0) -> Sequence:
+    """The dual of seq twisted by k: every term and coefficient dualized, in
+    reverse order."""
+    terms = tuple(Term(twist(dual(t.obj), k), coeff_dual(t.coeff)) for t in reversed(seq.terms))
+    return Sequence(name, terms)
+
+
+def tensor_sequence(name: str, seq: Sequence, by: int | Sum) -> Sequence:
+    """seq twisted by O(by) for an integer by, else tensored by the bundle by;
+    a named term can only be twisted."""
+
+    def move(obj: BundleObject) -> BundleObject:
+        if isinstance(by, int):
+            return twist(obj, by)
+        if isinstance(obj, Named):
+            raise DomainError(f"{obj} twists, but is tensored by no bundle")
+        return tensor(obj, by)
+
+    return Sequence(name, tuple(Term(move(t.obj), t.coeff) for t in seq.terms))
+
+
+def splice(name: str, first: Sequence, second: Sequence) -> Sequence:
+    """0 -> A_0 -> ... -> A_m -> B_1 -> ... -> B_n -> 0, joined from first,
+    0 -> A_0 -> ... -> A_m -> X -> 0, and second, 0 -> X -> B_1 -> ... -> 0."""
+    if first.terms[-1] != second.terms[0]:
+        raise InternalConsistencyError(f"{first.name} does not end where {second.name} starts")
+    return Sequence(name, first.terms[:-1] + second.terms[1:])
+
+
+def base_sequences() -> tuple[Sequence, ...]:
+    """The resolutions stated term by term; standard_sequences derives the rest."""
     V1 = _rep(D5, (1, 0, 0, 0, 0))
     V2 = _rep(D5, (0, 1, 0, 0, 0))
     V11 = _rep(D5, (2, 0, 0, 0, 0))  # Cartan piece of Sym^2 V_10
     SYM2V = _rep(D5, (2, 0, 0, 0, 0), _ZERO5)  # Sym^2 V_10 = V_{2w1} + trivial
-    VS4 = _rep(D5, (0, 0, 0, 1, 0))
     VS5 = _rep(D5, (0, 0, 0, 0, 1))
     V9 = _rep(B4, (1, 0, 0, 0))
 
     def S(name: str, *terms: Term | BundleObject) -> Sequence:
-        ts = tuple(t if isinstance(t, Term) else Term(t) for t in terms)
-        return Sequence(name, ts)
+        return Sequence(name, tuple(t if isinstance(t, Term) else Term(t) for t in terms))
 
     return (
         # 0 -> U -> V_10 (x) O -> U^ -> 0
         S("taut-rank5", U(), Term(O(), V1), Uv()),
-        # 0 -> R -> U -> O -> 0 and its dual
+        # 0 -> R -> U -> O -> 0
         S("taut-chain", R(), U(), O()),
-        S("taut-chain-dual", O(), Uv(), Rv()),
         # 0 -> R -> V_9 (x) O -> U^ -> 0   (quotient W identified with U^)
         S("taut-rank4", R(), Term(O(0, B4_Q4), V9), Uv()),
         # 0 -> R^ -> T -> wedge^2 R^ -> 0
         S("tangent-ext", Rv(), T(), wedge_Rv(2)),
-        # 0 -> O(-1) -> That -> T(-1) -> 0 and its dual
+        # 0 -> O(-1) -> That -> T(-1) -> 0
         S("affine-ext", O(-1), That(), T(-1)),
-        S("affine-ext-dual", twist(dual(T()), 1), Thatv(), O(1)),
-        # 0 -> That -> V_{w5} (x) O -> U(1) -> 0 and its dual
+        # 0 -> That -> V_{w5} (x) O -> U(1) -> 0
         S("affine-kernel", That(), Term(O(), VS5), U(1)),
-        S("affine-kernel-dual", Uv(-1), Term(O(), VS4), Thatv()),
-        # 0 -> Ktilde(2) -> V_{2w1} (x) O(2) -> Sym^2 U^ (2) -> 0 and its dual
+        # 0 -> Ktilde(2) -> V_{2w1} (x) O(2) -> Sym^2 U^ (2) -> 0
         S("quadric-kernel", Ktilde(2), Term(O(2), V11), sym_Uv(2, 2)),
-        S("quadric-kernel-dual", sym_U(2, -2), Term(O(-2), V11), Ktildev(-2)),
-        # 0 -> Thatv(1) -> V_{w1} (x) U(2) -> Ktilde(2) -> 0 and its dual
+        # 0 -> Thatv(1) -> V_{w1} (x) U(2) -> Ktilde(2) -> 0
         S("quadric-coker", Thatv(1), Term(U(2), V1), Ktilde(2)),
-        S("quadric-coker-dual", Ktildev(-2), Term(Uv(-2), V1), That(-1)),
         # 0 -> U^ -> Sym^2 U^ -> Sym^2 R^ -> 0
         S("sym2-dual-chain", Uv(), sym_Uv(2), sym_Rv(2)),
-        # 0 -> Sym^2 R -> Sym^2 U -> U -> 0
-        S("sym2-chain", sym_R(2), sym_U(2), U()),
-        # 0 -> wedge^2 R -> wedge^2 U -> R -> 0
-        S("wedge2-chain", wedge_R(2), wedge_U(2), R()),
         # Koszul resolutions of the Schur squares of the rank-5 sequence
         S("koszul-wedge2U", wedge_U(2), Term(U(), V1), Term(O(), SYM2V), sym_Uv(2)),
         S("koszul-sym2U", sym_U(2), Term(U(), V1), Term(O(), V2), wedge_Uv(2)),
-        S(
-            "koszul-sym2U-dual",
-            sym_U(2, -1),
-            Term(O(-1), SYM2V),
-            Term(Uv(-1), V1),
-            wedge_Uv(2, -1),
-        ),
-        S(
-            "koszul-sym2U-dual-twisted",
-            tensor(sym_U(2), Uv(-2)),
-            Term(Uv(-2), SYM2V),
-            Term(tensor(Uv(), Uv(-2)), V1),
-            tensor(wedge_Uv(2), Uv(-2)),
-        ),
-        # 0 -> Thatv(-1) -> V_{w1} (x) U -> V_{2w1} (x) O -> Sym^2 U^ -> 0
-        S("four-term", Thatv(-1), Term(U(), V1), Term(O(), V11), sym_Uv(2)),
-        # 0 -> U^ -> V_{w4} (x) O(1) -> V_{w1} (x) U(2) -> V_{2w1} (x) O(2) -> Sym^2 U^(2) -> 0
-        S(
-            "five-term",
-            Uv(),
-            Term(O(1), VS4),
-            Term(U(2), V1),
-            Term(O(2), V11),
-            sym_Uv(2, 2),
-        ),
+    )
+
+
+@lru_cache(maxsize=None)
+def standard_sequences() -> tuple[Sequence, ...]:
+    """The registry: the base sequences and those derived from them by
+    duality, twist, tensor and splice, in a fixed order.  A named object's
+    class (kclass) reads its first match, and routes run in this order."""
+    rank5, chain, rank4, tangent, affine, kernel, quadric, coker, sym2, kw2, ks2 = base_sequences()
+    kernel_dual = dual_sequence("affine-kernel-dual", kernel)
+    koszul_dual = dual_sequence("koszul-sym2U-dual", kw2, -1)
+    # The paper's resolutions, joined at Ktilde and at Thatv(1)
+    four = splice("four-term", tensor_sequence("quadric-coker(-2)", coker, -2),
+                  tensor_sequence("quadric-kernel(-2)", quadric, -2))
+    five = splice("five-term", tensor_sequence("affine-kernel-dual(1)", kernel_dual, 1),
+                  tensor_sequence("four-term(2)", four, 2))
+    return (
+        rank5,
+        chain, dual_sequence("taut-chain-dual", chain),
+        rank4, tangent,
+        affine, dual_sequence("affine-ext-dual", affine),
+        kernel, kernel_dual,
+        quadric, dual_sequence("quadric-kernel-dual", quadric),
+        coker, dual_sequence("quadric-coker-dual", coker),
+        sym2, dual_sequence("sym2-chain", sym2),  # 0 -> Sym^2 R -> Sym^2 U -> U -> 0
+        dual_sequence("wedge2-chain", tangent),  # 0 -> wedge^2 R -> wedge^2 U -> R -> 0
+        kw2, ks2, koszul_dual, tensor_sequence("koszul-sym2U-dual-twisted", koszul_dual, Uv(-1)),
+        four,  # 0 -> Thatv(-1) -> V_{w1} (x) U -> V_{2w1} (x) O -> Sym^2 U^ -> 0
+        five,  # 0 -> U^ -> V_{w4} (x) O(1) -> V_{w1} (x) U(2) -> V_{2w1} (x) O(2) -> Sym^2 U^(2) -> 0
     )
 
 

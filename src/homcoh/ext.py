@@ -34,7 +34,7 @@ ExtEngine), their reasons naming no pair.
 A chase asks for the same pure values many times: the BBW pieces of one
 pair of irreducibles, a Levi dual, a BBW walk, a sequence term at a twist,
 an object at level zero, an object's K-class.  Each ExtEngine keeps them in
-nine tables of its own (see ExtEngine), keyed by hashable values, created
+eight tables of its own (see ExtEngine), keyed by hashable values, created
 empty with the engine and dropped with it.  Two of them, _levels keyed by
 (obj,) and _shifts keyed by (obj, -k), take a pair asked to its level-zero
 memo key in two lookups once both objects have been seen.  The tables are per
@@ -294,7 +294,7 @@ class ExtEngine:
     placeholder answered to a pair already on the stack, which is never
     stored.
 
-    Besides the Ext and Euler memos, an engine keeps nine kernel tables of
+    Besides the Ext and Euler memos, an engine keeps eight kernel tables of
     pure values, each filled on its first lookup through _lookup and keyed
     by the arguments of the function that fills it:
 
@@ -308,9 +308,8 @@ class ExtEngine:
     - _levi_duals: (pb, w) -> roots.dualize_levi(pb, w);
     - _cohomology: (pb, nu) -> bbw.bbw_cohomology(pb, nu);
     - _terms: (term, t, contravariant) -> the term's object twisted by t
-      and its coefficient, dualized when contravariant (_term_at), for
-      chase columns;
-    - _duals: (datum, w) -> roots.dual_weight(datum, w), for coefficients;
+      and its coefficient, dualized when contravariant (_term_at, through
+      bundles.coeff_dual), for chase columns;
     - _classes: (obj,) -> the K-class of obj (one bundles.kclass call) as
       (weight, n) pieces on D5/P4, or None when a piece lives on B4/Q4,
       and as pieces on B4/Q4, branched once (_class_pieces): the classes
@@ -335,7 +334,6 @@ class ExtEngine:
         self._levi_duals: dict = {}
         self._cohomology: dict = {}
         self._terms: dict = {}
-        self._duals: dict = {}
         self._classes: dict = {}
         self._levels: dict = {}
         self._shifts: dict = {}
@@ -505,10 +503,7 @@ class ExtEngine:
 
     def _term_at(self, term: Term, t: int, contravariant: bool) -> tuple[BundleObject, bundles.Coeff]:
         """The term twisted by t, and its coefficient, dualized when contravariant."""
-        obj = bundles.twist(term.obj, t)
-        if not contravariant:
-            return obj, term.coeff
-        return obj, tuple(((d, _lookup(self._duals, roots.dual_weight, d, w)), m) for (d, w), m in term.coeff)
+        return bundles.twist(term.obj, t), bundles.coeff_dual(term.coeff) if contravariant else term.coeff
 
     def _chase(
         self, seq: Sequence, idx: int, t: int, partner: BundleObject, contravariant: bool

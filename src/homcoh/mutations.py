@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import bundles, ext as ext_mod
-from .bundles import BundleObject, Sequence, Term
+from .bundles import BundleObject
 from .ext import Ambiguous, ExtEngine, ExtResult
 from .roots import DomainError, InternalConsistencyError
 
@@ -29,10 +29,9 @@ class KOnly:
     """
 
     kclass: KVector
-    label: str = "K-only"
 
     def __repr__(self) -> str:
-        return f"{self.label}{list(self.kclass)}"
+        return f"K-only{list(self.kclass)}"
 
 
 CollectionObject = BundleObject | KOnly
@@ -181,7 +180,9 @@ class KForm:
     its basis pairings once per engine, and the tables live exactly as
     long as the engine, as its kernel tables do: a fault injected below
     reaches every engine built after it.  A form built by `from_gram`
-    starts with both tables empty.
+    starts with both tables empty; `standard` seeds _classes with the
+    class of each basis object, its column of the Gram matrix, so a basis
+    object costs no pairing beyond those of the Gram matrix.
     """
 
     basis: tuple[BundleObject, ...]
@@ -198,6 +199,7 @@ class KForm:
             basis = kuznetsov_collection().objects
             gram = tuple(tuple(eng.euler(a, b) for b in basis) for a in basis)
             eng.kform = KForm.from_gram(basis, gram)
+            eng.kform._classes.update(zip(basis, zip(*gram)))  # the Gram columns
         return eng.kform
 
     @staticmethod
@@ -277,82 +279,46 @@ class MutationStep:
         return self.hypothesis.dims()
 
 
-def _rep_multiset(res: ExtResult, degree: int):
-    layer = dict(res.graded).get(degree, ())
-    out = {}
-    for entry, m in layer:
-        if len(entry) != 1:
-            return None
-        out[entry[0]] = out.get(entry[0], 0) + m
-    return tuple(sorted(out.items()))
-
-
-def _concentration(hyp: ExtResult) -> int | None:
-    """The degree of the hypothesis when it lives in a single degree."""
-    degrees = [p for p, d in hyp.dims().items() if d]
-    return degrees[0] if len(degrees) == 1 else None
-
-
-def _three_term_sequences() -> list[Sequence]:
-    return [s for s in bundles.standard_sequences() if len(s.terms) == 3]
-
-
-def _match_plain(term: Term, obj: CollectionObject, t: int) -> bool:
-    if isinstance(obj, KOnly) or term.coeff:
-        return False
-    return bundles.twist(term.obj, t) == obj
-
-
-def _coeff_matches(coeff: bundles.Coeff, hyp: ExtResult, degree: int, dualize: bool) -> bool:
-    # An equivariant hypothesis has only trivial pieces, which match no
-    # coefficient; block mutations never need one to.
-    reps = _rep_multiset(hyp, degree)
-    if reps is None:
-        return False
-    want = bundles.coeff_dual(coeff) if dualize else tuple(sorted(coeff))
-    return reps == want
+# A recipe reads a registered three-term sequence 0 -> A -> B -> C -> 0 at a
+# common twist, whose middle term alone may carry a coefficient, and does
+# unless the hypothesis is C[-1].  Per recipe: the indices of the terms that
+# E1 and E2 must equal, that of the result, and the result's shift.
+_RECIPES = {
+    "extension": (2, 0, 1, 0),  # 0 -> E2 -> F -> E1 -> 0, Ext(E1, E2) = C[-1]
+    "left-kernel": (1, 2, 0, 1),  # 0 -> F -> V (x) E1 -> E2 -> 0, Ext(E1, E2) = V[0]
+    "right-cokernel": (0, 1, 2, -1),  # 0 -> E1 -> W (x) E2 -> F -> 0, Ext(E1, E2) = W-dual[0]
+}
 
 
 def _find_recipe(direction: str, E1: CollectionObject, E2: CollectionObject, hyp: ExtResult):
-    """Return (recipe name, result object, shift) or None."""
-    degree = _concentration(hyp)
-    if degree is None:
-        return None
+    """Return (recipe name, result object, shift) or None.
+
+    The hypothesis picks the recipe.  A sequence fires when E1 and E2 are
+    its terms at one twist and, for a coefficient, when the hypothesis is
+    the coefficient in degree 0, dualized for right-cokernel.  An
+    equivariant hypothesis has only trivial pieces, which match no
+    coefficient; block mutations never need one to."""
     if hyp == ext_mod.trivial_result(1):
-        for seq in _three_term_sequences():
-            a, b, c = seq.terms
-            if b.coeff or a.coeff or c.coeff:
-                continue
-            t = bundles._twist_delta(a.obj, E2) if not isinstance(E2, KOnly) else None
-            if t is None:
-                continue
-            if _match_plain(c, E1, t):
-                return ("extension", bundles.twist(b.obj, t), 0)
-        return None
-    if degree != 0:
-        return None
-    if direction == "L":
-        # 0 -> F -> V (x) E1 -> E2 -> 0 with Ext(E1, E2) = V[0]
-        for seq in _three_term_sequences():
-            a, b, c = seq.terms
-            if a.coeff or c.coeff or not b.coeff:
-                continue
-            t = bundles._twist_delta(c.obj, E2) if not isinstance(E2, KOnly) else None
-            if t is None:
-                continue
-            if _match_plain(Term(b.obj), E1, t) and _coeff_matches(b.coeff, hyp, 0, dualize=False):
-                return ("left-kernel", bundles.twist(a.obj, t), 1)
+        recipe = "extension"
+    elif [p for p, _ in hyp.graded] == [0]:
+        recipe = "left-kernel" if direction == "L" else "right-cokernel"
     else:
-        # 0 -> E1 -> W (x) E2 -> F -> 0 with Ext(E1, E2) = W-dual[0]
-        for seq in _three_term_sequences():
-            a, b, c = seq.terms
-            if a.coeff or c.coeff or not b.coeff:
+        return None
+    i1, i2, out, shift = _RECIPES[recipe]
+    for seq in bundles.standard_sequences():
+        if len(seq.terms) != 3:
+            continue
+        a, b, c = seq.terms
+        if a.coeff or c.coeff or bool(b.coeff) == (recipe == "extension"):
+            continue
+        t = bundles._twist_delta(seq.terms[i1].obj, E1)
+        if t is None or bundles.twist(seq.terms[i2].obj, t) != E2:
+            continue
+        if recipe != "extension":
+            want = b.coeff if recipe == "left-kernel" else bundles.coeff_dual(b.coeff)
+            if hyp != ExtResult.from_dict({0: {(factor,): m for factor, m in want}}):
                 continue
-            t = bundles._twist_delta(a.obj, E1) if not isinstance(E1, KOnly) else None
-            if t is None:
-                continue
-            if _match_plain(Term(b.obj), E2, t) and _coeff_matches(b.coeff, hyp, 0, dualize=True):
-                return ("right-cokernel", bundles.twist(c.obj, t), -1)
+        return recipe, bundles.twist(seq.terms[out].obj, t), shift
     return None
 
 

@@ -96,8 +96,8 @@ def test_node_choice_independence_sample():
             w = _random_levi_dominant(rng, pb, 8)
             base = bbw_cohomology(pb, w)
             pick = random.Random(rng.randint(0, 10**6))
-            alt = bbw_cohomology(pb, w, choose_node=lambda neg: pick.choice(neg))
-            assert (base.degree, base.weight) == (alt.degree, alt.weight)
+            alt = _reference_walk(pb, w, choose_node=lambda neg: pick.choice(neg))
+            assert (base.degree, base.weight, base.dim) == alt
 
 
 def test_serre_duality_sample():
@@ -208,8 +208,7 @@ def test_walk_matches_the_reference_walk_on_a_box():
             expected = _reference_walk(pb, w)
             coh = bbw_cohomology(pb, w)
             assert (coh.degree, coh.weight, coh.dim) == expected, (pb, w)
-            alt = bbw_cohomology(pb, w, choose_node=rng.choice)
-            assert (alt.degree, alt.weight, alt.dim) == expected, (pb, w)
+            assert _reference_walk(pb, w, choose_node=rng.choice) == expected, (pb, w)
             degrees.add(coh.degree)
         assert {None, 0, roots.homogeneous_dimension(pb)} <= degrees, pb
 
@@ -228,7 +227,3 @@ def test_walk_reads_rho_and_the_cartan_matrix_once_per_call(monkeypatch):
     assert coh.degree == 10
     assert sorted(calls) == ["cartan_matrix", "rho"]
 
-
-def test_walk_rejects_a_node_that_is_not_negative():
-    with pytest.raises(roots.DomainError, match="strictly negative"):
-        bbw_cohomology(D5_P4, (0, 0, 0, -8, 0), choose_node=lambda negatives: 5)

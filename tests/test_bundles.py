@@ -3,7 +3,7 @@ import random
 import pytest
 
 from homcoh import bundles as B
-from homcoh.roots import B4_Q4, D5_P4, DomainError
+from homcoh.roots import B4, B4_Q4, D5, D5_P4, DomainError, InternalConsistencyError
 
 
 def test_concrete_weights():
@@ -170,3 +170,118 @@ def test_unvalidated_twist_equals_the_validated_sum():
                 got = B.twist(S, k)
                 assert got == want and hash(got) == hash(want), (S, k)
                 assert repr(got) == repr(want), (S, k)
+
+
+def _rep(datum, *weights):
+    merged = {}
+    for w in weights:
+        merged[(datum, w)] = merged.get((datum, w), 0) + 1
+    return tuple(sorted(merged.items()))
+
+
+def _written_out_registry():
+    # The 22 sequences written out term by term, as the registry stated them
+    # before it derived 11 of them from the other 11.
+    V1 = _rep(D5, (1, 0, 0, 0, 0))
+    V2 = _rep(D5, (0, 1, 0, 0, 0))
+    V11 = _rep(D5, (2, 0, 0, 0, 0))
+    SYM2V = _rep(D5, (2, 0, 0, 0, 0), (0, 0, 0, 0, 0))
+    VS4 = _rep(D5, (0, 0, 0, 1, 0))
+    VS5 = _rep(D5, (0, 0, 0, 0, 1))
+    V9 = _rep(B4, (1, 0, 0, 0))
+    Term = B.Term
+
+    def S(name, *terms):
+        return B.Sequence(name, tuple(t if isinstance(t, Term) else Term(t) for t in terms))
+
+    return (
+        S("taut-rank5", B.U(), Term(B.O(), V1), B.Uv()),
+        S("taut-chain", B.R(), B.U(), B.O()),
+        S("taut-chain-dual", B.O(), B.Uv(), B.Rv()),
+        S("taut-rank4", B.R(), Term(B.O(0, B4_Q4), V9), B.Uv()),
+        S("tangent-ext", B.Rv(), B.T(), B.wedge_Rv(2)),
+        S("affine-ext", B.O(-1), B.That(), B.T(-1)),
+        S("affine-ext-dual", B.twist(B.dual(B.T()), 1), B.Thatv(), B.O(1)),
+        S("affine-kernel", B.That(), Term(B.O(), VS5), B.U(1)),
+        S("affine-kernel-dual", B.Uv(-1), Term(B.O(), VS4), B.Thatv()),
+        S("quadric-kernel", B.Ktilde(2), Term(B.O(2), V11), B.sym_Uv(2, 2)),
+        S("quadric-kernel-dual", B.sym_U(2, -2), Term(B.O(-2), V11), B.Ktildev(-2)),
+        S("quadric-coker", B.Thatv(1), Term(B.U(2), V1), B.Ktilde(2)),
+        S("quadric-coker-dual", B.Ktildev(-2), Term(B.Uv(-2), V1), B.That(-1)),
+        S("sym2-dual-chain", B.Uv(), B.sym_Uv(2), B.sym_Rv(2)),
+        S("sym2-chain", B.sym_R(2), B.sym_U(2), B.U()),
+        S("wedge2-chain", B.wedge_R(2), B.wedge_U(2), B.R()),
+        S("koszul-wedge2U", B.wedge_U(2), Term(B.U(), V1), Term(B.O(), SYM2V), B.sym_Uv(2)),
+        S("koszul-sym2U", B.sym_U(2), Term(B.U(), V1), Term(B.O(), V2), B.wedge_Uv(2)),
+        S("koszul-sym2U-dual", B.sym_U(2, -1), Term(B.O(-1), SYM2V), Term(B.Uv(-1), V1), B.wedge_Uv(2, -1)),
+        S(
+            "koszul-sym2U-dual-twisted",
+            B.tensor(B.sym_U(2), B.Uv(-2)),
+            Term(B.Uv(-2), SYM2V),
+            Term(B.tensor(B.Uv(), B.Uv(-2)), V1),
+            B.tensor(B.wedge_Uv(2), B.Uv(-2)),
+        ),
+        S("four-term", B.Thatv(-1), Term(B.U(), V1), Term(B.O(), V11), B.sym_Uv(2)),
+        S("five-term", B.Uv(), Term(B.O(1), VS4), Term(B.U(2), V1), Term(B.O(2), V11), B.sym_Uv(2, 2)),
+    )
+
+
+def test_registry_equals_the_written_out_sequences():
+    want = _written_out_registry()
+    got = B.standard_sequences()
+    assert [s.name for s in got] == [s.name for s in want]
+    for g, w in zip(got, want):
+        assert g.terms == w.terms, g.name
+        assert [repr(t.obj) for t in g.terms] == [repr(t.obj) for t in w.terms], g.name
+    base = B.base_sequences()
+    assert len(base) == 11 and all(s in got for s in base)
+
+
+def _base(name):
+    return next(s for s in B.base_sequences() if s.name == name)
+
+
+def test_dual_sequence_is_an_involution_that_dualizes_coefficients():
+    for seq in B.standard_sequences():
+        for k in (0, 2):
+            twice = B.dual_sequence("back", B.dual_sequence("there", seq, k), k)
+            assert twice.terms == seq.terms, (seq.name, k)
+    kernel = _base("affine-kernel")
+    assert kernel.terms[1].coeff == (((D5, (0, 0, 0, 0, 1)), 1),)
+    dual = B.dual_sequence("affine-kernel-dual", kernel)
+    assert dual.terms[1].coeff == (((D5, (0, 0, 0, 1, 0)), 1),)
+    assert [t.obj for t in dual.terms] == [B.Uv(-1), B.O(), B.Thatv()]
+
+
+def test_tensor_sequence_twists_named_terms_and_tensors_sums():
+    affine = _base("affine-ext")
+    assert [t.obj for t in B.tensor_sequence("a(3)", affine, 3).terms] == [B.O(2), B.That(3), B.T(2)]
+    with pytest.raises(DomainError):
+        B.tensor_sequence("a * Uv", affine, B.Uv())
+    koszul = _base("koszul-wedge2U")
+    tensored = B.tensor_sequence("koszul * O(1)", koszul, B.O(1))
+    assert tensored.terms == B.tensor_sequence("koszul(1)", koszul, 1).terms
+
+
+def test_splice_needs_a_common_term():
+    coker, kernel = _base("quadric-coker"), _base("quadric-kernel")
+    joined = B.splice("joined", coker, kernel)
+    assert joined.terms == coker.terms[:2] + kernel.terms[1:]
+    with pytest.raises(InternalConsistencyError):
+        B.splice("mismatched", kernel, coker)
+    with pytest.raises(InternalConsistencyError):
+        B.splice("off by a twist", coker, B.tensor_sequence("kernel(1)", kernel, 1))
+
+
+def test_no_base_sequence_is_a_twist_or_a_dual_of_another():
+    # A sequence that a twist or duality gives must be derived, not stated
+    # again by hand, where a mistyped coefficient would go unseen.
+    base = B.base_sequences()
+    for i, first in enumerate(base):
+        for derived in (first, B.dual_sequence("dual", first)):
+            for j, other in enumerate(base):
+                if i == j:
+                    continue  # taut-rank5 is its own dual
+                t = B._twist_delta(derived.terms[0].obj, other.terms[0].obj)
+                moved = B.tensor_sequence("moved", derived, t) if t is not None else derived
+                assert moved.terms != other.terms, (first.name, other.name)

@@ -172,22 +172,22 @@ def _log_outer_calls(monkeypatch, module, name: str, log: list) -> None:
 
 
 def test_kernel_tables_compute_each_key_once_per_engine(monkeypatch):
-    calls = {"bbw_cohomology": [], "dual_weight": [], "kclass": [], "_level_zero": [], "_shift": []}
+    calls = {"bbw_cohomology": [], "kclass": [], "_level_zero": [], "_shift": []}
     _log_calls(monkeypatch, bbw, "bbw_cohomology", calls["bbw_cohomology"])
-    _log_calls(monkeypatch, roots, "dual_weight", calls["dual_weight"])
     # kclass of a named object recurses into the terms of its sequence:
     # count only the classes the engine asks for.
     _log_outer_calls(monkeypatch, B, "kclass", calls["kclass"])
     _log_calls(monkeypatch, X, "_level_zero", calls["_level_zero"])
     _log_calls(monkeypatch, X, "_shift", calls["_shift"])
-    calls["_levi_chi"] = []
-    levi_chi = ExtEngine._levi_chi
+    # Two methods, logged with their arguments and not the engine.
+    for name in ("_levi_chi", "_term_at"):
+        calls[name] = []
 
-    def logged_levi_chi(self, *args):
-        calls["_levi_chi"].append(args)
-        return levi_chi(self, *args)
+        def logged(self, *args, log=calls[name], method=getattr(ExtEngine, name)):
+            log.append(args)
+            return method(self, *args)
 
-    monkeypatch.setattr(ExtEngine, "_levi_chi", logged_levi_chi)
+        monkeypatch.setattr(ExtEngine, name, logged)
     # Also at common twists, so that one object is asked at several levels.
     pairs = [
         (B.twist(parse_bundle(e), k), B.twist(parse_bundle(f), k))
