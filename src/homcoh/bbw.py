@@ -40,8 +40,7 @@ def weyl_dim(datum: LieDatum, mu: Weight) -> int:
     Weyl's product over the positive roots beta of (mu + rho, beta) / (rho, beta),
     taken on the integer rows of roots.weyl_rows.
     """
-    if len(mu) != datum.rank:
-        raise DomainError(f"weight length {len(mu)} != rank {datum.rank}")
+    roots.check_length(datum, mu)
     if not roots.is_dominant(mu):
         raise DomainError(f"{roots.format_weight(mu)} is not dominant")
     rows, den = _weyl_table(datum)
@@ -84,8 +83,7 @@ def bbw_cohomology(pb: Parabolic, weight: Weight) -> Cohomology:
     reflection subtracts a multiple of one Cartan row.
     """
     datum = pb.datum
-    if len(weight) != datum.rank:
-        raise DomainError(f"weight length {len(weight)} != rank {datum.rank}")
+    roots.check_length(datum, weight)
     if not roots.is_levi_dominant(pb, weight):
         raise DomainError(f"{roots.format_weight(weight)} is not Levi-dominant on {pb}")
     cartan = roots.cartan_matrix(datum)

@@ -110,6 +110,7 @@ def make_sum(space: Parabolic, parts: dict[Weight, int] | list[tuple[Weight, int
 
 
 def irr(space: Parabolic, w: Weight) -> Sum:
+    roots.check_length(space.datum, w)
     return make_sum(space, {tuple(w): 1})
 
 

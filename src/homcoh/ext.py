@@ -644,6 +644,8 @@ def ls_chase(
     when the long exact sequence degenerates, otherwise an Ambiguous value
     carrying the (always exact) Euler characteristic.
     """
+    if variance not in ("onto", "from"):
+        raise roots.DomainError(f"variance {variance!r} is neither 'onto' nor 'from'")
     eng = engine if engine is not None else get_engine()
     contravariant = variance == "onto"
     res = eng._chase(seq, unknown, twist_by, target, contravariant=contravariant)

@@ -131,8 +131,7 @@ def doubled_gl_size(pb: Parabolic, w: Weight) -> int:
 
 def _split(pb: Parabolic, w: Weight) -> tuple[Partition, int]:
     # 2 GL(w) = 2p + s(1,...,1) with p a partition ending in 0.
-    if len(w) != pb.rank:
-        raise DomainError(f"weight length {len(w)} != rank {pb.rank}")
+    roots.check_length(pb.datum, w)
     if not roots.is_levi_dominant(pb, w):
         raise DomainError(f"{roots.format_weight(w)} is not Levi-dominant on {pb}")
     v = _gl2(pb, w)
@@ -285,6 +284,7 @@ def branch_d5_to_b4(mu: Weight) -> dict[Weight, int]:
     the B4/Q4 GL vector is the B4 epsilon vector: this is branch_levi of the
     D5/P4 weight whose GL vector ends in that absolute value.
     """
+    roots.check_length(D5_P4.datum, mu)
     if not roots.is_dominant(mu):
         raise DomainError(f"{roots.format_weight(mu)} is not dominant")
     lam = _gl2(D5_P4, mu)

@@ -240,7 +240,7 @@ def parse_bundle(text: str) -> BundleObject:
     return obj
 
 
-def parse_collection(text: str, label: str = "") -> list[BundleObject]:
+def parse_collection(text: str) -> list[BundleObject]:
     """One expression per line; '#' starts a comment."""
     objs = []
     for lineno, raw in enumerate(text.splitlines(), start=1):

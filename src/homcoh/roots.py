@@ -2,16 +2,18 @@
 
 Weights are integer vectors in the fundamental-weight basis (omega-basis)
 of a fixed Lie datum, and positive roots are integer vectors of
-simple-root coordinates grown from the integer Cartan matrix.  The Cartan
-matrix and the root lengths come from the integer formulas of families A,
-B, C and D, so every table the other layers use is integral.  Epsilon
-coordinates (the orthonormal realization) are a derived view for display
-and tests, with exact rational entries: spin weights of types B and D have
-denominator 2.
+simple-root coordinates grown from the integer Cartan matrix of families
+A, B, C and D.  Dominant conjugates and Levi duals come from one descent
+that subtracts Cartan rows.  Epsilon coordinates (the orthonormal
+realization) are a derived view for the tests and the bench tracer: the two
+closed-form maps omega_to_eps and eps_to_omega (Bourbaki, ch. VI, Planches
+I-IV), the only code here with Fraction entries, which spin weights of
+types B and D need.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
@@ -96,47 +98,6 @@ D5_P4 = Parabolic(D5, (4,))
 B4_Q4 = Parabolic(B4, (4,))
 
 
-def _dot(x: EpsVector, y: EpsVector) -> Q:
-    return sum((a * b for a, b in zip(x, y)), Q(0))
-
-
-def _eps_dim(datum: LieDatum) -> int:
-    # Type A uses the GL-style ambient space with one extra coordinate.
-    return datum.rank + 1 if datum.family == "A" else datum.rank
-
-
-@lru_cache(maxsize=None)
-def simple_roots_eps(datum: LieDatum) -> tuple[EpsVector, ...]:
-    """Simple roots in epsilon coordinates, Bourbaki node order."""
-    n, dim = datum.rank, _eps_dim(datum)
-
-    def e(i: int) -> list[Q]:
-        v = [Q(0)] * dim
-        v[i] = Q(1)
-        return v
-
-    roots: list[EpsVector] = []
-    for i in range(n - 1):
-        v = e(i)
-        v[i + 1] = Q(-1)
-        roots.append(tuple(v))
-    if datum.family == "A":
-        v = e(n - 1)
-        v[n] = Q(-1)
-        roots.append(tuple(v))
-    elif datum.family == "B":
-        roots.append(tuple(e(n - 1)))
-    elif datum.family == "C":
-        v = e(n - 1)
-        v[n - 1] = Q(2)
-        roots.append(tuple(v))
-    else:  # D: the fork, alpha_n = e_{n-1} + e_n
-        v = e(n - 2)
-        v[n - 1] = Q(1)
-        roots.append(tuple(v))
-    return tuple(roots)
-
-
 @lru_cache(maxsize=None)
 def cartan_matrix(datum: LieDatum) -> tuple[tuple[int, ...], ...]:
     """Row i holds alpha_i written in the omega-basis.
@@ -201,74 +162,58 @@ def weyl_rows(datum: LieDatum) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(c * d for c, d in zip(beta, norms)) for beta in positive_roots(datum))
 
 
-@lru_cache(maxsize=None)
-def positive_roots_eps(datum: LieDatum) -> tuple[EpsVector, ...]:
-    """The positive roots as epsilon vectors: the view sum c_k alpha_k."""
-    simple = simple_roots_eps(datum)
-    return tuple(
-        tuple(sum((c * a[k] for c, a in zip(beta, simple)), Q(0)) for k in range(_eps_dim(datum)))
-        for beta in positive_roots(datum)
-    )
+def rho(datum: LieDatum) -> Weight:
+    return (1,) * datum.rank
 
 
-def _solve_exact(matrix: list[list[Q]], rhs: list[Q]) -> list[Q]:
-    # Gaussian elimination over the rationals; the system is square and regular.
-    n = len(matrix)
-    m = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if m[r][col] != 0)
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = Q(1) / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
-    return [m[r][n] for r in range(n)]
-
-
-@lru_cache(maxsize=None)
-def fundamental_weights_eps(datum: LieDatum) -> tuple[EpsVector, ...]:
-    """omega_j in epsilon coordinates: 2(omega_j, alpha_i)/(alpha_i, alpha_i) = delta_ij.
-
-    For type A the ambient space has one extra dimension; the sum-zero
-    representative is chosen so the map is well defined.
-    """
-    simple = simple_roots_eps(datum)
-    n, dim = datum.rank, _eps_dim(datum)
-    out = []
-    for j in range(n):
-        rows = [[2 * a[k] / _dot(a, a) for k in range(dim)] for a in simple]
-        rhs = [Q(1) if i == j else Q(0) for i in range(n)]
-        if dim > n:
-            rows.append([Q(1)] * dim)
-            rhs.append(Q(0))
-        out.append(tuple(_solve_exact(rows, rhs)))
-    return tuple(out)
+def check_length(datum: LieDatum, w: Weight) -> None:
+    """Raise DomainError unless w has one coordinate per node of datum."""
+    if len(w) != datum.rank:
+        raise DomainError(f"weight length {len(w)} != rank {datum.rank}")
 
 
 def omega_to_eps(datum: LieDatum, w: Weight) -> EpsVector:
-    fw = fundamental_weights_eps(datum)
-    dim = _eps_dim(datum)
-    acc = [Q(0)] * dim
-    for c, vec in zip(w, fw):
-        for k in range(dim):
-            acc[k] += c * vec[k]
-    return tuple(acc)
+    """w in epsilon coordinates, from the closed forms of the fundamental weights.
+
+    omega_j = e_1 + ... + e_j, but at the spin nodes: omega_n = (e_1 + ... +
+    e_n)/2 in types B and D, and omega_{n-1} = (e_1 + ... + e_{n-1} - e_n)/2
+    in type D.  Type A has n + 1 coordinates and takes the representative
+    whose coordinates sum to zero.
+    """
+    check_length(datum, w)
+    # t[j] multiplies e_1 + ... + e_{j+1}, so coordinate k sums t[k:].
+    t = [Q(c) for c in w]
+    if datum.family == "B":
+        t[-1] /= 2
+    elif datum.family == "D":
+        t[-1] = (t[-1] - t[-2]) / 2
+    elif datum.family == "A":
+        t.append(Q(0))
+    v = list(itertools.accumulate(reversed(t)))[::-1]
+    shift = sum(v) / len(v) if datum.family == "A" else 0
+    return tuple(x - shift for x in v)
 
 
 def eps_to_omega(datum: LieDatum, v: EpsVector) -> Weight:
-    coords = []
-    for a in simple_roots_eps(datum):
-        val = 2 * _dot(v, a) / _dot(a, a)
-        if val.denominator != 1:
-            raise InternalConsistencyError("weight not in the weight lattice")
-        coords.append(int(val))
-    return tuple(coords)
+    """The omega-coordinates 2 (v, alpha_i) / (alpha_i, alpha_i) of an epsilon vector.
 
-
-def rho(datum: LieDatum) -> Weight:
-    return (1,) * datum.rank
+    They are v_i - v_{i+1} at every node but the last, where they are
+    v_n - v_{n+1} (A), 2 v_n (B), v_n (C) or v_{n-1} + v_n (D).
+    """
+    family = datum.family
+    dim = datum.rank + 1 if family == "A" else datum.rank
+    if len(v) != dim:
+        raise DomainError(f"epsilon vector length {len(v)} != {dim} for {datum}")
+    coords = [Q(a - b) for a, b in zip(v, v[1:])]
+    if family == "B":
+        coords.append(Q(2 * v[-1]))
+    elif family == "C":
+        coords.append(Q(v[-1]))
+    elif family == "D":
+        coords.append(Q(v[-2] + v[-1]))
+    if any(c.denominator != 1 for c in coords):
+        raise InternalConsistencyError("weight not in the weight lattice")
+    return tuple(map(int, coords))
 
 
 def is_dominant(w: Weight) -> bool:
@@ -284,18 +229,24 @@ def simple_reflection(datum: LieDatum, i: int, w: Weight) -> Weight:
     return tuple(w[k] - c * row[k] for k in range(datum.rank))
 
 
+def _descend(datum: LieDatum, nodes: range | tuple[int, ...], v: Weight) -> tuple[Weight, int]:
+    # Reflect at the first of the nodes with a negative coefficient, by
+    # subtracting that multiple of its Cartan row, until there is none.
+    cartan = cartan_matrix(datum)
+    bound = 2 * len(positive_roots(datum)) + 1
+    for count in range(bound + 1):
+        i = next((i for i in nodes if v[i - 1] < 0), 0)
+        if not i:
+            return v, count
+        c = v[i - 1]
+        v = tuple(a - c * r for a, r in zip(v, cartan[i - 1]))
+    raise InternalConsistencyError(f"descent on nodes {tuple(nodes)} of {datum} did not terminate")
+
+
 def dominant_conjugate(datum: LieDatum, w: Weight) -> tuple[Weight, int]:
     """The dominant Weyl-orbit representative and the number of reflections used."""
-    v = tuple(w)
-    count = 0
-    bound = 2 * len(positive_roots(datum)) + 1
-    while not is_dominant(v):
-        i = next(k + 1 for k, c in enumerate(v) if c < 0)
-        v = simple_reflection(datum, i, v)
-        count += 1
-        if count > bound:
-            raise InternalConsistencyError("dominant conjugation did not terminate")
-    return v, count
+    check_length(datum, w)
+    return _descend(datum, range(1, datum.rank + 1), tuple(w))
 
 
 def dual_weight(datum: LieDatum, w: Weight) -> Weight:
@@ -315,42 +266,20 @@ def is_levi_dominant(pb: Parabolic, w: Weight) -> bool:
 
 
 def dualize_levi(pb: Parabolic, w: Weight) -> Weight:
-    """-w0^L(w): the highest weight of the dual of the Levi representation.
-
-    Computed by iterated descent: reflect -w at unmarked nodes carrying a
-    negative coefficient until Levi-dominant.
-    """
+    """-w0^L(w): the highest weight of the dual of the Levi representation,
+    the descent of -w over the unmarked nodes."""
+    check_length(pb.datum, w)
     if not is_levi_dominant(pb, w):
         raise DomainError(f"{format_weight(w)} is not Levi-dominant on {pb}")
-    datum = pb.datum
-    v = tuple(-c for c in w)
-    count = 0
-    bound = 2 * len(positive_roots(datum)) + 1
-    while True:
-        neg = [i for i in pb.unmarked() if v[i - 1] < 0]
-        if not neg:
-            return v
-        v = simple_reflection(datum, neg[0], v)
-        count += 1
-        if count > bound:
-            raise InternalConsistencyError("Levi dualization did not terminate")
-
-
-def _roots_outside_levi(pb: Parabolic) -> list[tuple[int, ...]]:
-    return [beta for beta in positive_roots(pb.datum) if any(beta[i - 1] for i in pb.marked)]
+    return _descend(pb.datum, pb.unmarked(), tuple(-c for c in w))[0]
 
 
 def canonical_weight(pb: Parabolic) -> Weight:
     """Weight of the canonical bundle: minus the sum of roots outside the Levi."""
     cartan = cartan_matrix(pb.datum)
     total = [0] * pb.rank
-    for beta in _roots_outside_levi(pb):
-        for c, row in zip(beta, cartan):
-            for k in range(pb.rank):
-                total[k] -= c * row[k]
+    for beta in positive_roots(pb.datum):
+        if any(beta[i - 1] for i in pb.marked):
+            for c, row in zip(beta, cartan):
+                total = [t - c * r for t, r in zip(total, row)]
     return tuple(total)
-
-
-def homogeneous_dimension(pb: Parabolic) -> int:
-    """dim G/P = number of positive roots outside the Levi."""
-    return len(_roots_outside_levi(pb))

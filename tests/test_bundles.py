@@ -108,6 +108,12 @@ def test_sum_validation():
         B.make_sum(D5_P4, [((1, 0, 0, 0, 0), 0)])
 
 
+def test_irr_rejects_wrong_length():
+    for w in ((1, 0, 0, 0, 0, 0), (1, 0)):
+        with pytest.raises(DomainError, match=f"^weight length {len(w)} != rank 5$"):
+            B.irr(D5_P4, w)
+
+
 def test_equal_bundles_built_along_different_routes_are_one_key():
     from homcoh.parser import parse_bundle
 

@@ -87,6 +87,12 @@ def test_ls_chase_affine_kernel_for_dual_sections(eng):
     assert res == rep_result(D5, {0: [(0, 0, 0, 1, 0)]})
 
 
+def test_ls_chase_rejects_an_unknown_variance(eng):
+    seq = next(s for s in B.standard_sequences() if s.name == "affine-kernel")
+    with pytest.raises(roots.DomainError, match="variance 'Onto'"):
+        ls_chase(seq, B.O(6), unknown=0, engine=eng, twist_by=6, variance="Onto")
+
+
 def test_ls_chase_five_term_consistency(eng):
     five = next(s for s in B.standard_sequences() if s.name == "five-term")
     assert ls_chase(five, B.Uv(), unknown=0, engine=eng) == trivial_result(0)

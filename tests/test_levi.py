@@ -394,6 +394,12 @@ def test_branching_examples():
     assert levi.branch_d5_to_b4((0, 0, 0, 0, 0)) == {(0, 0, 0, 0): 1}
 
 
+def test_branch_d5_to_b4_rejects_wrong_length():
+    for mu in ((1, 0, 0, 0, 0, 0), (1, 0, 0)):
+        with pytest.raises(roots.DomainError, match=f"^weight length {len(mu)} != rank 5$"):
+            levi.branch_d5_to_b4(mu)
+
+
 def test_branching_preserves_dimension_small_cases():
     # exhaustive over coefficients <= 2 in the first four nodes, <= 1 in the last
     for a in range(3):

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import random
 from fractions import Fraction as Q
 
@@ -85,6 +87,35 @@ def test_weyl_rows_match_epsilon_oracle():
         assert set(expanded) == _eps_positive_roots(family, n), (family, n)
 
 
+def test_closed_form_views_match_the_epsilon_oracle():
+    # The round trip below cannot see an error both maps share: each map is
+    # checked against this file's own simple roots instead.
+    for family, n in ORACLE_DATA:
+        datum, simple = LieDatum(family, n), _simple_eps(family, n)
+        for j in range(n):
+            omega = roots.omega_to_eps(datum, tuple(int(k == j) for k in range(n)))
+            pairings = [2 * Q(_dot(omega, a), _dot(a, a)) for a in simple]
+            assert pairings == [int(i == j) for i in range(n)], (datum, j)
+            if family == "A":
+                assert sum(omega) == 0
+        cartan = _oracle_cartan(simple)
+        assert tuple(roots.eps_to_omega(datum, a) for a in simple) == cartan, datum
+
+
+def test_omega_to_eps_rejects_wrong_length():
+    for w in ((1, 0, 0, 0, 0, 0), (1,)):
+        with pytest.raises(roots.DomainError, match=f"^weight length {len(w)} != rank 5$"):
+            roots.omega_to_eps(D5, w)
+
+
+def test_eps_to_omega_rejects_wrong_length():
+    for v in ((1, 0), (1, 0, 0, 0, 0, 0)):
+        with pytest.raises(roots.DomainError, match=f"^epsilon vector length {len(v)} != 5 for D5$"):
+            roots.eps_to_omega(D5, v)
+    with pytest.raises(roots.DomainError, match="^epsilon vector length 4 != 5 for A4$"):
+        roots.eps_to_omega(LieDatum("A", 4), (1, 0, 0, 0))
+
+
 def test_cartan_d5_third_row():
     assert roots.cartan_matrix(D5)[2] == (0, -1, 2, -1, -1)
 
@@ -163,13 +194,13 @@ def test_spin_weights_have_denominator_two():
 
 
 def test_positive_root_counts():
-    assert len(roots.positive_roots_eps(D5)) == 20
-    assert len(roots.positive_roots_eps(B4)) == 16
+    assert len(roots.positive_roots(D5)) == 20
+    assert len(roots.positive_roots(B4)) == 16
 
 
 def test_positive_roots_dominant_conjugates():
     for datum in (D5, B4):
-        for root in roots.positive_roots_eps(datum):
+        for root in _eps_positive_roots(datum.family, datum.rank):
             w = roots.eps_to_omega(datum, root)
             dom, _ = roots.dominant_conjugate(datum, w)
             assert roots.is_dominant(dom)
@@ -208,15 +239,35 @@ def test_dualize_levi_rejects_bad_input():
         roots.dualize_levi(D5_P4, (-1, 0, 0, 0, 0))
 
 
+def test_dualize_levi_rejects_wrong_length():
+    for w in ((1, 0, 0, 0, 0, 0), (1, 0)):
+        with pytest.raises(roots.DomainError, match=f"^weight length {len(w)} != rank 5$"):
+            roots.dualize_levi(D5_P4, w)
+
+
+def _solve(matrix, rhs):
+    # Gaussian elimination over the rationals; the system is square and regular.
+    n = len(matrix)
+    m = [[Q(x) for x in row] + [Q(rhs[i])] for i, row in enumerate(matrix)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if m[r][col] != 0)
+        m[col], m[pivot] = m[pivot], m[col]
+        m[col] = [x / m[col][col] for x in m[col]]
+        for r in range(n):
+            if r != col:
+                m[r] = [a - m[r][col] * b for a, b in zip(m[r], m[col])]
+    return [m[r][n] for r in range(n)]
+
+
 def _oracle_canonical(pb, simple):
     # independent expansion: sum positive roots whose simple-root coordinates
     # touch a marked node, using exact elimination over the hardcoded tables
     datum = pb.datum
     total = [Q(0)] * len(simple[0])
-    for root in roots.positive_roots_eps(datum):
-        gram = [[Q(_dot(simple[k], simple[j])) for k in range(datum.rank)] for j in range(datum.rank)]
-        rhs = [Q(_dot(root, simple[j])) for j in range(datum.rank)]
-        coords = roots._solve_exact(gram, rhs)
+    for root in _eps_positive_roots(datum.family, datum.rank):
+        gram = [[_dot(simple[k], simple[j]) for k in range(datum.rank)] for j in range(datum.rank)]
+        rhs = [_dot(root, simple[j]) for j in range(datum.rank)]
+        coords = _solve(gram, rhs)
         if any(coords[m - 1] != 0 for m in pb.marked):
             for k in range(len(total)):
                 total[k] += root[k]
@@ -229,12 +280,6 @@ def test_canonical_weights():
     assert roots.canonical_weight(D5_P4) == _oracle_canonical(D5_P4, D5_SIMPLE)
     assert roots.canonical_weight(B4_Q4) == _oracle_canonical(B4_Q4, B4_SIMPLE)
     assert roots.canonical_weight(Parabolic(LieDatum("A", 1), (1,))) == (-2,)
-
-
-def test_homogeneous_dimension():
-    assert roots.homogeneous_dimension(D5_P4) == 10
-    assert roots.homogeneous_dimension(B4_Q4) == 10
-    assert roots.homogeneous_dimension(Parabolic(LieDatum("A", 1), (1,))) == 1
 
 
 def test_invalid_data_rejected():
@@ -255,6 +300,12 @@ def test_dual_weight_swaps_spin_nodes():
     assert roots.dual_weight(D5, (0, 0, 0, 0, 1)) == (0, 0, 0, 1, 0)
     assert roots.dual_weight(D5, (1, 0, 0, 0, 0)) == (1, 0, 0, 0, 0)
     assert roots.dual_weight(B4, (0, 1, 0, 1)) == (0, 1, 0, 1)
+
+
+def test_dual_weight_rejects_wrong_length():
+    for w in ((1, 0, 0, 0, 0, 0), (1, 0, 0)):
+        with pytest.raises(roots.DomainError, match=f"^weight length {len(w)} != rank 5$"):
+            roots.dual_weight(D5, w)
 
 
 def _eps_positive_roots(family, n):
@@ -293,18 +344,14 @@ def test_positive_roots_match_epsilon_enumeration():
         expanded = [tuple(sum(c * a[k] for c, a in zip(beta, simple)) for k in range(dim)) for beta in coords]
         assert len(set(expanded)) == len(expanded)
         assert set(expanded) == _eps_positive_roots(family, n)
-        assert set(roots.positive_roots_eps(LieDatum(family, n))) == _eps_positive_roots(family, n)
 
 
 def test_weight_format_stays_behind_roots_and_levi():
     # Weights are integer omega-vectors; the Fraction view lives in roots and
     # levi only, so the layers above never build a Fraction.
-    import ast
-    import inspect
+    from homcoh import bbw, bundles, cli, corpus, ext, mutations, parser
 
-    from homcoh import bbw, bundles, ext, mutations
-
-    for module in (bbw, bundles, ext, mutations):
+    for module in (bbw, bundles, ext, mutations, parser, corpus, cli):
         tree = ast.parse(inspect.getsource(module))
         imported = set()
         for node in ast.walk(tree):
@@ -313,6 +360,24 @@ def test_weight_format_stays_behind_roots_and_levi():
             elif isinstance(node, ast.ImportFrom) and node.module:
                 imported.add(node.module.split(".")[0])
         assert "fractions" not in imported, module.__name__
+
+
+def test_fraction_stays_inside_the_two_epsilon_views():
+    # Inside roots, Fraction names only the EpsVector alias and appears in
+    # the bodies of the two closed-form views, so no epsilon table grows back.
+    tree = ast.parse(inspect.getsource(roots))
+    (alias,) = [
+        a.asname or a.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.module == "fractions"
+        for a in node.names
+    ]
+    users = {
+        node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else ast.unparse(node)
+        for node in tree.body
+        if any(isinstance(n, ast.Name) and n.id == alias for n in ast.walk(node))
+    }
+    assert users == {f"EpsVector = tuple[{alias}, ...]", "omega_to_eps", "eps_to_omega"}
 
 
 def test_equal_parabolics_are_one_key_and_data_keep_their_order():
