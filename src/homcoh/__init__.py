@@ -19,12 +19,10 @@ from .roots import (
     is_dominant,
     is_levi_dominant,
     rho,
-    simple_reflection,
 )
 from .bbw import Cohomology, bbw_cohomology, weyl_dim
 from .levi import (
     branch_d5_to_b4,
-    invariant_multiplicity,
     levi_dim,
     sym_power,
     tensor_decompose,

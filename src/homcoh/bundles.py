@@ -53,6 +53,7 @@ class Sum:
 
     def __post_init__(self) -> None:
         for w, m in self.parts:
+            roots.check_length(self.space.datum, w)
             if m <= 0:
                 raise DomainError("multiplicities must be positive")
             if not roots.is_levi_dominant(self.space, w):
@@ -110,8 +111,15 @@ def make_sum(space: Parabolic, parts: dict[Weight, int] | list[tuple[Weight, int
 
 
 def irr(space: Parabolic, w: Weight) -> Sum:
-    roots.check_length(space.datum, w)
     return make_sum(space, {tuple(w): 1})
+
+
+def level(obj: BundleObject) -> int:
+    """k such that obj is a twist by k of an object at level zero: the twist
+    of a named object, else the marked coordinate of the first part."""
+    if isinstance(obj, Named):
+        return obj.twist
+    return obj.parts[0][0][obj.space.marked[0] - 1]
 
 
 def twist(obj: BundleObject, k: int) -> BundleObject:
@@ -224,15 +232,6 @@ class Sequence:
 
     name: str
     terms: tuple[Term, ...]
-
-    def match(self, obj: BundleObject) -> list[tuple[int, int]]:
-        """(index, twist) pairs where twisting the whole sequence hits obj."""
-        out = []
-        for i, term in enumerate(self.terms):
-            t = _twist_delta(term.obj, obj)
-            if t is not None:
-                out.append((i, t))
-        return out
 
 
 def coeff_dim(coeff: Coeff) -> int:
@@ -498,9 +497,22 @@ def standard_sequences() -> tuple[Sequence, ...]:
 
 
 @lru_cache(maxsize=None)
+def _terms_at_level_zero() -> dict[BundleObject, list[tuple[Sequence, int, int]]]:
+    """Each registered term at level zero -> its (sequence, index, level), in registry order."""
+    index: dict[BundleObject, list[tuple[Sequence, int, int]]] = {}
+    for seq in standard_sequences():
+        for idx, term in enumerate(seq.terms):
+            k = level(term.obj)
+            index.setdefault(twist(term.obj, -k), []).append((seq, idx, k))
+    return index
+
+
+@lru_cache(maxsize=None)
 def sequence_matches(obj: BundleObject) -> tuple[tuple[Sequence, int, int], ...]:
-    """All (sequence, index, twist) triples realizing obj as a sequence term."""
-    return tuple((seq, idx, t) for seq in standard_sequences() for idx, t in seq.match(obj))
+    """All (sequence, index, twist) triples realizing obj as a sequence term,
+    in registry order: the twisted term and obj agree at level zero."""
+    k = level(obj)
+    return tuple((seq, idx, k - k0) for seq, idx, k0 in _terms_at_level_zero().get(twist(obj, -k), ()))
 
 
 def _any_match(obj: BundleObject) -> tuple[Sequence, int, int]:

@@ -125,9 +125,7 @@ def cmd_ext(args) -> int:
         print(f"ambiguous: Ext({E}, {F}): {res.reason}; chi = {res.euler}")
         return EXIT_AMBIGUOUS
     if args.equivariant:
-        branched = any(
-            datum == roots.D5 for _, layer in res.graded for entry, _ in layer for datum, _w in entry
-        )
+        branched = any(datum == roots.D5 for _, entry, _ in res.pieces for datum, _w in entry)
         for line in ext_mod.format_graded(res.invariant_part()):
             print(line)
         if branched:

@@ -18,39 +18,21 @@ each object's class as pieces on both descriptions and each chi(L1-dual (x)
 L2) under the pair as asked, so a pairing of objects already seen reads
 one table entry per pair of pieces and computes nothing.
 
-Graded pieces are stored as multisets of formal tensors of full-group
-irreducibles; a coefficient representation multiplying a nontrivial
-cohomology representation stays unexpanded (tensor product decompositions
-of the full group are never required).  Only Spin(9) acts on a pair with
-a B4/Q4 summand that is not a twist of O, so every D5 factor of its
-answer is branched to B4 before the routes are compared: such a pair is
-labelled by B4 irreducibles alone.
+An Ext answer has one shape, the flat multiset of its graded pieces: an
+ExtResult holds them as (degree, entry, mult) tuples sorted by (degree,
+entry), none with multiplicity zero, and a Graded dict (degree, entry) ->
+mult accumulates them while an answer is built.  An entry is a formal
+tensor of full-group irreducibles; a coefficient representation
+multiplying a nontrivial cohomology representation stays unexpanded
+(tensor product decompositions of the full group are never required).
+Only Spin(9) acts on a pair with a B4/Q4 summand that is not a twist of
+O, so every D5 factor of its answer is branched to B4 before the routes
+are compared: such a pair is labelled by B4 irreducibles alone.
 
 Ext(E(k), F(k)) = Ext(E, F), labels included, so an engine computes one
 Ext per twist class and keeps it under every pair asked from that class,
 Ambiguous answers included when no cycle was cut while computing them (see
 ExtEngine), their reasons naming no pair.
-
-A chase asks for the same pure values many times: the BBW pieces of one
-pair of irreducibles, a Levi dual, a BBW walk, a sequence term at a twist,
-an object at level zero, an object's K-class.  Each ExtEngine keeps them in
-eight tables of its own (see ExtEngine), keyed by hashable values, created
-empty with the engine and dropped with it.  Two of them, _levels keyed by
-(obj,) and _shifts keyed by (obj, -k), take a pair asked to its level-zero
-memo key in two lookups once both objects have been seen.  The tables are per
-engine, not module-level caches, for two reasons.  A fresh engine
-recomputes through the roots, bbw and levi functions installed at that
-moment, so a fault injected into them, or a tracer wrapped around them,
-is seen by the next engine even when another engine is already warm.  And
-their memory is held only while an engine is alive and only for what it
-asked.  Below them, levi keeps two tables of its own for the process,
-filled by every caller, in an engine or not (the tensor command,
-bundles.tensor): _PRODUCTS, the Levi products of each pair of partitions
-at central charge 0, and _KOSTKA, the Kostka numbers of each weight-side
-partition of the Brauer-Klimyk loop.  A fault in that loop reaches only the
-pairs it has not yet seen, and one in levi._kostka only the partitions it
-has not yet seen.  The branchings of levi.branch_levi and
-levi.b4_content are kept for the process in the same way.
 """
 
 from __future__ import annotations
@@ -65,7 +47,7 @@ from .bundles import BundleObject, Named, Sequence, Sum, Term
 from .roots import InternalConsistencyError
 
 Entry = tuple[bundles.RepFactor, ...]
-Graded = dict[int, dict[Entry, int]]
+Graded = dict[tuple[int, Entry], int]  # (degree, entry) -> multiplicity
 Route = tuple[Sequence, int, int, bool]  # a chase: sequence, index, twist, contravariant
 
 
@@ -93,60 +75,53 @@ def _lookup(table: dict, fn: Callable, *args):
 
 
 def add_piece(graded: Graded, degree: int, entry: Entry, mult: int) -> None:
-    if mult == 0:
-        return
-    layer = graded.setdefault(degree, {})
-    layer[entry] = layer.get(entry, 0) + mult
-    if layer[entry] == 0:
-        del layer[entry]
-    if not layer:
-        del graded[degree]
+    key = degree, entry
+    total = graded.get(key, 0) + mult
+    if total:
+        graded[key] = total
+    else:
+        graded.pop(key, None)
 
 
 @dataclass(frozen=True)
 class ExtResult:
-    """Exact graded Ext, entries keyed by formal tensors of irreducibles."""
+    """Exact graded Ext as its flat pieces (see the module docstring)."""
 
-    graded: tuple[tuple[int, tuple[tuple[Entry, int], ...]], ...]
+    pieces: tuple[tuple[int, Entry, int], ...]
 
     @staticmethod
     def from_dict(graded: Graded) -> "ExtResult":
-        return ExtResult(
-            tuple(
-                (p, tuple(sorted(layer.items())))
-                for p, layer in sorted(graded.items())
-                if layer
-            )
-        )
+        return ExtResult(tuple((p, e, m) for (p, e), m in sorted(graded.items()) if m))
 
     def as_dict(self) -> Graded:
-        return {p: dict(layer) for p, layer in self.graded}
+        return {(p, e): m for p, e, m in self.pieces}
 
     def dims(self) -> dict[int, int]:
-        return {
-            p: sum(m * entry_dim(e) for e, m in layer)
-            for p, layer in self.graded
-            if layer
-        }
+        """The dimension of each degree that has a piece."""
+        out: dict[int, int] = {}
+        for p, e, m in self.pieces:
+            out[p] = out.get(p, 0) + m * entry_dim(e)
+        return out
 
     def euler(self) -> int:
-        return sum((-1) ** p * d for p, d in self.dims().items())
+        return sum((-1) ** p * m * entry_dim(e) for p, e, m in self.pieces)
 
     @property
     def is_zero(self) -> bool:
-        return not self.graded
+        return not self.pieces
 
     @property
     def is_decomposed(self) -> bool:
         """True when no graded piece carries an unexpanded tensor factor."""
-        return all(len(entry) <= 1 for _, layer in self.graded for entry, _ in layer)
+        return all(len(entry) <= 1 for _, entry, _ in self.pieces)
 
     def invariant_part(self) -> "ExtResult":
-        """The equivariant answer: per degree p, C^m[-p] with m the
-        multiplicity of the trivial B4 representation (levi.invariant_multiplicity)."""
-        return ExtResult.from_dict(
-            {p: {(): m} for p, m in levi.invariant_multiplicity(self.as_dict()).items()}
-        )
+        """The equivariant answer: per degree p, C^m[-p] with m the multiplicity
+        of the trivial B4 representation (levi.invariant_multiplicity_entry)."""
+        acc: Graded = {}
+        for p, entry, m in self.pieces:
+            add_piece(acc, p, (), m * levi.invariant_multiplicity_entry(entry))
+        return ExtResult.from_dict(acc)
 
     def __repr__(self) -> str:
         return " + ".join(format_graded(self))
@@ -189,15 +164,14 @@ def format_graded(res: ExtResult) -> list[str]:
     if res.is_zero:
         return ["0"]
     pieces = []
-    for p, layer in res.graded:
-        for entry, m in layer:
-            if not entry:
-                label = "C" if m == 1 else f"C^{m}"
-                pieces.append(f"{label}[{-p}]")
-            else:
-                reps = " * ".join(f"V{roots.format_weight(w)}" for _, w in entry)
-                prefix = f"{m}*" if m > 1 else ""
-                pieces.append(f"{prefix}{reps} @ {p}")
+    for p, entry, m in res.pieces:
+        if not entry:
+            label = "C" if m == 1 else f"C^{m}"
+            pieces.append(f"{label}[{-p}]")
+        else:
+            reps = " * ".join(f"V{roots.format_weight(w)}" for _, w in entry)
+            prefix = f"{m}*" if m > 1 else ""
+            pieces.append(f"{prefix}{reps} @ {p}")
     return pieces
 
 
@@ -210,18 +184,13 @@ def _on_d5(X: BundleObject) -> BundleObject:
 
 def _level_zero(E: BundleObject) -> tuple[BundleObject, int]:
     """E written on D5/P4 when it is a twist of O, twisted by -k, and its
-    level k: its twist when named, else the marked coordinate of its first
-    part.  Ext(E(k), F(k)) = Ext(E, F), so an engine computes Ext(E, F) at
+    level k (bundles.level).  Ext(E(k), F(k)) = Ext(E, F), so an engine computes Ext(E, F) at
     level zero, with F shifted by -k through _shift.
 
     O(k) is the same line bundle on both descriptions; written on D5/P4 it
     gets the labels of every other pair with a D5/P4 side."""
     E = _on_d5(E)
-    if isinstance(E, Named):
-        k = E.twist
-    else:
-        (m,) = E.space.marked
-        k = E.parts[0][0][m - 1]
+    k = bundles.level(E)
     return bundles.twist(E, -k), k
 
 
@@ -235,11 +204,10 @@ def _shift(F: BundleObject, t: int) -> BundleObject:
 def _branch_to_b4(res: ExtResult) -> ExtResult:
     """res with every D5 factor of every entry branched to its B4 irreducibles."""
     acc: Graded = {}
-    for p, layer in res.graded:
-        for entry, m in layer:
-            for combo in itertools.product(*(levi.b4_content(d, w) for d, w in entry)):
-                mult = m * math.prod(c for _, c in combo)
-                add_piece(acc, p, _entry(*((roots.B4, w) for w, _ in combo)), mult)
+    for p, entry, m in res.pieces:
+        for combo in itertools.product(*(levi.b4_content(d, w) for d, w in entry)):
+            mult = m * math.prod(c for _, c in combo)
+            add_piece(acc, p, _entry(*((roots.B4, w) for w, _ in combo)), mult)
     return ExtResult.from_dict(acc)
 
 
@@ -266,15 +234,14 @@ def _class_pieces(obj: BundleObject) -> tuple[Pieces | None, Pieces]:
     return tuple((w, n) for (_, w), n in cls.items()), on_b4
 
 
-def _tensor_coeff(graded: Graded, coeff: bundles.Coeff) -> Graded:
+def _tensor_coeff(res: ExtResult, coeff: bundles.Coeff) -> ExtResult:
     if not coeff:
-        return graded
-    out: Graded = {}
-    for p, layer in graded.items():
-        for entry, m in layer.items():
-            for factor, cm in coeff:
-                add_piece(out, p, _entry(*entry, factor), m * cm)
-    return out
+        return res
+    acc: Graded = {}
+    for p, entry, m in res.pieces:
+        for factor, cm in coeff:
+            add_piece(acc, p, _entry(*entry, factor), m * cm)
+    return ExtResult.from_dict(acc)
 
 
 class ExtEngine:
@@ -298,13 +265,14 @@ class ExtEngine:
     pure values, each filled on its first lookup through _lookup and keyed
     by the arguments of the function that fills it:
 
-    - _pairs: (pb, w1, w2) -> the direct BBW pieces of Ext(E_w1, E_w2) for
-      two irreducibles, as (degree, entry, mult) tuples (_pair_pieces);
-    - _levi_chis: (pb, w1, w2) -> chi(E_w1-dual (x) E_w2), summed over the
-      _pairs pieces (_levi_chi), for the Euler form.  Like the Ext memo it
-      keeps each value under two keys: with w1 at level zero, where
-      _levi_chi computes it, and the pair as _pairing asked it, so that a
-      repeated pair is one dictionary read (_fill_levi_chi);
+    - _pairs: (pb, w1, w2) -> the direct BBW answer Ext(E_w1, E_w2) for two
+      irreducibles, an ExtResult (_pair_pieces);
+    - _levi_chis: (pb, w1, w2) -> chi(E_w1-dual (x) E_w2), the Euler
+      characteristic of the _pairs answer (_levi_chi), for the Euler form.
+      Like the Ext memo it keeps each value under two keys: with w1 at
+      level zero, where _levi_chi computes it, and the pair as _pairing
+      asked it, so that a repeated pair is one dictionary read
+      (_fill_levi_chi);
     - _levi_duals: (pb, w) -> roots.dualize_levi(pb, w);
     - _cohomology: (pb, nu) -> bbw.bbw_cohomology(pb, nu);
     - _terms: (term, t, contravariant) -> the term's object twisted by t
@@ -318,10 +286,13 @@ class ExtEngine:
       for the first object of a pair;
     - _shifts: (obj, -k) -> obj twisted by -k (_shift), for the second.
 
-    The tables start empty and live exactly as long as the engine, so a
-    fault injected into roots, bbw or levi reaches every engine built
-    after it, and their memory goes with the engine (see the module
-    docstring).
+    The tables start empty and live exactly as long as the engine; they
+    are not module-level caches.  A fresh engine recomputes through the
+    roots, bbw and levi functions installed at that moment, so a fault
+    injected into them, or a tracer wrapped around them, is seen by the
+    next engine even when another engine is already warm.  And their
+    memory is held only while the engine is alive and only for what it
+    asked.
     """
 
     def __init__(self) -> None:
@@ -454,9 +425,8 @@ class ExtEngine:
                 sub = self.ext(bundles.irr(E.space, w1), bundles.irr(F.space, w2))
                 if isinstance(sub, Ambiguous):
                     return None
-                for p, layer in sub.as_dict().items():
-                    for entry, m in layer.items():
-                        add_piece(acc, p, entry, m1 * m2 * m)
+                for p, entry, m in sub.pieces:
+                    add_piece(acc, p, entry, m1 * m2 * m)
         return ExtResult.from_dict(acc)
 
     def _direct(self, E: BundleObject, F: BundleObject) -> ExtResult | None:
@@ -475,31 +445,30 @@ class ExtEngine:
         acc: Graded = {}
         for w1, m1 in E.parts:
             for w2, m2 in F.parts:
-                for degree, entry, mult in _lookup(self._pairs, self._pair_pieces, pb, w1, w2):
-                    add_piece(acc, degree, entry, m1 * m2 * mult)
+                for p, entry, m in _lookup(self._pairs, self._pair_pieces, pb, w1, w2).pieces:
+                    add_piece(acc, p, entry, m1 * m2 * m)
         return ExtResult.from_dict(acc)
 
-    def _pair_pieces(
-        self, pb: roots.Parabolic, w1: roots.Weight, w2: roots.Weight
-    ) -> tuple[tuple[int, Entry, int], ...]:
-        """BBW of E_w1-dual tensor E_w2, one (degree, entry, mult) per nonvanishing piece."""
+    def _pair_pieces(self, pb: roots.Parabolic, w1: roots.Weight, w2: roots.Weight) -> ExtResult:
+        """The direct answer Ext(E_w1, E_w2): the BBW cohomology of each Levi
+        piece of E_w1-dual tensor E_w2, repeated (degree, entry) keys merged."""
         datum = pb.datum
         w1d = _lookup(self._levi_duals, roots.dualize_levi, pb, w1)
-        pieces = []
+        acc: Graded = {}
         for nu, mult in levi.tensor_decompose(pb, w1d, w2).items():
             coh = _lookup(self._cohomology, bbw.bbw_cohomology, pb, nu)
             if not coh.vanishes:
-                pieces.append((coh.degree, _entry((datum, coh.weight)), mult))
-        return tuple(pieces)
+                add_piece(acc, coh.degree, _entry((datum, coh.weight)), mult)
+        return ExtResult.from_dict(acc)
 
     # -- chase machinery ---------------------------------------------------
 
-    def _column(self, term: Term, t: int, partner: BundleObject, contravariant: bool) -> Graded | None:
+    def _column(self, term: Term, t: int, partner: BundleObject, contravariant: bool) -> ExtResult | None:
         obj, coeff = _lookup(self._terms, self._term_at, term, t, contravariant)
         res = self.ext(obj, partner) if contravariant else self.ext(partner, obj)
         if isinstance(res, Ambiguous):
             return None
-        return _tensor_coeff(res.as_dict(), coeff)
+        return _tensor_coeff(res, coeff)
 
     def _term_at(self, term: Term, t: int, contravariant: bool) -> tuple[BundleObject, bundles.Coeff]:
         """The term twisted by t, and its coefficient, dualized when contravariant."""
@@ -508,7 +477,7 @@ class ExtEngine:
     def _chase(
         self, seq: Sequence, idx: int, t: int, partner: BundleObject, contravariant: bool
     ) -> ExtResult | Ambiguous:
-        cols: list[Graded | None] = []
+        cols: list[ExtResult | None] = []
         for j, term in enumerate(seq.terms):
             if j == idx:
                 cols.append(None)
@@ -523,7 +492,7 @@ class ExtEngine:
         solved = _solve_exact_sequence(cols, idx)
         if solved is None:
             return Ambiguous(0, f"chase over {seq.name} does not degenerate")
-        return ExtResult.from_dict(solved)
+        return solved
 
     # -- Euler characteristics --------------------------------------------
 
@@ -566,23 +535,16 @@ class ExtEngine:
         return chi
 
     def _levi_chi(self, pb: roots.Parabolic, w1: roots.Weight, w2: roots.Weight) -> int:
-        """chi(E_w1-dual (x) E_w2) for two irreducibles, from their direct BBW pieces."""
-        pieces = _lookup(self._pairs, self._pair_pieces, pb, w1, w2)
-        return sum((-1) ** p * mult * entry_dim(entry) for p, entry, mult in pieces)
+        """chi(E_w1-dual (x) E_w2) for two irreducibles, from their direct BBW answer."""
+        return _lookup(self._pairs, self._pair_pieces, pb, w1, w2).euler()
 
 
-def _dims_at(col: Graded, p: int) -> int:
-    layer = col.get(p, {})
-    return sum(m * entry_dim(e) for e, m in layer.items())
+def _merge(target: Graded, col: ExtResult, shift: int) -> None:
+    for p, entry, m in col.pieces:
+        add_piece(target, p + shift, entry, m)
 
 
-def _merge(target: Graded, col: Graded, shift: int) -> None:
-    for p, layer in col.items():
-        for entry, m in layer.items():
-            add_piece(target, p + shift, entry, m)
-
-
-def _solve_ses(cols: list[Graded | None], idx: int) -> Graded | None:
+def _solve_ses(cols: list[ExtResult | None], idx: int) -> ExtResult | None:
     """Solve one short exact sequence column-wise.
 
     cols follow covariant LES order: ... -> c0^p -> c1^p -> c2^p -> c0^{p+1} -> ...
@@ -595,15 +557,16 @@ def _solve_ses(cols: list[Graded | None], idx: int) -> Graded | None:
     degrees of its source column are the only ones to walk.
     """
     x, y = cols[(idx + 1) % 3], cols[(idx + 2) % 3]
-    if any(_dims_at(x, p) and _dims_at(y, p + (idx == 1)) for p in x):
+    y_dims = y.dims()
+    if any(d and y_dims.get(p + (idx == 1)) for p, d in x.dims().items()):
         return None
     out: Graded = {}
     _merge(out, y, int(idx == 0))
     _merge(out, x, -int(idx == 2))
-    return out
+    return ExtResult.from_dict(out)
 
 
-def _solve_exact_sequence(cols: list[Graded | None], idx: int) -> Graded | None:
+def _solve_exact_sequence(cols: list[ExtResult | None], idx: int) -> ExtResult | None:
     """Solve an n-term exact sequence with one unknown column (covariant order).
 
     Longer sequences are split into short exact sequences through their
@@ -612,7 +575,7 @@ def _solve_exact_sequence(cols: list[Graded | None], idx: int) -> Graded | None:
     n = len(cols)
     if n == 2:
         # 0 -> A -> B -> 0: isomorphism
-        return dict(cols[1 - idx])  # type: ignore[arg-type]
+        return cols[1 - idx]
     if n == 3:
         return _solve_ses(cols, idx)
     if idx >= 2:

@@ -337,20 +337,3 @@ def invariant_multiplicity_entry(factors: tuple[tuple[roots.LieDatum, Weight], .
         b = dict(b4_content(*nontrivial[1]))
         return sum(m * b.get(t, 0) for t, m in a.items())
     raise InternalConsistencyError("invariants of >2 formal tensor factors not supported")
-
-
-def invariant_multiplicity(graded_reps: dict[int, dict]) -> dict[int, int]:
-    """Per degree, the multiplicity of the trivial B4 representation.
-
-    Input entries map formal tensors (tuples of (datum, weight) pairs) to
-    multiplicities, the shape produced by the Ext engine; D5 factors are
-    branched to B4 first.
-    """
-    out: dict[int, int] = {}
-    for degree, entries in graded_reps.items():
-        total = 0
-        for factors, mult in entries.items():
-            total += mult * invariant_multiplicity_entry(factors)
-        if total:
-            out[degree] = total
-    return out

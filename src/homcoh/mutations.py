@@ -300,23 +300,22 @@ def _find_recipe(direction: str, E1: CollectionObject, E2: CollectionObject, hyp
     coefficient; block mutations never need one to."""
     if hyp == ext_mod.trivial_result(1):
         recipe = "extension"
-    elif [p for p, _ in hyp.graded] == [0]:
+    elif {p for p, _, _ in hyp.pieces} == {0}:
         recipe = "left-kernel" if direction == "L" else "right-cokernel"
     else:
         return None
     i1, i2, out, shift = _RECIPES[recipe]
-    for seq in bundles.standard_sequences():
-        if len(seq.terms) != 3:
+    for seq, idx, t in bundles.sequence_matches(E1):
+        if idx != i1 or len(seq.terms) != 3:
             continue
         a, b, c = seq.terms
         if a.coeff or c.coeff or bool(b.coeff) == (recipe == "extension"):
             continue
-        t = bundles._twist_delta(seq.terms[i1].obj, E1)
-        if t is None or bundles.twist(seq.terms[i2].obj, t) != E2:
+        if bundles.twist(seq.terms[i2].obj, t) != E2:
             continue
         if recipe != "extension":
             want = b.coeff if recipe == "left-kernel" else bundles.coeff_dual(b.coeff)
-            if hyp != ExtResult.from_dict({0: {(factor,): m for factor, m in want}}):
+            if hyp != ExtResult.from_dict({(0, (factor,)): m for factor, m in want}):
                 continue
         return recipe, bundles.twist(seq.terms[out].obj, t), shift
     return None

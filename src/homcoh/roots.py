@@ -220,15 +220,6 @@ def is_dominant(w: Weight) -> bool:
     return all(c >= 0 for c in w)
 
 
-def simple_reflection(datum: LieDatum, i: int, w: Weight) -> Weight:
-    """s_i(w) = w - w_i * alpha_i, with alpha_i in the omega-basis."""
-    if not 1 <= i <= datum.rank:
-        raise DomainError(f"node {i} out of range for {datum}")
-    row = cartan_matrix(datum)[i - 1]
-    c = w[i - 1]
-    return tuple(w[k] - c * row[k] for k in range(datum.rank))
-
-
 def _descend(datum: LieDatum, nodes: range | tuple[int, ...], v: Weight) -> tuple[Weight, int]:
     # Reflect at the first of the nodes with a negative coefficient, by
     # subtracting that multiple of its Cartan row, until there is none.

@@ -168,9 +168,16 @@ def test_weights_of_the_wrong_length_are_domain_errors():
             weyl_dim(D5, w)
 
 
+def _reflect(datum, i, w):
+    # s_i(w) = w - w_i alpha_i, alpha_i in the omega basis being row i of the
+    # Cartan matrix (the hand-written D5 and B4 tables of test_roots check them).
+    row = roots.cartan_matrix(datum)[i - 1]
+    return tuple(a - w[i - 1] * r for a, r in zip(w, row))
+
+
 def _reference_walk(pb, weight, choose_node=None):
     # The walk as it was before it read rho and the Cartan matrix once per
-    # call: one roots.simple_reflection per step, which reads its row anew.
+    # call: one reflection per step, which reads its row anew.
     datum = pb.datum
     v = tuple(w + r for w, r in zip(weight, roots.rho(datum)))
     steps = 0
@@ -182,7 +189,7 @@ def _reference_walk(pb, weight, choose_node=None):
             mu = tuple(c - 1 for c in v)
             return steps, mu, weyl_dim(datum, mu)
         node = negatives[0] if choose_node is None else choose_node(negatives)
-        v = roots.simple_reflection(datum, node, v)
+        v = _reflect(datum, node, v)
         steps += 1
 
 

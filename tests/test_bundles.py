@@ -101,6 +101,28 @@ def test_sequence_matching_finds_all_resolutions():
     assert "quadric-kernel" in names and "quadric-coker" in names
 
 
+def test_sequence_matches_equal_a_term_by_term_scan():
+    # The level-zero index gives what trying _twist_delta on every term of
+    # every sequence gives, in the same order, on and off the registry.
+    from homcoh.parser import parse_bundle
+
+    seqs = B.standard_sequences()
+    objs = [B.twist(term.obj, t) for seq in seqs for term in seq.terms for t in range(-3, 4)]
+    objs += [parse_bundle(f"{g}({t})") for g in ("Sym2 R", "Wedge2 R", "Sym3 Uv") for t in range(-3, 4)]
+    objs += [B.irr(B.B4_Q4, (1, 0, 0, 2)), B.direct_sum(B.U(1), B.O(1)), B.direct_sum(B.U(1), B.O(2))]
+    hits = 0
+    for obj in objs:
+        scan = [
+            (seq, idx, t)
+            for seq in seqs
+            for idx, term in enumerate(seq.terms)
+            if (t := B._twist_delta(term.obj, obj)) is not None
+        ]
+        assert list(B.sequence_matches(obj)) == scan, obj
+        hits += bool(scan)
+    assert 0 < hits < len(objs)
+
+
 def test_sum_validation():
     with pytest.raises(DomainError):
         B.irr(D5_P4, (-1, 0, 0, 0, 0))
@@ -112,6 +134,15 @@ def test_irr_rejects_wrong_length():
     for w in ((1, 0, 0, 0, 0, 0), (1, 0)):
         with pytest.raises(DomainError, match=f"^weight length {len(w)} != rank 5$"):
             B.irr(D5_P4, w)
+
+
+def test_sum_rejects_wrong_length():
+    # The check sits in Sum itself, so no route to a Sum skips it.
+    for w in ((1, 0, 0, 0, 0, 0), (1, 0, 0)):
+        with pytest.raises(DomainError, match=f"^weight length {len(w)} != rank 5$"):
+            B.make_sum(D5_P4, [(w, 1)])
+        with pytest.raises(DomainError, match=f"^weight length {len(w)} != rank 5$"):
+            B.Sum(D5_P4, ((w, 1),))
 
 
 def test_equal_bundles_built_along_different_routes_are_one_key():

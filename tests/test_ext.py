@@ -52,6 +52,8 @@ def test_sym2_rank4_acyclic(eng):
 def test_equivariant_examples(eng):
     assert eng.ext_equivariant(B.sym_Rv(2), B.Uv()) == {1: 1}
     assert eng.ext_equivariant(B.wedge_Rv(2), B.Rv()) == {1: 1}
+    # the spin representation V[0,0,0,1,0] @ 0 has no invariants: no degree is left
+    assert eng.ext_equivariant(B.That(6), B.O(6)) == {}
     for obj in (B.Rv(2), B.sym_Rv(2, 2), B.wedge_Rv(2, 4), B.O(3), B.Uv(1)):
         assert eng.ext_equivariant(obj, obj) == {0: 1}, obj
 
@@ -113,11 +115,9 @@ def test_ls_chase_split_sequence_additivity(eng):
     outer_c = eng.ext(B.O(), target)
     merged = {}
     for part in (outer_a.as_dict(), outer_c.as_dict()):
-        for p, layer in part.items():
-            for entry, m in layer.items():
-                merged.setdefault(p, {})
-                merged[p][entry] = merged[p].get(entry, 0) + m
-    assert middle.as_dict() == {p: layer for p, layer in merged.items() if layer}
+        for key, m in part.items():
+            merged[key] = merged.get(key, 0) + m
+    assert middle.as_dict() == merged
 
 
 def test_engine_memoization_is_stable(eng):
@@ -448,6 +448,10 @@ def test_twists_of_o_written_on_b4_get_the_labels_of_o(name):
         assert ExtEngine().ext(parse_bundle(f"B4[0,0,0,{k}]"), E) == ExtEngine().ext(B.O(k), E), k
 
 
+def _dims_at(col, p):
+    return sum(m * X.entry_dim(e) for q, e, m in col.pieces if q == p)
+
+
 def _old_degenerates(cols, idx):
     """The degeneration test of _solve_ses as it read with a set of degrees:
     every degree of a known column and its two neighbours."""
@@ -455,17 +459,36 @@ def _old_degenerates(cols, idx):
     def degrees(*cs):
         out = set()
         for col in cs:
-            out.update(col.keys())
-            out.update(p + 1 for p in col.keys())
-            out.update(p - 1 for p in col.keys())
+            for p, _, _ in col.pieces:
+                out.update((p - 1, p, p + 1))
         return out
 
     a, b, c = cols
     if idx == 0:
-        return not any(X._dims_at(b, p) and X._dims_at(c, p) for p in degrees(b, c))
+        return not any(_dims_at(b, p) and _dims_at(c, p) for p in degrees(b, c))
     if idx == 1:
-        return not any(X._dims_at(c, p) and X._dims_at(a, p + 1) for p in degrees(c, a))
-    return not any(X._dims_at(a, p) and X._dims_at(b, p) for p in degrees(a, b))
+        return not any(_dims_at(c, p) and _dims_at(a, p + 1) for p in degrees(c, a))
+    return not any(_dims_at(a, p) and _dims_at(b, p) for p in degrees(a, b))
+
+
+def test_grid_answers_have_one_flat_shape():
+    # Every exact grid answer, and every direct answer the engine keeps in
+    # _pairs, is an ExtResult whose pieces are strictly increasing in
+    # (degree, entry), carry no zero multiplicity, and survive the Graded
+    # accumulator unchanged.
+    import ledger
+
+    eng = ExtEngine()
+    exact = [eng.ext(parse_bundle(e), parse_bundle(f)) for e, f in ledger.GRID]
+    exact = [res for res in exact if isinstance(res, ExtResult)]
+    pairs = list(eng._pairs.values())
+    assert len(exact) > 900 and pairs
+    assert all(isinstance(res, ExtResult) for res in pairs)
+    for res in exact + pairs:
+        keys = [(p, e) for p, e, _ in res.pieces]
+        assert all(a < b for a, b in zip(keys, keys[1:])), res
+        assert all(m for _, _, m in res.pieces), res
+        assert ExtResult.from_dict(res.as_dict()) == res
 
 
 def test_solve_ses_degenerates_as_the_degree_set_test_did():
@@ -475,8 +498,8 @@ def test_solve_ses_degenerates_as_the_degree_set_test_did():
     def column():
         col = {}
         for p in rng.sample(range(-2, 4), rng.randint(0, 3)):
-            col[p] = {e: rng.randint(1, 3) for e in rng.sample(entries, rng.randint(1, 2))}
-        return col
+            col.update(((p, e), rng.randint(1, 3)) for e in rng.sample(entries, rng.randint(1, 2)))
+        return ExtResult.from_dict(col)
 
     seen = set()
     for _ in range(400):
@@ -489,8 +512,8 @@ def test_solve_ses_degenerates_as_the_degree_set_test_did():
             solved = X._solve_ses(cols, idx)
             assert (solved is not None) == degenerate, (cols, idx)
             if solved is not None:
-                total = sum(X._dims_at(col, p) for col in known for p in col)
-                assert sum(X._dims_at(solved, p) for p in solved) == total
+                total = sum(sum(col.dims().values()) for col in known)
+                assert sum(solved.dims().values()) == total
     assert seen == {True, False}
 
 

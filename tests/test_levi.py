@@ -459,17 +459,14 @@ def test_levi_branching_keeps_rank_and_first_chern():
 
 
 def test_invariant_multiplicity_examples():
-    V_w1 = ((D5, (1, 0, 0, 0, 0)),)
-    triv_b4 = ((B4, (0, 0, 0, 0)),)
-    assert levi.invariant_multiplicity({1: {V_w1: 1}}) == {1: 1}
-    assert levi.invariant_multiplicity({1: {triv_b4: 1}}) == {1: 1}
-    assert levi.invariant_multiplicity({0: {(): 1}}) == {0: 1}
-    assert levi.invariant_multiplicity({}) == {}
+    assert levi.invariant_multiplicity_entry(((D5, (1, 0, 0, 0, 0)),)) == 1
+    assert levi.invariant_multiplicity_entry(((B4, (0, 0, 0, 0)),)) == 1
+    assert levi.invariant_multiplicity_entry(()) == 1
     # the 16-dimensional spin representation has no invariants
-    assert levi.invariant_multiplicity({0: {((D5, (0, 0, 0, 1, 0)),): 1}}) == {}
+    assert levi.invariant_multiplicity_entry(((D5, (0, 0, 0, 1, 0)),)) == 0
     # a formal pair has invariants equal to the branched overlap
     pair = ((D5, (0, 0, 0, 1, 0)), (D5, (0, 0, 0, 0, 1)))
-    assert levi.invariant_multiplicity({2: {pair: 1}}) == {2: 1}
+    assert levi.invariant_multiplicity_entry(pair) == 1
 
 
 def test_unsupported_levi_rejected():

@@ -389,9 +389,8 @@ def test_kclass_fault_reaches_a_fresh_engine_after_another_form_is_warm(monkeypa
 # The recipe reader as it was before one table replaced its three loops,
 # kept as the reference for the table.
 def _reference_rep_multiset(res, degree):
-    layer = dict(res.graded).get(degree, ())
     out = {}
-    for entry, m in layer:
+    for entry, m in ((e, m) for p, e, m in res.pieces if p == degree):
         if len(entry) != 1:
             return None
         out[entry[0]] = out.get(entry[0], 0) + m
