@@ -21,8 +21,13 @@ and Named: an expression of the bundle language that parser.parse_bundle
 reads back to the same object.  An irreducible prints as the first familiar
 bundle it is a twist of (O, Uv, U, T and the Schur powers of Uv and U on
 D5/P4; Rv, R and the Schur powers of both on B4/Q4), else as a weight
-literal such as `D5 [1,2,0,-3,1]`.  O(k) on B4/Q4 prints as a weight
-literal, because `O` parses to D5/P4.
+literal such as `D5 [1,2,0,-3,1]`.
+
+O(1) is one line bundle on both descriptions, so a sum of its twists is one
+object however it is spelled: Sum keeps every sum whose parts are all
+twists of O on D5/P4, and rewrites one written on B4/Q4 there when it is
+built.  A twist of O prints as a B4/Q4 weight literal only as a part of a
+B4/Q4 sum, one with a part that is not a twist of O.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from .roots import B4, B4_Q4, D5, D5_P4, DomainError, InternalConsistencyError, 
 
 RepFactor = tuple[LieDatum, Weight]
 Coeff = tuple[tuple[RepFactor, int], ...]  # multiset of full-group weights
+Parts = tuple[tuple[Weight, int], ...]  # (Levi weight, multiplicity) pairs
 
 
 @lru_cache(maxsize=None)
@@ -46,10 +52,11 @@ def _unit_weight(space: Parabolic) -> Weight:
 
 @dataclass(frozen=True)
 class Sum:
-    """Direct sum of irreducible homogeneous bundles, all in one description."""
+    """Direct sum of irreducible homogeneous bundles, all in one description;
+    a sum of twists of O is always on D5/P4."""
 
     space: Parabolic
-    parts: tuple[tuple[Weight, int], ...]
+    parts: Parts
 
     def __post_init__(self) -> None:
         for w, m in self.parts:
@@ -58,19 +65,16 @@ class Sum:
                 raise DomainError("multiplicities must be positive")
             if not roots.is_levi_dominant(self.space, w):
                 raise DomainError(f"{roots.format_weight(w)} is not Levi-dominant on {self.space}")
+        if self.space == B4_Q4:
+            on_d5 = convert_twist(self, D5_P4)
+            if on_d5 is not None:  # a sum of twists of O lives on D5/P4 only
+                object.__setattr__(self, "space", D5_P4)
+                object.__setattr__(self, "parts", on_d5)
         object.__setattr__(self, "_hash", hash((self.space, self.parts)))
 
     def __hash__(self) -> int:
         # Kept once per instance, like the hashes of LieDatum and Parabolic.
         return self._hash
-
-    def twist_amount(self) -> int | None:
-        """k when the object is O(k)^m for some m, else None."""
-        if len(self.parts) != 1:
-            return None  # distinct parts are not twists of O by one k
-        ((w, _),) = self.parts
-        k = w[self.space.marked[0] - 1]
-        return k if w == tuple(k * u for u in _unit_weight(self.space)) else None
 
     def __repr__(self) -> str:
         return bundle_expr(self)
@@ -129,8 +133,9 @@ def twist(obj: BundleObject, k: int) -> BundleObject:
         return Named(obj.name, obj.twist + k)
     unit = _unit_weight(obj.space)
     # Adding k times the marked fundamental weight changes no unmarked
-    # coordinate, so every part stays Levi-dominant, and it moves every part
-    # by one vector, so the parts stay sorted and distinct: the Sum is built
+    # coordinate, so every part stays Levi-dominant and a sum stays on the
+    # description Sum.__post_init__ chose for it, and it moves every part by
+    # one vector, so the parts stay sorted and distinct: the Sum is built
     # without Sum.__post_init__, which would check all of that again.
     parts = tuple((tuple(c + k * u for c, u in zip(w, unit)), m) for w, m in obj.parts)
     out = object.__new__(Sum)
@@ -147,32 +152,47 @@ def dual(obj: BundleObject) -> BundleObject:
 
 
 def tensor(a: Sum, b: Sum) -> Sum:
-    if a.space != b.space:
+    common = common_parts(a, b)
+    if common is None:
         raise DomainError("tensor product needs a common description")
+    space, a_parts, b_parts = common
     acc: dict[Weight, int] = {}
-    for w1, m1 in a.parts:
-        for w2, m2 in b.parts:
-            for nu, m in levi.tensor_decompose(a.space, w1, w2).items():
+    for w1, m1 in a_parts:
+        for w2, m2 in b_parts:
+            for nu, m in levi.tensor_decompose(space, w1, w2).items():
                 acc[nu] = acc.get(nu, 0) + m1 * m2 * m
-    return make_sum(a.space, acc)
+    return make_sum(space, acc)
 
 
 def direct_sum(a: Sum, b: Sum) -> Sum:
-    if a.space != b.space:
+    common = common_parts(a, b)
+    if common is None:
         raise DomainError("direct sum needs a common description")
-    return make_sum(a.space, list(a.parts) + list(b.parts))
+    space, a_parts, b_parts = common
+    return make_sum(space, a_parts + b_parts)
 
 
-def convert_twist(obj: Sum, space: Parabolic) -> Sum | None:
-    """Re-describe O(k)^m in the other description; None when not a pure twist."""
+def convert_twist(obj: Sum, space: Parabolic) -> Parts | None:
+    """The parts of obj on space: its own when it lives there, those of a
+    line-bundle sum (every part a twist of O) on the other space, else None."""
     if obj.space == space:
-        return obj
-    k = obj.twist_amount()
-    if k is None:
+        return obj.parts
+    i = obj.space.marked[0] - 1
+    if any(any(w[:i]) or any(w[i + 1 :]) for w, _ in obj.parts):
         return None
-    mult = sum(m for _, m in obj.parts)
     unit = _unit_weight(space)
-    return make_sum(space, {tuple(k * u for u in unit): mult})
+    return tuple((tuple(w[i] * u for u in unit), m) for w, m in obj.parts)
+
+
+def common_parts(a: Sum, b: Sum) -> tuple[Parabolic, Parts, Parts] | None:
+    """A description that a and b both live on, with their parts there:
+    theirs when they share one, else that of the side that is not a
+    line-bundle sum (convert_twist); None when neither side is one."""
+    for space in (a.space, b.space):
+        a_parts, b_parts = convert_twist(a, space), convert_twist(b, space)
+        if a_parts is not None and b_parts is not None:
+            return space, a_parts, b_parts
+    return None
 
 
 KClass = dict[tuple[Parabolic, Weight], int]  # virtual multiset of Levi irreducibles
@@ -246,33 +266,13 @@ def coeff_dual(coeff: Coeff) -> Coeff:
     return tuple(sorted(((datum, roots.dual_weight(datum, w)), m) for (datum, w), m in coeff))
 
 
-def _twist_delta(base: BundleObject, obj: BundleObject) -> int | None:
-    """t with twist(base, t) == obj, when one exists."""
-    if isinstance(base, Named) and isinstance(obj, Named):
-        if base.name != obj.name:
-            return None
-        return obj.twist - base.twist
-    if isinstance(base, Sum) and isinstance(obj, Sum):
-        if base.space != obj.space or len(base.parts) != len(obj.parts):
-            return None
-        unit = _unit_weight(base.space)
-        marked_idx = base.space.marked[0] - 1
-        w0, _ = base.parts[0]
-        v0, _ = obj.parts[0]
-        # unit weight has entry 1 at the marked node, so the delta reads off there
-        t = (v0[marked_idx] - w0[marked_idx]) // unit[marked_idx]
-        return t if twist(base, t) == obj else None
-    return None
-
-
 # --- the concrete bundles on the spinor tenfold ----------------------------
 
 _ZERO5: Weight = (0, 0, 0, 0, 0)
-_ZERO4: Weight = (0, 0, 0, 0)
 
 
-def O(k: int = 0, space: Parabolic = D5_P4) -> Sum:
-    return twist(irr(space, _ZERO5 if space == D5_P4 else _ZERO4), k)
+def O(k: int = 0) -> Sum:
+    return twist(irr(D5_P4, _ZERO5), k)
 
 
 def Uv(k: int = 0) -> Sum:
@@ -358,7 +358,8 @@ _NAMES: dict[Parabolic, dict[Weight, tuple[str, int]]] = {}
 
 def _named_irreducibles(space: Parabolic) -> list[tuple[str, Sum]]:
     # The familiar bundles bundle_expr names an irreducible by, in order of
-    # preference.  O on B4/Q4 is left out: `O` parses to D5/P4.
+    # preference.  O is named on D5/P4 only, where every sum of its twists
+    # lives; a twist of O that is a part of a B4/Q4 sum prints as a weight.
     if space == D5_P4:
         named = [("O", O()), ("Uv", Uv()), ("U", U()), ("T", T())]
         schur, powers = (("Uv", sym_Uv, wedge_Uv), ("U", sym_U, wedge_U)), (2, 3, 4)
@@ -448,7 +449,7 @@ def base_sequences() -> tuple[Sequence, ...]:
         # 0 -> R -> U -> O -> 0
         S("taut-chain", R(), U(), O()),
         # 0 -> R -> V_9 (x) O -> U^ -> 0   (quotient W identified with U^)
-        S("taut-rank4", R(), Term(O(0, B4_Q4), V9), Uv()),
+        S("taut-rank4", R(), Term(O(), V9), Uv()),
         # 0 -> R^ -> T -> wedge^2 R^ -> 0
         S("tangent-ext", Rv(), T(), wedge_Rv(2)),
         # 0 -> O(-1) -> That -> T(-1) -> 0

@@ -127,7 +127,7 @@ def _equivariant_ext_wedge2(eng: ExtEngine) -> list[CaseResult]:
 
 
 def _rank4_sub_coh(eng: ExtEngine) -> list[CaseResult]:
-    return [_case("Ext(O, R)", eng.ext(bundles.O(0, B4_Q4), bundles.R()), trivial_result(1))]
+    return [_case("Ext(O, R)", eng.ext(bundles.O(), bundles.R()), trivial_result(1))]
 
 
 def _section_vanishing_range(eng: ExtEngine) -> list[CaseResult]:

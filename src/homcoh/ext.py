@@ -25,9 +25,10 @@ mult accumulates them while an answer is built.  An entry is a formal
 tensor of full-group irreducibles; a coefficient representation
 multiplying a nontrivial cohomology representation stays unexpanded
 (tensor product decompositions of the full group are never required).
-Only Spin(9) acts on a pair with a B4/Q4 summand that is not a twist of
-O, so every D5 factor of its answer is branched to B4 before the routes
-are compared: such a pair is labelled by B4 irreducibles alone.
+Only Spin(9) acts on a pair with a side on B4/Q4 (never a sum of twists
+of O, which bundles.Sum keeps on D5/P4), so every D5 factor of its answer
+is branched to B4 before the routes are compared: such a pair is labelled
+by B4 irreducibles alone.
 
 Ext(E(k), F(k)) = Ext(E, F), labels included, so an engine computes one
 Ext per twist class and keeps it under every pair asked from that class,
@@ -134,10 +135,6 @@ class Ambiguous:
     euler: int
     reason: str = ""
 
-    @property
-    def is_zero(self) -> bool:
-        return False
-
     def __repr__(self) -> str:
         return f"ambiguous ({self.reason}; chi = {self.euler})"
 
@@ -175,30 +172,12 @@ def format_graded(res: ExtResult) -> list[str]:
     return pieces
 
 
-def _on_d5(X: BundleObject) -> BundleObject:
-    """X, or its D5/P4 form when it is a twist of O written on B4/Q4."""
-    if isinstance(X, Sum) and X.space == bundles.B4_Q4 and X.twist_amount() is not None:
-        return bundles.convert_twist(X, bundles.D5_P4)
-    return X
-
-
 def _level_zero(E: BundleObject) -> tuple[BundleObject, int]:
-    """E written on D5/P4 when it is a twist of O, twisted by -k, and its
-    level k (bundles.level).  Ext(E(k), F(k)) = Ext(E, F), so an engine computes Ext(E, F) at
-    level zero, with F shifted by -k through _shift.
-
-    O(k) is the same line bundle on both descriptions; written on D5/P4 it
-    gets the labels of every other pair with a D5/P4 side."""
-    E = _on_d5(E)
+    """E twisted by -k, and its level k (bundles.level).  Ext(E(k), F(k)) =
+    Ext(E, F), so an engine computes Ext(E, F) at level zero, with F
+    twisted by -k."""
     k = bundles.level(E)
     return bundles.twist(E, -k), k
-
-
-def _shift(F: BundleObject, t: int) -> BundleObject:
-    """F written on D5/P4 when it is a twist of O, twisted by t: the second
-    object of a level-zero pair, t being minus the level of the first (see
-    _level_zero)."""
-    return bundles.twist(_on_d5(F), t)
 
 
 def _branch_to_b4(res: ExtResult) -> ExtResult:
@@ -220,10 +199,7 @@ def _on_space(pb: roots.Parabolic, cls: bundles.KClass) -> dict[roots.Weight, in
     return out
 
 
-Pieces = tuple[tuple[roots.Weight, int], ...]
-
-
-def _class_pieces(obj: BundleObject) -> tuple[Pieces | None, Pieces]:
+def _class_pieces(obj: BundleObject) -> tuple[bundles.Parts | None, bundles.Parts]:
     """The class of obj (bundles.kclass) as nonzero (Levi weight, n) pieces
     twice: on D5/P4, or None when a piece lives on B4/Q4; and on B4/Q4, its
     D5/P4 pieces branched (_on_space)."""
@@ -249,17 +225,15 @@ class ExtEngine:
 
     The Ext memo holds each answer under two keys: the pair as it was
     asked, so that a repeated query is one dictionary lookup, and the pair
-    at level zero (_level_key: a twist of O written on B4/Q4 rewritten on
-    D5/P4, then both twisted by minus E's twist when named, else by minus
-    the marked coordinate of its first part), which is looked up only when
-    the asked pair misses.  O(1) is the same line bundle on D5/P4 and
-    B4/Q4, and every registered sequence matches at every twist, so the
-    routes of (E(k), F(k)) and (E, F) correspond one to one and give equal
-    answers.  An ExtResult is always memoized, also when a cut happened
-    below it.  An Ambiguous is memoized only when _cuts did not move while
-    it was computed: _cuts counts the cycle cuts, the "cyclic dependency"
-    placeholder answered to a pair already on the stack, which is never
-    stored.
+    at level zero (_level_key: both twisted by minus E's twist when named,
+    else by minus the marked coordinate of its first part), which is
+    looked up only when the asked pair misses.  Every registered sequence
+    matches at every twist, so the routes of (E(k), F(k)) and (E, F)
+    correspond one to one and give equal answers.  An ExtResult is always
+    memoized, also when a cut happened below it.  An Ambiguous is memoized
+    only when _cuts did not move while it was computed: _cuts counts the
+    cycle cuts, the "cyclic dependency" placeholder answered to a pair
+    already on the stack, which is never stored.
 
     Besides the Ext and Euler memos, an engine keeps eight kernel tables of
     pure values, each filled on its first lookup through _lookup and keyed
@@ -284,7 +258,8 @@ class ExtEngine:
       the Euler form pairs;
     - _levels: (obj,) -> obj at level zero and its level k (_level_zero),
       for the first object of a pair;
-    - _shifts: (obj, -k) -> obj twisted by -k (_shift), for the second.
+    - _shifts: (obj, -k) -> obj twisted by -k (bundles.twist), for the
+      second.
 
     The tables start empty and live exactly as long as the engine; they
     are not module-level caches.  A fresh engine recomputes through the
@@ -339,7 +314,7 @@ class ExtEngine:
     def _level_key(self, E: BundleObject, F: BundleObject) -> tuple[BundleObject, BundleObject]:
         """The pair at level zero that Ext(E, F) is computed and memoized under."""
         E, k = _lookup(self._levels, _level_zero, E)
-        return E, _lookup(self._shifts, _shift, F, -k)
+        return E, _lookup(self._shifts, bundles.twist, F, -k)
 
     def cohomology(self, E: BundleObject) -> ExtResult | Ambiguous:
         return self.ext(bundles.O(), E)
@@ -381,10 +356,11 @@ class ExtEngine:
         if direct is not None:
             return direct
 
-        # Only Spin(9) acts on a pair with a B4/Q4 summand that is not a twist
-        # of O (ext writes those on D5/P4), and both half-spin representations
-        # of Spin(10) restrict to its spin representation: label such an Ext
-        # by B4 irreducibles, or the D5 labels would depend on the route.
+        # Only Spin(9) acts on a pair with a side on B4/Q4 (never a sum of
+        # twists of O, which bundles.Sum keeps on D5/P4), and both half-spin
+        # representations of Spin(10) restrict to its spin representation:
+        # label such an Ext by B4 irreducibles, or the D5 labels would depend
+        # on the route.
         on_b4 = any(isinstance(X, Sum) and X.space == bundles.B4_Q4 for X in (E, F))
         results: list[ExtResult] = []
         for route in self._routes(E, F):
@@ -432,19 +408,13 @@ class ExtEngine:
     def _direct(self, E: BundleObject, F: BundleObject) -> ExtResult | None:
         if not (isinstance(E, Sum) and isinstance(F, Sum)):
             return None
-        if E.space != F.space:
-            other = bundles.convert_twist(E, F.space)
-            if other is not None:
-                E = other
-            else:
-                other = bundles.convert_twist(F, E.space)
-                if other is None:
-                    return None
-                F = other
-        pb = E.space
+        common = bundles.common_parts(E, F)
+        if common is None:
+            return None
+        pb, e_parts, f_parts = common
         acc: Graded = {}
-        for w1, m1 in E.parts:
-            for w2, m2 in F.parts:
+        for w1, m1 in e_parts:
+            for w2, m2 in f_parts:
                 for p, entry, m in _lookup(self._pairs, self._pair_pieces, pb, w1, w2).pieces:
                     add_piece(acc, p, entry, m1 * m2 * m)
         return ExtResult.from_dict(acc)

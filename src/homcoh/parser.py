@@ -11,7 +11,10 @@ Grammar:
 
 Postfix twists bind to the whole prefixed factor, so `Sym2 Uv (2)` is the
 second symmetric power twisted by 2.  Schur functors apply only to (twists
-of) the tautological generators U, Uv, R, Rv.
+of) the tautological generators U, Uv, R, Rv.  A B4 weight literal whose
+unmarked coordinates are zero, `B4 [0,0,0,k]`, reads as O(k), which lives
+on D5/P4 (see bundles); a sum or product of it with a B4/Q4 bundle is
+taken on B4/Q4.
 
 parse_bundle keeps each object it returns for the rest of the process,
 keyed by the text it was parsed from, as _ATOMS keeps the atoms: bundle
@@ -81,19 +84,13 @@ class _Token:
 def _tokenize(text: str) -> list[_Token]:
     out = []
     pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None or m.end() == pos:
-            if text[pos:].strip() == "":
-                break
-            raise BundleSyntaxError(f"unexpected character {text[pos]!r}", pos)
-        if m.lastgroup is None and m.group().strip() == "":
-            pos = m.end()
-            continue
+    while (m := _TOKEN.match(text, pos)) is not None:
         kind = m.lastgroup
-        if kind is not None:
-            out.append(_Token(kind, m.group(kind), m.start(kind)))
+        out.append(_Token(kind, m.group(kind), m.start(kind)))
         pos = m.end()
+    rest = text[pos:].lstrip()
+    if rest:
+        raise BundleSyntaxError(f"unexpected character {rest[0]!r}", len(text) - len(rest))
     out.append(_Token("end", "", len(text)))
     return out
 
@@ -138,7 +135,7 @@ class _Parser:
         while self.peek().text == "*":
             op = self.take()
             rhs = self.factor()
-            if not (isinstance(obj, Sum) and isinstance(rhs, Sum) and obj.space == rhs.space):
+            if not (isinstance(obj, Sum) and isinstance(rhs, Sum) and bundles.common_parts(obj, rhs)):
                 raise BundleSyntaxError("tensor products need two sums in one description", op.pos)
             obj = bundles.tensor(obj, rhs)
         return obj
@@ -217,8 +214,8 @@ def _apply_schur(power: tuple[str, int], inner: BundleObject, pos: int) -> Sum:
         raise BundleSyntaxError("Schur functors apply only to tautological generators", pos)
     # Schur_r(E(t)) = Schur_r(E)(r*t) for a line-bundle twist of a generator
     for key, gen in _GENERATORS.items():
-        t = bundles._twist_delta(gen, inner)
-        if t is None:
+        t = bundles.level(inner) - bundles.level(gen)
+        if bundles.twist(gen, t) != inner:
             continue
         space = gen.space
         try:

@@ -38,7 +38,7 @@ def test_rank_and_chern_of_sums():
     assert B.first_chern(B.Uv()) == 2  # det of the dual tautological bundle
     assert B.first_chern(B.U()) == -2
     assert B.first_chern(B.O(1)) == 1
-    assert B.first_chern(B.O(1, B4_Q4)) == 1
+    assert B.first_chern(B.irr(B4_Q4, (0, 0, 0, 1))) == 1
     assert B.rank(B.T()) == 10
     assert B.first_chern(B.T()) == 8  # the index of the variety
 
@@ -82,16 +82,49 @@ def test_registered_sequences_have_zero_alternating_chern():
 
 
 def test_twist_conversion_between_descriptions():
-    assert B.convert_twist(B.O(3), B4_Q4) == B.O(3, B4_Q4)
-    assert B.convert_twist(B.O(-2, B4_Q4), D5_P4) == B.O(-2)
+    # convert_twist is a parts view: a line-bundle sum's parts on the other space.
+    assert B.convert_twist(B.O(3), B4_Q4) == (((0, 0, 0, 3), 1),)
+    assert B.convert_twist(B.irr(B4_Q4, (0, 0, 0, -2)), D5_P4) == B.O(-2).parts
     assert B.convert_twist(B.Uv(), B4_Q4) is None
+    assert B.convert_twist(B.Rv(), D5_P4) is None
+    assert B.convert_twist(B.Rv(), B4_Q4) == B.Rv().parts
+    two = B.direct_sum(B.O(), B.twist(B.O(1), 0))
+    assert B.convert_twist(B.direct_sum(two, B.O(1)), B4_Q4) == (((0, 0, 0, 0), 1), ((0, 0, 0, 1), 2))
+    # tensor and direct_sum take a line-bundle sum onto the other side's space
+    assert B.tensor(B.O(1), B.R()) == B.tensor(B.R(), B.O(1)) == B.R(1)
+    mixed = B.direct_sum(B.R(), B.O(1))
+    assert mixed.space == B4_Q4 and mixed.parts == (((0, 0, 0, 1), 1), ((0, 0, 1, -2), 1))
+    assert B.common_parts(B.Uv(), B.Rv()) is None
+    with pytest.raises(DomainError):
+        B.direct_sum(B.Uv(), B.R())
+
+
+def _twist_delta(base, obj):
+    """t with twist(base, t) == obj, when one exists: the reference the
+    sequence matcher and the recipe reader are checked against."""
+    if isinstance(base, B.Named) and isinstance(obj, B.Named):
+        return obj.twist - base.twist if base.name == obj.name else None
+    if isinstance(base, B.Sum) and isinstance(obj, B.Sum) and base.space == obj.space:
+        i = base.space.marked[0] - 1
+        t = obj.parts[0][0][i] - base.parts[0][0][i]
+        return t if B.twist(base, t) == obj else None
+    return None
 
 
 def test_twist_delta_detection():
-    assert B._twist_delta(B.Uv(), B.Uv(4)) == 4
-    assert B._twist_delta(B.That(0), B.That(6)) == 6
-    assert B._twist_delta(B.Uv(), B.U()) is None
-    assert B._twist_delta(B.Uv(), B.Rv()) is None
+    # The twist between two objects is the difference of their levels when
+    # one is a twist of the other (parser._apply_schur reads it so); the
+    # reference helper above agrees.
+    for base, obj, want in (
+        (B.Uv(), B.Uv(4), 4), (B.That(0), B.That(6), 6), (B.U(), B.U(-3), -3),
+        (B.O(), B.irr(B4_Q4, (0, 0, 0, 2)), 2),
+        (B.Uv(), B.U(), None), (B.Uv(), B.Rv(), None), (B.That(), B.Thatv(1), None),
+    ):
+        t = B.level(obj) - B.level(base)
+        assert (B.twist(base, t) == obj) == (want is not None), (base, obj)
+        assert _twist_delta(base, obj) == want, (base, obj)
+        if want is not None:
+            assert t == want, (base, obj)
 
 
 def test_sequence_matching_finds_all_resolutions():
@@ -116,7 +149,7 @@ def test_sequence_matches_equal_a_term_by_term_scan():
             (seq, idx, t)
             for seq in seqs
             for idx, term in enumerate(seq.terms)
-            if (t := B._twist_delta(term.obj, obj)) is not None
+            if (t := _twist_delta(term.obj, obj)) is not None
         ]
         assert list(B.sequence_matches(obj)) == scan, obj
         hits += bool(scan)
@@ -159,7 +192,10 @@ def test_equal_bundles_built_along_different_routes_are_one_key():
         assert a is not b and a == b and hash(a) == hash(b)
     table = {a: i for i, (a, _) in enumerate(pairs)}
     assert [table[b] for _, b in pairs] == list(range(len(pairs)))
-    distinct = [B.O(2), B.O(3), B.O(2, B4_Q4), B.Uv(3), B.U(3), B.That(6), B.Thatv(6), B.That(5)]
+    # O(2) spelled on B4/Q4 is the same line bundle, so the same key
+    b4 = B.irr(B4_Q4, (0, 0, 0, 2))
+    assert b4 == B.O(2) and hash(b4) == hash(B.O(2)) and table[b4] == 0
+    distinct = [B.O(2), B.O(3), B.Rv(2), B.Uv(3), B.U(3), B.That(6), B.Thatv(6), B.That(5)]
     assert len(set(distinct)) == len(distinct)
     assert all(a != b for i, a in enumerate(distinct) for b in distinct[i + 1:])
 
@@ -193,17 +229,50 @@ def _random_levi_dominant_sum(rng, space):
     return B.make_sum(space, parts)
 
 
+def _twists_of_o_on_b4(obj):
+    return isinstance(obj, B.Sum) and obj.space == B4_Q4 and all(not any(w[:3]) for w, _ in obj.parts)
+
+
+def test_a_sum_of_twists_of_o_is_one_object_on_d5():
+    # O(1) is one line bundle on both descriptions: however a sum of its
+    # twists is spelled, it is built on D5/P4, and equal, hash-equal and
+    # printed as O(k)^m there.
+    from homcoh.parser import parse_bundle
+
+    for k in range(-4, 5):
+        for m in (1, 2):
+            want = B.make_sum(D5_P4, {(0, 0, 0, k, 0): m})
+            spelled = [
+                B.make_sum(B4_Q4, {(0, 0, 0, k): m}),
+                B.Sum(B4_Q4, (((0, 0, 0, k), m),)),
+                parse_bundle(" + ".join([f"B4 [0,0,0,{k}]"] * m)),
+                parse_bundle(" + ".join([f"Wedge4 Rv ({k - 2})"] * m)),
+                parse_bundle(" + ".join([f"Sym0 Rv ({k})"] * m)),
+            ]
+            for obj in spelled:
+                assert obj == want and hash(obj) == hash(want), (k, m, obj)
+                assert obj.space == D5_P4 and repr(obj) == repr(want), (k, m)
+    assert B.make_sum(B4_Q4, {(0, 0, 0, 0): 1, (0, 0, 0, 1): 1}) == B.direct_sum(B.O(), B.O(1))
+    # No registered term, and no random sum, is a B4/Q4 sum of twists of O.
+    assert not any(_twists_of_o_on_b4(t.obj) for seq in B.standard_sequences() for t in seq.terms)
+    rng = random.Random(31)
+    draws = [_random_levi_dominant_sum(rng, space) for space in (D5_P4, B4_Q4) for _ in range(400)]
+    assert not any(_twists_of_o_on_b4(S) for S in draws)
+    assert any(S.space == D5_P4 for S in draws[400:])  # a B4/Q4 draw of twists of O
+
+
 def test_unvalidated_twist_equals_the_validated_sum():
     # twist builds a Sum without Sum.__post_init__; the same parts shifted by
-    # hand and validated through make_sum must give the same object.
+    # hand and validated through make_sum must give the same object.  A B4/Q4
+    # draw of twists of O is built on D5/P4, and is shifted there.
     rng = random.Random(29)
     for space in (D5_P4, B4_Q4):
-        marked = space.marked[0] - 1
         for _ in range(60):
             S = _random_levi_dominant_sum(rng, space)
+            marked = S.space.marked[0] - 1
             for k in range(-3, 4):
                 shifted = [(w[:marked] + (w[marked] + k,) + w[marked + 1:], m) for w, m in S.parts]
-                want = B.make_sum(space, shifted)
+                want = B.make_sum(S.space, shifted)
                 got = B.twist(S, k)
                 assert got == want and hash(got) == hash(want), (S, k)
                 assert repr(got) == repr(want), (S, k)
@@ -235,7 +304,8 @@ def _written_out_registry():
         S("taut-rank5", B.U(), Term(B.O(), V1), B.Uv()),
         S("taut-chain", B.R(), B.U(), B.O()),
         S("taut-chain-dual", B.O(), B.Uv(), B.Rv()),
-        S("taut-rank4", B.R(), Term(B.O(0, B4_Q4), V9), B.Uv()),
+        # the trivial bundle spelled on B4/Q4, which is O
+        S("taut-rank4", B.R(), Term(B.irr(B4_Q4, (0, 0, 0, 0)), V9), B.Uv()),
         S("tangent-ext", B.Rv(), B.T(), B.wedge_Rv(2)),
         S("affine-ext", B.O(-1), B.That(), B.T(-1)),
         S("affine-ext-dual", B.twist(B.dual(B.T()), 1), B.Thatv(), B.O(1)),
@@ -319,6 +389,6 @@ def test_no_base_sequence_is_a_twist_or_a_dual_of_another():
             for j, other in enumerate(base):
                 if i == j:
                     continue  # taut-rank5 is its own dual
-                t = B._twist_delta(derived.terms[0].obj, other.terms[0].obj)
+                t = _twist_delta(derived.terms[0].obj, other.terms[0].obj)
                 moved = B.tensor_sequence("moved", derived, t) if t is not None else derived
                 assert moved.terms != other.terms, (first.name, other.name)

@@ -203,6 +203,23 @@ def test_mutate_json_roundtrip(tmp_path, capsys):
     assert [parse_bundle(e) for e in payload["collection"]] == [B.U(2), B.O(2)]
 
 
+def test_a_line_bundle_spelled_on_b4_answers_as_spelled_on_d5(tmp_path, capsys):
+    # O(k) is one line bundle on both descriptions, so its spellings give
+    # one mutation and one Ext, labels included.
+    outs = []
+    for first in ("B4 [0,0,0,0]", "O"):
+        f = tmp_path / "pair.col"
+        f.write_text(f"{first}\nUv\n")
+        code, out = run(capsys, "mutate", str(f), "L", "1")
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert outs[0].splitlines()[:3] == ["L at 1: recipe left-kernel", "hypothesis: V[1,0,0,0,0] @ 0", "result: U"]
+    _, b4 = run(capsys, "ext", "B4 [0,0,0,0] + B4 [0,0,0,1]", "Uv(1)")
+    _, d5 = run(capsys, "ext", "O + O(1)", "Uv(1)")
+    assert b4 == d5 == "V[1,0,0,0,0] @ 0\nV[1,0,0,1,0] @ 0\n"
+
+
 def test_mutate_ambiguous_exit(tmp_path, capsys):
     f = tmp_path / "amb.col"
     f.write_text("Rv\nUv\n")

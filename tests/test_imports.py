@@ -77,17 +77,51 @@ def test_private_definition_scan_catches_dead_code():
     assert _unreferenced_private_definitions([source]) == {"_dead", "_method", "_Gone"}
 
 
-def _unreferenced_public_definitions(sources: list[str]) -> set[str]:
-    """Public module-level functions and classes that no code refers to
-    outside their own definition."""
-    trees = [ast.parse(source) for source in sources]
-    public = [
-        d
-        for tree in trees
+def _module_imports(tree: ast.Module) -> tuple[dict[str, str], dict[str, tuple[str, str]]]:
+    """The package modules a module imports (`from . import bundles as B`:
+    B -> bundles), and the names it imports from them (`from .bundles import
+    Sum`: Sum -> (bundles, Sum))."""
+    modules, origins = {}, {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            for a in node.names:
+                if node.module is None:
+                    modules[a.asname or a.name] = a.name
+                else:
+                    origins[a.asname or a.name] = (node.module, a.name)
+    return modules, origins
+
+
+def _public_references(module: str, root: ast.AST, imports) -> list[tuple[str, str]]:
+    """(defining module, name) for each reference under root, in module,
+    that can reach a public definition: a bare name read is the module's
+    own, or of the module it was imported from, and an attribute counts
+    only when read off a module (`bundles.rank`), never off an object
+    (`pb.rank`)."""
+    modules, origins = imports
+    refs = []
+    for node in ast.walk(root):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            refs.append(origins.get(node.id, (module, node.id)))
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
+            refs.append((modules[node.value.id], node.attr))
+    return refs
+
+
+def _unreferenced_public_definitions(sources: dict[str, str]) -> set[str]:
+    """Public module-level functions and classes, by module name, that no
+    code refers to outside their own definition (_public_references)."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    imports = {module: _module_imports(tree) for module, tree in trees.items()}
+    everywhere = [ref for m, tree in trees.items() for ref in _public_references(m, tree, imports[m])]
+    return {
+        d.name
+        for m, tree in trees.items()
         for d in tree.body
-        if isinstance(d, (ast.FunctionDef, ast.ClassDef)) and not d.name.startswith("_")
-    ]
-    return _unreferenced(public, trees)
+        if isinstance(d, (ast.FunctionDef, ast.ClassDef))
+        and not d.name.startswith("_")
+        and everywhere.count((m, d.name)) == _public_references(m, d, imports[m]).count((m, d.name))
+    }
 
 
 # Public definitions that no package module calls, each kept for a reason
@@ -103,15 +137,17 @@ TEST_ONLY_PUBLIC = {
     "assemble_kp_collection",
     # waiting for the K_0 Coxeter certificate (ROADMAP item 15), its caller
     "canonical_weight",
-    # test hooks: a fresh default engine, and the Chern class the tests check
+    # test hooks: a fresh default engine, and the rank and Chern class the
+    # tests check the registered sequences by
     "reset_engine",
+    "rank",
     "first_chern",
 }
 
 
 def test_public_definitions_without_a_package_caller_are_listed():
     # __init__ refers to names only to re-export them.
-    sources = [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py") if p.name != "__init__.py"}
     assert _unreferenced_public_definitions(sources) == TEST_ONLY_PUBLIC
 
 
@@ -125,4 +161,27 @@ def test_public_definition_scan_catches_an_orphan():
         "def _private(): return 2\n"
         "used()\n"
     )
-    assert _unreferenced_public_definitions([source]) == {"orphan", "recursive", "Lonely"}
+    assert _unreferenced_public_definitions({"m": source}) == {"orphan", "recursive", "Lonely"}
+
+
+def test_public_definition_scan_is_not_fooled_by_a_name_collision():
+    # The rank of module a is called nowhere: x.rank, shape.rank and
+    # other.rank are attributes of objects, Shape.rank is a class
+    # attribute, and rank in module b is a local variable.  size is called
+    # from b, through the module and through an import.
+    sources = {
+        "a": "def rank(x): return x.rank\ndef size(x): return 1\nclass Shape:\n    rank = 2\n",
+        "b": (
+            "from . import a\n"
+            "from .a import Shape, size as sz\n"
+            "def area(shape, other):\n"
+            "    rank = shape.rank\n"
+            "    return a.size(rank) + sz(other.rank)\n"
+            "area(Shape(), Shape())\n"
+        ),
+    }
+    assert _unreferenced_public_definitions(sources) == {"rank"}
+    # A scan that counts every name and attribute sees rank called.
+    trees = [ast.parse(source) for source in sources.values()]
+    public = [d for tree in trees for d in tree.body if isinstance(d, (ast.FunctionDef, ast.ClassDef))]
+    assert _unreferenced(public, trees) == set()

@@ -8,6 +8,7 @@ from homcoh import mutations as M
 from homcoh.ext import ExtEngine
 from homcoh.mutations import Collection, KOnly
 from homcoh.roots import InternalConsistencyError
+from test_bundles import _twist_delta
 
 
 @pytest.fixture(scope="module")
@@ -420,7 +421,7 @@ def _reference_find_recipe(direction, E1, E2, hyp):
             a, b, c = seq.terms
             if b.coeff or a.coeff or c.coeff:
                 continue
-            t = B._twist_delta(a.obj, E2)
+            t = _twist_delta(a.obj, E2)
             if t is not None and _reference_match_plain(c, E1, t):
                 return ("extension", B.twist(b.obj, t), 0)
         return None
@@ -431,12 +432,12 @@ def _reference_find_recipe(direction, E1, E2, hyp):
         if a.coeff or c.coeff or not b.coeff:
             continue
         if direction == "L":
-            t = B._twist_delta(c.obj, E2)
+            t = _twist_delta(c.obj, E2)
             if t is not None and _reference_match_plain(B.Term(b.obj), E1, t):
                 if _reference_coeff_matches(b.coeff, hyp, dualize=False):
                     return ("left-kernel", B.twist(a.obj, t), 1)
         else:
-            t = B._twist_delta(a.obj, E1)
+            t = _twist_delta(a.obj, E1)
             if t is not None and _reference_match_plain(B.Term(b.obj), E2, t):
                 if _reference_coeff_matches(b.coeff, hyp, dualize=True):
                     return ("right-cokernel", B.twist(c.obj, t), -1)

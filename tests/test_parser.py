@@ -41,6 +41,10 @@ def test_sum_and_tensor():
     assert parse_bundle("Uv + O") == B.direct_sum(B.Uv(), B.O())
     assert parse_bundle("U * Uv") == B.tensor(B.U(), B.Uv())
     assert parse_bundle("Sym2 Uv + Wedge2 Uv") == B.tensor(B.Uv(), B.Uv())
+    # a twist of O lives on both descriptions, however it is spelled
+    assert parse_bundle("B4 [0,0,0,1] * R") == parse_bundle("O(1) * R") == B.R(1)
+    assert parse_bundle("R + B4 [0,0,0,1]") == parse_bundle("R + O(1)")
+    assert parse_bundle("B4 [0,0,0,0] + B4 [0,0,0,1]") == parse_bundle("O + O(1)")
 
 
 def test_whitespace_insensitive():
@@ -90,15 +94,31 @@ def test_expr_roundtrip():
         B.make_sum(B.D5_P4, {(1, 0, 0, 0, 0): 2, (0, 0, 0, 1, 0): 1, (1, 2, 0, -3, 1): 3}),
         B.make_sum(B.B4_Q4, {(1, 0, 0, 0): 1, (0, 0, 0, 2): 2, (2, 0, 1, -1): 1}),
         B.tensor(B.sym_Uv(2), B.U(1)),
-        # O(k) on B4/Q4 prints as a weight, since `O` parses to D5/P4
-        *(B.O(k, B.B4_Q4) for k in range(-3, 4)),
+        # O(k) spelled on B4/Q4 is O(k); within a B4/Q4 sum it prints as a weight
+        *(B.irr(B.B4_Q4, (0, 0, 0, k)) for k in range(-3, 4)),
+        *(B.direct_sum(B.R(), B.O(k)) for k in range(-3, 4)),
     ]
     objs += [parse_bundle(f"{g}({t})") for g in SWEEP_GENERATORS for t in range(-3, 4)]
     objs += [term.obj for seq in B.standard_sequences() for term in seq.terms]
     for obj in objs:
         assert repr(obj) == bundle_expr(obj)
         assert parse_bundle(repr(obj)) == obj, obj
-    assert repr(B.O(2, B.B4_Q4)) == "B4 [0,0,0,2]"
+    assert repr(B.irr(B.B4_Q4, (0, 0, 0, 2))) == "O (2)"
+    assert parse_bundle("O (2)") == B.irr(B.B4_Q4, (0, 0, 0, 2))
+    assert repr(B.direct_sum(B.R(), B.O(1))) == "B4 [0,0,0,1] + R"
+
+
+def test_tokenizer_names_the_first_unexpected_character():
+    # Blanks before a bad character are skipped: the error names the
+    # character itself and its position.
+    for text, char, position in (("O $", "$", 2), ("Uv(1)   ;", ";", 8), ("?", "?", 0), (" \t@O", "@", 2)):
+        with pytest.raises(BundleSyntaxError) as err:
+            parse_bundle(text)
+        assert err.value.position == position, text
+        assert str(err.value) == f"unexpected character {char!r} (at position {position})", text
+    assert [(t.kind, t.text, t.pos) for t in parser._tokenize(" Uv (1)  ")] == [
+        ("name", "Uv", 1), ("sym", "(", 4), ("int", "1", 5), ("sym", ")", 6), ("end", "", 9)
+    ]
 
 
 def test_collection_files():
