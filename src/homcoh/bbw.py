@@ -3,8 +3,9 @@
 Cohomology of an irreducible homogeneous bundle is a single irreducible
 representation of the full group concentrated in a single degree, or zero.
 The degree is the number of simple reflections needed to move the
-rho-shifted weight into the strictly dominant chamber; a zero coefficient
-anywhere along the way kills all cohomology.
+rho-shifted weight into the dominant chamber, by the one descent of
+roots.dominant_conjugate; a weight on a wall stays on one along the walk,
+so a zero coefficient at its end kills all cohomology.
 """
 
 from __future__ import annotations
@@ -77,26 +78,13 @@ _ZERO = Cohomology(None, None, 0)
 
 
 def bbw_cohomology(pb: Parabolic, weight: Weight) -> Cohomology:
-    """Run the reflection walk on weight + rho, reflecting at the first
-    strictly negative node; the result does not depend on the choice.  rho
-    and the Cartan matrix are read from roots once per call, and each
-    reflection subtracts a multiple of one Cartan row.
-    """
+    """The walk of weight + rho to its dominant conjugate; see the module docstring."""
     datum = pb.datum
     roots.check_length(datum, weight)
     if not roots.is_levi_dominant(pb, weight):
         raise DomainError(f"{roots.format_weight(weight)} is not Levi-dominant on {pb}")
-    cartan = roots.cartan_matrix(datum)
-    bound = len(roots.positive_roots(datum))
-    v = tuple(map(operator.add, weight, roots.rho(datum)))
-    for steps in range(bound + 1):
-        if 0 in v:
-            return _ZERO
-        for i, c in enumerate(v):
-            if c < 0:
-                break
-        else:
-            mu = tuple(c - 1 for c in v)
-            return Cohomology(steps, mu, weyl_dim(datum, mu))
-        v = tuple([x - c * r for x, r in zip(v, cartan[i])])
-    raise InternalConsistencyError("reflection walk exceeded |positive roots|")
+    v, steps = roots.dominant_conjugate(datum, tuple(map(operator.add, weight, roots.rho(datum))))
+    if 0 in v:
+        return _ZERO
+    mu = tuple(c - 1 for c in v)
+    return Cohomology(steps, mu, weyl_dim(datum, mu))

@@ -16,12 +16,14 @@ twist, or a tensor by a bundle) and splice (the paper's four- and five-term
 resolutions, joined at a common term).  `kclass` gives an object's class
 in K_0.
 
+The vocabulary of the bundle language lives here, for the parser that
+reads it and the printer that writes it: ATOMS, the named bundles, and
+GENERATORS, the tautological bundles whose Schur powers `schur` builds.
 Every object prints in one form, bundle_expr, which is also the repr of Sum
 and Named: an expression of the bundle language that parser.parse_bundle
 reads back to the same object.  An irreducible prints as the first familiar
-bundle it is a twist of (O, Uv, U, T and the Schur powers of Uv and U on
-D5/P4; Rv, R and the Schur powers of both on B4/Q4), else as a weight
-literal such as `D5 [1,2,0,-3,1]`.
+bundle it is a twist of (the atoms on its space, then the Schur powers of
+the generators there), else as a weight literal such as `D5 [1,2,0,-3,1]`.
 
 O(1) is one line bundle on both descriptions, so a sum of its twists is one
 object however it is spelled: Sum keeps every sum whose parts are all
@@ -35,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from . import levi, roots
+from . import bbw, levi, roots
 from .roots import B4, B4_Q4, D5, D5_P4, DomainError, InternalConsistencyError, LieDatum, Parabolic, Weight
 
 RepFactor = tuple[LieDatum, Weight]
@@ -257,9 +259,7 @@ class Sequence:
 def coeff_dim(coeff: Coeff) -> int:
     if not coeff:
         return 1
-    from .bbw import weyl_dim
-
-    return sum(m * weyl_dim(datum, w) for (datum, w), m in coeff)
+    return sum(m * bbw.weyl_dim(datum, w) for (datum, w), m in coeff)
 
 
 def coeff_dual(coeff: Coeff) -> Coeff:
@@ -284,19 +284,19 @@ def U(k: int = 0) -> Sum:
 
 
 def sym_Uv(r: int, k: int = 0) -> Sum:
-    return twist(irr(D5_P4, levi.sym_power(D5_P4, r)), k)
+    return schur("Uv", "Sym", r, k)
 
 
 def wedge_Uv(r: int, k: int = 0) -> Sum:
-    return twist(irr(D5_P4, levi.wedge_power(D5_P4, r)), k)
+    return schur("Uv", "Wedge", r, k)
 
 
 def sym_U(r: int, k: int = 0) -> Sum:
-    return twist(dual(sym_Uv(r)), k)
+    return schur("U", "Sym", r, k)
 
 
 def wedge_U(r: int, k: int = 0) -> Sum:
-    return twist(dual(wedge_Uv(r)), k)
+    return schur("U", "Wedge", r, k)
 
 
 def Rv(k: int = 0) -> Sum:
@@ -307,20 +307,31 @@ def R(k: int = 0) -> Sum:
     return twist(dual(Rv()), k)
 
 
+# The generators the Schur functors apply to: name -> (space, dualized).
+GENERATORS = {"Uv": (D5_P4, False), "U": (D5_P4, True), "Rv": (B4_Q4, False), "R": (B4_Q4, True)}
+
+
+def schur(gen: str, op: str, r: int, k: int = 0) -> Sum:
+    """Sym^r (op "Sym") or Wedge^r (op "Wedge") of the generator gen, twisted by k."""
+    space, dualized = GENERATORS[gen]
+    out = irr(space, levi.sym_power(space, r) if op == "Sym" else levi.wedge_power(space, r))
+    return twist(dual(out) if dualized else out, k)
+
+
 def sym_Rv(r: int, k: int = 0) -> Sum:
-    return twist(irr(B4_Q4, levi.sym_power(B4_Q4, r)), k)
+    return schur("Rv", "Sym", r, k)
 
 
 def wedge_Rv(r: int, k: int = 0) -> Sum:
-    return twist(irr(B4_Q4, levi.wedge_power(B4_Q4, r)), k)
+    return schur("Rv", "Wedge", r, k)
 
 
 def sym_R(r: int, k: int = 0) -> Sum:
-    return twist(dual(sym_Rv(r)), k)
+    return schur("R", "Sym", r, k)
 
 
 def wedge_R(r: int, k: int = 0) -> Sum:
-    return twist(dual(wedge_Rv(r)), k)
+    return schur("R", "Wedge", r, k)
 
 
 def T(k: int = 0) -> Sum:
@@ -349,6 +360,15 @@ def Ktildev(k: int = 0) -> Named:
     return Named("Ktildev", k)
 
 
+# The names of the bundle language, each built once: U and R would otherwise
+# go through roots.dualize_levi on every parse.  The printer names an
+# irreducible by the first sum here that it is a twist of.
+ATOMS = {
+    "O": O(), "U": U(), "Uv": Uv(), "R": R(), "Rv": Rv(), "W": W(), "T": T(),
+    "That": That(), "Thatv": Thatv(), "Ktilde": Ktilde(), "Ktildev": Ktildev(),
+}
+
+
 # --- the printed form --------------------------------------------------------
 
 # space -> {Levi weight without its marked coordinate: (name, marked
@@ -358,17 +378,15 @@ _NAMES: dict[Parabolic, dict[Weight, tuple[str, int]]] = {}
 
 def _named_irreducibles(space: Parabolic) -> list[tuple[str, Sum]]:
     # The familiar bundles bundle_expr names an irreducible by, in order of
-    # preference.  O is named on D5/P4 only, where every sum of its twists
-    # lives; a twist of O that is a part of a B4/Q4 sum prints as a weight.
-    if space == D5_P4:
-        named = [("O", O()), ("Uv", Uv()), ("U", U()), ("T", T())]
-        schur, powers = (("Uv", sym_Uv, wedge_Uv), ("U", sym_U, wedge_U)), (2, 3, 4)
-    else:
-        named = [("Rv", Rv()), ("R", R())]
-        schur, powers = (("Rv", sym_Rv, wedge_Rv), ("R", sym_R, wedge_R)), (2, 3)
-    for r in powers:
-        for gen, sym, wedge in schur:
-            named += [(f"Sym{r} {gen}", sym(r)), (f"Wedge{r} {gen}", wedge(r))]
+    # preference: the atoms on space, so Uv before its alias W and T before
+    # Wedge2 Uv, then the Schur powers of its generators.  O is named on
+    # D5/P4 only, where every sum of its twists lives; a twist of O that is
+    # a part of a B4/Q4 sum prints as a weight.
+    named = [(name, obj) for name, obj in ATOMS.items() if isinstance(obj, Sum) and obj.space == space]
+    gens = [gen for gen, (on, _) in GENERATORS.items() if on == space]
+    for r in range(2, levi.levi_rank(space)):
+        for gen in gens:
+            named += [(f"{op}{r} {gen}", schur(gen, op, r)) for op in ("Sym", "Wedge")]
     return named
 
 

@@ -1,8 +1,8 @@
 """Graded Ext groups between bundle objects.
 
 Direct sums of irreducibles in a common description reduce to the
-Borel-Bott-Weil walk after a Littlewood-Richardson decomposition of
-E-dual tensor F; everything else is chased through the long exact
+Borel-Bott-Weil walk after a Brauer-Klimyk decomposition of E-dual
+tensor F (levi.tensor_decompose); everything else is chased through the long exact
 sequences of the registered resolutions.
 
 A chase is accepted only when the long exact sequence degenerates for

@@ -24,9 +24,11 @@ into `_kostka` only the partitions not yet in `_KOSTKA`; a faulty entry
 stays for the process.  `lr_multiply` keeps its own lru_cache and
 shares `_KOSTKA`.
 
-The lattice check lives in `_from_gl2`, for `from_gl`.  `branch_levi`
-(GL(5) -> GL(4)) gives the graded pieces of a D5/P4 fibre as a Q4-module,
-its class on B4/Q4; `branch_d5_to_b4` is so(10) -> so(9).
+The lattice check lives in `_from_gl2`, for `from_gl`.  `levi_dim` is
+Weyl's formula, bbw.weyl_dim, on the type A datum of the GL chain.
+`branch_levi` (GL(5) -> GL(4)) gives the graded pieces of a D5/P4 fibre as
+a Q4-module, its class on B4/Q4; `branch_d5_to_b4` is so(10) -> so(9), and
+`b4_content`, which reads it, keeps an lru_cache of its sorted terms.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import operator
 from fractions import Fraction as Q
 from functools import lru_cache
 
-from . import roots
+from . import bbw, roots
 from .roots import B4_Q4, D5_P4, DomainError, InternalConsistencyError, Parabolic, Weight
 
 Partition = tuple[int, ...]
@@ -139,17 +141,12 @@ def _split(pb: Parabolic, w: Weight) -> tuple[Partition, int]:
 
 
 def levi_dim(pb: Parabolic, w: Weight) -> int:
-    """Weyl's dimension formula for GL(n) on the partition of w; exact."""
+    """Dimension of the Levi irreducible of w: Weyl's formula (bbw.weyl_dim)
+    on the type A datum of the chain, at w's labels there."""
     _require_supported(pb)
-    p, _ = _split(pb, w)
-    num, den = 1, 1
-    for i, j in itertools.combinations(range(len(p)), 2):
-        num *= p[i] - p[j] + j - i
-        den *= j - i
-    dim, rest = divmod(num, den)
-    if rest or dim <= 0:
-        raise InternalConsistencyError("GL dimension is not a positive integer")
-    return dim
+    _split(pb, w)  # the length and Levi-dominance checks
+    chain = _LEVI[pb][0]
+    return bbw.weyl_dim(roots.LieDatum("A", len(chain)), tuple(w[node - 1] for node in chain))
 
 
 def _kostka(mu: Partition) -> dict[Partition, int]:
@@ -292,11 +289,6 @@ def branch_d5_to_b4(mu: Weight) -> dict[Weight, int]:
 
 
 @lru_cache(maxsize=None)
-def _branch_cached(mu: Weight) -> tuple[tuple[Weight, int], ...]:
-    return tuple(sorted(branch_d5_to_b4(mu).items()))
-
-
-@lru_cache(maxsize=None)
 def branch_levi(w: Weight) -> tuple[Weight, ...]:
     """GL(5) -> GL(4) restriction of a D5/P4 Levi irreducible to B4/Q4; multiplicity-free.
 
@@ -310,12 +302,13 @@ def branch_levi(w: Weight) -> tuple[Weight, ...]:
     return tuple(_from_gl2(B4_Q4, nu) for nu in nus)
 
 
+@lru_cache(maxsize=None)
 def b4_content(group: roots.LieDatum, w: Weight) -> tuple[tuple[Weight, int], ...]:
     """View a D5 or B4 representation as a multiset of B4 irreducibles."""
     if group == roots.B4:
         return ((w, 1),)
     if group == roots.D5:
-        return _branch_cached(w)
+        return tuple(sorted(branch_d5_to_b4(w).items()))
     raise DomainError(f"no branching to B4 from {group}")
 
 

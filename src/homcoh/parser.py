@@ -17,9 +17,9 @@ on D5/P4 (see bundles); a sum or product of it with a B4/Q4 bundle is
 taken on B4/Q4.
 
 parse_bundle keeps each object it returns for the rest of the process,
-keyed by the text it was parsed from, as _ATOMS keeps the atoms: bundle
-objects are immutable values, and a session asks for the same few strings
-again and again.  A failed parse is never kept, so a bad string raises on
+keyed by the text it was parsed from, as bundles.ATOMS keeps the atoms:
+bundle objects are immutable values, and a session asks for the same few
+strings again and again.  A failed parse is never kept, so a bad string raises on
 every call.  The limit is the one of the atoms: a fault injected into
 roots.dualize_levi, or anything else a parse calls, after a string was
 first parsed does not reach that string's object, and one injected before
@@ -34,34 +34,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from . import bundles, levi
-from .bundles import BundleObject, Sum
+from . import bundles
+from .bundles import ATOMS, BundleObject, Sum
 from .roots import B4_Q4, D5_P4, DomainError
 
 _TOKEN = re.compile(r"\s*(?:(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<int>-?\d+)|(?P<sym>[()\[\],+*]))")
-
-# Each atom is built once: bundle objects are immutable, and U and R would
-# otherwise go through roots.dualize_levi on every parse.
-_ATOMS = {
-    "O": bundles.O(),
-    "U": bundles.U(),
-    "Uv": bundles.Uv(),
-    "R": bundles.R(),
-    "Rv": bundles.Rv(),
-    "W": bundles.W(),
-    "T": bundles.T(),
-    "That": bundles.That(),
-    "Thatv": bundles.Thatv(),
-    "Ktilde": bundles.Ktilde(),
-    "Ktildev": bundles.Ktildev(),
-}
-
-_GENERATORS = {
-    "D5+": _ATOMS["Uv"],
-    "D5-": _ATOMS["U"],
-    "B4+": _ATOMS["Rv"],
-    "B4-": _ATOMS["R"],
-}
 
 _SCHUR = re.compile(r"(Sym|Wedge)(\d+)")
 
@@ -71,6 +48,7 @@ _PARSED: dict[str, BundleObject] = {}
 class BundleSyntaxError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
+        self.message = message
         self.position = position
 
 
@@ -127,7 +105,10 @@ class _Parser:
             rhs = self.term()
             if not (isinstance(obj, Sum) and isinstance(rhs, Sum)):
                 raise BundleSyntaxError("direct sums of named objects are not supported", op.pos)
-            obj = bundles.direct_sum(obj, rhs)
+            try:
+                obj = bundles.direct_sum(obj, rhs)
+            except DomainError as e:
+                raise BundleSyntaxError(str(e), op.pos) from None
         return obj
 
     def term(self) -> BundleObject:
@@ -176,9 +157,9 @@ class _Parser:
         if tok.kind == "name":
             if tok.text in ("D5", "B4"):
                 return self.weight_literal()
-            if tok.text in _ATOMS:
+            if tok.text in ATOMS:
                 self.take()
-                return _ATOMS[tok.text]
+                return ATOMS[tok.text]
             raise BundleSyntaxError(f"unknown bundle name {tok.text!r}", tok.pos)
         raise BundleSyntaxError(f"expected a bundle expression, found {tok.text!r}", tok.pos)
 
@@ -210,22 +191,15 @@ def _schur_op(text: str) -> tuple[str, int] | None:
 
 def _apply_schur(power: tuple[str, int], inner: BundleObject, pos: int) -> Sum:
     op, r = power
-    if not isinstance(inner, Sum) or len(inner.parts) != 1 or inner.parts[0][1] != 1:
-        raise BundleSyntaxError("Schur functors apply only to tautological generators", pos)
-    # Schur_r(E(t)) = Schur_r(E)(r*t) for a line-bundle twist of a generator
-    for key, gen in _GENERATORS.items():
-        t = bundles.level(inner) - bundles.level(gen)
-        if bundles.twist(gen, t) != inner:
-            continue
-        space = gen.space
-        try:
-            base = levi.sym_power(space, r) if op == "Sym" else levi.wedge_power(space, r)
-        except DomainError as e:
-            raise BundleSyntaxError(str(e), pos) from None
-        out = bundles.irr(space, base)
-        if key.endswith("-"):
-            out = bundles.dual(out)
-        return bundles.twist(out, r * t)
+    if isinstance(inner, Sum) and len(inner.parts) == 1 and inner.parts[0][1] == 1:
+        # Schur_r(E(t)) = Schur_r(E)(r*t) for a line-bundle twist of a generator
+        for gen in bundles.GENERATORS:
+            t = bundles.level(inner) - bundles.level(ATOMS[gen])
+            if bundles.twist(ATOMS[gen], t) == inner:
+                try:
+                    return bundles.schur(gen, op, r, r * t)
+                except DomainError as e:
+                    raise BundleSyntaxError(str(e), pos) from None
     raise BundleSyntaxError("Schur functors apply only to tautological generators", pos)
 
 
@@ -247,5 +221,5 @@ def parse_collection(text: str) -> list[BundleObject]:
         try:
             objs.append(parse_bundle(line))
         except BundleSyntaxError as e:
-            raise BundleSyntaxError(f"line {lineno}: {e}", e.position) from None
+            raise BundleSyntaxError(f"line {lineno}: {e.message}", e.position) from None
     return objs

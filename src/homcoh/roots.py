@@ -3,12 +3,12 @@
 Weights are integer vectors in the fundamental-weight basis (omega-basis)
 of a fixed Lie datum, and positive roots are integer vectors of
 simple-root coordinates grown from the integer Cartan matrix of families
-A, B, C and D.  Dominant conjugates and Levi duals come from one descent
-that subtracts Cartan rows.  Epsilon coordinates (the orthonormal
-realization) are a derived view for the tests and the bench tracer: the two
-closed-form maps omega_to_eps and eps_to_omega (Bourbaki, ch. VI, Planches
-I-IV), the only code here with Fraction entries, which spin weights of
-types B and D need.
+A, B, C and D.  Dominant conjugates, the BBW walk and Levi duals come
+from one descent that subtracts Cartan rows.  Epsilon coordinates (the
+orthonormal realization) are a derived view for the tests and the bench
+tracer: the two closed-form maps omega_to_eps and eps_to_omega (Bourbaki,
+ch. VI, Planches I-IV), the only code here with Fraction entries, which
+spin weights of types B and D need.
 """
 
 from __future__ import annotations
@@ -150,7 +150,6 @@ def positive_roots(datum: LieDatum) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
 def weyl_rows(datum: LieDatum) -> tuple[tuple[int, ...], ...]:
     """Per positive root beta = sum c_k alpha_k, the row c_k |alpha_k|^2.
 
@@ -222,15 +221,18 @@ def is_dominant(w: Weight) -> bool:
 
 def _descend(datum: LieDatum, nodes: range | tuple[int, ...], v: Weight) -> tuple[Weight, int]:
     # Reflect at the first of the nodes with a negative coefficient, by
-    # subtracting that multiple of its Cartan row, until there is none.
+    # subtracting that multiple of its Cartan row, until there is none.  Each
+    # reflection takes one positive root out of those that pair negatively
+    # with v, so there are at most |positive roots| of them.
     cartan = cartan_matrix(datum)
-    bound = 2 * len(positive_roots(datum)) + 1
-    for count in range(bound + 1):
-        i = next((i for i in nodes if v[i - 1] < 0), 0)
-        if not i:
+    for count in range(len(positive_roots(datum)) + 1):
+        for i in nodes:
+            c = v[i - 1]
+            if c < 0:
+                break
+        else:
             return v, count
-        c = v[i - 1]
-        v = tuple(a - c * r for a, r in zip(v, cartan[i - 1]))
+        v = tuple([a - c * r for a, r in zip(v, cartan[i - 1])])
     raise InternalConsistencyError(f"descent on nodes {tuple(nodes)} of {datum} did not terminate")
 
 

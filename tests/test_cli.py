@@ -327,3 +327,72 @@ def test_deterministic_output(capsys):
     _, out1 = run(capsys, "ext", "O", "That(5)")
     _, out2 = run(capsys, "ext", "O", "That(5)")
     assert out1 == out2
+
+
+def test_bad_coh_arguments_are_usage_errors(capsys):
+    for argv, message in (
+        (("E5", "P4", "[0,0,0,0,0]"), "bad datum 'E5', expected e.g. D5 or B4"),
+        (("D5", "X4", "[0,0,0,0,0]"), "bad marking 'X4', expected e.g. P4 or Q4"),
+        (("D5", "P4", "1,0,0,0,0"), "bad weight '1,0,0,0,0', expected [a1,...,a5]"),
+        (("D5", "P4", "[a,0,0,0,0]"), "bad weight '[a,0,0,0,0]'"),
+    ):
+        code = cli.main(["coh", *argv])
+        assert code == 2, argv
+        assert capsys.readouterr().err == f"error: {message}\n", argv
+
+
+def test_unusable_collection_files_are_usage_errors(tmp_path, capsys):
+    missing = tmp_path / "missing.col"
+    code = cli.main(["verify", str(missing)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: cannot read collection file: ")
+    empty = tmp_path / "empty.col"
+    empty.write_text("# nothing here\n\n")
+    code = cli.main(["verify", str(empty)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: collection file {str(empty)!r} holds no objects\n"
+
+
+def test_collection_parse_errors_name_the_line_and_the_position_once(tmp_path, capsys):
+    for line, message in (
+        ("Uv * R", "tensor products need two sums in one description"),
+        ("Uv + R", "direct sum needs a common description"),
+    ):
+        f = tmp_path / "bad.col"
+        f.write_text(f"O\n{line}\n")
+        code = cli.main(["verify", str(f)])
+        assert code == 2, line
+        assert capsys.readouterr().err == f"error: line 2: {message} (at position 3)\n", line
+    code = cli.main(["ext", "Uv + R", "O"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: direct sum needs a common description (at position 3)\n"
+
+
+def test_unknown_replay_target_is_a_usage_error(capsys):
+    code = cli.main(["replay", "foo"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: unknown replay target 'foo'\n"
+
+
+def test_verify_ambiguous_collection_exits_3(tmp_path, capsys):
+    f = tmp_path / "amb.col"
+    f.write_text("Uv\nRv\n")
+    code, out = run(capsys, "verify", str(f))
+    assert code == 3
+    assert "AMBIGUOUS (1,0) expected zero: ambiguous (no degenerate chase; chi = -9)" in out.splitlines()
+
+
+def test_ext_equivariant_notes_the_branching(capsys):
+    code, out = run(capsys, "ext", "O", "Uv", "--equivariant")
+    assert code == 0
+    assert out.splitlines() == ["C[0]", "# full-group classes restricted through the odd orthogonal branching"]
+
+
+def test_mutate_prints_a_k_only_result(tmp_path, capsys):
+    f = tmp_path / "konly.col"
+    f.write_text("Sym2 Rv (2)\nRv (2)\nO (2)\n")
+    code, out = run(capsys, "mutate", str(f), "R", "1")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "R at 1: recipe k-only"
+    assert lines[2] == "result: K-only[4824, 8925, 704, 848, 53, 10, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]"

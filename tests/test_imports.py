@@ -1,4 +1,5 @@
 import ast
+from collections import Counter
 from pathlib import Path
 
 import homcoh
@@ -110,18 +111,24 @@ def _public_references(module: str, root: ast.AST, imports) -> list[tuple[str, s
 
 def _unreferenced_public_definitions(sources: dict[str, str]) -> set[str]:
     """Public module-level functions and classes, by module name, that no
-    code refers to outside their own definition (_public_references)."""
+    code refers to (_public_references) outside their own definition and
+    the other definitions so found: a name reached only through test-only
+    code is test-only too, so the scan runs to a fixpoint."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     imports = {module: _module_imports(tree) for module, tree in trees.items()}
-    everywhere = [ref for m, tree in trees.items() for ref in _public_references(m, tree, imports[m])]
-    return {
-        d.name
+    everywhere = Counter(ref for m, tree in trees.items() for ref in _public_references(m, tree, imports[m]))
+    inside = {
+        (m, d.name): Counter(_public_references(m, d, imports[m]))
         for m, tree in trees.items()
         for d in tree.body
-        if isinstance(d, (ast.FunctionDef, ast.ClassDef))
-        and not d.name.startswith("_")
-        and everywhere.count((m, d.name)) == _public_references(m, d, imports[m]).count((m, d.name))
+        if isinstance(d, (ast.FunctionDef, ast.ClassDef)) and not d.name.startswith("_")
     }
+    found: set[tuple[str, str]] = set()
+    while True:
+        grown = {key for key in inside if everywhere[key] == sum(inside[d][key] for d in found | {key})}
+        if grown == found:
+            return {name for _, name in found}
+        found = grown
 
 
 # Public definitions that no package module calls, each kept for a reason
@@ -142,6 +149,13 @@ TEST_ONLY_PUBLIC = {
     "reset_engine",
     "rank",
     "first_chern",
+    # reached only through those test hooks: the Levi dimension and the
+    # doubled central charge that rank and first_chern sum
+    "levi_dim",
+    "doubled_gl_size",
+    # reached only through assemble_kp_collection, the benchmark's session
+    "right_dual",
+    "kp_blocks",
 }
 
 
@@ -185,3 +199,17 @@ def test_public_definition_scan_is_not_fooled_by_a_name_collision():
     trees = [ast.parse(source) for source in sources.values()]
     public = [d for tree in trees for d in tree.body if isinstance(d, (ast.FunctionDef, ast.ClassDef))]
     assert _unreferenced(public, trees) == set()
+
+
+def test_public_definition_scan_follows_chains_of_test_only_code():
+    # leaf is called only by middle and middle only by top, which nothing
+    # calls: all three are test-only.  shared is also called by used.
+    source = (
+        "def leaf(): return 1\n"
+        "def shared(): return 2\n"
+        "def middle(): return leaf() + shared()\n"
+        "def top(): return middle()\n"
+        "def used(): return shared()\n"
+        "used()\n"
+    )
+    assert _unreferenced_public_definitions({"m": source}) == {"leaf", "middle", "top"}

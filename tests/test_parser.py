@@ -76,6 +76,7 @@ def test_errors_carry_positions():
         ("O + Sym-1 Uv(2)", "negative symmetric power", 4),
         ("That + O", "direct sums of named objects are not supported", 5),
         ("(Uv + O) * Rv(2)", "tensor products need two sums in one description", 9),
+        ("Uv + R", "direct sum needs a common description", 3),
     ):
         with pytest.raises(BundleSyntaxError) as err:
             parse_bundle(text)
@@ -133,6 +134,15 @@ def test_collection_files():
     with pytest.raises(BundleSyntaxError) as err:
         parse_collection("O\nbad-name\n")
     assert "line 2" in str(err.value)
+    # The line is named once and the position once.
+    for line, message in (
+        ("Uv * R", "tensor products need two sums in one description"),
+        ("Uv + R", "direct sum needs a common description"),
+    ):
+        with pytest.raises(BundleSyntaxError) as err:
+            parse_collection(f"O\n{line}\n")
+        assert err.value.position == 3
+        assert str(err.value) == f"line 2: {message} (at position 3)"
 
 
 ATOM_CONSTRUCTORS = {
@@ -142,9 +152,9 @@ ATOM_CONSTRUCTORS = {
 
 
 def test_atom_table_equals_the_bundle_constructors():
-    # The parser builds each atom once; every name must still give what its
-    # bundles constructor gives, at level zero and twisted.
-    assert set(parser._ATOMS) == set(ATOM_CONSTRUCTORS)
+    # bundles builds each atom once; every name must still give what its
+    # constructor gives, at level zero and twisted.
+    assert set(B.ATOMS) == set(ATOM_CONSTRUCTORS)
     for name, make in ATOM_CONSTRUCTORS.items():
         assert parse_bundle(name) == make(), name
         for k in (-2, 2):
