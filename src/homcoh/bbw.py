@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
 
 from . import roots
 from .roots import (
     DomainError,
+    Frozen,
     InternalConsistencyError,
     LieDatum,
     Parabolic,
@@ -55,13 +54,23 @@ def weyl_dim(datum: LieDatum, mu: Weight) -> int:
     return dim
 
 
-@dataclass(frozen=True)
-class Cohomology:
+class Cohomology(Frozen):
     """Either no cohomology at all, or one representation in one degree."""
 
-    degree: Optional[int]
-    weight: Optional[Weight]
-    dim: int
+    _fields = ("degree", "weight", "dim")
+
+    def __init__(self, degree: int | None, weight: Weight | None, dim: int) -> None:
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "dim", dim)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.degree, self.weight, self.dim) == (other.degree, other.weight, other.dim)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.degree, self.weight, self.dim))
 
     @property
     def vanishes(self) -> bool:
@@ -73,7 +82,7 @@ class Cohomology:
         return f"V{roots.format_weight(self.weight)} @ {self.degree} (dim {self.dim})"
 
 
-# The one vanishing answer, shared: a frozen dataclass cannot be changed.
+# The one vanishing answer, shared: a Cohomology is Frozen, so no caller can change it.
 _ZERO = Cohomology(None, None, 0)
 
 

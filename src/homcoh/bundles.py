@@ -34,11 +34,10 @@ B4/Q4 sum, one with a part that is not a twist of O.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import bbw, levi, roots
-from .roots import B4, B4_Q4, D5, D5_P4, DomainError, InternalConsistencyError, LieDatum, Parabolic, Weight
+from .roots import B4, B4_Q4, D5, D5_P4, DomainError, Frozen, InternalConsistencyError, LieDatum, Parabolic, Weight
 
 RepFactor = tuple[LieDatum, Weight]
 Coeff = tuple[tuple[RepFactor, int], ...]  # multiset of full-group weights
@@ -52,27 +51,32 @@ def _unit_weight(space: Parabolic) -> Weight:
     return tuple(1 if i == m - 1 else 0 for i in range(space.rank))
 
 
-@dataclass(frozen=True)
-class Sum:
+class Sum(Frozen):
     """Direct sum of irreducible homogeneous bundles, all in one description;
     a sum of twists of O is always on D5/P4."""
 
-    space: Parabolic
-    parts: Parts
+    _fields = ("space", "parts")
 
-    def __post_init__(self) -> None:
-        for w, m in self.parts:
-            roots.check_length(self.space.datum, w)
+    def __init__(self, space: Parabolic, parts: Parts) -> None:
+        for w, m in parts:
+            roots.check_length(space.datum, w)
             if m <= 0:
                 raise DomainError("multiplicities must be positive")
-            if not roots.is_levi_dominant(self.space, w):
-                raise DomainError(f"{roots.format_weight(w)} is not Levi-dominant on {self.space}")
-        if self.space == B4_Q4:
+            if not roots.is_levi_dominant(space, w):
+                raise DomainError(f"{roots.format_weight(w)} is not Levi-dominant on {space}")
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "parts", parts)
+        if space == B4_Q4:
             on_d5 = convert_twist(self, D5_P4)
             if on_d5 is not None:  # a sum of twists of O lives on D5/P4 only
                 object.__setattr__(self, "space", D5_P4)
                 object.__setattr__(self, "parts", on_d5)
         object.__setattr__(self, "_hash", hash((self.space, self.parts)))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.space, self.parts) == (other.space, other.parts)
+        return NotImplemented
 
     def __hash__(self) -> int:
         # Kept once per instance, like the hashes of LieDatum and Parabolic.
@@ -82,15 +86,20 @@ class Sum:
         return bundle_expr(self)
 
 
-@dataclass(frozen=True)
-class Named:
+class Named(Frozen):
     """A filtered object known only through its registered resolutions."""
 
-    name: str
-    twist: int
+    _fields = ("name", "twist")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.name, self.twist)))
+    def __init__(self, name: str, twist: int) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "twist", twist)
+        object.__setattr__(self, "_hash", hash((name, twist)))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.name, self.twist) == (other.name, other.twist)
+        return NotImplemented
 
     def __hash__(self) -> int:
         return self._hash
@@ -136,9 +145,9 @@ def twist(obj: BundleObject, k: int) -> BundleObject:
     unit = _unit_weight(obj.space)
     # Adding k times the marked fundamental weight changes no unmarked
     # coordinate, so every part stays Levi-dominant and a sum stays on the
-    # description Sum.__post_init__ chose for it, and it moves every part by
+    # description Sum.__init__ chose for it, and it moves every part by
     # one vector, so the parts stay sorted and distinct: the Sum is built
-    # without Sum.__post_init__, which would check all of that again.
+    # without Sum.__init__, which would check all of that again.
     parts = tuple((tuple(c + k * u for c, u in zip(w, unit)), m) for w, m in obj.parts)
     out = object.__new__(Sum)
     object.__setattr__(out, "space", obj.space)
@@ -236,24 +245,31 @@ def first_chern(obj: BundleObject) -> int:
 # --- sequences -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Term:
-    obj: BundleObject
-    coeff: Coeff = ()
+class Term(Frozen):
+    _fields = ("obj", "coeff")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.obj, self.coeff)))
+    def __init__(self, obj: BundleObject, coeff: Coeff = ()) -> None:
+        object.__setattr__(self, "obj", obj)
+        object.__setattr__(self, "coeff", coeff)
+        object.__setattr__(self, "_hash", hash((obj, coeff)))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.obj, self.coeff) == (other.obj, other.coeff)
+        return NotImplemented
 
     def __hash__(self) -> int:
         return self._hash
 
 
-@dataclass(frozen=True)
-class Sequence:
+class Sequence(Frozen):
     """An exact sequence 0 -> T_0 -> ... -> T_{n-1} -> 0 at a reference twist."""
 
-    name: str
-    terms: tuple[Term, ...]
+    _fields = ("name", "terms")
+
+    def __init__(self, name: str, terms: tuple[Term, ...]) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "terms", terms)
 
 
 def coeff_dim(coeff: Coeff) -> int:

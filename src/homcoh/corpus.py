@@ -8,23 +8,26 @@ one side's data must break exactly that side's entries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from collections.abc import Callable
 
 from . import bundles
 from .bundles import B4_Q4, D5_P4
 from .ext import Ambiguous, ExtEngine, ExtResult, ls_chase, rep_result, trivial_result
-from .roots import D5
+from .roots import D5, Frozen, Record
 
 CaseResult = tuple[str, bool, str, str]  # (case id, ok, computed, stated)
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
-    label: str
-    side: str  # "D5" or "B4"
-    description: str
-    run: Callable[[ExtEngine], list[CaseResult]]
+class CorpusEntry(Frozen):
+    _fields = ("label", "side", "description", "run")
+
+    def __init__(
+        self, label: str, side: str, description: str, run: Callable[[ExtEngine], list[CaseResult]]
+    ) -> None:
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "side", side)  # "D5" or "B4"
+        object.__setattr__(self, "description", description)
+        object.__setattr__(self, "run", run)
 
 
 def _case(case_id: str, computed, stated) -> CaseResult:
@@ -180,9 +183,11 @@ ENTRIES: tuple[CorpusEntry, ...] = (
 )
 
 
-@dataclass
-class CorpusReport:
-    results: list[tuple[CorpusEntry, list[CaseResult]]]
+class CorpusReport(Record):
+    _fields = ("results",)
+
+    def __init__(self, results: list[tuple[CorpusEntry, list[CaseResult]]]) -> None:
+        self.results = results
 
     @property
     def failures(self) -> list[tuple[str, CaseResult]]:

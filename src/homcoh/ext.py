@@ -41,11 +41,10 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
 
 from . import bbw, bundles, levi, roots
 from .bundles import BundleObject, Named, Sequence, Sum, Term
-from .roots import InternalConsistencyError
+from .roots import Frozen, InternalConsistencyError
 
 Entry = tuple[bundles.RepFactor, ...]
 Graded = dict[tuple[int, Entry], int]  # (degree, entry) -> multiplicity
@@ -84,11 +83,21 @@ def add_piece(graded: Graded, degree: int, entry: Entry, mult: int) -> None:
         graded.pop(key, None)
 
 
-@dataclass(frozen=True)
-class ExtResult:
+class ExtResult(Frozen):
     """Exact graded Ext as its flat pieces (see the module docstring)."""
 
-    pieces: tuple[tuple[int, Entry, int], ...]
+    _fields = ("pieces",)
+
+    def __init__(self, pieces: tuple[tuple[int, Entry, int], ...]) -> None:
+        object.__setattr__(self, "pieces", pieces)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.pieces == other.pieces
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.pieces,))
 
     @staticmethod
     def from_dict(graded: Graded) -> "ExtResult":
@@ -128,12 +137,22 @@ class ExtResult:
         return " + ".join(format_graded(self))
 
 
-@dataclass(frozen=True)
-class Ambiguous:
+class Ambiguous(Frozen):
     """The chase did not degenerate; only the Euler characteristic is known."""
 
-    euler: int
-    reason: str = ""
+    _fields = ("euler", "reason")
+
+    def __init__(self, euler: int, reason: str = "") -> None:
+        object.__setattr__(self, "euler", euler)
+        object.__setattr__(self, "reason", reason)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.euler, self.reason) == (other.euler, other.reason)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.euler, self.reason))
 
     def __repr__(self) -> str:
         return f"ambiguous ({self.reason}; chi = {self.euler})"

@@ -9,18 +9,15 @@ against the cone formula in K-theory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import bundles, ext as ext_mod
 from .bundles import BundleObject
 from .ext import Ambiguous, ExtEngine, ExtResult
-from .roots import DomainError, InternalConsistencyError
+from .roots import DomainError, Frozen, InternalConsistencyError, Record
 
 KVector = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class KOnly:
+class KOnly(Frozen):
     """A mutation result known only by its class in K-theory.
 
     Its printed form, K-only[...], is the one printed form of a collection
@@ -28,7 +25,10 @@ class KOnly:
     an expression of the bundle language.
     """
 
-    kclass: KVector
+    _fields = ("kclass",)
+
+    def __init__(self, kclass: KVector) -> None:
+        object.__setattr__(self, "kclass", kclass)
 
     def __repr__(self) -> str:
         return f"K-only{list(self.kclass)}"
@@ -37,11 +37,13 @@ class KOnly:
 CollectionObject = BundleObject | KOnly
 
 
-@dataclass(frozen=True)
-class Collection:
-    objects: tuple[CollectionObject, ...]
-    label: str = ""
-    equivariant: bool = False
+class Collection(Frozen):
+    _fields = ("objects", "label", "equivariant")
+
+    def __init__(self, objects: tuple[CollectionObject, ...], label: str = "", equivariant: bool = False) -> None:
+        object.__setattr__(self, "objects", objects)
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "equivariant", equivariant)
 
     def __len__(self) -> int:
         return len(self.objects)
@@ -92,20 +94,26 @@ def kp_blocks() -> tuple[Collection, ...]:
 # --- verification ----------------------------------------------------------
 
 
-@dataclass
-class PairCheck:
-    row: int
-    col: int
-    expected: str  # "identity" or "zero"
-    value: ExtResult | Ambiguous
-    ok: bool
-    ambiguous: bool
+class PairCheck(Record):
+    _fields = ("row", "col", "expected", "value", "ok", "ambiguous")
+
+    def __init__(
+        self, row: int, col: int, expected: str, value: ExtResult | Ambiguous, ok: bool, ambiguous: bool
+    ) -> None:
+        self.row = row
+        self.col = col
+        self.expected = expected  # "identity" or "zero"
+        self.value = value
+        self.ok = ok
+        self.ambiguous = ambiguous
 
 
-@dataclass
-class VerifyReport:
-    collection: Collection
-    checks: list[PairCheck]
+class VerifyReport(Record):
+    _fields = ("collection", "checks")
+
+    def __init__(self, collection: Collection, checks: list[PairCheck]) -> None:
+        self.collection = collection
+        self.checks = checks
 
     @property
     def ambiguous_pairs(self) -> list[PairCheck]:
@@ -162,8 +170,7 @@ def gram_matrix(col: Collection, engine: ExtEngine | None = None) -> tuple[tuple
 # --- K-theory --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class KForm:
+class KForm(Frozen):
     """Euler form on K-theory in the basis of the Kuznetsov collection.
 
     An object E is stored as its class kclass(E) = (chi(b, E) for b in
@@ -173,8 +180,9 @@ class KForm:
     once per row, not once per entry.
 
     A form belongs to the engine that built it (`standard` keeps it as
-    engine.kform), and `kclass` is asked with that engine.  It keeps two
-    tables, which take no part in comparison or printing: _classes, object
+    engine.kform), and `kclass` is asked with that engine.  Besides its
+    three fields it keeps two tables, which are not among its _fields and
+    so take no part in comparison, hashing or printing: _classes, object
     -> kclass, filled by `kclass` from the engine's Euler pairings, and
     _coords, class -> coords, filled by `coords`.  So each object costs
     its basis pairings once per engine, and the tables live exactly as
@@ -185,11 +193,19 @@ class KForm:
     object costs no pairing beyond those of the Gram matrix.
     """
 
-    basis: tuple[BundleObject, ...]
-    gram: tuple[tuple[int, ...], ...]
-    gram_inv: tuple[tuple[int, ...], ...]
-    _classes: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    _coords: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _fields = ("basis", "gram", "gram_inv")
+
+    def __init__(
+        self,
+        basis: tuple[BundleObject, ...],
+        gram: tuple[tuple[int, ...], ...],
+        gram_inv: tuple[tuple[int, ...], ...],
+    ) -> None:
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "gram", gram)
+        object.__setattr__(self, "gram_inv", gram_inv)
+        object.__setattr__(self, "_classes", {})
+        object.__setattr__(self, "_coords", {})
 
     @staticmethod
     def standard(engine: ExtEngine | None = None) -> "KForm":
@@ -261,17 +277,30 @@ def k_mutate_left(vectors: list[KVector], i: int, form: KForm) -> list[KVector]:
 # --- mutation engine --------------------------------------------------------
 
 
-@dataclass
-class MutationStep:
-    direction: str  # "L" | "R"
-    position: int  # 0-based position of the left object of the mutated pair
-    pair: tuple[CollectionObject, CollectionObject]
-    hypothesis: ExtResult | Ambiguous  # the invariant part when equivariant
-    recipe: str
-    result: CollectionObject
-    shift: int
-    kclass: KVector
-    notes: tuple[str, ...] = ()
+class MutationStep(Record):
+    _fields = ("direction", "position", "pair", "hypothesis", "recipe", "result", "shift", "kclass", "notes")
+
+    def __init__(
+        self,
+        direction: str,
+        position: int,
+        pair: tuple[CollectionObject, CollectionObject],
+        hypothesis: ExtResult | Ambiguous,
+        recipe: str,
+        result: CollectionObject,
+        shift: int,
+        kclass: KVector,
+        notes: tuple[str, ...] = (),
+    ) -> None:
+        self.direction = direction  # "L" | "R"
+        self.position = position  # 0-based position of the left object of the mutated pair
+        self.pair = pair
+        self.hypothesis = hypothesis  # the invariant part when equivariant
+        self.recipe = recipe
+        self.result = result
+        self.shift = shift
+        self.kclass = kclass
+        self.notes = notes
 
     def hypothesis_dims(self) -> dict[int, int]:
         if isinstance(self.hypothesis, Ambiguous):
@@ -464,12 +493,20 @@ def replay_script() -> list[dict]:
     return steps
 
 
-@dataclass
-class ReplayResult:
-    steps: list[MutationStep]
-    final: Collection
-    final_gram: tuple[tuple[int, ...], ...]
-    kuznetsov_gram: tuple[tuple[int, ...], ...]
+class ReplayResult(Record):
+    _fields = ("steps", "final", "final_gram", "kuznetsov_gram")
+
+    def __init__(
+        self,
+        steps: list[MutationStep],
+        final: Collection,
+        final_gram: tuple[tuple[int, ...], ...],
+        kuznetsov_gram: tuple[tuple[int, ...], ...],
+    ) -> None:
+        self.steps = steps
+        self.final = final
+        self.final_gram = final_gram
+        self.kuznetsov_gram = kuznetsov_gram
 
     @property
     def final_matches(self) -> bool:

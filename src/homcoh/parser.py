@@ -32,7 +32,6 @@ repr of every bundle object.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from . import bundles
 from .bundles import ATOMS, BundleObject, Sum
@@ -52,11 +51,13 @@ class BundleSyntaxError(ValueError):
         self.position = position
 
 
-@dataclass
 class _Token:
-    kind: str  # "name" | "int" | "sym" | "end"
-    text: str
-    pos: int
+    __slots__ = ("kind", "text", "pos")
+
+    def __init__(self, kind: str, text: str, pos: int) -> None:
+        self.kind = kind  # "name" | "int" | "sym" | "end"
+        self.text = text
+        self.pos = pos
 
 
 def _tokenize(text: str) -> list[_Token]:

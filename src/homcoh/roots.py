@@ -8,13 +8,13 @@ from one descent that subtracts Cartan rows.  Epsilon coordinates (the
 orthonormal realization) are a derived view for the tests and the bench
 tracer: the two closed-form maps omega_to_eps and eps_to_omega (Bourbaki,
 ch. VI, Planches I-IV), the only code here with Fraction entries, which
-spin weights of types B and D need.
+spin weights of types B and D need.  As the lowest module it also holds
+the package's errors and Record and Frozen, the bases of its value classes.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
 
@@ -34,21 +34,86 @@ class InternalConsistencyError(RuntimeError):
     """A structural invariant failed; indicates a bug, not bad input."""
 
 
-@dataclass(frozen=True, order=True)
-class LieDatum:
-    family: str
-    rank: int
+class Record:
+    """Base of homcoh's records.  A subclass names its fields in _fields, in
+    the order of its constructor, and sets them in __init__.  Two records
+    are equal when they are of one class and their fields are equal, and a
+    record prints as Class(field=value, ...).  A mutable record does not
+    hash.  Classes on hot paths write their own __eq__ out field by field."""
 
-    def __post_init__(self) -> None:
-        if self.family not in ("A", "B", "C", "D"):
-            raise InvalidDatum(f"unsupported family {self.family!r}")
-        if self.rank < 1:
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({args})"
+
+
+class Frozen(Record):
+    """A record that never changes: __init__ sets its fields through
+    object.__setattr__, and any later assignment or deletion raises
+    AttributeError.  It hashes by its fields; a class that defines __eq__
+    must define __hash__ too, or Python makes it unhashable."""
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class LieDatum(Frozen):
+    """A simple Lie algebra by family and rank; data order by the pair."""
+
+    _fields = ("family", "rank")
+
+    def __init__(self, family: str, rank: int) -> None:
+        if family not in ("A", "B", "C", "D"):
+            raise InvalidDatum(f"unsupported family {family!r}")
+        if rank < 1:
             raise InvalidDatum("rank must be positive")
-        if self.family == "D" and self.rank < 3:
+        if family == "D" and rank < 3:
             raise InvalidDatum("family D needs rank >= 3")
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "rank", rank)
         # Data, parabolics and bundles key every memo table of the engine:
-        # each hashes its fields once and keeps the value outside them.
-        object.__setattr__(self, "_hash", hash((self.family, self.rank)))
+        # each hashes its fields once, in __init__, and keeps the value.
+        object.__setattr__(self, "_hash", hash((family, rank)))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.family, self.rank) == (other.family, other.rank)
+        return NotImplemented
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.family, self.rank) < (other.family, other.rank)
+        return NotImplemented
+
+    def __le__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.family, self.rank) <= (other.family, other.rank)
+        return NotImplemented
+
+    def __gt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.family, self.rank) > (other.family, other.rank)
+        return NotImplemented
+
+    def __ge__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.family, self.rank) >= (other.family, other.rank)
+        return NotImplemented
 
     def __hash__(self) -> int:
         return self._hash
@@ -57,23 +122,28 @@ class LieDatum:
         return f"{self.family}{self.rank}"
 
 
-@dataclass(frozen=True)
-class Parabolic:
+class Parabolic(Frozen):
     """A marked Dynkin diagram: the datum plus the crossed-out nodes."""
 
-    datum: LieDatum
-    marked: tuple[int, ...]
+    _fields = ("datum", "marked")
 
-    def __post_init__(self) -> None:
-        if not self.marked:
+    def __init__(self, datum: LieDatum, marked: tuple[int, ...]) -> None:
+        if not marked:
             raise InvalidDatum("a parabolic needs at least one marked node")
-        if list(self.marked) != sorted(set(self.marked)):
+        if list(marked) != sorted(set(marked)):
             raise InvalidDatum("marked nodes must be strictly increasing")
-        if any(i < 1 or i > self.datum.rank for i in self.marked):
+        if any(i < 1 or i > datum.rank for i in marked):
             raise InvalidDatum("marked node out of range")
-        object.__setattr__(self, "_hash", hash((self.datum, self.marked)))
-        unmarked = tuple(i for i in range(1, self.datum.rank + 1) if i not in self.marked)
+        object.__setattr__(self, "datum", datum)
+        object.__setattr__(self, "marked", marked)
+        object.__setattr__(self, "_hash", hash((datum, marked)))
+        unmarked = tuple(i for i in range(1, datum.rank + 1) if i not in marked)
         object.__setattr__(self, "_unmarked", unmarked)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.datum, self.marked) == (other.datum, other.marked)
+        return NotImplemented
 
     def __hash__(self) -> int:
         return self._hash

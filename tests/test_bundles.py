@@ -262,7 +262,7 @@ def test_a_sum_of_twists_of_o_is_one_object_on_d5():
 
 
 def test_unvalidated_twist_equals_the_validated_sum():
-    # twist builds a Sum without Sum.__post_init__; the same parts shifted by
+    # twist builds a Sum without Sum.__init__; the same parts shifted by
     # hand and validated through make_sum must give the same object.  A B4/Q4
     # draw of twists of O is built on D5/P4, and is shifted there.
     rng = random.Random(29)

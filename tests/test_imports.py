@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -213,3 +216,19 @@ def test_public_definition_scan_follows_chains_of_test_only_code():
         "used()\n"
     )
     assert _unreferenced_public_definitions({"m": source}) == {"leaf", "middle", "top"}
+
+
+def test_set_up_imports_neither_dataclasses_nor_typing():
+    # The benchmark's set-up in a fresh interpreter without site: the value
+    # classes are plain classes and annotations stay strings, so homcoh
+    # pulls in none of these modules, nor inspect, which dataclasses loads.
+    code = (
+        "import sys, homcoh, homcoh.cli\n"
+        "from homcoh import bundles, ext\n"
+        "bundles.standard_sequences()\n"
+        "ext.get_engine()\n"
+        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    run = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "[]"
