@@ -64,14 +64,6 @@ class Cohomology(Frozen):
         object.__setattr__(self, "weight", weight)
         object.__setattr__(self, "dim", dim)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.degree, self.weight, self.dim) == (other.degree, other.weight, other.dim)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.degree, self.weight, self.dim))
-
     @property
     def vanishes(self) -> bool:
         return self.degree is None

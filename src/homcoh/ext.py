@@ -92,12 +92,13 @@ class ExtResult(Frozen):
         object.__setattr__(self, "pieces", pieces)
 
     def __eq__(self, other):
+        # Written out: the engine compares the answers of its strategies, and
+        # the corpus and the mutations compare answers with expected ones.
         if other.__class__ is self.__class__:
             return self.pieces == other.pieces
         return NotImplemented
 
-    def __hash__(self) -> int:
-        return hash((self.pieces,))
+    __hash__ = Frozen.__hash__
 
     @staticmethod
     def from_dict(graded: Graded) -> "ExtResult":
@@ -145,14 +146,6 @@ class Ambiguous(Frozen):
     def __init__(self, euler: int, reason: str = "") -> None:
         object.__setattr__(self, "euler", euler)
         object.__setattr__(self, "reason", reason)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.euler, self.reason) == (other.euler, other.reason)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.euler, self.reason))
 
     def __repr__(self) -> str:
         return f"ambiguous ({self.reason}; chi = {self.euler})"

@@ -60,7 +60,8 @@ class Frozen(Record):
     """A record that never changes: __init__ sets its fields through
     object.__setattr__, and any later assignment or deletion raises
     AttributeError.  It hashes by its fields; a class that defines __eq__
-    must define __hash__ too, or Python makes it unhashable."""
+    must define __hash__ too (or set __hash__ = Frozen.__hash__), or Python
+    makes it unhashable."""
 
     def __hash__(self) -> int:
         return hash(self._values())
