@@ -23,7 +23,6 @@ from .roots import (
 from .bbw import Cohomology, bbw_cohomology, weyl_dim
 from .levi import (
     branch_d5_to_b4,
-    levi_dim,
     sym_power,
     tensor_decompose,
     wedge_power,

@@ -226,22 +226,6 @@ def kclass(obj: BundleObject) -> KClass:
     return {piece: m for piece, m in out.items() if m}
 
 
-def rank(obj: BundleObject) -> int:
-    return sum(m * levi.levi_dim(space, w) for (space, w), m in kclass(obj).items())
-
-
-def first_chern(obj: BundleObject) -> int:
-    """c1 in units of O(1): rank times doubled GL size, summed, over that of O(1)."""
-    total = 0
-    for (space, w), m in kclass(obj).items():
-        size = m * levi.levi_dim(space, w) * levi.doubled_gl_size(space, w)
-        c1, rest = divmod(size, levi.doubled_gl_size(space, _unit_weight(space)))
-        if rest:
-            raise InternalConsistencyError("non-integral first Chern class")
-        total += c1
-    return total
-
-
 # --- sequences -------------------------------------------------------------
 
 

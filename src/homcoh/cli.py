@@ -253,7 +253,9 @@ def cmd_replay(args) -> int:
 
 
 def cmd_corpus(args) -> int:
-    report = corpus.run_corpus(args.filter or "")
+    report = corpus.run_corpus(args.filter)
+    if not report.results:
+        raise UsageError(f"no corpus entry matches {args.filter!r}")
     if args.json:
         payload = [
             {

@@ -104,9 +104,6 @@ class ExtResult(Frozen):
     def from_dict(graded: Graded) -> "ExtResult":
         return ExtResult(tuple((p, e, m) for (p, e), m in sorted(graded.items()) if m))
 
-    def as_dict(self) -> Graded:
-        return {(p, e): m for p, e, m in self.pieces}
-
     def dims(self) -> dict[int, int]:
         """The dimension of each degree that has a piece."""
         out: dict[int, int] = {}

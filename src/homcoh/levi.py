@@ -24,10 +24,9 @@ into `_kostka` only the partitions not yet in `_KOSTKA`; a faulty entry
 stays for the process.  `lr_multiply` keeps its own lru_cache and
 shares `_KOSTKA`.
 
-The lattice check lives in `_from_gl2`, for `from_gl`.  `levi_dim` is
-Weyl's formula, bbw.weyl_dim, on the type A datum of the GL chain.
-`branch_levi` (GL(5) -> GL(4)) gives the graded pieces of a D5/P4 fibre as
-a Q4-module, its class on B4/Q4; `branch_d5_to_b4` is so(10) -> so(9), and
+The lattice check lives in `_from_gl2`, for `from_gl`.  `branch_levi`
+(GL(5) -> GL(4)) gives the graded pieces of a D5/P4 fibre as a Q4-module,
+its class on B4/Q4; `branch_d5_to_b4` is so(10) -> so(9), and
 `b4_content`, which reads it, keeps an lru_cache of its sorted terms.
 """
 
@@ -38,7 +37,7 @@ import operator
 from fractions import Fraction as Q
 from functools import lru_cache
 
-from . import bbw, roots
+from . import roots
 from .roots import B4_Q4, D5_P4, DomainError, InternalConsistencyError, Parabolic, Weight
 
 Partition = tuple[int, ...]
@@ -125,12 +124,6 @@ def from_gl(pb: Parabolic, v: GLVector) -> Weight:
     return _from_gl2(pb, tuple(int(c) for c in doubled))
 
 
-def doubled_gl_size(pb: Parabolic, w: Weight) -> int:
-    """Twice the sum of the GL vector of w: the doubled central charge."""
-    _require_supported(pb)
-    return sum(_gl2(pb, w))
-
-
 def _split(pb: Parabolic, w: Weight) -> tuple[Partition, int]:
     # 2 GL(w) = 2p + s(1,...,1) with p a partition ending in 0.
     roots.check_length(pb.datum, w)
@@ -138,15 +131,6 @@ def _split(pb: Parabolic, w: Weight) -> tuple[Partition, int]:
         raise DomainError(f"{roots.format_weight(w)} is not Levi-dominant on {pb}")
     v = _gl2(pb, w)
     return tuple((c - v[-1]) // 2 for c in v), v[-1]
-
-
-def levi_dim(pb: Parabolic, w: Weight) -> int:
-    """Dimension of the Levi irreducible of w: Weyl's formula (bbw.weyl_dim)
-    on the type A datum of the chain, at w's labels there."""
-    _require_supported(pb)
-    _split(pb, w)  # the length and Levi-dominance checks
-    chain = _LEVI[pb][0]
-    return bbw.weyl_dim(roots.LieDatum("A", len(chain)), tuple(w[node - 1] for node in chain))
 
 
 def _kostka(mu: Partition) -> dict[Partition, int]:

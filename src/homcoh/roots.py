@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction as Q
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 
 Weight = tuple[int, ...]
 EpsVector = tuple[Q, ...]
@@ -39,7 +39,10 @@ class Record:
     the order of its constructor, and sets them in __init__.  Two records
     are equal when they are of one class and their fields are equal, and a
     record prints as Class(field=value, ...).  A mutable record does not
-    hash.  Classes on hot paths write their own __eq__ out field by field."""
+    hash.  Classes on hot paths write their own __eq__ out field by field:
+    one shared body, generic over _fields, measured slower on the bench
+    (ROADMAP.md, cold start), likely because CPython 3.11 specializes
+    attribute reads per code object and a shared body sees every class."""
 
     _fields: tuple[str, ...] = ()
 
@@ -73,6 +76,7 @@ class Frozen(Record):
         raise AttributeError(f"cannot delete field {name!r}")
 
 
+@total_ordering
 class LieDatum(Frozen):
     """A simple Lie algebra by family and rank; data order by the pair."""
 
@@ -99,21 +103,6 @@ class LieDatum(Frozen):
     def __lt__(self, other):
         if other.__class__ is self.__class__:
             return (self.family, self.rank) < (other.family, other.rank)
-        return NotImplemented
-
-    def __le__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.family, self.rank) <= (other.family, other.rank)
-        return NotImplemented
-
-    def __gt__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.family, self.rank) > (other.family, other.rank)
-        return NotImplemented
-
-    def __ge__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.family, self.rank) >= (other.family, other.rank)
         return NotImplemented
 
     def __hash__(self) -> int:

@@ -286,6 +286,22 @@ def test_corpus_cli(capsys):
     assert code == 0 and "sym-power-sections" in out
 
 
+def test_corpus_filter_that_matches_nothing_is_a_usage_error(capsys):
+    for extra in ((), ("--json",)):
+        assert cli.main(["corpus", "--filter", "nothing", *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: no corpus entry matches 'nothing'\n"
+
+
+def test_replay_error_aborts_with_exit_1(capsys, monkeypatch):
+    def fail(engine):
+        raise mutations.ReplayError("step 3: no recipe")
+
+    monkeypatch.setattr(mutations, "replay_main_proof", fail)
+    assert run(capsys, "replay", "spinor-kp") == (1, "REPLAY ABORTED: step 3: no recipe\n")
+
+
 def test_unknown_command_is_usage_error(capsys):
     assert cli.main(["frobnicate"]) == 2
 

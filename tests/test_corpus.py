@@ -1,9 +1,10 @@
 import pytest
 
 from homcoh import corpus, roots
-from homcoh.corpus import ENTRIES, run_corpus
+from homcoh.corpus import ENTRIES, CorpusEntry, run_corpus
 from homcoh.ext import ExtEngine
 from homcoh.parser import parse_bundle
+from homcoh.roots import InternalConsistencyError
 
 
 def test_full_corpus_passes():
@@ -25,6 +26,20 @@ def test_filter_restricts_entries():
 def test_empty_filter_match_is_vacuous_pass():
     report = run_corpus("no-such-entry")
     assert report.passed and not report.results
+
+
+def test_an_entry_whose_computation_raises_fails_alone(monkeypatch):
+    def boom(eng):
+        raise InternalConsistencyError("injected")
+
+    broken = CorpusEntry(ENTRIES[1].label, ENTRIES[1].side, ENTRIES[1].description, boom)
+    monkeypatch.setattr(corpus, "ENTRIES", (ENTRIES[0], broken, ENTRIES[2]))
+    report = run_corpus()
+    assert [e.label for e, _ in report.results] == [e.label for e in ENTRIES[:3]]
+    assert report.failures == [
+        (broken.label, ("computation aborted", False, "InternalConsistencyError: injected", "a finite value"))
+    ]
+    assert all(ok for e, cases in report.results if e is not broken for _, ok, _, _ in cases)
 
 
 def _inject_short_root_fault(monkeypatch):

@@ -101,6 +101,19 @@ def test_ls_chase_five_term_consistency(eng):
     assert ls_chase(five, B.Uv(), unknown=0, engine=eng) == trivial_result(0)
 
 
+def test_ls_chase_that_does_not_degenerate_carries_the_exact_euler():
+    # _chase's Ambiguous carries a placeholder 0; ls_chase replaces it with
+    # the Euler characteristic of the unknown term against the target.
+    eng = ExtEngine()
+    seq = next(s for s in B.standard_sequences() if s.name == "taut-rank5")
+    res = ls_chase(seq, B.O(), unknown=0, engine=eng, twist_by=-1)
+    assert isinstance(res, Ambiguous)
+    assert res.reason == "chase over taut-rank5 does not degenerate"
+    exact = eng.ext(B.U(-1), B.O())
+    assert exact == rep_result(D5, {0: [(1, 0, 0, 1, 0)]})
+    assert res.euler == eng.euler(B.U(-1), B.O()) == exact.euler() == 144
+
+
 def test_ls_chase_split_sequence_additivity(eng):
     split = B.Sequence(
         "split-demo",
@@ -118,10 +131,10 @@ def test_ls_chase_split_sequence_additivity(eng):
         outer_c = eng.ext(B.O(), target)
         assert {outer_a.is_zero, outer_c.is_zero} == {not nonzero}, target
         merged = {}
-        for part in (outer_a.as_dict(), outer_c.as_dict()):
-            for key, m in part.items():
-                merged[key] = merged.get(key, 0) + m
-        assert middle.as_dict() == merged, target
+        for part in (outer_a, outer_c):
+            for p, e, m in part.pieces:
+                merged[p, e] = merged.get((p, e), 0) + m
+        assert {(p, e): m for p, e, m in middle.pieces} == merged, target
 
 
 def test_engine_memoization_is_stable(eng):
@@ -501,7 +514,7 @@ def test_grid_answers_have_one_flat_shape():
         keys = [(p, e) for p, e, _ in res.pieces]
         assert all(a < b for a, b in zip(keys, keys[1:])), res
         assert all(m for _, _, m in res.pieces), res
-        assert ExtResult.from_dict(res.as_dict()) == res
+        assert ExtResult.from_dict({(p, e): m for p, e, m in res.pieces}) == res
 
 
 def test_solve_ses_degenerates_as_the_degree_set_test_did():

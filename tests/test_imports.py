@@ -81,6 +81,43 @@ def test_private_definition_scan_catches_dead_code():
     assert _unreferenced_private_definitions([source]) == {"_dead", "_method", "_Gone"}
 
 
+def _unreferenced_public_methods(sources: list[str]) -> set[str]:
+    """Public methods, dunders left out, whose name no code mentions outside
+    their own body.  By name only: a method that shares its name with
+    something else is never reported, dead or not."""
+    trees = [ast.parse(source) for source in sources]
+    methods = [
+        d
+        for tree in trees
+        for c in tree.body
+        if isinstance(c, ast.ClassDef)
+        for d in c.body
+        if isinstance(d, ast.FunctionDef) and not d.name.startswith("_")
+    ]
+    return _unreferenced(methods, trees)
+
+
+def test_package_refers_to_every_public_method():
+    sources = [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))]
+    assert _unreferenced_public_methods(sources) == set()
+
+
+def test_public_method_scan_catches_dead_code():
+    # size is dead too, but a module-level size hides it.
+    source = (
+        "class Box:\n"
+        "    def used(self): return 1\n"
+        "    def dead(self): return self.used()\n"
+        "    def loop(self, n): return self.loop(n - 1)\n"
+        "    def size(self): return 0\n"
+        "    def _hidden(self): return 0\n"
+        "    def __len__(self): return 0\n"
+        "size = 3\n"
+        "Box().used()\n"
+    )
+    assert _unreferenced_public_methods([source]) == {"dead", "loop"}
+
+
 def _module_imports(tree: ast.Module) -> tuple[dict[str, str], dict[str, tuple[str, str]]]:
     """The package modules a module imports (`from . import bundles as B`:
     B -> bundles), and the names it imports from them (`from .bundles import
@@ -147,15 +184,8 @@ TEST_ONLY_PUBLIC = {
     "assemble_kp_collection",
     # waiting for the K_0 Coxeter certificate (ROADMAP item 15), its caller
     "canonical_weight",
-    # test hooks: a fresh default engine, and the rank and Chern class the
-    # tests check the registered sequences by
+    # test hook: a fresh default engine (tests/ledger.py)
     "reset_engine",
-    "rank",
-    "first_chern",
-    # reached only through those test hooks: the Levi dimension and the
-    # doubled central charge that rank and first_chern sum
-    "levi_dim",
-    "doubled_gl_size",
     # reached only through assemble_kp_collection, the benchmark's session
     "right_dual",
     "kp_blocks",
