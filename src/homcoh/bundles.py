@@ -30,6 +30,19 @@ object however it is spelled: Sum keeps every sum whose parts are all
 twists of O on D5/P4, and rewrites one written on B4/Q4 there when it is
 built.  A twist of O prints as a B4/Q4 weight literal only as a part of a
 B4/Q4 sum, one with a part that is not a twist of O.
+
+Sum, Named and Term, like LieDatum and Parabolic, keep one object per value
+(roots.Interned), so the engine's tables compare their keys by identity.
+Each class has a table from constructor arguments to the stored object,
+which lives for the process and is filled by every caller; a B4/Q4 sum of
+twists of O is stored under its own arguments as well as under those of
+its D5/P4 form, and twist stores what it builds without checking it again.
+A construction that raises stores nothing.  Arguments are checked only
+when they are not in the table yet, so a fault injected into the checks
+(roots.check_length, roots.is_levi_dominant) reaches only the values not
+yet stored, as for levi._PRODUCTS.  Identity hashes vary from process to
+process, so no output may iterate a set of these objects: the engine's one
+such set, ExtEngine._stack, is only tested for membership.
 """
 
 from __future__ import annotations
@@ -37,7 +50,9 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import bbw, levi, roots
-from .roots import B4, B4_Q4, D5, D5_P4, DomainError, Frozen, InternalConsistencyError, LieDatum, Parabolic, Weight
+from .roots import (
+    B4, B4_Q4, D5, D5_P4, DomainError, Frozen, Interned, InternalConsistencyError, LieDatum, Parabolic, Weight,
+)
 
 RepFactor = tuple[LieDatum, Weight]
 Coeff = tuple[tuple[RepFactor, int], ...]  # multiset of full-group weights
@@ -51,58 +66,45 @@ def _unit_weight(space: Parabolic) -> Weight:
     return tuple(1 if i == m - 1 else 0 for i in range(space.rank))
 
 
-class Sum(Frozen):
+class Sum(Interned):
     """Direct sum of irreducible homogeneous bundles, all in one description;
     a sum of twists of O is always on D5/P4."""
 
     _fields = ("space", "parts")
+    _table: dict[tuple[Parabolic, Parts], Sum] = {}
 
-    def __init__(self, space: Parabolic, parts: Parts) -> None:
-        for w, m in parts:
-            roots.check_length(space.datum, w)
-            if m <= 0:
-                raise DomainError("multiplicities must be positive")
-            if not roots.is_levi_dominant(space, w):
-                raise DomainError(f"{roots.format_weight(w)} is not Levi-dominant on {space}")
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "parts", parts)
-        if space == B4_Q4:
-            on_d5 = convert_twist(self, D5_P4)
-            if on_d5 is not None:  # a sum of twists of O lives on D5/P4 only
-                object.__setattr__(self, "space", D5_P4)
-                object.__setattr__(self, "parts", on_d5)
-        object.__setattr__(self, "_hash", hash((self.space, self.parts)))
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.space, self.parts) == (other.space, other.parts)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        # Kept once per instance, like the hashes of LieDatum and Parabolic.
-        return self._hash
+    def __new__(cls, space: Parabolic, parts: Parts) -> Sum:
+        self = cls._table.get((space, parts))
+        if self is None:
+            for w, m in parts:
+                roots.check_length(space.datum, w)
+                if m <= 0:
+                    raise DomainError("multiplicities must be positive")
+                if not roots.is_levi_dominant(space, w):
+                    raise DomainError(f"{roots.format_weight(w)} is not Levi-dominant on {space}")
+            self = cls._build(space, parts)
+            if space is B4_Q4:
+                on_d5 = convert_twist(self, D5_P4)
+                if on_d5 is not None:  # a sum of twists of O lives on D5/P4 only
+                    self = cls(D5_P4, on_d5)
+            self = cls._table.setdefault((space, parts), self)
+        return self
 
     def __repr__(self) -> str:
         return bundle_expr(self)
 
 
-class Named(Frozen):
+class Named(Interned):
     """A filtered object known only through its registered resolutions."""
 
     _fields = ("name", "twist")
+    _table: dict[tuple[str, int], Named] = {}
 
-    def __init__(self, name: str, twist: int) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "twist", twist)
-        object.__setattr__(self, "_hash", hash((name, twist)))
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.name, self.twist) == (other.name, other.twist)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return self._hash
+    def __new__(cls, name: str, twist: int) -> Named:
+        self = cls._table.get((name, twist))
+        if self is None:
+            self = cls._table.setdefault((name, twist), cls._build(name, twist))
+        return self
 
     def __repr__(self) -> str:
         return bundle_expr(self)
@@ -142,17 +144,18 @@ def twist(obj: BundleObject, k: int) -> BundleObject:
         return obj
     if isinstance(obj, Named):
         return Named(obj.name, obj.twist + k)
-    unit = _unit_weight(obj.space)
+    space = obj.space
+    unit = _unit_weight(space)
     # Adding k times the marked fundamental weight changes no unmarked
     # coordinate, so every part stays Levi-dominant and a sum stays on the
-    # description Sum.__init__ chose for it, and it moves every part by
-    # one vector, so the parts stay sorted and distinct: the Sum is built
-    # without Sum.__init__, which would check all of that again.
+    # description Sum.__new__ chose for it, and it moves every part by
+    # one vector, so the parts stay sorted and distinct: on a miss in Sum's
+    # table the Sum is built and stored without the checks of Sum.__new__,
+    # which would repeat all of that.
     parts = tuple((tuple(c + k * u for c, u in zip(w, unit)), m) for w, m in obj.parts)
-    out = object.__new__(Sum)
-    object.__setattr__(out, "space", obj.space)
-    object.__setattr__(out, "parts", parts)
-    object.__setattr__(out, "_hash", hash((obj.space, parts)))
+    out = Sum._table.get((space, parts))
+    if out is None:
+        out = Sum._table.setdefault((space, parts), Sum._build(space, parts))
     return out
 
 
@@ -229,21 +232,15 @@ def kclass(obj: BundleObject) -> KClass:
 # --- sequences -------------------------------------------------------------
 
 
-class Term(Frozen):
+class Term(Interned):
     _fields = ("obj", "coeff")
+    _table: dict[tuple[BundleObject, Coeff], Term] = {}
 
-    def __init__(self, obj: BundleObject, coeff: Coeff = ()) -> None:
-        object.__setattr__(self, "obj", obj)
-        object.__setattr__(self, "coeff", coeff)
-        object.__setattr__(self, "_hash", hash((obj, coeff)))
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.obj, self.coeff) == (other.obj, other.coeff)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return self._hash
+    def __new__(cls, obj: BundleObject, coeff: Coeff = ()) -> Term:
+        self = cls._table.get((obj, coeff))
+        if self is None:
+            self = cls._table.setdefault((obj, coeff), cls._build(obj, coeff))
+        return self
 
 
 class Sequence(Frozen):

@@ -282,7 +282,7 @@ class ExtEngine:
     def __init__(self) -> None:
         self._memo: dict = {}
         self._euler_memo: dict = {}
-        self._stack: set = set()
+        self._stack: set = set()  # membership only: its order varies by process
         self._cuts = 0  # "cyclic dependency" placeholders handed out
         self._pairs: dict = {}
         self._levi_chis: dict = {}

@@ -9,7 +9,8 @@ orthonormal realization) are a derived view for the tests and the bench
 tracer: the two closed-form maps omega_to_eps and eps_to_omega (Bourbaki,
 ch. VI, Planches I-IV), the only code here with Fraction entries, which
 spin weights of types B and D need.  As the lowest module it also holds
-the package's errors and Record and Frozen, the bases of its value classes.
+the package's errors and Record, Frozen and Interned, the bases of its
+value classes.
 """
 
 from __future__ import annotations
@@ -39,10 +40,12 @@ class Record:
     the order of its constructor, and sets them in __init__.  Two records
     are equal when they are of one class and their fields are equal, and a
     record prints as Class(field=value, ...).  A mutable record does not
-    hash.  Classes on hot paths write their own __eq__ out field by field:
-    one shared body, generic over _fields, measured slower on the bench
-    (ROADMAP.md, cold start), likely because CPython 3.11 specializes
-    attribute reads per code object and a shared body sees every class."""
+    hash.  The values that key the engine's tables are Interned and compare
+    by identity.  Any other class compared on a hot path writes its own
+    __eq__ out field by field: one shared body, generic over _fields,
+    measured slower on the bench (ROADMAP.md, cold start), likely because
+    CPython 3.11 specializes attribute reads per code object and a shared
+    body sees every class."""
 
     _fields: tuple[str, ...] = ()
 
@@ -60,7 +63,7 @@ class Record:
 
 
 class Frozen(Record):
-    """A record that never changes: __init__ sets its fields through
+    """A record that never changes: its fields are set through
     object.__setattr__, and any later assignment or deletion raises
     AttributeError.  It hashes by its fields; a class that defines __eq__
     must define __hash__ too (or set __hash__ = Frozen.__hash__), or Python
@@ -76,67 +79,84 @@ class Frozen(Record):
         raise AttributeError(f"cannot delete field {name!r}")
 
 
+class Interned(Frozen):
+    """A frozen record with one object per value.  Each subclass keeps its
+    own class-level _table from constructor arguments to the object they
+    built, and its __new__ looks the arguments up there; only on a miss does
+    it validate them, then build and store the object, so a construction
+    that raises stores nothing.  It stores with dict.setdefault and returns
+    what the table holds, so of two threads that build one value both get
+    the object stored first: the keys hash in C, so setdefault runs under
+    one hold of the interpreter lock.  Equal values being one object, records
+    compare and hash by identity, in C, with no Python __eq__ or __hash__,
+    and a copy or an unpickled record is the stored object itself:
+    __reduce__ rebuilds it through the constructor.  Identity hashes vary
+    from process to process, so no output may depend on the order of a set
+    of interned records."""
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    @classmethod
+    def _build(cls, *values) -> Interned:
+        # A new object with these fields, neither checked nor stored.
+        self = object.__new__(cls)
+        for name, value in zip(cls._fields, values):
+            object.__setattr__(self, name, value)
+        return self
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
 @total_ordering
-class LieDatum(Frozen):
+class LieDatum(Interned):
     """A simple Lie algebra by family and rank; data order by the pair."""
 
     _fields = ("family", "rank")
+    _table: dict[tuple[str, int], LieDatum] = {}
 
-    def __init__(self, family: str, rank: int) -> None:
-        if family not in ("A", "B", "C", "D"):
-            raise InvalidDatum(f"unsupported family {family!r}")
-        if rank < 1:
-            raise InvalidDatum("rank must be positive")
-        if family == "D" and rank < 3:
-            raise InvalidDatum("family D needs rank >= 3")
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "rank", rank)
-        # Data, parabolics and bundles key every memo table of the engine:
-        # each hashes its fields once, in __init__, and keeps the value.
-        object.__setattr__(self, "_hash", hash((family, rank)))
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.family, self.rank) == (other.family, other.rank)
-        return NotImplemented
+    def __new__(cls, family: str, rank: int) -> LieDatum:
+        self = cls._table.get((family, rank))
+        if self is None:
+            if family not in ("A", "B", "C", "D"):
+                raise InvalidDatum(f"unsupported family {family!r}")
+            if rank < 1:
+                raise InvalidDatum("rank must be positive")
+            if family == "D" and rank < 3:
+                raise InvalidDatum("family D needs rank >= 3")
+            self = cls._table.setdefault((family, rank), cls._build(family, rank))
+        return self
 
     def __lt__(self, other):
         if other.__class__ is self.__class__:
             return (self.family, self.rank) < (other.family, other.rank)
         return NotImplemented
 
-    def __hash__(self) -> int:
-        return self._hash
-
     def __repr__(self) -> str:
         return f"{self.family}{self.rank}"
 
 
-class Parabolic(Frozen):
+class Parabolic(Interned):
     """A marked Dynkin diagram: the datum plus the crossed-out nodes."""
 
     _fields = ("datum", "marked")
+    _table: dict[tuple[LieDatum, tuple[int, ...]], Parabolic] = {}
 
-    def __init__(self, datum: LieDatum, marked: tuple[int, ...]) -> None:
-        if not marked:
-            raise InvalidDatum("a parabolic needs at least one marked node")
-        if list(marked) != sorted(set(marked)):
-            raise InvalidDatum("marked nodes must be strictly increasing")
-        if any(i < 1 or i > datum.rank for i in marked):
-            raise InvalidDatum("marked node out of range")
-        object.__setattr__(self, "datum", datum)
-        object.__setattr__(self, "marked", marked)
-        object.__setattr__(self, "_hash", hash((datum, marked)))
-        unmarked = tuple(i for i in range(1, datum.rank + 1) if i not in marked)
-        object.__setattr__(self, "_unmarked", unmarked)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.datum, self.marked) == (other.datum, other.marked)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return self._hash
+    def __new__(cls, datum: LieDatum, marked: tuple[int, ...]) -> Parabolic:
+        self = cls._table.get((datum, marked))
+        if self is None:
+            if not marked:
+                raise InvalidDatum("a parabolic needs at least one marked node")
+            if list(marked) != sorted(set(marked)):
+                raise InvalidDatum("marked nodes must be strictly increasing")
+            if any(i < 1 or i > datum.rank for i in marked):
+                raise InvalidDatum("marked node out of range")
+            self = cls._build(datum, marked)
+            unmarked = tuple(i for i in range(1, datum.rank + 1) if i not in marked)
+            object.__setattr__(self, "_unmarked", unmarked)
+            self = cls._table.setdefault((datum, marked), self)
+        return self
 
     @property
     def rank(self) -> int:
@@ -147,7 +167,7 @@ class Parabolic(Frozen):
 
     def __repr__(self) -> str:
         # Q names the parabolic of B4 that meets the P4 of D5: B4/Q4.
-        letter = "Q" if (self.datum, self.marked) == (B4, (4,)) else "P"
+        letter = "Q" if self is B4_Q4 else "P"
         nodes = ",".join(str(i) for i in self.marked)
         return f"{self.datum}/{letter}{nodes}"
 

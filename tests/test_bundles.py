@@ -3,7 +3,9 @@ import random
 import pytest
 
 from homcoh import bundles as B
-from homcoh.roots import B4, B4_Q4, D5, D5_P4, DomainError, InternalConsistencyError
+from homcoh.roots import (
+    B4, B4_Q4, D5, D5_P4, DomainError, InternalConsistencyError, InvalidDatum, LieDatum, Parabolic,
+)
 from test_levi import _rank_and_c1
 
 
@@ -198,15 +200,63 @@ def test_equal_bundles_built_along_different_routes_are_one_key():
         (B.dual(B.That(-6)), parse_bundle("Thatv(6)")),
     ]
     for a, b in pairs:
-        assert a is not b and a == b and hash(a) == hash(b)
+        assert a is b and a == b and hash(a) == hash(b)
     table = {a: i for i, (a, _) in enumerate(pairs)}
     assert [table[b] for _, b in pairs] == list(range(len(pairs)))
     # O(2) spelled on B4/Q4 is the same line bundle, so the same key
     b4 = B.irr(B4_Q4, (0, 0, 0, 2))
-    assert b4 == B.O(2) and hash(b4) == hash(B.O(2)) and table[b4] == 0
+    assert b4 is B.O(2) and b4 == B.O(2) and hash(b4) == hash(B.O(2)) and table[b4] == 0
     distinct = [B.O(2), B.O(3), B.Rv(2), B.Uv(3), B.U(3), B.That(6), B.Thatv(6), B.That(5)]
     assert len(set(distinct)) == len(distinct)
     assert all(a != b for i, a in enumerate(distinct) for b in distinct[i + 1:])
+
+
+def test_every_route_to_a_value_gives_its_one_object():
+    from homcoh.parser import parse_bundle
+
+    assert Parabolic(LieDatum("D", 5), (4,)) is D5_P4 and Parabolic(LieDatum("B", 4), (4,)) is B4_Q4
+    uv = B.Uv()
+    assert B.irr(D5_P4, [1, 0, 0, 0, 0]) is B.Sum(D5_P4, (((1, 0, 0, 0, 0), 1),)) is uv
+    assert B.make_sum(D5_P4, [((1, 0, 0, 0, 0), 1)] * 2) is B.make_sum(D5_P4, {(1, 0, 0, 0, 0): 2})
+    assert B.dual(uv) is B.U() and B.dual(B.dual(uv)) is uv
+    assert B.dual(B.That(2)) is B.Thatv(-2) and B.dual(B.Thatv(-2)) is B.That(2)
+    assert B.twist(uv, 0) is uv and B.twist(B.That(4), 0) is B.That(4)
+    for k in range(-3, 4):
+        uvk = B.make_sum(D5_P4, {(1, 0, 0, k, 0): 1})
+        assert B.twist(uv, k) is B.Uv(k) is uvk is parse_bundle(f"Uv({k})") is parse_bundle(f"D5 [1,0,0,{k},0]")
+        assert B.twist(uvk, -k) is uv
+        assert B.twist(B.sym_Uv(2), k) is B.sym_Uv(2, k) is parse_bundle(f"Sym2 Uv ({k})")
+        # O(k) spelled on B4/Q4 is the one object on D5/P4
+        ok = B.O(k)
+        assert B.irr(B4_Q4, (0, 0, 0, k)) is B.Sum(B4_Q4, (((0, 0, 0, k), 1),)) is ok
+        assert parse_bundle(f"B4 [0,0,0,{k}]") is parse_bundle(f"O({k})") is ok and ok.space is D5_P4
+        assert B.That(k) is B.Named("That", k) is B.twist(B.That(1), k - 1) is parse_bundle(f"That({k})")
+    term = B.standard_sequences()[0].terms[1]  # V_10 (x) O in taut-rank5
+    assert term is B.Term(B.O(), (((D5, (1, 0, 0, 0, 0)), 1),))
+
+
+def test_a_construction_that_raises_stores_nothing():
+    invalid = [
+        (B.Sum, (D5_P4, (((0, -1, 0, 0, 0), 1),)), DomainError),
+        (B.Sum, (D5_P4, (((1, 0, 0, 0, 0), 0),)), DomainError),
+        (B.Sum, (B4_Q4, (((0, 0, 0, 1, 0), 1),)), DomainError),
+        (LieDatum, ("E", 6), InvalidDatum),
+        (LieDatum, ("D", 2), InvalidDatum),
+        (Parabolic, (D5, (6,)), InvalidDatum),
+        (Parabolic, (D5, ()), InvalidDatum),
+        (Parabolic, (D5, (4, 1)), InvalidDatum),
+    ]
+    for cls, args, error in invalid:
+        before = dict(cls._table)
+        for _ in range(2):
+            with pytest.raises(error):
+                cls(*args)
+        assert cls._table == before and args not in cls._table, (cls, args)
+    # A B4/Q4 sum of twists of O is stored under its own arguments too, as
+    # the D5/P4 object, and under no other key.
+    o9 = B.irr(B4_Q4, (0, 0, 0, 9))
+    keys = {key for key, obj in B.Sum._table.items() if obj is o9}
+    assert keys == {(D5_P4, (((0, 0, 0, 9, 0), 1),)), (B4_Q4, (((0, 0, 0, 9), 1),))}
 
 
 def test_twist_of_a_sum_is_the_sum_of_the_shifted_parts():
@@ -271,8 +321,9 @@ def test_a_sum_of_twists_of_o_is_one_object_on_d5():
 
 
 def test_unvalidated_twist_equals_the_validated_sum():
-    # twist builds a Sum without Sum.__init__; the same parts shifted by
-    # hand and validated through make_sum must give the same object.  A B4/Q4
+    # twist builds a Sum without the checks of Sum.__new__; the same parts
+    # shifted by hand and validated through make_sum must give the same
+    # object, the one Sum stores for that value.  A B4/Q4
     # draw of twists of O is built on D5/P4, and is shifted there.
     rng = random.Random(29)
     for space in (D5_P4, B4_Q4):
@@ -283,7 +334,7 @@ def test_unvalidated_twist_equals_the_validated_sum():
                 shifted = [(w[:marked] + (w[marked] + k,) + w[marked + 1:], m) for w, m in S.parts]
                 want = B.make_sum(S.space, shifted)
                 got = B.twist(S, k)
-                assert got == want and hash(got) == hash(want), (S, k)
+                assert got is want and got == want and hash(got) == hash(want), (S, k)
                 assert repr(got) == repr(want), (S, k)
 
 

@@ -1,5 +1,6 @@
 import random
 
+import ledger
 import pytest
 
 from homcoh import bbw
@@ -461,6 +462,30 @@ def test_grid_answers_do_not_depend_on_the_query_order():
     for seed in (1, 2, 3):
         shuffled = _answer_grid(random.Random(seed).sample(GRID, len(GRID)))
         assert shuffled == fixed, [pair for pair in GRID if shuffled[pair] != fixed[pair]]
+
+
+def _bundle_objects(value):
+    if isinstance(value, (B.Sum, B.Named)):
+        yield value
+    elif isinstance(value, tuple):
+        for item in value:
+            yield from _bundle_objects(item)
+
+
+def test_a_grid_session_keeps_only_the_stored_objects():
+    # Every bundle object an engine keeps is the one its class stores for
+    # that value.  A route that built one past the table (as twist once did,
+    # through object.__new__) would split one memo key into two, since keys
+    # compare by identity.
+    eng = ExtEngine()
+    for e, f in ledger.GRID:
+        eng.ext(parse_bundle(e), parse_bundle(f))
+    kept = [obj for table in (eng._memo, eng._levels, eng._shifts) for obj in _bundle_objects(tuple(table.items()))]
+    assert len(ledger.GRID) == 1183 and len(kept) > 3 * len(ledger.GRID)
+    for obj in kept:
+        assert type(obj)(*(getattr(obj, name) for name in obj._fields)) is obj, obj
+        if isinstance(obj, B.Sum):
+            assert roots.Parabolic(obj.space.datum, obj.space.marked) is obj.space, obj
 
 
 @pytest.mark.parametrize("name", ["That", "Thatv", "Ktilde", "Ktildev"])

@@ -1,7 +1,12 @@
 """Value semantics of homcoh's record classes: equal fields give equal
-objects with equal hashes, frozen objects refuse changes, objects of two
-classes never compare equal, and constructors keep their keywords and
-defaults."""
+objects with equal hashes, one object per value for the interned classes,
+frozen objects refuse changes, objects of two classes never compare equal,
+and constructors keep their keywords and defaults."""
+
+import copy
+import pickle
+import sys
+import threading
 
 import pytest
 
@@ -10,21 +15,17 @@ from homcoh.bbw import Cohomology
 from homcoh.corpus import ENTRIES, CorpusEntry
 from homcoh.ext import Ambiguous, ExtResult
 from homcoh.mutations import Collection, KForm, KOnly, MutationStep, PairCheck
-from homcoh.roots import B4, D5, D5_P4, LieDatum, Parabolic
+from homcoh.roots import B4, B4_Q4, D5, D5_P4, LieDatum, Parabolic
 
 _PIECES = ((0, ((D5, (1, 0, 0, 0, 0)),), 1), (1, (), 2))
 _GRAM = ((1, 5), (0, 1))
 
-# class -> (a function building a fresh object, its fields, one object
-# that differs from it in one field)
-FROZEN = {
+# class -> (a function building an object from its fields, its fields, one
+# object that differs from it in one field).  An interned class returns one
+# object per value; every other class builds a new object per call.
+INTERNED = {
     LieDatum: (lambda: LieDatum("D", 5), ("family", "rank"), LieDatum("D", 4)),
     Parabolic: (lambda: Parabolic(LieDatum("D", 5), (4,)), ("datum", "marked"), Parabolic(D5, (1,))),
-    Cohomology: (
-        lambda: Cohomology(1, (0, 0, 1, 0, 0), 45),
-        ("degree", "weight", "dim"),
-        Cohomology(2, (0, 0, 1, 0, 0), 45),
-    ),
     B.Sum: (
         lambda: B.make_sum(D5_P4, {(1, 0, 0, 0, 0): 2}),
         ("space", "parts"),
@@ -32,6 +33,14 @@ FROZEN = {
     ),
     B.Named: (lambda: B.Named("That", 2), ("name", "twist"), B.Named("That", 3)),
     B.Term: (lambda: B.Term(B.Uv(1), (((D5, (1, 0, 0, 0, 0)), 1),)), ("obj", "coeff"), B.Term(B.Uv(1))),
+}
+FROZEN = {
+    **INTERNED,
+    Cohomology: (
+        lambda: Cohomology(1, (0, 0, 1, 0, 0), 45),
+        ("degree", "weight", "dim"),
+        Cohomology(2, (0, 0, 1, 0, 0), 45),
+    ),
     B.Sequence: (
         lambda: B.Sequence("s", (B.Term(B.O()), B.Term(B.O(1)))),
         ("name", "terms"),
@@ -62,11 +71,65 @@ FROZEN = {
 def test_equal_fields_give_equal_objects_and_hashes(cls):
     make, _, other = FROZEN[cls]
     a, b = make(), make()
-    assert type(a) is cls and a is not b
+    assert type(a) is cls
+    assert a is b if cls in INTERNED else a is not b
     assert a == b and not a != b
     assert hash(a) == hash(b)
     assert a != other and not a == other
     assert repr(a) == repr(b)
+
+
+def test_interned_records_compare_and_hash_in_c():
+    # No Python-level method runs when the engine compares or hashes a key.
+    for cls in INTERNED:
+        assert (cls.__eq__, cls.__ne__, cls.__hash__) == (object.__eq__, object.__ne__, object.__hash__), cls
+
+
+@pytest.mark.parametrize("cls", INTERNED, ids=lambda c: c.__name__)
+def test_copies_and_unpickled_records_are_the_stored_object(cls):
+    make, _, other = INTERNED[cls]
+    samples = [make(), other]
+    if cls is B.Sum:
+        samples.append(B.irr(B4_Q4, (0, 0, 0, 2)))  # O(2), stored on D5/P4
+    for a in samples:
+        assert copy.copy(a) is a and copy.deepcopy(a) is a
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(a, protocol)) is a, (a, protocol)
+    if cls is B.Term:  # a record that holds terms copies to an equal one
+        seq = B.standard_sequences()[0]
+        assert copy.deepcopy(seq) == seq and pickle.loads(pickle.dumps(seq)) == seq
+
+
+def test_threads_building_one_value_get_one_object():
+    # Four threads, more than the cores of a small machine, build the same
+    # values, none stored before, with a thread switch every microsecond.
+    workers = 4
+    results = [None] * workers
+    start = threading.Barrier(workers)
+
+    def build(i):
+        start.wait()
+        results[i] = [
+            obj
+            for a in range(100, 130)
+            for b in range(30)
+            for obj in (B.irr(D5_P4, (a, b, 0, 0, 0)), B.twist(B.irr(D5_P4, (b, a, 0, 0, 0)), 2), B.Named("t", a * b))
+        ]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(i,)) for i in range(workers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    first = results[0]
+    assert len(first) == 2700 and all(len(r) == len(first) for r in results)
+    assert all(r[n] is first[n] for r in results[1:] for n in range(len(first)))
 
 
 @pytest.mark.parametrize("cls", FROZEN, ids=lambda c: c.__name__)
@@ -120,6 +183,7 @@ def test_kform_tables_take_no_part_in_comparison_or_printing():
 def test_keyword_constructors_and_defaults():
     obj = B.Uv(2)
     assert B.Term(obj) == B.Term(obj, ()) == B.Term(obj=obj, coeff=())
+    assert B.Term(obj) is B.Term(obj, ()) is B.Term(obj=obj, coeff=())
     assert B.Term(obj).coeff == ()
     assert repr(B.Term(B.O(1))) == "Term(obj=O (1), coeff=())"
     col = Collection((obj,), label="x")
@@ -129,8 +193,8 @@ def test_keyword_constructors_and_defaults():
     assert Ambiguous(5) == Ambiguous(5, "") == Ambiguous(euler=5, reason="")
     assert Ambiguous(5).reason == ""
     assert repr(B.Sequence(name="s", terms=())) == "Sequence(name='s', terms=())"
-    assert LieDatum(family="B", rank=4) is not B4 and LieDatum(family="B", rank=4) == B4
-    assert Parabolic(datum=D5, marked=(4,)) == D5_P4
+    assert LieDatum(family="B", rank=4) is B4 and LieDatum(family="B", rank=4) == B4
+    assert Parabolic(datum=D5, marked=(4,)) is D5_P4 and Parabolic(datum=D5, marked=(4,)) == D5_P4
     assert Cohomology(degree=None, weight=None, dim=0).vanishes
 
 
