@@ -36,13 +36,21 @@ Sum, Named and Term, like LieDatum and Parabolic, keep one object per value
 Each class has a table from constructor arguments to the stored object,
 which lives for the process and is filled by every caller; a B4/Q4 sum of
 twists of O is stored under its own arguments as well as under those of
-its D5/P4 form, and twist stores what it builds without checking it again.
+its D5/P4 form.  Sum accepts only the form make_sum gives (nonempty, sorted,
+each weight once) and Named only a registered name with an integer twist.
 A construction that raises stores nothing.  Arguments are checked only
 when they are not in the table yet, so a fault injected into the checks
 (roots.check_length, roots.is_levi_dominant) reaches only the values not
 yet stored, as for levi._PRODUCTS.  Identity hashes vary from process to
 process, so no output may iterate a set of these objects: the engine's one
 such set, ExtEngine._stack, is only tested for membership.
+
+Every object is a twist of one at level zero: Sum.__new__ and
+Named.__new__ set, when they store an object, its level (the marked
+coordinate of its first part, or its twist) and its base, the stored
+object at level zero that it is the twist by level of.  So E and F are
+twists of each other exactly when E.base is F.base, and twist goes
+through the constructors like every other route to a Sum.
 """
 
 from __future__ import annotations
@@ -59,16 +67,10 @@ Coeff = tuple[tuple[RepFactor, int], ...]  # multiset of full-group weights
 Parts = tuple[tuple[Weight, int], ...]  # (Levi weight, multiplicity) pairs
 
 
-@lru_cache(maxsize=None)
-def _unit_weight(space: Parabolic) -> Weight:
-    # Generator of the twisting direction: the marked fundamental weight.
-    (m,) = space.marked
-    return tuple(1 if i == m - 1 else 0 for i in range(space.rank))
-
-
 class Sum(Interned):
     """Direct sum of irreducible homogeneous bundles, all in one description;
-    a sum of twists of O is always on D5/P4."""
+    a sum of twists of O is always on D5/P4.  Besides its fields it has a
+    level and a base (see the module docstring)."""
 
     _fields = ("space", "parts")
     _table: dict[tuple[Parabolic, Parts], Sum] = {}
@@ -76,17 +78,24 @@ class Sum(Interned):
     def __new__(cls, space: Parabolic, parts: Parts) -> Sum:
         self = cls._table.get((space, parts))
         if self is None:
+            if not parts:
+                raise DomainError("empty direct sum")
             for w, m in parts:
                 roots.check_length(space.datum, w)
                 if m <= 0:
                     raise DomainError("multiplicities must be positive")
                 if not roots.is_levi_dominant(space, w):
                     raise DomainError(f"{roots.format_weight(w)} is not Levi-dominant on {space}")
+            if any(v >= w for (v, _), (w, _) in zip(parts, parts[1:])):
+                raise DomainError("the parts of a sum must be sorted, each weight once")
             self = cls._build(space, parts)
-            if space is B4_Q4:
-                on_d5 = convert_twist(self, D5_P4)
-                if on_d5 is not None:  # a sum of twists of O lives on D5/P4 only
-                    self = cls(D5_P4, on_d5)
+            on_d5 = convert_twist(self, D5_P4) if space is B4_Q4 else None
+            if on_d5 is not None:  # a sum of twists of O lives on D5/P4 only
+                self = cls(D5_P4, on_d5)
+            else:
+                k = parts[0][0][space.marked[0] - 1]
+                object.__setattr__(self, "level", k)
+                object.__setattr__(self, "base", cls(space, _shifted(space, parts, -k)) if k else self)
             self = cls._table.setdefault((space, parts), self)
         return self
 
@@ -95,7 +104,8 @@ class Sum(Interned):
 
 
 class Named(Interned):
-    """A filtered object known only through its registered resolutions."""
+    """A filtered object known only through its registered resolutions; its
+    level is its twist, and its base the object at twist 0."""
 
     _fields = ("name", "twist")
     _table: dict[tuple[str, int], Named] = {}
@@ -103,7 +113,14 @@ class Named(Interned):
     def __new__(cls, name: str, twist: int) -> Named:
         self = cls._table.get((name, twist))
         if self is None:
-            self = cls._table.setdefault((name, twist), cls._build(name, twist))
+            if name not in _NAMED_DUALS:
+                raise DomainError(f"no named object {name!r}")
+            if type(twist) is not int:
+                raise DomainError(f"twist {twist!r} is not an integer")
+            self = cls._build(name, twist)
+            object.__setattr__(self, "level", twist)
+            object.__setattr__(self, "base", cls(name, 0) if twist else self)
+            self = cls._table.setdefault((name, twist), self)
         return self
 
     def __repr__(self) -> str:
@@ -122,8 +139,6 @@ def make_sum(space: Parabolic, parts: dict[Weight, int] | list[tuple[Weight, int
         if m < 1:
             raise DomainError("multiplicities must be positive")
         merged[w] = merged.get(w, 0) + m
-    if not merged:
-        raise DomainError("empty direct sum")
     return Sum(space, tuple(sorted(merged.items())))
 
 
@@ -131,12 +146,11 @@ def irr(space: Parabolic, w: Weight) -> Sum:
     return make_sum(space, {tuple(w): 1})
 
 
-def level(obj: BundleObject) -> int:
-    """k such that obj is a twist by k of an object at level zero: the twist
-    of a named object, else the marked coordinate of the first part."""
-    if isinstance(obj, Named):
-        return obj.twist
-    return obj.parts[0][0][obj.space.marked[0] - 1]
+def _shifted(space: Parabolic, parts: Parts, k: int) -> Parts:
+    # Adding k times the marked fundamental weight moves every part by one
+    # vector, so the parts stay sorted, distinct and Levi-dominant.
+    i = space.marked[0] - 1
+    return tuple((w[:i] + (w[i] + k,) + w[i + 1 :], m) for w, m in parts)
 
 
 def twist(obj: BundleObject, k: int) -> BundleObject:
@@ -144,19 +158,7 @@ def twist(obj: BundleObject, k: int) -> BundleObject:
         return obj
     if isinstance(obj, Named):
         return Named(obj.name, obj.twist + k)
-    space = obj.space
-    unit = _unit_weight(space)
-    # Adding k times the marked fundamental weight changes no unmarked
-    # coordinate, so every part stays Levi-dominant and a sum stays on the
-    # description Sum.__new__ chose for it, and it moves every part by
-    # one vector, so the parts stay sorted and distinct: on a miss in Sum's
-    # table the Sum is built and stored without the checks of Sum.__new__,
-    # which would repeat all of that.
-    parts = tuple((tuple(c + k * u for c, u in zip(w, unit)), m) for w, m in obj.parts)
-    out = Sum._table.get((space, parts))
-    if out is None:
-        out = Sum._table.setdefault((space, parts), Sum._build(space, parts))
-    return out
+    return Sum(obj.space, _shifted(obj.space, obj.parts, k))
 
 
 def dual(obj: BundleObject) -> BundleObject:
@@ -194,8 +196,8 @@ def convert_twist(obj: Sum, space: Parabolic) -> Parts | None:
     i = obj.space.marked[0] - 1
     if any(any(w[:i]) or any(w[i + 1 :]) for w, _ in obj.parts):
         return None
-    unit = _unit_weight(space)
-    return tuple((tuple(w[i] * u for u in unit), m) for w, m in obj.parts)
+    j, zero = space.marked[0] - 1, (0,) * space.rank
+    return tuple((zero[:j] + (w[i],) + zero[j + 1 :], m) for w, m in obj.parts)
 
 
 def common_parts(a: Sum, b: Sum) -> tuple[Parabolic, Parts, Parts] | None:
@@ -518,17 +520,16 @@ def _terms_at_level_zero() -> dict[BundleObject, list[tuple[Sequence, int, int]]
     index: dict[BundleObject, list[tuple[Sequence, int, int]]] = {}
     for seq in standard_sequences():
         for idx, term in enumerate(seq.terms):
-            k = level(term.obj)
-            index.setdefault(twist(term.obj, -k), []).append((seq, idx, k))
+            index.setdefault(term.obj.base, []).append((seq, idx, term.obj.level))
     return index
 
 
 @lru_cache(maxsize=None)
 def sequence_matches(obj: BundleObject) -> tuple[tuple[Sequence, int, int], ...]:
     """All (sequence, index, twist) triples realizing obj as a sequence term,
-    in registry order: the twisted term and obj agree at level zero."""
-    k = level(obj)
-    return tuple((seq, idx, k - k0) for seq, idx, k0 in _terms_at_level_zero().get(twist(obj, -k), ()))
+    in registry order: the twisted term and obj have one base."""
+    k = obj.level
+    return tuple((seq, idx, k - k0) for seq, idx, k0 in _terms_at_level_zero().get(obj.base, ()))
 
 
 def _any_match(obj: BundleObject) -> tuple[Sequence, int, int]:

@@ -30,10 +30,10 @@ of O, which bundles.Sum keeps on D5/P4), so every D5 factor of its answer
 is branched to B4 before the routes are compared: such a pair is labelled
 by B4 irreducibles alone.
 
-Ext(E(k), F(k)) = Ext(E, F), labels included, so an engine computes one
-Ext per twist class and keeps it under every pair asked from that class,
-Ambiguous answers included when no cycle was cut while computing them (see
-ExtEngine), their reasons naming no pair.
+Ext(E(k), F(k)) = Ext(E, F), labels included, so an engine computes and
+keeps one Ext per twist class of pairs, under the pair with E at level
+zero (E.base, see bundles), Ambiguous answers included when no cycle was
+cut while computing them (see ExtEngine), their reasons naming no pair.
 """
 
 from __future__ import annotations
@@ -181,14 +181,6 @@ def format_graded(res: ExtResult) -> list[str]:
     return pieces
 
 
-def _level_zero(E: BundleObject) -> tuple[BundleObject, int]:
-    """E twisted by -k, and its level k (bundles.level).  Ext(E(k), F(k)) =
-    Ext(E, F), so an engine computes Ext(E, F) at level zero, with F
-    twisted by -k."""
-    k = bundles.level(E)
-    return bundles.twist(E, -k), k
-
-
 def _branch_to_b4(res: ExtResult) -> ExtResult:
     """res with every D5 factor of every entry branched to its B4 irreducibles."""
     acc: Graded = {}
@@ -232,19 +224,16 @@ def _tensor_coeff(res: ExtResult, coeff: bundles.Coeff) -> ExtResult:
 class ExtEngine:
     """Memoizing Ext calculator over a fixed sequence registry.
 
-    The Ext memo holds each answer under two keys: the pair as it was
-    asked, so that a repeated query is one dictionary lookup, and the pair
-    at level zero (_level_key: both twisted by minus E's twist when named,
-    else by minus the marked coordinate of its first part), which is
-    looked up only when the asked pair misses.  Every registered sequence
-    matches at every twist, so the routes of (E(k), F(k)) and (E, F)
-    correspond one to one and give equal answers.  An ExtResult is always
-    memoized, also when a cut happened below it.  An Ambiguous is memoized
-    only when _cuts did not move while it was computed: _cuts counts the
-    cycle cuts, the "cyclic dependency" placeholder answered to a pair
-    already on the stack, which is never stored.
+    The Ext memo holds each answer under one key, the pair at level zero:
+    E.base, and F twisted by minus E's level (bundles).  Every registered
+    sequence matches at every twist, so the routes of (E(k), F(k)) and
+    (E, F) correspond one to one and give equal answers.  An ExtResult is
+    always memoized, also when a cut happened below it.  An Ambiguous is
+    memoized only when _cuts did not move while it was computed: _cuts
+    counts the cycle cuts, the "cyclic dependency" placeholder answered to
+    a pair already on the stack, which is never stored.
 
-    Besides the Ext and Euler memos, an engine keeps eight kernel tables of
+    Besides the Ext and Euler memos, an engine keeps six kernel tables of
     pure values, each filled on its first lookup through _lookup and keyed
     by the arguments of the function that fills it:
 
@@ -252,7 +241,7 @@ class ExtEngine:
       irreducibles, an ExtResult (_pair_pieces);
     - _levi_chis: (pb, w1, w2) -> chi(E_w1-dual (x) E_w2), the Euler
       characteristic of the _pairs answer (_levi_chi), for the Euler form.
-      Like the Ext memo it keeps each value under two keys: with w1 at
+      Unlike the Ext memo, it keeps each value under two keys: with w1 at
       level zero, where _levi_chi computes it, and the pair as _pairing
       asked it, so that a repeated pair is one dictionary read
       (_fill_levi_chi);
@@ -264,11 +253,7 @@ class ExtEngine:
     - _classes: (obj,) -> the K-class of obj (one bundles.kclass call) as
       (weight, n) pieces on D5/P4, or None when a piece lives on B4/Q4,
       and as pieces on B4/Q4, branched once (_class_pieces): the classes
-      the Euler form pairs;
-    - _levels: (obj,) -> obj at level zero and its level k (_level_zero),
-      for the first object of a pair;
-    - _shifts: (obj, -k) -> obj twisted by -k (bundles.twist), for the
-      second.
+      the Euler form pairs.
 
     The tables start empty and live exactly as long as the engine; they
     are not module-level caches.  A fresh engine recomputes through the
@@ -290,22 +275,14 @@ class ExtEngine:
         self._cohomology: dict = {}
         self._terms: dict = {}
         self._classes: dict = {}
-        self._levels: dict = {}
-        self._shifts: dict = {}
         self.kform = None  # the Euler form on K-theory, built by mutations.KForm.standard
 
     # -- public surface ------------------------------------------------
 
     def ext(self, E: BundleObject, F: BundleObject) -> ExtResult | Ambiguous:
-        asked = (E, F)
-        result = self._memo.get(asked, _MISSING)
-        if result is not _MISSING:
-            return result
-        key = self._level_key(E, F)
-        E, F = key
+        key = E, F = E.base, bundles.twist(F, -E.level)
         result = self._memo.get(key, _MISSING)
         if result is not _MISSING:
-            self._memo[asked] = result
             return result
         if key in self._stack:
             self._cuts += 1
@@ -317,13 +294,8 @@ class ExtEngine:
         finally:
             self._stack.discard(key)
         if isinstance(result, ExtResult) or self._cuts == cuts:
-            self._memo[key] = self._memo[asked] = result
+            self._memo[key] = result
         return result
-
-    def _level_key(self, E: BundleObject, F: BundleObject) -> tuple[BundleObject, BundleObject]:
-        """The pair at level zero that Ext(E, F) is computed and memoized under."""
-        E, k = _lookup(self._levels, _level_zero, E)
-        return E, _lookup(self._shifts, bundles.twist, F, -k)
 
     def cohomology(self, E: BundleObject) -> ExtResult | Ambiguous:
         return self.ext(bundles.O(), E)
@@ -504,7 +476,7 @@ class ExtEngine:
 
         chi(L1(k)-dual (x) L2(k)) = chi(L1-dual (x) L2), so the value is read,
         or computed once, under the pair with w1 at level zero, and then kept
-        under the pair as asked too, as the Ext memo keeps an answer."""
+        under the pair as asked too."""
         i = pb.marked[0] - 1
         k = w1[i]
         chi = _lookup(
@@ -571,14 +543,10 @@ def _solve_exact_sequence(cols: list[ExtResult | None], idx: int) -> ExtResult |
 
 
 def ls_chase(
-    seq: Sequence,
-    target: BundleObject,
-    unknown: int,
-    engine: ExtEngine | None = None,
-    twist_by: int = 0,
-    variance: str = "onto",
+    seq: Sequence, target: BundleObject, unknown: int, engine: ExtEngine, variance: str = "onto"
 ) -> ExtResult | Ambiguous:
-    """Solve a registered sequence for the Ext of one unknown term.
+    """Solve a registered sequence, at its reference twist, for the Ext of one
+    unknown term.
 
     With variance "onto" the columns are Ext(term, target); with "from"
     they are Ext(target, term), so target O recovers the cohomology chase.
@@ -588,13 +556,12 @@ def ls_chase(
     """
     if variance not in ("onto", "from"):
         raise roots.DomainError(f"variance {variance!r} is neither 'onto' nor 'from'")
-    eng = engine if engine is not None else get_engine()
     contravariant = variance == "onto"
-    res = eng._chase(seq, unknown, twist_by, target, contravariant=contravariant)
+    res = engine._chase(seq, unknown, 0, target, contravariant=contravariant)
     if isinstance(res, Ambiguous):
-        obj = bundles.twist(seq.terms[unknown].obj, twist_by)
+        obj = seq.terms[unknown].obj
         pair = (obj, target) if contravariant else (target, obj)
-        return Ambiguous(eng.euler(*pair), res.reason)
+        return Ambiguous(engine.euler(*pair), res.reason)
     return res
 
 

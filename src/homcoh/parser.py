@@ -192,15 +192,14 @@ def _schur_op(text: str) -> tuple[str, int] | None:
 
 def _apply_schur(power: tuple[str, int], inner: BundleObject, pos: int) -> Sum:
     op, r = power
-    if isinstance(inner, Sum) and len(inner.parts) == 1 and inner.parts[0][1] == 1:
-        # Schur_r(E(t)) = Schur_r(E)(r*t) for a line-bundle twist of a generator
-        for gen in bundles.GENERATORS:
-            t = bundles.level(inner) - bundles.level(ATOMS[gen])
-            if bundles.twist(ATOMS[gen], t) == inner:
-                try:
-                    return bundles.schur(gen, op, r, r * t)
-                except DomainError as e:
-                    raise BundleSyntaxError(str(e), pos) from None
+    # Schur_r(E(t)) = Schur_r(E)(r*t) for a line-bundle twist of a generator
+    for gen in bundles.GENERATORS:
+        atom = ATOMS[gen]
+        if inner.base is atom.base:
+            try:
+                return bundles.schur(gen, op, r, r * (inner.level - atom.level))
+            except DomainError as e:
+                raise BundleSyntaxError(str(e), pos) from None
     raise BundleSyntaxError("Schur functors apply only to tautological generators", pos)
 
 

@@ -1,5 +1,6 @@
 import random
 
+import ledger
 import pytest
 
 from homcoh import bundles as B
@@ -131,7 +132,7 @@ def test_twist_delta_detection():
         (B.O(), B.irr(B4_Q4, (0, 0, 0, 2)), 2),
         (B.Uv(), B.U(), None), (B.Uv(), B.Rv(), None), (B.That(), B.Thatv(1), None),
     ):
-        t = B.level(obj) - B.level(base)
+        t = obj.level - base.level
         assert (B.twist(base, t) == obj) == (want is not None), (base, obj)
         assert _twist_delta(base, obj) == want, (base, obj)
         if want is not None:
@@ -165,6 +166,34 @@ def test_sequence_matches_equal_a_term_by_term_scan():
         assert list(B.sequence_matches(obj)) == scan, obj
         hits += bool(scan)
     assert 0 < hits < len(objs)
+
+
+def test_every_object_is_a_twist_of_its_base():
+    # Every atom, registered term and grid side, at twists -3..3: its base
+    # is at level zero and its own base, twisting the base by the level
+    # gives the object back, twists add up, and sequence_matches gives, in
+    # registry order, what a scan of the registry twisted by -20..20 finds.
+    from homcoh.parser import parse_bundle
+
+    seqs = B.standard_sequences()
+    sources = list(B.ATOMS.values()) + [term.obj for seq in seqs for term in seq.terms]
+    sources += [parse_bundle(text) for pair in ledger.GRID for text in pair]
+    objs = list(dict.fromkeys(B.twist(obj, k) for obj in sources for k in range(-3, 4)))
+    twisted = [(seq, idx, t, B.twist(term.obj, t)) for seq in seqs for idx, term in enumerate(seq.terms)
+               for t in range(-20, 21)]
+    assert max(abs(obj.level) for obj in objs) + max(abs(obj.level) for obj in sources) <= 20
+    hits = 0
+    for obj in objs:
+        base = obj.base
+        assert base.level == 0 and base.base is base, obj
+        assert B.twist(base, obj.level) is obj, obj
+        for a in range(-3, 4):
+            for b in range(-3, 4):
+                assert B.twist(B.twist(obj, a), b) is B.twist(obj, a + b), (obj, a, b)
+        scan = [(seq, idx, t) for seq, idx, t, term in twisted if term is obj]
+        assert list(B.sequence_matches(obj)) == scan, obj
+        hits += bool(scan)
+    assert len(objs) > 200 and hits > 0
 
 
 def test_sum_validation():
@@ -235,11 +264,20 @@ def test_every_route_to_a_value_gives_its_one_object():
     assert term is B.Term(B.O(), (((D5, (1, 0, 0, 0, 0)), 1),))
 
 
+_ZERO = (0, 0, 0, 0, 0)
+
+
 def test_a_construction_that_raises_stores_nothing():
     invalid = [
         (B.Sum, (D5_P4, (((0, -1, 0, 0, 0), 1),)), DomainError),
         (B.Sum, (D5_P4, (((1, 0, 0, 0, 0), 0),)), DomainError),
         (B.Sum, (B4_Q4, (((0, 0, 0, 1, 0), 1),)), DomainError),
+        # Sum takes only the form make_sum gives: nonempty, sorted, each weight once
+        (B.Sum, (D5_P4, ()), DomainError),
+        (B.Sum, (D5_P4, ((_ZERO, 1), (_ZERO, 1))), DomainError),
+        (B.Sum, (D5_P4, (((1, 0, 0, 0, 0), 1), (_ZERO, 1))), DomainError),
+        (B.Named, ("bogus", 2), DomainError),
+        (B.Named, ("That", 1.5), DomainError),
         (LieDatum, ("E", 6), InvalidDatum),
         (LieDatum, ("D", 2), InvalidDatum),
         (Parabolic, (D5, (6,)), InvalidDatum),
@@ -320,10 +358,9 @@ def test_a_sum_of_twists_of_o_is_one_object_on_d5():
     assert any(S.space == D5_P4 for S in draws[400:])  # a B4/Q4 draw of twists of O
 
 
-def test_unvalidated_twist_equals_the_validated_sum():
-    # twist builds a Sum without the checks of Sum.__new__; the same parts
-    # shifted by hand and validated through make_sum must give the same
-    # object, the one Sum stores for that value.  A B4/Q4
+def test_twist_equals_the_validated_sum():
+    # The same parts shifted by hand and validated through make_sum give
+    # the object twist gives, the one Sum stores for that value.  A B4/Q4
     # draw of twists of O is built on D5/P4, and is shifted there.
     rng = random.Random(29)
     for space in (D5_P4, B4_Q4):

@@ -87,14 +87,15 @@ def test_ambiguous_pair_still_has_exact_euler(eng):
 
 def test_ls_chase_affine_kernel_for_dual_sections(eng):
     seq = next(s for s in B.standard_sequences() if s.name == "affine-kernel")
-    res = ls_chase(seq, B.O(6), unknown=0, engine=eng, twist_by=6)
+    # Ext(That(6), O(6)) = Ext(That, O).
+    res = ls_chase(seq, B.O(), unknown=0, engine=eng)
     assert res == rep_result(D5, {0: [(0, 0, 0, 1, 0)]})
 
 
 def test_ls_chase_rejects_an_unknown_variance(eng):
     seq = next(s for s in B.standard_sequences() if s.name == "affine-kernel")
     with pytest.raises(roots.DomainError, match="variance 'Onto'"):
-        ls_chase(seq, B.O(6), unknown=0, engine=eng, twist_by=6, variance="Onto")
+        ls_chase(seq, B.O(), unknown=0, engine=eng, variance="Onto")
 
 
 def test_ls_chase_five_term_consistency(eng):
@@ -105,9 +106,10 @@ def test_ls_chase_five_term_consistency(eng):
 def test_ls_chase_that_does_not_degenerate_carries_the_exact_euler():
     # _chase's Ambiguous carries a placeholder 0; ls_chase replaces it with
     # the Euler characteristic of the unknown term against the target.
+    # Ext(U, O(1)) = Ext(U(-1), O).
     eng = ExtEngine()
     seq = next(s for s in B.standard_sequences() if s.name == "taut-rank5")
-    res = ls_chase(seq, B.O(), unknown=0, engine=eng, twist_by=-1)
+    res = ls_chase(seq, B.O(1), unknown=0, engine=eng)
     assert isinstance(res, Ambiguous)
     assert res.reason == "chase over taut-rank5 does not degenerate"
     exact = eng.ext(B.U(-1), B.O())
@@ -196,22 +198,11 @@ def _log_outer_calls(monkeypatch, module, name: str, log: list) -> None:
 
 
 def test_kernel_tables_compute_each_key_once_per_engine(monkeypatch):
-    calls = {"bbw_cohomology": [], "kclass": [], "_level_zero": [], "_shifts": []}
+    calls = {"bbw_cohomology": [], "kclass": []}
     _log_calls(monkeypatch, bbw, "bbw_cohomology", calls["bbw_cohomology"])
     # kclass of a named object recurses into the terms of its sequence:
     # count only the classes the engine asks for.
     _log_outer_calls(monkeypatch, B, "kclass", calls["kclass"])
-    _log_calls(monkeypatch, X, "_level_zero", calls["_level_zero"])
-    # _shifts is filled by bundles.twist, which other code calls too: log
-    # the twists computed for that table only.
-    lookup = X._lookup
-
-    def logged_lookup(table, fn, *args):
-        if fn is B.twist and args not in table:
-            calls["_shifts"].append(args)
-        return lookup(table, fn, *args)
-
-    monkeypatch.setattr(X, "_lookup", logged_lookup)
     # Two methods, logged with their arguments and not the engine.
     for name in ("_levi_chi", "_term_at"):
         calls[name] = []
@@ -249,7 +240,7 @@ def test_kernel_tables_compute_each_key_once_per_engine(monkeypatch):
 
 def test_repeated_query_is_a_memo_hit(monkeypatch):
     # A pair asked before, with an answer the memo keeps, is answered from
-    # the memo as it was asked: no twist to level zero, no route.
+    # the memo: no route, the same answer object.
     eng = ExtEngine()
     pairs = [
         (B.twist(parse_bundle(e), k), B.twist(parse_bundle(f), k))
@@ -257,16 +248,15 @@ def test_repeated_query_is_a_memo_hit(monkeypatch):
         for k in (-2, 0, 3)
     ]
     first = {pair: eng.ext(*pair) for pair in pairs}
-    kept = {pair: answer for pair, answer in first.items() if pair in eng._memo}
+    kept = {(E, F): answer for (E, F), answer in first.items() if eng._memo.get((E.base, B.twist(F, -E.level))) is answer}
     # Only an Ambiguous computed under a cycle cut is not kept.
     assert all(isinstance(answer, Ambiguous) for pair, answer in first.items() if pair not in kept)
     assert len(kept) > len(pairs) // 2
-    calls = {"twist": [], "_compute": []}
-    _log_calls(monkeypatch, B, "twist", calls["twist"])
-    _log_calls(monkeypatch, ExtEngine, "_compute", calls["_compute"])
+    computed = []
+    _log_calls(monkeypatch, ExtEngine, "_compute", computed)
     for (E, F), answer in kept.items():
         assert eng.ext(E, F) is answer, (E, F)
-    assert calls == {"twist": [], "_compute": []}
+    assert computed == []
 
 
 # Direct pairs on both descriptions and two chases.
@@ -446,7 +436,7 @@ def _answer_grid(order):
     answers = {}
     for e, f in order:
         E, F = parse_bundle(e), parse_bundle(f)
-        key = eng._level_key(E, F)
+        key = E.base, B.twist(F, -E.level)
         computed, cuts = key not in eng._memo, eng._cuts
         res = eng.ext(E, F)
         answers[(e, f)] = repr(res)
@@ -480,8 +470,9 @@ def test_a_grid_session_keeps_only_the_stored_objects():
     eng = ExtEngine()
     for e, f in ledger.GRID:
         eng.ext(parse_bundle(e), parse_bundle(f))
-    kept = [obj for table in (eng._memo, eng._levels, eng._shifts) for obj in _bundle_objects(tuple(table.items()))]
-    assert len(ledger.GRID) == 1183 and len(kept) > 3 * len(ledger.GRID)
+    kept = [obj for table in (eng._memo, eng._terms) for obj in _bundle_objects(tuple(table.items()))]
+    kept += [obj.base for obj in kept]
+    assert len(ledger.GRID) == 1183 and len(kept) > 6 * len(ledger.GRID)
     for obj in kept:
         assert type(obj)(*(getattr(obj, name) for name in obj._fields)) is obj, obj
         if isinstance(obj, B.Sum):

@@ -118,6 +118,47 @@ def test_public_method_scan_catches_dead_code():
     assert _unreferenced_public_methods([source]) == {"dead", "loop"}
 
 
+def _builds_outside_new(source: str) -> list[int]:
+    """The lines of the calls of _build (roots.Interned._build, which makes
+    an object past the checks and the table of its class) that sit outside
+    the __new__ of a class."""
+    tree = ast.parse(source)
+    allowed = {
+        id(node)
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for d in cls.body
+        if isinstance(d, ast.FunctionDef) and d.name == "__new__"
+        for node in ast.walk(d)
+    }
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "_build"
+        and id(node) not in allowed
+    ]
+
+
+def test_interned_objects_are_built_only_in_their_constructors():
+    # One construction path per class: every object goes through its
+    # __new__, so it is checked, stored and given what __new__ sets.
+    found = {p.name: _builds_outside_new(p.read_text(encoding="utf-8")) for p in sorted(PACKAGE.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_build_scan_catches_a_second_construction_path():
+    source = (
+        "class Box(Interned):\n"
+        "    def __new__(cls, v):\n"
+        "        return cls._build(v)\n"
+        "    def copy(self):\n"
+        "        return Box._build(self.v)\n"
+        "def shifted(box, k):\n"
+        "    return Box._table.get(k) or Box._build(box.v + k)\n"
+    )
+    assert _builds_outside_new(source) == [5, 7]
+
+
 def _module_imports(tree: ast.Module) -> tuple[dict[str, str], dict[str, tuple[str, str]]]:
     """The package modules a module imports (`from . import bundles as B`:
     B -> bundles), and the names it imports from them (`from .bundles import

@@ -113,7 +113,9 @@ def test_threads_building_one_value_get_one_object():
             obj
             for a in range(100, 130)
             for b in range(30)
-            for obj in (B.irr(D5_P4, (a, b, 0, 0, 0)), B.twist(B.irr(D5_P4, (b, a, 0, 0, 0)), 2), B.Named("t", a * b))
+            for obj in (
+                B.irr(D5_P4, (a, b, 0, 0, 0)), B.twist(B.irr(D5_P4, (b, a, 0, 0, 0)), 2), B.Named("Ktilde", 10_000 + a * b)
+            )
         ]
 
     interval = sys.getswitchinterval()
@@ -153,7 +155,7 @@ def test_objects_of_two_classes_never_compare_equal():
         (B.Named("That", 0), B.O()),
         (ExtResult(()), Ambiguous(0)),
         (ExtResult(()), KOnly(())),  # one field each, holding the same value
-        (Ambiguous(0, "x"), B.Named("x", 0)),
+        (Ambiguous(0, "That"), B.Named("That", 0)),
         (LieDatum("B", 4), Parabolic(B4, (4,))),
     ]
     for a, b in pairs:
