@@ -38,12 +38,14 @@ which lives for the process and is filled by every caller; a B4/Q4 sum of
 twists of O is stored under its own arguments as well as under those of
 its D5/P4 form.  Sum accepts only the form make_sum gives (nonempty, sorted,
 each weight once) and Named only a registered name with an integer twist.
-A construction that raises stores nothing.  Arguments are checked only
-when they are not in the table yet, so a fault injected into the checks
-(roots.check_length, roots.is_levi_dominant) reaches only the values not
-yet stored, as for levi._PRODUCTS.  Identity hashes vary from process to
-process, so no output may iterate a set of these objects: the engine's one
-such set, ExtEngine._stack, is only tested for membership.
+A construction that raises stores nothing.  Named checks the type of its
+twist on every call, since 7.0 and True find the keys of 7 and 1; other
+arguments are checked only when they are not in the table yet, so a fault
+injected into the checks (roots.check_length, roots.is_levi_dominant)
+reaches only the values not yet stored, as for levi._PRODUCTS.  Identity
+hashes vary from process to process, so no output may iterate a set of
+these objects: the engine's one such set, ExtEngine._stack, is only tested
+for membership.
 
 Every object is a twist of one at level zero: Sum.__new__ and
 Named.__new__ set, when they store an object, its level (the marked
@@ -111,12 +113,13 @@ class Named(Interned):
     _table: dict[tuple[str, int], Named] = {}
 
     def __new__(cls, name: str, twist: int) -> Named:
+        # Checked before the lookup: 7.0 and True find the keys of 7 and 1.
+        if type(twist) is not int:
+            raise DomainError(f"twist {twist!r} is not an integer")
         self = cls._table.get((name, twist))
         if self is None:
             if name not in _NAMED_DUALS:
                 raise DomainError(f"no named object {name!r}")
-            if type(twist) is not int:
-                raise DomainError(f"twist {twist!r} is not an integer")
             self = cls._build(name, twist)
             object.__setattr__(self, "level", twist)
             object.__setattr__(self, "base", cls(name, 0) if twist else self)

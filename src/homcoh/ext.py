@@ -15,8 +15,8 @@ outside: chi(E, F) pairs the K-classes of bundles.kclass, a sum of direct
 BBW terms chi(L1-dual (x) L2) over their Levi pieces, on B4/Q4 when a piece
 lives there (D5/P4 pieces branched by levi.branch_levi).  An engine keeps
 each object's class as pieces on both descriptions and each chi(L1-dual (x)
-L2) under the pair as asked, so a pairing of objects already seen reads
-one table entry per pair of pieces and computes nothing.
+L2) once per twist class, with L1 at level zero, so a pairing of objects
+already seen reads one table entry per pair of pieces and computes nothing.
 
 An Ext answer has one shape, the flat multiset of its graded pieces: an
 ExtResult holds them as (degree, entry, mult) tuples sorted by (degree,
@@ -34,6 +34,9 @@ Ext(E(k), F(k)) = Ext(E, F), labels included, so an engine computes and
 keeps one Ext per twist class of pairs, under the pair with E at level
 zero (E.base, see bundles), Ambiguous answers included when no cycle was
 cut while computing them (see ExtEngine), their reasons naming no pair.
+A chase that fails gives None, not an answer: every Ambiguous carries the
+exact Euler characteristic, except the cycle cut, which only a chase
+inside another computation meets.
 """
 
 from __future__ import annotations
@@ -231,20 +234,20 @@ class ExtEngine:
     always memoized, also when a cut happened below it.  An Ambiguous is
     memoized only when _cuts did not move while it was computed: _cuts
     counts the cycle cuts, the "cyclic dependency" placeholder answered to
-    a pair already on the stack, which is never stored.
+    a pair already on the stack, which is never stored.  It is the one
+    placeholder the engine builds, and a call at the top level, with an
+    empty stack, never meets it.
 
-    Besides the Ext and Euler memos, an engine keeps six kernel tables of
-    pure values, each filled on its first lookup through _lookup and keyed
-    by the arguments of the function that fills it:
+    Besides the Ext memo, an engine keeps six kernel tables of pure values,
+    each filled on its first lookup through _lookup and keyed by the
+    arguments of the function that fills it:
 
     - _pairs: (pb, w1, w2) -> the direct BBW answer Ext(E_w1, E_w2) for two
       irreducibles, an ExtResult (_pair_pieces);
     - _levi_chis: (pb, w1, w2) -> chi(E_w1-dual (x) E_w2), the Euler
       characteristic of the _pairs answer (_levi_chi), for the Euler form.
-      Unlike the Ext memo, it keeps each value under two keys: with w1 at
-      level zero, where _levi_chi computes it, and the pair as _pairing
-      asked it, so that a repeated pair is one dictionary read
-      (_fill_levi_chi);
+      Like the Ext memo, it keeps one key per twist class, the pair with
+      w1 at level zero, to which euler moves each pair of pieces;
     - _levi_duals: (pb, w) -> roots.dualize_levi(pb, w);
     - _cohomology: (pb, nu) -> bbw.bbw_cohomology(pb, nu);
     - _terms: (term, t, contravariant) -> the term's object twisted by t
@@ -266,7 +269,6 @@ class ExtEngine:
 
     def __init__(self) -> None:
         self._memo: dict = {}
-        self._euler_memo: dict = {}
         self._stack: set = set()  # membership only: its order varies by process
         self._cuts = 0  # "cyclic dependency" placeholders handed out
         self._pairs: dict = {}
@@ -308,7 +310,33 @@ class ExtEngine:
         return res.invariant_part().dims()
 
     def euler(self, E: BundleObject, F: BundleObject) -> int:
-        return _lookup(self._euler_memo, self._pairing, E, F)
+        """chi(E, F): the sum of a b chi(L1-dual (x) L2) over the pieces a L1 of the
+        class of E and b L2 of that of F, on D5/P4 unless a piece lives on B4/Q4.
+
+        chi(L1(k)-dual (x) L2(k)) = chi(L1-dual (x) L2), so each pair of
+        pieces is read, or computed once, with L1 at level zero.  A warm
+        pairing reads two _classes entries and one _levi_chis entry per pair
+        of pieces, and computes nothing."""
+        classes = self._classes
+        a, a_b4 = classes.get((E,)) or _lookup(classes, _class_pieces, E)
+        b, b_b4 = classes.get((F,)) or _lookup(classes, _class_pieces, F)
+        if a is None or b is None:
+            pb, a, b = bundles.B4_Q4, a_b4, b_b4
+        else:
+            pb = bundles.D5_P4
+        i = pb.marked[0] - 1
+        chis = self._levi_chis
+        total = 0
+        for w1, n1 in a:
+            k = w1[i]
+            w1 = w1[:i] + (0,) + w1[i + 1 :]
+            for w2, n2 in b:
+                key = pb, w1, w2[:i] + (w2[i] - k,) + w2[i + 1 :]
+                chi = chis.get(key)
+                if chi is None:
+                    chi = _lookup(chis, self._levi_chi, *key)
+                total += n1 * n2 * chi
+        return total
 
     # -- strategies ------------------------------------------------------
 
@@ -350,7 +378,7 @@ class ExtEngine:
             else:
                 seq, idx, t, contravariant = route
                 res = self._chase(seq, idx, t, F if contravariant else E, contravariant=contravariant)
-            if isinstance(res, ExtResult):
+            if res is not None:
                 results.append(_branch_to_b4(res) if on_b4 else res)
 
         if results:
@@ -427,7 +455,9 @@ class ExtEngine:
 
     def _chase(
         self, seq: Sequence, idx: int, t: int, partner: BundleObject, contravariant: bool
-    ) -> ExtResult | Ambiguous:
+    ) -> ExtResult | None:
+        """The unknown column of seq at twist t against partner, or None when
+        a column is ambiguous or the long exact sequence does not degenerate."""
         cols: list[ExtResult | None] = []
         for j, term in enumerate(seq.terms):
             if j == idx:
@@ -435,55 +465,14 @@ class ExtEngine:
             else:
                 col = self._column(term, t, partner, contravariant)
                 if col is None:
-                    return Ambiguous(0, f"column {j} of {seq.name} is ambiguous")
+                    return None
                 cols.append(col)
         if contravariant:
             cols = cols[::-1]
             idx = len(cols) - 1 - idx
-        solved = _solve_exact_sequence(cols, idx)
-        if solved is None:
-            return Ambiguous(0, f"chase over {seq.name} does not degenerate")
-        return solved
+        return _solve_exact_sequence(cols, idx)
 
     # -- Euler characteristics --------------------------------------------
-
-    def _pairing(self, E: BundleObject, F: BundleObject) -> int:
-        """chi(E, F): the sum of a b chi(L1-dual (x) L2) over the pieces a L1 of the
-        class of E and b L2 of that of F, on D5/P4 unless a piece lives on B4/Q4.
-
-        A warm pairing is two _classes reads and one _levi_chis read per pair
-        of pieces; only a pair of pieces seen for the first time goes on to
-        _fill_levi_chi."""
-        classes = self._classes
-        a, a_b4 = classes.get((E,)) or _lookup(classes, _class_pieces, E)
-        b, b_b4 = classes.get((F,)) or _lookup(classes, _class_pieces, F)
-        if a is None or b is None:
-            pb, a, b = bundles.B4_Q4, a_b4, b_b4
-        else:
-            pb = bundles.D5_P4
-        chis = self._levi_chis
-        total = 0
-        for w1, n1 in a:
-            for w2, n2 in b:
-                chi = chis.get((pb, w1, w2))
-                if chi is None:
-                    chi = self._fill_levi_chi(pb, w1, w2)
-                total += n1 * n2 * chi
-        return total
-
-    def _fill_levi_chi(self, pb: roots.Parabolic, w1: roots.Weight, w2: roots.Weight) -> int:
-        """chi(E_w1-dual (x) E_w2) for a pair missing from _levi_chis.
-
-        chi(L1(k)-dual (x) L2(k)) = chi(L1-dual (x) L2), so the value is read,
-        or computed once, under the pair with w1 at level zero, and then kept
-        under the pair as asked too."""
-        i = pb.marked[0] - 1
-        k = w1[i]
-        chi = _lookup(
-            self._levi_chis, self._levi_chi, pb, w1[:i] + (0,) + w1[i + 1 :], w2[:i] + (w2[i] - k,) + w2[i + 1 :]
-        )
-        self._levi_chis[pb, w1, w2] = chi
-        return chi
 
     def _levi_chi(self, pb: roots.Parabolic, w1: roots.Weight, w2: roots.Weight) -> int:
         """chi(E_w1-dual (x) E_w2) for two irreducibles, from their direct BBW answer."""
@@ -558,10 +547,10 @@ def ls_chase(
         raise roots.DomainError(f"variance {variance!r} is neither 'onto' nor 'from'")
     contravariant = variance == "onto"
     res = engine._chase(seq, unknown, 0, target, contravariant=contravariant)
-    if isinstance(res, Ambiguous):
+    if res is None:
         obj = seq.terms[unknown].obj
         pair = (obj, target) if contravariant else (target, obj)
-        return Ambiguous(engine.euler(*pair), res.reason)
+        return Ambiguous(engine.euler(*pair), f"no degenerate chase over {seq.name}")
     return res
 
 

@@ -278,18 +278,24 @@ def test_a_construction_that_raises_stores_nothing():
         (B.Sum, (D5_P4, (((1, 0, 0, 0, 0), 1), (_ZERO, 1))), DomainError),
         (B.Named, ("bogus", 2), DomainError),
         (B.Named, ("That", 1.5), DomainError),
+        (B.Named, ("Thatv", 7.0), DomainError),
+        (B.Named, ("That", True), DomainError),
         (LieDatum, ("E", 6), InvalidDatum),
         (LieDatum, ("D", 2), InvalidDatum),
         (Parabolic, (D5, (6,)), InvalidDatum),
         (Parabolic, (D5, ()), InvalidDatum),
         (Parabolic, (D5, (4, 1)), InvalidDatum),
     ]
+    # ("Thatv", 7.0) and ("That", True) equal the keys of Thatv(7) and
+    # That(1), built first so that the lookup would find them.
+    B.Thatv(7), B.That(1)
+    stored = {("Thatv", 7.0), ("That", True)}
     for cls, args, error in invalid:
         before = dict(cls._table)
         for _ in range(2):
             with pytest.raises(error):
                 cls(*args)
-        assert cls._table == before and args not in cls._table, (cls, args)
+        assert cls._table == before and (args in cls._table) == (args in stored), (cls, args)
     # A B4/Q4 sum of twists of O is stored under its own arguments too, as
     # the D5/P4 object, and under no other key.
     o9 = B.irr(B4_Q4, (0, 0, 0, 9))

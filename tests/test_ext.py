@@ -104,14 +104,14 @@ def test_ls_chase_five_term_consistency(eng):
 
 
 def test_ls_chase_that_does_not_degenerate_carries_the_exact_euler():
-    # _chase's Ambiguous carries a placeholder 0; ls_chase replaces it with
+    # A chase that fails is None; ls_chase answers it with the one Ambiguous,
     # the Euler characteristic of the unknown term against the target.
     # Ext(U, O(1)) = Ext(U(-1), O).
     eng = ExtEngine()
     seq = next(s for s in B.standard_sequences() if s.name == "taut-rank5")
     res = ls_chase(seq, B.O(1), unknown=0, engine=eng)
     assert isinstance(res, Ambiguous)
-    assert res.reason == "chase over taut-rank5 does not degenerate"
+    assert res.reason == "no degenerate chase over taut-rank5"
     exact = eng.ext(B.U(-1), B.O())
     assert exact == rep_result(D5, {0: [(1, 0, 0, 1, 0)]})
     assert res.euler == eng.euler(B.U(-1), B.O()) == exact.euler() == 144
@@ -346,7 +346,7 @@ def test_euler_form_is_serre_dual():
 
 
 def _old_pairing(ref, E, F):
-    """ExtEngine._pairing as it read before the engine kept classes as
+    """ExtEngine.euler as it read before the engine kept classes as
     pieces: both classes taken from bundles.kclass and put on one space on
     every call, every pair of pieces read from the table of ref at level zero."""
     classes = B.kclass(E), B.kclass(F)
@@ -367,7 +367,7 @@ def _old_pairing(ref, E, F):
 EULER_GRID = [(e, f"{f}({t})") for e in GRID_GENERATORS for f in GRID_GENERATORS for t in range(-3, 4)]
 EULER_GRID += [(f, f"{e}(-8)") for e, f in EULER_GRID]
 # Sums whose parts sit at different levels, so that pieces are asked away
-# from level zero and the two-key fill of _levi_chis is exercised.
+# from level zero and the pairing must move them there.
 MIXED_LEVELS = ("O + O(2)", "Uv + Sym2 Uv(1)", "U(-1) + Uv(1)", "Rv(-1) + Sym2 Rv(2)", "R + Wedge2 Rv(1)", "That", "Ktildev")
 
 
@@ -389,7 +389,6 @@ def test_euler_matches_the_old_pairing_on_a_fresh_and_a_warm_engine(euler_refere
     _assert_same_pairings(ExtEngine(), euler_reference, pairs)
     warm = ExtEngine()
     _assert_same_pairings(warm, euler_reference, random.Random(5).sample(pairs, len(pairs)))
-    warm._euler_memo.clear()
     _assert_same_pairings(warm, euler_reference, pairs)
 
 
@@ -399,23 +398,21 @@ def test_euler_matches_the_old_pairing_on_pieces_at_different_levels():
     for E in objs:
         for F in objs:
             assert eng.euler(E, F) == _old_pairing(ref, E, F), (E, F)
-    # Every pair kept away from level zero is kept at level zero too, with the same value.
+    # The classes have pieces away from level zero, and _levi_chis keeps
+    # each pair of pieces with w1 at level zero only: one key per twist class.
     away = 0
-    for (pb, w1, w2), chi in eng._levi_chis.items():
-        i = pb.marked[0] - 1
-        k = w1[i]
-        if k:
-            away += 1
-            zero = (pb, w1[:i] + (0,) + w1[i + 1 :], w2[:i] + (w2[i] - k,) + w2[i + 1 :])
-            assert eng._levi_chis[zero] == chi, (pb, w1, w2)
+    for E in objs:
+        on_d5, on_b4 = X._class_pieces(E)
+        for pb, pieces in ((D5_P4, on_d5 or ()), (B.B4_Q4, on_b4)):
+            away += sum(1 for w, _ in pieces if w[pb.marked[0] - 1])
     assert away
+    assert all(w1[pb.marked[0] - 1] == 0 for pb, w1, _ in eng._levi_chis)
 
 
 def test_a_warm_pairing_computes_nothing(monkeypatch, euler_reference):
     eng = ExtEngine()
     pairs = list(euler_reference)
     first = [eng.euler(E, F) for E, F in pairs]
-    eng._euler_memo.clear()
 
     def computes(*args, **kwargs):
         raise AssertionError("a warm pairing computed")
@@ -424,6 +421,30 @@ def test_a_warm_pairing_computes_nothing(monkeypatch, euler_reference):
     monkeypatch.setattr(ExtEngine, "_levi_chi", computes)
     monkeypatch.setattr(X, "_on_space", computes)
     assert [eng.euler(E, F) for E, F in pairs] == first
+
+
+def test_a_chase_that_fails_is_none(monkeypatch):
+    # A failed chase carries no placeholder answer: _chase gives None, and
+    # the only Ambiguous a caller sees at the top level is the one _compute
+    # builds, with the exact Euler characteristic.
+    chases = []
+    chase = ExtEngine._chase
+
+    def logged(self, *args, **kwargs):
+        chases.append(chase(self, *args, **kwargs))
+        return chases[-1]
+
+    monkeypatch.setattr(ExtEngine, "_chase", logged)
+    eng = ExtEngine()
+    ambiguous = 0
+    for e, f in EULER_GRID[:1183]:  # the grid, without its Serre duals
+        E, F = parse_bundle(e), parse_bundle(f)
+        res = eng.ext(E, F)
+        if isinstance(res, Ambiguous):
+            ambiguous += 1
+            assert (res.reason, res.euler) == ("no degenerate chase", eng.euler(E, F)), (e, f)
+    assert ambiguous and None in chases
+    assert all(res is None or isinstance(res, ExtResult) for res in chases)
 
 
 def _answer_grid(order):

@@ -159,6 +159,54 @@ def test_build_scan_catches_a_second_construction_path():
     assert _builds_outside_new(source) == [5, 7]
 
 
+def _placeholder_answers(source: str) -> list[int]:
+    """The lines of the Ambiguous calls whose Euler argument is the literal
+    0, outside ExtEngine.ext: there the cycle cut answers a pair already on
+    the stack, which a call at the top level never meets."""
+    tree = ast.parse(source)
+    allowed = {
+        id(node)
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and cls.name == "ExtEngine"
+        for d in cls.body
+        if isinstance(d, ast.FunctionDef) and d.name == "ext"
+        for node in ast.walk(d)
+    }
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or id(node) in allowed:
+            continue
+        func = node.func
+        if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) != "Ambiguous":
+            continue
+        euler = node.args[0] if node.args else next((k.value for k in node.keywords if k.arg == "euler"), None)
+        if isinstance(euler, ast.Constant) and euler.value == 0:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_no_placeholder_euler_outside_the_cycle_cut():
+    # An Ambiguous answer carries the exact Euler characteristic; a step
+    # that cannot answer returns None instead of a placeholder.
+    found = {p.name: _placeholder_answers(p.read_text(encoding="utf-8")) for p in sorted(PACKAGE.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_placeholder_scan_catches_a_second_placeholder():
+    source = (
+        "class ExtEngine:\n"
+        "    def ext(self, E, F):\n"
+        "        return Ambiguous(0, 'cyclic dependency')\n"
+        "    def _chase(self, seq):\n"
+        "        return Ambiguous(0, 'column is ambiguous')\n"
+        "def chase(engine, E, F):\n"
+        "    if E is F:\n"
+        "        return ext.Ambiguous(euler=0, reason='no chase')\n"
+        "    return Ambiguous(engine.euler(E, F), 'no degenerate chase')\n"
+    )
+    assert _placeholder_answers(source) == [5, 8]
+
+
 def _module_imports(tree: ast.Module) -> tuple[dict[str, str], dict[str, tuple[str, str]]]:
     """The package modules a module imports (`from . import bundles as B`:
     B -> bundles), and the names it imports from them (`from .bundles import
