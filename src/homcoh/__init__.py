@@ -14,10 +14,11 @@ from .roots import (
     Parabolic,
     canonical_weight,
     cartan_matrix,
+    check_dominant,
+    check_levi_dominant,
+    check_weight,
     dual_weight,
     dualize_levi,
-    is_dominant,
-    is_levi_dominant,
     rho,
 )
 from .bbw import Cohomology, bbw_cohomology, weyl_dim

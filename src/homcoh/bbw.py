@@ -15,14 +15,7 @@ import operator
 from functools import lru_cache
 
 from . import roots
-from .roots import (
-    DomainError,
-    Frozen,
-    InternalConsistencyError,
-    LieDatum,
-    Parabolic,
-    Weight,
-)
+from .roots import Frozen, InternalConsistencyError, LieDatum, Parabolic, Weight
 
 
 @lru_cache(maxsize=None)
@@ -40,9 +33,7 @@ def weyl_dim(datum: LieDatum, mu: Weight) -> int:
     Weyl's product over the positive roots beta of (mu + rho, beta) / (rho, beta),
     taken on the integer rows of roots.weyl_rows.
     """
-    roots.check_length(datum, mu)
-    if not roots.is_dominant(mu):
-        raise DomainError(f"{roots.format_weight(mu)} is not dominant")
+    roots.check_dominant(datum, mu)
     rows, den = _weyl_table(datum)
     shifted = [m + 1 for m in mu]
     num = 1
@@ -80,10 +71,8 @@ _ZERO = Cohomology(None, None, 0)
 
 def bbw_cohomology(pb: Parabolic, weight: Weight) -> Cohomology:
     """The walk of weight + rho to its dominant conjugate; see the module docstring."""
+    roots.check_levi_dominant(pb, weight)
     datum = pb.datum
-    roots.check_length(datum, weight)
-    if not roots.is_levi_dominant(pb, weight):
-        raise DomainError(f"{roots.format_weight(weight)} is not Levi-dominant on {pb}")
     v, steps = roots.dominant_conjugate(datum, tuple(map(operator.add, weight, roots.rho(datum))))
     if 0 in v:
         return _ZERO

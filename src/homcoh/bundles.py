@@ -39,13 +39,16 @@ twists of O is stored under its own arguments as well as under those of
 its D5/P4 form.  Sum accepts only the form make_sum gives (nonempty, sorted,
 each weight once) and Named only a registered name with an integer twist.
 A construction that raises stores nothing.  Named checks the type of its
-twist on every call, since 7.0 and True find the keys of 7 and 1; other
-arguments are checked only when they are not in the table yet, so a fault
-injected into the checks (roots.check_length, roots.is_levi_dominant)
-reaches only the values not yet stored, as for levi._PRODUCTS.  Identity
-hashes vary from process to process, so no output may iterate a set of
-these objects: the engine's one such set, ExtEngine._stack, is only tested
-for membership.
+twist on every call, since 7.0 and True find the keys of 7 and 1.  Sum
+checks its weights (roots.check_levi_dominant, through roots.check_weight:
+one int per node) only when its arguments are not in the table yet.  So
+no weight that is not made of ints is ever stored, and arguments equal to
+stored ones, such as a weight with 7.0 where the stored one has 7, return
+the stored object, whose weights are ints.  A fault injected into the
+checks reaches only the values not yet stored, as for levi._PRODUCTS.
+Identity hashes vary from process to process, so no output may iterate a
+set of these objects: the engine's one such set, ExtEngine._stack, is only
+tested for membership.
 
 Every object is a twist of one at level zero: Sum.__new__ and
 Named.__new__ set, when they store an object, its level (the marked
@@ -83,11 +86,9 @@ class Sum(Interned):
             if not parts:
                 raise DomainError("empty direct sum")
             for w, m in parts:
-                roots.check_length(space.datum, w)
+                roots.check_levi_dominant(space, w)
                 if m <= 0:
                     raise DomainError("multiplicities must be positive")
-                if not roots.is_levi_dominant(space, w):
-                    raise DomainError(f"{roots.format_weight(w)} is not Levi-dominant on {space}")
             if any(v >= w for (v, _), (w, _) in zip(parts, parts[1:])):
                 raise DomainError("the parts of a sum must be sorted, each weight once")
             self = cls._build(space, parts)

@@ -53,8 +53,6 @@ def _parse_weight(datum: LieDatum, text: str) -> tuple[int, ...]:
         coords = tuple(int(c.strip()) for c in body[1:-1].split(","))
     except ValueError:
         raise UsageError(f"bad weight {text!r}") from None
-    if len(coords) != datum.rank:
-        raise UsageError(f"weight needs {datum.rank} coordinates, found {len(coords)}")
     return coords
 
 

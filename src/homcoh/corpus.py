@@ -19,14 +19,11 @@ CaseResult = tuple[str, bool, str, str]  # (case id, ok, computed, stated)
 
 
 class CorpusEntry(Frozen):
-    _fields = ("label", "side", "description", "run")
+    _fields = ("label", "side", "run")
 
-    def __init__(
-        self, label: str, side: str, description: str, run: Callable[[ExtEngine], list[CaseResult]]
-    ) -> None:
+    def __init__(self, label: str, side: str, run: Callable[[ExtEngine], list[CaseResult]]) -> None:
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "side", side)  # "D5" or "B4"
-        object.__setattr__(self, "description", description)
         object.__setattr__(self, "run", run)
 
 
@@ -165,21 +162,21 @@ def _mixed_invariants(eng: ExtEngine) -> list[CaseResult]:
 
 
 ENTRIES: tuple[CorpusEntry, ...] = (
-    CorpusEntry("dominant-weights", "D5", "weights off the marked node stay in degree 0", _dominant_weights),
-    CorpusEntry("sym-power-sections", "D5", "sections of symmetric powers of Uv", _sym_power_sections),
-    CorpusEntry("bott-sample", "D5", "Ext(U(2), Sym2 Uv(2)) in two ways", _bott_sample),
-    CorpusEntry("general-family", "D5", "the two-parameter vanishing/degree-1 family", _general_family),
-    CorpusEntry("dual-affine-sections", "D5", "sections of the dual affine tangent bundle", _dual_affine_sections),
-    CorpusEntry("taut-sub-acyclic", "D5", "the tautological subbundle has no cohomology", _taut_sub_acyclic),
-    CorpusEntry("twisted-orthogonality", "D5", "Ext(U(1), Uv) vanishes", _twisted_orthogonality),
-    CorpusEntry("ext-shift-three", "D5", "Ext(Sym2 Uv(2), Uv) sits in degree 3", _ext_shift_three),
-    CorpusEntry("ext-affine-dual", "D5", "Ext(Sym2 Uv, Thatv(-1)) sits in degree 2", _ext_affine_dual),
-    CorpusEntry("rank4-extension-coh", "B4", "cohomology of Wedge3 Rv(-2) and E[1,1,0,-2]", _rank4_extension_coh),
-    CorpusEntry("equivariant-ext-wedge2", "B4", "equivariant Ext of Wedge2 Rv against Rv", _equivariant_ext_wedge2),
-    CorpusEntry("rank4-sub-coh", "B4", "Ext(O, R) is one-dimensional in degree 1", _rank4_sub_coh),
-    CorpusEntry("section-vanishing-range", "B4", "no sections of twisted wedges of R", _section_vanishing_range),
-    CorpusEntry("sym2-rank4-vanishing", "B4", "Sym2 R has no cohomology", _sym2_rank4_vanishing),
-    CorpusEntry("mixed-invariants", "B4", "equivariant Ext(Sym2 Rv, Uv) through the mixed chain", _mixed_invariants),
+    CorpusEntry("dominant-weights", "D5", _dominant_weights),
+    CorpusEntry("sym-power-sections", "D5", _sym_power_sections),
+    CorpusEntry("bott-sample", "D5", _bott_sample),
+    CorpusEntry("general-family", "D5", _general_family),
+    CorpusEntry("dual-affine-sections", "D5", _dual_affine_sections),
+    CorpusEntry("taut-sub-acyclic", "D5", _taut_sub_acyclic),
+    CorpusEntry("twisted-orthogonality", "D5", _twisted_orthogonality),
+    CorpusEntry("ext-shift-three", "D5", _ext_shift_three),
+    CorpusEntry("ext-affine-dual", "D5", _ext_affine_dual),
+    CorpusEntry("rank4-extension-coh", "B4", _rank4_extension_coh),
+    CorpusEntry("equivariant-ext-wedge2", "B4", _equivariant_ext_wedge2),
+    CorpusEntry("rank4-sub-coh", "B4", _rank4_sub_coh),
+    CorpusEntry("section-vanishing-range", "B4", _section_vanishing_range),
+    CorpusEntry("sym2-rank4-vanishing", "B4", _sym2_rank4_vanishing),
+    CorpusEntry("mixed-invariants", "B4", _mixed_invariants),
 )
 
 

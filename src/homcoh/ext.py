@@ -1,8 +1,9 @@
 """Graded Ext groups between bundle objects.
 
-Direct sums of irreducibles in a common description reduce to the
-Borel-Bott-Weil walk after a Brauer-Klimyk decomposition of E-dual
-tensor F (levi.tensor_decompose); everything else is chased through the long exact
+Ext is additive over the summands of two direct sums.  In a common
+description each pair of irreducibles reduces to the Borel-Bott-Weil walk
+after a Brauer-Klimyk decomposition of E-dual tensor F
+(levi.tensor_decompose); everything else is chased through the long exact
 sequences of the registered resolutions.
 
 A chase is accepted only when the long exact sequence degenerates for
@@ -41,6 +42,7 @@ inside another computation meets.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections.abc import Callable, Iterator
@@ -340,21 +342,15 @@ class ExtEngine:
 
     # -- strategies ------------------------------------------------------
 
-    def _routes(self, E: BundleObject, F: BundleObject) -> Iterator[Route | None]:
-        """Every reduction of (E, F) other than the direct BBW route, in order.
-
-        First None, standing for additivity over the summands of a
-        cross-description pair in which some side has more than one summand
-        (counted with multiplicity); then every registered chase through E,
-        then through F, as (sequence, index, twist, contravariant).  Chasing
+    def _routes(self, E: BundleObject, F: BundleObject) -> Iterator[Route]:
+        """Every registered chase of (E, F), through E, then through F, as
+        (sequence, index, twist, contravariant), in registry order.  Chasing
         is restricted to objects that genuinely need a resolution: named
         objects, and the B4-side factor of a cross-description pair.
         Resolving those strictly reduces toward same-description pairs, so
         the recursion terminates.
         """
         cross = isinstance(E, Sum) and isinstance(F, Sum) and E.space != F.space
-        if cross and sum(m for _, m in E.parts + F.parts) > 2:
-            yield None
         for obj, contravariant in ((E, True), (F, False)):
             if isinstance(obj, Named) or (cross and obj.space == bundles.B4_Q4):
                 for seq, idx, t in bundles.sequence_matches(obj):
@@ -372,12 +368,8 @@ class ExtEngine:
         # on the route.
         on_b4 = any(isinstance(X, Sum) and X.space == bundles.B4_Q4 for X in (E, F))
         results: list[ExtResult] = []
-        for route in self._routes(E, F):
-            if route is None:
-                res = self._cross_split(E, F)
-            else:
-                seq, idx, t, contravariant = route
-                res = self._chase(seq, idx, t, F if contravariant else E, contravariant=contravariant)
+        for seq, idx, t, contravariant in self._routes(E, F):
+            res = self._chase(seq, idx, t, F if contravariant else E, contravariant=contravariant)
             if res is not None:
                 results.append(_branch_to_b4(res) if on_b4 else res)
 
@@ -402,31 +394,35 @@ class ExtEngine:
             return first
         return Ambiguous(self.euler(E, F), "no degenerate chase")
 
-    def _cross_split(self, E: Sum, F: Sum) -> ExtResult | None:
-        """Additivity over summands for a cross-description pair."""
+    def _direct(self, E: BundleObject, F: BundleObject) -> ExtResult | None:
+        """Ext of two sums as the sum over their pairs of irreducibles: on a
+        common description the direct BBW answers (_pairs), else, when the
+        two sides hold more than two summands, the Ext of each pair,
+        branched to B4.  None for any other pair, or when a pair is
+        Ambiguous, so that the chases run."""
+        if not (isinstance(E, Sum) and isinstance(F, Sum)):
+            return None
+        common = bundles.common_parts(E, F)
+        if common is not None:
+            pb, e_parts, f_parts = common
+            pair = functools.partial(_lookup, self._pairs, self._pair_pieces, pb)
+        elif sum(m for _, m in E.parts + F.parts) > 2:
+            e_parts, f_parts = E.parts, F.parts
+
+            def pair(w1: roots.Weight, w2: roots.Weight) -> ExtResult | Ambiguous:
+                return self.ext(bundles.irr(E.space, w1), bundles.irr(F.space, w2))
+        else:
+            return None
         acc: Graded = {}
-        for w1, m1 in E.parts:
-            for w2, m2 in F.parts:
-                sub = self.ext(bundles.irr(E.space, w1), bundles.irr(F.space, w2))
+        for w1, m1 in e_parts:
+            for w2, m2 in f_parts:
+                sub = pair(w1, w2)
                 if isinstance(sub, Ambiguous):
                     return None
                 for p, entry, m in sub.pieces:
                     add_piece(acc, p, entry, m1 * m2 * m)
-        return ExtResult.from_dict(acc)
-
-    def _direct(self, E: BundleObject, F: BundleObject) -> ExtResult | None:
-        if not (isinstance(E, Sum) and isinstance(F, Sum)):
-            return None
-        common = bundles.common_parts(E, F)
-        if common is None:
-            return None
-        pb, e_parts, f_parts = common
-        acc: Graded = {}
-        for w1, m1 in e_parts:
-            for w2, m2 in f_parts:
-                for p, entry, m in _lookup(self._pairs, self._pair_pieces, pb, w1, w2).pieces:
-                    add_piece(acc, p, entry, m1 * m2 * m)
-        return ExtResult.from_dict(acc)
+        res = ExtResult.from_dict(acc)
+        return res if common else _branch_to_b4(res)
 
     def _pair_pieces(self, pb: roots.Parabolic, w1: roots.Weight, w2: roots.Weight) -> ExtResult:
         """The direct answer Ext(E_w1, E_w2): the BBW cohomology of each Levi

@@ -113,6 +113,7 @@ def levi_rank(pb: Parabolic) -> int:
 def to_gl(pb: Parabolic, w: Weight) -> GLVector:
     """GL-vector of a weight; weakly decreasing exactly when Levi-dominant."""
     _require_supported(pb)
+    roots.check_weight(pb.datum, w)
     return tuple(Q(c, 2) for c in _gl2(pb, w))
 
 
@@ -126,9 +127,7 @@ def from_gl(pb: Parabolic, v: GLVector) -> Weight:
 
 def _split(pb: Parabolic, w: Weight) -> tuple[Partition, int]:
     # 2 GL(w) = 2p + s(1,...,1) with p a partition ending in 0.
-    roots.check_length(pb.datum, w)
-    if not roots.is_levi_dominant(pb, w):
-        raise DomainError(f"{roots.format_weight(w)} is not Levi-dominant on {pb}")
+    roots.check_levi_dominant(pb, w)
     v = _gl2(pb, w)
     return tuple((c - v[-1]) // 2 for c in v), v[-1]
 
@@ -265,9 +264,7 @@ def branch_d5_to_b4(mu: Weight) -> dict[Weight, int]:
     the B4/Q4 GL vector is the B4 epsilon vector: this is branch_levi of the
     D5/P4 weight whose GL vector ends in that absolute value.
     """
-    roots.check_length(D5_P4.datum, mu)
-    if not roots.is_dominant(mu):
-        raise DomainError(f"{roots.format_weight(mu)} is not dominant")
+    roots.check_dominant(roots.D5, mu)
     lam = _gl2(D5_P4, mu)
     return dict.fromkeys(branch_levi(_from_gl2(D5_P4, lam[:4] + (abs(lam[4]),))), 1)
 
@@ -279,8 +276,7 @@ def branch_levi(w: Weight) -> tuple[Weight, ...]:
     Q4 = P4 meets Spin(9), whose torus drops the fifth epsilon coordinate:
     the doubled GL vectors of the pieces interlace that of w, in steps of 2.
     """
-    if not roots.is_levi_dominant(D5_P4, w):
-        raise DomainError(f"{roots.format_weight(w)} is not Levi-dominant on {D5_P4}")
+    roots.check_levi_dominant(D5_P4, w)
     lam = _gl2(D5_P4, w)
     nus = itertools.product(*(range(lo, hi + 1, 2) for lo, hi in zip(lam[1:], lam)))
     return tuple(_from_gl2(B4_Q4, nu) for nu in nus)
@@ -290,6 +286,7 @@ def branch_levi(w: Weight) -> tuple[Weight, ...]:
 def b4_content(group: roots.LieDatum, w: Weight) -> tuple[tuple[Weight, int], ...]:
     """View a D5 or B4 representation as a multiset of B4 irreducibles."""
     if group == roots.B4:
+        roots.check_dominant(group, w)
         return ((w, 1),)
     if group == roots.D5:
         return tuple(sorted(branch_d5_to_b4(w).items()))

@@ -143,27 +143,25 @@ def _hypothesis(
     return res
 
 
-def verify_exceptional(col: Collection, engine: ExtEngine | None = None) -> VerifyReport:
+def verify_exceptional(col: Collection, engine: ExtEngine) -> VerifyReport:
     """Diagonal identity checks plus vanishing of every backward Ext."""
-    eng = engine or ext_mod.get_engine()
     checks: list[PairCheck] = []
     n = len(col)
     for i in range(n):
-        value = _hypothesis(col, col.objects[i], col.objects[i], eng)
+        value = _hypothesis(col, col.objects[i], col.objects[i], engine)
         amb = isinstance(value, Ambiguous)
         checks.append(PairCheck(i, i, "identity", value, not amb and value.dims() == {0: 1}, amb))
     for j in range(n):
         for i in range(j):
-            value = _hypothesis(col, col.objects[j], col.objects[i], eng)
+            value = _hypothesis(col, col.objects[j], col.objects[i], engine)
             amb = isinstance(value, Ambiguous)
             checks.append(PairCheck(j, i, "zero", value, not amb and value.is_zero, amb))
     return VerifyReport(col, checks)
 
 
-def gram_matrix(col: Collection, engine: ExtEngine | None = None) -> tuple[tuple[int, ...], ...]:
-    eng = engine or ext_mod.get_engine()
-    form = KForm.standard(eng)
-    classes = [_kclass_of(obj, form, eng) for obj in col.objects]
+def gram_matrix(col: Collection, engine: ExtEngine) -> tuple[tuple[int, ...], ...]:
+    form = KForm.standard(engine)
+    classes = [_kclass_of(obj, form, engine) for obj in col.objects]
     return tuple(tuple(_dot(ca, kb) for kb in classes) for ca in map(form.coords, classes))
 
 
@@ -208,15 +206,14 @@ class KForm(Frozen):
         object.__setattr__(self, "_coords", {})
 
     @staticmethod
-    def standard(engine: ExtEngine | None = None) -> "KForm":
+    def standard(engine: ExtEngine) -> "KForm":
         """The form of the engine, built from its Euler pairings on first use."""
-        eng = engine or ext_mod.get_engine()
-        if eng.kform is None:
+        if engine.kform is None:
             basis = kuznetsov_collection().objects
-            gram = tuple(tuple(eng.euler(a, b) for b in basis) for a in basis)
-            eng.kform = KForm.from_gram(basis, gram)
-            eng.kform._classes.update(zip(basis, zip(*gram)))  # the Gram columns
-        return eng.kform
+            gram = tuple(tuple(engine.euler(a, b) for b in basis) for a in basis)
+            engine.kform = KForm.from_gram(basis, gram)
+            engine.kform._classes.update(zip(basis, zip(*gram)))  # the Gram columns
+        return engine.kform
 
     @staticmethod
     def from_gram(basis: tuple[BundleObject, ...], gram: tuple[tuple[int, ...], ...]) -> "KForm":
@@ -258,20 +255,13 @@ def _kclass_of(obj: CollectionObject, form: KForm, engine: ExtEngine) -> KVector
     return form.kclass(obj, engine)
 
 
-def k_mutate_right(vectors: list[KVector], i: int, form: KForm) -> list[KVector]:
-    a, b = vectors[i], vectors[i + 1]
+def k_cone(direction: str, a: KVector, b: KVector, form: KForm) -> KVector:
+    """The class of the object a mutation of the pair (a, b) puts in: a -
+    chi(a, b) b for the right mutation ("R"), b - chi(a, b) a for the left."""
     chi = form.chi(a, b)
-    out = list(vectors)
-    out[i], out[i + 1] = b, tuple(x - chi * y for x, y in zip(a, b))
-    return out
-
-
-def k_mutate_left(vectors: list[KVector], i: int, form: KForm) -> list[KVector]:
-    a, b = vectors[i], vectors[i + 1]
-    chi = form.chi(a, b)
-    out = list(vectors)
-    out[i], out[i + 1] = tuple(x - chi * y for x, y in zip(b, a)), a
-    return out
+    if direction == "L":
+        a, b = b, a
+    return tuple(x - chi * y for x, y in zip(a, b))
 
 
 # --- mutation engine --------------------------------------------------------
@@ -350,43 +340,34 @@ def _find_recipe(direction: str, E1: CollectionObject, E2: CollectionObject, hyp
     return None
 
 
-def mutate(
-    col: Collection,
-    direction: str,
-    position: int,
-    engine: ExtEngine | None = None,
-) -> tuple[Collection, MutationStep]:
+def mutate(col: Collection, direction: str, position: int, engine: ExtEngine) -> tuple[Collection, MutationStep]:
     """Mutate the adjacent pair at `position` (0-based, left object)."""
     if direction not in ("L", "R"):
         raise DomainError("direction must be 'L' or 'R'")
     if not 0 <= position < len(col) - 1:
         raise DomainError(f"position {position} out of range")
-    eng = engine or ext_mod.get_engine()
     E1, E2 = col.objects[position], col.objects[position + 1]
 
-    hyp = _hypothesis(col, E1, E2, eng)
+    hyp = _hypothesis(col, E1, E2, engine)
     if isinstance(hyp, Ambiguous) and not (isinstance(E1, KOnly) or isinstance(E2, KOnly)):
         raise AmbiguousMutation(f"Ext({E1}, {E2}) is ambiguous")
 
-    form = KForm.standard(eng)
-    k1 = _kclass_of(E1, form, eng)
-    k2 = _kclass_of(E2, form, eng)
+    form = KForm.standard(engine)
+    k1 = _kclass_of(E1, form, engine)
+    k2 = _kclass_of(E2, form, engine)
 
     if not isinstance(hyp, Ambiguous) and hyp.is_zero:
         recipe, shift = "transposition", 0
         result, rk = (E1, k1) if direction == "R" else (E2, k2)
     else:
-        if direction == "R":
-            cone_k = k_mutate_right([k1, k2], 0, form)[1]
-        else:
-            cone_k = k_mutate_left([k1, k2], 0, form)[0]
+        cone_k = k_cone(direction, k1, k2, form)
         found = None if isinstance(hyp, Ambiguous) else _find_recipe(direction, E1, E2, hyp)
         if found is None:
             result, rk = KOnly(cone_k), cone_k
             recipe, shift = "k-only", 0
         else:
             recipe, result, shift = found
-            rk = _kclass_of(result, form, eng)
+            rk = _kclass_of(result, form, engine)
             sign = -1 if shift % 2 else 1
             if tuple(sign * x for x in rk) != cone_k:
                 raise InternalConsistencyError(
@@ -405,7 +386,7 @@ class AmbiguousMutation(RuntimeError):
     """The Ext hypothesis of a requested mutation could not be pinned down."""
 
 
-def right_dual(block: Collection, engine: ExtEngine | None = None) -> tuple[Collection, list[MutationStep]]:
+def right_dual(block: Collection, engine: ExtEngine) -> tuple[Collection, list[MutationStep]]:
     """Right dual collection via iterated adjacent right mutations.
 
     Two mutation orders compute the same dual; they differ in which Ext
@@ -439,7 +420,9 @@ def right_dual(block: Collection, engine: ExtEngine | None = None) -> tuple[Coll
 
 
 def assemble_kp_collection(engine: ExtEngine | None = None) -> tuple[Collection, list[list[MutationStep]]]:
-    """Right-dualize each block, forget equivariance, concatenate."""
+    """Right-dualize each block, forget equivariance, concatenate; on the
+    default engine (ext.get_engine) unless one is given."""
+    engine = engine or ext_mod.get_engine()
     objs: list[CollectionObject] = []
     all_steps = []
     for block in kp_blocks():
@@ -517,7 +500,7 @@ class ReplayResult(Record):
         return self.final_gram == self.kuznetsov_gram
 
 
-def replay_main_proof(engine: ExtEngine | None = None) -> ReplayResult:
+def replay_main_proof(engine: ExtEngine) -> ReplayResult:
     """Run the sixteen-step chain from the block collection to the twisted pairs.
 
     Every step locates its pair by object, re-verifies the pinned Ext
@@ -525,7 +508,6 @@ def replay_main_proof(engine: ExtEngine | None = None) -> ReplayResult:
     mismatch aborts.  The terminal collection and its Gram matrix are
     compared against the independently recomputed target.
     """
-    eng = engine or ext_mod.get_engine()
     col = kp_collection()
     steps: list[MutationStep] = []
     for k, spec in enumerate(replay_script(), start=1):
@@ -536,7 +518,7 @@ def replay_main_proof(engine: ExtEngine | None = None) -> ReplayResult:
                 break
         if pos is None:
             raise ReplayError(f"step {k}: pair ({spec['left']}, {spec['right']}) not adjacent")
-        col, step = mutate(col, spec["dir"], pos, eng)
+        col, step = mutate(col, spec["dir"], pos, engine)
         if step.hypothesis != spec["hyp"]:
             raise ReplayError(
                 f"step {k}: hypothesis mismatch: computed {step.hypothesis}, "
@@ -548,10 +530,10 @@ def replay_main_proof(engine: ExtEngine | None = None) -> ReplayResult:
             )
         notes = list(spec.get("notes", ()))
         if spec.get("swap"):
-            reverse = eng.ext(spec["right"], spec["left"])
+            reverse = engine.ext(spec["right"], spec["left"])
             notes.append(f"reverse direction Ext({spec['right']}, {spec['left']}) = {reverse}")
         step.notes = tuple(notes)
         steps.append(step)
-    final_gram = gram_matrix(col, eng)
-    kuz_gram = gram_matrix(kuznetsov_collection(), eng)
+    final_gram = gram_matrix(col, engine)
+    kuz_gram = gram_matrix(kuznetsov_collection(), engine)
     return ReplayResult(steps, col, final_gram, kuz_gram)

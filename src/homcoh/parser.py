@@ -173,10 +173,6 @@ class _Parser:
             self.take()
             coords.append(int(self.take("int").text))
         self.take(text="]")
-        if len(coords) != space.rank:
-            raise BundleSyntaxError(
-                f"{datum_tok.text} weight needs {space.rank} coordinates", datum_tok.pos
-            )
         try:
             return bundles.irr(space, tuple(coords))
         except DomainError as e:

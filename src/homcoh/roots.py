@@ -11,6 +11,12 @@ ch. VI, Planches I-IV), the only code here with Fraction entries, which
 spin weights of types B and D need.  As the lowest module it also holds
 the package's errors and Record, Frozen and Interned, the bases of its
 value classes.
+
+It owns the one check of a weight: check_weight (a Python int per node;
+7.0, True and 1/2 are no coordinates), check_dominant and
+check_levi_dominant.  Every public function of the package that takes a
+weight calls one of them before it fills a table, and no other module
+decides what a weight is.
 """
 
 from __future__ import annotations
@@ -245,10 +251,41 @@ def rho(datum: LieDatum) -> Weight:
     return (1,) * datum.rank
 
 
-def check_length(datum: LieDatum, w: Weight) -> None:
-    """Raise DomainError unless w has one coordinate per node of datum."""
+def is_dominant(w: Weight) -> bool:
+    return all(c >= 0 for c in w)
+
+
+def format_weight(w: Weight) -> str:
+    """The printed form of a weight, [a1,...,an], as the bundle parser reads it."""
+    return "[" + ",".join(map(str, w)) + "]"
+
+
+def is_levi_dominant(pb: Parabolic, w: Weight) -> bool:
+    return all(w[i - 1] >= 0 for i in pb.unmarked())
+
+
+def check_weight(datum: LieDatum, w: Weight) -> None:
+    """Raise DomainError unless w has one Python int per node of datum: a
+    float, a bool or a Fraction is no weight, even when it equals one."""
     if len(w) != datum.rank:
         raise DomainError(f"weight length {len(w)} != rank {datum.rank}")
+    for c in w:
+        if type(c) is not int:
+            raise DomainError(f"weight coordinate {c!r} is not an integer")
+
+
+def check_dominant(datum: LieDatum, w: Weight) -> None:
+    """check_weight, then raise DomainError unless w is dominant."""
+    check_weight(datum, w)
+    if not is_dominant(w):
+        raise DomainError(f"{format_weight(w)} is not dominant")
+
+
+def check_levi_dominant(pb: Parabolic, w: Weight) -> None:
+    """check_weight, then raise DomainError unless w is Levi-dominant on pb."""
+    check_weight(pb.datum, w)
+    if not is_levi_dominant(pb, w):
+        raise DomainError(f"{format_weight(w)} is not Levi-dominant on {pb}")
 
 
 def omega_to_eps(datum: LieDatum, w: Weight) -> EpsVector:
@@ -259,7 +296,7 @@ def omega_to_eps(datum: LieDatum, w: Weight) -> EpsVector:
     in type D.  Type A has n + 1 coordinates and takes the representative
     whose coordinates sum to zero.
     """
-    check_length(datum, w)
+    check_weight(datum, w)
     # t[j] multiplies e_1 + ... + e_{j+1}, so coordinate k sums t[k:].
     t = [Q(c) for c in w]
     if datum.family == "B":
@@ -295,10 +332,6 @@ def eps_to_omega(datum: LieDatum, v: EpsVector) -> Weight:
     return tuple(map(int, coords))
 
 
-def is_dominant(w: Weight) -> bool:
-    return all(c >= 0 for c in w)
-
-
 def _descend(datum: LieDatum, nodes: range | tuple[int, ...], v: Weight) -> tuple[Weight, int]:
     # Reflect at the first of the nodes with a negative coefficient, by
     # subtracting that multiple of its Cartan row, until there is none.  Each
@@ -318,32 +351,20 @@ def _descend(datum: LieDatum, nodes: range | tuple[int, ...], v: Weight) -> tupl
 
 def dominant_conjugate(datum: LieDatum, w: Weight) -> tuple[Weight, int]:
     """The dominant Weyl-orbit representative and the number of reflections used."""
-    check_length(datum, w)
+    check_weight(datum, w)
     return _descend(datum, range(1, datum.rank + 1), tuple(w))
 
 
 def dual_weight(datum: LieDatum, w: Weight) -> Weight:
     """Highest weight of the dual representation, -w0(w), for dominant w."""
-    if not is_dominant(w):
-        raise DomainError("dual_weight needs a dominant weight")
+    check_dominant(datum, w)
     return dominant_conjugate(datum, tuple(-c for c in w))[0]
-
-
-def format_weight(w: Weight) -> str:
-    """The printed form of a weight, [a1,...,an], as the bundle parser reads it."""
-    return "[" + ",".join(map(str, w)) + "]"
-
-
-def is_levi_dominant(pb: Parabolic, w: Weight) -> bool:
-    return all(w[i - 1] >= 0 for i in pb.unmarked())
 
 
 def dualize_levi(pb: Parabolic, w: Weight) -> Weight:
     """-w0^L(w): the highest weight of the dual of the Levi representation,
     the descent of -w over the unmarked nodes."""
-    check_length(pb.datum, w)
-    if not is_levi_dominant(pb, w):
-        raise DomainError(f"{format_weight(w)} is not Levi-dominant on {pb}")
+    check_levi_dominant(pb, w)
     return _descend(pb.datum, pb.unmarked(), tuple(-c for c in w))[0]
 
 

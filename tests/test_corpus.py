@@ -32,7 +32,7 @@ def test_an_entry_whose_computation_raises_fails_alone(monkeypatch):
     def boom(eng):
         raise InternalConsistencyError("injected")
 
-    broken = CorpusEntry(ENTRIES[1].label, ENTRIES[1].side, ENTRIES[1].description, boom)
+    broken = CorpusEntry(ENTRIES[1].label, ENTRIES[1].side, boom)
     monkeypatch.setattr(corpus, "ENTRIES", (ENTRIES[0], broken, ENTRIES[2]))
     report = run_corpus()
     assert [e.label for e, _ in report.results] == [e.label for e in ENTRIES[:3]]

@@ -161,6 +161,24 @@ def test_cross_description_multi_part(eng):
     assert res.dims() == {1: 1}
 
 
+def test_cross_sums_add_over_their_summands():
+    # (Rv, Uv) is an Ambiguous grid pair and (Rv, Uv(1)) an exact one: their
+    # sum is Ambiguous, with the exact Euler characteristic.
+    eng = ExtEngine()
+    mixed = eng.ext(B.Rv(), B.direct_sum(B.Uv(), B.Uv(1)))
+    assert isinstance(eng.ext(B.Rv(), B.Uv()), Ambiguous) and isinstance(eng.ext(B.Rv(), B.Uv(1)), ExtResult)
+    assert isinstance(mixed, Ambiguous)
+    assert mixed.euler == eng.euler(B.Rv(), B.direct_sum(B.Uv(), B.Uv(1)))
+    # An all-exact cross sum, asked on a fresh engine, is the sum of its
+    # summands' answers.
+    whole = ExtEngine().ext(B.Rv(), B.direct_sum(B.Uv(-1), B.Uv(1)))
+    acc = {}
+    for F in (B.Uv(-1), B.Uv(1)):
+        for p, entry, m in eng.ext(B.Rv(), F).pieces:
+            X.add_piece(acc, p, entry, m)
+    assert not whole.is_zero and whole == ExtResult.from_dict(acc)
+
+
 # Direct pairs, covariant and contravariant chases, coefficient columns
 # (the affine and quadric sequences) and cross-description pairs.
 TABLE_QUERIES = (

@@ -207,6 +207,48 @@ def test_placeholder_scan_catches_a_second_placeholder():
     assert _placeholder_answers(source) == [5, 8]
 
 
+_WEIGHT_PREDICATES = {"is_dominant", "is_levi_dominant"}
+_WEIGHT_MESSAGES = ("dominant", "length", "coordinates")
+
+
+def _weight_checks(source: str) -> list[int]:
+    """The lines that decide for themselves what a weight is: a reference to
+    is_dominant or is_levi_dominant, or a raise whose message speaks of
+    dominance, of a length or of a number of coordinates."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+        if isinstance(node, (ast.Name, ast.Attribute, ast.alias)) and name in _WEIGHT_PREDICATES:
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Raise) and node.exc is not None:
+            strings = [c.value for c in ast.walk(node.exc) if isinstance(c, ast.Constant) and isinstance(c.value, str)]
+            if any(word in text for text in strings for word in _WEIGHT_MESSAGES):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_only_roots_checks_weights():
+    # roots.check_weight, check_dominant and check_levi_dominant are the one
+    # check of a weight; a module with a check of its own covers less.
+    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "roots.py")
+    found = {p.name: _weight_checks(p.read_text(encoding="utf-8")) for p in modules}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_weight_check_scan_catches_a_second_check():
+    source = (
+        "from .roots import is_dominant\n"
+        "def weyl_dim(datum, mu):\n"
+        "    if not roots.is_levi_dominant(pb, mu):\n"
+        "        raise DomainError(f'{format_weight(mu)} is not Levi-dominant on {pb}')\n"
+        "    if len(mu) != datum.rank:\n"
+        "        raise UsageError(f'weight needs {datum.rank} coordinates')\n"
+        "    roots.check_dominant(datum, mu)\n"
+        "    raise DomainError(f'no branching to B4 from {datum}')\n"
+    )
+    assert _weight_checks(source) == [1, 3, 4, 6]
+
+
 def _module_imports(tree: ast.Module) -> tuple[dict[str, str], dict[str, tuple[str, str]]]:
     """The package modules a module imports (`from . import bundles as B`:
     B -> bundles), and the names it imports from them (`from .bundles import

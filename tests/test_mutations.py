@@ -180,14 +180,22 @@ def test_replay_swap_steps_report_both_directions(eng):
         assert any("reverse direction" in note and "= 0" in note for note in s.notes)
 
 
+def k_mutated(vectors, direction, i, form):
+    """The classes after mutating the pair at i: (b, k_cone) to the right,
+    (k_cone, a) to the left."""
+    a, b = vectors[i], vectors[i + 1]
+    cone = M.k_cone(direction, a, b, form)
+    return vectors[:i] + ([b, cone] if direction == "R" else [cone, a]) + vectors[i + 2 :]
+
+
 def test_k_mutation_involutivity(eng, form):
     rng = random.Random(4)
     for col in (M.kp_collection(), M.kuznetsov_collection()):
         vectors = [form.kclass(o, eng) for o in col.objects]
         for _ in range(30):
             i = rng.randrange(len(vectors) - 1)
-            assert M.k_mutate_left(M.k_mutate_right(vectors, i, form), i, form) == vectors
-            assert M.k_mutate_right(M.k_mutate_left(vectors, i, form), i, form) == vectors
+            assert k_mutated(k_mutated(vectors, "R", i, form), "L", i, form) == vectors
+            assert k_mutated(k_mutated(vectors, "L", i, form), "R", i, form) == vectors
 
 
 def hermite_normal_form(rows):
@@ -229,7 +237,7 @@ def test_k_lattice_preserved_under_mutation(eng, form):
     current = vectors
     for _ in range(25):
         i = rng.randrange(len(current) - 1)
-        current = (M.k_mutate_right if rng.random() < 0.5 else M.k_mutate_left)(current, i, form)
+        current = k_mutated(current, "R" if rng.random() < 0.5 else "L", i, form)
         assert hermite_normal_form(current) == base
 
 

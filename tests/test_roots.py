@@ -400,3 +400,67 @@ def test_equal_parabolics_are_one_key_and_data_keep_their_order():
     assert pb.unmarked() == (1, 2, 3, 5)
     assert Parabolic(D5, (1, 4)).unmarked() == (2, 3, 5)
     assert B4_Q4.unmarked() == (1, 2, 3)
+
+
+# Run in a fresh interpreter: before one check decided what a weight is, a
+# float coordinate was stored in the process tables, and the integer
+# queries that found its key afterwards answered with floats.
+_NON_INTEGER_WEIGHTS = r'''
+import contextlib, io, json
+from homcoh import bbw, bundles, cli, levi, roots
+from homcoh.roots import B4, B4_Q4, D5, D5_P4
+
+def d5(v):  # v at the marked node of a weight the import builds nothing for
+    return (0, 0, 2, v, 0)
+
+ENTRIES = {
+    "roots.dominant_conjugate": lambda v: roots.dominant_conjugate(D5, d5(v)),
+    "roots.dual_weight": lambda v: roots.dual_weight(D5, d5(v)),
+    "roots.dualize_levi": lambda v: roots.dualize_levi(D5_P4, d5(v)),
+    "roots.omega_to_eps": lambda v: roots.omega_to_eps(D5, d5(v)),
+    "bbw.weyl_dim": lambda v: bbw.weyl_dim(D5, (v, 0, 0, 0, 0)),
+    "bbw.bbw_cohomology": lambda v: bbw.bbw_cohomology(D5_P4, d5(v)),
+    "levi.to_gl": lambda v: levi.to_gl(D5_P4, d5(v)),
+    "levi.tensor_decompose": lambda v: levi.tensor_decompose(D5_P4, (v, 0, 0, 0, 0), (1, 0, 0, 0, 0)),
+    "levi.branch_levi": lambda v: levi.branch_levi(d5(v)),
+    "levi.branch_d5_to_b4": lambda v: levi.branch_d5_to_b4(d5(v)),
+    "levi.b4_content": lambda v: levi.b4_content(B4, (0, 0, 2, v)),
+    "bundles.Sum on D5/P4": lambda v: bundles.irr(D5_P4, (0, 0, 0, v, 0)),
+    "bundles.Sum on B4/Q4": lambda v: bundles.irr(B4_Q4, (0, 0, 2, v)),
+}
+raised = {}
+for name, call in ENTRIES.items():
+    for v in (7.0, 1.0, True, 0.5):
+        try:
+            raised[f"{name} {v!r}"] = repr(call(v))
+        except Exception as e:
+            raised[f"{name} {v!r}"] = type(e).__name__
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    cli.main(["tensor", "D5", "P4", "[1,0,0,0,0]", "[1,0,0,0,0]"])
+print(json.dumps({
+    "raised": raised,
+    "tensor": out.getvalue(),
+    "weyl_dim_is_int": type(bbw.weyl_dim(D5, (1, 0, 0, 0, 0))) is int,
+    "O(7)": repr(bundles.O(7)),
+    "answers": {f"{name} {v}": repr(call(v)) for name, call in ENTRIES.items() for v in (7, 1)},
+}))
+'''
+
+
+def test_no_entry_takes_a_weight_that_is_not_made_of_ints():
+    import json
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    env = {"PYTHONPATH": str(Path(roots.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", _NON_INTEGER_WEIGHTS], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    found = json.loads(run.stdout)
+    assert len(found["raised"]) == 13 * 4
+    assert {call: got for call, got in found["raised"].items() if got != "DomainError"} == {}
+    assert found["tensor"] == "E[0,1,0,0,0]\nE[2,0,0,0,0]\n"
+    assert found["weyl_dim_is_int"]
+    assert found["O(7)"] == "O (7)"
+    assert [a for a in found["answers"].values() if "." in a or "True" in a] == []

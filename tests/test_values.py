@@ -60,9 +60,9 @@ FROZEN = {
         KForm.from_gram((B.O(), B.O(2)), _GRAM),
     ),
     CorpusEntry: (
-        lambda: CorpusEntry("e", "D5", "d", ENTRIES[0].run),
-        ("label", "side", "description", "run"),
-        CorpusEntry("e", "B4", "d", ENTRIES[0].run),
+        lambda: CorpusEntry("e", "D5", ENTRIES[0].run),
+        ("label", "side", "run"),
+        CorpusEntry("e", "B4", ENTRIES[0].run),
     ),
 }
 
