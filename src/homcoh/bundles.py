@@ -41,10 +41,11 @@ each weight once) and Named only a registered name with an integer twist.
 A construction that raises stores nothing.  Named checks the type of its
 twist on every call, since 7.0 and True find the keys of 7 and 1.  Sum
 checks its weights (roots.check_levi_dominant, through roots.check_weight:
-one int per node) only when its arguments are not in the table yet.  So
-no weight that is not made of ints is ever stored, and arguments equal to
-stored ones, such as a weight with 7.0 where the stored one has 7, return
-the stored object, whose weights are ints.  A fault injected into the
+one int per node) and multiplicities (an int of at least 1) only when its
+arguments are not in the table yet, and make_sum each multiplicity before
+it merges them.  So no number that is not an int is ever stored, and
+arguments equal to stored ones, such as 7.0 or 1.0 where the stored
+object has 7 or 1, return the stored object.  A fault injected into the
 checks reaches only the values not yet stored, as for levi._PRODUCTS.
 Identity hashes vary from process to process, so no output may iterate a
 set of these objects: the engine's one such set, ExtEngine._stack, is only
@@ -87,8 +88,7 @@ class Sum(Interned):
                 raise DomainError("empty direct sum")
             for w, m in parts:
                 roots.check_levi_dominant(space, w)
-                if m <= 0:
-                    raise DomainError("multiplicities must be positive")
+                _check_multiplicity(m)
             if any(v >= w for (v, _), (w, _) in zip(parts, parts[1:])):
                 raise DomainError("the parts of a sum must be sorted, each weight once")
             self = cls._build(space, parts)
@@ -136,12 +136,17 @@ BundleObject = Sum | Named
 _NAMED_DUALS = {"That": "Thatv", "Thatv": "That", "Ktilde": "Ktildev", "Ktildev": "Ktilde"}
 
 
+def _check_multiplicity(m: int) -> None:
+    """Raise DomainError unless m is a Python int of at least 1: no float or bool."""
+    if type(m) is not int or m < 1:
+        raise DomainError(f"multiplicity {m!r} is not an integer of at least 1")
+
+
 def make_sum(space: Parabolic, parts: dict[Weight, int] | list[tuple[Weight, int]]) -> Sum:
     items = parts.items() if isinstance(parts, dict) else parts
     merged: dict[Weight, int] = {}
     for w, m in items:
-        if m < 1:
-            raise DomainError("multiplicities must be positive")
+        _check_multiplicity(m)  # before merging: 0 + True is the int 1
         merged[w] = merged.get(w, 0) + m
     return Sum(space, tuple(sorted(merged.items())))
 

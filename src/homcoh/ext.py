@@ -508,23 +508,20 @@ def _solve_exact_sequence(cols: list[ExtResult | None], idx: int) -> ExtResult |
     Longer sequences are split into short exact sequences through their
     anonymous kernels, peeling from the end away from the unknown.
     """
-    n = len(cols)
-    if n == 2:
-        # 0 -> A -> B -> 0: isomorphism
-        return cols[1 - idx]
-    if n == 3:
-        return _solve_ses(cols, idx)
-    if idx >= 2:
-        # peel 0 -> c0 -> c1 -> K -> 0 with K joining the rest
-        k_col = _solve_ses([cols[0], cols[1], None], 2)
+    if len(cols) == 2:
+        return cols[1 - idx]  # 0 -> A -> B -> 0: an isomorphism
+    while len(cols) > 3:
+        if idx >= 2:
+            # peel 0 -> c0 -> c1 -> K -> 0 with K joining the rest
+            k_col = _solve_ses([cols[0], cols[1], None], 2)
+            cols, idx = [k_col] + cols[2:], idx - 1
+        else:
+            # unknown near the front: peel from the back, 0 -> K -> c_{n-2} -> c_{n-1} -> 0
+            k_col = _solve_ses([None, cols[-2], cols[-1]], 0)
+            cols = cols[:-2] + [k_col]
         if k_col is None:
             return None
-        return _solve_exact_sequence([k_col] + cols[2:], idx - 1)
-    # unknown near the front: peel from the back, 0 -> K -> c_{n-2} -> c_{n-1} -> 0
-    k_col = _solve_ses([None, cols[n - 2], cols[n - 1]], 0)
-    if k_col is None:
-        return None
-    return _solve_exact_sequence(cols[: n - 2] + [k_col], idx)
+    return _solve_ses(cols, idx)
 
 
 def ls_chase(

@@ -477,27 +477,15 @@ def replay_script() -> list[dict]:
 
 
 class ReplayResult(Record):
-    _fields = ("steps", "final", "final_gram", "kuznetsov_gram")
+    _fields = ("steps", "final")
 
-    def __init__(
-        self,
-        steps: list[MutationStep],
-        final: Collection,
-        final_gram: tuple[tuple[int, ...], ...],
-        kuznetsov_gram: tuple[tuple[int, ...], ...],
-    ) -> None:
+    def __init__(self, steps: list[MutationStep], final: Collection) -> None:
         self.steps = steps
         self.final = final
-        self.final_gram = final_gram
-        self.kuznetsov_gram = kuznetsov_gram
 
     @property
     def final_matches(self) -> bool:
         return self.final.objects == kuznetsov_collection().objects
-
-    @property
-    def gram_matches(self) -> bool:
-        return self.final_gram == self.kuznetsov_gram
 
 
 def replay_main_proof(engine: ExtEngine) -> ReplayResult:
@@ -505,8 +493,8 @@ def replay_main_proof(engine: ExtEngine) -> ReplayResult:
 
     Every step locates its pair by object, re-verifies the pinned Ext
     hypothesis exactly, and demands the recipe fire at object level; any
-    mismatch aborts.  The terminal collection and its Gram matrix are
-    compared against the independently recomputed target.
+    mismatch aborts.  The terminal collection is compared with Kuznetsov's
+    object by object: equal interned objects have equal Gram matrices.
     """
     col = kp_collection()
     steps: list[MutationStep] = []
@@ -534,6 +522,4 @@ def replay_main_proof(engine: ExtEngine) -> ReplayResult:
             notes.append(f"reverse direction Ext({spec['right']}, {spec['left']}) = {reverse}")
         step.notes = tuple(notes)
         steps.append(step)
-    final_gram = gram_matrix(col, engine)
-    kuz_gram = gram_matrix(kuznetsov_collection(), engine)
-    return ReplayResult(steps, col, final_gram, kuz_gram)
+    return ReplayResult(steps, col)

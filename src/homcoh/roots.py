@@ -209,31 +209,25 @@ def cartan_matrix(datum: LieDatum) -> tuple[tuple[int, ...], ...]:
 
 @lru_cache(maxsize=None)
 def positive_roots(datum: LieDatum) -> tuple[tuple[int, ...], ...]:
-    """Positive roots in simple-root coordinates, lowest height first.
+    """Positive roots in simple-root coordinates, by (height, coordinates).
 
-    Grown by alpha_i-strings: for a root beta != alpha_i, beta + alpha_i is
-    a root exactly when p - <beta, alpha_i^vee> > 0, where p counts the
-    roots beta - alpha_i, beta - 2 alpha_i, ... already found below it.
+    The closure of the simple roots under each s_i(beta) = beta - <beta,
+    alpha_i^vee> alpha_i that raises the height, where <beta, alpha_i^vee>
+    = sum_k beta_k cartan[k][i]: a positive root that is not simple pairs
+    positively with some alpha_i^vee, and that s_i lowers its height.
     """
     cartan = cartan_matrix(datum)
     n = datum.rank
-    level = [tuple(int(k == i) for k in range(n)) for i in range(n)]
-    out = list(level)
-    while level:
-        grown = []
-        for beta in level:
-            for i in range(n):
-                down = list(beta)
-                down[i] -= 1
-                while tuple(down) in out:
-                    down[i] -= 1
-                p = beta[i] - down[i] - 1
-                up = beta[:i] + (beta[i] + 1,) + beta[i + 1 :]
-                if p > sum(c * cartan[k][i] for k, c in enumerate(beta)) and up not in grown:
-                    grown.append(up)
-        out.extend(grown)
-        level = grown
-    return tuple(out)
+    todo = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+    found = set(todo)
+    for beta in todo:  # todo grows while it is read
+        for i in range(n):
+            pairing = sum(c * cartan[k][i] for k, c in enumerate(beta))
+            up = beta[:i] + (beta[i] - pairing,) + beta[i + 1 :]
+            if pairing < 0 and up not in found:
+                found.add(up)
+                todo.append(up)
+    return tuple(sorted(found, key=lambda beta: (sum(beta), beta)))
 
 
 def weyl_rows(datum: LieDatum) -> tuple[tuple[int, ...], ...]:

@@ -218,6 +218,65 @@ def test_sum_rejects_wrong_length():
             B.Sum(D5_P4, ((w, 1),))
 
 
+_NON_INTEGER_MULTIPLICITIES = r'''
+import json
+from homcoh import bundles
+from homcoh.bundles import Sum, make_sum
+from homcoh.ext import ExtEngine
+from homcoh.roots import D5_P4
+
+# Weights the import builds no sum for, so each Sum call misses the table.
+FRESH = ((0, 0, 0, 7, 0), (0, 0, 1, 0, 0), (2, 0, 0, 0, 0))
+assert not any((D5_P4, ((w, 1),)) in Sum._table for w in FRESH)
+ENTRIES = {
+    "make_sum": lambda w, m: make_sum(D5_P4, {w: m}),
+    "make_sum list": lambda w, m: make_sum(D5_P4, [(w, 1), (w, m)]),
+    "Sum": lambda w, m: Sum(D5_P4, ((w, m),)),
+}
+raised = {}
+for name, call in ENTRIES.items():
+    for w in FRESH:
+        for m in (1.0, True, 0.5, 0, -1):
+            try:
+                raised[f"{name} {w} {m!r}"] = repr(call(w, m))
+            except Exception as e:
+                raised[f"{name} {w} {m!r}"] = type(e).__name__
+try:
+    raised["ext 2.0"] = repr(ExtEngine().ext(bundles.O(), make_sum(D5_P4, {(1, 0, 0, 0, 0): 2.0})))
+except Exception as e:
+    raised["ext 2.0"] = type(e).__name__
+print(json.dumps({
+    "raised": raised,
+    "O(7)": repr(bundles.O(7)),
+    "1.0 finds O(7)": Sum(D5_P4, (((0, 0, 0, 7, 0), 1.0),)) is bundles.O(7),
+    "ext": repr(ExtEngine().ext(bundles.O(), make_sum(D5_P4, {(1, 0, 0, 0, 0): 2}))),
+    "parts": [m for obj in Sum._table.values() for _, m in obj.parts if type(m) is not int],
+}))
+'''
+
+
+def test_no_sum_takes_a_multiplicity_that_is_not_a_positive_int():
+    # One rule in make_sum and Sum: a Python int of at least 1.  A fresh
+    # process, since a float stored once would be what later calls find.
+    import json
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    env = {"PYTHONPATH": str(Path(B.__file__).parents[1])}
+    run = subprocess.run(
+        [sys.executable, "-c", _NON_INTEGER_MULTIPLICITIES], env=env, capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr
+    found = json.loads(run.stdout)
+    assert len(found["raised"]) == 3 * 3 * 5 + 1
+    assert {call: got for call, got in found["raised"].items() if got != "DomainError"} == {}
+    assert found["O(7)"] == "O (7)"
+    assert found["1.0 finds O(7)"]  # checked on a table miss only, as weights are
+    assert found["ext"] == "2*V[1,0,0,0,0] @ 0"
+    assert found["parts"] == []
+
+
 def test_equal_bundles_built_along_different_routes_are_one_key():
     from homcoh.parser import parse_bundle
 

@@ -169,7 +169,24 @@ def test_gram_kuznetsov_structure(eng):
 def test_replay_reaches_kuznetsov(eng):
     rr = M.replay_main_proof(eng)
     assert len(rr.steps) == 16
-    assert rr.final_matches and rr.gram_matches
+    assert rr.final_matches
+    assert M.gram_matrix(rr.final, eng) == M.gram_matrix(M.kuznetsov_collection(), eng)
+
+
+def test_replay_builds_no_gram_matrix(monkeypatch):
+    # The verdict is final_matches: equal collections are the same interned
+    # objects, so a Gram comparison could not change it.
+    calls = []
+    gram_matrix = M.gram_matrix
+
+    def counted(col, engine):
+        calls.append(col.label)
+        return gram_matrix(col, engine)
+
+    monkeypatch.setattr(M, "gram_matrix", counted)
+    rr = M.replay_main_proof(ExtEngine())
+    assert rr.final_matches and calls == []
+    assert M.ReplayResult._fields == ("steps", "final")
 
 
 def test_replay_swap_steps_report_both_directions(eng):
@@ -357,6 +374,7 @@ def test_replay_computes_each_class_once_per_form(monkeypatch):
     monkeypatch.setattr(ExtEngine, "euler", counted_euler)
     monkeypatch.setattr(M.KForm, "kclass", counted_kclass)
     M.replay_main_proof(eng)
+    M.gram_matrix(M.kuznetsov_collection(), eng)
     assert set(per_object) == set(form._classes)
     assert set(form.basis) <= set(per_object)
     first_reads = {obj: counts[0] for obj, counts in per_object.items()}

@@ -353,6 +353,20 @@ def test_positive_roots_match_epsilon_enumeration():
         assert set(expanded) == _eps_positive_roots(family, n)
 
 
+def test_positive_roots_have_the_classical_counts():
+    # |Phi+| is n(n+1)/2 in type A, n^2 in types B and C, n(n-1) in type D;
+    # the roots come lowest height first.
+    counts = {
+        "A": lambda n: n * (n + 1) // 2, "B": lambda n: n * n, "C": lambda n: n * n, "D": lambda n: n * (n - 1),
+    }
+    for family, count in counts.items():
+        for n in range(3 if family == "D" else 1, 9):
+            coords = roots.positive_roots(LieDatum(family, n))
+            assert len(set(coords)) == len(coords) == count(n), (family, n)
+            heights = [sum(beta) for beta in coords]
+            assert heights == sorted(heights) and heights.count(1) == n, (family, n)
+
+
 def test_weight_format_stays_behind_roots_and_levi():
     # Weights are integer omega-vectors; the Fraction view lives in roots and
     # levi only, so the layers above never build a Fraction.
