@@ -11,17 +11,21 @@ symmetric group; the central charges add.  GL entries lie in (1/2)Z, all
 congruent mod 1, so the module works on twice the GL vector, an integer
 vector; `to_gl`/`from_gl` give the exact rational view.
 
-Two tables live for the process, filled on first use by every caller.
-`tensor_decompose` reads `_PRODUCTS`, keyed by the two partitions
-(pb, p1, p2) of `_split` in sorted order, since the product is symmetric:
-the product's Levi weights at central charge 0, filled once per unordered
-pair, to whose marked coordinate a call adds the summed doubled charge.
-`_brauer_klimyk` reads `_KOSTKA`, keyed by the weight-side partition: its
-dominant weights with their Kostka numbers, filled by `_kostka`, looked up
-on the module at fill time.  A fault injected into `_brauer_klimyk`
-reaches only the partition pairs not yet in `_PRODUCTS`, and one injected
-into `_kostka` only the partitions not yet in `_KOSTKA`; a faulty entry
-stays for the process.  `lr_multiply` keeps its own lru_cache and
+Four tables live for the process, filled on first use by every caller,
+each on a miss only by a filler looked up on the module at fill time.
+`_split` reads `_SPLITS`, keyed by (pb, w): the partition and doubled
+charge of w, stored after `roots.check_levi_dominant`.  `tensor_decompose`
+reads `_PRODUCTS`, keyed by the two partitions (pb, p1, p2) of `_split` in
+sorted order, since the product is symmetric: the product's Levi weights
+at central charge 0, filled once per unordered pair, to whose marked
+coordinate a call adds the summed doubled charge.  Its fills read each
+partition's weight from `_READBACKS`, keyed by (pb, nu), filled by
+`_weight`.  `_brauer_klimyk` reads `_KOSTKA`, keyed by the weight-side
+partition: its dominant weights with their Kostka numbers, filled by
+`_kostka`.  So in `tensor_decompose` a fault injected into `_gl2`,
+`_brauer_klimyk`, `_weight` or `_kostka` reaches only the keys not yet in
+`_SPLITS`, `_PRODUCTS`, `_READBACKS` or `_KOSTKA` respectively; a faulty
+entry stays for the process.  `lr_multiply` keeps its own lru_cache and
 shares `_KOSTKA`.
 
 The lattice check lives in `_from_gl2`, for `from_gl`.  `branch_levi`
@@ -126,10 +130,15 @@ def from_gl(pb: Parabolic, v: GLVector) -> Weight:
 
 
 def _split(pb: Parabolic, w: Weight) -> tuple[Partition, int]:
-    # 2 GL(w) = 2p + s(1,...,1) with p a partition ending in 0.
-    roots.check_levi_dominant(pb, w)
-    v = _gl2(pb, w)
-    return tuple((c - v[-1]) // 2 for c in v), v[-1]
+    # 2 GL(w) = 2p + s(1,...,1) with p a partition ending in 0.  A miss is
+    # checked, so only an int weight is stored; 7.0 or True finds 7 or 1.
+    w = tuple(w)
+    got = _SPLITS.get((pb, w))
+    if got is None:
+        roots.check_levi_dominant(pb, w)
+        v = _gl2(pb, w)
+        got = _SPLITS[pb, w] = tuple((c - v[-1]) // 2 for c in v), v[-1]
+    return got
 
 
 def _kostka(mu: Partition) -> dict[Partition, int]:
@@ -166,6 +175,10 @@ _KOSTKA: dict[Partition, tuple[tuple[Partition, int], ...]] = {}
 # at central charge 0.  _brauer_klimyk sorts its terms, so both orders of a
 # pair would fill the same tuple.
 _PRODUCTS: dict[tuple[Parabolic, Partition, Partition], tuple[tuple[Weight, int], ...]] = {}
+# (pb, nu) -> the Levi weight of the GL partition nu at central charge 0.
+_READBACKS: dict[tuple[Parabolic, Partition], Weight] = {}
+# (pb, w) -> _split(pb, w) of a Levi-dominant weight w.
+_SPLITS: dict[tuple[Parabolic, Weight], tuple[Partition, int]] = {}
 
 
 def _brauer_klimyk(lam: Partition, mu: Partition, n: int) -> dict[Partition, int]:
@@ -190,7 +203,8 @@ def _brauer_klimyk(lam: Partition, mu: Partition, n: int) -> dict[Partition, int
     if weights is None:
         weights = _KOSTKA[side] = tuple(_kostka(side).items())
     pad = (0,) * (n - rows)
-    out: dict[Partition, int] = {}
+    # Keyed by nu + rho; adding rho keeps the lexicographic order.
+    out: dict[tuple[int, ...], int] = {}
     get = out.get
     for weight, count in weights:
         for orbit_weight in set(itertools.permutations(weight + pad)):
@@ -198,19 +212,22 @@ def _brauer_klimyk(lam: Partition, mu: Partition, n: int) -> dict[Partition, int
             if len(set(v)) < n:
                 continue
             ordered = sorted(v, reverse=True)
-            nu = tuple(map(operator.sub, ordered, rho))
+            key = tuple(ordered)
             if ordered != v and sum(itertools.starmap(operator.lt, itertools.combinations(v, 2))) % 2:
-                out[nu] = get(nu, 0) - count
+                out[key] = get(key, 0) - count
             else:
-                out[nu] = get(nu, 0) + count
+                out[key] = get(key, 0) + count
     if any(c < 0 for c in out.values()):
         raise InternalConsistencyError(f"negative Brauer-Klimyk coefficient in {lam} * {mu}")
-    return {nu: c for nu, c in sorted(out.items()) if c}
+    return {tuple(map(operator.sub, key, rho)): c for key, c in sorted(out.items()) if c}
 
 
 @lru_cache(maxsize=None)
 def lr_multiply(lam: Partition, mu: Partition, max_rows: int) -> tuple[tuple[Partition, int], ...]:
     """Littlewood-Richardson expansion of s_lam * s_mu in max_rows rows, zeros stripped."""
+    for p in (lam, mu):
+        if any(type(c) is not int for c in p) or any(map(operator.lt, p, p[1:])) or min(p, default=0) < 0:
+            raise DomainError(f"{p!r} is not a partition")
     lam = tuple(c for c in lam if c)
     mu = tuple(c for c in mu if c)
     if len(lam) > max_rows or len(mu) > max_rows:
@@ -226,21 +243,30 @@ def tensor_decompose(pb: Parabolic, w1: Weight, w2: Weight) -> dict[Weight, int]
         p1, p2 = p2, p1
     terms = _PRODUCTS.get((pb, p1, p2))
     if terms is None:
-        # The chain labels are the differences of nu, those of 2*nu halved:
-        # _from_gl2's parity test could not fail on them.
-        terms = tuple(
-            (_weight(pb, map(operator.sub, nu, nu[1:]), 2 * nu[-1]), mult)
-            for nu, mult in _brauer_klimyk(p1, p2, len(p1)).items()
-        )
-        _PRODUCTS[pb, p1, p2] = terms
+        fill = []
+        for nu, mult in _brauer_klimyk(p1, p2, len(p1)).items():
+            w = _READBACKS.get((pb, nu))
+            if w is None:
+                # The chain labels are the differences of nu, those of 2*nu
+                # halved: _from_gl2's parity test could not fail on them.
+                w = _READBACKS[pb, nu] = _weight(pb, map(operator.sub, nu, nu[1:]), 2 * nu[-1])
+            fill.append((w, mult))
+        terms = _PRODUCTS[pb, p1, p2] = tuple(fill)
     (m,) = pb.marked
     s = s1 + s2
     return {w[: m - 1] + (w[m - 1] + s,) + w[m:]: mult for w, mult in terms}
 
 
+def _check_power(r: int) -> None:
+    # A Schur functor's power is a Python int: no float or bool.
+    if type(r) is not int:
+        raise DomainError(f"power {r!r} is not an integer")
+
+
 def sym_power(pb: Parabolic, r: int) -> Weight:
     """Weight of Sym^r of the dual tautological bundle (U-dual / R-dual)."""
     _require_supported(pb)
+    _check_power(r)
     if r < 0:
         raise DomainError("negative symmetric power")
     n = levi_rank(pb)
@@ -250,6 +276,7 @@ def sym_power(pb: Parabolic, r: int) -> Weight:
 def wedge_power(pb: Parabolic, r: int) -> Weight:
     """Weight of the r-th wedge of the dual tautological bundle; r <= rank."""
     _require_supported(pb)
+    _check_power(r)
     n = levi_rank(pb)
     if not 0 <= r <= n:
         raise DomainError(f"wedge power {r} out of range 0..{n}")

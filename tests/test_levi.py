@@ -56,6 +56,18 @@ def test_lr_negative_coefficient_is_an_internal_error(monkeypatch):
         levi.lr_multiply.__wrapped__((1, 1), (2,), 2)
 
 
+def test_lr_rejects_what_is_not_a_partition():
+    for lam in ((1, 2), (1, -1), (0, -1), (1, 0, 1), (1.0,), (1.5,), (True, 1), (Q(1),)):
+        with pytest.raises(roots.DomainError, match="is not a partition"):
+            levi.lr_multiply(lam, (1,), 2)
+        with pytest.raises(roots.DomainError, match="is not a partition"):
+            levi.lr_multiply((1,), lam, 2)
+    # Checked inside the lru_cache, on a miss only: an equal float finds the int entry.
+    want = levi.lr_multiply((7, 3), (2,), 3)
+    assert levi.lr_multiply((7.0, 3), (2,), 3) == want
+    assert all(type(c) is int for nu, m in want for c in nu + (m,))
+
+
 def _reference_brauer_klimyk(lam, mu, n):
     # Reference for levi._brauer_klimyk: no table, each weight's orbit as
     # places x orders of its nonzero entries, inversions counted pair by pair;
@@ -154,6 +166,121 @@ def test_kostka_fault_reaches_only_partitions_not_yet_tabled(monkeypatch):
     with pytest.raises(RuntimeError, match="kostka fault"):
         levi._brauer_klimyk((3, 1, 0), (1, 1, 0), 3)
     assert list(levi._KOSTKA) == [(2, 1, 0)]
+
+
+def test_weight_fault_reaches_only_partitions_not_yet_tabled(monkeypatch):
+    # (1,1,0,0) x (0,1,1,0) on B4/Q4 reads back 7 partitions, among them the
+    # 6 of (0,1,0,0) x (1,1,1,0); (0,2,0,0) x (0,2,0,0) needs (4,4,0,0) too.
+    monkeypatch.setattr(levi, "_PRODUCTS", {})
+    monkeypatch.setattr(levi, "_READBACKS", {})
+    inside = levi.tensor_decompose(B4_Q4, (0, 1, 0, 0), (1, 1, 1, 0))
+    monkeypatch.setattr(levi, "_PRODUCTS", {})
+    monkeypatch.setattr(levi, "_READBACKS", {})
+    seen = levi.tensor_decompose(B4_Q4, (1, 1, 0, 0), (0, 1, 1, 0))  # tables its partitions
+    tabled = dict(levi._READBACKS)
+    assert len(tabled) == 7
+
+    def broken(pb, labels, last2):
+        raise RuntimeError(f"weight fault at {pb}")
+
+    monkeypatch.setattr(levi, "_weight", broken)
+    assert list(levi.tensor_decompose(B4_Q4, (0, 1, 0, 0), (1, 1, 1, 0)).items()) == list(inside.items())
+    monkeypatch.setattr(levi, "_PRODUCTS", {})
+    assert list(levi.tensor_decompose(B4_Q4, (1, 1, 0, 0), (0, 1, 1, 0)).items()) == list(seen.items())
+    with pytest.raises(RuntimeError, match="weight fault"):
+        levi.tensor_decompose(B4_Q4, (0, 2, 0, 0), (0, 2, 0, 0))
+    assert levi._READBACKS == tabled
+    assert len(levi._PRODUCTS) == 1  # the second fill of (1,1,0,0) x (0,1,1,0)
+
+
+_NON_INTEGER_SPLITS = r'''
+import json
+from homcoh import levi
+from homcoh.roots import B4_Q4, D5_P4
+
+WEIGHTS = {D5_P4: lambda v: (0, 0, 2, v, 0), B4_Q4: lambda v: (0, 0, 2, v)}
+ONE = {D5_P4: (1, 0, 0, 0, 0), B4_Q4: (1, 0, 0, 0)}
+out = {"stored by the import": [(pb, w(v)) in levi._SPLITS for pb, w in WEIGHTS.items() for v in (7, 1, 5)]}
+size = len(levi._SPLITS)
+out["raised"] = {}
+for pb, w in WEIGHTS.items():
+    for v in (7.0, 1.0, True, 0.5):
+        try:
+            out["raised"][f"{pb} {v!r}"] = repr(levi.tensor_decompose(pb, w(v), ONE[pb]))
+        except Exception as e:
+            out["raised"][f"{pb} {v!r}"] = type(e).__name__
+out["stored after the raises"] = len(levi._SPLITS) - size
+out["float after int"] = {}
+for pb, w in WEIGHTS.items():
+    want = levi.tensor_decompose(pb, w(7), ONE[pb])
+    got = levi.tensor_decompose(pb, w(7.0), ONE[pb])
+    out["float after int"][str(pb)] = list(got.items()) == list(want.items()) and repr(got) == repr(want)
+out["list"] = {}
+for pb, w in WEIGHTS.items():
+    first = levi.tensor_decompose(pb, list(w(5)), list(ONE[pb]))  # a miss
+    tupled = levi.tensor_decompose(pb, w(5), ONE[pb])
+    again = levi.tensor_decompose(pb, list(w(5)), list(ONE[pb]))  # a hit
+    out["list"][str(pb)] = list(first.items()) == list(tupled.items()) == list(again.items())
+ints = lambda t: all(ints(c) if isinstance(c, tuple) else type(c) is int for c in t)
+out["non-int entries"] = [
+    repr(item)
+    for table in (levi._SPLITS, levi._READBACKS)
+    for key, value in table.items()
+    for item in (key[1:], value)
+    if not ints(item)
+]
+print(json.dumps(out))
+'''
+
+
+def test_no_split_or_readback_entry_holds_a_non_int():
+    import json
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    env = {"PYTHONPATH": str(Path(roots.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", _NON_INTEGER_SPLITS], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    found = json.loads(run.stdout)
+    assert found["stored by the import"] == [False] * 6
+    assert found["raised"] == {f"{pb} {v!r}": "DomainError" for pb in (D5_P4, B4_Q4) for v in (7.0, 1.0, True, 0.5)}
+    assert found["stored after the raises"] == 0
+    assert found["float after int"] == {str(D5_P4): True, str(B4_Q4): True}
+    assert found["list"] == {str(D5_P4): True, str(B4_Q4): True}
+    assert found["non-int entries"] == []
+
+
+def _weight_of_partition(p, n):
+    # The Levi weight whose GL vector is the partition p padded to n rows.
+    pb = D5_P4 if n == 5 else B4_Q4
+    return pb, levi._from_gl2(pb, tuple(2 * c for c in p + (0,) * (n - len(p))))
+
+
+def _table_state_panel():
+    # The partition pairs of _oracle_cases as Levi weights, then 20 D5/P4 and
+    # 250 B4/Q4 seeded pairs at bound 3.
+    panel = []
+    for lam, mu, n in _oracle_cases():
+        (pb, a), (_, b) = _weight_of_partition(lam, n), _weight_of_partition(mu, n)
+        panel.append((pb, a, b))
+    rng = random.Random(29)
+    for pb, count in ((D5_P4, 20), (B4_Q4, 250)):
+        for _ in range(count):
+            panel.append((pb, _random_levi_dominant(rng, pb), _random_levi_dominant(rng, pb)))
+    return panel
+
+
+def test_tensor_answers_do_not_depend_on_table_state(monkeypatch):
+    for table in ("_SPLITS", "_PRODUCTS", "_READBACKS", "_KOSTKA"):
+        monkeypatch.setattr(levi, table, {})
+    panel = _table_state_panel()
+    cold = [list(levi.tensor_decompose(*case).items()) for case in panel]
+    order = list(range(len(panel)))
+    random.Random(31).shuffle(order)
+    warm = {k: list(levi.tensor_decompose(*panel[k]).items()) for k in order}
+    assert [warm[k] for k in range(len(panel))] == cold
+    assert len(levi._PRODUCTS) < len(panel)
 
 
 # Schur-polynomial oracle: s_lam(x) = det(x_i^(lam_j + n - j)) / det(x_i^(n - j)),
@@ -378,6 +505,14 @@ def test_schur_power_weights():
         levi.wedge_power(D5_P4, 6)
     with pytest.raises(roots.DomainError):
         levi.sym_power(D5_P4, -1)
+
+
+def test_schur_powers_take_only_ints():
+    for r in (2.0, 1.0, 2.5, True, False, Q(2)):
+        for power in (levi.sym_power, levi.wedge_power):
+            with pytest.raises(roots.DomainError, match="^power .* is not an integer$"):
+                power(D5_P4, r)
+    assert levi.wedge_power(B4_Q4, 1) == levi.sym_power(B4_Q4, 1) == (1, 0, 0, 0)
 
 
 def test_sym_plus_wedge_matches_square():
