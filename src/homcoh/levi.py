@@ -11,7 +11,7 @@ symmetric group; the central charges add.  GL entries lie in (1/2)Z, all
 congruent mod 1, so the module works on twice the GL vector, an integer
 vector; `to_gl`/`from_gl` give the exact rational view.
 
-Four tables live for the process, filled on first use by every caller,
+Five tables live for the process, filled on first use by every caller,
 each on a miss only by a filler looked up on the module at fill time.
 `_split` reads `_SPLITS`, keyed by (pb, w): the partition and doubled
 charge of w, stored after `roots.check_levi_dominant`.  `tensor_decompose`
@@ -22,11 +22,14 @@ coordinate a call adds the summed doubled charge.  Its fills read each
 partition's weight from `_READBACKS`, keyed by (pb, nu), filled by
 `_weight`.  `_brauer_klimyk` reads `_KOSTKA`, keyed by the weight-side
 partition: its dominant weights with their Kostka numbers, filled by
-`_kostka`.  So in `tensor_decompose` a fault injected into `_gl2`,
-`_brauer_klimyk`, `_weight` or `_kostka` reaches only the keys not yet in
-`_SPLITS`, `_PRODUCTS`, `_READBACKS` or `_KOSTKA` respectively; a faulty
-entry stays for the process.  `lr_multiply` keeps its own lru_cache and
-shares `_KOSTKA`.
+`_kostka`; and `_KERNELS`, keyed by the row count n: the Brauer-Klimyk
+loop written out for GL(n), compiled by `_straightener` the first time a
+product in n rows needs it (n = 4 and 5 for `tensor_decompose`, any n for
+`lr_multiply`).  So in `tensor_decompose` a fault injected into `_gl2`,
+`_brauer_klimyk`, `_weight`, `_kostka` or `_straightener` reaches only the
+keys not yet in `_SPLITS`, `_PRODUCTS`, `_READBACKS`, `_KOSTKA` or
+`_KERNELS` respectively; a faulty entry stays for the process.
+`lr_multiply` keeps its own lru_cache and shares `_KOSTKA` and `_KERNELS`.
 
 The lattice check lives in `_from_gl2`, for `from_gl`.  `branch_levi`
 (GL(5) -> GL(4)) gives the graded pieces of a D5/P4 fibre as a Q4-module,
@@ -38,6 +41,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+from collections.abc import Callable
 from fractions import Fraction as Q
 from functools import lru_cache
 
@@ -46,6 +50,8 @@ from .roots import B4_Q4, D5_P4, DomainError, InternalConsistencyError, Paraboli
 
 Partition = tuple[int, ...]
 GLVector = tuple[Q, ...]
+# A kernel of _straightener: (lam, weight side, pad) -> {nu: signed count}.
+Straightener = Callable[[Partition, tuple[tuple[Partition, int], ...], Partition], dict[Partition, int]]
 
 # Each Levi is GL(n) on a chain of unmarked nodes: consecutive GL entries
 # differ by the label of the chain node between them, and the marked node
@@ -167,7 +173,7 @@ def _kostka(mu: Partition) -> dict[Partition, int]:
     return {tail: count for (_, tail), count in level.items()}
 
 
-# The two process tables of the Brauer-Klimyk fills (see the module docstring).
+# The process tables of levi (see the module docstring).
 # mu -> ((dominant weight, Kostka number), ...) of the GL(len(mu)) irreducible
 # mu, as _kostka gives them: the weight side of every fill that reads mu.
 _KOSTKA: dict[Partition, tuple[tuple[Partition, int], ...]] = {}
@@ -179,21 +185,75 @@ _PRODUCTS: dict[tuple[Parabolic, Partition, Partition], tuple[tuple[Weight, int]
 _READBACKS: dict[tuple[Parabolic, Partition], Weight] = {}
 # (pb, w) -> _split(pb, w) of a Levi-dominant weight w.
 _SPLITS: dict[tuple[Parabolic, Weight], tuple[Partition, int]] = {}
+# n -> the Brauer-Klimyk kernel of _straightener(n) for products in n rows.
+_KERNELS: dict[int, Straightener] = {}
+
+
+def _straightener(n: int) -> Straightener:
+    """The loop of _brauer_klimyk written out for GL(n), compiled from source.
+
+    The kernel straighten(lam, weights, pad) runs over the orbit of each
+    (dominant weight, Kostka number) pair, the distinct orderings of
+    weight + pad, with every entry in a local, and returns {nu: signed
+    count} for the n-entry partition lam.  The row count becomes source
+    text, so anything but an int of at least 1 raises.
+    """
+    if type(n) is not int or n < 1:
+        raise DomainError(f"row count {n!r} is not an integer of at least 1")
+    rows = range(n)
+    pairs = list(itertools.combinations(rows, 2))
+
+    def listed(names) -> str:
+        # "a, b, ": an unpacking target, or the inside of a tuple display.
+        return "".join(f"{x}, " for x in names)
+
+    def shift(x: str, i: int, op: str) -> str:
+        # Entry i of x + rho or x - rho, rho = (n-1, ..., 1, 0).
+        return f"{x}{i} {op} {n - 1 - i}" if i < n - 1 else f"{x}{i}"
+
+    ls, ws, us, vs, ss = ([f"{x}{i}" for i in rows] for x in "lwuvs")
+    lines = [
+        "def straighten(lam, weights, pad):",
+        f"    {listed(ls)}= lam",
+        "    out = {}",
+        "    get = out.get",
+        "    for weight, count in weights:",
+        f"        for {listed(ws)}in set(permutations(weight + pad)):",
+        *(f"            u{i} = l{i} + w{i}" for i in rows),
+        f"            if {' >= '.join(us) if n > 1 else 'True'}:",
+        f"                key = ({listed(us)})",
+        "                out[key] = get(key, 0) + count",
+        "                continue",
+        *(f"            v{i} = {shift('u', i, '+')}" for i in rows),
+        f"            if {' or '.join(f'v{i} == v{j}' for i, j in pairs) or 'False'}:",
+        "                continue",
+        f"            {listed(ss)}= sorted(({listed(vs)}), reverse=True)",
+        f"            key = ({listed(shift('s', i, '-') for i in rows)})",
+        f"            if ({' + '.join(f'(v{i} < v{j})' for i, j in pairs) or '0'}) & 1:",
+        "                out[key] = get(key, 0) - count",
+        "            else:",
+        "                out[key] = get(key, 0) + count",
+        "    return out",
+    ]
+    namespace = {"permutations": itertools.permutations}
+    exec(compile("\n".join(lines), f"<levi straightener for GL({n})>", "exec"), namespace)
+    return namespace["straighten"]
 
 
 def _brauer_klimyk(lam: Partition, mu: Partition, n: int) -> dict[Partition, int]:
     """s_lam * s_mu on GL(n) as sorted n-entry partitions; trailing zeros are ignored.
 
-    Brauer-Klimyk: every weight of the factor with the smaller size, counted
-    by its Kostka number, is added to the other factor's lam + rho.  A sum
-    with a repeated entry cancels; any other is sorted to a strictly
-    decreasing vector, with the sign of the sorting permutation, and shifted
-    back by rho.
+    Brauer-Klimyk: every weight w of the factor with the smaller size,
+    counted by its Kostka number, is added to the other factor's lam.  A
+    weakly decreasing u = lam + w is its own key nu.  Otherwise u + rho,
+    rho = (n-1, ..., 1, 0), either has a repeated entry (u_j - u_i = j - i
+    for some i < j) and cancels, or is sorted to a strictly decreasing
+    vector, with the sign (-1)^#{i < j : u_j - u_i > j - i} of the sorting
+    permutation, and shifted back by rho.  So every key is a partition when
+    it is found, with no rho pass at the end.
     """
     if sum(mu) > sum(lam):
         lam, mu = mu, lam
-    rho = range(n - 1, -1, -1)
-    shifted = [c + r for c, r in zip(lam + (0,) * n, rho)]
     # A dominant weight of mu has at most |mu| nonzero entries, and its
     # Kostka number does not depend on the zeros after them; its other
     # weights are the distinct orderings of it, padded with zeros to n rows.
@@ -202,29 +262,20 @@ def _brauer_klimyk(lam: Partition, mu: Partition, n: int) -> dict[Partition, int
     weights = _KOSTKA.get(side)
     if weights is None:
         weights = _KOSTKA[side] = tuple(_kostka(side).items())
-    pad = (0,) * (n - rows)
-    # Keyed by nu + rho; adding rho keeps the lexicographic order.
-    out: dict[tuple[int, ...], int] = {}
-    get = out.get
-    for weight, count in weights:
-        for orbit_weight in set(itertools.permutations(weight + pad)):
-            v = list(map(operator.add, shifted, orbit_weight))
-            if len(set(v)) < n:
-                continue
-            ordered = sorted(v, reverse=True)
-            key = tuple(ordered)
-            if ordered != v and sum(itertools.starmap(operator.lt, itertools.combinations(v, 2))) % 2:
-                out[key] = get(key, 0) - count
-            else:
-                out[key] = get(key, 0) + count
+    straighten = _KERNELS.get(n)
+    if straighten is None:
+        straighten = _KERNELS[n] = _straightener(n)
+    out = straighten((lam + (0,) * n)[:n], weights, (0,) * (n - rows))
     if any(c < 0 for c in out.values()):
         raise InternalConsistencyError(f"negative Brauer-Klimyk coefficient in {lam} * {mu}")
-    return {tuple(map(operator.sub, key, rho)): c for key, c in sorted(out.items()) if c}
+    return {nu: c for nu, c in sorted(out.items()) if c}
 
 
 @lru_cache(maxsize=None)
 def lr_multiply(lam: Partition, mu: Partition, max_rows: int) -> tuple[tuple[Partition, int], ...]:
     """Littlewood-Richardson expansion of s_lam * s_mu in max_rows rows, zeros stripped."""
+    if type(max_rows) is not int or max_rows < 1:
+        raise DomainError(f"max_rows {max_rows!r} is not an integer of at least 1")
     for p in (lam, mu):
         if any(type(c) is not int for c in p) or any(map(operator.lt, p, p[1:])) or min(p, default=0) < 0:
             raise DomainError(f"{p!r} is not a partition")

@@ -249,6 +249,63 @@ def test_weight_check_scan_catches_a_second_check():
     assert _weight_checks(source) == [1, 3, 4, 6]
 
 
+_CODE_FROM_TEXT = {"exec", "eval", "compile"}
+
+
+def _code_from_text(source: str, allowed: str | None = None) -> list[int]:
+    """The lines that reach exec, eval or compile, as a bare name or read off
+    builtins, outside the module-level function named allowed."""
+    tree = ast.parse(source)
+    inside = {
+        id(node)
+        for d in tree.body
+        if isinstance(d, ast.FunctionDef) and d.name == allowed
+        for node in ast.walk(d)
+    }
+    lines = []
+    for node in ast.walk(tree):
+        if id(node) in inside:
+            continue
+        if isinstance(node, ast.Name) and node.id in _CODE_FROM_TEXT:
+            lines.append(node.lineno)
+        elif (
+            isinstance(node, ast.Attribute) and node.attr in _CODE_FROM_TEXT
+            and isinstance(node.value, ast.Name) and node.value.id in ("builtins", "__builtins__")
+        ):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_only_the_straightener_makes_code_from_text():
+    # levi._straightener writes the Brauer-Klimyk loop out per row count and
+    # compiles it; no other code runs source text that it builds.
+    found = {
+        p.name: _code_from_text(p.read_text(encoding="utf-8"), "_straightener" if p.name == "levi.py" else None)
+        for p in sorted(PACKAGE.glob("*.py"))
+    }
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    assert _code_from_text((PACKAGE / "levi.py").read_text(encoding="utf-8"))
+
+
+def test_code_from_text_scan_catches_a_second_exec():
+    # re.compile builds a pattern, not code; a method named _straightener
+    # is not the module-level function.
+    source = (
+        "import builtins, re\n"
+        "def _straightener(n):\n"
+        "    exec(compile('x = 1', 'f', 'exec'), {})\n"
+        "def other(text):\n"
+        "    return eval(text)\n"
+        "run = builtins.exec\n"
+        "_TOKEN = re.compile('a')\n"
+        "class Box:\n"
+        "    def _straightener(self):\n"
+        "        exec('y = 2')\n"
+    )
+    assert _code_from_text(source, "_straightener") == [5, 6, 10]
+    assert _code_from_text(source) == [3, 3, 5, 6, 10]
+
+
 def _module_imports(tree: ast.Module) -> tuple[dict[str, str], dict[str, tuple[str, str]]]:
     """The package modules a module imports (`from . import bundles as B`:
     B -> bundles), and the names it imports from them (`from .bundles import

@@ -133,6 +133,36 @@ def test_brauer_klimyk_matches_the_reference_loop(monkeypatch):
     assert cases == 2 * (29**2 + 27**2) + 61
 
 
+def test_every_straightener_matches_the_reference_loop(monkeypatch):
+    # n = 4 and 5 are the rows of tensor_decompose; lr_multiply also builds
+    # the kernels of fewer rows.  Each kernel is built inside this test.
+    monkeypatch.setattr(levi, "_KERNELS", {})
+    cases = 0
+    for n in range(1, 6):
+        small = [p for size in range(7 if n < 4 else 5) for p in _partitions(size, n)]
+        for lam, mu in itertools.product(small, repeat=2):
+            for a, b in ((lam, mu), (lam + (0,) * (n - len(lam)), mu + (0,) * (n - len(mu)))):
+                want = _reference_brauer_klimyk(a, b, n)
+                assert list(levi._brauer_klimyk(a, b, n).items()) == list(want.items()), (a, b, n)
+                cases += 1
+    assert cases == 2 * (7**2 + 16**2 + 23**2 + 12**2 + 12**2)
+    assert sorted(levi._KERNELS) == [1, 2, 3, 4, 5]
+
+
+def test_straightener_takes_only_a_row_count_of_at_least_one(monkeypatch):
+    # The row count becomes source text: anything but an int of at least 1
+    # raises, in lr_multiply on a cache miss too, and builds no kernel.
+    monkeypatch.setattr(levi, "_KERNELS", {})
+    for n in (2.0, "2", True, 0, -1, None):
+        with pytest.raises(roots.DomainError, match="is not an integer of at least 1"):
+            levi._straightener(n)
+        with pytest.raises(roots.DomainError, match="is not an integer of at least 1"):
+            levi.lr_multiply.__wrapped__((1,), (1,), n)
+    assert levi._KERNELS == {}
+    assert levi.lr_multiply.__wrapped__((1,), (1,), 2) == (((1, 1), 1), ((2,), 1))
+    assert list(levi._KERNELS) == [2]
+
+
 def test_kostka_table_fills_each_partition_once(monkeypatch):
     calls = []
     original = levi._kostka
@@ -166,6 +196,22 @@ def test_kostka_fault_reaches_only_partitions_not_yet_tabled(monkeypatch):
     with pytest.raises(RuntimeError, match="kostka fault"):
         levi._brauer_klimyk((3, 1, 0), (1, 1, 0), 3)
     assert list(levi._KOSTKA) == [(2, 1, 0)]
+
+
+def test_straightener_fault_reaches_only_row_counts_not_yet_tabled(monkeypatch):
+    monkeypatch.setattr(levi, "_KERNELS", {})
+    seen = levi._brauer_klimyk((2, 1, 0), (2, 1, 0), 3)  # builds the kernel of 3 rows
+    other = _reference_brauer_klimyk((3, 1, 0), (1, 1, 0), 3)
+
+    def broken(n):
+        raise RuntimeError(f"straightener fault at {n}")
+
+    monkeypatch.setattr(levi, "_straightener", broken)
+    assert levi._brauer_klimyk((3, 1, 0), (1, 1, 0), 3) == other
+    assert levi._brauer_klimyk((2, 1, 0), (2, 1, 0), 3) == seen
+    with pytest.raises(RuntimeError, match="straightener fault"):
+        levi._brauer_klimyk((2, 1, 0, 0), (2, 1, 0, 0), 4)
+    assert list(levi._KERNELS) == [3]
 
 
 def test_weight_fault_reaches_only_partitions_not_yet_tabled(monkeypatch):
@@ -272,7 +318,7 @@ def _table_state_panel():
 
 
 def test_tensor_answers_do_not_depend_on_table_state(monkeypatch):
-    for table in ("_SPLITS", "_PRODUCTS", "_READBACKS", "_KOSTKA"):
+    for table in ("_SPLITS", "_PRODUCTS", "_READBACKS", "_KOSTKA", "_KERNELS"):
         monkeypatch.setattr(levi, table, {})
     panel = _table_state_panel()
     cold = [list(levi.tensor_decompose(*case).items()) for case in panel]
