@@ -19,17 +19,20 @@ reads `_PRODUCTS`, keyed by the two partitions (pb, p1, p2) of `_split` in
 sorted order, since the product is symmetric: the product's Levi weights
 at central charge 0, filled once per unordered pair, to whose marked
 coordinate a call adds the summed doubled charge.  Its fills read each
-partition's weight from `_READBACKS`, keyed by (pb, nu), filled by
-`_weight`.  `_brauer_klimyk` reads `_KOSTKA`, keyed by the weight-side
-partition: its dominant weights with their Kostka numbers, filled by
-`_kostka`; and `_KERNELS`, keyed by the row count n: the Brauer-Klimyk
-loop written out for GL(n), compiled by `_straightener` the first time a
-product in n rows needs it (n = 4 and 5 for `tensor_decompose`, any n for
+partition's weight from `_READBACKS`, one dict per parabolic keyed by nu,
+filled by `_weight`.  `_brauer_klimyk` reads `_ORBITS`, keyed by the
+weight-side partition and the row count (side, n): per dominant weight of
+the side, its Kostka number from `_kostka` and one flat tuple of ints
+holding each distinct ordering of the weight padded to n rows once, so an
+entry keeps n times the number of distinct weights of the side; and
+`_KERNELS`, keyed by n: the Brauer-Klimyk loop written out for GL(n),
+compiled by `_straightener` the first time a product in n rows needs it
+(n = 4 and 5 for `tensor_decompose`, n up to `len(lam) + len(mu)` for
 `lr_multiply`).  So in `tensor_decompose` a fault injected into `_gl2`,
 `_brauer_klimyk`, `_weight`, `_kostka` or `_straightener` reaches only the
-keys not yet in `_SPLITS`, `_PRODUCTS`, `_READBACKS`, `_KOSTKA` or
+keys not yet in `_SPLITS`, `_PRODUCTS`, `_READBACKS`, `_ORBITS` or
 `_KERNELS` respectively; a faulty entry stays for the process.
-`lr_multiply` keeps its own lru_cache and shares `_KOSTKA` and `_KERNELS`.
+`lr_multiply` keeps its own lru_cache and shares `_ORBITS` and `_KERNELS`.
 
 The lattice check lives in `_from_gl2`, for `from_gl`.  `branch_levi`
 (GL(5) -> GL(4)) gives the graded pieces of a D5/P4 fibre as a Q4-module,
@@ -50,8 +53,10 @@ from .roots import B4_Q4, D5_P4, DomainError, InternalConsistencyError, Paraboli
 
 Partition = tuple[int, ...]
 GLVector = tuple[Q, ...]
-# A kernel of _straightener: (lam, weight side, pad) -> {nu: signed count}.
-Straightener = Callable[[Partition, tuple[tuple[Partition, int], ...], Partition], dict[Partition, int]]
+# The orbits of a weight side: (flat orderings, Kostka number) per dominant weight.
+Orbits = tuple[tuple[tuple[int, ...], int], ...]
+# A kernel of _straightener: (lam, orbits of the weight side) -> {nu: signed count}.
+Straightener = Callable[[Partition, Orbits], dict[Partition, int]]
 
 # Each Levi is GL(n) on a chain of unmarked nodes: consecutive GL entries
 # differ by the label of the chain node between them, and the marked node
@@ -174,15 +179,16 @@ def _kostka(mu: Partition) -> dict[Partition, int]:
 
 
 # The process tables of levi (see the module docstring).
-# mu -> ((dominant weight, Kostka number), ...) of the GL(len(mu)) irreducible
-# mu, as _kostka gives them: the weight side of every fill that reads mu.
-_KOSTKA: dict[Partition, tuple[tuple[Partition, int], ...]] = {}
+# (side, n) -> per dominant weight of the GL(len(side)) irreducible side, in
+# _kostka's order, the distinct orderings of the weight padded to n rows,
+# concatenated, and its Kostka number: the weight side of every fill in n rows.
+_ORBITS: dict[tuple[Partition, int], Orbits] = {}
 # (pb, p1, p2) with p1 <= p2 -> ((weight, multiplicity), ...) of V_p1 (x) V_p2
-# at central charge 0.  _brauer_klimyk sorts its terms, so both orders of a
-# pair would fill the same tuple.
+# at central charge 0, in the order of _brauer_klimyk's terms.  Both orders of
+# a pair read the one entry.
 _PRODUCTS: dict[tuple[Parabolic, Partition, Partition], tuple[tuple[Weight, int], ...]] = {}
-# (pb, nu) -> the Levi weight of the GL partition nu at central charge 0.
-_READBACKS: dict[tuple[Parabolic, Partition], Weight] = {}
+# pb -> {nu: the Levi weight of the GL partition nu at central charge 0}.
+_READBACKS: dict[Parabolic, dict[Partition, Weight]] = {pb: {} for pb in _LEVI}
 # (pb, w) -> _split(pb, w) of a Levi-dominant weight w.
 _SPLITS: dict[tuple[Parabolic, Weight], tuple[Partition, int]] = {}
 # n -> the Brauer-Klimyk kernel of _straightener(n) for products in n rows.
@@ -192,11 +198,11 @@ _KERNELS: dict[int, Straightener] = {}
 def _straightener(n: int) -> Straightener:
     """The loop of _brauer_klimyk written out for GL(n), compiled from source.
 
-    The kernel straighten(lam, weights, pad) runs over the orbit of each
-    (dominant weight, Kostka number) pair, the distinct orderings of
-    weight + pad, with every entry in a local, and returns {nu: signed
-    count} for the n-entry partition lam.  The row count becomes source
-    text, so anything but an int of at least 1 raises.
+    The kernel straighten(lam, orbits) runs over each (orbit, Kostka
+    number) pair of an `_ORBITS` entry in n rows, reading the flat orbit n
+    entries at a time into locals, and returns {nu: signed count} for the
+    n-entry partition lam.  The row count becomes source text, so anything
+    but an int of at least 1 raises.
     """
     if type(n) is not int or n < 1:
         raise DomainError(f"row count {n!r} is not an integer of at least 1")
@@ -213,12 +219,13 @@ def _straightener(n: int) -> Straightener:
 
     ls, ws, us, vs, ss = ([f"{x}{i}" for i in rows] for x in "lwuvs")
     lines = [
-        "def straighten(lam, weights, pad):",
+        "def straighten(lam, orbits):",
         f"    {listed(ls)}= lam",
         "    out = {}",
         "    get = out.get",
-        "    for weight, count in weights:",
-        f"        for {listed(ws)}in set(permutations(weight + pad)):",
+        "    for orbit, count in orbits:",
+        "        it = iter(orbit)",
+        f"        for {listed(ws)}in zip({listed('it' for _ in rows)}):",
         *(f"            u{i} = l{i} + w{i}" for i in rows),
         f"            if {' >= '.join(us) if n > 1 else 'True'}:",
         f"                key = ({listed(us)})",
@@ -235,13 +242,13 @@ def _straightener(n: int) -> Straightener:
         "                out[key] = get(key, 0) + count",
         "    return out",
     ]
-    namespace = {"permutations": itertools.permutations}
+    namespace: dict = {}
     exec(compile("\n".join(lines), f"<levi straightener for GL({n})>", "exec"), namespace)
     return namespace["straighten"]
 
 
 def _brauer_klimyk(lam: Partition, mu: Partition, n: int) -> dict[Partition, int]:
-    """s_lam * s_mu on GL(n) as sorted n-entry partitions; trailing zeros are ignored.
+    """s_lam * s_mu on GL(n) as n-entry partitions, nonzero terms in the kernel's order.
 
     Brauer-Klimyk: every weight w of the factor with the smaller size,
     counted by its Kostka number, is added to the other factor's lam.  A
@@ -250,7 +257,8 @@ def _brauer_klimyk(lam: Partition, mu: Partition, n: int) -> dict[Partition, int
     for some i < j) and cancels, or is sorted to a strictly decreasing
     vector, with the sign (-1)^#{i < j : u_j - u_i > j - i} of the sorting
     permutation, and shifted back by rho.  So every key is a partition when
-    it is found, with no rho pass at the end.
+    it is found, with no rho pass at the end.  Trailing zeros of lam and mu
+    are ignored, and no term is negative.
     """
     if sum(mu) > sum(lam):
         lam, mu = mu, lam
@@ -259,21 +267,29 @@ def _brauer_klimyk(lam: Partition, mu: Partition, n: int) -> dict[Partition, int
     # weights are the distinct orderings of it, padded with zeros to n rows.
     rows = min(n, sum(mu))
     side = (mu + (0,) * rows)[:rows]
-    weights = _KOSTKA.get(side)
-    if weights is None:
-        weights = _KOSTKA[side] = tuple(_kostka(side).items())
+    orbits = _ORBITS.get((side, n))
+    if orbits is None:
+        pad = (0,) * (n - rows)
+        orbits = _ORBITS[side, n] = tuple(
+            (tuple(itertools.chain.from_iterable(set(itertools.permutations(weight + pad)))), count)
+            for weight, count in _kostka(side).items()
+        )
     straighten = _KERNELS.get(n)
     if straighten is None:
         straighten = _KERNELS[n] = _straightener(n)
-    out = straighten((lam + (0,) * n)[:n], weights, (0,) * (n - rows))
-    if any(c < 0 for c in out.values()):
+    out = straighten((lam + (0,) * n)[:n], orbits)
+    if min(out.values(), default=0) < 0:
         raise InternalConsistencyError(f"negative Brauer-Klimyk coefficient in {lam} * {mu}")
-    return {nu: c for nu, c in sorted(out.items()) if c}
+    return {nu: c for nu, c in out.items() if c}
 
 
 @lru_cache(maxsize=None)
 def lr_multiply(lam: Partition, mu: Partition, max_rows: int) -> tuple[tuple[Partition, int], ...]:
-    """Littlewood-Richardson expansion of s_lam * s_mu in max_rows rows, zeros stripped."""
+    """Littlewood-Richardson expansion of s_lam * s_mu in max_rows rows, zeros stripped, sorted.
+
+    No term has more than len(lam) + len(mu) rows, so the product is taken
+    in at most that many.
+    """
     if type(max_rows) is not int or max_rows < 1:
         raise DomainError(f"max_rows {max_rows!r} is not an integer of at least 1")
     for p in (lam, mu):
@@ -283,7 +299,8 @@ def lr_multiply(lam: Partition, mu: Partition, max_rows: int) -> tuple[tuple[Par
     mu = tuple(c for c in mu if c)
     if len(lam) > max_rows or len(mu) > max_rows:
         raise DomainError("partition has more rows than max_rows")
-    return tuple((tuple(c for c in nu if c), m) for nu, m in _brauer_klimyk(lam, mu, max_rows).items())
+    terms = _brauer_klimyk(lam, mu, min(max_rows, len(lam) + len(mu) or 1))
+    return tuple(sorted((tuple(c for c in nu if c), m) for nu, m in terms.items()))
 
 
 def tensor_decompose(pb: Parabolic, w1: Weight, w2: Weight) -> dict[Weight, int]:
@@ -294,13 +311,14 @@ def tensor_decompose(pb: Parabolic, w1: Weight, w2: Weight) -> dict[Weight, int]
         p1, p2 = p2, p1
     terms = _PRODUCTS.get((pb, p1, p2))
     if terms is None:
+        readbacks = _READBACKS[pb]
         fill = []
         for nu, mult in _brauer_klimyk(p1, p2, len(p1)).items():
-            w = _READBACKS.get((pb, nu))
+            w = readbacks.get(nu)
             if w is None:
                 # The chain labels are the differences of nu, those of 2*nu
                 # halved: _from_gl2's parity test could not fail on them.
-                w = _READBACKS[pb, nu] = _weight(pb, map(operator.sub, nu, nu[1:]), 2 * nu[-1])
+                w = readbacks[nu] = _weight(pb, map(operator.sub, nu, nu[1:]), 2 * nu[-1])
             fill.append((w, mult))
         terms = _PRODUCTS[pb, p1, p2] = tuple(fill)
     (m,) = pb.marked

@@ -50,7 +50,7 @@ def test_lr_rejects_more_rows_than_max_rows():
 def test_lr_negative_coefficient_is_an_internal_error(monkeypatch):
     # s_11 * s_2 without the weight (1, 1) of s_2 would need -s_22.  A fresh
     # table, so that the faulty entry reaches this fill and leaves with it.
-    monkeypatch.setattr(levi, "_KOSTKA", {})
+    monkeypatch.setattr(levi, "_ORBITS", {})
     monkeypatch.setattr(levi, "_kostka", lambda mu: {(2, 0): 1} if mu == (2, 0) else {mu: 1})
     with pytest.raises(roots.InternalConsistencyError):
         levi.lr_multiply.__wrapped__((1, 1), (2,), 2)
@@ -123,12 +123,15 @@ def _oracle_cases():
 
 
 def test_brauer_klimyk_matches_the_reference_loop(monkeypatch):
+    # _brauer_klimyk's terms come in the kernel's order; lr_multiply sorts them.
     assert list(_partitions(4, 5)) == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
-    monkeypatch.setattr(levi, "_KOSTKA", {})
+    monkeypatch.setattr(levi, "_ORBITS", {})
     cases = 0
     for lam, mu, n in _oracle_cases():
         want = _reference_brauer_klimyk(lam, mu, n)
-        assert list(levi._brauer_klimyk(lam, mu, n).items()) == list(want.items()), (lam, mu, n)
+        assert levi._brauer_klimyk(lam, mu, n) == want, (lam, mu, n)
+        terms = levi.lr_multiply(lam, mu, n)
+        assert list(terms) == sorted(terms), (lam, mu, n)
         cases += 1
     assert cases == 2 * (29**2 + 27**2) + 61
 
@@ -143,7 +146,7 @@ def test_every_straightener_matches_the_reference_loop(monkeypatch):
         for lam, mu in itertools.product(small, repeat=2):
             for a, b in ((lam, mu), (lam + (0,) * (n - len(lam)), mu + (0,) * (n - len(mu)))):
                 want = _reference_brauer_klimyk(a, b, n)
-                assert list(levi._brauer_klimyk(a, b, n).items()) == list(want.items()), (a, b, n)
+                assert levi._brauer_klimyk(a, b, n) == want, (a, b, n)
                 cases += 1
     assert cases == 2 * (7**2 + 16**2 + 23**2 + 12**2 + 12**2)
     assert sorted(levi._KERNELS) == [1, 2, 3, 4, 5]
@@ -163,7 +166,60 @@ def test_straightener_takes_only_a_row_count_of_at_least_one(monkeypatch):
     assert list(levi._KERNELS) == [2]
 
 
-def test_kostka_table_fills_each_partition_once(monkeypatch):
+def test_lr_works_in_no_more_rows_than_the_factors_have(monkeypatch):
+    # Capped at len(lam) + len(mu) rows, lr_multiply agrees with the
+    # reference loop run in all max_rows rows, and s_1 * s_1 in 12 rows
+    # builds nothing above 2 rows.
+    monkeypatch.setattr(levi, "_ORBITS", {})
+    monkeypatch.setattr(levi, "_KERNELS", {})
+    cases = 0
+    for n in range(1, 8):
+        small = [p for size in range(6) for p in _partitions(size, n)]
+        for lam, mu in itertools.product(small, repeat=2):
+            want = _reference_brauer_klimyk(lam, mu, n)
+            assert levi.lr_multiply.__wrapped__(lam, mu, n) == tuple(
+                (tuple(c for c in nu if c), m) for nu, m in want.items()
+            ), (lam, mu, n)
+            cases += 1
+    assert cases == 6**2 + 12**2 + 16**2 + 18**2 + 3 * 19**2
+    monkeypatch.setattr(levi, "_ORBITS", {})
+    monkeypatch.setattr(levi, "_KERNELS", {})
+    assert levi.lr_multiply.__wrapped__((1,), (1,), 12) == (((1, 1), 1), ((2,), 1))
+    assert list(levi._KERNELS) == [2]
+    assert list(levi._ORBITS) == [((1,), 2)]
+
+
+def _check_orbit_entry(side, n):
+    # Per dominant weight of levi._kostka(side), the flat orbit of
+    # levi._ORBITS[side, n] holds exactly the distinct orderings of the
+    # weight padded to n rows, each once, with _kostka's count.
+    entry = levi._ORBITS[side, n]
+    want = levi._kostka(side)
+    assert len(entry) == len(want), (side, n)
+    for (orbit, count), (weight, c) in zip(entry, want.items()):
+        assert count == c, (side, weight, n)
+        chunks = [orbit[k : k + n] for k in range(0, len(orbit), n)]
+        orderings = set(itertools.permutations(weight + (0,) * (n - len(side))))
+        assert len(chunks) == len(set(chunks)) and set(chunks) == orderings, (side, weight, n)
+
+
+def test_orbit_table_holds_each_distinct_ordering_once(monkeypatch):
+    # The bench's worst weight side, then every side of the 30 D5/P4 pairs
+    # of the seed-13 draw, whose first 20 the bench's levi-tensor runs.
+    monkeypatch.setattr(levi, "_ORBITS", {})
+    monkeypatch.setattr(levi, "_PRODUCTS", {})
+    levi._brauer_klimyk((9, 7, 6, 3, 0), (9, 6, 3, 2, 0), 5)
+    assert list(levi._ORBITS) == [((9, 6, 3, 2, 0), 5)]
+    rng = random.Random(13)  # the draw of test_tensor_commutative_and_dimensional
+    for _ in range(30):
+        levi.tensor_decompose(D5_P4, _random_levi_dominant(rng, D5_P4), _random_levi_dominant(rng, D5_P4))
+    assert len(levi._ORBITS) > 10
+    for side, n in levi._ORBITS:
+        assert n == 5, side
+        _check_orbit_entry(side, n)
+
+
+def test_orbit_table_fills_each_side_and_row_count_once(monkeypatch):
     calls = []
     original = levi._kostka
 
@@ -171,20 +227,25 @@ def test_kostka_table_fills_each_partition_once(monkeypatch):
         calls.append(mu)
         return original(mu)
 
-    monkeypatch.setattr(levi, "_KOSTKA", {})
+    monkeypatch.setattr(levi, "_ORBITS", {})
     monkeypatch.setattr(levi, "_PRODUCTS", {})
     monkeypatch.setattr(levi, "_kostka", counting)
     rng = random.Random(17)
     for pb in (D5_P4, B4_Q4):
         for _ in range(60):
             levi.tensor_decompose(pb, _random_levi_dominant(rng, pb, 2), _random_levi_dominant(rng, pb, 2))
-    assert len(calls) == len(set(calls)) == len(levi._KOSTKA) < len(levi._PRODUCTS)
-    assert all(levi._KOSTKA[mu] == tuple(original(mu).items()) for mu in calls)
+    assert len(calls) == len(levi._ORBITS) < len(levi._PRODUCTS)
+    assert sorted(calls) == sorted(side for side, _ in levi._ORBITS)
+    assert {n for _, n in levi._ORBITS} == {4, 5}
+    assert len(set(calls)) < len(calls)  # a side of both descriptions fills once per row count
+    monkeypatch.setattr(levi, "_kostka", original)
+    for side, n in levi._ORBITS:
+        _check_orbit_entry(side, n)
 
 
-def test_kostka_fault_reaches_only_partitions_not_yet_tabled(monkeypatch):
-    monkeypatch.setattr(levi, "_KOSTKA", {})
-    seen = levi._brauer_klimyk((2, 1, 0), (2, 1, 0), 3)  # tables the weight side (2, 1, 0)
+def test_kostka_fault_reaches_only_sides_and_row_counts_not_yet_tabled(monkeypatch):
+    monkeypatch.setattr(levi, "_ORBITS", {})
+    seen = levi._brauer_klimyk((2, 1, 0), (2, 1, 0), 3)  # tables the weight side (2, 1, 0) in 3 rows
     larger = _reference_brauer_klimyk((3, 1, 0), (2, 1, 0), 3)
 
     def broken(mu):
@@ -195,7 +256,9 @@ def test_kostka_fault_reaches_only_partitions_not_yet_tabled(monkeypatch):
     assert levi._brauer_klimyk((2, 1, 0), (2, 1, 0), 3) == seen
     with pytest.raises(RuntimeError, match="kostka fault"):
         levi._brauer_klimyk((3, 1, 0), (1, 1, 0), 3)
-    assert list(levi._KOSTKA) == [(2, 1, 0)]
+    with pytest.raises(RuntimeError, match="kostka fault"):
+        levi._brauer_klimyk((2, 1, 0, 0), (2, 1, 0, 0), 4)  # the same side in 4 rows
+    assert list(levi._ORBITS) == [((2, 1, 0), 3)]
 
 
 def test_straightener_fault_reaches_only_row_counts_not_yet_tabled(monkeypatch):
@@ -218,12 +281,12 @@ def test_weight_fault_reaches_only_partitions_not_yet_tabled(monkeypatch):
     # (1,1,0,0) x (0,1,1,0) on B4/Q4 reads back 7 partitions, among them the
     # 6 of (0,1,0,0) x (1,1,1,0); (0,2,0,0) x (0,2,0,0) needs (4,4,0,0) too.
     monkeypatch.setattr(levi, "_PRODUCTS", {})
-    monkeypatch.setattr(levi, "_READBACKS", {})
+    monkeypatch.setattr(levi, "_READBACKS", {B4_Q4: {}})
     inside = levi.tensor_decompose(B4_Q4, (0, 1, 0, 0), (1, 1, 1, 0))
     monkeypatch.setattr(levi, "_PRODUCTS", {})
-    monkeypatch.setattr(levi, "_READBACKS", {})
+    monkeypatch.setattr(levi, "_READBACKS", {B4_Q4: {}})
     seen = levi.tensor_decompose(B4_Q4, (1, 1, 0, 0), (0, 1, 1, 0))  # tables its partitions
-    tabled = dict(levi._READBACKS)
+    tabled = dict(levi._READBACKS[B4_Q4])
     assert len(tabled) == 7
 
     def broken(pb, labels, last2):
@@ -235,7 +298,7 @@ def test_weight_fault_reaches_only_partitions_not_yet_tabled(monkeypatch):
     assert list(levi.tensor_decompose(B4_Q4, (1, 1, 0, 0), (0, 1, 1, 0)).items()) == list(seen.items())
     with pytest.raises(RuntimeError, match="weight fault"):
         levi.tensor_decompose(B4_Q4, (0, 2, 0, 0), (0, 2, 0, 0))
-    assert levi._READBACKS == tabled
+    assert levi._READBACKS == {B4_Q4: tabled}
     assert len(levi._PRODUCTS) == 1  # the second fill of (1,1,0,0) x (0,1,1,0)
 
 
@@ -268,13 +331,9 @@ for pb, w in WEIGHTS.items():
     again = levi.tensor_decompose(pb, list(w(5)), list(ONE[pb]))  # a hit
     out["list"][str(pb)] = list(first.items()) == list(tupled.items()) == list(again.items())
 ints = lambda t: all(ints(c) if isinstance(c, tuple) else type(c) is int for c in t)
-out["non-int entries"] = [
-    repr(item)
-    for table in (levi._SPLITS, levi._READBACKS)
-    for key, value in table.items()
-    for item in (key[1:], value)
-    if not ints(item)
-]
+entries = [(key[1:], value) for key, value in levi._SPLITS.items()]
+entries += [((nu,), w) for table in levi._READBACKS.values() for nu, w in table.items()]
+out["non-int entries"] = [repr(item) for entry in entries for item in entry if not ints(item)]
 print(json.dumps(out))
 '''
 
@@ -318,8 +377,9 @@ def _table_state_panel():
 
 
 def test_tensor_answers_do_not_depend_on_table_state(monkeypatch):
-    for table in ("_SPLITS", "_PRODUCTS", "_READBACKS", "_KOSTKA", "_KERNELS"):
+    for table in ("_SPLITS", "_PRODUCTS", "_ORBITS", "_KERNELS"):
         monkeypatch.setattr(levi, table, {})
+    monkeypatch.setattr(levi, "_READBACKS", {D5_P4: {}, B4_Q4: {}})
     panel = _table_state_panel()
     cold = [list(levi.tensor_decompose(*case).items()) for case in panel]
     order = list(range(len(panel)))
