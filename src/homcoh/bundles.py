@@ -16,9 +16,11 @@ twist, or a tensor by a bundle) and splice (the paper's four- and five-term
 resolutions, joined at a common term).  `kclass` gives an object's class
 in K_0.
 
-The vocabulary of the bundle language lives here, for the parser that
-reads it and the printer that writes it: ATOMS, the named bundles, and
-GENERATORS, the tautological bundles whose Schur powers `schur` builds.
+The vocabulary of the bundle language lives here, once: ATOMS, the named
+bundles, and GENERATORS, the tautological bundles whose Schur powers
+`schur` builds.  The package's code, the parser that reads the language
+and the printer that writes it all build through it: a Schur power is
+`schur(gen, op, r, k)` and a named object `Named(name, k)`.
 Every object prints in one form, bundle_expr, which is also the repr of Sum
 and Named: an expression of the bundle language that parser.parse_bundle
 reads back to the same object.  An irreducible prints as the first familiar
@@ -291,22 +293,6 @@ def U(k: int = 0) -> Sum:
     return twist(dual(Uv()), k)
 
 
-def sym_Uv(r: int, k: int = 0) -> Sum:
-    return schur("Uv", "Sym", r, k)
-
-
-def wedge_Uv(r: int, k: int = 0) -> Sum:
-    return schur("Uv", "Wedge", r, k)
-
-
-def sym_U(r: int, k: int = 0) -> Sum:
-    return schur("U", "Sym", r, k)
-
-
-def wedge_U(r: int, k: int = 0) -> Sum:
-    return schur("U", "Wedge", r, k)
-
-
 def Rv(k: int = 0) -> Sum:
     return twist(irr(B4_Q4, (1, 0, 0, 0)), k)
 
@@ -326,54 +312,14 @@ def schur(gen: str, op: str, r: int, k: int = 0) -> Sum:
     return twist(dual(out) if dualized else out, k)
 
 
-def sym_Rv(r: int, k: int = 0) -> Sum:
-    return schur("Rv", "Sym", r, k)
-
-
-def wedge_Rv(r: int, k: int = 0) -> Sum:
-    return schur("Rv", "Wedge", r, k)
-
-
-def sym_R(r: int, k: int = 0) -> Sum:
-    return schur("R", "Sym", r, k)
-
-
-def wedge_R(r: int, k: int = 0) -> Sum:
-    return schur("R", "Wedge", r, k)
-
-
-def T(k: int = 0) -> Sum:
-    # The tangent bundle is the second wedge of the dual tautological bundle.
-    return wedge_Uv(2, k)
-
-
-def W(k: int = 0) -> Sum:
-    # The rank-4 quotient bundle is isomorphic to the dual tautological bundle.
-    return Uv(k)
-
-
-def That(k: int = 0) -> Named:
-    return Named("That", k)
-
-
-def Thatv(k: int = 0) -> Named:
-    return Named("Thatv", k)
-
-
-def Ktilde(k: int = 0) -> Named:
-    return Named("Ktilde", k)
-
-
-def Ktildev(k: int = 0) -> Named:
-    return Named("Ktildev", k)
-
-
 # The names of the bundle language, each built once: U and R would otherwise
 # go through roots.dualize_levi on every parse.  The printer names an
-# irreducible by the first sum here that it is a twist of.
+# irreducible by the first sum here that it is a twist of.  The rank-4
+# quotient bundle W is the dual tautological bundle, and the tangent bundle
+# T is its second wedge.
 ATOMS = {
-    "O": O(), "U": U(), "Uv": Uv(), "R": R(), "Rv": Rv(), "W": W(), "T": T(),
-    "That": That(), "Thatv": Thatv(), "Ktilde": Ktilde(), "Ktildev": Ktildev(),
+    "O": O(), "U": U(), "Uv": Uv(), "R": R(), "Rv": Rv(), "W": Uv(), "T": schur("Uv", "Wedge", 2),
+    **{name: Named(name, 0) for name in ("That", "Thatv", "Ktilde", "Ktildev")},
 }
 
 
@@ -477,20 +423,20 @@ def base_sequences() -> tuple[Sequence, ...]:
         # 0 -> R -> V_9 (x) O -> U^ -> 0   (quotient W identified with U^)
         S("taut-rank4", R(), Term(O(), V9), Uv()),
         # 0 -> R^ -> T -> wedge^2 R^ -> 0
-        S("tangent-ext", Rv(), T(), wedge_Rv(2)),
+        S("tangent-ext", Rv(), schur("Uv", "Wedge", 2), schur("Rv", "Wedge", 2)),
         # 0 -> O(-1) -> That -> T(-1) -> 0
-        S("affine-ext", O(-1), That(), T(-1)),
+        S("affine-ext", O(-1), Named("That", 0), schur("Uv", "Wedge", 2, -1)),
         # 0 -> That -> V_{w5} (x) O -> U(1) -> 0
-        S("affine-kernel", That(), Term(O(), VS5), U(1)),
+        S("affine-kernel", Named("That", 0), Term(O(), VS5), U(1)),
         # 0 -> Ktilde(2) -> V_{2w1} (x) O(2) -> Sym^2 U^ (2) -> 0
-        S("quadric-kernel", Ktilde(2), Term(O(2), V11), sym_Uv(2, 2)),
+        S("quadric-kernel", Named("Ktilde", 2), Term(O(2), V11), schur("Uv", "Sym", 2, 2)),
         # 0 -> Thatv(1) -> V_{w1} (x) U(2) -> Ktilde(2) -> 0
-        S("quadric-coker", Thatv(1), Term(U(2), V1), Ktilde(2)),
+        S("quadric-coker", Named("Thatv", 1), Term(U(2), V1), Named("Ktilde", 2)),
         # 0 -> U^ -> Sym^2 U^ -> Sym^2 R^ -> 0
-        S("sym2-dual-chain", Uv(), sym_Uv(2), sym_Rv(2)),
+        S("sym2-dual-chain", Uv(), schur("Uv", "Sym", 2), schur("Rv", "Sym", 2)),
         # Koszul resolutions of the Schur squares of the rank-5 sequence
-        S("koszul-wedge2U", wedge_U(2), Term(U(), V1), Term(O(), SYM2V), sym_Uv(2)),
-        S("koszul-sym2U", sym_U(2), Term(U(), V1), Term(O(), V2), wedge_Uv(2)),
+        S("koszul-wedge2U", schur("U", "Wedge", 2), Term(U(), V1), Term(O(), SYM2V), schur("Uv", "Sym", 2)),
+        S("koszul-sym2U", schur("U", "Sym", 2), Term(U(), V1), Term(O(), V2), schur("Uv", "Wedge", 2)),
     )
 
 

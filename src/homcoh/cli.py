@@ -18,7 +18,7 @@ from . import corpus, ext as ext_mod, levi, mutations, parser as bparser, roots
 from .bbw import bbw_cohomology, weyl_dim
 from .ext import Ambiguous
 from .mutations import Collection
-from .parser import BundleSyntaxError, parse_bundle
+from .parser import BundleSyntaxError, parse_bundle, parse_weight
 from .roots import DomainError, InvalidDatum, LieDatum, Parabolic
 
 EXIT_OK = 0
@@ -45,17 +45,6 @@ def _parse_marked(datum: LieDatum, text: str) -> Parabolic:
     return Parabolic(datum, (int(text[1:]),))
 
 
-def _parse_weight(datum: LieDatum, text: str) -> tuple[int, ...]:
-    body = text.strip()
-    if not (body.startswith("[") and body.endswith("]")):
-        raise UsageError(f"bad weight {text!r}, expected [a1,...,a{datum.rank}]")
-    try:
-        coords = tuple(int(c.strip()) for c in body[1:-1].split(","))
-    except ValueError:
-        raise UsageError(f"bad weight {text!r}") from None
-    return coords
-
-
 def _load_collection(path: str) -> Collection:
     builtins = {
         "spinor-kp": mutations.kp_collection,
@@ -80,7 +69,7 @@ def _load_collection(path: str) -> Collection:
 def cmd_coh(args) -> int:
     datum = _parse_datum(args.datum)
     pb = _parse_marked(datum, args.marked)
-    w = _parse_weight(datum, args.weight)
+    w = parse_weight(args.weight)
     coh = bbw_cohomology(pb, w)
     if coh.vanishes:
         print("0" if args.quiet else "H^* = 0")
@@ -94,7 +83,7 @@ def cmd_coh(args) -> int:
 
 def cmd_dim(args) -> int:
     datum = _parse_datum(args.datum)
-    w = _parse_weight(datum, args.weight)
+    w = parse_weight(args.weight)
     print(weyl_dim(datum, w))
     return EXIT_OK
 
@@ -102,8 +91,8 @@ def cmd_dim(args) -> int:
 def cmd_tensor(args) -> int:
     datum = _parse_datum(args.datum)
     pb = _parse_marked(datum, args.marked)
-    w1 = _parse_weight(datum, args.w1)
-    w2 = _parse_weight(datum, args.w2)
+    w1 = parse_weight(args.w1)
+    w2 = parse_weight(args.w2)
     decomp = levi.tensor_decompose(pb, w1, w2)
     for w, m in sorted(decomp.items()):
         prefix = f"{m} x " if m > 1 else ""

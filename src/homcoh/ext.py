@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from collections.abc import Callable, Iterator
 
 from . import bbw, bundles, levi, roots
@@ -161,12 +160,11 @@ def trivial_result(*degrees: int) -> ExtResult:
 
 
 def rep_result(datum: roots.LieDatum, spec: dict[int, list]) -> ExtResult:
-    """Build an expected value: degree -> list of weights (or (weight, mult))."""
+    """Build an expected value: degree -> list of weights, each once."""
     acc: Graded = {}
-    for p, items in spec.items():
-        for item in items:
-            w, m = item if isinstance(item[0], tuple) else (item, 1)
-            add_piece(acc, p, _entry((datum, tuple(w))), m)
+    for p, weights in spec.items():
+        for w in weights:
+            add_piece(acc, p, _entry((datum, tuple(w))), 1)
     return ExtResult.from_dict(acc)
 
 
@@ -187,12 +185,12 @@ def format_graded(res: ExtResult) -> list[str]:
 
 
 def _branch_to_b4(res: ExtResult) -> ExtResult:
-    """res with every D5 factor of every entry branched to its B4 irreducibles."""
+    """res with every D5 factor of every entry branched to its B4 irreducibles,
+    each once (levi.b4_content)."""
     acc: Graded = {}
     for p, entry, m in res.pieces:
         for combo in itertools.product(*(levi.b4_content(d, w) for d, w in entry)):
-            mult = m * math.prod(c for _, c in combo)
-            add_piece(acc, p, _entry(*((roots.B4, w) for w, _ in combo)), mult)
+            add_piece(acc, p, _entry(*((roots.B4, w) for w in combo)), m)
     return ExtResult.from_dict(acc)
 
 

@@ -37,7 +37,8 @@ keys not yet in `_SPLITS`, `_PRODUCTS`, `_READBACKS`, `_ORBITS` or
 The lattice check lives in `_from_gl2`, for `from_gl`.  `branch_levi`
 (GL(5) -> GL(4)) gives the graded pieces of a D5/P4 fibre as a Q4-module,
 its class on B4/Q4; `branch_d5_to_b4` is so(10) -> so(9), and
-`b4_content`, which reads it, keeps an lru_cache of its sorted terms.
+`b4_content`, which reads it, keeps an lru_cache of its sorted weights;
+both branchings are multiplicity-free.
 """
 
 from __future__ import annotations
@@ -379,13 +380,13 @@ def branch_levi(w: Weight) -> tuple[Weight, ...]:
 
 
 @lru_cache(maxsize=None)
-def b4_content(group: roots.LieDatum, w: Weight) -> tuple[tuple[Weight, int], ...]:
-    """View a D5 or B4 representation as a multiset of B4 irreducibles."""
+def b4_content(group: roots.LieDatum, w: Weight) -> tuple[Weight, ...]:
+    """The B4 irreducibles of a D5 or B4 representation, each once."""
     if group == roots.B4:
         roots.check_dominant(group, w)
-        return ((w, 1),)
+        return (w,)
     if group == roots.D5:
-        return tuple(sorted(branch_d5_to_b4(w).items()))
+        return tuple(sorted(branch_d5_to_b4(w)))
     raise DomainError(f"no branching to B4 from {group}")
 
 
@@ -393,17 +394,15 @@ def invariant_multiplicity_entry(factors: tuple[tuple[roots.LieDatum, Weight], .
     """Multiplicity of the trivial B4 representation in a formal tensor product.
 
     Handles zero, one or two nontrivial factors; every B4 irreducible is
-    self-dual, so a two-factor product has invariants equal to the overlap
-    of the two branched multiplicity vectors.
+    self-dual and the branching multiplicity-free, so a two-factor product
+    has as many invariants as the two branched factors share irreducibles.
     """
     nontrivial = [(g, w) for g, w in factors if any(w)]
     if len(nontrivial) == 0:
         return 1
     if len(nontrivial) == 1:
         g, w = nontrivial[0]
-        return dict(b4_content(g, w)).get((0, 0, 0, 0), 0)
+        return int((0, 0, 0, 0) in b4_content(g, w))
     if len(nontrivial) == 2:
-        a = dict(b4_content(*nontrivial[0]))
-        b = dict(b4_content(*nontrivial[1]))
-        return sum(m * b.get(t, 0) for t, m in a.items())
+        return len(set(b4_content(*nontrivial[0])) & set(b4_content(*nontrivial[1])))
     raise InternalConsistencyError("invariants of >2 formal tensor factors not supported")

@@ -12,7 +12,7 @@ from __future__ import annotations
 from . import bundles, ext as ext_mod
 from .bundles import BundleObject
 from .ext import Ambiguous, ExtEngine, ExtResult
-from .roots import DomainError, Frozen, InternalConsistencyError, Record
+from .roots import D5, DomainError, Frozen, InternalConsistencyError, Record
 
 KVector = tuple[int, ...]
 
@@ -65,10 +65,10 @@ def kp_collection() -> Collection:
     B = bundles
     objs = (
         B.O(0), B.O(1),
-        B.O(2), B.Uv(2), B.sym_Uv(2, 2),
-        B.O(3), B.Uv(3), B.sym_Uv(2, 3),
-        B.O(4), B.Uv(4), B.That(5),
-        B.O(5), B.Uv(5), B.That(6),
+        B.O(2), B.Uv(2), B.schur("Uv", "Sym", 2, 2),
+        B.O(3), B.Uv(3), B.schur("Uv", "Sym", 2, 3),
+        B.O(4), B.Uv(4), B.Named("That", 5),
+        B.O(5), B.Uv(5), B.Named("That", 6),
         B.O(6), B.O(7),
     )
     return Collection(objs, "spinor-kp")
@@ -82,10 +82,10 @@ def kp_blocks() -> tuple[Collection, ...]:
     return (
         blk("A0", B.O(0)),
         blk("A1", B.O(1)),
-        blk("A2", B.sym_Rv(2, 2), B.Rv(2), B.O(2)),
-        blk("A3", B.sym_Rv(2, 3), B.Rv(3), B.O(3)),
-        blk("A4", B.wedge_Rv(2, 4), B.Rv(4), B.O(4)),
-        blk("A5", B.wedge_Rv(2, 5), B.Rv(5), B.O(5)),
+        blk("A2", B.schur("Rv", "Sym", 2, 2), B.Rv(2), B.O(2)),
+        blk("A3", B.schur("Rv", "Sym", 2, 3), B.Rv(3), B.O(3)),
+        blk("A4", B.schur("Rv", "Wedge", 2, 4), B.Rv(4), B.O(4)),
+        blk("A5", B.schur("Rv", "Wedge", 2, 5), B.Rv(5), B.O(5)),
         blk("A6", B.O(6)),
         blk("A7", B.O(7)),
     )
@@ -444,34 +444,35 @@ W4 = (0, 0, 0, 1, 0)
 W11 = (2, 0, 0, 0, 0)
 
 
-def _expected(spec: dict[int, list]) -> ExtResult:
-    from .roots import D5
-
-    return ext_mod.rep_result(D5, spec)
-
-
 def replay_script() -> list[dict]:
     """The sixteen scripted mutations carrying their pinned hypotheses."""
     B = bundles
     zero = ext_mod.ExtResult(())
     steps = [
-        dict(dir="R", left=B.That(6), right=B.O(6), hyp=_expected({0: [W4]}), result=B.U(7),
+        dict(dir="R", left=B.Named("That", 6), right=B.O(6), hyp=ext_mod.rep_result(D5, {0: [W4]}), result=B.U(7),
              notes=("result is U(7), forced by the kernel presentation of the affine tangent bundle",)),
-        dict(dir="R", left=B.That(5), right=B.O(5), hyp=_expected({0: [W4]}), result=B.U(6)),
-        dict(dir="L", left=B.O(2), right=B.Uv(2), hyp=_expected({0: [W1]}), result=B.U(2)),
-        dict(dir="L", left=B.O(2), right=B.sym_Uv(2, 2), hyp=_expected({0: [W11]}), result=B.Ktilde(2)),
-        dict(dir="L", left=B.U(2), right=B.Ktilde(2), hyp=_expected({0: [W1]}), result=B.Thatv(1)),
-        dict(dir="L", left=B.O(1), right=B.Thatv(1), hyp=_expected({0: [W4]}), result=B.Uv(0)),
-        dict(dir="L", left=B.O(3), right=B.Uv(3), hyp=_expected({0: [W1]}), result=B.U(3)),
-        dict(dir="L", left=B.O(3), right=B.sym_Uv(2, 3), hyp=_expected({0: [W11]}), result=B.Ktilde(3)),
-        dict(dir="L", left=B.U(3), right=B.Ktilde(3), hyp=_expected({0: [W1]}), result=B.Thatv(2)),
-        dict(dir="L", left=B.O(2), right=B.Thatv(2), hyp=_expected({0: [W4]}), result=B.Uv(1)),
+        dict(dir="R", left=B.Named("That", 5), right=B.O(5), hyp=ext_mod.rep_result(D5, {0: [W4]}),
+             result=B.U(6)),
+        dict(dir="L", left=B.O(2), right=B.Uv(2), hyp=ext_mod.rep_result(D5, {0: [W1]}), result=B.U(2)),
+        dict(dir="L", left=B.O(2), right=B.schur("Uv", "Sym", 2, 2), hyp=ext_mod.rep_result(D5, {0: [W11]}),
+             result=B.Named("Ktilde", 2)),
+        dict(dir="L", left=B.U(2), right=B.Named("Ktilde", 2), hyp=ext_mod.rep_result(D5, {0: [W1]}),
+             result=B.Named("Thatv", 1)),
+        dict(dir="L", left=B.O(1), right=B.Named("Thatv", 1), hyp=ext_mod.rep_result(D5, {0: [W4]}),
+             result=B.Uv(0)),
+        dict(dir="L", left=B.O(3), right=B.Uv(3), hyp=ext_mod.rep_result(D5, {0: [W1]}), result=B.U(3)),
+        dict(dir="L", left=B.O(3), right=B.schur("Uv", "Sym", 2, 3), hyp=ext_mod.rep_result(D5, {0: [W11]}),
+             result=B.Named("Ktilde", 3)),
+        dict(dir="L", left=B.U(3), right=B.Named("Ktilde", 3), hyp=ext_mod.rep_result(D5, {0: [W1]}),
+             result=B.Named("Thatv", 2)),
+        dict(dir="L", left=B.O(2), right=B.Named("Thatv", 2), hyp=ext_mod.rep_result(D5, {0: [W4]}),
+             result=B.Uv(1)),
         dict(dir="R", left=B.U(2), right=B.Uv(1), hyp=zero, result=B.U(2), swap=True),
         dict(dir="R", left=B.U(6), right=B.Uv(5), hyp=zero, result=B.U(6), swap=True),
-        dict(dir="R", left=B.U(2), right=B.O(2), hyp=_expected({0: [W1]}), result=B.Uv(2)),
-        dict(dir="R", left=B.U(3), right=B.O(3), hyp=_expected({0: [W1]}), result=B.Uv(3)),
-        dict(dir="R", left=B.U(6), right=B.O(6), hyp=_expected({0: [W1]}), result=B.Uv(6)),
-        dict(dir="R", left=B.U(7), right=B.O(7), hyp=_expected({0: [W1]}), result=B.Uv(7)),
+        dict(dir="R", left=B.U(2), right=B.O(2), hyp=ext_mod.rep_result(D5, {0: [W1]}), result=B.Uv(2)),
+        dict(dir="R", left=B.U(3), right=B.O(3), hyp=ext_mod.rep_result(D5, {0: [W1]}), result=B.Uv(3)),
+        dict(dir="R", left=B.U(6), right=B.O(6), hyp=ext_mod.rep_result(D5, {0: [W1]}), result=B.Uv(6)),
+        dict(dir="R", left=B.U(7), right=B.O(7), hyp=ext_mod.rep_result(D5, {0: [W1]}), result=B.Uv(7)),
     ]
     return steps
 

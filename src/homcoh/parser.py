@@ -27,15 +27,20 @@ stays in it.  The table grows by one entry per distinct string parsed.
 
 The printed form that this parser reads back is bundles.bundle_expr, the
 repr of every bundle object.
+
+parse_weight reads the bracket list of a WEIGHT alone, `[a1,...,an]`, by
+the same rule as a weight literal; it is the CLI's weight reader, so a
+weight means the same on the command line as inside a bundle expression.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Callable
 
 from . import bundles
 from .bundles import ATOMS, BundleObject, Sum
-from .roots import B4_Q4, D5_P4, DomainError
+from .roots import B4_Q4, D5_P4, DomainError, Weight
 
 _TOKEN = re.compile(r"\s*(?:(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<int>-?\d+)|(?P<sym>[()\[\],+*]))")
 
@@ -92,12 +97,13 @@ class _Parser:
         self.i += 1
         return tok
 
-    def parse(self) -> BundleObject:
-        obj = self.expr()
+    def parse(self, rule: Callable[[_Parser], BundleObject | Weight]) -> BundleObject | Weight:
+        """The text read by rule, a method of this class, to its end."""
+        out = rule(self)
         tok = self.peek()
         if tok.kind != "end":
             raise BundleSyntaxError(f"trailing input {tok.text!r}", tok.pos)
-        return obj
+        return out
 
     def expr(self) -> BundleObject:
         obj = self.term()
@@ -167,16 +173,20 @@ class _Parser:
     def weight_literal(self) -> Sum:
         datum_tok = self.take("name")
         space = D5_P4 if datum_tok.text == "D5" else B4_Q4
+        try:
+            return bundles.irr(space, self.weight())
+        except DomainError as e:
+            raise BundleSyntaxError(str(e), datum_tok.pos) from None
+
+    def weight(self) -> Weight:
+        # [a1,...,an]: the bracket list of weight_literal, and all of parse_weight
         self.take(text="[")
         coords = [int(self.take("int").text)]
         while self.peek().text == ",":
             self.take()
             coords.append(int(self.take("int").text))
         self.take(text="]")
-        try:
-            return bundles.irr(space, tuple(coords))
-        except DomainError as e:
-            raise BundleSyntaxError(str(e), datum_tok.pos) from None
+        return tuple(coords)
 
 
 def _schur_op(text: str) -> tuple[str, int] | None:
@@ -203,8 +213,13 @@ def parse_bundle(text: str) -> BundleObject:
     """Parse one bundle expression; raises BundleSyntaxError with a position."""
     obj = _PARSED.get(text)
     if obj is None:
-        obj = _PARSED[text] = _Parser(text).parse()
+        obj = _PARSED[text] = _Parser(text).parse(_Parser.expr)
     return obj
+
+
+def parse_weight(text: str) -> Weight:
+    """Parse one weight `[a1,...,an]`; raises BundleSyntaxError with a position."""
+    return _Parser(text).parse(_Parser.weight)
 
 
 def parse_collection(text: str) -> list[BundleObject]:

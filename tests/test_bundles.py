@@ -14,25 +14,25 @@ def test_concrete_weights():
     assert B.U().parts == (((0, 0, 0, -1, 1), 1),)
     assert B.Uv().parts == (((1, 0, 0, 0, 0), 1),)
     assert B.U(1).parts == (((0, 0, 0, 0, 1), 1),)
-    assert B.sym_Uv(2, 2).parts == (((2, 0, 0, 2, 0), 1),)
-    assert B.T().parts == (((0, 1, 0, 0, 0), 1),)
-    assert B.W() == B.Uv()
+    assert B.schur("Uv", "Sym", 2, 2).parts == (((2, 0, 0, 2, 0), 1),)
+    assert B.schur("Uv", "Wedge", 2).parts == (((0, 1, 0, 0, 0), 1),)
+    assert B.ATOMS["W"] == B.Uv()
     assert B.R().parts == (((0, 0, 1, -2), 1),)
-    assert B.sym_R(2).parts == (((0, 0, 2, -4), 1),)
-    assert B.wedge_R(2).parts == (((0, 1, 0, -2), 1),)
+    assert B.schur("R", "Sym", 2).parts == (((0, 0, 2, -4), 1),)
+    assert B.schur("R", "Wedge", 2).parts == (((0, 1, 0, -2), 1),)
 
 
 def test_twist_and_dual_involutions():
-    for obj in (B.U(), B.sym_Uv(2), B.Rv(3), B.That(2), B.Ktilde(2)):
+    for obj in (B.U(), B.schur("Uv", "Sym", 2), B.Rv(3), B.Named("That", 2), B.Named("Ktilde", 2)):
         assert B.twist(B.twist(obj, 3), -3) == obj
         assert B.dual(B.dual(obj)) == obj
-    assert B.dual(B.That(2)) == B.Thatv(-2)
-    assert B.dual(B.Ktilde(2)) == B.Ktildev(-2)
+    assert B.dual(B.Named("That", 2)) == B.Named("Thatv", -2)
+    assert B.dual(B.Named("Ktilde", 2)) == B.Named("Ktildev", -2)
 
 
 def test_tensor_matches_levi_decomposition():
     prod = B.tensor(B.Uv(), B.Uv())
-    assert prod == B.direct_sum(B.sym_Uv(2), B.wedge_Uv(2))
+    assert prod == B.direct_sum(B.schur("Uv", "Sym", 2), B.schur("Uv", "Wedge", 2))
     with pytest.raises(DomainError):
         B.tensor(B.Uv(), B.Rv())
 
@@ -53,11 +53,12 @@ def test_rank_and_chern_of_sums():
     assert _rank_and_chern(B.U()) == (5, -2)
     assert _rank_and_chern(B.O(1)) == (1, 1)
     assert _rank_and_chern(B.irr(B4_Q4, (0, 0, 0, 1))) == (1, 1)
-    assert _rank_and_chern(B.T()) == (10, 8)  # the index of the variety
+    assert _rank_and_chern(B.schur("Uv", "Wedge", 2)) == (10, 8)  # the index of the variety
 
 
 def test_named_rank_and_chern_consistent_across_resolutions():
-    for obj, want_rank in ((B.That(0), 11), (B.Thatv(0), 11), (B.Ktilde(2), 39), (B.Ktildev(-2), 39)):
+    for name, k, want_rank in (("That", 0, 11), ("Thatv", 0, 11), ("Ktilde", 2, 39), ("Ktildev", -2, 39)):
+        obj = B.Named(name, k)
         matches = B.sequence_matches(obj)
         assert matches, obj
         ranks, cherns = set(), set()
@@ -128,9 +129,9 @@ def test_twist_delta_detection():
     # one is a twist of the other (parser._apply_schur reads it so); the
     # reference helper above agrees.
     for base, obj, want in (
-        (B.Uv(), B.Uv(4), 4), (B.That(0), B.That(6), 6), (B.U(), B.U(-3), -3),
+        (B.Uv(), B.Uv(4), 4), (B.Named("That", 0), B.Named("That", 6), 6), (B.U(), B.U(-3), -3),
         (B.O(), B.irr(B4_Q4, (0, 0, 0, 2)), 2),
-        (B.Uv(), B.U(), None), (B.Uv(), B.Rv(), None), (B.That(), B.Thatv(1), None),
+        (B.Uv(), B.U(), None), (B.Uv(), B.Rv(), None), (B.Named("That", 0), B.Named("Thatv", 1), None),
     ):
         t = obj.level - base.level
         assert (B.twist(base, t) == obj) == (want is not None), (base, obj)
@@ -140,9 +141,9 @@ def test_twist_delta_detection():
 
 
 def test_sequence_matching_finds_all_resolutions():
-    names = {seq.name for seq, _, _ in B.sequence_matches(B.That(6))}
+    names = {seq.name for seq, _, _ in B.sequence_matches(B.Named("That", 6))}
     assert "affine-ext" in names and "affine-kernel" in names
-    names = {seq.name for seq, _, _ in B.sequence_matches(B.Ktilde(2))}
+    names = {seq.name for seq, _, _ in B.sequence_matches(B.Named("Ktilde", 2))}
     assert "quadric-kernel" in names and "quadric-coker" in names
 
 
@@ -283,9 +284,9 @@ def test_equal_bundles_built_along_different_routes_are_one_key():
     pairs = [
         (B.O(2), B.twist(B.O(0), 2)),
         (parse_bundle("Uv(3)"), B.Uv(3)),
-        (parse_bundle("Sym2 Uv (2)"), B.twist(B.sym_Uv(2, 0), 2)),
-        (B.twist(B.That(5), 1), B.That(6)),
-        (B.dual(B.That(-6)), parse_bundle("Thatv(6)")),
+        (parse_bundle("Sym2 Uv (2)"), B.twist(B.schur("Uv", "Sym", 2, 0), 2)),
+        (B.twist(B.Named("That", 5), 1), B.Named("That", 6)),
+        (B.dual(B.Named("That", -6)), parse_bundle("Thatv(6)")),
     ]
     for a, b in pairs:
         assert a is b and a == b and hash(a) == hash(b)
@@ -294,7 +295,9 @@ def test_equal_bundles_built_along_different_routes_are_one_key():
     # O(2) spelled on B4/Q4 is the same line bundle, so the same key
     b4 = B.irr(B4_Q4, (0, 0, 0, 2))
     assert b4 is B.O(2) and b4 == B.O(2) and hash(b4) == hash(B.O(2)) and table[b4] == 0
-    distinct = [B.O(2), B.O(3), B.Rv(2), B.Uv(3), B.U(3), B.That(6), B.Thatv(6), B.That(5)]
+    distinct = [
+        B.O(2), B.O(3), B.Rv(2), B.Uv(3), B.U(3), B.Named("That", 6), B.Named("Thatv", 6), B.Named("That", 5),
+    ]
     assert len(set(distinct)) == len(distinct)
     assert all(a != b for i, a in enumerate(distinct) for b in distinct[i + 1:])
 
@@ -307,18 +310,20 @@ def test_every_route_to_a_value_gives_its_one_object():
     assert B.irr(D5_P4, [1, 0, 0, 0, 0]) is B.Sum(D5_P4, (((1, 0, 0, 0, 0), 1),)) is uv
     assert B.make_sum(D5_P4, [((1, 0, 0, 0, 0), 1)] * 2) is B.make_sum(D5_P4, {(1, 0, 0, 0, 0): 2})
     assert B.dual(uv) is B.U() and B.dual(B.dual(uv)) is uv
-    assert B.dual(B.That(2)) is B.Thatv(-2) and B.dual(B.Thatv(-2)) is B.That(2)
-    assert B.twist(uv, 0) is uv and B.twist(B.That(4), 0) is B.That(4)
+    that, thatv = B.Named("That", 2), B.Named("Thatv", -2)
+    assert B.dual(that) is thatv and B.dual(thatv) is that
+    assert B.twist(uv, 0) is uv and B.twist(B.Named("That", 4), 0) is B.Named("That", 4)
     for k in range(-3, 4):
         uvk = B.make_sum(D5_P4, {(1, 0, 0, k, 0): 1})
         assert B.twist(uv, k) is B.Uv(k) is uvk is parse_bundle(f"Uv({k})") is parse_bundle(f"D5 [1,0,0,{k},0]")
         assert B.twist(uvk, -k) is uv
-        assert B.twist(B.sym_Uv(2), k) is B.sym_Uv(2, k) is parse_bundle(f"Sym2 Uv ({k})")
+        sym2 = B.schur("Uv", "Sym", 2, k)
+        assert B.twist(B.schur("Uv", "Sym", 2), k) is sym2 is parse_bundle(f"Sym2 Uv ({k})")
         # O(k) spelled on B4/Q4 is the one object on D5/P4
         ok = B.O(k)
         assert B.irr(B4_Q4, (0, 0, 0, k)) is B.Sum(B4_Q4, (((0, 0, 0, k), 1),)) is ok
         assert parse_bundle(f"B4 [0,0,0,{k}]") is parse_bundle(f"O({k})") is ok and ok.space is D5_P4
-        assert B.That(k) is B.Named("That", k) is B.twist(B.That(1), k - 1) is parse_bundle(f"That({k})")
+        assert B.Named("That", k) is B.twist(B.Named("That", 1), k - 1) is parse_bundle(f"That({k})")
     term = B.standard_sequences()[0].terms[1]  # V_10 (x) O in taut-rank5
     assert term is B.Term(B.O(), (((D5, (1, 0, 0, 0, 0)), 1),))
 
@@ -347,7 +352,7 @@ def test_a_construction_that_raises_stores_nothing():
     ]
     # ("Thatv", 7.0) and ("That", True) equal the keys of Thatv(7) and
     # That(1), built first so that the lookup would find them.
-    B.Thatv(7), B.That(1)
+    B.Named("Thatv", 7), B.Named("That", 1)
     stored = {("Thatv", 7.0), ("That", True)}
     for cls, args, error in invalid:
         before = dict(cls._table)
@@ -468,30 +473,33 @@ def _written_out_registry():
         S("taut-chain-dual", B.O(), B.Uv(), B.Rv()),
         # the trivial bundle spelled on B4/Q4, which is O
         S("taut-rank4", B.R(), Term(B.irr(B4_Q4, (0, 0, 0, 0)), V9), B.Uv()),
-        S("tangent-ext", B.Rv(), B.T(), B.wedge_Rv(2)),
-        S("affine-ext", B.O(-1), B.That(), B.T(-1)),
-        S("affine-ext-dual", B.twist(B.dual(B.T()), 1), B.Thatv(), B.O(1)),
-        S("affine-kernel", B.That(), Term(B.O(), VS5), B.U(1)),
-        S("affine-kernel-dual", B.Uv(-1), Term(B.O(), VS4), B.Thatv()),
-        S("quadric-kernel", B.Ktilde(2), Term(B.O(2), V11), B.sym_Uv(2, 2)),
-        S("quadric-kernel-dual", B.sym_U(2, -2), Term(B.O(-2), V11), B.Ktildev(-2)),
-        S("quadric-coker", B.Thatv(1), Term(B.U(2), V1), B.Ktilde(2)),
-        S("quadric-coker-dual", B.Ktildev(-2), Term(B.Uv(-2), V1), B.That(-1)),
-        S("sym2-dual-chain", B.Uv(), B.sym_Uv(2), B.sym_Rv(2)),
-        S("sym2-chain", B.sym_R(2), B.sym_U(2), B.U()),
-        S("wedge2-chain", B.wedge_R(2), B.wedge_U(2), B.R()),
-        S("koszul-wedge2U", B.wedge_U(2), Term(B.U(), V1), Term(B.O(), SYM2V), B.sym_Uv(2)),
-        S("koszul-sym2U", B.sym_U(2), Term(B.U(), V1), Term(B.O(), V2), B.wedge_Uv(2)),
-        S("koszul-sym2U-dual", B.sym_U(2, -1), Term(B.O(-1), SYM2V), Term(B.Uv(-1), V1), B.wedge_Uv(2, -1)),
+        S("tangent-ext", B.Rv(), B.schur("Uv", "Wedge", 2), B.schur("Rv", "Wedge", 2)),
+        S("affine-ext", B.O(-1), B.Named("That", 0), B.schur("Uv", "Wedge", 2, -1)),
+        S("affine-ext-dual", B.twist(B.dual(B.schur("Uv", "Wedge", 2)), 1), B.Named("Thatv", 0), B.O(1)),
+        S("affine-kernel", B.Named("That", 0), Term(B.O(), VS5), B.U(1)),
+        S("affine-kernel-dual", B.Uv(-1), Term(B.O(), VS4), B.Named("Thatv", 0)),
+        S("quadric-kernel", B.Named("Ktilde", 2), Term(B.O(2), V11), B.schur("Uv", "Sym", 2, 2)),
+        S("quadric-kernel-dual", B.schur("U", "Sym", 2, -2), Term(B.O(-2), V11), B.Named("Ktildev", -2)),
+        S("quadric-coker", B.Named("Thatv", 1), Term(B.U(2), V1), B.Named("Ktilde", 2)),
+        S("quadric-coker-dual", B.Named("Ktildev", -2), Term(B.Uv(-2), V1), B.Named("That", -1)),
+        S("sym2-dual-chain", B.Uv(), B.schur("Uv", "Sym", 2), B.schur("Rv", "Sym", 2)),
+        S("sym2-chain", B.schur("R", "Sym", 2), B.schur("U", "Sym", 2), B.U()),
+        S("wedge2-chain", B.schur("R", "Wedge", 2), B.schur("U", "Wedge", 2), B.R()),
+        S("koszul-wedge2U",
+          B.schur("U", "Wedge", 2), Term(B.U(), V1), Term(B.O(), SYM2V), B.schur("Uv", "Sym", 2)),
+        S("koszul-sym2U", B.schur("U", "Sym", 2), Term(B.U(), V1), Term(B.O(), V2), B.schur("Uv", "Wedge", 2)),
+        S("koszul-sym2U-dual",
+          B.schur("U", "Sym", 2, -1), Term(B.O(-1), SYM2V), Term(B.Uv(-1), V1), B.schur("Uv", "Wedge", 2, -1)),
         S(
             "koszul-sym2U-dual-twisted",
-            B.tensor(B.sym_U(2), B.Uv(-2)),
+            B.tensor(B.schur("U", "Sym", 2), B.Uv(-2)),
             Term(B.Uv(-2), SYM2V),
             Term(B.tensor(B.Uv(), B.Uv(-2)), V1),
-            B.tensor(B.wedge_Uv(2), B.Uv(-2)),
+            B.tensor(B.schur("Uv", "Wedge", 2), B.Uv(-2)),
         ),
-        S("four-term", B.Thatv(-1), Term(B.U(), V1), Term(B.O(), V11), B.sym_Uv(2)),
-        S("five-term", B.Uv(), Term(B.O(1), VS4), Term(B.U(2), V1), Term(B.O(2), V11), B.sym_Uv(2, 2)),
+        S("four-term", B.Named("Thatv", -1), Term(B.U(), V1), Term(B.O(), V11), B.schur("Uv", "Sym", 2)),
+        S("five-term",
+          B.Uv(), Term(B.O(1), VS4), Term(B.U(2), V1), Term(B.O(2), V11), B.schur("Uv", "Sym", 2, 2)),
     )
 
 
@@ -519,12 +527,13 @@ def test_dual_sequence_is_an_involution_that_dualizes_coefficients():
     assert kernel.terms[1].coeff == (((D5, (0, 0, 0, 0, 1)), 1),)
     dual = B.dual_sequence("affine-kernel-dual", kernel)
     assert dual.terms[1].coeff == (((D5, (0, 0, 0, 1, 0)), 1),)
-    assert [t.obj for t in dual.terms] == [B.Uv(-1), B.O(), B.Thatv()]
+    assert [t.obj for t in dual.terms] == [B.Uv(-1), B.O(), B.Named("Thatv", 0)]
 
 
 def test_tensor_sequence_twists_named_terms_and_tensors_sums():
     affine = _base("affine-ext")
-    assert [t.obj for t in B.tensor_sequence("a(3)", affine, 3).terms] == [B.O(2), B.That(3), B.T(2)]
+    twisted = [t.obj for t in B.tensor_sequence("a(3)", affine, 3).terms]
+    assert twisted == [B.O(2), B.Named("That", 3), B.schur("Uv", "Wedge", 2, 2)]
     with pytest.raises(DomainError):
         B.tensor_sequence("a * Uv", affine, B.Uv())
     koszul = _base("koszul-wedge2U")

@@ -349,12 +349,42 @@ def test_bad_coh_arguments_are_usage_errors(capsys):
     for argv, message in (
         (("E5", "P4", "[0,0,0,0,0]"), "bad datum 'E5', expected e.g. D5 or B4"),
         (("D5", "X4", "[0,0,0,0,0]"), "bad marking 'X4', expected e.g. P4 or Q4"),
-        (("D5", "P4", "1,0,0,0,0"), "bad weight '1,0,0,0,0', expected [a1,...,a5]"),
-        (("D5", "P4", "[a,0,0,0,0]"), "bad weight '[a,0,0,0,0]'"),
+        (("D5", "P4", "1,0,0,0,0"), "expected '[', found '1' (at position 0)"),
+        (("D5", "P4", "[a,0,0,0,0]"), "expected int, found 'a' (at position 1)"),
     ):
         code = cli.main(["coh", *argv])
         assert code == 2, argv
         assert capsys.readouterr().err == f"error: {message}\n", argv
+
+
+def test_weight_arguments_read_as_weight_literals_do(capsys):
+    # coh, dim and tensor read a weight as ext reads the bracket list of a
+    # weight literal: no digit separators, no plus sign, nothing after it.
+    for weight, message, position in (
+        ("[1_0,0,0,0,0]", "unexpected character '_'", 2),
+        ("[+1,0,0,0,0]", "expected int, found '+'", 1),
+        ("[1,0,0,0,0]x", "trailing input 'x'", 11),
+    ):
+        code = cli.main(["ext", f"D5 {weight}", "O"])
+        assert code == 2, weight
+        assert capsys.readouterr().err == f"error: {message} (at position {position + 3})\n", weight
+        for argv in (
+            ["coh", "D5", "P4", weight],
+            ["dim", "D5", weight],
+            ["tensor", "D5", "P4", weight, "[1,0,0,0,0]"],
+            ["tensor", "D5", "P4", "[1,0,0,0,0]", weight],
+        ):
+            code = cli.main(argv)
+            captured = capsys.readouterr()
+            assert (code, captured.out) == (2, ""), argv
+            assert captured.err == f"error: {message} (at position {position})\n", argv
+    # spaces around the coordinates are allowed, as in a bundle expression
+    for argv, want in (
+        (["coh", "D5", "P4", "[ 0 , 0,1,-2,0 ]"], "H^1 = V[0,0,0,0,0], dim 1\n"),
+        (["dim", "D5", " [ 1 , 0,0,0,0 ] "], "10\n"),
+        (["tensor", "D5", "P4", "[ 1 , 0,0,0,0 ]", "[1,0,0,0,0]"], "E[0,1,0,0,0]\nE[2,0,0,0,0]\n"),
+    ):
+        assert run(capsys, *argv) == (0, want), argv
 
 
 def test_unusable_collection_files_are_usage_errors(tmp_path, capsys):

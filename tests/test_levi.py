@@ -656,6 +656,18 @@ def test_branching_preserves_dimension_small_cases():
                         assert total == bbw.weyl_dim(D5, mu), mu
 
 
+def test_branching_to_b4_is_multiplicity_free():
+    # b4_content, ext._branch_to_b4 and invariant_multiplicity_entry count
+    # each B4 irreducible of a D5 representation once; the dimensions add up,
+    # so no piece was merged with another.
+    for mu in itertools.product(range(4), repeat=5):
+        branched = levi.branch_d5_to_b4(mu)
+        assert set(branched.values()) == {1}, mu
+        content = levi.b4_content(D5, mu)
+        assert len(set(content)) == len(content) and set(content) == set(branched), mu
+        assert sum(bbw.weyl_dim(B4, nu) for nu in content) == bbw.weyl_dim(D5, mu), mu
+
+
 def test_branching_rejects_non_dominant():
     with pytest.raises(roots.DomainError):
         levi.branch_d5_to_b4((0, 0, 1, -2, 0))

@@ -60,16 +60,16 @@ def test_right_mutation_through_twist(eng):
 
 
 def test_right_mutation_of_affine_tangent(eng):
-    col = Collection((B.That(6), B.O(6)))
+    col = Collection((B.Named("That", 6), B.O(6)))
     _, step = M.mutate(col, "R", 0, eng)
     assert step.result == B.U(7)
     assert step.hypothesis.dims() == {0: 16}
 
 
 def test_left_mutation_producing_dual_affine(eng):
-    col = Collection((B.U(2), B.Ktilde(2)))
+    col = Collection((B.U(2), B.Named("Ktilde", 2)))
     _, step = M.mutate(col, "L", 0, eng)
-    assert step.result == B.Thatv(1)
+    assert step.result == B.Named("Thatv", 1)
     assert step.hypothesis.dims() == {0: 10}
 
 
@@ -90,7 +90,7 @@ def test_k_only_fallback(eng, form):
 
 
 def test_k_only_hypothesis_carries_the_exact_euler_characteristic(eng, form):
-    col = Collection((B.sym_Rv(2, 2), B.Rv(2), B.O(3)))
+    col = Collection((B.schur("Rv", "Sym", 2, 2), B.Rv(2), B.O(3)))
     col, first = M.mutate(col, "R", 0, eng)
     assert isinstance(first.result, KOnly)
     k_only, o3 = col.objects[1], col.objects[2]
@@ -120,16 +120,16 @@ def test_ambiguous_mutation_raises(eng):
 
 
 def test_right_dual_block_with_wedge(eng):
-    block = Collection((B.wedge_Rv(2), B.Rv(), B.O()), "A4-base", equivariant=True)
+    block = Collection((B.schur("Rv", "Wedge", 2), B.Rv(), B.O()), "A4-base", equivariant=True)
     dualized, steps = M.right_dual(block, eng)
-    assert dualized.objects == (B.O(), B.Uv(), B.That(1))
+    assert dualized.objects == (B.O(), B.Uv(), B.Named("That", 1))
     assert len(steps) == 3
 
 
 def test_right_dual_block_with_sym(eng):
-    block = Collection((B.sym_Rv(2), B.Rv(), B.O()), "A2-base", equivariant=True)
+    block = Collection((B.schur("Rv", "Sym", 2), B.Rv(), B.O()), "A2-base", equivariant=True)
     dualized, _ = M.right_dual(block, eng)
-    assert dualized.objects == (B.O(), B.Uv(), B.sym_Uv(2))
+    assert dualized.objects == (B.O(), B.Uv(), B.schur("Uv", "Sym", 2))
 
 
 def test_right_dual_singleton(eng):
@@ -141,8 +141,8 @@ def test_right_dual_singleton(eng):
 def test_kp_blocks_list():
     blocks = M.kp_blocks()
     assert [b.label for b in blocks] == [f"A{i}" for i in range(8)]
-    assert blocks[2].objects == (B.sym_Rv(2, 2), B.Rv(2), B.O(2))
-    assert blocks[4].objects == (B.wedge_Rv(2, 4), B.Rv(4), B.O(4))
+    assert blocks[2].objects == (B.schur("Rv", "Sym", 2, 2), B.Rv(2), B.O(2))
+    assert blocks[4].objects == (B.schur("Rv", "Wedge", 2, 4), B.Rv(4), B.O(4))
     assert blocks[0].objects == (B.O(0),)
     assert all(b.equivariant for b in blocks)
 
@@ -260,12 +260,12 @@ def test_k_lattice_preserved_under_mutation(eng, form):
 
 def test_object_mutation_matches_cone_class(eng, form):
     # the engine asserts this internally; spot-check one case by hand
-    col = Collection((B.O(2), B.sym_Uv(2, 2)))
+    col = Collection((B.O(2), B.schur("Uv", "Sym", 2, 2)))
     _, step = M.mutate(col, "L", 0, eng)
-    assert step.result == B.Ktilde(2)
-    k_res = form.kclass(B.Ktilde(2), eng)
+    assert step.result == B.Named("Ktilde", 2)
+    k_res = form.kclass(B.Named("Ktilde", 2), eng)
     k_o = form.kclass(B.O(2), eng)
-    k_s = form.kclass(B.sym_Uv(2, 2), eng)
+    k_s = form.kclass(B.schur("Uv", "Sym", 2, 2), eng)
     chi = form.chi(k_o, k_s)
     assert tuple(-x for x in k_res) == tuple(b - chi * a for a, b in zip(k_o, k_s))
 
@@ -409,7 +409,8 @@ def test_kclass_fault_reaches_a_fresh_engine_after_another_form_is_warm(monkeypa
     fresh = ExtEngine()
     form = M.KForm.standard(fresh)
     assert form.gram == M.KForm.standard(warm).gram
-    assert form.kclass(B.That(5), fresh) == tuple(-c for c in warm.kform.kclass(B.That(5), warm))
+    that5 = B.Named("That", 5)
+    assert form.kclass(that5, fresh) == tuple(-c for c in warm.kform.kclass(that5, warm))
     assert M.gram_matrix(col, fresh) != before
 
 

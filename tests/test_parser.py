@@ -3,11 +3,11 @@ import pytest
 from homcoh import bundles as B
 from homcoh import parser
 from homcoh.bundles import bundle_expr
-from homcoh.parser import BundleSyntaxError, parse_bundle, parse_collection
+from homcoh.parser import BundleSyntaxError, parse_bundle, parse_collection, parse_weight
 
 
 def test_spec_examples():
-    assert parse_bundle("Sym2 Uv (2)") == B.sym_Uv(2, 2)
+    assert parse_bundle("Sym2 Uv (2)") == B.schur("Uv", "Sym", 2, 2)
     assert parse_bundle("U") == B.U()
     assert parse_bundle("O(0)") == B.O()
 
@@ -15,20 +15,20 @@ def test_spec_examples():
 def test_atoms_and_twists():
     assert parse_bundle("O(3)") == B.O(3)
     assert parse_bundle("Uv(-1)") == B.Uv(-1)
-    assert parse_bundle("That(6)") == B.That(6)
-    assert parse_bundle("Ktilde(2)") == B.Ktilde(2)
+    assert parse_bundle("That(6)") == B.Named("That", 6)
+    assert parse_bundle("Ktilde(2)") == B.Named("Ktilde", 2)
     assert parse_bundle("W") == B.Uv()
-    assert parse_bundle("T(1)") == B.T(1)
+    assert parse_bundle("T(1)") == B.schur("Uv", "Wedge", 2, 1)
     assert parse_bundle("R") == B.R()
 
 
 def test_prefix_operators():
-    assert parse_bundle("dual That (1)") == B.Thatv(1)
+    assert parse_bundle("dual That (1)") == B.Named("Thatv", 1)
     assert parse_bundle("dual Uv") == B.U()
-    assert parse_bundle("Wedge2 Rv (4)") == B.wedge_Rv(2, 4)
-    assert parse_bundle("Sym2 U (1)") == B.twist(B.sym_U(2), 1)
-    assert parse_bundle("Sym2 (Uv(1))") == B.sym_Uv(2, 2)
-    assert parse_bundle("Wedge4 Uv") == B.wedge_Uv(4)
+    assert parse_bundle("Wedge2 Rv (4)") == B.schur("Rv", "Wedge", 2, 4)
+    assert parse_bundle("Sym2 U (1)") == B.twist(B.schur("U", "Sym", 2), 1)
+    assert parse_bundle("Sym2 (Uv(1))") == B.schur("Uv", "Sym", 2, 2)
+    assert parse_bundle("Wedge4 Uv") == B.schur("Uv", "Wedge", 4)
 
 
 def test_weight_literals():
@@ -48,7 +48,7 @@ def test_sum_and_tensor():
 
 
 def test_whitespace_insensitive():
-    assert parse_bundle("  Sym2   Uv(2)") == B.sym_Uv(2, 2)
+    assert parse_bundle("  Sym2   Uv(2)") == B.schur("Uv", "Sym", 2, 2)
     assert parse_bundle("D5[ 0 , 0 , 1 , -2 , 0 ]") == B.irr(B.D5_P4, (0, 0, 1, -2, 0))
 
 
@@ -84,17 +84,35 @@ def test_errors_carry_positions():
         assert str(err.value) == f"{message} (at position {position})", text
 
 
+def test_parse_weight_reads_the_bracket_list_of_a_weight_literal():
+    for text in ("[1,-2,0]", " [ 1 , -2,0 ] ", "[0,0,0,0,0]"):
+        assert parse_weight(text) == tuple(int(c) for c in text.strip(" []").split(",")), text
+    for text, message, position in (
+        ("", "expected '[', found ''", 0),
+        ("1,0", "expected '[', found '1'", 0),
+        ("[]", "expected int, found ']'", 1),
+        ("[1_0]", "unexpected character '_'", 2),
+        ("[+1]", "expected int, found '+'", 1),
+        ("[1,0", "expected ']', found ''", 4),
+        ("[1,0] x", "trailing input 'x'", 6),
+    ):
+        with pytest.raises(BundleSyntaxError) as err:
+            parse_weight(text)
+        assert str(err.value) == f"{message} (at position {position})", text
+
+
 def test_expr_roundtrip():
     # Every object prints in one form, its repr, and that form parses back.
     objs = [
-        B.O(5), B.Uv(3), B.U(7), B.sym_Uv(2, 2), B.That(6), B.Thatv(1),
-        B.Ktilde(2), B.Ktildev(-2), B.T(4), B.wedge_Rv(2, 4), B.sym_Rv(2, 3),
-        B.R(), B.wedge_R(3, 1), B.irr(B.D5_P4, (1, 2, 0, -3, 1)),
+        B.O(5), B.Uv(3), B.U(7), B.schur("Uv", "Sym", 2, 2), B.Named("That", 6), B.Named("Thatv", 1),
+        B.Named("Ktilde", 2), B.Named("Ktildev", -2), B.schur("Uv", "Wedge", 2, 4),
+        B.schur("Rv", "Wedge", 2, 4), B.schur("Rv", "Sym", 2, 3),
+        B.R(), B.schur("R", "Wedge", 3, 1), B.irr(B.D5_P4, (1, 2, 0, -3, 1)),
         B.direct_sum(B.Uv(), B.O(1)),
         # multi-part sums, with multiplicities and unnamed parts
         B.make_sum(B.D5_P4, {(1, 0, 0, 0, 0): 2, (0, 0, 0, 1, 0): 1, (1, 2, 0, -3, 1): 3}),
         B.make_sum(B.B4_Q4, {(1, 0, 0, 0): 1, (0, 0, 0, 2): 2, (2, 0, 1, -1): 1}),
-        B.tensor(B.sym_Uv(2), B.U(1)),
+        B.tensor(B.schur("Uv", "Sym", 2), B.U(1)),
         # O(k) spelled on B4/Q4 is O(k); within a B4/Q4 sum it prints as a weight
         *(B.irr(B.B4_Q4, (0, 0, 0, k)) for k in range(-3, 4)),
         *(B.direct_sum(B.R(), B.O(k)) for k in range(-3, 4)),
@@ -146,8 +164,9 @@ def test_collection_files():
 
 
 ATOM_CONSTRUCTORS = {
-    "O": B.O, "U": B.U, "Uv": B.Uv, "R": B.R, "Rv": B.Rv, "W": B.W, "T": B.T,
-    "That": B.That, "Thatv": B.Thatv, "Ktilde": B.Ktilde, "Ktildev": B.Ktildev,
+    "O": B.O, "U": B.U, "Uv": B.Uv, "R": B.R, "Rv": B.Rv, "W": B.Uv,
+    "T": lambda k=0: B.schur("Uv", "Wedge", 2, k),
+    **{name: lambda k=0, name=name: B.Named(name, k) for name in ("That", "Thatv", "Ktilde", "Ktildev")},
 }
 
 
@@ -173,7 +192,7 @@ def test_each_string_is_parsed_once():
     for text in texts:
         obj = parse_bundle(text)
         assert parse_bundle(text) is obj, text
-        assert obj == parser._Parser(text).parse(), text
+        assert obj == parser._Parser(text).parse(parser._Parser.expr), text
 
 
 def test_a_failed_parse_is_not_kept():
