@@ -15,9 +15,12 @@ The Euler characteristic takes no route, so it checks the chases from
 outside: chi(E, F) pairs the K-classes of bundles.kclass, a sum of direct
 BBW terms chi(L1-dual (x) L2) over their Levi pieces, on B4/Q4 when a piece
 lives there (D5/P4 pieces branched by levi.branch_levi).  An engine keeps
-each object's class as pieces on both descriptions and each chi(L1-dual (x)
-L2) once per twist class, with L1 at level zero, so a pairing of objects
-already seen reads one table entry per pair of pieces and computes nothing.
+each object's class as pieces on both descriptions, each split at the marked
+coordinate into its weight at level zero and its charge, and each
+chi(L1-dual (x) L2) once per twist class, under the two weights at level
+zero and the difference of their charges.  So a pairing of objects already
+seen builds one small key per pair of pieces, reads one table entry for it,
+and computes nothing.
 
 An Ext answer has one shape, the flat multiset of its graded pieces: an
 ExtResult holds them as (degree, entry, mult) tuples sorted by (degree,
@@ -44,7 +47,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 
 from . import bbw, bundles, levi, roots
 from .bundles import BundleObject, Named, Sequence, Sum, Term
@@ -53,6 +56,7 @@ from .roots import Frozen, InternalConsistencyError
 Entry = tuple[bundles.RepFactor, ...]
 Graded = dict[tuple[int, Entry], int]  # (degree, entry) -> multiplicity
 Route = tuple[Sequence, int, int, bool]  # a chase: sequence, index, twist, contravariant
+Pieces = tuple[tuple[roots.Weight, int, int], ...]  # a K-class: (Levi weight at level zero, charge, n)
 
 
 def _entry(*factors: bundles.RepFactor) -> Entry:
@@ -116,7 +120,7 @@ class ExtResult(Frozen):
         return out
 
     def euler(self) -> int:
-        return sum((-1) ** p * m * entry_dim(e) for p, e, m in self.pieces)
+        return sum(-m * entry_dim(e) if p & 1 else m * entry_dim(e) for p, e, m in self.pieces)
 
     @property
     def is_zero(self) -> bool:
@@ -127,13 +131,19 @@ class ExtResult(Frozen):
         """True when no graded piece carries an unexpanded tensor factor."""
         return all(len(entry) <= 1 for _, entry, _ in self.pieces)
 
-    def invariant_part(self) -> "ExtResult":
-        """The equivariant answer: per degree p, C^m[-p] with m the multiplicity
-        of the trivial B4 representation (levi.invariant_multiplicity_entry)."""
-        acc: Graded = {}
+    def invariant_dims(self) -> dict[int, int]:
+        """Per degree p, the multiplicity m of the trivial B4 representation
+        (levi.invariant_multiplicity_entry): degrees ascending, none with m = 0."""
+        out: dict[int, int] = {}
         for p, entry, m in self.pieces:
-            add_piece(acc, p, (), m * levi.invariant_multiplicity_entry(entry))
-        return ExtResult.from_dict(acc)
+            n = m * levi.invariant_multiplicity_entry(entry)
+            if n:
+                out[p] = out.get(p, 0) + n
+        return out
+
+    def invariant_part(self) -> "ExtResult":
+        """The equivariant answer: per degree p, C^m[-p] (invariant_dims)."""
+        return ExtResult(tuple((p, (), m) for p, m in self.invariant_dims().items()))
 
     def __repr__(self) -> str:
         return " + ".join(format_graded(self))
@@ -203,15 +213,21 @@ def _on_space(pb: roots.Parabolic, cls: bundles.KClass) -> dict[roots.Weight, in
     return out
 
 
-def _class_pieces(obj: BundleObject) -> tuple[bundles.Parts | None, bundles.Parts]:
-    """The class of obj (bundles.kclass) as nonzero (Levi weight, n) pieces
-    twice: on D5/P4, or None when a piece lives on B4/Q4; and on B4/Q4, its
-    D5/P4 pieces branched (_on_space)."""
+def _split_charges(pb: roots.Parabolic, parts: Iterable[tuple[roots.Weight, int]]) -> Pieces:
+    """The nonzero (Levi weight, n) parts on pb as (the weight at level zero, its charge, n)."""
+    i = pb.marked[0] - 1
+    return tuple((w[:i] + (0,) + w[i + 1 :], w[i], n) for w, n in parts if n)
+
+
+def _class_pieces(obj: BundleObject) -> tuple[Pieces | None, Pieces]:
+    """The class of obj (bundles.kclass) as nonzero pieces twice, each split
+    at the marked coordinate (_split_charges): on D5/P4, or None when a
+    piece lives on B4/Q4; and on B4/Q4, its D5/P4 pieces branched (_on_space)."""
     cls = bundles.kclass(obj)
-    on_b4 = tuple((w, n) for w, n in _on_space(bundles.B4_Q4, cls).items() if n)
+    on_b4 = _split_charges(bundles.B4_Q4, _on_space(bundles.B4_Q4, cls).items())
     if any(space == bundles.B4_Q4 for space, _ in cls):
         return None, on_b4
-    return tuple((w, n) for (_, w), n in cls.items()), on_b4
+    return _split_charges(bundles.D5_P4, ((w, n) for (_, w), n in cls.items())), on_b4
 
 
 def _tensor_coeff(res: ExtResult, coeff: bundles.Coeff) -> ExtResult:
@@ -244,19 +260,20 @@ class ExtEngine:
 
     - _pairs: (pb, w1, w2) -> the direct BBW answer Ext(E_w1, E_w2) for two
       irreducibles, an ExtResult (_pair_pieces);
-    - _levi_chis: (pb, w1, w2) -> chi(E_w1-dual (x) E_w2), the Euler
-      characteristic of the _pairs answer (_levi_chi), for the Euler form.
-      Like the Ext memo, it keeps one key per twist class, the pair with
-      w1 at level zero, to which euler moves each pair of pieces;
+    - _levi_chis: (pb, w1, w2, d) -> chi(E_w1-dual (x) E_w2'), w1 and w2
+      at level zero and w2' = w2 at charge d, the Euler characteristic of
+      the _pairs answer at (pb, w1, w2') (_levi_chi), for the Euler form.
+      Like the Ext memo, it keeps one key per twist class: d is the charge
+      of the second piece minus that of the first;
     - _levi_duals: (pb, w) -> roots.dualize_levi(pb, w);
     - _cohomology: (pb, nu) -> bbw.bbw_cohomology(pb, nu);
     - _terms: (term, t, contravariant) -> the term's object twisted by t
       and its coefficient, dualized when contravariant (_term_at, through
       bundles.coeff_dual), for chase columns;
     - _classes: (obj,) -> the K-class of obj (one bundles.kclass call) as
-      (weight, n) pieces on D5/P4, or None when a piece lives on B4/Q4,
-      and as pieces on B4/Q4, branched once (_class_pieces): the classes
-      the Euler form pairs.
+      (weight at level zero, charge, n) pieces on D5/P4, or None when a
+      piece lives on B4/Q4, and as pieces on B4/Q4, branched once
+      (_class_pieces): the classes the Euler form pairs.
 
     The tables start empty and live exactly as long as the engine; they
     are not module-level caches.  A fresh engine recomputes through the
@@ -303,20 +320,22 @@ class ExtEngine:
         return self.ext(bundles.O(), E)
 
     def ext_equivariant(self, E: BundleObject, F: BundleObject) -> dict[int, int] | Ambiguous:
-        """The dimensions of ext(E, F).invariant_part(), degree by degree."""
+        """The dimensions of ext(E, F).invariant_part(), degree by degree, read
+        from the Ext answer without building it (ExtResult.invariant_dims)."""
         res = self.ext(E, F)
         if isinstance(res, Ambiguous):
             return res
-        return res.invariant_part().dims()
+        return res.invariant_dims()
 
     def euler(self, E: BundleObject, F: BundleObject) -> int:
         """chi(E, F): the sum of a b chi(L1-dual (x) L2) over the pieces a L1 of the
         class of E and b L2 of that of F, on D5/P4 unless a piece lives on B4/Q4.
 
         chi(L1(k)-dual (x) L2(k)) = chi(L1-dual (x) L2), so each pair of
-        pieces is read, or computed once, with L1 at level zero.  A warm
+        pieces is read, or computed once, by its weights at level zero and
+        the difference of their charges, as _classes keeps them.  A warm
         pairing reads two _classes entries and one _levi_chis entry per pair
-        of pieces, and computes nothing."""
+        of pieces, builds no weight, and computes nothing."""
         classes = self._classes
         a, a_b4 = classes.get((E,)) or _lookup(classes, _class_pieces, E)
         b, b_b4 = classes.get((F,)) or _lookup(classes, _class_pieces, F)
@@ -324,14 +343,11 @@ class ExtEngine:
             pb, a, b = bundles.B4_Q4, a_b4, b_b4
         else:
             pb = bundles.D5_P4
-        i = pb.marked[0] - 1
         chis = self._levi_chis
         total = 0
-        for w1, n1 in a:
-            k = w1[i]
-            w1 = w1[:i] + (0,) + w1[i + 1 :]
-            for w2, n2 in b:
-                key = pb, w1, w2[:i] + (w2[i] - k,) + w2[i + 1 :]
+        for w1, k1, n1 in a:
+            for w2, k2, n2 in b:
+                key = pb, w1, w2, k2 - k1
                 chi = chis.get(key)
                 if chi is None:
                     chi = _lookup(chis, self._levi_chi, *key)
@@ -468,9 +484,11 @@ class ExtEngine:
 
     # -- Euler characteristics --------------------------------------------
 
-    def _levi_chi(self, pb: roots.Parabolic, w1: roots.Weight, w2: roots.Weight) -> int:
-        """chi(E_w1-dual (x) E_w2) for two irreducibles, from their direct BBW answer."""
-        return _lookup(self._pairs, self._pair_pieces, pb, w1, w2).euler()
+    def _levi_chi(self, pb: roots.Parabolic, w1: roots.Weight, w2: roots.Weight, d: int) -> int:
+        """chi(E_w1-dual (x) E_w2') for two irreducibles, w1 and w2 at level
+        zero and w2' = w2 at charge d, from their direct BBW answer (_pairs)."""
+        i = pb.marked[0] - 1
+        return _lookup(self._pairs, self._pair_pieces, pb, w1, w2[:i] + (d,) + w2[i + 1 :]).euler()
 
 
 def _merge(target: Graded, col: ExtResult, shift: int) -> None:

@@ -260,11 +260,12 @@ def test_no_sum_takes_a_multiplicity_that_is_not_a_positive_int():
     # One rule in make_sum and Sum: a Python int of at least 1.  A fresh
     # process, since a float stored once would be what later calls find.
     import json
+    import os
     import subprocess
     import sys
     from pathlib import Path
 
-    env = {"PYTHONPATH": str(Path(B.__file__).parents[1])}
+    env = dict(os.environ, PYTHONPATH=str(Path(B.__file__).parents[1]))
     run = subprocess.run(
         [sys.executable, "-c", _NON_INTEGER_MULTIPLICITIES], env=env, capture_output=True, text=True
     )

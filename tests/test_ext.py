@@ -3,7 +3,7 @@ import random
 import ledger
 import pytest
 
-from homcoh import bbw
+from homcoh import bbw, levi
 from homcoh import bundles as B
 from homcoh import ext as X
 from homcoh import roots
@@ -250,8 +250,9 @@ def test_kernel_tables_compute_each_key_once_per_engine(monkeypatch):
     for name, keys in first.items():
         assert keys, f"{name} was never reached"
         assert len(keys) == len(set(keys)), f"{name}: {len(keys)} calls for {len(set(keys))} keys"
-    # The Euler form computes chi(L1-dual (x) L2) only with L1 at level zero.
-    assert all(w1[pb.marked[0] - 1] == 0 for pb, w1, _ in first["_levi_chi"])
+    # The Euler form computes chi(L1-dual (x) L2) only with both weights at
+    # level zero, the difference of their charges apart.
+    assert all(w1[pb.marked[0] - 1] == w2[pb.marked[0] - 1] == 0 for pb, w1, w2, _ in first["_levi_chi"])
     # The tables belong to the engine: a second one computes everything again.
     assert run_fresh_engine() == first
 
@@ -364,21 +365,16 @@ def test_euler_form_is_serre_dual():
 
 
 def _old_pairing(ref, E, F):
-    """ExtEngine.euler as it read before the engine kept classes as
-    pieces: both classes taken from bundles.kclass and put on one space on
-    every call, every pair of pieces read from the table of ref at level zero."""
+    """ExtEngine.euler as a sum that shares no table of the pairing: both
+    classes taken from bundles.kclass and put on one space on every call,
+    every pair of pieces at the levels it has, its chi the Euler
+    characteristic of its direct BBW answer on ref (_pair_pieces).  ref's
+    _levi_chis is never read, and no piece is moved to level zero."""
     classes = B.kclass(E), B.kclass(F)
     on_b4 = any(space == B.B4_Q4 for cls in classes for space, _ in cls)
     pb = B.B4_Q4 if on_b4 else B.D5_P4
     a, b = (X._on_space(pb, cls) for cls in classes)
-    i = pb.marked[0] - 1
-    total = 0
-    for w1, n1 in a.items():
-        k = w1[i]
-        for w2, n2 in b.items():
-            key = (w1[:i] + (0,) + w1[i + 1 :], w2[:i] + (w2[i] - k,) + w2[i + 1 :])
-            total += n1 * n2 * X._lookup(ref._levi_chis, ref._levi_chi, pb, *key)
-    return total
+    return sum(n1 * n2 * ref._pair_pieces(pb, w1, w2).euler() for w1, n1 in a.items() for w2, n2 in b.items())
 
 
 # The 13 x 13 grid at twists -3..3 and the Serre dual (F, E(-8)) of each pair.
@@ -417,14 +413,16 @@ def test_euler_matches_the_old_pairing_on_pieces_at_different_levels():
         for F in objs:
             assert eng.euler(E, F) == _old_pairing(ref, E, F), (E, F)
     # The classes have pieces away from level zero, and _levi_chis keeps
-    # each pair of pieces with w1 at level zero only: one key per twist class.
+    # each pair of pieces with both weights at level zero only, the
+    # difference of their charges apart: one key per twist class.
     away = 0
     for E in objs:
         on_d5, on_b4 = X._class_pieces(E)
         for pb, pieces in ((D5_P4, on_d5 or ()), (B.B4_Q4, on_b4)):
-            away += sum(1 for w, _ in pieces if w[pb.marked[0] - 1])
+            assert all(w[pb.marked[0] - 1] == 0 for w, _, _ in pieces), E
+            away += sum(1 for _, k, _ in pieces if k)
     assert away
-    assert all(w1[pb.marked[0] - 1] == 0 for pb, w1, _ in eng._levi_chis)
+    assert all(w1[pb.marked[0] - 1] == w2[pb.marked[0] - 1] == 0 for pb, w1, w2, _ in eng._levi_chis)
 
 
 def test_a_warm_pairing_computes_nothing(monkeypatch, euler_reference):
@@ -439,6 +437,54 @@ def test_a_warm_pairing_computes_nothing(monkeypatch, euler_reference):
     monkeypatch.setattr(ExtEngine, "_levi_chi", computes)
     monkeypatch.setattr(X, "_on_space", computes)
     assert [eng.euler(E, F) for E, F in pairs] == first
+
+
+def test_twisted_pairings_compute_the_chis_of_the_untwisted_ones(monkeypatch):
+    # (E(k), F(k)) is in the twist class of (E, F): a fresh engine asked the
+    # twisted pairs computes the same _levi_chis keys, each once, and no more.
+    calls = []
+    levi_chi = ExtEngine._levi_chi
+
+    def logged(self, *key):
+        calls.append(key)
+        return levi_chi(self, *key)
+
+    monkeypatch.setattr(ExtEngine, "_levi_chi", logged)
+    objs = [parse_bundle(e) for e in MIXED_LEVELS]
+    computed, answers = {}, {}
+    for k in (0, -2, 3):
+        calls.clear()
+        eng = ExtEngine()
+        twisted = [B.twist(E, k) for E in objs]
+        answers[k] = [eng.euler(E, F) for E in twisted for F in twisted]
+        computed[k] = list(calls)
+    assert computed[0] and len(computed[0]) == len(set(computed[0]))
+    for k in (-2, 3):
+        assert answers[k] == answers[0], k
+        assert len(computed[k]) == len(computed[0]) and set(computed[k]) == set(computed[0]), k
+
+
+def test_equivariant_answers_are_the_invariant_counts_of_the_ext_answers():
+    eng = ExtEngine()
+    exact = nonzero = 0
+    for e, f in EULER_GRID[:1183]:  # the grid, without its Serre duals
+        E, F = parse_bundle(e), parse_bundle(f)
+        equivariant = eng.ext_equivariant(E, F)
+        res = eng.ext(E, F)
+        if isinstance(res, Ambiguous):
+            assert equivariant == res, (e, f)
+            continue
+        # The trivial B4 representation counted piece by piece, degrees ascending.
+        expected = {}
+        for p, entry, m in res.pieces:
+            n = m * levi.invariant_multiplicity_entry(entry)
+            if n:
+                expected[p] = expected.get(p, 0) + n
+        assert equivariant == res.invariant_part().dims() == expected, (e, f)
+        assert list(res.invariant_dims().items()) == sorted(expected.items()), (e, f)
+        exact += 1
+        nonzero += bool(expected)
+    assert exact > 800 and nonzero
 
 
 def test_a_chase_that_fails_is_none(monkeypatch):

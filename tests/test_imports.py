@@ -81,6 +81,58 @@ def test_private_definition_scan_catches_dead_code():
     assert _unreferenced_private_definitions([source]) == {"_dead", "_method", "_Gone"}
 
 
+TESTS = Path(__file__).parent
+
+
+def _is_environ(node: ast.AST) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "environ" and isinstance(node.value, ast.Name) and node.value.id == "os"
+
+
+def _bare_child_environments(source: str) -> list[int]:
+    """The lines of the dicts, literals or dict(...) calls, that a call is
+    given as env=, directly or through a name, which do not start from
+    os.environ: a child interpreter run with one loses the settings of the
+    run, PYTHONDONTWRITEBYTECODE among them."""
+    tree = ast.parse(source)
+    values = [k.value for node in ast.walk(tree) if isinstance(node, ast.Call) for k in node.keywords if k.arg == "env"]
+    names = {v.id for v in values if isinstance(v, ast.Name)}
+    values += [
+        node.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id in names for t in node.targets)
+    ]
+    bare = []
+    for v in values:
+        if isinstance(v, ast.Dict):
+            starts = bool(v.keys) and v.keys[0] is None and _is_environ(v.values[0])
+        elif isinstance(v, ast.Call) and isinstance(v.func, ast.Name) and v.func.id == "dict":
+            starts = bool(v.args) and _is_environ(v.args[0])
+        else:
+            continue
+        if not starts:
+            bare.append(v.lineno)
+    return sorted(bare)
+
+
+def test_child_interpreters_of_the_tests_keep_the_environment():
+    found = {p.name: _bare_child_environments(p.read_text(encoding="utf-8")) for p in sorted(TESTS.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_child_environment_scan_catches_a_bare_dict():
+    source = (
+        "import os, subprocess\n"
+        "env = {'PYTHONPATH': 'src'}\n"
+        "subprocess.run(['python'], env=env)\n"
+        "subprocess.run(['python'], env=dict(PYTHONPATH='src'))\n"
+        "subprocess.run(['python'], env={**os.environ, 'PYTHONPATH': 'src'})\n"
+        "subprocess.run(['python'], env=dict(os.environ, PYTHONPATH='src'))\n"
+        "subprocess.run(['python'], env=child_env())\n"
+        "kept = {'PYTHONPATH': 'src'}\n"
+    )
+    assert _bare_child_environments(source) == [2, 4]
+
+
 def _unreferenced_public_methods(sources: list[str]) -> set[str]:
     """Public methods, dunders left out, whose name no code mentions outside
     their own body.  By name only: a method that shares its name with

@@ -340,11 +340,12 @@ print(json.dumps(out))
 
 def test_no_split_or_readback_entry_holds_a_non_int():
     import json
+    import os
     import subprocess
     import sys
     from pathlib import Path
 
-    env = {"PYTHONPATH": str(Path(roots.__file__).parents[1])}
+    env = dict(os.environ, PYTHONPATH=str(Path(roots.__file__).parents[1]))
     run = subprocess.run([sys.executable, "-c", _NON_INTEGER_SPLITS], env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     found = json.loads(run.stdout)

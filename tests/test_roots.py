@@ -464,11 +464,12 @@ print(json.dumps({
 
 def test_no_entry_takes_a_weight_that_is_not_made_of_ints():
     import json
+    import os
     import subprocess
     import sys
     from pathlib import Path
 
-    env = {"PYTHONPATH": str(Path(roots.__file__).parents[1])}
+    env = dict(os.environ, PYTHONPATH=str(Path(roots.__file__).parents[1]))
     run = subprocess.run([sys.executable, "-c", _NON_INTEGER_WEIGHTS], env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     found = json.loads(run.stdout)
