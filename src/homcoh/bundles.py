@@ -58,11 +58,13 @@ Named.__new__ set, when they store an object, its level (the marked
 coordinate of its first part, or its twist) and its base, the stored
 object at level zero that it is the twist by level of.  So E and F are
 twists of each other exactly when E.base is F.base, and twist goes
-through the constructors like every other route to a Sum.
+through the constructors like every other route to a Sum.  A Sum also
+keeps its parts as pieces (split_charges), and its level is its first charge.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from functools import lru_cache
 
 from . import bbw, levi, roots
@@ -73,12 +75,13 @@ from .roots import (
 RepFactor = tuple[LieDatum, Weight]
 Coeff = tuple[tuple[RepFactor, int], ...]  # multiset of full-group weights
 Parts = tuple[tuple[Weight, int], ...]  # (Levi weight, multiplicity) pairs
+Pieces = tuple[tuple[Weight, int, int], ...]  # (Levi weight at level zero, charge, n)
 
 
 class Sum(Interned):
     """Direct sum of irreducible homogeneous bundles, all in one description;
-    a sum of twists of O is always on D5/P4.  Besides its fields it has a
-    level and a base (see the module docstring)."""
+    a sum of twists of O is always on D5/P4.  Besides its fields it has
+    pieces, a level and a base (see the module docstring)."""
 
     _fields = ("space", "parts")
     _table: dict[tuple[Parabolic, Parts], Sum] = {}
@@ -98,7 +101,8 @@ class Sum(Interned):
             if on_d5 is not None:  # a sum of twists of O lives on D5/P4 only
                 self = cls(D5_P4, on_d5)
             else:
-                k = parts[0][0][space.marked[0] - 1]
+                object.__setattr__(self, "pieces", split_charges(space, parts))
+                k = self.pieces[0][1]
                 object.__setattr__(self, "level", k)
                 object.__setattr__(self, "base", cls(space, _shifted(space, parts, -k)) if k else self)
             self = cls._table.setdefault((space, parts), self)
@@ -155,6 +159,12 @@ def make_sum(space: Parabolic, parts: dict[Weight, int] | list[tuple[Weight, int
 
 def irr(space: Parabolic, w: Weight) -> Sum:
     return make_sum(space, {tuple(w): 1})
+
+
+def split_charges(space: Parabolic, parts: Iterable[tuple[Weight, int]]) -> Pieces:
+    """The nonzero (Levi weight, n) parts on space as (the weight at level zero, its charge, n)."""
+    i = space.marked[0] - 1
+    return tuple((w[:i] + (0,) + w[i + 1 :], w[i], n) for w, n in parts if n)
 
 
 def _shifted(space: Parabolic, parts: Parts, k: int) -> Parts:

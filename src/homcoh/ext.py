@@ -16,11 +16,12 @@ outside: chi(E, F) pairs the K-classes of bundles.kclass, a sum of direct
 BBW terms chi(L1-dual (x) L2) over their Levi pieces, on B4/Q4 when a piece
 lives there (D5/P4 pieces branched by levi.branch_levi).  An engine keeps
 each object's class as pieces on both descriptions, each split at the marked
-coordinate into its weight at level zero and its charge, and each
-chi(L1-dual (x) L2) once per twist class, under the two weights at level
-zero and the difference of their charges.  So a pairing of objects already
-seen builds one small key per pair of pieces, reads one table entry for it,
-and computes nothing.
+coordinate into its weight at level zero and its charge (bundles.Sum.pieces),
+and each direct answer Ext(L1, L2) with its chi(L1-dual (x) L2) once per twist
+class, under the two weights at level zero and the difference of their
+charges: the one entry that the direct Ext of two sums reads too.  So a
+pairing of objects already seen builds one small key per pair of pieces,
+reads one table entry for it, and computes nothing.
 
 An Ext answer has one shape, the flat multiset of its graded pieces: an
 ExtResult holds them as (degree, entry, mult) tuples sorted by (degree,
@@ -39,24 +40,22 @@ keeps one Ext per twist class of pairs, under the pair with E at level
 zero (E.base, see bundles), Ambiguous answers included when no cycle was
 cut while computing them (see ExtEngine), their reasons naming no pair.
 A chase that fails gives None, not an answer: every Ambiguous carries the
-exact Euler characteristic, except the cycle cut, which only a chase
-inside another computation meets.
+exact Euler characteristic, except the cycle cut (None), which only a
+chase inside another computation meets.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterator
 
 from . import bbw, bundles, levi, roots
-from .bundles import BundleObject, Named, Sequence, Sum, Term
+from .bundles import BundleObject, Named, Pieces, Sequence, Sum, Term
 from .roots import Frozen, InternalConsistencyError
 
 Entry = tuple[bundles.RepFactor, ...]
 Graded = dict[tuple[int, Entry], int]  # (degree, entry) -> multiplicity
 Route = tuple[Sequence, int, int, bool]  # a chase: sequence, index, twist, contravariant
-Pieces = tuple[tuple[roots.Weight, int, int], ...]  # a K-class: (Levi weight at level zero, charge, n)
 
 
 def _entry(*factors: bundles.RepFactor) -> Entry:
@@ -150,11 +149,11 @@ class ExtResult(Frozen):
 
 
 class Ambiguous(Frozen):
-    """The chase did not degenerate; only the Euler characteristic is known."""
+    """The chase did not degenerate; only the Euler characteristic is known (None for a cycle cut)."""
 
     _fields = ("euler", "reason")
 
-    def __init__(self, euler: int, reason: str = "") -> None:
+    def __init__(self, euler: int | None, reason: str = "") -> None:
         object.__setattr__(self, "euler", euler)
         object.__setattr__(self, "reason", reason)
 
@@ -213,21 +212,17 @@ def _on_space(pb: roots.Parabolic, cls: bundles.KClass) -> dict[roots.Weight, in
     return out
 
 
-def _split_charges(pb: roots.Parabolic, parts: Iterable[tuple[roots.Weight, int]]) -> Pieces:
-    """The nonzero (Levi weight, n) parts on pb as (the weight at level zero, its charge, n)."""
-    i = pb.marked[0] - 1
-    return tuple((w[:i] + (0,) + w[i + 1 :], w[i], n) for w, n in parts if n)
-
-
 def _class_pieces(obj: BundleObject) -> tuple[Pieces | None, Pieces]:
-    """The class of obj (bundles.kclass) as nonzero pieces twice, each split
-    at the marked coordinate (_split_charges): on D5/P4, or None when a
-    piece lives on B4/Q4; and on B4/Q4, its D5/P4 pieces branched (_on_space)."""
+    """The class of obj (bundles.kclass) as nonzero pieces twice, each split at
+    the marked coordinate (Sum.pieces, else bundles.split_charges): on D5/P4, or
+    None when a piece lives on B4/Q4; and on B4/Q4, branched (_on_space)."""
     cls = bundles.kclass(obj)
-    on_b4 = _split_charges(bundles.B4_Q4, _on_space(bundles.B4_Q4, cls).items())
+    on_b4 = bundles.split_charges(bundles.B4_Q4, _on_space(bundles.B4_Q4, cls).items())
     if any(space == bundles.B4_Q4 for space, _ in cls):
         return None, on_b4
-    return _split_charges(bundles.D5_P4, ((w, n) for (_, w), n in cls.items())), on_b4
+    if isinstance(obj, Sum):
+        return obj.pieces, on_b4
+    return bundles.split_charges(bundles.D5_P4, ((w, n) for (_, w), n in cls.items())), on_b4
 
 
 def _tensor_coeff(res: ExtResult, coeff: bundles.Coeff) -> ExtResult:
@@ -249,22 +244,21 @@ class ExtEngine:
     (E, F) correspond one to one and give equal answers.  An ExtResult is
     always memoized, also when a cut happened below it.  An Ambiguous is
     memoized only when _cuts did not move while it was computed: _cuts
-    counts the cycle cuts, the "cyclic dependency" placeholder answered to
-    a pair already on the stack, which is never stored.  It is the one
-    placeholder the engine builds, and a call at the top level, with an
-    empty stack, never meets it.
+    counts the cycle cuts, the "cyclic dependency" Ambiguous, with no Euler
+    characteristic (None), answered to a pair already on the stack, which
+    is never stored.  It is the one such answer the engine builds, and a
+    call at the top level, with an empty stack, never meets it.
 
-    Besides the Ext memo, an engine keeps six kernel tables of pure values,
+    Besides the Ext memo, an engine keeps five kernel tables of pure values,
     each filled on its first lookup through _lookup and keyed by the
     arguments of the function that fills it:
 
-    - _pairs: (pb, w1, w2) -> the direct BBW answer Ext(E_w1, E_w2) for two
-      irreducibles, an ExtResult (_pair_pieces);
-    - _levi_chis: (pb, w1, w2, d) -> chi(E_w1-dual (x) E_w2'), w1 and w2
-      at level zero and w2' = w2 at charge d, the Euler characteristic of
-      the _pairs answer at (pb, w1, w2') (_levi_chi), for the Euler form.
-      Like the Ext memo, it keeps one key per twist class: d is the charge
-      of the second piece minus that of the first;
+    - _pairs: (pb, w1, w2, d) -> (the direct BBW answer Ext(E_w1, E_w2'),
+      an ExtResult, and its Euler characteristic chi(E_w1-dual (x) E_w2'))
+      for two irreducibles, w1 and w2 at level zero and w2' = w2 at charge
+      d (_pair_pieces).  Like the Ext memo, it keeps one key per twist
+      class: d is the charge of the second piece minus that of the first.
+      _direct reads the answer and euler the Euler characteristic;
     - _levi_duals: (pb, w) -> roots.dualize_levi(pb, w);
     - _cohomology: (pb, nu) -> bbw.bbw_cohomology(pb, nu);
     - _terms: (term, t, contravariant) -> the term's object twisted by t
@@ -289,7 +283,6 @@ class ExtEngine:
         self._stack: set = set()  # membership only: its order varies by process
         self._cuts = 0  # "cyclic dependency" placeholders handed out
         self._pairs: dict = {}
-        self._levi_chis: dict = {}
         self._levi_duals: dict = {}
         self._cohomology: dict = {}
         self._terms: dict = {}
@@ -305,7 +298,7 @@ class ExtEngine:
             return result
         if key in self._stack:
             self._cuts += 1
-            return Ambiguous(0, "cyclic dependency")
+            return Ambiguous(None, "cyclic dependency")
         self._stack.add(key)
         cuts = self._cuts
         try:
@@ -332,10 +325,10 @@ class ExtEngine:
         class of E and b L2 of that of F, on D5/P4 unless a piece lives on B4/Q4.
 
         chi(L1(k)-dual (x) L2(k)) = chi(L1-dual (x) L2), so each pair of
-        pieces is read, or computed once, by its weights at level zero and
-        the difference of their charges, as _classes keeps them.  A warm
-        pairing reads two _classes entries and one _levi_chis entry per pair
-        of pieces, builds no weight, and computes nothing."""
+        pieces is read, or computed once, from the _pairs entry of its weights
+        at level zero and the difference of their charges, which _direct
+        reads too.  A warm pairing reads two _classes entries and one _pairs
+        entry per pair of pieces, builds no weight, and computes nothing."""
         classes = self._classes
         a, a_b4 = classes.get((E,)) or _lookup(classes, _class_pieces, E)
         b, b_b4 = classes.get((F,)) or _lookup(classes, _class_pieces, F)
@@ -343,15 +336,12 @@ class ExtEngine:
             pb, a, b = bundles.B4_Q4, a_b4, b_b4
         else:
             pb = bundles.D5_P4
-        chis = self._levi_chis
+        pairs = self._pairs
         total = 0
         for w1, k1, n1 in a:
             for w2, k2, n2 in b:
                 key = pb, w1, w2, k2 - k1
-                chi = chis.get(key)
-                if chi is None:
-                    chi = _lookup(chis, self._levi_chi, *key)
-                total += n1 * n2 * chi
+                total += n1 * n2 * (pairs.get(key) or _lookup(pairs, self._pair_pieces, *key))[1]
         return total
 
     # -- strategies ------------------------------------------------------
@@ -410,45 +400,52 @@ class ExtEngine:
 
     def _direct(self, E: BundleObject, F: BundleObject) -> ExtResult | None:
         """Ext of two sums as the sum over their pairs of irreducibles: on a
-        common description the direct BBW answers (_pairs), else, when the
-        two sides hold more than two summands, the Ext of each pair,
-        branched to B4.  None for any other pair, or when a pair is
-        Ambiguous, so that the chases run."""
+        common description the direct answers of their pieces, from _pairs as
+        in euler, else, when the two sides hold more than two summands, the
+        Ext of each pair, branched to B4.  None for any other pair, or when a
+        pair is Ambiguous, so that the chases run."""
         if not (isinstance(E, Sum) and isinstance(F, Sum)):
             return None
+        acc: Graded = {}
         common = bundles.common_parts(E, F)
         if common is not None:
             pb, e_parts, f_parts = common
-            pair = functools.partial(_lookup, self._pairs, self._pair_pieces, pb)
-        elif sum(m for _, m in E.parts + F.parts) > 2:
-            e_parts, f_parts = E.parts, F.parts
-
-            def pair(w1: roots.Weight, w2: roots.Weight) -> ExtResult | Ambiguous:
-                return self.ext(bundles.irr(E.space, w1), bundles.irr(F.space, w2))
-        else:
+            a = E.pieces if E.space == pb else bundles.split_charges(pb, e_parts)
+            b = F.pieces if F.space == pb else bundles.split_charges(pb, f_parts)
+            pairs = self._pairs
+            for w1, k1, n1 in a:
+                for w2, k2, n2 in b:
+                    key = pb, w1, w2, k2 - k1
+                    for p, entry, m in (pairs.get(key) or _lookup(pairs, self._pair_pieces, *key))[0].pieces:
+                        add_piece(acc, p, entry, n1 * n2 * m)
+            return ExtResult.from_dict(acc)
+        if sum(m for _, m in E.parts + F.parts) <= 2:
             return None
-        acc: Graded = {}
-        for w1, m1 in e_parts:
-            for w2, m2 in f_parts:
-                sub = pair(w1, w2)
+        for w1, m1 in E.parts:
+            for w2, m2 in F.parts:
+                sub = self.ext(bundles.irr(E.space, w1), bundles.irr(F.space, w2))
                 if isinstance(sub, Ambiguous):
                     return None
                 for p, entry, m in sub.pieces:
                     add_piece(acc, p, entry, m1 * m2 * m)
-        res = ExtResult.from_dict(acc)
-        return res if common else _branch_to_b4(res)
+        return _branch_to_b4(ExtResult.from_dict(acc))
 
-    def _pair_pieces(self, pb: roots.Parabolic, w1: roots.Weight, w2: roots.Weight) -> ExtResult:
-        """The direct answer Ext(E_w1, E_w2): the BBW cohomology of each Levi
-        piece of E_w1-dual tensor E_w2, repeated (degree, entry) keys merged."""
+    def _pair_pieces(
+        self, pb: roots.Parabolic, w1: roots.Weight, w2: roots.Weight, d: int
+    ) -> tuple[ExtResult, int]:
+        """Ext(E_w1, E_w2') for w2' = w2 at charge d, the BBW cohomology of each
+        Levi piece of E_w1-dual tensor E_w2' (repeated keys merged), and its chi."""
         datum = pb.datum
+        i = pb.marked[0] - 1
         w1d = _lookup(self._levi_duals, roots.dualize_levi, pb, w1)
         acc: Graded = {}
-        for nu, mult in levi.tensor_decompose(pb, w1d, w2).items():
+        chi = 0
+        for nu, mult in levi.tensor_decompose(pb, w1d, w2[:i] + (d,) + w2[i + 1 :]).items():
             coh = _lookup(self._cohomology, bbw.bbw_cohomology, pb, nu)
             if not coh.vanishes:
                 add_piece(acc, coh.degree, _entry((datum, coh.weight)), mult)
-        return ExtResult.from_dict(acc)
+                chi += -mult * coh.dim if coh.degree & 1 else mult * coh.dim
+        return ExtResult.from_dict(acc), chi
 
     # -- chase machinery ---------------------------------------------------
 
@@ -481,14 +478,6 @@ class ExtEngine:
             cols = cols[::-1]
             idx = len(cols) - 1 - idx
         return _solve_exact_sequence(cols, idx)
-
-    # -- Euler characteristics --------------------------------------------
-
-    def _levi_chi(self, pb: roots.Parabolic, w1: roots.Weight, w2: roots.Weight, d: int) -> int:
-        """chi(E_w1-dual (x) E_w2') for two irreducibles, w1 and w2 at level
-        zero and w2' = w2 at charge d, from their direct BBW answer (_pairs)."""
-        i = pb.marked[0] - 1
-        return _lookup(self._pairs, self._pair_pieces, pb, w1, w2[:i] + (d,) + w2[i + 1 :]).euler()
 
 
 def _merge(target: Graded, col: ExtResult, shift: int) -> None:

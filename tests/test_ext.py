@@ -222,7 +222,7 @@ def test_kernel_tables_compute_each_key_once_per_engine(monkeypatch):
     # count only the classes the engine asks for.
     _log_outer_calls(monkeypatch, B, "kclass", calls["kclass"])
     # Two methods, logged with their arguments and not the engine.
-    for name in ("_levi_chi", "_term_at"):
+    for name in ("_pair_pieces", "_term_at"):
         calls[name] = []
 
         def logged(self, *args, log=calls[name], method=getattr(ExtEngine, name)):
@@ -250,9 +250,10 @@ def test_kernel_tables_compute_each_key_once_per_engine(monkeypatch):
     for name, keys in first.items():
         assert keys, f"{name} was never reached"
         assert len(keys) == len(set(keys)), f"{name}: {len(keys)} calls for {len(set(keys))} keys"
-    # The Euler form computes chi(L1-dual (x) L2) only with both weights at
-    # level zero, the difference of their charges apart.
-    assert all(w1[pb.marked[0] - 1] == w2[pb.marked[0] - 1] == 0 for pb, w1, w2, _ in first["_levi_chi"])
+    # The direct answers and the Euler form compute a pair of irreducibles
+    # only with both weights at level zero, the difference of their charges
+    # apart.
+    assert all(w1[pb.marked[0] - 1] == w2[pb.marked[0] - 1] == 0 for pb, w1, w2, _ in first["_pair_pieces"])
     # The tables belong to the engine: a second one computes everything again.
     assert run_fresh_engine() == first
 
@@ -364,17 +365,28 @@ def test_euler_form_is_serre_dual():
         assert chi == eng.euler(parse_bundle(f), parse_bundle(f"{e}(-8)")), (e, f)
 
 
-def _old_pairing(ref, E, F):
-    """ExtEngine.euler as a sum that shares no table of the pairing: both
+def _levi_chi(pb, w1, w2):
+    """chi(L1-dual (x) L2) for the irreducibles of Levi weights w1 and w2 on
+    pb, from roots, levi and bbw alone: the signed dimensions of the BBW
+    cohomology of the Levi pieces of L1-dual (x) L2."""
+    chi = 0
+    for nu, mult in levi.tensor_decompose(pb, roots.dualize_levi(pb, w1), w2).items():
+        coh = bbw.bbw_cohomology(pb, nu)
+        if not coh.vanishes:
+            chi += (-1) ** coh.degree * mult * bbw.weyl_dim(pb.datum, coh.weight)
+    return chi
+
+
+def _old_pairing(E, F):
+    """ExtEngine.euler as a sum that shares no table with any engine: both
     classes taken from bundles.kclass and put on one space on every call,
-    every pair of pieces at the levels it has, its chi the Euler
-    characteristic of its direct BBW answer on ref (_pair_pieces).  ref's
-    _levi_chis is never read, and no piece is moved to level zero."""
+    every pair of pieces at the levels it has, its chi computed by
+    _levi_chi.  No piece is moved to level zero."""
     classes = B.kclass(E), B.kclass(F)
     on_b4 = any(space == B.B4_Q4 for cls in classes for space, _ in cls)
     pb = B.B4_Q4 if on_b4 else B.D5_P4
     a, b = (X._on_space(pb, cls) for cls in classes)
-    return sum(n1 * n2 * ref._pair_pieces(pb, w1, w2).euler() for w1, n1 in a.items() for w2, n2 in b.items())
+    return sum(n1 * n2 * _levi_chi(pb, w1, w2) for w1, n1 in a.items() for w2, n2 in b.items())
 
 
 # The 13 x 13 grid at twists -3..3 and the Serre dual (F, E(-8)) of each pair.
@@ -387,9 +399,8 @@ MIXED_LEVELS = ("O + O(2)", "Uv + Sym2 Uv(1)", "U(-1) + Uv(1)", "Rv(-1) + Sym2 R
 
 @pytest.fixture(scope="module")
 def euler_reference():
-    ref = ExtEngine()
     pairs = [(parse_bundle(e), parse_bundle(f)) for e, f in EULER_GRID]
-    return {(E, F): _old_pairing(ref, E, F) for E, F in pairs}
+    return {(E, F): _old_pairing(E, F) for E, F in pairs}
 
 
 def _assert_same_pairings(eng, reference, order):
@@ -407,12 +418,12 @@ def test_euler_matches_the_old_pairing_on_a_fresh_and_a_warm_engine(euler_refere
 
 
 def test_euler_matches_the_old_pairing_on_pieces_at_different_levels():
-    ref, eng = ExtEngine(), ExtEngine()
+    eng = ExtEngine()
     objs = [B.twist(parse_bundle(e), k) for e in MIXED_LEVELS for k in (-2, 0, 1)]
     for E in objs:
         for F in objs:
-            assert eng.euler(E, F) == _old_pairing(ref, E, F), (E, F)
-    # The classes have pieces away from level zero, and _levi_chis keeps
+            assert eng.euler(E, F) == _old_pairing(E, F), (E, F)
+    # The classes have pieces away from level zero, and _pairs keeps
     # each pair of pieces with both weights at level zero only, the
     # difference of their charges apart: one key per twist class.
     away = 0
@@ -422,7 +433,7 @@ def test_euler_matches_the_old_pairing_on_pieces_at_different_levels():
             assert all(w[pb.marked[0] - 1] == 0 for w, _, _ in pieces), E
             away += sum(1 for _, k, _ in pieces if k)
     assert away
-    assert all(w1[pb.marked[0] - 1] == w2[pb.marked[0] - 1] == 0 for pb, w1, w2, _ in eng._levi_chis)
+    assert all(w1[pb.marked[0] - 1] == w2[pb.marked[0] - 1] == 0 for pb, w1, w2, _ in eng._pairs)
 
 
 def test_a_warm_pairing_computes_nothing(monkeypatch, euler_reference):
@@ -434,22 +445,22 @@ def test_a_warm_pairing_computes_nothing(monkeypatch, euler_reference):
         raise AssertionError("a warm pairing computed")
 
     monkeypatch.setattr(B, "kclass", computes)
-    monkeypatch.setattr(ExtEngine, "_levi_chi", computes)
+    monkeypatch.setattr(ExtEngine, "_pair_pieces", computes)
     monkeypatch.setattr(X, "_on_space", computes)
     assert [eng.euler(E, F) for E, F in pairs] == first
 
 
 def test_twisted_pairings_compute_the_chis_of_the_untwisted_ones(monkeypatch):
     # (E(k), F(k)) is in the twist class of (E, F): a fresh engine asked the
-    # twisted pairs computes the same _levi_chis keys, each once, and no more.
+    # twisted pairs computes the same _pairs keys, each once, and no more.
     calls = []
-    levi_chi = ExtEngine._levi_chi
+    pair_pieces = ExtEngine._pair_pieces
 
     def logged(self, *key):
         calls.append(key)
-        return levi_chi(self, *key)
+        return pair_pieces(self, *key)
 
-    monkeypatch.setattr(ExtEngine, "_levi_chi", logged)
+    monkeypatch.setattr(ExtEngine, "_pair_pieces", logged)
     objs = [parse_bundle(e) for e in MIXED_LEVELS]
     computed, answers = {}, {}
     for k in (0, -2, 3):
@@ -462,6 +473,50 @@ def test_twisted_pairings_compute_the_chis_of_the_untwisted_ones(monkeypatch):
     for k in (-2, 3):
         assert answers[k] == answers[0], k
         assert len(computed[k]) == len(computed[0]) and set(computed[k]) == set(computed[0]), k
+
+
+def test_every_pair_entry_keeps_the_euler_characteristic_of_its_answer():
+    eng = ExtEngine()
+    for e, f in GRID:
+        E, F = parse_bundle(e), parse_bundle(f)
+        eng.ext(E, F)
+        eng.euler(E, F)
+    assert len(eng._pairs) > 100
+    for key, (res, chi) in eng._pairs.items():
+        assert chi == res.euler(), key
+
+
+def test_euler_after_ext_of_two_irreducibles_fills_only_their_classes():
+    # _direct and euler read one _pairs entry per pair of pieces: once the
+    # Ext of two irreducibles on one description is known, their Euler
+    # pairing computes nothing but the two classes.
+    eng = ExtEngine()
+    tables = [name for name, value in vars(eng).items() if isinstance(value, dict) and name != "_classes"]
+    checked = 0
+    for e, f in EULER_GRID[:1183]:  # the grid at twists -3..3
+        E, F = parse_bundle(e), parse_bundle(f)
+        if not (isinstance(E, B.Sum) and isinstance(F, B.Sum) and E.space is F.space):
+            continue
+        if len(E.parts) + len(F.parts) != 2:
+            continue
+        eng.ext(E, F)
+        sizes = {name: len(getattr(eng, name)) for name in tables}
+        eng.euler(E, F)
+        assert {name: len(getattr(eng, name)) for name in tables} == sizes, (e, f)
+        checked += 1
+    assert checked == 287 and "_pairs" in tables
+
+
+def test_every_sum_keeps_its_parts_split_at_the_marked_coordinate():
+    eng = ExtEngine()
+    for e, f in GRID:
+        eng.ext(parse_bundle(e), parse_bundle(f))
+    sums = set(B.Sum._table.values())
+    assert len(sums) > 100
+    for S in sums:
+        i = S.space.marked[0] - 1
+        assert S.pieces == tuple((w[:i] + (0,) + w[i + 1 :], w[i], m) for w, m in S.parts), S
+        assert S.level == S.pieces[0][1], S
 
 
 def test_equivariant_answers_are_the_invariant_counts_of_the_ext_answers():
@@ -600,15 +655,15 @@ def _old_degenerates(cols, idx):
 
 def test_grid_answers_have_one_flat_shape():
     # Every exact grid answer, and every direct answer the engine keeps in
-    # _pairs, is an ExtResult whose pieces are strictly increasing in
-    # (degree, entry), carry no zero multiplicity, and survive the Graded
-    # accumulator unchanged.
+    # _pairs beside its Euler characteristic, is an ExtResult whose pieces
+    # are strictly increasing in (degree, entry), carry no zero
+    # multiplicity, and survive the Graded accumulator unchanged.
     import ledger
 
     eng = ExtEngine()
     exact = [eng.ext(parse_bundle(e), parse_bundle(f)) for e, f in ledger.GRID]
     exact = [res for res in exact if isinstance(res, ExtResult)]
-    pairs = list(eng._pairs.values())
+    pairs = [res for res, _ in eng._pairs.values()]
     assert len(exact) > 900 and pairs
     assert all(isinstance(res, ExtResult) for res in pairs)
     for res in exact + pairs:

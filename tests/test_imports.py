@@ -213,20 +213,11 @@ def test_build_scan_catches_a_second_construction_path():
 
 def _placeholder_answers(source: str) -> list[int]:
     """The lines of the Ambiguous calls whose Euler argument is the literal
-    0, outside ExtEngine.ext: there the cycle cut answers a pair already on
-    the stack, which a call at the top level never meets."""
-    tree = ast.parse(source)
-    allowed = {
-        id(node)
-        for cls in tree.body
-        if isinstance(cls, ast.ClassDef) and cls.name == "ExtEngine"
-        for d in cls.body
-        if isinstance(d, ast.FunctionDef) and d.name == "ext"
-        for node in ast.walk(d)
-    }
+    0.  The cycle cut in ExtEngine.ext, which knows no Euler characteristic,
+    gives None."""
     lines = []
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call) or id(node) in allowed:
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
             continue
         func = node.func
         if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) != "Ambiguous":
@@ -238,8 +229,8 @@ def _placeholder_answers(source: str) -> list[int]:
 
 
 def test_no_placeholder_euler_outside_the_cycle_cut():
-    # An Ambiguous answer carries the exact Euler characteristic; a step
-    # that cannot answer returns None instead of a placeholder.
+    # An Ambiguous answer carries the exact Euler characteristic or none; a
+    # step that cannot answer returns None instead of a placeholder.
     found = {p.name: _placeholder_answers(p.read_text(encoding="utf-8")) for p in sorted(PACKAGE.glob("*.py"))}
     assert {name: lines for name, lines in found.items() if lines} == {}
 
@@ -256,7 +247,30 @@ def test_placeholder_scan_catches_a_second_placeholder():
         "        return ext.Ambiguous(euler=0, reason='no chase')\n"
         "    return Ambiguous(engine.euler(E, F), 'no degenerate chase')\n"
     )
-    assert _placeholder_answers(source) == [5, 8]
+    assert _placeholder_answers(source) == [3, 5, 8]
+
+
+def _undocumented_tables(doc: str, engine) -> set[str]:
+    """The names that are a dict attribute of engine other than _memo, or a
+    "- _name:" bullet of doc, but not both."""
+    bullets = {line.split(":")[0][2:] for line in map(str.strip, doc.splitlines()) if line.startswith("- _")}
+    tables = {name for name, value in vars(engine).items() if isinstance(value, dict) and name != "_memo"}
+    return bullets ^ tables
+
+
+def test_the_engine_docstring_lists_every_kernel_table():
+    from homcoh.ext import ExtEngine
+
+    assert _undocumented_tables(ExtEngine.__doc__, ExtEngine()) == set()
+
+
+def test_table_list_scan_catches_a_stale_bullet():
+    from homcoh.ext import ExtEngine
+
+    doc = ExtEngine.__doc__.replace("- _levi_duals:", "- _levi_chis: (pb, w1, w2, d) -> chi;\n    - _levi_duals:")
+    assert _undocumented_tables(doc, ExtEngine()) == {"_levi_chis"}
+    doc = ExtEngine.__doc__.replace("- _terms:", "  _terms:")
+    assert _undocumented_tables(doc, ExtEngine()) == {"_terms"}
 
 
 _WEIGHT_PREDICATES = {"is_dominant", "is_levi_dominant"}
