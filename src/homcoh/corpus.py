@@ -13,7 +13,7 @@ from collections.abc import Callable
 from . import bundles
 from .bundles import B4_Q4, D5_P4
 from .ext import Ambiguous, ExtEngine, ExtResult, ls_chase, rep_result, trivial_result
-from .roots import D5, Frozen, Record
+from .roots import D5, Frozen, Record, canonical_weight
 
 CaseResult = tuple[str, bool, str, str]  # (case id, ok, computed, stated)
 
@@ -145,7 +145,7 @@ def _sym2_rank4_vanishing(eng: ExtEngine) -> list[CaseResult]:
     out = [_case("H(Sym2 R)", eng.cohomology(bundles.schur("R", "Sym", 2)), trivial_result())]
     # same value through the mixed chain 0 -> Sym2 R -> Sym2 U -> U -> 0
     seq = next(s for s in bundles.standard_sequences() if s.name == "sym2-chain")
-    chased = ls_chase(seq, bundles.O(-8), unknown=0, engine=eng)
+    chased = ls_chase(seq, bundles.irr(D5_P4, canonical_weight(D5_P4)), unknown=0, engine=eng)
     # Hom(-, O(-8)) pairs the chain against the canonical twist; Serre-dual
     # of the section statement, still forced to vanish degreewise at H^10.
     ok = not isinstance(chased, Ambiguous)

@@ -287,7 +287,7 @@ class ExtEngine:
         self._cohomology: dict = {}
         self._terms: dict = {}
         self._classes: dict = {}
-        self.kform = None  # the Euler form on K-theory, built by mutations.KForm.standard
+        self.kform = None  # mutations.KForm.standard: K-classes, and chi of K-only ones
 
     # -- public surface ------------------------------------------------
 

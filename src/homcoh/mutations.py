@@ -4,7 +4,9 @@ Mutations of adjacent pairs are performed at object level whenever one of
 the three recognised recipes fires against a registered exact sequence;
 otherwise the result is a K-theory-only object carrying its class in the
 fixed Kuznetsov basis.  Every object-level mutation is cross-checked
-against the cone formula in K-theory.
+against the cone formula in K-theory.  Two bundles pair through
+ExtEngine.euler, in the Gram matrix and the cone alike; only a K-only
+class is read through its coordinates in the Kuznetsov basis (KForm.chi).
 """
 
 from __future__ import annotations
@@ -135,8 +137,7 @@ def _hypothesis(
     collection is equivariant.  With a K-only object only the Euler
     characteristic is known, exactly, from the two K-classes."""
     if isinstance(a, KOnly) or isinstance(b, KOnly):
-        form = KForm.standard(eng)
-        return Ambiguous(form.chi(_kclass_of(a, form, eng), _kclass_of(b, form, eng)), "K-only object")
+        return Ambiguous(_chi(a, b, eng), "K-only object")
     res = eng.ext(a, b)
     if col.equivariant and isinstance(res, ExtResult):
         return res.invariant_part()
@@ -160,9 +161,17 @@ def verify_exceptional(col: Collection, engine: ExtEngine) -> VerifyReport:
 
 
 def gram_matrix(col: Collection, engine: ExtEngine) -> tuple[tuple[int, ...], ...]:
-    form = KForm.standard(engine)
-    classes = [_kclass_of(obj, form, engine) for obj in col.objects]
-    return tuple(tuple(_dot(ca, kb) for kb in classes) for ca in map(form.coords, classes))
+    """The table of _chi over the collection: a bundle collection builds no K-form."""
+    return tuple(tuple(_chi(a, b, engine) for b in col.objects) for a in col.objects)
+
+
+def _chi(a: CollectionObject, b: CollectionObject, engine: ExtEngine) -> int:
+    """chi(a, b): ExtEngine.euler for two bundles, the K-form's pairing of
+    the two classes when either object is K-only."""
+    if isinstance(a, KOnly) or isinstance(b, KOnly):
+        form = KForm.standard(engine)
+        return form.chi(form.kclass(a, engine), form.kclass(b, engine))
+    return engine.euler(a, b)
 
 
 # --- K-theory --------------------------------------------------------------
@@ -174,19 +183,17 @@ class KForm(Frozen):
     An object E is stored as its class kclass(E) = (chi(b, E) for b in
     basis), so kclass(E) = gram * coords(E), where coords(E) are the
     coefficients of E in the basis.  `coords` inverts that relation, and
-    chi(E, F) = coords(E) . kclass(F): a table of pairings needs coords
-    once per row, not once per entry.
+    chi(E, F) = coords(E) . kclass(F), which only K-only classes need (_chi).
 
     A form belongs to the engine that built it (`standard` keeps it as
     engine.kform), and `kclass` is asked with that engine.  Besides its
-    three fields it keeps two tables, which are not among its _fields and
-    so take no part in comparison, hashing or printing: _classes, object
-    -> kclass, filled by `kclass` from the engine's Euler pairings, and
-    _coords, class -> coords, filled by `coords`.  So each object costs
-    its basis pairings once per engine, and the tables live exactly as
-    long as the engine, as its kernel tables do: a fault injected below
-    reaches every engine built after it.  A form built by `from_gram`
-    starts with both tables empty; `standard` seeds _classes with the
+    three fields it keeps one table, which is not among its _fields and so
+    takes no part in comparison, hashing or printing: _classes, object ->
+    kclass, filled by `kclass` from the engine's Euler pairings.  So each
+    object costs its basis pairings once per engine, and the table lives
+    exactly as long as the engine, as its kernel tables do: a fault
+    injected below reaches every engine built after it.  A form built by
+    `from_gram` starts with the table empty; `standard` seeds it with the
     class of each basis object, its column of the Gram matrix, so a basis
     object costs no pairing beyond those of the Gram matrix.
     """
@@ -203,7 +210,6 @@ class KForm(Frozen):
         object.__setattr__(self, "gram", gram)
         object.__setattr__(self, "gram_inv", gram_inv)
         object.__setattr__(self, "_classes", {})
-        object.__setattr__(self, "_coords", {})
 
     @staticmethod
     def standard(engine: ExtEngine) -> "KForm":
@@ -228,7 +234,10 @@ class KForm(Frozen):
                 inv[r][c] = -sum(gram[r][k] * inv[k][c] for k in range(r + 1, c + 1))
         return KForm(basis, gram, tuple(map(tuple, inv)))
 
-    def kclass(self, obj: BundleObject, engine: ExtEngine) -> KVector:
+    def kclass(self, obj: CollectionObject, engine: ExtEngine) -> KVector:
+        """A K-only object's own class, else its basis pairings, once per form."""
+        if isinstance(obj, KOnly):
+            return obj.kclass
         k = self._classes.get(obj)
         if k is None:
             k = self._classes[obj] = tuple(engine.euler(b, obj) for b in self.basis)
@@ -236,10 +245,7 @@ class KForm(Frozen):
 
     def coords(self, k: KVector) -> KVector:
         """Coefficients in the basis of the class whose kclass is k: gram_inv * k."""
-        c = self._coords.get(k)
-        if c is None:
-            c = self._coords[k] = tuple(_dot(row, k) for row in self.gram_inv)
-        return c
+        return tuple(_dot(row, k) for row in self.gram_inv)
 
     def chi(self, ka: KVector, kb: KVector) -> int:
         return _dot(self.coords(ka), kb)
@@ -249,16 +255,9 @@ def _dot(u: KVector, v: KVector) -> int:
     return sum(x * y for x, y in zip(u, v))
 
 
-def _kclass_of(obj: CollectionObject, form: KForm, engine: ExtEngine) -> KVector:
-    if isinstance(obj, KOnly):
-        return obj.kclass
-    return form.kclass(obj, engine)
-
-
-def k_cone(direction: str, a: KVector, b: KVector, form: KForm) -> KVector:
-    """The class of the object a mutation of the pair (a, b) puts in: a -
-    chi(a, b) b for the right mutation ("R"), b - chi(a, b) a for the left."""
-    chi = form.chi(a, b)
+def k_cone(direction: str, a: KVector, b: KVector, chi: int) -> KVector:
+    """The class a mutation of the pair of classes (a, b) puts in, given chi =
+    chi(a, b): a - chi b for the right mutation ("R"), b - chi a for the left."""
     if direction == "L":
         a, b = b, a
     return tuple(x - chi * y for x, y in zip(a, b))
@@ -353,21 +352,21 @@ def mutate(col: Collection, direction: str, position: int, engine: ExtEngine) ->
         raise AmbiguousMutation(f"Ext({E1}, {E2}) is ambiguous")
 
     form = KForm.standard(engine)
-    k1 = _kclass_of(E1, form, engine)
-    k2 = _kclass_of(E2, form, engine)
+    k1 = form.kclass(E1, engine)
+    k2 = form.kclass(E2, engine)
 
     if not isinstance(hyp, Ambiguous) and hyp.is_zero:
         recipe, shift = "transposition", 0
         result, rk = (E1, k1) if direction == "R" else (E2, k2)
     else:
-        cone_k = k_cone(direction, k1, k2, form)
+        cone_k = k_cone(direction, k1, k2, _chi(E1, E2, engine))
         found = None if isinstance(hyp, Ambiguous) else _find_recipe(direction, E1, E2, hyp)
         if found is None:
             result, rk = KOnly(cone_k), cone_k
             recipe, shift = "k-only", 0
         else:
             recipe, result, shift = found
-            rk = _kclass_of(result, form, engine)
+            rk = form.kclass(result, engine)
             sign = -1 if shift % 2 else 1
             if tuple(sign * x for x in rk) != cone_k:
                 raise InternalConsistencyError(

@@ -436,8 +436,6 @@ TEST_ONLY_PUBLIC = {
     "from_gl",
     "lr_multiply",
     "assemble_kp_collection",
-    # waiting for the K_0 Coxeter certificate (ROADMAP item 15), its caller
-    "canonical_weight",
     # test hook: a fresh default engine (tests/ledger.py)
     "reset_engine",
     # reached only through assemble_kp_collection, the benchmark's session

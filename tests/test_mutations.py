@@ -102,7 +102,7 @@ def test_k_only_hypothesis_carries_the_exact_euler_characteristic(eng, form):
     for check in report.checks:
         a, b = col.objects[check.row], col.objects[check.col]
         if isinstance(a, KOnly) or isinstance(b, KOnly):
-            assert check.value.euler == form.chi(M._kclass_of(a, form, eng), M._kclass_of(b, form, eng))
+            assert check.value.euler == form.chi(form.kclass(a, eng), form.kclass(b, eng))
 
 
 def test_mutation_rejects_bad_positions(eng):
@@ -201,7 +201,7 @@ def k_mutated(vectors, direction, i, form):
     """The classes after mutating the pair at i: (b, k_cone) to the right,
     (k_cone, a) to the left."""
     a, b = vectors[i], vectors[i + 1]
-    cone = M.k_cone(direction, a, b, form)
+    cone = M.k_cone(direction, a, b, form.chi(a, b))
     return vectors[:i] + ([b, cone] if direction == "R" else [cone, a]) + vectors[i + 2 :]
 
 
@@ -309,11 +309,22 @@ def test_kform_rejects_gram_that_is_not_unitriangular(form):
 COLLECTIONS = (M.kp_collection, M.kuznetsov_collection)
 
 
-def test_gram_matrix_is_the_table_of_euler_pairings(eng):
+def test_gram_matrix_is_the_table_of_euler_pairings(monkeypatch):
     # The oracle pairs the objects through the engine, without KForm.
-    for make in COLLECTIONS:
-        objs = make().objects
-        assert M.gram_matrix(make(), eng) == tuple(tuple(eng.euler(a, b) for b in objs) for a in objs)
+    # KForm.chi, and the coordinates it reads, serve K-only classes alone:
+    # no command of the paper reads them to pair two bundles.
+    def forbidden(*args):
+        raise AssertionError("a bundle pairing read the K-form")
+
+    monkeypatch.setattr(M.KForm, "chi", forbidden)
+    monkeypatch.setattr(M.KForm, "coords", forbidden)
+    eng = ExtEngine()
+    final = M.replay_main_proof(eng).final
+    assert M.assemble_kp_collection(eng)[0].objects == M.kp_collection().objects
+    for col in (M.kp_collection(), M.kuznetsov_collection(), final):
+        assert M.verify_exceptional(col, eng).passed
+        objs = col.objects
+        assert M.gram_matrix(col, eng) == tuple(tuple(eng.euler(a, b) for b in objs) for a in objs)
 
 
 def test_gram_matrix_reads_k_only_objects_by_their_class(eng, form):
@@ -326,7 +337,7 @@ def test_gram_matrix_reads_k_only_objects_by_their_class(eng, form):
             assert M.gram_matrix(Collection(objs), eng) == expected, (col.label, i)
 
 
-def test_gram_matrix_computes_each_kclass_once(eng, form, monkeypatch):
+def test_gram_matrix_of_bundles_builds_no_kform(monkeypatch):
     calls = []
     kclass = M.KForm.kclass
 
@@ -335,9 +346,30 @@ def test_gram_matrix_computes_each_kclass_once(eng, form, monkeypatch):
         return kclass(self, obj, engine)
 
     monkeypatch.setattr(M.KForm, "kclass", counted)
-    col = M.kuznetsov_collection()
-    M.gram_matrix(col, eng)
-    assert calls == list(col.objects)
+    eng = ExtEngine()
+    for make in COLLECTIONS:
+        M.gram_matrix(make(), eng)
+    assert calls == [] and eng.kform is None
+
+
+def test_cone_chi_is_the_k_form_pairing_of_the_classes(eng, form, monkeypatch):
+    # The reference is the former route: chi(E1, E2) read through the
+    # coordinates of E1's class in the Kuznetsov basis.
+    cones = []
+    k_cone = M.k_cone
+
+    def recorded(direction, a, b, chi):
+        cones.append((a, b, chi))
+        return k_cone(direction, a, b, chi)
+
+    monkeypatch.setattr(M, "k_cone", recorded)
+    steps = M.replay_main_proof(eng).steps
+    assert len(cones) == sum(s.recipe != "transposition" for s in steps) == 14
+    for blocks in M.assemble_kp_collection(eng)[1]:
+        steps += blocks
+    assert len(cones) >= sum(s.recipe != "transposition" for s in steps) > 14
+    for a, b, chi in cones:
+        assert chi == form.chi(a, b), (a, b)
 
 
 def test_step_kclass_is_the_class_of_the_result(eng, form):
@@ -348,7 +380,7 @@ def test_step_kclass_is_the_class_of_the_result(eng, form):
     assert {s.recipe for s in steps} == {"transposition", "left-kernel", "right-cokernel", "k-only"}
     assert {s.direction for s in steps if s.recipe == "transposition"} == {"L", "R"}
     for s in steps:
-        assert s.kclass == M._kclass_of(s.result, form, eng)
+        assert s.kclass == form.kclass(s.result, eng)
 
 
 def test_replay_computes_each_class_once_per_form(monkeypatch):
@@ -374,7 +406,8 @@ def test_replay_computes_each_class_once_per_form(monkeypatch):
     monkeypatch.setattr(ExtEngine, "euler", counted_euler)
     monkeypatch.setattr(M.KForm, "kclass", counted_kclass)
     M.replay_main_proof(eng)
-    M.gram_matrix(M.kuznetsov_collection(), eng)
+    for obj in M.kuznetsov_collection().objects:
+        form.kclass(obj, eng)
     assert set(per_object) == set(form._classes)
     assert set(form.basis) <= set(per_object)
     first_reads = {obj: counts[0] for obj, counts in per_object.items()}
@@ -385,11 +418,17 @@ def test_replay_computes_each_class_once_per_form(monkeypatch):
     fresh = ExtEngine()
     for obj, k in form._classes.items():
         assert k == tuple(fresh.euler(b, obj) for b in form.basis), obj
-    for k, coords in form._coords.items():
-        assert coords == tuple(sum(r * x for r, x in zip(row, k)) for row in form.gram_inv)
+    # A warm replay asks only each cone's chi(E1, E2), and computes nothing.
+    computed = []
+    monkeypatch.setattr(ExtEngine, "_compute", lambda self, E, F: computed.append((E, F)))
+    sizes = {name: len(table) for name, table in vars(eng).items() if isinstance(table, dict)}
+    known = len(form._classes)
     asked.clear()
-    M.replay_main_proof(eng)
-    assert asked == []
+    steps = M.replay_main_proof(eng).steps
+    assert asked == [s.pair for s in steps if s.recipe != "transposition"]
+    assert computed == []
+    assert {name: len(table) for name, table in vars(eng).items() if isinstance(table, dict)} == sizes
+    assert len(form._classes) == known
 
 
 def test_kclass_fault_reaches_a_fresh_engine_after_another_form_is_warm(monkeypatch):
