@@ -118,9 +118,6 @@ class ExtResult(Frozen):
             out[p] = out.get(p, 0) + m * entry_dim(e)
         return out
 
-    def euler(self) -> int:
-        return sum(-m * entry_dim(e) if p & 1 else m * entry_dim(e) for p, e, m in self.pieces)
-
     @property
     def is_zero(self) -> bool:
         return not self.pieces
@@ -287,7 +284,7 @@ class ExtEngine:
         self._cohomology: dict = {}
         self._terms: dict = {}
         self._classes: dict = {}
-        self.kform = None  # mutations.KForm.standard: K-classes, and chi of K-only ones
+        self.kform = None  # mutations.KForm.standard: the K-classes of collection objects
 
     # -- public surface ------------------------------------------------
 

@@ -2,11 +2,12 @@
 
 Mutations of adjacent pairs are performed at object level whenever one of
 the three recognised recipes fires against a registered exact sequence;
-otherwise the result is a K-theory-only object carrying its class in the
-fixed Kuznetsov basis.  Every object-level mutation is cross-checked
-against the cone formula in K-theory.  Two bundles pair through
-ExtEngine.euler, in the Gram matrix and the cone alike; only a K-only
-class is read through its coordinates in the Kuznetsov basis (KForm.chi).
+otherwise the result is a K-theory-only object: the signed sum of the
+bundles its cone was built from, and its class in the fixed Kuznetsov
+basis.  Every object-level mutation is cross-checked against the cone
+formula in K-theory.  Every pairing of collection objects, in the Gram
+matrix, the hypotheses and the cones alike, is KForm.chi: ExtEngine.euler,
+bilinear over the terms of a K-only object.
 """
 
 from __future__ import annotations
@@ -17,20 +18,26 @@ from .ext import Ambiguous, ExtEngine, ExtResult
 from .roots import D5, DomainError, Frozen, InternalConsistencyError, Record
 
 KVector = tuple[int, ...]
+Terms = tuple[tuple[int, BundleObject], ...]  # a signed sum of bundles
 
 
 class KOnly(Frozen):
     """A mutation result known only by its class in K-theory.
 
-    Its printed form, K-only[...], is the one printed form of a collection
-    object that parser.parse_bundle does not read back: the class is not
-    an expression of the bundle language.
+    Besides its class it keeps `terms`, the signed bundles (m, E), no m
+    zero, whose sum its cone is; mutate builds it, and KForm.chi pairs it
+    through them.  The terms are not among its _fields, so comparison,
+    hashing and printing read the class alone.  Its printed form,
+    K-only[...], is the one printed form of a collection object that
+    parser.parse_bundle does not read back: the class is not an expression
+    of the bundle language.
     """
 
     _fields = ("kclass",)
 
-    def __init__(self, kclass: KVector) -> None:
+    def __init__(self, kclass: KVector, terms: Terms) -> None:
         object.__setattr__(self, "kclass", kclass)
+        object.__setattr__(self, "terms", terms)
 
     def __repr__(self) -> str:
         return f"K-only{list(self.kclass)}"
@@ -135,9 +142,9 @@ def _hypothesis(
 ) -> ExtResult | Ambiguous:
     """Ext(a, b) as the collection asks for it: its invariant part when the
     collection is equivariant.  With a K-only object only the Euler
-    characteristic is known, exactly, from the two K-classes."""
+    characteristic is known, exactly, from the terms (KForm.chi)."""
     if isinstance(a, KOnly) or isinstance(b, KOnly):
-        return Ambiguous(_chi(a, b, eng), "K-only object")
+        return Ambiguous(KForm.chi(a, b, eng), "K-only object")
     res = eng.ext(a, b)
     if col.equivariant and isinstance(res, ExtResult):
         return res.invariant_part()
@@ -161,78 +168,61 @@ def verify_exceptional(col: Collection, engine: ExtEngine) -> VerifyReport:
 
 
 def gram_matrix(col: Collection, engine: ExtEngine) -> tuple[tuple[int, ...], ...]:
-    """The table of _chi over the collection: a bundle collection builds no K-form."""
-    return tuple(tuple(_chi(a, b, engine) for b in col.objects) for a in col.objects)
-
-
-def _chi(a: CollectionObject, b: CollectionObject, engine: ExtEngine) -> int:
-    """chi(a, b): ExtEngine.euler for two bundles, the K-form's pairing of
-    the two classes when either object is K-only."""
-    if isinstance(a, KOnly) or isinstance(b, KOnly):
-        form = KForm.standard(engine)
-        return form.chi(form.kclass(a, engine), form.kclass(b, engine))
-    return engine.euler(a, b)
+    """The table of KForm.chi over the collection: a bundle collection builds no K-form."""
+    return tuple(tuple(KForm.chi(a, b, engine) for b in col.objects) for a in col.objects)
 
 
 # --- K-theory --------------------------------------------------------------
 
 
+def _terms(obj: CollectionObject) -> Terms:
+    return obj.terms if isinstance(obj, KOnly) else ((1, obj),)
+
+
 class KForm(Frozen):
-    """Euler form on K-theory in the basis of the Kuznetsov collection.
+    """Classes in K-theory in the basis of the Kuznetsov collection.
 
     An object E is stored as its class kclass(E) = (chi(b, E) for b in
-    basis), so kclass(E) = gram * coords(E), where coords(E) are the
-    coefficients of E in the basis.  `coords` inverts that relation, and
-    chi(E, F) = coords(E) . kclass(F), which only K-only classes need (_chi).
+    basis).  A mutation step records its result's class, and a recipe is
+    cross-checked against its cone's; no pairing reads a class.  chi, the one pairing of two
+    collection objects, is ExtEngine.euler, bilinear over the terms of a
+    K-only object, so it needs no form and no fullness of the basis.
 
     A form belongs to the engine that built it (`standard` keeps it as
     engine.kform), and `kclass` is asked with that engine.  Besides its
-    three fields it keeps one table, which is not among its _fields and so
-    takes no part in comparison, hashing or printing: _classes, object ->
-    kclass, filled by `kclass` from the engine's Euler pairings.  So each
-    object costs its basis pairings once per engine, and the table lives
-    exactly as long as the engine, as its kernel tables do: a fault
-    injected below reaches every engine built after it.  A form built by
-    `from_gram` starts with the table empty; `standard` seeds it with the
-    class of each basis object, its column of the Gram matrix, so a basis
-    object costs no pairing beyond those of the Gram matrix.
+    basis it keeps one table, which is not among its _fields and so takes
+    no part in comparison, hashing or printing: _classes, object -> kclass,
+    filled by `kclass` from the engine's Euler pairings.  So each object
+    costs its basis pairings once per engine, and the table lives exactly
+    as long as the engine, as its kernel tables do: a fault injected below
+    reaches every engine built after it.  `standard` fills the classes of
+    the basis objects when it builds the form.
     """
 
-    _fields = ("basis", "gram", "gram_inv")
+    _fields = ("basis",)
 
-    def __init__(
-        self,
-        basis: tuple[BundleObject, ...],
-        gram: tuple[tuple[int, ...], ...],
-        gram_inv: tuple[tuple[int, ...], ...],
-    ) -> None:
+    def __init__(self, basis: tuple[BundleObject, ...]) -> None:
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "gram", gram)
-        object.__setattr__(self, "gram_inv", gram_inv)
         object.__setattr__(self, "_classes", {})
 
     @staticmethod
     def standard(engine: ExtEngine) -> "KForm":
         """The form of the engine, built from its Euler pairings on first use."""
         if engine.kform is None:
-            basis = kuznetsov_collection().objects
-            gram = tuple(tuple(engine.euler(a, b) for b in basis) for a in basis)
-            engine.kform = KForm.from_gram(basis, gram)
-            engine.kform._classes.update(zip(basis, zip(*gram)))  # the Gram columns
+            form = engine.kform = KForm(kuznetsov_collection().objects)
+            for b in form.basis:
+                form.kclass(b, engine)
         return engine.kform
 
     @staticmethod
-    def from_gram(basis: tuple[BundleObject, ...], gram: tuple[tuple[int, ...], ...]) -> "KForm":
-        """The form of an exceptional basis: its Gram matrix is upper
-        unitriangular, so integer back substitution inverts it."""
-        n = len(gram)
-        if any(gram[i][j] != int(i == j) for i in range(n) for j in range(i + 1)):
-            raise InternalConsistencyError("Gram matrix is not upper unitriangular")
-        inv = [[int(i == j) for j in range(n)] for i in range(n)]
-        for c in range(n):
-            for r in range(c - 1, -1, -1):
-                inv[r][c] = -sum(gram[r][k] * inv[k][c] for k in range(r + 1, c + 1))
-        return KForm(basis, gram, tuple(map(tuple, inv)))
+    def chi(a: CollectionObject, b: CollectionObject, engine: ExtEngine) -> int:
+        """chi(a, b): ExtEngine.euler for two bundles, summed over the terms
+        of a K-only side.  Called on the class, never through an instance: a
+        tracer that rebinds it to a plain function (bench/spans.py) would
+        then bind the instance."""
+        if isinstance(a, KOnly) or isinstance(b, KOnly):
+            return sum(m * n * engine.euler(x, y) for m, x in _terms(a) for n, y in _terms(b))
+        return engine.euler(a, b)
 
     def kclass(self, obj: CollectionObject, engine: ExtEngine) -> KVector:
         """A K-only object's own class, else its basis pairings, once per form."""
@@ -243,24 +233,19 @@ class KForm(Frozen):
             k = self._classes[obj] = tuple(engine.euler(b, obj) for b in self.basis)
         return k
 
-    def coords(self, k: KVector) -> KVector:
-        """Coefficients in the basis of the class whose kclass is k: gram_inv * k."""
-        return tuple(_dot(row, k) for row in self.gram_inv)
 
-    def chi(self, ka: KVector, kb: KVector) -> int:
-        return _dot(self.coords(ka), kb)
-
-
-def _dot(u: KVector, v: KVector) -> int:
-    return sum(x * y for x, y in zip(u, v))
-
-
-def k_cone(direction: str, a: KVector, b: KVector, chi: int) -> KVector:
-    """The class a mutation of the pair of classes (a, b) puts in, given chi =
-    chi(a, b): a - chi b for the right mutation ("R"), b - chi a for the left."""
+def k_cone(direction: str, a: CollectionObject, b: CollectionObject, chi: int) -> Terms:
+    """The signed bundles of the cone a mutation of the pair (a, b) puts in,
+    given chi = chi(a, b): a - chi b for the right mutation ("R"), b - chi a
+    for the left, a K-only side read as its terms, like bundles merged."""
     if direction == "L":
         a, b = b, a
-    return tuple(x - chi * y for x, y in zip(a, b))
+    total: dict[BundleObject, int] = {}
+    for m, x in _terms(a):
+        total[x] = total.get(x, 0) + m
+    for n, y in _terms(b):
+        total[y] = total.get(y, 0) - chi * n
+    return tuple((m, x) for x, m in total.items() if m)
 
 
 # --- mutation engine --------------------------------------------------------
@@ -352,17 +337,18 @@ def mutate(col: Collection, direction: str, position: int, engine: ExtEngine) ->
         raise AmbiguousMutation(f"Ext({E1}, {E2}) is ambiguous")
 
     form = KForm.standard(engine)
-    k1 = form.kclass(E1, engine)
-    k2 = form.kclass(E2, engine)
-
     if not isinstance(hyp, Ambiguous) and hyp.is_zero:
         recipe, shift = "transposition", 0
-        result, rk = (E1, k1) if direction == "R" else (E2, k2)
+        result = E1 if direction == "R" else E2
+        rk = form.kclass(result, engine)
     else:
-        cone_k = k_cone(direction, k1, k2, _chi(E1, E2, engine))
+        terms = k_cone(direction, E1, E2, KForm.chi(E1, E2, engine))
+        cone_k = (0,) * len(form.basis)
+        for m, x in terms:
+            cone_k = tuple([c + m * k for c, k in zip(cone_k, form.kclass(x, engine))])
         found = None if isinstance(hyp, Ambiguous) else _find_recipe(direction, E1, E2, hyp)
         if found is None:
-            result, rk = KOnly(cone_k), cone_k
+            result, rk = KOnly(cone_k, terms), cone_k
             recipe, shift = "k-only", 0
         else:
             recipe, result, shift = found

@@ -7,7 +7,7 @@ from homcoh import ext as X
 from homcoh import mutations as M
 from homcoh.ext import ExtEngine
 from homcoh.mutations import Collection, KOnly
-from homcoh.roots import InternalConsistencyError
+from homcoh.parser import parse_bundle
 from test_bundles import _twist_delta
 
 
@@ -19,6 +19,34 @@ def eng():
 @pytest.fixture(scope="module")
 def form(eng):
     return M.KForm.standard(eng)
+
+
+class ReferenceForm:
+    """The Euler form as the package once paired K-only classes, kept as
+    the reference: the Kuznetsov Gram matrix through ExtEngine.euler,
+    inverted by integer back substitution (it is upper unitriangular).  A
+    class k = (chi(b, E) for b in the basis) has coordinates gram_inv * k,
+    and chi(E, F) = coords(E) . kclass(F), which is exact because
+    Kuznetsov's collection is full."""
+
+    def __init__(self, eng):
+        basis = M.kuznetsov_collection().objects
+        gram = [[eng.euler(a, b) for b in basis] for a in basis]
+        n = len(gram)
+        inv = [[int(i == j) for j in range(n)] for i in range(n)]
+        for c in range(n):
+            for r in range(c - 1, -1, -1):
+                inv[r][c] = -sum(gram[r][k] * inv[k][c] for k in range(r + 1, c + 1))
+        self.gram, self.gram_inv = gram, inv
+
+    def chi(self, ka, kb):
+        coords = [sum(x * y for x, y in zip(row, ka)) for row in self.gram_inv]
+        return sum(x * y for x, y in zip(coords, kb))
+
+
+@pytest.fixture(scope="module")
+def ref(eng):
+    return ReferenceForm(eng)
 
 
 def test_verify_kp_collection(eng):
@@ -89,20 +117,20 @@ def test_k_only_fallback(eng, form):
     assert step.result.kclass == tuple(a - 16 * b for a, b in zip(k_o, k_o1))
 
 
-def test_k_only_hypothesis_carries_the_exact_euler_characteristic(eng, form):
+def test_k_only_hypothesis_carries_the_exact_euler_characteristic(eng, form, ref):
     col = Collection((B.schur("Rv", "Sym", 2, 2), B.Rv(2), B.O(3)))
     col, first = M.mutate(col, "R", 0, eng)
     assert isinstance(first.result, KOnly)
     k_only, o3 = col.objects[1], col.objects[2]
     _, step = M.mutate(col, "R", 1, eng)
     assert isinstance(step.hypothesis, X.Ambiguous)
-    chi = form.chi(k_only.kclass, form.kclass(o3, eng))
-    assert step.hypothesis.euler == chi == -16
+    chi = M.KForm.chi(k_only, o3, eng)
+    assert step.hypothesis.euler == chi == ref.chi(k_only.kclass, form.kclass(o3, eng)) == -16
     report = M.verify_exceptional(col, eng)
     for check in report.checks:
         a, b = col.objects[check.row], col.objects[check.col]
         if isinstance(a, KOnly) or isinstance(b, KOnly):
-            assert check.value.euler == form.chi(form.kclass(a, eng), form.kclass(b, eng))
+            assert check.value.euler == ref.chi(form.kclass(a, eng), form.kclass(b, eng))
 
 
 def test_mutation_rejects_bad_positions(eng):
@@ -197,22 +225,24 @@ def test_replay_swap_steps_report_both_directions(eng):
         assert any("reverse direction" in note and "= 0" in note for note in s.notes)
 
 
-def k_mutated(vectors, direction, i, form):
-    """The classes after mutating the pair at i: (b, k_cone) to the right,
-    (k_cone, a) to the left."""
+def k_mutated(vectors, direction, i, ref):
+    """The classes after mutating the pair at i, chi taken from the
+    reference: (b, a - chi b) to the right, (b - chi a, a) to the left."""
     a, b = vectors[i], vectors[i + 1]
-    cone = M.k_cone(direction, a, b, form.chi(a, b))
-    return vectors[:i] + ([b, cone] if direction == "R" else [cone, a]) + vectors[i + 2 :]
+    chi = ref.chi(a, b)
+    if direction == "R":
+        return vectors[:i] + [b, tuple(x - chi * y for x, y in zip(a, b))] + vectors[i + 2 :]
+    return vectors[:i] + [tuple(y - chi * x for x, y in zip(a, b)), a] + vectors[i + 2 :]
 
 
-def test_k_mutation_involutivity(eng, form):
+def test_k_mutation_involutivity(eng, form, ref):
     rng = random.Random(4)
     for col in (M.kp_collection(), M.kuznetsov_collection()):
         vectors = [form.kclass(o, eng) for o in col.objects]
         for _ in range(30):
             i = rng.randrange(len(vectors) - 1)
-            assert k_mutated(k_mutated(vectors, "R", i, form), "L", i, form) == vectors
-            assert k_mutated(k_mutated(vectors, "L", i, form), "R", i, form) == vectors
+            assert k_mutated(k_mutated(vectors, "R", i, ref), "L", i, ref) == vectors
+            assert k_mutated(k_mutated(vectors, "L", i, ref), "R", i, ref) == vectors
 
 
 def hermite_normal_form(rows):
@@ -247,18 +277,18 @@ def hermite_normal_form(rows):
     return tuple(tuple(r) for r in m)
 
 
-def test_k_lattice_preserved_under_mutation(eng, form):
+def test_k_lattice_preserved_under_mutation(eng, form, ref):
     rng = random.Random(8)
     vectors = [form.kclass(o, eng) for o in M.kp_collection().objects]
     base = hermite_normal_form(vectors)
     current = vectors
     for _ in range(25):
         i = rng.randrange(len(current) - 1)
-        current = k_mutated(current, "R" if rng.random() < 0.5 else "L", i, form)
+        current = k_mutated(current, "R" if rng.random() < 0.5 else "L", i, ref)
         assert hermite_normal_form(current) == base
 
 
-def test_object_mutation_matches_cone_class(eng, form):
+def test_object_mutation_matches_cone_class(eng, form, ref):
     # the engine asserts this internally; spot-check one case by hand
     col = Collection((B.O(2), B.schur("Uv", "Sym", 2, 2)))
     _, step = M.mutate(col, "L", 0, eng)
@@ -266,7 +296,8 @@ def test_object_mutation_matches_cone_class(eng, form):
     k_res = form.kclass(B.Named("Ktilde", 2), eng)
     k_o = form.kclass(B.O(2), eng)
     k_s = form.kclass(B.schur("Uv", "Sym", 2, 2), eng)
-    chi = form.chi(k_o, k_s)
+    chi = M.KForm.chi(B.O(2), B.schur("Uv", "Sym", 2, 2), eng)
+    assert chi == ref.chi(k_o, k_s)
     assert tuple(-x for x in k_res) == tuple(b - chi * a for a, b in zip(k_o, k_s))
 
 
@@ -289,42 +320,56 @@ def test_hermite_normal_form_basics():
     assert hermite_normal_form([(2, 2), (2, -2)]) == ((2, 2), (0, 4))
 
 
-def test_kform_inverse_by_back_substitution(form):
-    n = len(form.gram)
-    inv, gram = form.gram_inv, form.gram
+def test_kform_inverse_by_back_substitution(ref):
+    n = len(ref.gram)
+    inv, gram = ref.gram_inv, ref.gram
     product = [[sum(inv[i][k] * gram[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
     assert product == [[int(i == j) for j in range(n)] for i in range(n)]
-
-
-def test_kform_rejects_gram_that_is_not_unitriangular(form):
-    lower = [list(row) for row in form.gram]
-    lower[3][1] = 1  # a backward pairing: the basis would not be exceptional
-    diagonal = [list(row) for row in form.gram]
-    diagonal[2][2] = 2
-    for gram in (lower, diagonal):
-        with pytest.raises(InternalConsistencyError):
-            M.KForm.from_gram(form.basis, tuple(map(tuple, gram)))
 
 
 COLLECTIONS = (M.kp_collection, M.kuznetsov_collection)
 
 
 def test_gram_matrix_is_the_table_of_euler_pairings(monkeypatch):
-    # The oracle pairs the objects through the engine, without KForm.
-    # KForm.chi, and the coordinates it reads, serve K-only classes alone:
-    # no command of the paper reads them to pair two bundles.
+    # The oracle pairs the objects through the engine.  The K-form's
+    # classes name mutation results; no pairing of two bundles reads them.
+    final = M.replay_main_proof(ExtEngine()).final
+
     def forbidden(*args):
         raise AssertionError("a bundle pairing read the K-form")
 
-    monkeypatch.setattr(M.KForm, "chi", forbidden)
-    monkeypatch.setattr(M.KForm, "coords", forbidden)
+    monkeypatch.setattr(M.KForm, "standard", forbidden)
+    monkeypatch.setattr(M.KForm, "kclass", forbidden)
     eng = ExtEngine()
-    final = M.replay_main_proof(eng).final
-    assert M.assemble_kp_collection(eng)[0].objects == M.kp_collection().objects
     for col in (M.kp_collection(), M.kuznetsov_collection(), final):
         assert M.verify_exceptional(col, eng).passed
         objs = col.objects
         assert M.gram_matrix(col, eng) == tuple(tuple(eng.euler(a, b) for b in objs) for a in objs)
+
+
+def class_of_terms(terms, form, eng):
+    """The class of a signed sum of bundles: the sum of their classes."""
+    total = [0] * len(form.basis)
+    for m, x in terms:
+        total = [t + m * c for t, c in zip(total, form.kclass(x, eng))]
+    return tuple(total)
+
+
+def k_only_by_relation(obj, form, eng):
+    """obj as a K-only object: the first registered sequence that has obj as
+    a term without coefficient, solved for that term in K-theory; so U(k)
+    is 10 O(k) - Uv(k), from taut-rank5."""
+    for seq, idx, t in B.sequence_matches(obj):
+        if not seq.terms[idx].coeff:
+            terms = tuple(
+                ((-1) ** (j - idx + 1) * B.coeff_dim(term.coeff), B.twist(term.obj, t))
+                for j, term in enumerate(seq.terms)
+                if j != idx
+            )
+            kclass = class_of_terms(terms, form, eng)
+            assert kclass == form.kclass(obj, eng), (obj, seq.name)
+            return KOnly(kclass, terms)
+    raise AssertionError(f"no relation solves for {obj}")
 
 
 def test_gram_matrix_reads_k_only_objects_by_their_class(eng, form):
@@ -332,7 +377,7 @@ def test_gram_matrix_reads_k_only_objects_by_their_class(eng, form):
         col = make()
         expected = M.gram_matrix(col, eng)
         for i in (0, 5, len(col) - 1):
-            k_only = KOnly(form.kclass(col.objects[i], eng))
+            k_only = k_only_by_relation(col.objects[i], form, eng)
             objs = col.objects[:i] + (k_only,) + col.objects[i + 1:]
             assert M.gram_matrix(Collection(objs), eng) == expected, (col.label, i)
 
@@ -352,8 +397,9 @@ def test_gram_matrix_of_bundles_builds_no_kform(monkeypatch):
     assert calls == [] and eng.kform is None
 
 
-def test_cone_chi_is_the_k_form_pairing_of_the_classes(eng, form, monkeypatch):
-    # The reference is the former route: chi(E1, E2) read through the
+def test_cone_chi_is_the_k_form_pairing_of_the_classes(eng, form, ref, monkeypatch):
+    # Every cone of the paper's mutations pairs two bundles through the
+    # engine; the reference reads the same chi(E1, E2) through the
     # coordinates of E1's class in the Kuznetsov basis.
     cones = []
     k_cone = M.k_cone
@@ -369,7 +415,48 @@ def test_cone_chi_is_the_k_form_pairing_of_the_classes(eng, form, monkeypatch):
         steps += blocks
     assert len(cones) >= sum(s.recipe != "transposition" for s in steps) > 14
     for a, b, chi in cones:
-        assert chi == form.chi(a, b), (a, b)
+        assert chi == eng.euler(a, b) == ref.chi(form.kclass(a, eng), form.kclass(b, eng)), (a, b)
+
+
+WALK_OBJECTS = ("O({})", "Uv({})", "U({})", "That({})", "Sym2 Uv({})", "Rv({})", "Sym2 Rv(2)", "Wedge2 Rv(4)")
+
+
+def random_walks(rng, count, steps):
+    """Collections of two to five objects of WALK_OBJECTS at twists 0..5,
+    each with `steps` random mutations."""
+    for _ in range(count):
+        size = rng.randint(2, 5)
+        objs = tuple(parse_bundle(rng.choice(WALK_OBJECTS).format(rng.randint(0, 5))) for _ in range(size))
+        yield Collection(objs, "walk"), [(rng.choice("LR"), rng.randrange(size - 1)) for _ in range(steps)]
+
+
+def test_k_only_terms_sum_to_the_class_and_pair_as_the_reference(eng, form, ref):
+    # Random mutation walks make K-only results of K-only pairs too.  Each
+    # result's class is the reference's cone and the sum of its terms, and
+    # every pairing, with a K-only side or in the Gram matrix of a walk's
+    # last collection, is the reference's.
+    k_only_results = k_only_pairs = 0
+    for col, moves in random_walks(random.Random(0), 300, 4):
+        for direction, position in moves:
+            try:
+                col, step = M.mutate(col, direction, position, eng)
+            except M.AmbiguousMutation:
+                continue
+            a, b = step.pair
+            if isinstance(a, KOnly) or isinstance(b, KOnly):
+                k_only_pairs += 1
+                assert step.hypothesis.euler == ref.chi(form.kclass(a, eng), form.kclass(b, eng)), step.pair
+            if isinstance(step.result, KOnly):
+                k_only_results += 1
+                cone = k_mutated([form.kclass(a, eng), form.kclass(b, eng)], direction, 0, ref)
+                assert step.result.kclass == cone[1 if direction == "R" else 0], step.pair
+                terms = step.result.terms
+                assert all(m and not isinstance(x, KOnly) for m, x in terms)
+                assert len({x for _, x in terms}) == len(terms)
+                assert class_of_terms(terms, form, eng) == step.result.kclass, step.pair
+        classes = [form.kclass(x, eng) for x in col.objects]
+        assert M.gram_matrix(col, eng) == tuple(tuple(ref.chi(ka, kb) for kb in classes) for ka in classes)
+    assert k_only_results > 500 and k_only_pairs > 200
 
 
 def test_step_kclass_is_the_class_of_the_result(eng, form):
@@ -447,7 +534,8 @@ def test_kclass_fault_reaches_a_fresh_engine_after_another_form_is_warm(monkeypa
     assert M.gram_matrix(col, warm) == before
     fresh = ExtEngine()
     form = M.KForm.standard(fresh)
-    assert form.gram == M.KForm.standard(warm).gram
+    basis = form.basis
+    assert [form.kclass(b, fresh) for b in basis] == [M.KForm.standard(warm).kclass(b, warm) for b in basis]
     that5 = B.Named("That", 5)
     assert form.kclass(that5, fresh) == tuple(-c for c in warm.kform.kclass(that5, warm))
     assert M.gram_matrix(col, fresh) != before

@@ -18,7 +18,6 @@ from homcoh.mutations import Collection, KForm, KOnly, MutationStep, PairCheck
 from homcoh.roots import B4, B4_Q4, D5, D5_P4, LieDatum, Parabolic
 
 _PIECES = ((0, ((D5, (1, 0, 0, 0, 0)),), 1), (1, (), 2))
-_GRAM = ((1, 5), (0, 1))
 
 # class -> (a function building an object from its fields, its fields, one
 # object that differs from it in one field).  An interned class returns one
@@ -48,16 +47,16 @@ FROZEN = {
     ),
     ExtResult: (lambda: ExtResult(_PIECES), ("pieces",), ExtResult(_PIECES[:1])),
     Ambiguous: (lambda: Ambiguous(3, "no chase"), ("euler", "reason"), Ambiguous(3, "other")),
-    KOnly: (lambda: KOnly((1, -2, 0)), ("kclass",), KOnly((1, -2, 1))),
+    KOnly: (lambda: KOnly((1, -2, 0), ((1, B.O()),)), ("kclass",), KOnly((1, -2, 1), ((1, B.O()),))),
     Collection: (
         lambda: Collection((B.O(), B.Uv()), "c", True),
         ("objects", "label", "equivariant"),
         Collection((B.O(), B.Uv()), "c"),
     ),
     KForm: (
-        lambda: KForm.from_gram((B.O(), B.O(1)), _GRAM),
-        ("basis", "gram", "gram_inv"),
-        KForm.from_gram((B.O(), B.O(2)), _GRAM),
+        lambda: KForm((B.O(), B.O(1))),
+        ("basis",),
+        KForm((B.O(), B.O(2))),
     ),
     CorpusEntry: (
         lambda: CorpusEntry("e", "D5", ENTRIES[0].run),
@@ -154,7 +153,7 @@ def test_objects_of_two_classes_never_compare_equal():
     pairs = [
         (B.Named("That", 0), B.O()),
         (ExtResult(()), Ambiguous(0)),
-        (ExtResult(()), KOnly(())),  # one field each, holding the same value
+        (ExtResult(()), KOnly((), ())),  # one field each, holding the same value
         (Ambiguous(0, "That"), B.Named("That", 0)),
         (LieDatum("B", 4), Parabolic(B4, (4,))),
     ]
@@ -175,11 +174,16 @@ def test_lie_data_order_by_family_then_rank():
 
 def test_kform_tables_take_no_part_in_comparison_or_printing():
     a, b = FROZEN[KForm][0](), FROZEN[KForm][0]()
-    assert a.coords((0, 1)) == (-5, 1)
     a._classes[B.Uv()] = (3, 4)
     assert a._classes and not b._classes
     assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
-    assert repr(a) == "KForm(basis=(O, O (1)), gram=((1, 5), (0, 1)), gram_inv=((1, -5), (0, 1)))"
+    assert repr(a) == "KForm(basis=(O, O (1)))"
+
+
+def test_k_only_terms_take_no_part_in_comparison_or_printing():
+    a, b = KOnly((1, -2), ((1, B.O()),)), KOnly((1, -2), ((2, B.O(1)), (-1, B.Uv())))
+    assert a.terms != b.terms
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b) == "K-only[1, -2]"
 
 
 def test_keyword_constructors_and_defaults():
