@@ -5,6 +5,15 @@ failed; 2 usage or parse error; 3 an Ext computation was ambiguous; 4 an
 internal error (a bug, such as an InternalConsistencyError), reported on
 one line of stderr; 141 (128 + SIGPIPE) the reader closed standard output
 early, as in `homcoh corpus | head -1`, which prints nothing to stderr.
+
+A run builds the argparse parser of the command it names alone, as `homcoh
+NAME`, from the command table (_COMMANDS) that build_arg_parser, the parser
+of the whole program, also reads; so `homcoh replay spinor-kp` adds the
+arguments of one command, not of nine.  Usage, help and error text are those
+of the whole program's parser, which is built only to print its own help or
+usage: for no command, an unknown one, or an argument the command does not
+take.  Each parser is built on first use, not at import, and kept for the
+process.
 """
 
 from __future__ import annotations
@@ -265,81 +274,108 @@ def cmd_corpus(args) -> int:
     return EXIT_OK if report.passed else EXIT_FAIL
 
 
+_FLAG = {"action": "store_true"}
+
+# The commands: name -> (help line, handler, the (argument, add_argument
+# keywords) of each argument).  build_arg_parser makes every command a
+# subcommand of one parser; main builds only the parser of the command it runs.
+_COMMANDS = {
+    "coh": (
+        "Borel-Bott-Weil cohomology of an irreducible bundle",
+        cmd_coh,
+        (("datum", {}), ("marked", {}), ("weight", {}), ("--quiet", _FLAG)),
+    ),
+    "dim": ("dimension of an irreducible representation", cmd_dim, (("datum", {}), ("weight", {}))),
+    "tensor": (
+        "tensor decomposition of Levi representations",
+        cmd_tensor,
+        (("datum", {}), ("marked", {}), ("w1", {}), ("w2", {})),
+    ),
+    "ext": (
+        "graded Ext between bundle expressions",
+        cmd_ext,
+        (("e1", {}), ("e2", {}), ("--equivariant", _FLAG), ("--euler", _FLAG)),
+    ),
+    "verify": (
+        "exceptionality of a collection file",
+        cmd_verify,
+        (("collection", {}), ("--equivariant", _FLAG), ("--json", _FLAG)),
+    ),
+    "mutate": (
+        "mutate an adjacent pair of a collection",
+        cmd_mutate,
+        (
+            ("collection", {}),
+            ("direction", {"choices": ["L", "R"]}),
+            ("position", {"type": int}),
+            ("--json", _FLAG),
+        ),
+    ),
+    "gram": ("Euler pairing table of a collection", cmd_gram, (("collection", {}), ("--json", _FLAG))),
+    "replay": ("replay the scripted mutation chain", cmd_replay, (("target", {}), ("--json", _FLAG))),
+    "corpus": (
+        "run the golden corpus",
+        cmd_corpus,
+        (("--filter", {"default": ""}), ("--json", _FLAG)),
+    ),
+}
+
+
+def _add_command(parser: argparse.ArgumentParser, name: str) -> None:
+    _, func, arguments = _COMMANDS[name]
+    for argument, keywords in arguments:
+        parser.add_argument(argument, **keywords)
+    parser.set_defaults(command=name, func=func)
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
+    """The parser of the whole program, every command a subcommand."""
     ap = argparse.ArgumentParser(
         prog="homcoh",
         description="Exact cohomology, Ext groups and mutations on the spinor tenfold",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("coh", help="Borel-Bott-Weil cohomology of an irreducible bundle")
-    p.add_argument("datum")
-    p.add_argument("marked")
-    p.add_argument("weight")
-    p.add_argument("--quiet", action="store_true")
-    p.set_defaults(func=cmd_coh)
-
-    p = sub.add_parser("dim", help="dimension of an irreducible representation")
-    p.add_argument("datum")
-    p.add_argument("weight")
-    p.set_defaults(func=cmd_dim)
-
-    p = sub.add_parser("tensor", help="tensor decomposition of Levi representations")
-    p.add_argument("datum")
-    p.add_argument("marked")
-    p.add_argument("w1")
-    p.add_argument("w2")
-    p.set_defaults(func=cmd_tensor)
-
-    p = sub.add_parser("ext", help="graded Ext between bundle expressions")
-    p.add_argument("e1")
-    p.add_argument("e2")
-    p.add_argument("--equivariant", action="store_true")
-    p.add_argument("--euler", action="store_true")
-    p.set_defaults(func=cmd_ext)
-
-    p = sub.add_parser("verify", help="exceptionality of a collection file")
-    p.add_argument("collection")
-    p.add_argument("--equivariant", action="store_true")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("mutate", help="mutate an adjacent pair of a collection")
-    p.add_argument("collection")
-    p.add_argument("direction", choices=["L", "R"])
-    p.add_argument("position", type=int)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_mutate)
-
-    p = sub.add_parser("gram", help="Euler pairing table of a collection")
-    p.add_argument("collection")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_gram)
-
-    p = sub.add_parser("replay", help="replay the scripted mutation chain")
-    p.add_argument("target")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_replay)
-
-    p = sub.add_parser("corpus", help="run the golden corpus")
-    p.add_argument("--filter", default="")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_corpus)
-
+    for name, (help_line, _, _) in _COMMANDS.items():
+        _add_command(sub.add_parser(name, help=help_line), name)
     return ap
 
 
-_arg_parser: argparse.ArgumentParser | None = None
+# Command name -> its parser, and None -> build_arg_parser(): each built on
+# first use, not at import, and kept for the process, since parse_args leaves
+# nothing behind in a parser for the next call.
+_arg_parsers: dict[str | None, argparse.ArgumentParser] = {}
+
+
+def _arg_parser(name: str | None) -> argparse.ArgumentParser:
+    parser = _arg_parsers.get(name)
+    if parser is None:
+        if name is None:
+            parser = build_arg_parser()
+        else:
+            # As build_arg_parser's subparser: the prog add_parser gives it,
+            # and no other setting.
+            parser = argparse.ArgumentParser(prog=f"homcoh {name}")
+            _add_command(parser, name)
+        _arg_parsers[name] = parser
+    return parser
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """argv parsed as build_arg_parser() parses it, building only the parser of
+    the command argv names.  Usage, help and errors print as the full parser
+    prints them: a command's own parser prints them for that command, and the
+    full parser is built only for the program's help and usage (no command, an
+    unknown one, or an argument that the command does not take)."""
+    if argv and argv[0] in _COMMANDS:
+        args, extra = _arg_parser(argv[0]).parse_known_args(argv[1:])
+        if not extra:
+            return args
+    return _arg_parser(None).parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
-    # Built on the first call, not at import, and kept for the process:
-    # parse_args leaves nothing behind in the parser for the next call.
-    global _arg_parser
-    if _arg_parser is None:
-        _arg_parser = build_arg_parser()
     try:
-        args = _arg_parser.parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:

@@ -431,18 +431,24 @@ class ExtEngine:
         self, pb: roots.Parabolic, w1: roots.Weight, w2: roots.Weight, d: int
     ) -> tuple[ExtResult, int]:
         """Ext(E_w1, E_w2') for w2' = w2 at charge d, the BBW cohomology of each
-        Levi piece of E_w1-dual tensor E_w2' (repeated keys merged), and its chi."""
+        Levi piece of E_w1-dual tensor E_w2', and its chi.
+
+        The ExtResult is built in place: one (degree, entry, mult) piece per
+        nonvanishing BBW answer, its entry the one factor (datum, weight), or
+        () for the trivial weight, as _entry gives it; pieces of one degree and
+        weight merged, and sorted once.  No multiplicity is zero."""
         datum = pb.datum
         i = pb.marked[0] - 1
         w1d = _lookup(self._levi_duals, roots.dualize_levi, pb, w1)
-        acc: Graded = {}
+        graded: Graded = {}
         chi = 0
         for nu, mult in levi.tensor_decompose(pb, w1d, w2[:i] + (d,) + w2[i + 1 :]).items():
             coh = _lookup(self._cohomology, bbw.bbw_cohomology, pb, nu)
             if not coh.vanishes:
-                add_piece(acc, coh.degree, _entry((datum, coh.weight)), mult)
+                key = coh.degree, ((datum, coh.weight),) if any(coh.weight) else ()
+                graded[key] = graded.get(key, 0) + mult
                 chi += -mult * coh.dim if coh.degree & 1 else mult * coh.dim
-        return ExtResult.from_dict(acc), chi
+        return ExtResult(tuple(sorted((p, e, m) for (p, e), m in graded.items()))), chi
 
     # -- chase machinery ---------------------------------------------------
 

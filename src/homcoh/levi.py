@@ -18,13 +18,15 @@ charge of w, stored after `roots.check_levi_dominant`.  `tensor_decompose`
 reads `_PRODUCTS`, keyed by the two partitions (pb, p1, p2) of `_split` in
 sorted order, since the product is symmetric: the product's Levi weights
 at central charge 0, filled once per unordered pair, to whose marked
-coordinate a call adds the summed doubled charge.  Its fills read each
-partition's weight from `_READBACKS`, one dict per parabolic keyed by nu,
-filled by `_weight`.  `_brauer_klimyk` reads `_ORBITS`, keyed by the
-weight-side partition and the row count (side, n): per dominant weight of
-the side, its Kostka number from `_kostka` and one flat tuple of ints
-holding each distinct ordering of the weight padded to n rows once, so an
-entry keeps n times the number of distinct weights of the side; and
+coordinate a call adds the summed doubled charge; a product with a
+character, a factor of zero partition, is the summed weight and reads no
+entry.  Its fills read each partition's weight from `_READBACKS`, one
+dict per parabolic keyed by nu, filled by `_weight`.  `_brauer_klimyk`
+reads `_ORBITS`, keyed by the weight-side partition and the row count
+(side, n): per dominant weight of the side, its Kostka number from
+`_kostka` and one flat tuple of ints holding each distinct ordering of the
+weight padded to n rows once, so an entry keeps n times the number of
+distinct weights of the side; and
 `_KERNELS`, keyed by n: the Brauer-Klimyk loop written out for GL(n),
 compiled by `_straightener` the first time a product in n rows needs it
 (n = 4 and 5 for `tensor_decompose`, n up to `len(lam) + len(mu)` for
@@ -305,11 +307,19 @@ def lr_multiply(lam: Partition, mu: Partition, max_rows: int) -> tuple[tuple[Par
 
 
 def tensor_decompose(pb: Parabolic, w1: Weight, w2: Weight) -> dict[Weight, int]:
-    """Decompose the tensor product of two irreducible Levi representations."""
+    """Decompose the tensor product of two irreducible Levi representations.
+
+    A factor that splits to the zero partition is a character, one-dimensional,
+    so the product is the irreducible of w1 + w2, found with no _PRODUCTS
+    entry, Brauer-Klimyk or readback; any other pair reads the product of its
+    two partitions from _PRODUCTS and shifts it by the summed charge.
+    """
     _require_supported(pb)
     (p1, s1), (p2, s2) = _split(pb, w1), _split(pb, w2)
     if p2 < p1:
         p1, p2 = p2, p1
+    if not p1[0]:
+        return {tuple(map(operator.add, w1, w2)): 1}
     terms = _PRODUCTS.get((pb, p1, p2))
     if terms is None:
         readbacks = _READBACKS[pb]

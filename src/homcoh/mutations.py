@@ -325,7 +325,10 @@ def _find_recipe(direction: str, E1: CollectionObject, E2: CollectionObject, hyp
 
 
 def mutate(col: Collection, direction: str, position: int, engine: ExtEngine) -> tuple[Collection, MutationStep]:
-    """Mutate the adjacent pair at `position` (0-based, left object)."""
+    """Mutate the adjacent pair at `position` (0-based, left object).
+
+    A DomainError refuses a cone whose terms cancel, as in the pair (O, O):
+    its class is 0, which no exceptional object has."""
     if direction not in ("L", "R"):
         raise DomainError("direction must be 'L' or 'R'")
     if not 0 <= position < len(col) - 1:
@@ -343,6 +346,11 @@ def mutate(col: Collection, direction: str, position: int, engine: ExtEngine) ->
         rk = form.kclass(result, engine)
     else:
         terms = k_cone(direction, E1, E2, KForm.chi(E1, E2, engine))
+        if not terms:
+            # An exceptional object E has chi(E, E) = 1, so its class is not 0.
+            raise DomainError(
+                f"the {direction} mutation of ({E1}, {E2}) has class 0: the pair is not exceptional"
+            )
         cone_k = (0,) * len(form.basis)
         for m, x in terms:
             cone_k = tuple([c + m * k for c, k in zip(cone_k, form.kclass(x, engine))])

@@ -230,17 +230,6 @@ def positive_roots(datum: LieDatum) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(found, key=lambda beta: (sum(beta), beta)))
 
 
-def weyl_rows(datum: LieDatum) -> tuple[tuple[int, ...], ...]:
-    """Per positive root beta = sum c_k alpha_k, the row c_k |alpha_k|^2.
-
-    Since (omega_j, alpha_k) = delta_jk |alpha_k|^2 / 2, the row's dot
-    product with a weight lam in the omega-basis is 2 (lam, beta).
-    """
-    # |alpha_k|^2 is 2, but for the last simple root of B (e_n) and C (2 e_n).
-    norms = [2] * (datum.rank - 1) + [{"B": 1, "C": 4}.get(datum.family, 2)]
-    return tuple(tuple(c * d for c, d in zip(beta, norms)) for beta in positive_roots(datum))
-
-
 def rho(datum: LieDatum) -> Weight:
     return (1,) * datum.rank
 

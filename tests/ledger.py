@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import os
 import sys
 from pathlib import Path
 
@@ -45,6 +46,8 @@ CLI_RUNS = (
     ("gram-spinor-kp", ("gram", "spinor-kp")),
     ("corpus", ("corpus",)),
     ("corpus-json", ("corpus", "--json")),
+    ("help", ("--help",)),
+    ("replay-help", ("replay", "--help")),
 )
 
 
@@ -67,16 +70,23 @@ def grid_answers() -> list[tuple[str, str, str, int]]:
 
 
 def cli_snapshot(argv: tuple[str, ...]) -> str:
-    """The command, its exit code and its stdout, run on a fresh default engine."""
+    """The command, its exit code and its stdout, run on a fresh default engine
+    at a terminal width of 80 columns, which argparse wraps help text to."""
     from homcoh import cli, ext
 
     ext.reset_engine()
     out = io.StringIO()
+    columns = os.environ.get("COLUMNS")
+    os.environ["COLUMNS"] = "80"
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             code = cli.main(list(argv))
     finally:
         ext.reset_engine()
+        if columns is None:
+            del os.environ["COLUMNS"]
+        else:
+            os.environ["COLUMNS"] = columns
     return f"$ homcoh {' '.join(argv)}\nexit {code}\n{out.getvalue()}"
 
 

@@ -228,6 +228,15 @@ def test_mutate_ambiguous_exit(tmp_path, capsys):
     assert out == "ambiguous: Ext(Rv, Uv) is ambiguous\n"
 
 
+def test_mutate_refuses_a_pair_whose_cone_cancels(tmp_path, capsys):
+    f = tmp_path / "twice.col"
+    f.write_text("O(2)\nO(2)\n")
+    code = cli.main(["mutate", str(f), "R", "1"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "error: the R mutation of (O (2), O (2)) has class 0: the pair is not exceptional\n"
+
+
 def test_mutate_position_out_of_range_names_the_given_position(capsys):
     for position in ("0", "16"):
         code = cli.main(["mutate", "spinor-kp", "R", position])
@@ -307,30 +316,110 @@ def test_unknown_command_is_usage_error(capsys):
 
 
 def test_calls_in_one_process_behave_like_separate_processes(capsys):
-    # The argument parser is built once per process; no call may leave a
-    # flag or an error behind for the next one.
+    # Each command's argument parser is built once per process; no call may
+    # leave a flag or an error behind for the next one.
     assert run(capsys, "ext", "O")[0] == 2
     assert run(capsys, "ext", "O", "O") == (0, "C[0]\n")
-    built = cli._arg_parser
+    built = cli._arg_parsers["ext"]
     code, out = run(capsys, "gram", "kuznetsov", "--json")
     assert code == 0
     matrix = json.loads(out)
+    gram = cli._arg_parsers["gram"]
     code, out = run(capsys, "gram", "kuznetsov")
     assert code == 0
     assert [[int(v) for v in line.split()] for line in out.splitlines()] == matrix
-    assert cli._arg_parser is built is not None
+    assert run(capsys, "ext", "O", "O") == (0, "C[0]\n")
+    assert cli._arg_parsers["ext"] is built is not gram is cli._arg_parsers["gram"] is not None
 
 
 def test_argument_parser_is_not_built_at_import():
     proc = subprocess.run(
-        [sys.executable, "-c", "from homcoh import cli; print(cli._arg_parser)"],
+        [sys.executable, "-c", "from homcoh import cli; print(cli._arg_parsers)"],
         capture_output=True,
         text=True,
         env=_child_env(),
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "None\n"
+    assert proc.stdout == "{}\n"
+
+
+_COUNT_PARSERS = r"""
+import argparse, contextlib, io, json, runpy, sys
+built = []
+init = argparse.ArgumentParser.__init__
+def counted(self, *args, **kwargs):
+    built.append(kwargs.get("prog"))
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counted
+sys.argv = ["homcoh", "replay", "spinor-kp"]
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        runpy.run_module("homcoh", run_name="__main__")
+    except SystemExit as e:
+        code = e.code
+from homcoh import cli
+print(json.dumps([code, built, sorted(map(str, cli._arg_parsers))]))
+"""
+
+
+def test_replay_builds_one_argument_parser():
+    proc = subprocess.run(
+        [sys.executable, "-c", _COUNT_PARSERS], capture_output=True, text=True, env=_child_env(), timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0, ["homcoh replay"], ["replay"]]
+
+
+# Per command: valid arguments, and the ones each kind of usage error needs.
+_ARGV_TABLE = {
+    "coh": ["D5", "P4", "[0,0,0,1,0]"],
+    "dim": ["D5", "[1,0,0,0,0]"],
+    "tensor": ["B4", "Q4", "[1,0,0,0]", "[0,0,0,1]"],
+    "ext": ["O", "Uv"],
+    "verify": ["kuznetsov"],
+    "mutate": ["kuznetsov", "R", "1"],
+    "gram": ["kuznetsov"],
+    "replay": ["spinor-kp"],
+    "corpus": ["--filter", "bott"],
+}
+
+
+def _argv_shapes():
+    for name, valid in _ARGV_TABLE.items():
+        yield [name, *valid]  # valid
+        yield [name, *valid[:-1]]  # a positional missing (corpus: --filter with no value)
+        yield [name, *valid, "--bogus"]  # an unknown flag, after the arguments
+        yield [name, "--bogus", *valid]  # and before them
+        yield [name, *valid, "surplus"]  # an argument too many
+        yield [name, "-h"]
+        yield [name, "--he"]  # an abbreviated --help
+    yield ["mutate", "kuznetsov", "X", "1"]  # a bad choice
+    yield ["mutate", "kuznetsov", "R", "one"]  # a bad int
+    yield ["replay", "spinor-kp", "--js"]  # an abbreviated flag
+    yield from ([], ["-h"], ["--help"], ["frobnicate"], ["--json", "replay", "spinor-kp"], ["replay", "-h", "x"])
+
+
+def _outcome(capsys, argv):
+    code = cli.main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_each_command_parses_as_the_full_parser_parses_it(capsys, monkeypatch):
+    # main builds only the named command's parser; the whole program's parser
+    # must give the same exit code, stdout and stderr for every shape of argv.
+    monkeypatch.setenv("COLUMNS", "80")
+    shapes = list(_argv_shapes())
+    mine = [_outcome(capsys, argv) for argv in shapes]
+    monkeypatch.setattr(cli, "_parse_args", lambda argv: cli.build_arg_parser().parse_args(argv))
+    full = [_outcome(capsys, argv) for argv in shapes]
+    for argv, got, want in zip(shapes, mine, full):
+        assert got == want, argv
+    codes = {argv[0] if argv else "": code for argv, (code, _, _) in zip(shapes, mine)}
+    assert set(codes) == {"", "-h", "--help", "frobnicate", "--json", *_ARGV_TABLE}
+    assert sorted({code for code, _, _ in mine}) == [0, 2]
+    assert all(mine[7 * k][0] == 0 and mine[7 * k + 1][0] == 2 for k in range(len(_ARGV_TABLE)))
 
 
 def test_schur_power_out_of_range_is_a_usage_error_with_a_position(capsys):

@@ -602,6 +602,48 @@ def test_tensor_fills_one_entry_for_both_orders_of_a_pair(monkeypatch):
     assert len(levi._PRODUCTS) == len(pairs)
 
 
+def _product_by_brauer_klimyk(pb, brauer_klimyk, weight, w1, w2):
+    # tensor_decompose without the character rule: the two partitions'
+    # product by Brauer-Klimyk, each term read back and shifted by the charges.
+    (p1, s1), (p2, s2) = levi._split(pb, w1), levi._split(pb, w2)
+    m = pb.marked[0] - 1
+    out = {}
+    for nu, mult in brauer_klimyk(p1, p2, len(p1)).items():
+        w = weight(pb, [a - b for a, b in zip(nu, nu[1:])], 2 * nu[-1])
+        out[w[:m] + (w[m] + s1 + s2,) + w[m + 1 :]] = mult
+    return out
+
+
+def test_a_character_product_is_the_brauer_klimyk_product(monkeypatch):
+    # A weight that splits to the zero partition is a character.  Its product
+    # with any Levi irreducible, on either side, is what Brauer-Klimyk gives,
+    # the irreducible of the summed weight, and fills no table entry: neither
+    # Brauer-Klimyk nor readback runs.
+    brauer_klimyk, weight = levi._brauer_klimyk, levi._weight
+
+    def unused(*args):
+        raise AssertionError("a character product ran Brauer-Klimyk or readback")
+
+    monkeypatch.setattr(levi, "_brauer_klimyk", unused)
+    monkeypatch.setattr(levi, "_weight", unused)
+    rng = random.Random(53)
+    for pb in (D5_P4, B4_Q4):
+        chars = [_marked_shift(pb, (0,) * pb.rank, c) for c in range(-4, 5)]
+        for _ in range(80):
+            w = _random_levi_dominant(rng, pb)
+            char = rng.choice(chars)
+            products = dict(levi._PRODUCTS)
+            for a, b in ((char, w), (w, char)):
+                got = levi.tensor_decompose(pb, a, b)
+                assert got == _product_by_brauer_klimyk(pb, brauer_klimyk, weight, a, b), (pb, a, b)
+                assert got == {tuple(x + y for x, y in zip(a, b)): 1}
+                dims = sum(m * _gl_dim(_chain_partition(pb, v)) for v, m in got.items())
+                assert dims == _gl_dim(_chain_partition(pb, a)) * _gl_dim(_chain_partition(pb, b))
+            assert levi._PRODUCTS == products
+        for a, b in itertools.product(chars, repeat=2):
+            assert levi.tensor_decompose(pb, a, b) == _product_by_brauer_klimyk(pb, brauer_klimyk, weight, a, b)
+
+
 def test_schur_power_weights():
     assert levi.wedge_power(D5_P4, 4) == (0, 0, 0, 1, 1)
     assert levi.wedge_power(D5_P4, 5) == (0, 0, 0, 2, 0)  # the determinant twist

@@ -8,6 +8,7 @@ from homcoh import mutations as M
 from homcoh.ext import ExtEngine
 from homcoh.mutations import Collection, KOnly
 from homcoh.parser import parse_bundle
+from homcoh.roots import DomainError
 from test_bundles import _twist_delta
 
 
@@ -435,12 +436,18 @@ def test_k_only_terms_sum_to_the_class_and_pair_as_the_reference(eng, form, ref)
     # result's class is the reference's cone and the sum of its terms, and
     # every pairing, with a K-only side or in the Gram matrix of a walk's
     # last collection, is the reference's.
-    k_only_results = k_only_pairs = 0
+    k_only_results = k_only_pairs = refused = 0
     for col, moves in random_walks(random.Random(0), 300, 4):
         for direction, position in moves:
             try:
                 col, step = M.mutate(col, direction, position, eng)
             except M.AmbiguousMutation:
+                continue
+            except DomainError:
+                # Refused: the pair's cone has no terms, so its class is 0.
+                a, b = col.objects[position : position + 2]
+                assert M.k_cone(direction, a, b, M.KForm.chi(a, b, eng)) == (), (a, b)
+                refused += 1
                 continue
             a, b = step.pair
             if isinstance(a, KOnly) or isinstance(b, KOnly):
@@ -456,7 +463,18 @@ def test_k_only_terms_sum_to_the_class_and_pair_as_the_reference(eng, form, ref)
                 assert class_of_terms(terms, form, eng) == step.result.kclass, step.pair
         classes = [form.kclass(x, eng) for x in col.objects]
         assert M.gram_matrix(col, eng) == tuple(tuple(ref.chi(ka, kb) for kb in classes) for ka in classes)
-    assert k_only_results > 500 and k_only_pairs > 200
+    assert k_only_results > 500 and k_only_pairs > 200 and refused
+
+
+def test_a_pair_whose_cone_cancels_is_refused(eng):
+    # chi(O(2), O(2)) = 1, so both cones are O(2) - O(2): no terms, class 0,
+    # which no exceptional object has.  A pair with a nonzero cone still mutates.
+    twice = Collection((B.O(2), B.O(2)))
+    for direction in ("R", "L"):
+        assert M.k_cone(direction, B.O(2), B.O(2), M.KForm.chi(B.O(2), B.O(2), eng)) == ()
+        with pytest.raises(DomainError, match=f"the {direction} mutation of .* has class 0"):
+            M.mutate(twice, direction, 0, eng)
+    assert M.mutate(Collection((B.O(2), B.O(3))), "R", 0, eng)[1].recipe == "k-only"
 
 
 def test_step_kclass_is_the_class_of_the_result(eng, form):

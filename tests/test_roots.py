@@ -70,23 +70,6 @@ def test_cartan_matrix_matches_epsilon_oracle():
         assert roots.cartan_matrix(datum) == _oracle_cartan(_simple_eps(family, n)), datum
 
 
-def test_weyl_rows_match_epsilon_oracle():
-    # Row c_k |alpha_k|^2 of beta = sum c_k alpha_k: dividing by the norms of
-    # this file's simple roots and expanding must give each classical
-    # positive root once.
-    for family, n in ORACLE_DATA:
-        simple = _simple_eps(family, n)
-        norms = [_dot(a, a) for a in simple]
-        rows = roots.weyl_rows(LieDatum(family, n))
-        assert all(r % d == 0 for row in rows for r, d in zip(row, norms))
-        expanded = [
-            tuple(sum(r // d * a[k] for r, d, a in zip(row, norms, simple)) for k in range(len(simple[0])))
-            for row in rows
-        ]
-        assert len(set(expanded)) == len(expanded)
-        assert set(expanded) == _eps_positive_roots(family, n), (family, n)
-
-
 def test_closed_form_views_match_the_epsilon_oracle():
     # The round trip below cannot see an error both maps share: each map is
     # checked against this file's own simple roots instead.
