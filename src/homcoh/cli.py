@@ -13,13 +13,12 @@ arguments of one command, not of nine.  Usage, help and error text are those
 of the whole program's parser, which is built only to print its own help or
 usage: for no command, an unknown one, or an argument the command does not
 take.  Each parser is built on first use, not at import, and kept for the
-process.
+process.  Likewise json is imported by the --json branches that print it.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -139,6 +138,7 @@ def cmd_verify(args) -> int:
         col = Collection(col.objects, col.label, equivariant=True)
     report = mutations.verify_exceptional(col, eng)
     if args.json:
+        import json
         payload = {
             "objects": [repr(o) for o in col.objects],
             "passed": report.passed,
@@ -191,6 +191,7 @@ def cmd_mutate(args) -> int:
         print(f"ambiguous: {e}")
         return EXIT_AMBIGUOUS
     if args.json:
+        import json
         payload = _step_payload(step)
         payload["collection"] = [repr(o) for o in new.objects]
         print(json.dumps(payload, indent=2))
@@ -210,6 +211,7 @@ def cmd_gram(args) -> int:
     col = _load_collection(args.collection)
     matrix = mutations.gram_matrix(col, eng)
     if args.json:
+        import json
         print(json.dumps([list(row) for row in matrix]))
     else:
         width = max(len(str(v)) for row in matrix for v in row)
@@ -229,6 +231,7 @@ def cmd_replay(args) -> int:
         return EXIT_FAIL
     ok = rr.final_matches
     if args.json:
+        import json
         payload = {
             "steps": [_step_payload(s) for s in rr.steps],
             "final": [repr(o) for o in rr.final.objects],
@@ -252,6 +255,7 @@ def cmd_corpus(args) -> int:
     if not report.results:
         raise UsageError(f"no corpus entry matches {args.filter!r}")
     if args.json:
+        import json
         payload = [
             {
                 "label": entry.label,

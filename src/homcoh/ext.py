@@ -36,9 +36,11 @@ is branched to B4 before the routes are compared: such a pair is labelled
 by B4 irreducibles alone.
 
 Ext(E(k), F(k)) = Ext(E, F), labels included, so an engine computes and
-keeps one Ext per twist class of pairs, under the pair with E at level
-zero (E.base, see bundles), Ambiguous answers included when no cycle was
-cut while computing them (see ExtEngine), their reasons naming no pair.
+keeps one Ext per twist class of pairs, Ambiguous answers included when no
+cycle was cut while computing them (see ExtEngine), their reasons naming no
+pair.  It keys the class by the two bases and the difference of the two
+levels (see bundles), which it reads off the pair without building a
+bundle, and computes the pair with E at level zero only on a miss.
 A chase that fails gives None, not an answer: every Ambiguous carries the
 exact Euler characteristic, except the cycle cut (None), which only a
 chase inside another computation meets.
@@ -223,7 +225,7 @@ def _class_pieces(obj: BundleObject) -> tuple[Pieces | None, Pieces]:
 
 
 def _tensor_coeff(res: ExtResult, coeff: bundles.Coeff) -> ExtResult:
-    if not coeff:
+    if not coeff or not res.pieces:
         return res
     acc: Graded = {}
     for p, entry, m in res.pieces:
@@ -235,15 +237,17 @@ def _tensor_coeff(res: ExtResult, coeff: bundles.Coeff) -> ExtResult:
 class ExtEngine:
     """Memoizing Ext calculator over a fixed sequence registry.
 
-    The Ext memo holds each answer under one key, the pair at level zero:
-    E.base, and F twisted by minus E's level (bundles).  Every registered
-    sequence matches at every twist, so the routes of (E(k), F(k)) and
-    (E, F) correspond one to one and give equal answers.  An ExtResult is
-    always memoized, also when a cut happened below it.  An Ambiguous is
-    memoized only when _cuts did not move while it was computed: _cuts
-    counts the cycle cuts, the "cyclic dependency" Ambiguous, with no Euler
-    characteristic (None), answered to a pair already on the stack, which
-    is never stored.  It is the one such answer the engine builds, and a
+    The Ext memo holds each answer under one key per twist class:
+    (E.base, F.base, F.level - E.level), which names the pair at level
+    zero, E.base and F twisted by minus E's level (bundles), one to one.
+    A lookup builds no bundle; only a miss builds that pair, for _compute.
+    Every registered sequence matches at every twist, so the routes of
+    (E(k), F(k)) and (E, F) correspond one to one and give equal answers.
+    An ExtResult is always memoized, also when a cut happened below it.
+    An Ambiguous is memoized only when _cuts did not move while it was
+    computed: _cuts counts the cycle cuts, the "cyclic dependency"
+    Ambiguous, with no Euler characteristic (None), answered to a pair
+    already on the stack, which is never stored.  It is the one such answer the engine builds, and a
     call at the top level, with an empty stack, never meets it.
 
     Besides the Ext memo, an engine keeps five kernel tables of pure values,
@@ -289,7 +293,7 @@ class ExtEngine:
     # -- public surface ------------------------------------------------
 
     def ext(self, E: BundleObject, F: BundleObject) -> ExtResult | Ambiguous:
-        key = E, F = E.base, bundles.twist(F, -E.level)
+        key = E.base, F.base, F.level - E.level
         result = self._memo.get(key, _MISSING)
         if result is not _MISSING:
             return result
@@ -299,7 +303,7 @@ class ExtEngine:
         self._stack.add(key)
         cuts = self._cuts
         try:
-            result = self._compute(E, F)
+            result = self._compute(E.base, bundles.twist(F, -E.level))
         finally:
             self._stack.discard(key)
         if isinstance(result, ExtResult) or self._cuts == cuts:
@@ -453,7 +457,8 @@ class ExtEngine:
     # -- chase machinery ---------------------------------------------------
 
     def _column(self, term: Term, t: int, partner: BundleObject, contravariant: bool) -> ExtResult | None:
-        obj, coeff = _lookup(self._terms, self._term_at, term, t, contravariant)
+        terms = self._terms
+        obj, coeff = terms.get((term, t, contravariant)) or _lookup(terms, self._term_at, term, t, contravariant)
         res = self.ext(obj, partner) if contravariant else self.ext(partner, obj)
         if isinstance(res, Ambiguous):
             return None
@@ -488,6 +493,11 @@ def _merge(target: Graded, col: ExtResult, shift: int) -> None:
         add_piece(target, p + shift, entry, m)
 
 
+def _shift(col: ExtResult, shift: int) -> ExtResult:
+    """col with every degree moved by shift: its pieces stay sorted and nonzero."""
+    return ExtResult(tuple((p + shift, e, m) for p, e, m in col.pieces)) if shift else col
+
+
 def _solve_ses(cols: list[ExtResult | None], idx: int) -> ExtResult | None:
     """Solve one short exact sequence column-wise.
 
@@ -498,11 +508,19 @@ def _solve_ses(cols: list[ExtResult | None], idx: int) -> ExtResult | None:
     that map is forced to vanish in every degree, U is y, shifted up by one
     when U is c0, plus x, shifted down by one when U is c2.  A map is forced
     to vanish unless both its source and its target are nonzero, so the
-    degrees of its source column are the only ones to walk.
+    degrees of its source column are the only ones to walk.  A degree of a
+    column is nonzero exactly when the column has a piece there, since every
+    piece has a positive multiplicity and a positive dimension: the test
+    reads the degree supports, not the dimensions.  When x or y is zero, U is
+    the other one, shifted, with no merge.
     """
     x, y = cols[(idx + 1) % 3], cols[(idx + 2) % 3]
-    y_dims = y.dims()
-    if any(d and y_dims.get(p + (idx == 1)) for p, d in x.dims().items()):
+    if not x.pieces:
+        return _shift(y, int(idx == 0))
+    if not y.pieces:
+        return _shift(x, -int(idx == 2))
+    y_degrees = {p for p, _, _ in y.pieces}
+    if any(p + (idx == 1) in y_degrees for p, _, _ in x.pieces):
         return None
     out: Graded = {}
     _merge(out, y, int(idx == 0))

@@ -371,6 +371,27 @@ def test_replay_builds_one_argument_parser():
     assert json.loads(proc.stdout) == [0, ["homcoh replay"], ["replay"]]
 
 
+# Reads sys.modules before anything in the child imports json.
+_JSON_MODULES = r"""
+import contextlib, io, runpy, sys
+sys.argv = ["homcoh", "replay", "spinor-kp"]
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        runpy.run_module("homcoh", run_name="__main__")
+    except SystemExit as e:
+        code = e.code
+print(code, "json" in sys.modules)
+"""
+
+
+def test_replay_does_not_import_json():
+    proc = subprocess.run(
+        [sys.executable, "-c", _JSON_MODULES], capture_output=True, text=True, env=_child_env(), timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False"]
+
+
 # Per command: valid arguments, and the ones each kind of usage error needs.
 _ARGV_TABLE = {
     "coh": ["D5", "P4", "[0,0,0,1,0]"],

@@ -273,7 +273,7 @@ def test_repeated_query_is_a_memo_hit(monkeypatch):
         for k in (-2, 0, 3)
     ]
     first = {pair: eng.ext(*pair) for pair in pairs}
-    kept = {(E, F): answer for (E, F), answer in first.items() if eng._memo.get((E.base, B.twist(F, -E.level))) is answer}
+    kept = {(E, F): answer for (E, F), answer in first.items() if eng._memo.get((E.base, F.base, F.level - E.level)) is answer}
     # Only an Ambiguous computed under a cycle cut is not kept.
     assert all(isinstance(answer, Ambiguous) for pair, answer in first.items() if pair not in kept)
     assert len(kept) > len(pairs) // 2
@@ -581,7 +581,7 @@ def _answer_grid(order):
     answers = {}
     for e, f in order:
         E, F = parse_bundle(e), parse_bundle(f)
-        key = E.base, B.twist(F, -E.level)
+        key = E.base, F.base, F.level - E.level
         computed, cuts = key not in eng._memo, eng._cuts
         res = eng.ext(E, F)
         answers[(e, f)] = repr(res)
@@ -590,6 +590,28 @@ def _answer_grid(order):
             assert (key in eng._memo) == kept, (e, f)
     assert not any(getattr(v, "reason", "") == "cyclic dependency" for v in eng._memo.values())
     return answers
+
+
+def test_a_memo_hit_builds_no_bundle(monkeypatch):
+    # The memo key is read off the pair, its two bases and the difference of
+    # their levels, so a second pass over the grid answers every pair the
+    # memo keeps with twist raising.  A pair it does not keep, an Ambiguous
+    # computed under a cycle cut, is computed again with twist in place.
+    eng = ExtEngine()
+    pairs = [(parse_bundle(e), parse_bundle(f)) for e, f in ledger.GRID]
+    first = [eng.ext(E, F) for E, F in pairs]
+
+    def no_twist(obj, k):
+        raise AssertionError(f"twist({obj!r}, {k}) on a memo hit")
+
+    hits = 0
+    for (E, F), want in zip(pairs, first):
+        with monkeypatch.context() as m:
+            if (E.base, F.base, F.level - E.level) in eng._memo:
+                hits += 1
+                m.setattr(B, "twist", no_twist)
+            assert repr(eng.ext(E, F)) == repr(want), (E, F)
+    assert hits > 1000
 
 
 def test_grid_answers_do_not_depend_on_the_query_order():
@@ -661,8 +683,9 @@ def _old_degenerates(cols, idx):
 def test_grid_answers_have_one_flat_shape():
     # Every exact grid answer, and every direct answer the engine keeps in
     # _pairs beside its Euler characteristic, is an ExtResult whose pieces
-    # are strictly increasing in (degree, entry), carry no zero
-    # multiplicity, and survive the Graded accumulator unchanged.
+    # are strictly increasing in (degree, entry), carry a positive
+    # multiplicity, and survive the Graded accumulator unchanged.  The
+    # chases' degeneracy test reads degree supports on that account.
     import ledger
 
     eng = ExtEngine()
@@ -674,8 +697,22 @@ def test_grid_answers_have_one_flat_shape():
     for res in exact + pairs:
         keys = [(p, e) for p, e, _ in res.pieces]
         assert all(a < b for a, b in zip(keys, keys[1:])), res
-        assert all(m for _, _, m in res.pieces), res
+        assert all(m > 0 for _, _, m in res.pieces), res
         assert ExtResult.from_dict({(p, e): m for p, e, m in res.pieces}) == res
+
+
+def _old_solve_ses(cols, idx):
+    """_solve_ses as it read with the degree-set test: when the sequence
+    degenerates, the two known columns merged through a Graded dict, y
+    shifted up by one when U is c0 and x down by one when U is c2."""
+    if not _old_degenerates(cols, idx):
+        return None
+    x, y = cols[(idx + 1) % 3], cols[(idx + 2) % 3]
+    out = {}
+    for col, shift in ((y, int(idx == 0)), (x, -int(idx == 2))):
+        for p, e, m in col.pieces:
+            X.add_piece(out, p + shift, e, m)
+    return ExtResult.from_dict(out)
 
 
 def test_solve_ses_degenerates_as_the_degree_set_test_did():
@@ -689,19 +726,26 @@ def test_solve_ses_degenerates_as_the_degree_set_test_did():
         return ExtResult.from_dict(col)
 
     seen = set()
+    zero_sides = 0
     for _ in range(400):
         for idx in range(3):
             cols = [column(), column(), column()]
+            zero = rng.randrange(4)  # one column drawn zero on purpose, unless it is the unknown, or none
+            if zero < 3:
+                cols[zero] = ExtResult(())
             cols[idx] = None
             known = [col for col in cols if col is not None]
             degenerate = _old_degenerates(cols, idx)
             seen.add(degenerate)
             solved = X._solve_ses(cols, idx)
+            assert solved == _old_solve_ses(cols, idx), (cols, idx)
             assert (solved is not None) == degenerate, (cols, idx)
             if solved is not None:
                 total = sum(sum(col.dims().values()) for col in known)
                 assert sum(solved.dims().values()) == total
+                zero_sides += any(col.is_zero for col in known)
     assert seen == {True, False}
+    assert zero_sides > 300
 
 
 TWIST_CLASS_PAIRS = (
