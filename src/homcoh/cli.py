@@ -109,6 +109,8 @@ def cmd_tensor(args) -> int:
 
 
 def cmd_ext(args) -> int:
+    if args.euler and args.equivariant:
+        raise UsageError("--euler gives the full Euler characteristic and does not take --equivariant")
     eng = ext_mod.get_engine()
     E = parse_bundle(args.e1)
     F = parse_bundle(args.e2)
@@ -251,7 +253,7 @@ def cmd_replay(args) -> int:
 
 
 def cmd_corpus(args) -> int:
-    report = corpus.run_corpus(args.filter)
+    report = corpus.run_corpus(args.filter, ext_mod.get_engine())
     if not report.results:
         raise UsageError(f"no corpus entry matches {args.filter!r}")
     if args.json:

@@ -1,9 +1,9 @@
 """Golden corpus: the cohomology and Ext facts every build must reproduce.
 
-Each entry re-computes a statement from scratch through the public engine
-and compares against the frozen value.  Entries are tagged by which
-homogeneous description they exercise, so a deliberate fault injected into
-one side's data must break exactly that side's entries.
+Each entry re-computes a statement through the public surface of the
+engine it is given and compares against the frozen value.  Entries are
+tagged by which homogeneous description they exercise, so a deliberate
+fault injected into one side's data must break exactly that side's entries.
 """
 
 from __future__ import annotations
@@ -206,15 +206,16 @@ class CorpusReport(Record):
         return rows
 
 
-def run_corpus(filter_text: str = "", engine: ExtEngine | None = None) -> CorpusReport:
-    """Run every corpus entry whose label contains the filter."""
-    eng = engine if engine is not None else ExtEngine()
+def run_corpus(filter_text: str, engine: ExtEngine) -> CorpusReport:
+    """Run every corpus entry whose label contains the filter, on the engine
+    it is given: its answers do not depend on what that engine has already
+    computed."""
     results = []
     for entry in ENTRIES:
         if filter_text and filter_text not in entry.label:
             continue
         try:
-            cases = entry.run(eng)
+            cases = entry.run(engine)
         except Exception as e:  # a broken computation is a failed entry, not a crash
             cases = [("computation aborted", False, f"{type(e).__name__}: {e}", "a finite value")]
         results.append((entry, cases))

@@ -195,8 +195,7 @@ class KForm(Frozen):
     filled by `kclass` from the engine's Euler pairings.  So each object
     costs its basis pairings once per engine, and the table lives exactly
     as long as the engine, as its kernel tables do: a fault injected below
-    reaches every engine built after it.  `standard` fills the classes of
-    the basis objects when it builds the form.
+    reaches every engine built after it.
     """
 
     _fields = ("basis",)
@@ -209,9 +208,7 @@ class KForm(Frozen):
     def standard(engine: ExtEngine) -> "KForm":
         """The form of the engine, built from its Euler pairings on first use."""
         if engine.kform is None:
-            form = engine.kform = KForm(kuznetsov_collection().objects)
-            for b in form.basis:
-                form.kclass(b, engine)
+            engine.kform = KForm(kuznetsov_collection().objects)
         return engine.kform
 
     @staticmethod

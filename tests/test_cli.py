@@ -62,6 +62,16 @@ def test_ext_text(capsys):
     assert code == 0 and out.splitlines()[0] == "C[-1]"
 
 
+def test_ext_euler_refuses_equivariant(capsys):
+    # The Euler characteristic is of the full Ext; an equivariant one is
+    # not defined yet, so the pair is a usage error, not the plain chi.
+    for argv in (["ext", "R", "R", "--euler", "--equivariant"], ["ext", "O", "O(1)", "--equivariant", "--euler"]):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --euler gives the full Euler characteristic and does not take --equivariant\n"
+
+
 def test_ext_mixed_descriptions(capsys):
     # factors of both groups in one graded piece must sort
     code, out = run(capsys, "ext", "Uv", "Rv(-1)")

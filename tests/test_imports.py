@@ -211,6 +211,50 @@ def test_build_scan_catches_a_second_construction_path():
     assert _builds_outside_new(source) == [5, 7]
 
 
+def _engines_built_outside(source: str, function: str | None) -> list[int]:
+    """The lines of the calls of ExtEngine that sit outside the module-level
+    function named `function` (None: anywhere)."""
+    tree = ast.parse(source)
+    allowed = {
+        id(node)
+        for d in tree.body
+        if isinstance(d, ast.FunctionDef) and d.name == function
+        for node in ast.walk(d)
+    }
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)) == "ExtEngine"
+        and id(node) not in allowed
+    ]
+
+
+def test_the_package_builds_its_engine_only_in_get_engine():
+    # One engine per process: every command, the corpus included, answers
+    # on ext.get_engine(), and callers that want a fresh engine build it
+    # themselves.
+    found = {
+        p.name: _engines_built_outside(p.read_text(encoding="utf-8"), "get_engine" if p.name == "ext.py" else None)
+        for p in sorted(PACKAGE.glob("*.py"))
+    }
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_engine_scan_catches_a_second_construction_site():
+    source = (
+        "def get_engine():\n"
+        "    return ExtEngine()\n"
+        "def run_corpus(engine=None):\n"
+        "    return engine or ExtEngine()\n"
+        "class Report:\n"
+        "    def get_engine(self):\n"
+        "        return ext.ExtEngine()\n"
+    )
+    assert _engines_built_outside(source, "get_engine") == [4, 7]
+    assert _engines_built_outside(source, None) == [2, 4, 7]
+
+
 def _placeholder_answers(source: str) -> list[int]:
     """The lines of the Ambiguous calls whose Euler argument is the literal
     0.  The cycle cut in ExtEngine.ext, which knows no Euler characteristic,

@@ -33,6 +33,25 @@ def test_cli_output_matches_the_ledger(name, argv):
     assert ledger.cli_snapshot(argv) == recorded
 
 
+def test_corpus_on_the_warm_process_engine_matches_the_ledger(capsys):
+    # As one process runs the paper: the corpus answers on the process
+    # engine after a replay, a verify and a Gram matrix, and prints what
+    # the recorded run on a fresh engine printed.
+    from homcoh import cli, ext
+
+    ext.reset_engine()
+    try:
+        for argv in (("replay", "spinor-kp"), ("verify", "spinor-kp"), ("gram", "kuznetsov")):
+            assert cli.main(list(argv)) == 0
+        assert ext.get_engine()._memo
+        capsys.readouterr()
+        code = cli.main(["corpus", "--json"])
+    finally:
+        ext.reset_engine()
+    recorded = (ledger.CLI_DIR / "corpus-json.txt").read_text(encoding="utf-8")
+    assert f"$ homcoh corpus --json\nexit {code}\n{capsys.readouterr().out}" == recorded
+
+
 def test_ledger_check_sees_a_changed_answer(monkeypatch):
     # A wrong degree in one exact answer must fail the grid comparison.
     from homcoh import ext

@@ -489,9 +489,9 @@ def test_step_kclass_is_the_class_of_the_result(eng, form):
 
 
 def test_replay_computes_each_class_once_per_form(monkeypatch):
-    # A basis object's class is its Gram column, kept when the form is built,
-    # and every KForm.kclass call after an object's first reads the form's
-    # table: neither asks the engine for an Euler pairing.
+    # An object's class costs its 16 basis pairings on its first read, basis
+    # objects included, and every KForm.kclass call after that reads the
+    # form's table without asking the engine for an Euler pairing.
     eng = ExtEngine()
     form = M.KForm.standard(eng)
     asked = []
@@ -516,7 +516,7 @@ def test_replay_computes_each_class_once_per_form(monkeypatch):
     assert set(per_object) == set(form._classes)
     assert set(form.basis) <= set(per_object)
     first_reads = {obj: counts[0] for obj, counts in per_object.items()}
-    assert first_reads == {obj: 0 if obj in form.basis else 16 for obj in per_object}
+    assert first_reads == {obj: 16 for obj in per_object}
     assert not any(c for counts in per_object.values() for c in counts[1:])
     assert sum(len(counts) - 1 for counts in per_object.values()) > len(per_object)
 
