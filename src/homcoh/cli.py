@@ -263,7 +263,7 @@ def cmd_corpus(args) -> int:
                 "label": entry.label,
                 "side": entry.side,
                 "cases": [
-                    {"case": c[0], "ok": c[1], "computed": c[2], "stated": c[3]}
+                    {"case": c[0], "ok": c[1], "computed": str(c[2]), "stated": str(c[3])}
                     for c in cases
                 ],
             }

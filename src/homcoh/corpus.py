@@ -15,7 +15,7 @@ from .bundles import B4_Q4, D5_P4
 from .ext import Ambiguous, ExtEngine, ExtResult, ls_chase, rep_result, trivial_result
 from .roots import D5, Frozen, Record, canonical_weight
 
-CaseResult = tuple[str, bool, str, str]  # (case id, ok, computed, stated)
+CaseResult = tuple[str, bool, object, object]  # (case id, ok, computed, stated): values, printed by str
 
 
 class CorpusEntry(Frozen):
@@ -29,7 +29,7 @@ class CorpusEntry(Frozen):
 
 def _case(case_id: str, computed, stated) -> CaseResult:
     ok = not isinstance(computed, Ambiguous) and computed == stated
-    return case_id, ok, repr(computed), repr(stated)
+    return case_id, ok, computed, stated
 
 
 def _coh(eng: ExtEngine, space, weight) -> ExtResult | Ambiguous:
@@ -137,7 +137,7 @@ def _section_vanishing_range(eng: ExtEngine) -> list[CaseResult]:
         for c in range(-1, 4):
             coh = eng.cohomology(bundles.schur("R", "Wedge", r, -c))
             h0 = 0 if isinstance(coh, Ambiguous) else coh.dims().get(0, 0)
-            out.append((f"H0(Wedge{r} R ({-c}))", h0 == 0 and not isinstance(coh, Ambiguous), str(h0), "0"))
+            out.append((f"H0(Wedge{r} R ({-c}))", h0 == 0 and not isinstance(coh, Ambiguous), h0, 0))
     return out
 
 
@@ -149,7 +149,7 @@ def _sym2_rank4_vanishing(eng: ExtEngine) -> list[CaseResult]:
     # Hom(-, O(-8)) pairs the chain against the canonical twist; Serre-dual
     # of the section statement, still forced to vanish degreewise at H^10.
     ok = not isinstance(chased, Ambiguous)
-    out.append(("mixed chain chase is unambiguous", ok, repr(chased), "any exact value"))
+    out.append(("mixed chain chase is unambiguous", ok, chased, "any exact value"))
     return out
 
 

@@ -25,11 +25,11 @@ reads one table entry for it, and computes nothing.
 
 An Ext answer has one shape, the flat multiset of its graded pieces: an
 ExtResult holds them as (degree, entry, mult) tuples sorted by (degree,
-entry), none with multiplicity zero, and a Graded dict (degree, entry) ->
-mult accumulates them while an answer is built.  An entry is a formal
-tensor of full-group irreducibles; a coefficient representation
-multiplying a nontrivial cohomology representation stays unexpanded
-(tensor product decompositions of the full group are never required).
+entry), none with multiplicity zero, and ExtResult.collect builds every
+answer from its pieces given in any order.  An entry is a formal tensor of
+full-group irreducibles; a coefficient representation multiplying a
+nontrivial cohomology representation stays unexpanded (tensor product
+decompositions of the full group are never required).
 Only Spin(9) acts on a pair with a side on B4/Q4 (never a sum of twists
 of O, which bundles.Sum keeps on D5/P4), so every D5 factor of its answer
 is branched to B4 before the routes are compared: such a pair is labelled
@@ -56,7 +56,6 @@ from .bundles import BundleObject, Named, Pieces, Sequence, Sum, Term
 from .roots import Frozen, InternalConsistencyError
 
 Entry = tuple[bundles.RepFactor, ...]
-Graded = dict[tuple[int, Entry], int]  # (degree, entry) -> multiplicity
 Route = tuple[Sequence, int, int, bool]  # a chase: sequence, index, twist, contravariant
 
 
@@ -83,15 +82,6 @@ def _lookup(table: dict, fn: Callable, *args):
     return value
 
 
-def add_piece(graded: Graded, degree: int, entry: Entry, mult: int) -> None:
-    key = degree, entry
-    total = graded.get(key, 0) + mult
-    if total:
-        graded[key] = total
-    else:
-        graded.pop(key, None)
-
-
 class ExtResult(Frozen):
     """Exact graded Ext as its flat pieces (see the module docstring)."""
 
@@ -110,8 +100,17 @@ class ExtResult(Frozen):
     __hash__ = Frozen.__hash__
 
     @staticmethod
-    def from_dict(graded: Graded) -> "ExtResult":
-        return ExtResult(tuple((p, e, m) for (p, e), m in sorted(graded.items()) if m))
+    def collect(pieces: list[tuple[int, Entry, int]]) -> "ExtResult":
+        """The answer of (degree, entry, mult) pieces given in any order: the
+        multiplicities of equal (degree, entry) summed, sorted, zeros dropped."""
+        if len(pieces) < 2:  # nothing to sum or sort
+            return ExtResult(tuple(pieces) if not pieces or pieces[0][2] else ())
+        acc: dict[tuple[int, Entry], int] = {}
+        get = acc.get
+        for p, e, m in pieces:
+            key = p, e
+            acc[key] = get(key, 0) + m
+        return ExtResult(tuple(sorted([(p, e, m) for (p, e), m in acc.items() if m])))
 
     def dims(self) -> dict[int, int]:
         """The dimension of each degree that has a piece."""
@@ -161,19 +160,12 @@ class Ambiguous(Frozen):
 
 
 def trivial_result(*degrees: int) -> ExtResult:
-    acc: Graded = {}
-    for p in degrees:
-        add_piece(acc, p, (), 1)
-    return ExtResult.from_dict(acc)
+    return ExtResult.collect([(p, (), 1) for p in degrees])
 
 
 def rep_result(datum: roots.LieDatum, spec: dict[int, list]) -> ExtResult:
     """Build an expected value: degree -> list of weights, each once."""
-    acc: Graded = {}
-    for p, weights in spec.items():
-        for w in weights:
-            add_piece(acc, p, _entry((datum, tuple(w))), 1)
-    return ExtResult.from_dict(acc)
+    return ExtResult.collect([(p, _entry((datum, tuple(w))), 1) for p, weights in spec.items() for w in weights])
 
 
 def format_graded(res: ExtResult) -> list[str]:
@@ -195,11 +187,11 @@ def format_graded(res: ExtResult) -> list[str]:
 def _branch_to_b4(res: ExtResult) -> ExtResult:
     """res with every D5 factor of every entry branched to its B4 irreducibles,
     each once (levi.b4_content)."""
-    acc: Graded = {}
-    for p, entry, m in res.pieces:
-        for combo in itertools.product(*(levi.b4_content(d, w) for d, w in entry)):
-            add_piece(acc, p, _entry(*((roots.B4, w) for w in combo)), m)
-    return ExtResult.from_dict(acc)
+    return ExtResult.collect([
+        (p, _entry(*((roots.B4, w) for w in combo)), m)
+        for p, entry, m in res.pieces
+        for combo in itertools.product(*(levi.b4_content(d, w) for d, w in entry))
+    ])
 
 
 def _on_space(pb: roots.Parabolic, cls: bundles.KClass) -> dict[roots.Weight, int]:
@@ -227,11 +219,9 @@ def _class_pieces(obj: BundleObject) -> tuple[Pieces | None, Pieces]:
 def _tensor_coeff(res: ExtResult, coeff: bundles.Coeff) -> ExtResult:
     if not coeff or not res.pieces:
         return res
-    acc: Graded = {}
-    for p, entry, m in res.pieces:
-        for factor, cm in coeff:
-            add_piece(acc, p, _entry(*entry, factor), m * cm)
-    return ExtResult.from_dict(acc)
+    return ExtResult.collect([
+        (p, _entry(*entry, factor), m * cm) for p, entry, m in res.pieces for factor, cm in coeff
+    ])
 
 
 class ExtEngine:
@@ -407,7 +397,7 @@ class ExtEngine:
         pair is Ambiguous, so that the chases run."""
         if not (isinstance(E, Sum) and isinstance(F, Sum)):
             return None
-        acc: Graded = {}
+        pieces: list[tuple[int, Entry, int]] = []
         common = bundles.common_parts(E, F)
         if common is not None:
             pb, e_parts, f_parts = common
@@ -417,9 +407,9 @@ class ExtEngine:
             for w1, k1, n1 in a:
                 for w2, k2, n2 in b:
                     key = pb, w1, w2, k2 - k1
-                    for p, entry, m in (pairs.get(key) or _lookup(pairs, self._pair_pieces, *key))[0].pieces:
-                        add_piece(acc, p, entry, n1 * n2 * m)
-            return ExtResult.from_dict(acc)
+                    answer = (pairs.get(key) or _lookup(pairs, self._pair_pieces, *key))[0]
+                    pieces += [(p, e, n1 * n2 * m) for p, e, m in answer.pieces]
+            return ExtResult.collect(pieces)
         if sum(m for _, m in E.parts + F.parts) <= 2:
             return None
         for w1, m1 in E.parts:
@@ -427,9 +417,8 @@ class ExtEngine:
                 sub = self.ext(bundles.irr(E.space, w1), bundles.irr(F.space, w2))
                 if isinstance(sub, Ambiguous):
                     return None
-                for p, entry, m in sub.pieces:
-                    add_piece(acc, p, entry, m1 * m2 * m)
-        return _branch_to_b4(ExtResult.from_dict(acc))
+                pieces += [(p, e, m1 * m2 * m) for p, e, m in sub.pieces]
+        return _branch_to_b4(ExtResult.collect(pieces))
 
     def _pair_pieces(
         self, pb: roots.Parabolic, w1: roots.Weight, w2: roots.Weight, d: int
@@ -437,22 +426,20 @@ class ExtEngine:
         """Ext(E_w1, E_w2') for w2' = w2 at charge d, the BBW cohomology of each
         Levi piece of E_w1-dual tensor E_w2', and its chi.
 
-        The ExtResult is built in place: one (degree, entry, mult) piece per
+        The ExtResult collects one (degree, entry, mult) piece per
         nonvanishing BBW answer, its entry the one factor (datum, weight), or
-        () for the trivial weight, as _entry gives it; pieces of one degree and
-        weight merged, and sorted once.  No multiplicity is zero."""
+        () for the trivial weight, as _entry gives it."""
         datum = pb.datum
         i = pb.marked[0] - 1
         w1d = _lookup(self._levi_duals, roots.dualize_levi, pb, w1)
-        graded: Graded = {}
+        pieces = []
         chi = 0
         for nu, mult in levi.tensor_decompose(pb, w1d, w2[:i] + (d,) + w2[i + 1 :]).items():
             coh = _lookup(self._cohomology, bbw.bbw_cohomology, pb, nu)
             if not coh.vanishes:
-                key = coh.degree, ((datum, coh.weight),) if any(coh.weight) else ()
-                graded[key] = graded.get(key, 0) + mult
+                pieces.append((coh.degree, ((datum, coh.weight),) if any(coh.weight) else (), mult))
                 chi += -mult * coh.dim if coh.degree & 1 else mult * coh.dim
-        return ExtResult(tuple(sorted((p, e, m) for (p, e), m in graded.items()))), chi
+        return ExtResult.collect(pieces), chi
 
     # -- chase machinery ---------------------------------------------------
 
@@ -488,11 +475,6 @@ class ExtEngine:
         return _solve_exact_sequence(cols, idx)
 
 
-def _merge(target: Graded, col: ExtResult, shift: int) -> None:
-    for p, entry, m in col.pieces:
-        add_piece(target, p + shift, entry, m)
-
-
 def _shift(col: ExtResult, shift: int) -> ExtResult:
     """col with every degree moved by shift: its pieces stay sorted and nonzero."""
     return ExtResult(tuple((p + shift, e, m) for p, e, m in col.pieces)) if shift else col
@@ -512,7 +494,7 @@ def _solve_ses(cols: list[ExtResult | None], idx: int) -> ExtResult | None:
     column is nonzero exactly when the column has a piece there, since every
     piece has a positive multiplicity and a positive dimension: the test
     reads the degree supports, not the dimensions.  When x or y is zero, U is
-    the other one, shifted, with no merge.
+    the other one, shifted, with nothing to collect.
     """
     x, y = cols[(idx + 1) % 3], cols[(idx + 2) % 3]
     if not x.pieces:
@@ -522,20 +504,17 @@ def _solve_ses(cols: list[ExtResult | None], idx: int) -> ExtResult | None:
     y_degrees = {p for p, _, _ in y.pieces}
     if any(p + (idx == 1) in y_degrees for p, _, _ in x.pieces):
         return None
-    out: Graded = {}
-    _merge(out, y, int(idx == 0))
-    _merge(out, x, -int(idx == 2))
-    return ExtResult.from_dict(out)
+    sy, sx = int(idx == 0), int(idx == 2)
+    return ExtResult.collect([(p + sy, e, m) for p, e, m in y.pieces] + [(p - sx, e, m) for p, e, m in x.pieces])
 
 
 def _solve_exact_sequence(cols: list[ExtResult | None], idx: int) -> ExtResult | None:
-    """Solve an n-term exact sequence with one unknown column (covariant order).
+    """Solve an n-term exact sequence, n >= 3, with one unknown column
+    (covariant order); every registered sequence has three terms or more.
 
     Longer sequences are split into short exact sequences through their
     anonymous kernels, peeling from the end away from the unknown.
     """
-    if len(cols) == 2:
-        return cols[1 - idx]  # 0 -> A -> B -> 0: an isomorphism
     while len(cols) > 3:
         if idx >= 2:
             # peel 0 -> c0 -> c1 -> K -> 0 with K joining the rest

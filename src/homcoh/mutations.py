@@ -315,7 +315,7 @@ def _find_recipe(direction: str, E1: CollectionObject, E2: CollectionObject, hyp
             continue
         if recipe != "extension":
             want = b.coeff if recipe == "left-kernel" else bundles.coeff_dual(b.coeff)
-            if hyp != ExtResult.from_dict({(0, (factor,)): m for factor, m in want}):
+            if hyp != ExtResult.collect([(0, (factor,), m) for factor, m in want]):
                 continue
         return recipe, bundles.twist(seq.terms[out].obj, t), shift
     return None
@@ -437,7 +437,7 @@ W11 = (2, 0, 0, 0, 0)
 def replay_script() -> list[dict]:
     """The sixteen scripted mutations carrying their pinned hypotheses."""
     B = bundles
-    zero = ext_mod.ExtResult(())
+    zero = ext_mod.trivial_result()
     steps = [
         dict(dir="R", left=B.Named("That", 6), right=B.O(6), hyp=ext_mod.rep_result(D5, {0: [W4]}), result=B.U(7),
              notes=("result is U(7), forced by the kernel presentation of the affine tangent bundle",)),

@@ -94,6 +94,14 @@ def test_registered_sequences_have_zero_alternating_chern():
         assert total == 0, seq.name
 
 
+def test_registered_sequences_have_three_terms_or_more():
+    # ext._solve_exact_sequence splits a sequence into short exact ones and
+    # has no case for two terms.
+    seqs = B.standard_sequences()
+    assert len(seqs) == 22
+    assert [seq.name for seq in seqs if len(seq.terms) < 3] == []
+
+
 def test_twist_conversion_between_descriptions():
     # convert_twist is a parts view: a line-bundle sum's parts on the other space.
     assert B.convert_twist(B.O(3), B4_Q4) == (((0, 0, 0, 3), 1),)

@@ -177,11 +177,8 @@ def test_cross_sums_add_over_their_summands():
     # An all-exact cross sum, asked on a fresh engine, is the sum of its
     # summands' answers.
     whole = ExtEngine().ext(B.Rv(), B.direct_sum(B.Uv(-1), B.Uv(1)))
-    acc = {}
-    for F in (B.Uv(-1), B.Uv(1)):
-        for p, entry, m in eng.ext(B.Rv(), F).pieces:
-            X.add_piece(acc, p, entry, m)
-    assert not whole.is_zero and whole == ExtResult.from_dict(acc)
+    parts = [piece for F in (B.Uv(-1), B.Uv(1)) for piece in eng.ext(B.Rv(), F).pieces]
+    assert not whole.is_zero and whole == ExtResult.collect(parts)
 
 
 # Direct pairs, covariant and contravariant chases, coefficient columns
@@ -684,7 +681,7 @@ def test_grid_answers_have_one_flat_shape():
     # Every exact grid answer, and every direct answer the engine keeps in
     # _pairs beside its Euler characteristic, is an ExtResult whose pieces
     # are strictly increasing in (degree, entry), carry a positive
-    # multiplicity, and survive the Graded accumulator unchanged.  The
+    # multiplicity, and come out of ExtResult.collect unchanged.  The
     # chases' degeneracy test reads degree supports on that account.
     import ledger
 
@@ -698,21 +695,27 @@ def test_grid_answers_have_one_flat_shape():
         keys = [(p, e) for p, e, _ in res.pieces]
         assert all(a < b for a, b in zip(keys, keys[1:])), res
         assert all(m > 0 for _, _, m in res.pieces), res
-        assert ExtResult.from_dict({(p, e): m for p, e, m in res.pieces}) == res
+        assert ExtResult.collect(list(res.pieces)) == res
+
+
+def _from_totals(totals):
+    """The ExtResult of a dict (degree, entry) -> mult, built here without
+    ExtResult.collect: sorted, zeros dropped."""
+    return ExtResult(tuple((p, e, m) for (p, e), m in sorted(totals.items()) if m))
 
 
 def _old_solve_ses(cols, idx):
     """_solve_ses as it read with the degree-set test: when the sequence
-    degenerates, the two known columns merged through a Graded dict, y
-    shifted up by one when U is c0 and x down by one when U is c2."""
+    degenerates, the two known columns summed in a dict, y shifted up by one
+    when U is c0 and x down by one when U is c2."""
     if not _old_degenerates(cols, idx):
         return None
     x, y = cols[(idx + 1) % 3], cols[(idx + 2) % 3]
     out = {}
     for col, shift in ((y, int(idx == 0)), (x, -int(idx == 2))):
         for p, e, m in col.pieces:
-            X.add_piece(out, p + shift, e, m)
-    return ExtResult.from_dict(out)
+            out[p + shift, e] = out.get((p + shift, e), 0) + m
+    return _from_totals(out)
 
 
 def test_solve_ses_degenerates_as_the_degree_set_test_did():
@@ -723,7 +726,7 @@ def test_solve_ses_degenerates_as_the_degree_set_test_did():
         col = {}
         for p in rng.sample(range(-2, 4), rng.randint(0, 3)):
             col.update(((p, e), rng.randint(1, 3)) for e in rng.sample(entries, rng.randint(1, 2)))
-        return ExtResult.from_dict(col)
+        return _from_totals(col)
 
     seen = set()
     zero_sides = 0
@@ -746,6 +749,43 @@ def test_solve_ses_degenerates_as_the_degree_set_test_did():
                 zero_sides += any(col.is_zero for col in known)
     assert seen == {True, False}
     assert zero_sides > 300
+
+
+def test_collect_sums_sorts_and_drops_zeros():
+    # Seeded draws in shuffled order, with repeated (degree, entry) keys and
+    # multiplicities of either sign or zero, most with one key cancelled to
+    # zero on purpose, some of a single piece.  The reference sums each
+    # distinct key over the whole draw.
+    rng = random.Random(48)
+    entries = [
+        (),
+        X._entry((D5, (1, 0, 0, 0, 0))),
+        X._entry((D5, (0, 0, 0, 1, 0))),
+        X._entry((B4, (0, 0, 0, 1))),
+        X._entry((D5, (1, 0, 0, 0, 0)), (B4, (0, 0, 0, 1))),
+    ]
+    repeated = cancelled = unsorted = single = 0
+    for _ in range(300):
+        keys = [(rng.randint(-2, 3), rng.choice(entries)) for _ in range(rng.randint(1, 5))]
+        pieces = [(p, e, rng.randint(-3, 3)) for p, e in rng.choices(keys, k=rng.randint(1, 10))]
+        p, e, _ = rng.choice(pieces)
+        total = sum(m for q, f, m in pieces if (q, f) == (p, e))
+        if total and rng.random() < 0.8:
+            pieces.append((p, e, -total))
+        rng.shuffle(pieces)
+        want = []
+        for key in sorted({(p, e) for p, e, _ in pieces}):
+            total = sum(m for p, e, m in pieces if (p, e) == key)
+            if total:
+                want.append((*key, total))
+        assert ExtResult.collect(pieces).pieces == tuple(want), pieces
+        distinct = len({(p, e) for p, e, _ in pieces})
+        repeated += distinct < len(pieces)
+        cancelled += len(want) < distinct
+        unsorted += pieces != sorted(pieces)
+        single += len(pieces) == 1
+    assert min(repeated, cancelled, unsorted) > 200 and single > 2
+    assert ExtResult.collect([]) == ExtResult.collect([(1, (), 0)]) == ExtResult(())
 
 
 TWIST_CLASS_PAIRS = (

@@ -211,23 +211,27 @@ def test_build_scan_catches_a_second_construction_path():
     assert _builds_outside_new(source) == [5, 7]
 
 
-def _engines_built_outside(source: str, function: str | None) -> list[int]:
-    """The lines of the calls of ExtEngine that sit outside the module-level
-    function named `function` (None: anywhere)."""
+def _calls_outside(source: str, callee: str, allowed: set[str]) -> list[int]:
+    """The lines of the calls of callee, by bare name or as an attribute,
+    that sit outside the definitions named in allowed: a module-level
+    function by its name, a method as Class.method."""
     tree = ast.parse(source)
-    allowed = {
-        id(node)
-        for d in tree.body
-        if isinstance(d, ast.FunctionDef) and d.name == function
-        for node in ast.walk(d)
-    }
-    return [
+    scopes = [(d.name, d) for d in tree.body if isinstance(d, ast.FunctionDef)]
+    scopes += [
+        (f"{c.name}.{d.name}", d)
+        for c in tree.body
+        if isinstance(c, ast.ClassDef)
+        for d in c.body
+        if isinstance(d, ast.FunctionDef)
+    ]
+    inside = {id(node) for name, d in scopes if name in allowed for node in ast.walk(d)}
+    return sorted(
         node.lineno
         for node in ast.walk(tree)
         if isinstance(node, ast.Call)
-        and (node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)) == "ExtEngine"
-        and id(node) not in allowed
-    ]
+        and (node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)) == callee
+        and id(node) not in inside
+    )
 
 
 def test_the_package_builds_its_engine_only_in_get_engine():
@@ -235,7 +239,9 @@ def test_the_package_builds_its_engine_only_in_get_engine():
     # on ext.get_engine(), and callers that want a fresh engine build it
     # themselves.
     found = {
-        p.name: _engines_built_outside(p.read_text(encoding="utf-8"), "get_engine" if p.name == "ext.py" else None)
+        p.name: _calls_outside(
+            p.read_text(encoding="utf-8"), "ExtEngine", {"get_engine"} if p.name == "ext.py" else set()
+        )
         for p in sorted(PACKAGE.glob("*.py"))
     }
     assert {name: lines for name, lines in found.items() if lines} == {}
@@ -251,8 +257,51 @@ def test_engine_scan_catches_a_second_construction_site():
         "    def get_engine(self):\n"
         "        return ext.ExtEngine()\n"
     )
-    assert _engines_built_outside(source, "get_engine") == [4, 7]
-    assert _engines_built_outside(source, None) == [2, 4, 7]
+    assert _calls_outside(source, "ExtEngine", {"get_engine"}) == [4, 7]
+    assert _calls_outside(source, "ExtEngine", set()) == [2, 4, 7]
+
+
+# Where ext builds an ExtResult from a raw tuple of pieces: pieces that are
+# already sorted and nonzero.  Every other answer goes through collect.
+RAW_RESULT_BUILDERS = {"ExtResult.collect", "ExtResult.invariant_part", "_shift"}
+
+
+def test_the_package_builds_a_raw_ext_result_only_from_sorted_pieces():
+    # One builder: ExtResult.collect sums, sorts and drops zeros, so no
+    # answer depends on the order its pieces were found in.
+    found = {
+        p.name: _calls_outside(
+            p.read_text(encoding="utf-8"), "ExtResult", RAW_RESULT_BUILDERS if p.name == "ext.py" else set()
+        )
+        for p in sorted(PACKAGE.glob("*.py"))
+    }
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    # and each of them does build one
+    source = (PACKAGE / "ext.py").read_text(encoding="utf-8")
+    for scope in RAW_RESULT_BUILDERS:
+        assert _calls_outside(source, "ExtResult", RAW_RESULT_BUILDERS - {scope}), scope
+
+
+def test_raw_result_scan_catches_a_second_builder():
+    # A method named collect on another class is not ExtResult.collect.
+    source = (
+        "class ExtResult:\n"
+        "    @staticmethod\n"
+        "    def collect(pieces):\n"
+        "        return ExtResult(tuple(sorted(pieces)))\n"
+        "    def invariant_part(self):\n"
+        "        return ExtResult(())\n"
+        "    def shifted(self, k):\n"
+        "        return ExtResult(self.pieces)\n"
+        "def _shift(col, k):\n"
+        "    return ExtResult(col.pieces) if k else col\n"
+        "def trivial_result():\n"
+        "    return ext_mod.ExtResult(())\n"
+        "class Other:\n"
+        "    def collect(self):\n"
+        "        return ExtResult(())\n"
+    )
+    assert _calls_outside(source, "ExtResult", RAW_RESULT_BUILDERS) == [8, 12, 15]
 
 
 def _placeholder_answers(source: str) -> list[int]:

@@ -52,6 +52,26 @@ def test_corpus_on_the_warm_process_engine_matches_the_ledger(capsys):
     assert f"$ homcoh corpus --json\nexit {code}\n{capsys.readouterr().out}" == recorded
 
 
+def test_text_mode_corpus_formats_no_answer_when_every_case_passes(monkeypatch):
+    # The corpus keeps the values of its cases, and text mode prints only
+    # the failing ones: a passing run formats no answer.  --json prints
+    # every value, as recorded.
+    from homcoh import ext
+
+    real = ext.format_graded
+    calls = []
+
+    def counted(res):
+        calls.append(res)
+        return real(res)
+
+    monkeypatch.setattr(ext, "format_graded", counted)
+    assert ledger.cli_snapshot(("corpus",)) == (ledger.CLI_DIR / "corpus.txt").read_text(encoding="utf-8")
+    assert calls == []
+    assert ledger.cli_snapshot(("corpus", "--json")) == (ledger.CLI_DIR / "corpus-json.txt").read_text(encoding="utf-8")
+    assert calls
+
+
 def test_ledger_check_sees_a_changed_answer(monkeypatch):
     # A wrong degree in one exact answer must fail the grid comparison.
     from homcoh import ext
