@@ -6,6 +6,14 @@ The degree is the number of simple reflections needed to move the
 rho-shifted weight into the dominant chamber, by the one descent of
 roots.dominant_conjugate; a weight on a wall stays on one along the walk,
 so a zero coefficient at its end kills all cohomology.
+
+So, by Bott's theorem, the Euler characteristic of the bundle of any
+integral weight lam is Weyl's dimension polynomial at lam, the product
+over the positive roots beta of (lam + rho, beta) / (rho, beta): a
+reflection of lam + rho flips the sign of the product, and it vanishes on
+a wall (Bott, Ann. Math. 1957; Fulton-Harris, Lecture 24).
+euler_characteristic computes it with no walk, and weyl_dim is the same
+polynomial at a dominant weight.
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ def _root_product(steps: tuple[tuple[int, int], ...], values: list[int]) -> int:
 
 @lru_cache(maxsize=None)
 def _weyl_table(datum: LieDatum) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...], int]:
-    """The recurrence of weyl_dim over the positive roots of datum.
+    """The recurrence of Weyl's polynomial over the positive roots of datum.
 
     2 (lam, beta) is linear in beta, and a positive root beta of height more
     than 1 is a lower positive root plus a simple root alpha_k.  Values are
@@ -59,18 +67,32 @@ def _weyl_table(datum: LieDatum) -> tuple[tuple[tuple[int, int], ...], tuple[int
     return steps, norms, _root_product(steps, list(norms))
 
 
+def _weyl_polynomial(datum: LieDatum, lam: Weight) -> int:
+    # Weyl's product over the positive roots beta of (lam + rho, beta) / (rho,
+    # beta), each 2 (lam + rho, beta) from a lower root's by the recurrence of
+    # _weyl_table.
+    steps, norms, den = _weyl_table(datum)
+    value, rest = divmod(_root_product(steps, [d * (m + 1) for d, m in zip(norms, lam)]), den)
+    if rest:
+        raise InternalConsistencyError("Weyl's polynomial is not an integer")
+    return value
+
+
+def euler_characteristic(datum: LieDatum, weight: Weight) -> int:
+    """The Euler characteristic of the irreducible homogeneous bundle of any
+    integral weight: Weyl's dimension polynomial there (see the module
+    docstring), (-1)^degree dim of its BBW cohomology, 0 on a wall."""
+    roots.check_weight(datum, weight)
+    return _weyl_polynomial(datum, weight)
+
+
 @lru_cache(maxsize=None)
 def weyl_dim(datum: LieDatum, mu: Weight) -> int:
-    """Exact dimension of the irreducible module with dominant highest weight mu.
-
-    Weyl's product over the positive roots beta of (mu + rho, beta) / (rho, beta),
-    each 2 (mu + rho, beta) from a lower root's by the recurrence of _weyl_table.
-    """
+    """Exact dimension of the irreducible module with dominant highest weight
+    mu: Weyl's polynomial at mu, as euler_characteristic computes it."""
     roots.check_dominant(datum, mu)
-    steps, norms, den = _weyl_table(datum)
-    num = _root_product(steps, [d * (m + 1) for d, m in zip(norms, mu)])
-    dim, rest = divmod(num, den)
-    if rest or dim <= 0:
+    dim = _weyl_polynomial(datum, mu)
+    if dim <= 0:
         raise InternalConsistencyError("Weyl dimension is not a positive integer")
     return dim
 

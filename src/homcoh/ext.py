@@ -11,17 +11,22 @@ dimension reasons: every connecting map between two known columns has a
 zero source or target in every degree.  Otherwise the result is reported
 as Ambiguous, which still carries the exact Euler characteristic.
 
-The Euler characteristic takes no route, so it checks the chases from
-outside: chi(E, F) pairs the K-classes of bundles.kclass, a sum of direct
-BBW terms chi(L1-dual (x) L2) over their Levi pieces, on B4/Q4 when a piece
-lives there (D5/P4 pieces branched by levi.branch_levi).  An engine keeps
-each object's class as pieces on both descriptions, each split at the marked
-coordinate into its weight at level zero and its charge (bundles.Sum.pieces),
-and each direct answer Ext(L1, L2) with its chi(L1-dual (x) L2) once per twist
-class, under the two weights at level zero and the difference of their
-charges: the one entry that the direct Ext of two sums reads too.  So a
-pairing of objects already seen builds one small key per pair of pieces,
-reads one table entry for it, and computes nothing.
+The Euler characteristic takes no route and no BBW walk, so it checks the
+chases and the walks from outside: chi(E, F) pairs the K-classes of
+bundles.kclass, a sum of terms chi(L1-dual (x) L2) over their Levi pieces, on
+B4/Q4 when a piece lives there (D5/P4 pieces branched by levi.branch_levi).
+A term is the sum of Weyl's polynomial (bbw.euler_characteristic, by Bott's
+theorem) over the Levi pieces of L1-dual (x) L2 (levi.tensor_decompose).  An
+engine keeps each object's class as pieces, each split at the marked
+coordinate into its weight at level zero and its charge (bundles.Sum.pieces):
+on D5/P4, branched to B4/Q4 only when a pairing first needs them there, or on
+B4/Q4 when a piece lives there.  It keeps each chi(L1-dual (x) L2) once per
+twist class, under the two weights at level zero and the difference of their
+charges, in the one entry that the direct Ext of two sums reads too: the
+direct answer Ext(L1, L2) joins it there when the direct Ext first reads the
+entry, and the chi of that answer must be Weyl's.  So a pairing of objects
+already seen builds one small key per pair of pieces, reads one table entry
+for it, and computes nothing.
 
 An Ext answer has one shape, the flat multiset of its graded pieces: an
 ExtResult holds them as (degree, entry, mult) tuples sorted by (degree,
@@ -203,17 +208,25 @@ def _on_space(pb: roots.Parabolic, cls: bundles.KClass) -> dict[roots.Weight, in
     return out
 
 
-def _class_pieces(obj: BundleObject) -> tuple[Pieces | None, Pieces]:
-    """The class of obj (bundles.kclass) as nonzero pieces twice, each split at
-    the marked coordinate (Sum.pieces, else bundles.split_charges): on D5/P4, or
-    None when a piece lives on B4/Q4; and on B4/Q4, branched (_on_space)."""
+def _class_pieces(obj: BundleObject) -> tuple[Pieces | None, Pieces | None]:
+    """The class of obj (bundles.kclass) as nonzero pieces, each split at the
+    marked coordinate (Sum.pieces, else bundles.split_charges), on D5/P4 and on
+    B4/Q4: when a piece lives on B4/Q4, None and the class there, its D5/P4
+    pieces branched (_on_space); else the pieces on D5/P4 and None, which
+    _branched replaces when a pairing first needs the class on B4/Q4."""
     cls = bundles.kclass(obj)
-    on_b4 = bundles.split_charges(bundles.B4_Q4, _on_space(bundles.B4_Q4, cls).items())
     if any(space == bundles.B4_Q4 for space, _ in cls):
-        return None, on_b4
+        return None, bundles.split_charges(bundles.B4_Q4, _on_space(bundles.B4_Q4, cls).items())
     if isinstance(obj, Sum):
-        return obj.pieces, on_b4
-    return bundles.split_charges(bundles.D5_P4, ((w, n) for (_, w), n in cls.items())), on_b4
+        return obj.pieces, None
+    return bundles.split_charges(bundles.D5_P4, ((w, n) for (_, w), n in cls.items())), None
+
+
+def _branched(pieces: Pieces) -> Pieces:
+    """Pieces of a class on D5/P4 as its pieces on B4/Q4 (_on_space)."""
+    i = bundles.D5_P4.marked[0] - 1
+    cls = {(bundles.D5_P4, w[:i] + (k,) + w[i + 1 :]): n for w, k, n in pieces}
+    return bundles.split_charges(bundles.B4_Q4, _on_space(bundles.B4_Q4, cls).items())
 
 
 def _tensor_coeff(res: ExtResult, coeff: bundles.Coeff) -> ExtResult:
@@ -241,15 +254,20 @@ class ExtEngine:
     call at the top level, with an empty stack, never meets it.
 
     Besides the Ext memo, an engine keeps five kernel tables of pure values,
-    each filled on its first lookup through _lookup and keyed by the
-    arguments of the function that fills it:
+    each filled on its first lookup through _lookup (but for the _pairs
+    entries _direct fills) and keyed by the arguments of the function that
+    fills it:
 
     - _pairs: (pb, w1, w2, d) -> (the direct BBW answer Ext(E_w1, E_w2'),
-      an ExtResult, and its Euler characteristic chi(E_w1-dual (x) E_w2'))
-      for two irreducibles, w1 and w2 at level zero and w2' = w2 at charge
-      d (_pair_pieces).  Like the Ext memo, it keeps one key per twist
-      class: d is the charge of the second piece minus that of the first.
-      _direct reads the answer and euler the Euler characteristic;
+      an ExtResult, or None, and the Euler characteristic chi(E_w1-dual (x)
+      E_w2')) for two irreducibles, w1 and w2 at level zero and w2' = w2 at
+      charge d.  Like the Ext memo, it keeps one key per twist class: d is
+      the charge of the second piece minus that of the first.  euler reads
+      chi, and fills a missing entry with chi alone, Weyl's (_pair_chi).
+      _direct reads the answer; it fills a missing or answerless entry with
+      the answer and the answer's chi (_pair_pieces), and raises
+      InternalConsistencyError when that chi is not the one the entry held
+      (_complete);
     - _levi_duals: (pb, w) -> roots.dualize_levi(pb, w);
     - _cohomology: (pb, nu) -> bbw.bbw_cohomology(pb, nu);
     - _terms: (term, t, contravariant) -> the term's object twisted by t
@@ -257,8 +275,10 @@ class ExtEngine:
       bundles.coeff_dual), for chase columns;
     - _classes: (obj,) -> the K-class of obj (one bundles.kclass call) as
       (weight at level zero, charge, n) pieces on D5/P4, or None when a
-      piece lives on B4/Q4, and as pieces on B4/Q4, branched once
-      (_class_pieces): the classes the Euler form pairs.
+      piece lives on B4/Q4, and as pieces on B4/Q4, or None for a class on
+      D5/P4 until a pairing on B4/Q4 first needs it, which branches the
+      D5/P4 pieces once (_class_pieces, _branched): the classes the Euler
+      form pairs.
 
     The tables start empty and live exactly as long as the engine; they
     are not module-level caches.  A fresh engine recomputes through the
@@ -318,13 +338,22 @@ class ExtEngine:
         chi(L1(k)-dual (x) L2(k)) = chi(L1-dual (x) L2), so each pair of
         pieces is read, or computed once, from the _pairs entry of its weights
         at level zero and the difference of their charges, which _direct
-        reads too.  A warm pairing reads two _classes entries and one _pairs
-        entry per pair of pieces, builds no weight, and computes nothing."""
+        reads too; a missing entry gets chi alone, with no BBW walk
+        (_pair_chi).  A warm pairing reads two _classes entries and one
+        _pairs entry per pair of pieces, builds no weight, and computes
+        nothing."""
         classes = self._classes
         a, a_b4 = classes.get((E,)) or _lookup(classes, _class_pieces, E)
         b, b_b4 = classes.get((F,)) or _lookup(classes, _class_pieces, F)
         if a is None or b is None:
-            pb, a, b = bundles.B4_Q4, a_b4, b_b4
+            pb = bundles.B4_Q4
+            if a_b4 is None:
+                a_b4 = _branched(a)
+                classes[E,] = a, a_b4
+            if b_b4 is None:
+                b_b4 = _branched(b)
+                classes[F,] = b, b_b4
+            a, b = a_b4, b_b4
         else:
             pb = bundles.D5_P4
         pairs = self._pairs
@@ -332,7 +361,7 @@ class ExtEngine:
         for w1, k1, n1 in a:
             for w2, k2, n2 in b:
                 key = pb, w1, w2, k2 - k1
-                total += n1 * n2 * (pairs.get(key) or _lookup(pairs, self._pair_pieces, *key))[1]
+                total += n1 * n2 * (pairs.get(key) or _lookup(pairs, self._pair_chi, *key))[1]
         return total
 
     # -- strategies ------------------------------------------------------
@@ -392,7 +421,8 @@ class ExtEngine:
     def _direct(self, E: BundleObject, F: BundleObject) -> ExtResult | None:
         """Ext of two sums as the sum over their pairs of irreducibles: on a
         common description the direct answers of their pieces, from _pairs as
-        in euler, else, when the two sides hold more than two summands, the
+        in euler (an entry that euler filled with chi alone is completed by
+        _complete), else, when the two sides hold more than two summands, the
         Ext of each pair, branched to B4.  None for any other pair, or when a
         pair is Ambiguous, so that the chases run."""
         if not (isinstance(E, Sum) and isinstance(F, Sum)):
@@ -407,8 +437,10 @@ class ExtEngine:
             for w1, k1, n1 in a:
                 for w2, k2, n2 in b:
                     key = pb, w1, w2, k2 - k1
-                    answer = (pairs.get(key) or _lookup(pairs, self._pair_pieces, *key))[0]
-                    pieces += [(p, e, n1 * n2 * m) for p, e, m in answer.pieces]
+                    entry = pairs.get(key)
+                    if entry is None or entry[0] is None:
+                        entry = self._complete(key, entry)
+                    pieces += [(p, e, n1 * n2 * m) for p, e, m in entry[0].pieces]
             return ExtResult.collect(pieces)
         if sum(m for _, m in E.parts + F.parts) <= 2:
             return None
@@ -420,6 +452,32 @@ class ExtEngine:
                 pieces += [(p, e, m1 * m2 * m) for p, e, m in sub.pieces]
         return _branch_to_b4(ExtResult.collect(pieces))
 
+    def _complete(self, key: tuple, entry: tuple[None, int] | None) -> tuple[ExtResult, int]:
+        """The _pairs entry of key with its answer, from _pair_pieces, stored.
+        When euler filled the entry with its chi alone, the chi of the BBW
+        answer must be that one, Weyl's."""
+        full = self._pair_pieces(*key)
+        if entry is not None and entry[1] != full[1]:
+            raise InternalConsistencyError(
+                f"chi of {key}: {entry[1]} by Weyl's polynomial, {full[1]} by the BBW walk"
+            )
+        self._pairs[key] = full
+        return full
+
+    def _levi_pieces(self, pb: roots.Parabolic, w1: roots.Weight, w2: roots.Weight, d: int) -> dict:
+        """The Levi pieces of E_w1-dual tensor E_w2' for w2' = w2 at charge d."""
+        i = pb.marked[0] - 1
+        w1d = _lookup(self._levi_duals, roots.dualize_levi, pb, w1)
+        return levi.tensor_decompose(pb, w1d, w2[:i] + (d,) + w2[i + 1 :])
+
+    def _pair_chi(self, pb: roots.Parabolic, w1: roots.Weight, w2: roots.Weight, d: int) -> tuple[None, int]:
+        """The entry euler fills: no answer, and chi(E_w1-dual (x) E_w2'), each
+        Levi piece's chi Weyl's polynomial at its weight (bbw.euler_characteristic):
+        no BBW walk."""
+        datum = pb.datum
+        chi = bbw.euler_characteristic
+        return None, sum(mult * chi(datum, nu) for nu, mult in self._levi_pieces(pb, w1, w2, d).items())
+
     def _pair_pieces(
         self, pb: roots.Parabolic, w1: roots.Weight, w2: roots.Weight, d: int
     ) -> tuple[ExtResult, int]:
@@ -430,11 +488,9 @@ class ExtEngine:
         nonvanishing BBW answer, its entry the one factor (datum, weight), or
         () for the trivial weight, as _entry gives it."""
         datum = pb.datum
-        i = pb.marked[0] - 1
-        w1d = _lookup(self._levi_duals, roots.dualize_levi, pb, w1)
         pieces = []
         chi = 0
-        for nu, mult in levi.tensor_decompose(pb, w1d, w2[:i] + (d,) + w2[i + 1 :]).items():
+        for nu, mult in self._levi_pieces(pb, w1, w2, d).items():
             coh = _lookup(self._cohomology, bbw.bbw_cohomology, pb, nu)
             if not coh.vanishes:
                 pieces.append((coh.degree, ((datum, coh.weight),) if any(coh.weight) else (), mult))

@@ -161,6 +161,8 @@ class Parabolic(Interned):
             self = cls._build(datum, marked)
             unmarked = tuple(i for i in range(1, datum.rank + 1) if i not in marked)
             object.__setattr__(self, "_unmarked", unmarked)
+            # 0-based, for is_levi_dominant, which every Sum build and BBW walk asks.
+            object.__setattr__(self, "_levi_indices", tuple(i - 1 for i in unmarked))
             self = cls._table.setdefault((datum, marked), self)
         return self
 
@@ -244,7 +246,10 @@ def format_weight(w: Weight) -> str:
 
 
 def is_levi_dominant(pb: Parabolic, w: Weight) -> bool:
-    return all(w[i - 1] >= 0 for i in pb.unmarked())
+    for i in pb._levi_indices:
+        if w[i] < 0:
+            return False
+    return True
 
 
 def check_weight(datum: LieDatum, w: Weight) -> None:

@@ -256,3 +256,38 @@ def test_walk_reads_rho_and_the_cartan_matrix_once_per_call(monkeypatch):
     assert coh.degree == 10
     assert sorted(calls) == ["cartan_matrix", "rho"]
 
+
+
+# Two descriptions of the tenfold and one more parabolic the CLI accepts (C3 P3).
+CHI_SPACES = (D5_P4, B4_Q4, Parabolic(LieDatum("C", 3), (3,)))
+
+
+def test_euler_characteristic_is_the_signed_dimension_of_the_walk():
+    # Weyl's polynomial against the BBW walk: (-1)^degree dim, 0 when the
+    # cohomology vanishes, on seeded Levi-dominant weights (unmarked
+    # coordinates in 0..3, the marked one in -12..4), and weyl_dim at the
+    # dominant ones.
+    rng = random.Random(31)
+    for pb in CHI_SPACES:
+        seen = {"vanishing": 0, "odd": 0, "even": 0}
+        for _ in range(300):
+            w = tuple(rng.randint(-12, 4) if i + 1 in pb.marked else rng.randint(0, 3) for i in range(pb.rank))
+            coh = bbw_cohomology(pb, w)
+            chi = bbw.euler_characteristic(pb.datum, w)
+            if coh.vanishes:
+                assert chi == 0, (pb, w)
+                seen["vanishing"] += 1
+            else:
+                assert chi == (-1) ** coh.degree * coh.dim, (pb, w)
+                seen["odd" if coh.degree & 1 else "even"] += 1
+            if roots.is_dominant(w):
+                assert chi == weyl_dim(pb.datum, w), (pb, w)
+        assert all(seen.values()), (pb, seen)
+
+
+def test_euler_characteristic_takes_any_integral_weight_and_only_one():
+    assert bbw.euler_characteristic(D5, (0, 0, 0, -8, 0)) == 1  # H^10(K) = C
+    assert bbw.euler_characteristic(D5, (-1, 0, 0, 0, 0)) == 0  # on a wall
+    for w in ((1, 0, 0, 0), (1, 0, 0, 0, 0.0), (1, 0, 0, 0, True)):
+        with pytest.raises(roots.DomainError):
+            bbw.euler_characteristic(D5, w)

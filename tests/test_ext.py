@@ -223,8 +223,8 @@ def test_kernel_tables_compute_each_key_once_per_engine(monkeypatch):
     # kclass of a named object recurses into the terms of its sequence:
     # count only the classes the engine asks for.
     _log_outer_calls(monkeypatch, B, "kclass", calls["kclass"])
-    # Two methods, logged with their arguments and not the engine.
-    for name in ("_pair_pieces", "_term_at"):
+    # Three methods, logged with their arguments and not the engine.
+    for name in ("_pair_pieces", "_pair_chi", "_term_at"):
         calls[name] = []
 
         def logged(self, *args, log=calls[name], method=getattr(ExtEngine, name)):
@@ -255,7 +255,8 @@ def test_kernel_tables_compute_each_key_once_per_engine(monkeypatch):
     # The direct answers and the Euler form compute a pair of irreducibles
     # only with both weights at level zero, the difference of their charges
     # apart.
-    assert all(w1[pb.marked[0] - 1] == w2[pb.marked[0] - 1] == 0 for pb, w1, w2, _ in first["_pair_pieces"])
+    for name in ("_pair_pieces", "_pair_chi"):
+        assert all(w1[pb.marked[0] - 1] == w2[pb.marked[0] - 1] == 0 for pb, w1, w2, _ in first[name]), name
     # The tables belong to the engine: a second one computes everything again.
     assert run_fresh_engine() == first
 
@@ -428,9 +429,12 @@ def test_euler_matches_the_old_pairing_on_pieces_at_different_levels():
     # The classes have pieces away from level zero, and _pairs keeps
     # each pair of pieces with both weights at level zero only, the
     # difference of their charges apart: one key per twist class.
+    # Every object was paired with That or Ktildev, whose classes live on
+    # B4/Q4, so the engine keeps each class there, branched on first use.
     away = 0
     for E in objs:
-        on_d5, on_b4 = X._class_pieces(E)
+        on_d5, on_b4 = eng._classes[E,]
+        assert on_b4 is not None, E
         for pb, pieces in ((D5_P4, on_d5 or ()), (B.B4_Q4, on_b4)):
             assert all(w[pb.marked[0] - 1] == 0 for w, _, _ in pieces), E
             away += sum(1 for _, k, _ in pieces if k)
@@ -448,21 +452,26 @@ def test_a_warm_pairing_computes_nothing(monkeypatch, euler_reference):
 
     monkeypatch.setattr(B, "kclass", computes)
     monkeypatch.setattr(ExtEngine, "_pair_pieces", computes)
+    monkeypatch.setattr(ExtEngine, "_pair_chi", computes)
+    monkeypatch.setattr(bbw, "euler_characteristic", computes)
     monkeypatch.setattr(X, "_on_space", computes)
+    monkeypatch.setattr(X, "_branched", computes)
+    monkeypatch.setattr(levi, "branch_levi", computes)
     assert [eng.euler(E, F) for E, F in pairs] == first
 
 
 def test_twisted_pairings_compute_the_chis_of_the_untwisted_ones(monkeypatch):
     # (E(k), F(k)) is in the twist class of (E, F): a fresh engine asked the
     # twisted pairs computes the same _pairs keys, each once, and no more.
+    # Euler pairings fill _pairs with chi alone, through _pair_chi.
     calls = []
-    pair_pieces = ExtEngine._pair_pieces
+    pair_chi = ExtEngine._pair_chi
 
     def logged(self, *key):
         calls.append(key)
-        return pair_pieces(self, *key)
+        return pair_chi(self, *key)
 
-    monkeypatch.setattr(ExtEngine, "_pair_pieces", logged)
+    monkeypatch.setattr(ExtEngine, "_pair_chi", logged)
     objs = [parse_bundle(e) for e in MIXED_LEVELS]
     computed, answers = {}, {}
     for k in (0, -2, 3):
@@ -472,20 +481,55 @@ def test_twisted_pairings_compute_the_chis_of_the_untwisted_ones(monkeypatch):
         answers[k] = [eng.euler(E, F) for E in twisted for F in twisted]
         computed[k] = list(calls)
     assert computed[0] and len(computed[0]) == len(set(computed[0]))
+    assert all(w1[pb.marked[0] - 1] == w2[pb.marked[0] - 1] == 0 for pb, w1, w2, _ in computed[0])
     for k in (-2, 3):
         assert answers[k] == answers[0], k
         assert len(computed[k]) == len(computed[0]) and set(computed[k]) == set(computed[0]), k
 
 
+def _weyl_chi(pb, w1, w2, d):
+    """The chi of the _pairs key (pb, w1, w2, d) as Weyl's polynomial summed
+    over the Levi pieces of L1-dual (x) L2, L2 of w2 at charge d."""
+    i = pb.marked[0] - 1
+    product = levi.tensor_decompose(pb, roots.dualize_levi(pb, w1), w2[:i] + (d,) + w2[i + 1 :])
+    return sum(mult * bbw.euler_characteristic(pb.datum, nu) for nu, mult in product.items())
+
+
 def test_every_pair_entry_keeps_the_euler_characteristic_of_its_answer():
+    # An answered entry's chi is that of its answer and Weyl's; an entry that
+    # euler filled with chi alone holds the chi of the BBW walks.
     eng = ExtEngine()
     for e, f in GRID:
         E, F = parse_bundle(e), parse_bundle(f)
         eng.ext(E, F)
         eng.euler(E, F)
-    assert len(eng._pairs) > 100
-    for key, (res, chi) in eng._pairs.items():
-        assert chi == _chi(res), key
+    answered = {key: entry for key, entry in eng._pairs.items() if entry[0] is not None}
+    assert len(answered) > 100 and len(answered) < len(eng._pairs)
+    for key, (res, chi) in answered.items():
+        assert chi == _chi(res) == _weyl_chi(*key), key
+    for (pb, w1, w2, d), (res, chi) in eng._pairs.items():
+        if res is None:
+            i = pb.marked[0] - 1
+            assert chi == _levi_chi(pb, w1, w2[:i] + (d,) + w2[i + 1 :]), (pb, w1, w2, d)
+
+
+def test_a_bbw_fault_is_caught_when_an_euler_entry_is_completed(monkeypatch):
+    # euler fills _pairs with Weyl's chi alone; _direct completes such an
+    # entry with the BBW answer and compares the two chis.  A walk that adds
+    # 1 to every nonzero degree flips the sign of those pieces' chi.
+    def shifted(pb, nu, walk=bbw.bbw_cohomology):
+        coh = walk(pb, nu)
+        return bbw.Cohomology(coh.degree + 1, coh.weight, coh.dim) if coh.degree else coh
+
+    E, F = B.O(), B.O(-9)  # H^10(O(-9)) = H^0(O(1))-dual: one piece, in degree 10
+    eng = ExtEngine()
+    chi = eng.euler(E, F)
+    assert chi == 16 and eng._pairs[D5_P4, (0,) * 5, (0,) * 5, -9] == (None, 16)
+    monkeypatch.setattr(bbw, "bbw_cohomology", shifted)
+    with pytest.raises(InternalConsistencyError, match="by Weyl's polynomial"):
+        eng.ext(E, F)
+    # A fresh engine has no entry to complete: the fault goes through.
+    assert ExtEngine().ext(E, F).dims() == {11: 16}
 
 
 def test_euler_after_ext_of_two_irreducibles_fills_only_their_classes():
@@ -688,7 +732,7 @@ def test_grid_answers_have_one_flat_shape():
     eng = ExtEngine()
     exact = [eng.ext(parse_bundle(e), parse_bundle(f)) for e, f in ledger.GRID]
     exact = [res for res in exact if isinstance(res, ExtResult)]
-    pairs = [res for res, _ in eng._pairs.values()]
+    pairs = [res for res, _ in eng._pairs.values() if res is not None]
     assert len(exact) > 900 and pairs
     assert all(isinstance(res, ExtResult) for res in pairs)
     for res in exact + pairs:

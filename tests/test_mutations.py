@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from homcoh import bbw, levi, roots
 from homcoh import bundles as B
 from homcoh import ext as X
 from homcoh import mutations as M
@@ -216,6 +217,36 @@ def test_replay_builds_no_gram_matrix(monkeypatch):
     rr = M.replay_main_proof(ExtEngine())
     assert rr.final_matches and calls == []
     assert M.ReplayResult._fields == ("steps", "final")
+
+
+def test_the_cold_replay_walks_only_for_the_answers_it_reads(monkeypatch):
+    # The replay reads Ext answers and Euler pairings.  A pairing fills its
+    # _pairs entries with Weyl's chi alone, so a fresh engine walks once per
+    # distinct Levi piece of the entries that hold an answer, and no more.
+    # Every object of the replay lives on D5/P4, so ext branches nothing to
+    # B4/Q4 (b4_content unwrapped so that its cache hides no branching).
+    walks = []
+
+    def walk(pb, nu, bbw_cohomology=bbw.bbw_cohomology):
+        walks.append((pb, nu))
+        return bbw_cohomology(pb, nu)
+
+    def no_branching(w):
+        raise AssertionError(f"the replay branched {w} to B4/Q4")
+
+    monkeypatch.setattr(bbw, "bbw_cohomology", walk)
+    monkeypatch.setattr(levi, "branch_levi", no_branching)
+    monkeypatch.setattr(levi, "b4_content", levi.b4_content.__wrapped__)
+    eng = ExtEngine()
+    assert M.replay_main_proof(eng).final_matches
+    answered = [key for key, (answer, _) in eng._pairs.items() if answer is not None]
+    assert answered and len(answered) < len(eng._pairs)
+    pieces = set()
+    for pb, w1, w2, d in answered:
+        i = pb.marked[0] - 1
+        nus = levi.tensor_decompose(pb, roots.dualize_levi(pb, w1), w2[:i] + (d,) + w2[i + 1 :])
+        pieces.update((pb, nu) for nu in nus)
+    assert len(walks) == len(set(walks)) and set(walks) == pieces
 
 
 def test_replay_swap_steps_report_both_directions(eng):

@@ -1,5 +1,6 @@
 import ast
 import inspect
+import itertools
 import random
 from fractions import Fraction as Q
 
@@ -222,6 +223,21 @@ def test_dualize_levi_involution():
             v = roots.dualize_levi(pb, w)
             assert roots.is_levi_dominant(pb, v)
             assert roots.dualize_levi(pb, v) == w
+
+
+def test_levi_dominance_reads_the_unmarked_nodes_alone():
+    # No unmarked node: every weight is Levi-dominant.  One unmarked node:
+    # only its coordinate counts.  Several: each of them, and no marked one.
+    assert Parabolic(LieDatum("A", 2), (1, 2))._levi_indices == ()
+    for w in itertools.product(range(-2, 3), repeat=2):
+        assert roots.is_levi_dominant(Parabolic(LieDatum("A", 2), (1, 2)), w)
+        assert roots.is_levi_dominant(Parabolic(LieDatum("A", 2), (1,)), w) == (w[1] >= 0), w
+    assert Parabolic(LieDatum("A", 2), (1,))._levi_indices == (1,)
+    assert D5_P4._levi_indices == (0, 1, 2, 4) and B4_Q4._levi_indices == (0, 1, 2)
+    assert roots.is_levi_dominant(D5_P4, (0, 1, 2, -7, 0))
+    for i in (0, 1, 2, 4):
+        w = tuple(-1 if k == i else 0 for k in range(5))
+        assert not roots.is_levi_dominant(D5_P4, w), w
 
 
 def test_dualize_levi_rejects_bad_input():
