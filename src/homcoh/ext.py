@@ -21,12 +21,12 @@ engine keeps each object's class as pieces, each split at the marked
 coordinate into its weight at level zero and its charge (bundles.Sum.pieces):
 on D5/P4, branched to B4/Q4 only when a pairing first needs them there, or on
 B4/Q4 when a piece lives there.  It keeps each chi(L1-dual (x) L2) once per
-twist class, under the two weights at level zero and the difference of their
-charges, in the one entry that the direct Ext of two sums reads too: the
-direct answer Ext(L1, L2) joins it there when the direct Ext first reads the
-entry, and the chi of that answer must be Weyl's.  So a pairing of objects
-already seen builds one small key per pair of pieces, reads one table entry
-for it, and computes nothing.
+twist class, an int under the two weights at level zero and the difference
+of their charges, in the one table that the direct Ext of two sums writes
+too: the direct Ext records the chi of each pair's BBW answer there, and that
+chi must be the one the table held, Weyl's.  The answers themselves live
+only in the Ext memo.  So a pairing of objects already seen builds one small
+key per pair of pieces, reads one table entry for it, and computes nothing.
 
 An Ext answer has one shape, the flat multiset of its graded pieces: an
 ExtResult holds them as (degree, entry, mult) tuples sorted by (degree,
@@ -250,24 +250,22 @@ class ExtEngine:
     An Ambiguous is memoized only when _cuts did not move while it was
     computed: _cuts counts the cycle cuts, the "cyclic dependency"
     Ambiguous, with no Euler characteristic (None), answered to a pair
-    already on the stack, which is never stored.  It is the one such answer the engine builds, and a
-    call at the top level, with an empty stack, never meets it.
+    already on the stack, which is never stored.  It is the one such answer
+    the engine builds, and a call at the top level, with an empty stack,
+    never meets it.
 
     Besides the Ext memo, an engine keeps five kernel tables of pure values,
-    each filled on its first lookup through _lookup (but for the _pairs
-    entries _direct fills) and keyed by the arguments of the function that
-    fills it:
+    each filled on its first lookup (through _lookup but for _pairs) and
+    keyed by the arguments of the function that fills it:
 
-    - _pairs: (pb, w1, w2, d) -> (the direct BBW answer Ext(E_w1, E_w2'),
-      an ExtResult, or None, and the Euler characteristic chi(E_w1-dual (x)
-      E_w2')) for two irreducibles, w1 and w2 at level zero and w2' = w2 at
-      charge d.  Like the Ext memo, it keeps one key per twist class: d is
-      the charge of the second piece minus that of the first.  euler reads
-      chi, and fills a missing entry with chi alone, Weyl's (_pair_chi).
-      _direct reads the answer; it fills a missing or answerless entry with
-      the answer and the answer's chi (_pair_pieces), and raises
-      InternalConsistencyError when that chi is not the one the entry held
-      (_complete);
+    - _pairs: (pb, w1, w2, d) -> the Euler characteristic chi(E_w1-dual (x)
+      E_w2'), an int, for two irreducibles, w1 and w2 at level zero and
+      w2' = w2 at charge d.  Like the Ext memo, it keeps one key per twist
+      class: d is the charge of the second piece minus that of the first.
+      euler fills a missing entry with Weyl's chi (_pair_chi).  _direct
+      fills a missing entry with the chi of the BBW answer it builds, and
+      raises InternalConsistencyError when that chi is not the one the
+      entry held.  No answer is kept here: the Ext memo keeps them;
     - _levi_duals: (pb, w) -> roots.dualize_levi(pb, w);
     - _cohomology: (pb, nu) -> bbw.bbw_cohomology(pb, nu);
     - _terms: (term, t, contravariant) -> the term's object twisted by t
@@ -337,8 +335,8 @@ class ExtEngine:
 
         chi(L1(k)-dual (x) L2(k)) = chi(L1-dual (x) L2), so each pair of
         pieces is read, or computed once, from the _pairs entry of its weights
-        at level zero and the difference of their charges, which _direct
-        reads too; a missing entry gets chi alone, with no BBW walk
+        at level zero and the difference of their charges, an int that
+        _direct writes too; a missing entry is Weyl's chi, with no BBW walk
         (_pair_chi).  A warm pairing reads two _classes entries and one
         _pairs entry per pair of pieces, builds no weight, and computes
         nothing."""
@@ -361,7 +359,10 @@ class ExtEngine:
         for w1, k1, n1 in a:
             for w2, k2, n2 in b:
                 key = pb, w1, w2, k2 - k1
-                total += n1 * n2 * (pairs.get(key) or _lookup(pairs, self._pair_chi, *key))[1]
+                chi = pairs.get(key)
+                if chi is None:
+                    chi = pairs[key] = self._pair_chi(*key)
+                total += n1 * n2 * chi
         return total
 
     # -- strategies ------------------------------------------------------
@@ -420,11 +421,16 @@ class ExtEngine:
 
     def _direct(self, E: BundleObject, F: BundleObject) -> ExtResult | None:
         """Ext of two sums as the sum over their pairs of irreducibles: on a
-        common description the direct answers of their pieces, from _pairs as
-        in euler (an entry that euler filled with chi alone is completed by
-        _complete), else, when the two sides hold more than two summands, the
-        Ext of each pair, branched to B4.  None for any other pair, or when a
-        pair is Ambiguous, so that the chases run."""
+        common description the BBW cohomology of the Levi pieces of each
+        pair's E_w1-dual tensor E_w2', the chi of each pair recorded in
+        _pairs (InternalConsistencyError when euler held another one there),
+        else, when the two sides hold more than two summands, the Ext of each
+        pair, branched to B4.  None for any other pair, or when a pair is
+        Ambiguous, so that the chases run.
+
+        A BBW answer is one (degree, entry, mult) piece, its entry the one
+        factor (datum, weight), or () for the trivial weight, as _entry
+        gives it."""
         if not (isinstance(E, Sum) and isinstance(F, Sum)):
             return None
         pieces: list[tuple[int, Entry, int]] = []
@@ -433,14 +439,22 @@ class ExtEngine:
             pb, e_parts, f_parts = common
             a = E.pieces if E.space == pb else bundles.split_charges(pb, e_parts)
             b = F.pieces if F.space == pb else bundles.split_charges(pb, f_parts)
-            pairs = self._pairs
+            datum, pairs, cohomology = pb.datum, self._pairs, self._cohomology
             for w1, k1, n1 in a:
                 for w2, k2, n2 in b:
                     key = pb, w1, w2, k2 - k1
-                    entry = pairs.get(key)
-                    if entry is None or entry[0] is None:
-                        entry = self._complete(key, entry)
-                    pieces += [(p, e, n1 * n2 * m) for p, e, m in entry[0].pieces]
+                    chi = 0
+                    for nu, mult in self._levi_pieces(*key).items():
+                        coh = _lookup(cohomology, bbw.bbw_cohomology, pb, nu)
+                        if not coh.vanishes:
+                            entry = ((datum, coh.weight),) if any(coh.weight) else ()
+                            pieces.append((coh.degree, entry, n1 * n2 * mult))
+                            chi += -mult * coh.dim if coh.degree & 1 else mult * coh.dim
+                    held = pairs.setdefault(key, chi)
+                    if held != chi:
+                        raise InternalConsistencyError(
+                            f"chi of {key}: {held} by Weyl's polynomial, {chi} by the BBW walk"
+                        )
             return ExtResult.collect(pieces)
         if sum(m for _, m in E.parts + F.parts) <= 2:
             return None
@@ -452,50 +466,19 @@ class ExtEngine:
                 pieces += [(p, e, m1 * m2 * m) for p, e, m in sub.pieces]
         return _branch_to_b4(ExtResult.collect(pieces))
 
-    def _complete(self, key: tuple, entry: tuple[None, int] | None) -> tuple[ExtResult, int]:
-        """The _pairs entry of key with its answer, from _pair_pieces, stored.
-        When euler filled the entry with its chi alone, the chi of the BBW
-        answer must be that one, Weyl's."""
-        full = self._pair_pieces(*key)
-        if entry is not None and entry[1] != full[1]:
-            raise InternalConsistencyError(
-                f"chi of {key}: {entry[1]} by Weyl's polynomial, {full[1]} by the BBW walk"
-            )
-        self._pairs[key] = full
-        return full
-
     def _levi_pieces(self, pb: roots.Parabolic, w1: roots.Weight, w2: roots.Weight, d: int) -> dict:
         """The Levi pieces of E_w1-dual tensor E_w2' for w2' = w2 at charge d."""
         i = pb.marked[0] - 1
         w1d = _lookup(self._levi_duals, roots.dualize_levi, pb, w1)
         return levi.tensor_decompose(pb, w1d, w2[:i] + (d,) + w2[i + 1 :])
 
-    def _pair_chi(self, pb: roots.Parabolic, w1: roots.Weight, w2: roots.Weight, d: int) -> tuple[None, int]:
-        """The entry euler fills: no answer, and chi(E_w1-dual (x) E_w2'), each
+    def _pair_chi(self, pb: roots.Parabolic, w1: roots.Weight, w2: roots.Weight, d: int) -> int:
+        """The _pairs entry euler fills: chi(E_w1-dual (x) E_w2'), an int, each
         Levi piece's chi Weyl's polynomial at its weight (bbw.euler_characteristic):
         no BBW walk."""
         datum = pb.datum
         chi = bbw.euler_characteristic
-        return None, sum(mult * chi(datum, nu) for nu, mult in self._levi_pieces(pb, w1, w2, d).items())
-
-    def _pair_pieces(
-        self, pb: roots.Parabolic, w1: roots.Weight, w2: roots.Weight, d: int
-    ) -> tuple[ExtResult, int]:
-        """Ext(E_w1, E_w2') for w2' = w2 at charge d, the BBW cohomology of each
-        Levi piece of E_w1-dual tensor E_w2', and its chi.
-
-        The ExtResult collects one (degree, entry, mult) piece per
-        nonvanishing BBW answer, its entry the one factor (datum, weight), or
-        () for the trivial weight, as _entry gives it."""
-        datum = pb.datum
-        pieces = []
-        chi = 0
-        for nu, mult in self._levi_pieces(pb, w1, w2, d).items():
-            coh = _lookup(self._cohomology, bbw.bbw_cohomology, pb, nu)
-            if not coh.vanishes:
-                pieces.append((coh.degree, ((datum, coh.weight),) if any(coh.weight) else (), mult))
-                chi += -mult * coh.dim if coh.degree & 1 else mult * coh.dim
-        return ExtResult.collect(pieces), chi
+        return sum(mult * chi(datum, nu) for nu, mult in self._levi_pieces(pb, w1, w2, d).items())
 
     # -- chase machinery ---------------------------------------------------
 

@@ -223,8 +223,8 @@ def test_kernel_tables_compute_each_key_once_per_engine(monkeypatch):
     # kclass of a named object recurses into the terms of its sequence:
     # count only the classes the engine asks for.
     _log_outer_calls(monkeypatch, B, "kclass", calls["kclass"])
-    # Three methods, logged with their arguments and not the engine.
-    for name in ("_pair_pieces", "_pair_chi", "_term_at"):
+    # Two methods, logged with their arguments and not the engine.
+    for name in ("_pair_chi", "_term_at"):
         calls[name] = []
 
         def logged(self, *args, log=calls[name], method=getattr(ExtEngine, name)):
@@ -246,16 +246,16 @@ def test_kernel_tables_compute_each_key_once_per_engine(monkeypatch):
         for E, F in pairs:
             eng.ext(E, F)
             eng.euler(E, F)
-        return {name: list(keys) for name, keys in calls.items()}
+        return {"_pairs": list(eng._pairs)} | {name: list(keys) for name, keys in calls.items()}
 
     first = run_fresh_engine()
     for name, keys in first.items():
         assert keys, f"{name} was never reached"
         assert len(keys) == len(set(keys)), f"{name}: {len(keys)} calls for {len(set(keys))} keys"
-    # The direct answers and the Euler form compute a pair of irreducibles
+    # The direct answers and the Euler form keep a pair of irreducibles
     # only with both weights at level zero, the difference of their charges
     # apart.
-    for name in ("_pair_pieces", "_pair_chi"):
+    for name in ("_pairs", "_pair_chi"):
         assert all(w1[pb.marked[0] - 1] == w2[pb.marked[0] - 1] == 0 for pb, w1, w2, _ in first[name]), name
     # The tables belong to the engine: a second one computes everything again.
     assert run_fresh_engine() == first
@@ -451,8 +451,9 @@ def test_a_warm_pairing_computes_nothing(monkeypatch, euler_reference):
         raise AssertionError("a warm pairing computed")
 
     monkeypatch.setattr(B, "kclass", computes)
-    monkeypatch.setattr(ExtEngine, "_pair_pieces", computes)
+    monkeypatch.setattr(ExtEngine, "_levi_pieces", computes)
     monkeypatch.setattr(ExtEngine, "_pair_chi", computes)
+    monkeypatch.setattr(bbw, "bbw_cohomology", computes)
     monkeypatch.setattr(bbw, "euler_characteristic", computes)
     monkeypatch.setattr(X, "_on_space", computes)
     monkeypatch.setattr(X, "_branched", computes)
@@ -495,27 +496,61 @@ def _weyl_chi(pb, w1, w2, d):
     return sum(mult * bbw.euler_characteristic(pb.datum, nu) for nu, mult in product.items())
 
 
+def _irreducible_answers(eng):
+    """(the _pairs key, the answer) of every exact answer in the Ext memo
+    of eng for two irreducibles on one description."""
+    for (E, F_base, level), res in eng._memo.items():
+        F = B.twist(F_base, level)
+        if not (isinstance(res, ExtResult) and isinstance(E, B.Sum) and isinstance(F, B.Sum)):
+            continue
+        if E.space is F.space and len(E.pieces) == len(F.pieces) == 1 and E.pieces[0][2] == F.pieces[0][2] == 1:
+            (w1, k1, _), (w2, k2, _) = E.pieces[0], F.pieces[0]
+            yield (E.space, w1, w2, k2 - k1), res
+
+
 def test_every_pair_entry_keeps_the_euler_characteristic_of_its_answer():
-    # An answered entry's chi is that of its answer and Weyl's; an entry that
-    # euler filled with chi alone holds the chi of the BBW walks.
+    # Every entry is an int, Weyl's chi and the chi of the BBW walks, also
+    # the entries that _direct filled; the answer of two irreducibles that
+    # the memo keeps has the chi of its entry.
     eng = ExtEngine()
     for e, f in GRID:
         E, F = parse_bundle(e), parse_bundle(f)
         eng.ext(E, F)
         eng.euler(E, F)
-    answered = {key: entry for key, entry in eng._pairs.items() if entry[0] is not None}
+    assert len(eng._pairs) > 100
+    for (pb, w1, w2, d), chi in eng._pairs.items():
+        i = pb.marked[0] - 1
+        assert type(chi) is int and chi == _weyl_chi(pb, w1, w2, d), (pb, w1, w2, d)
+        assert chi == _levi_chi(pb, w1, w2[:i] + (d,) + w2[i + 1 :]), (pb, w1, w2, d)
+    answered = dict(_irreducible_answers(eng))
     assert len(answered) > 100 and len(answered) < len(eng._pairs)
-    for key, (res, chi) in answered.items():
-        assert chi == _chi(res) == _weyl_chi(*key), key
-    for (pb, w1, w2, d), (res, chi) in eng._pairs.items():
-        if res is None:
-            i = pb.marked[0] - 1
-            assert chi == _levi_chi(pb, w1, w2[:i] + (d,) + w2[i + 1 :]), (pb, w1, w2, d)
+    for key, res in answered.items():
+        assert _chi(res) == eng._pairs[key], key
+
+
+def test_each_direct_answer_is_kept_once_in_the_ext_memo():
+    # _pairs keeps chi alone: on the grid (ext and euler) no kernel table
+    # holds an answer, every _pairs entry is Weyl's chi as an int, and the
+    # memo's answer for two irreducibles on one description has that chi.
+    eng = ExtEngine()
+    for e, f in EULER_GRID[:1183]:  # the grid at twists -3..3
+        E, F = parse_bundle(e), parse_bundle(f)
+        eng.ext(E, F)
+        eng.euler(E, F)
+    tables = {name: value for name, value in vars(eng).items() if isinstance(value, dict) and name != "_memo"}
+    assert len(tables) == 5
+    for name, table in tables.items():
+        assert table and not any(isinstance(value, ExtResult) for value in table.values()), name
+    assert all(type(chi) is int and chi == _weyl_chi(*key) for key, chi in eng._pairs.items())
+    answered = list(_irreducible_answers(eng))
+    assert len(answered) > 100
+    for key, res in answered:
+        assert _chi(res) == eng._pairs[key], key
 
 
 def test_a_bbw_fault_is_caught_when_an_euler_entry_is_completed(monkeypatch):
-    # euler fills _pairs with Weyl's chi alone; _direct completes such an
-    # entry with the BBW answer and compares the two chis.  A walk that adds
+    # euler fills _pairs with Weyl's chi; _direct builds the BBW answer of
+    # such an entry and compares its chi with the one held.  A walk that adds
     # 1 to every nonzero degree flips the sign of those pieces' chi.
     def shifted(pb, nu, walk=bbw.bbw_cohomology):
         coh = walk(pb, nu)
@@ -524,11 +559,11 @@ def test_a_bbw_fault_is_caught_when_an_euler_entry_is_completed(monkeypatch):
     E, F = B.O(), B.O(-9)  # H^10(O(-9)) = H^0(O(1))-dual: one piece, in degree 10
     eng = ExtEngine()
     chi = eng.euler(E, F)
-    assert chi == 16 and eng._pairs[D5_P4, (0,) * 5, (0,) * 5, -9] == (None, 16)
+    assert chi == 16 and eng._pairs[D5_P4, (0,) * 5, (0,) * 5, -9] == 16
     monkeypatch.setattr(bbw, "bbw_cohomology", shifted)
     with pytest.raises(InternalConsistencyError, match="by Weyl's polynomial"):
         eng.ext(E, F)
-    # A fresh engine has no entry to complete: the fault goes through.
+    # A fresh engine holds no chi to compare with: the fault goes through.
     assert ExtEngine().ext(E, F).dims() == {11: 16}
 
 
@@ -722,20 +757,19 @@ def _old_degenerates(cols, idx):
 
 
 def test_grid_answers_have_one_flat_shape():
-    # Every exact grid answer, and every direct answer the engine keeps in
-    # _pairs beside its Euler characteristic, is an ExtResult whose pieces
-    # are strictly increasing in (degree, entry), carry a positive
+    # Every exact answer the Ext memo keeps after the grid, the direct
+    # answers of the pairs of irreducibles among them, is an ExtResult whose
+    # pieces are strictly increasing in (degree, entry), carry a positive
     # multiplicity, and come out of ExtResult.collect unchanged.  The
     # chases' degeneracy test reads degree supports on that account.
     import ledger
 
     eng = ExtEngine()
-    exact = [eng.ext(parse_bundle(e), parse_bundle(f)) for e, f in ledger.GRID]
-    exact = [res for res in exact if isinstance(res, ExtResult)]
-    pairs = [res for res, _ in eng._pairs.values() if res is not None]
-    assert len(exact) > 900 and pairs
-    assert all(isinstance(res, ExtResult) for res in pairs)
-    for res in exact + pairs:
+    for e, f in ledger.GRID:
+        eng.ext(parse_bundle(e), parse_bundle(f))
+    exact = [res for res in eng._memo.values() if isinstance(res, ExtResult)]
+    assert len(exact) > 900 and len(list(_irreducible_answers(eng))) > 100
+    for res in exact:
         keys = [(p, e) for p, e, _ in res.pieces]
         assert all(a < b for a, b in zip(keys, keys[1:])), res
         assert all(m > 0 for _, _, m in res.pieces), res

@@ -222,10 +222,11 @@ def test_replay_builds_no_gram_matrix(monkeypatch):
 def test_the_cold_replay_walks_only_for_the_answers_it_reads(monkeypatch):
     # The replay reads Ext answers and Euler pairings.  A pairing fills its
     # _pairs entries with Weyl's chi alone, so a fresh engine walks once per
-    # distinct Levi piece of the entries that hold an answer, and no more.
-    # Every object of the replay lives on D5/P4, so ext branches nothing to
-    # B4/Q4 (b4_content unwrapped so that its cache hides no branching).
-    walks = []
+    # distinct Levi piece of the pairs that _direct reads for an answer, and
+    # no more.  Every object of the replay lives on D5/P4, so ext branches
+    # nothing to B4/Q4 (b4_content unwrapped so that its cache hides no
+    # branching).
+    walks, direct_keys, in_direct = [], set(), []
 
     def walk(pb, nu, bbw_cohomology=bbw.bbw_cohomology):
         walks.append((pb, nu))
@@ -234,19 +235,37 @@ def test_the_cold_replay_walks_only_for_the_answers_it_reads(monkeypatch):
     def no_branching(w):
         raise AssertionError(f"the replay branched {w} to B4/Q4")
 
+    def direct(self, E, F, method=ExtEngine._direct):
+        in_direct.append((E, F))
+        try:
+            return method(self, E, F)
+        finally:
+            in_direct.pop()
+
+    def levi_pieces(self, *key, method=ExtEngine._levi_pieces):
+        if in_direct:
+            direct_keys.add(key)
+        return method(self, *key)
+
     monkeypatch.setattr(bbw, "bbw_cohomology", walk)
     monkeypatch.setattr(levi, "branch_levi", no_branching)
     monkeypatch.setattr(levi, "b4_content", levi.b4_content.__wrapped__)
+    monkeypatch.setattr(ExtEngine, "_direct", direct)
+    monkeypatch.setattr(ExtEngine, "_levi_pieces", levi_pieces)
     eng = ExtEngine()
     assert M.replay_main_proof(eng).final_matches
-    answered = [key for key, (answer, _) in eng._pairs.items() if answer is not None]
-    assert answered and len(answered) < len(eng._pairs)
-    pieces = set()
-    for pb, w1, w2, d in answered:
-        i = pb.marked[0] - 1
-        nus = levi.tensor_decompose(pb, roots.dualize_levi(pb, w1), w2[:i] + (d,) + w2[i + 1 :])
-        pieces.update((pb, nu) for nu in nus)
-    assert len(walks) == len(set(walks)) and set(walks) == pieces
+    assert direct_keys and direct_keys < set(eng._pairs)
+
+    def pieces(keys):
+        out = set()
+        for pb, w1, w2, d in keys:
+            i = pb.marked[0] - 1
+            nus = levi.tensor_decompose(pb, roots.dualize_levi(pb, w1), w2[:i] + (d,) + w2[i + 1 :])
+            out.update((pb, nu) for nu in nus)
+        return out
+
+    assert len(walks) == len(set(walks)) and set(walks) == set(eng._cohomology) == pieces(direct_keys)
+    assert set(walks) < pieces(eng._pairs)
 
 
 def test_replay_swap_steps_report_both_directions(eng):
