@@ -14,7 +14,7 @@ three generic operations, so a derived entry has no coefficient of its own
 to mistype: dual_sequence (the duals, one at a twist), tensor_sequence (a
 twist, or a tensor by a bundle) and splice (the paper's four- and five-term
 resolutions, joined at a common term).  `kclass` gives an object's class
-in K_0.
+in K_0 as its pieces on the one description it lives on.
 
 The vocabulary of the bundle language lives here, once: ATOMS, the named
 bundles, and GENERATORS, the tautological bundles whose Schur powers
@@ -232,24 +232,27 @@ def common_parts(a: Sum, b: Sum) -> tuple[Parabolic, Parts, Parts] | None:
     return None
 
 
-KClass = dict[tuple[Parabolic, Weight], int]  # virtual multiset of Levi irreducibles
-
-
-def kclass(obj: BundleObject) -> KClass:
-    """The class of obj in K_0, through the ring map R(L) -> K_0: a Sum is its
-    parts; a named object is the signed sum of the other terms of its first
-    registered sequence, each coefficient counted by its dimension (V (x) O = O^dim V)."""
+def kclass(obj: BundleObject) -> tuple[Parabolic, Pieces]:
+    """The class of obj in K_0, through the ring map R(L) -> K_0, as its
+    description and its nonzero pieces there: a Sum is its own pieces; a named
+    object is the signed sum of the other terms of its first registered
+    sequence, each coefficient counted by its dimension (V (x) O = O^dim V).
+    InternalConsistencyError when those terms live on two descriptions."""
     if isinstance(obj, Sum):
-        return {(obj.space, w): m for w, m in obj.parts}
+        return obj.space, obj.pieces
     seq, idx, t = _any_match(obj)
-    out: KClass = {}
+    space = None
+    acc: dict[tuple[Weight, int], int] = {}
     for j, term in enumerate(seq.terms):
         if j != idx:
-            sign = 1 if (j - idx) % 2 else -1
-            n = sign * coeff_dim(term.coeff)
-            for piece, m in kclass(twist(term.obj, t)).items():
-                out[piece] = out.get(piece, 0) + n * m
-    return {piece: m for piece, m in out.items() if m}
+            on, pieces = kclass(twist(term.obj, t))
+            if on is not space and space is not None:
+                raise InternalConsistencyError(f"the class of {obj} has terms on {space} and on {on}")
+            space = on
+            n = (1 if (j - idx) % 2 else -1) * coeff_dim(term.coeff)
+            for w, k, m in pieces:
+                acc[w, k] = acc.get((w, k), 0) + n * m
+    return space, tuple((w, k, m) for (w, k), m in acc.items() if m)
 
 
 # --- sequences -------------------------------------------------------------

@@ -13,14 +13,14 @@ as Ambiguous, which still carries the exact Euler characteristic.
 
 The Euler characteristic takes no route and no BBW walk, so it checks the
 chases and the walks from outside: chi(E, F) pairs the K-classes of
-bundles.kclass, a sum of terms chi(L1-dual (x) L2) over their Levi pieces, on
-B4/Q4 when a piece lives there (D5/P4 pieces branched by levi.branch_levi).
-A term is the sum of Weyl's polynomial (bbw.euler_characteristic, by Bott's
-theorem) over the Levi pieces of L1-dual (x) L2 (levi.tensor_decompose).  An
-engine keeps each object's class as pieces, each split at the marked
-coordinate into its weight at level zero and its charge (bundles.Sum.pieces):
-on D5/P4, branched to B4/Q4 only when a pairing first needs them there, or on
-B4/Q4 when a piece lives there.  It keeps each chi(L1-dual (x) L2) once per
+bundles.kclass, each an object's pieces (weight at level zero, charge, n) on
+the one description it lives on, as a sum of terms chi(L1-dual (x) L2) over
+pairs of pieces: on the common description, else on B4/Q4, the class on
+D5/P4 branched by levi.branch_levi.  A term is the sum of Weyl's polynomial
+(bbw.euler_characteristic, by Bott's theorem) over the Levi pieces of
+L1-dual (x) L2 (levi.tensor_decompose).  An engine keeps each object's class
+as kclass gives it, and a class on D5/P4 also branched to B4/Q4 once a
+pairing first needs it there.  It keeps each chi(L1-dual (x) L2) once per
 twist class, an int under the two weights at level zero and the difference
 of their charges, in the one table that the direct Ext of two sums writes
 too: the direct Ext records the chi of each pair's BBW answer there, and that
@@ -199,34 +199,15 @@ def _branch_to_b4(res: ExtResult) -> ExtResult:
     ])
 
 
-def _on_space(pb: roots.Parabolic, cls: bundles.KClass) -> dict[roots.Weight, int]:
-    """A class as Levi weights on pb, its D5/P4 pieces branched when pb is B4/Q4."""
-    out: dict[roots.Weight, int] = {}
-    for (space, w), n in cls.items():
-        for v in (w,) if space == pb else levi.branch_levi(w):
-            out[v] = out.get(v, 0) + n
-    return out
-
-
-def _class_pieces(obj: BundleObject) -> tuple[Pieces | None, Pieces | None]:
-    """The class of obj (bundles.kclass) as nonzero pieces, each split at the
-    marked coordinate (Sum.pieces, else bundles.split_charges), on D5/P4 and on
-    B4/Q4: when a piece lives on B4/Q4, None and the class there, its D5/P4
-    pieces branched (_on_space); else the pieces on D5/P4 and None, which
-    _branched replaces when a pairing first needs the class on B4/Q4."""
-    cls = bundles.kclass(obj)
-    if any(space == bundles.B4_Q4 for space, _ in cls):
-        return None, bundles.split_charges(bundles.B4_Q4, _on_space(bundles.B4_Q4, cls).items())
-    if isinstance(obj, Sum):
-        return obj.pieces, None
-    return bundles.split_charges(bundles.D5_P4, ((w, n) for (_, w), n in cls.items())), None
-
-
 def _branched(pieces: Pieces) -> Pieces:
-    """Pieces of a class on D5/P4 as its pieces on B4/Q4 (_on_space)."""
+    """The pieces of a class on D5/P4 as its pieces on B4/Q4, each Levi
+    weight branched by levi.branch_levi."""
     i = bundles.D5_P4.marked[0] - 1
-    cls = {(bundles.D5_P4, w[:i] + (k,) + w[i + 1 :]): n for w, k, n in pieces}
-    return bundles.split_charges(bundles.B4_Q4, _on_space(bundles.B4_Q4, cls).items())
+    acc: dict[roots.Weight, int] = {}
+    for w, k, n in pieces:
+        for v in levi.branch_levi(w[:i] + (k,) + w[i + 1 :]):
+            acc[v] = acc.get(v, 0) + n
+    return bundles.split_charges(bundles.B4_Q4, acc.items())
 
 
 def _tensor_coeff(res: ExtResult, coeff: bundles.Coeff) -> ExtResult:
@@ -255,8 +236,8 @@ class ExtEngine:
     never meets it.
 
     Besides the Ext memo, an engine keeps five kernel tables of pure values,
-    each filled on its first lookup (through _lookup but for _pairs) and
-    keyed by the arguments of the function that fills it:
+    each filled on its first lookup (through _lookup but for _pairs and
+    _classes) and keyed by the arguments of the function that fills it:
 
     - _pairs: (pb, w1, w2, d) -> the Euler characteristic chi(E_w1-dual (x)
       E_w2'), an int, for two irreducibles, w1 and w2 at level zero and
@@ -271,12 +252,10 @@ class ExtEngine:
     - _terms: (term, t, contravariant) -> the term's object twisted by t
       and its coefficient, dualized when contravariant (_term_at, through
       bundles.coeff_dual), for chase columns;
-    - _classes: (obj,) -> the K-class of obj (one bundles.kclass call) as
-      (weight at level zero, charge, n) pieces on D5/P4, or None when a
-      piece lives on B4/Q4, and as pieces on B4/Q4, or None for a class on
-      D5/P4 until a pairing on B4/Q4 first needs it, which branches the
-      D5/P4 pieces once (_class_pieces, _branched): the classes the Euler
-      form pairs.
+    - _classes: (obj,) -> bundles.kclass(obj), the description of obj's
+      class and its pieces there; and (obj, B4_Q4) -> the pieces of a class
+      on D5/P4 branched to B4/Q4 (_branched), filled when a pairing with a
+      class on B4/Q4 first needs them: the classes the Euler form pairs.
 
     The tables start empty and live exactly as long as the engine; they
     are not module-level caches.  A fresh engine recomputes through the
@@ -331,29 +310,26 @@ class ExtEngine:
 
     def euler(self, E: BundleObject, F: BundleObject) -> int:
         """chi(E, F): the sum of a b chi(L1-dual (x) L2) over the pieces a L1 of the
-        class of E and b L2 of that of F, on D5/P4 unless a piece lives on B4/Q4.
+        class of E and b L2 of that of F, on their common description, else on B4/Q4.
 
         chi(L1(k)-dual (x) L2(k)) = chi(L1-dual (x) L2), so each pair of
         pieces is read, or computed once, from the _pairs entry of its weights
         at level zero and the difference of their charges, an int that
         _direct writes too; a missing entry is Weyl's chi, with no BBW walk
-        (_pair_chi).  A warm pairing reads two _classes entries and one
-        _pairs entry per pair of pieces, builds no weight, and computes
-        nothing."""
+        (_pair_chi).  A warm pairing reads two _classes entries, a third for
+        the branched class when the two descriptions differ, and one _pairs
+        entry per pair of pieces; it builds no weight and computes nothing."""
         classes = self._classes
-        a, a_b4 = classes.get((E,)) or _lookup(classes, _class_pieces, E)
-        b, b_b4 = classes.get((F,)) or _lookup(classes, _class_pieces, F)
-        if a is None or b is None:
+        sa, a = classes.get((E,)) or classes.setdefault((E,), bundles.kclass(E))
+        sb, b = classes.get((F,)) or classes.setdefault((F,), bundles.kclass(F))
+        pb = sa
+        if sb is not sa:  # one class on each description: pair them on B4/Q4
             pb = bundles.B4_Q4
-            if a_b4 is None:
-                a_b4 = _branched(a)
-                classes[E,] = a, a_b4
-            if b_b4 is None:
-                b_b4 = _branched(b)
-                classes[F,] = b, b_b4
-            a, b = a_b4, b_b4
-        else:
-            pb = bundles.D5_P4
+            obj = E if sa is not pb else F
+            on_b4 = classes.get((obj, pb))
+            if on_b4 is None:
+                on_b4 = classes[obj, pb] = _branched(a if obj is E else b)
+            a, b = (on_b4, b) if obj is E else (a, on_b4)
         pairs = self._pairs
         total = 0
         for w1, k1, n1 in a:

@@ -39,9 +39,13 @@ def test_tensor_matches_levi_decomposition():
 
 def _rank_and_chern(obj):
     # Rank and c1 (in units of O(1)) of obj's K-class, summed over its Levi
-    # irreducibles by the oracle of test_levi.
+    # irreducibles, each weight rebuilt at its charge, by the oracle of
+    # test_levi.
     rank = c1 = 0
-    for (space, w), m in B.kclass(obj).items():
+    space, pieces = B.kclass(obj)
+    i = space.marked[0] - 1
+    for w0, k, m in pieces:
+        w = w0[:i] + (k,) + w0[i + 1 :]
         r, c = _rank_and_c1(space, w)
         assert c.denominator == 1, (space, w)
         rank, c1 = rank + m * r, c1 + m * c
@@ -54,6 +58,28 @@ def test_rank_and_chern_of_sums():
     assert _rank_and_chern(B.O(1)) == (1, 1)
     assert _rank_and_chern(B.irr(B4_Q4, (0, 0, 0, 1))) == (1, 1)
     assert _rank_and_chern(B.schur("Uv", "Wedge", 2)) == (10, 8)  # the index of the variety
+
+
+def test_a_sum_is_its_own_class():
+    for obj in (B.Uv(), B.O(3), B.R(-1), B.direct_sum(B.O(), B.schur("Uv", "Sym", 2, 1))):
+        space, pieces = B.kclass(obj)
+        assert space is obj.space and pieces is obj.pieces, obj
+
+
+def test_every_named_base_has_its_class_on_d5_p4():
+    for name, want_rank in (("That", 11), ("Thatv", 11), ("Ktilde", 39), ("Ktildev", 39)):
+        obj = B.ATOMS[name]
+        space, pieces = B.kclass(obj)
+        assert space is D5_P4 and pieces, obj
+        assert all(m for _, _, m in pieces) and len({(w, k) for w, k, _ in pieces}) == len(pieces), obj
+        assert _rank_and_chern(obj)[0] == want_rank, obj
+
+
+def test_a_class_with_terms_on_two_descriptions_is_refused(monkeypatch):
+    mixed = B.Sequence("mixed", (B.Term(B.Named("That", 0)), B.Term(B.Uv()), B.Term(B.Rv())))
+    monkeypatch.setattr(B, "_any_match", lambda obj: (mixed, 0, 0))
+    with pytest.raises(InternalConsistencyError, match="has terms on"):
+        B.kclass(B.Named("That", 0))
 
 
 def test_named_rank_and_chern_consistent_across_resolutions():

@@ -381,14 +381,20 @@ def _levi_chi(pb, w1, w2):
 
 
 def _old_pairing(E, F):
-    """ExtEngine.euler as a sum that shares no table with any engine: both
-    classes taken from bundles.kclass and put on one space on every call,
-    every pair of pieces at the levels it has, its chi computed by
-    _levi_chi.  No piece is moved to level zero."""
+    """ExtEngine.euler as a sum that shares no table and no helper with any
+    engine: both classes taken from bundles.kclass, every piece rebuilt at
+    its level and put on one space on every call (levi.branch_levi), every
+    pair of pieces at the levels it has, its chi computed by _levi_chi.  No
+    piece is moved to level zero."""
     classes = B.kclass(E), B.kclass(F)
-    on_b4 = any(space == B.B4_Q4 for cls in classes for space, _ in cls)
-    pb = B.B4_Q4 if on_b4 else B.D5_P4
-    a, b = (X._on_space(pb, cls) for cls in classes)
+    pb = B.B4_Q4 if any(space is B.B4_Q4 for space, _ in classes) else D5_P4
+    a, b = {}, {}
+    for (space, pieces), out in zip(classes, (a, b)):
+        i = space.marked[0] - 1
+        for w0, k, n in pieces:
+            w = w0[:i] + (k,) + w0[i + 1 :]
+            for v in (w,) if space is pb else levi.branch_levi(w):
+                out[v] = out.get(v, 0) + n
     return sum(n1 * n2 * _levi_chi(pb, w1, w2) for w1, n1 in a.items() for w2, n2 in b.items())
 
 
@@ -420,24 +426,32 @@ def test_euler_matches_the_old_pairing_on_a_fresh_and_a_warm_engine(euler_refere
     _assert_same_pairings(warm, euler_reference, pairs)
 
 
-def test_euler_matches_the_old_pairing_on_pieces_at_different_levels():
+def test_euler_matches_the_old_pairing_on_pieces_at_different_levels(monkeypatch):
+    classed, branched = [], []
+    _log_outer_calls(monkeypatch, B, "kclass", classed)
+    _log_calls(monkeypatch, X, "_branched", branched)
     eng = ExtEngine()
     objs = [B.twist(parse_bundle(e), k) for e in MIXED_LEVELS for k in (-2, 0, 1)]
-    for E in objs:
-        for F in objs:
-            assert eng.euler(E, F) == _old_pairing(E, F), (E, F)
+    got = {(E, F): eng.euler(E, F) for E in objs for F in objs}
+    # The engine asks kclass once per object.
+    assert classed == [(E,) for E in objs]
+    for (E, F), chi in got.items():
+        assert chi == _old_pairing(E, F), (E, F)
     # The classes have pieces away from level zero, and _pairs keeps
     # each pair of pieces with both weights at level zero only, the
     # difference of their charges apart: one key per twist class.
-    # Every object was paired with That or Ktildev, whose classes live on
-    # B4/Q4, so the engine keeps each class there, branched on first use.
+    # The B4/Q4 sums of MIXED_LEVELS are paired with every object, so the
+    # engine keeps each class on D5/P4 (That and Ktildev included) also
+    # branched to B4/Q4, once.
+    on_d5 = [E for E in objs if eng._classes[E,][0] is D5_P4]
+    assert {E for E in objs if isinstance(E, B.Named)} < set(on_d5) < set(objs)
+    assert {key for key in eng._classes if len(key) == 2} == {(E, B.B4_Q4) for E in on_d5}
+    assert len(branched) == len(on_d5)
     away = 0
-    for E in objs:
-        on_d5, on_b4 = eng._classes[E,]
-        assert on_b4 is not None, E
-        for pb, pieces in ((D5_P4, on_d5 or ()), (B.B4_Q4, on_b4)):
-            assert all(w[pb.marked[0] - 1] == 0 for w, _, _ in pieces), E
-            away += sum(1 for _, k, _ in pieces if k)
+    for key, value in eng._classes.items():
+        pb, pieces = value if len(key) == 1 else (B.B4_Q4, value)
+        assert all(w[pb.marked[0] - 1] == 0 for w, _, _ in pieces), key
+        away += sum(1 for _, k, _ in pieces if k)
     assert away
     assert all(w1[pb.marked[0] - 1] == w2[pb.marked[0] - 1] == 0 for pb, w1, w2, _ in eng._pairs)
 
@@ -455,7 +469,6 @@ def test_a_warm_pairing_computes_nothing(monkeypatch, euler_reference):
     monkeypatch.setattr(ExtEngine, "_pair_chi", computes)
     monkeypatch.setattr(bbw, "bbw_cohomology", computes)
     monkeypatch.setattr(bbw, "euler_characteristic", computes)
-    monkeypatch.setattr(X, "_on_space", computes)
     monkeypatch.setattr(X, "_branched", computes)
     monkeypatch.setattr(levi, "branch_levi", computes)
     assert [eng.euler(E, F) for E, F in pairs] == first

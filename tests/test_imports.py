@@ -211,10 +211,11 @@ def test_build_scan_catches_a_second_construction_path():
     assert _builds_outside_new(source) == [5, 7]
 
 
-def _calls_outside(source: str, callee: str, allowed: set[str]) -> list[int]:
-    """The lines of the calls of callee, by bare name or as an attribute,
-    that sit outside the definitions named in allowed: a module-level
-    function by its name, a method as Class.method."""
+def _calls_outside(source: str, callee: str, allowed: set[str], owner: str | None = None) -> list[int]:
+    """The lines of the calls of callee, by bare name or as an attribute
+    (of the name owner only, when owner is given), that sit outside the
+    definitions named in allowed: a module-level function by its name, a
+    method as Class.method."""
     tree = ast.parse(source)
     scopes = [(d.name, d) for d in tree.body if isinstance(d, ast.FunctionDef)]
     scopes += [
@@ -230,6 +231,7 @@ def _calls_outside(source: str, callee: str, allowed: set[str]) -> list[int]:
         for node in ast.walk(tree)
         if isinstance(node, ast.Call)
         and (node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)) == callee
+        and (owner is None or isinstance(node.func, ast.Name) or getattr(node.func.value, "id", None) == owner)
         and id(node) not in inside
     )
 
@@ -259,6 +261,41 @@ def test_engine_scan_catches_a_second_construction_site():
     )
     assert _calls_outside(source, "ExtEngine", {"get_engine"}) == [4, 7]
     assert _calls_outside(source, "ExtEngine", set()) == [2, 4, 7]
+
+
+# The one package caller of bundles.kclass besides its own recursion: the
+# Euler form, which keeps each class in its engine.  KForm.kclass is another
+# function of the same name, called as an attribute of the form.
+KCLASS_CALLERS = {"bundles.py": {"kclass"}, "ext.py": {"ExtEngine.euler"}}
+
+
+def test_only_the_euler_form_asks_bundles_for_a_class():
+    found = {
+        p.name: _calls_outside(
+            p.read_text(encoding="utf-8"), "kclass", KCLASS_CALLERS.get(p.name, set()), owner="bundles"
+        )
+        for p in sorted(PACKAGE.glob("*.py"))
+    }
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    # and each of them does call it
+    for name in KCLASS_CALLERS:
+        assert _calls_outside((PACKAGE / name).read_text(encoding="utf-8"), "kclass", set(), owner="bundles"), name
+
+
+def test_kclass_scan_catches_a_second_caller():
+    source = (
+        "def kclass(obj):\n"
+        "    return kclass(obj.base)\n"
+        "class ExtEngine:\n"
+        "    def euler(self, E, F):\n"
+        "        return bundles.kclass(E), bundles.kclass(F)\n"
+        "    def ext(self, E, F):\n"
+        "        return self.kform.kclass(E, self), bundles.kclass(F)\n"
+        "def gram(objs):\n"
+        "    return [kclass(x) for x in objs]\n"
+    )
+    assert _calls_outside(source, "kclass", {"kclass", "ExtEngine.euler"}, owner="bundles") == [7, 9]
+    assert _calls_outside(source, "kclass", {"kclass", "ExtEngine.euler"}) == [7, 7, 9]
 
 
 # Where ext builds an ExtResult from a raw tuple of pieces: pieces that are

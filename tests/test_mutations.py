@@ -595,8 +595,8 @@ def test_kclass_fault_reaches_a_fresh_engine_after_another_form_is_warm(monkeypa
     real = B.kclass
 
     def faulty(obj):
-        cls = real(obj)
-        return cls if isinstance(obj, B.Sum) else {piece: -m for piece, m in cls.items()}
+        space, pieces = real(obj)
+        return space, pieces if isinstance(obj, B.Sum) else tuple((w, k, -m) for w, k, m in pieces)
 
     monkeypatch.setattr(B, "kclass", faulty)
     assert M.gram_matrix(col, warm) == before
