@@ -320,6 +320,8 @@ GENERATORS = {"Uv": (D5_P4, False), "U": (D5_P4, True), "Rv": (B4_Q4, False), "R
 
 def schur(gen: str, op: str, r: int, k: int = 0) -> Sum:
     """Sym^r (op "Sym") or Wedge^r (op "Wedge") of the generator gen, twisted by k."""
+    if gen not in GENERATORS or op not in ("Sym", "Wedge"):
+        raise DomainError(f"no Schur power {op!r} of {gen!r}: Sym or Wedge of {', '.join(GENERATORS)}")
     space, dualized = GENERATORS[gen]
     out = irr(space, levi.sym_power(space, r) if op == "Sym" else levi.wedge_power(space, r))
     return twist(dual(out) if dualized else out, k)

@@ -174,7 +174,7 @@ def _step_payload(step: mutations.MutationStep) -> dict:
     return {
         "direction": step.direction,
         "position": step.position + 1,
-        "ext": {str(p): d for p, d in step.hypothesis_dims().items()},
+        "ext": {str(p): d for p, d in step.hypothesis.dims().items()},
         "recipe": step.recipe,
         "result-expr": repr(step.result),
         "kclass": list(step.kclass),

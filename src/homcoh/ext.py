@@ -558,6 +558,9 @@ def ls_chase(
     """
     if variance not in ("onto", "from"):
         raise roots.DomainError(f"variance {variance!r} is neither 'onto' nor 'from'")
+    # An index past the end or below 0 names no term, and True would read term 1.
+    if type(unknown) is not int or not 0 <= unknown < len(seq.terms):
+        raise roots.DomainError(f"unknown {unknown!r} is not a term of {seq.name}: 0..{len(seq.terms) - 1}")
     contravariant = variance == "onto"
     res = engine._chase(seq, unknown, 0, target, contravariant=contravariant)
     if res is None:

@@ -2,12 +2,12 @@
 
 Mutations of adjacent pairs are performed at object level whenever one of
 the three recognised recipes fires against a registered exact sequence;
-otherwise the result is a K-theory-only object: the signed sum of the
-bundles its cone was built from, and its class in the fixed Kuznetsov
-basis.  Every object-level mutation is cross-checked against the cone
-formula in K-theory.  Every pairing of collection objects, in the Gram
-matrix, the hypotheses and the cones alike, is KForm.chi: ExtEngine.euler,
-bilinear over the terms of a K-only object.
+otherwise the result is a K-theory-only object, known by its class in the
+fixed Kuznetsov basis alone.  Such a result is final: no pairing takes it,
+so a collection that holds one is not mutated, verified or tabled again.
+Every object-level mutation is cross-checked against the cone's class.
+Every pairing of collection objects, in the Gram matrix, the hypotheses and
+the cones alike, is KForm.chi: ExtEngine.euler of two bundles.
 """
 
 from __future__ import annotations
@@ -18,26 +18,23 @@ from .ext import Ambiguous, ExtEngine, ExtResult
 from .roots import D5, DomainError, Frozen, InternalConsistencyError, Record
 
 KVector = tuple[int, ...]
-Terms = tuple[tuple[int, BundleObject], ...]  # a signed sum of bundles
 
 
 class KOnly(Frozen):
     """A mutation result known only by its class in K-theory.
 
-    Besides its class it keeps `terms`, the signed bundles (m, E), no m
-    zero, whose sum its cone is; mutate builds it, and KForm.chi pairs it
-    through them.  The terms are not among its _fields, so comparison,
-    hashing and printing read the class alone.  Its printed form,
-    K-only[...], is the one printed form of a collection object that
+    mutate builds it when no recipe fires, and it is final: pairing a class
+    would take the inverse of the basis's Gram matrix, which the package
+    does not compute, so _hypothesis and KForm.chi refuse it.  Its printed
+    form, K-only[...], is the one printed form of a collection object that
     parser.parse_bundle does not read back: the class is not an expression
     of the bundle language.
     """
 
     _fields = ("kclass",)
 
-    def __init__(self, kclass: KVector, terms: Terms) -> None:
+    def __init__(self, kclass: KVector) -> None:
         object.__setattr__(self, "kclass", kclass)
-        object.__setattr__(self, "terms", terms)
 
     def __repr__(self) -> str:
         return f"K-only{list(self.kclass)}"
@@ -137,14 +134,19 @@ class VerifyReport(Record):
         return not self.failures
 
 
+def _refuse_k_only(a: CollectionObject, b: CollectionObject) -> None:
+    """Raise DomainError when a or b is K-only: it pairs with nothing."""
+    for x in (a, b):
+        if isinstance(x, KOnly):
+            raise DomainError(f"{x} is known by its class alone and pairs with nothing")
+
+
 def _hypothesis(
     col: Collection, a: CollectionObject, b: CollectionObject, eng: ExtEngine
 ) -> ExtResult | Ambiguous:
     """Ext(a, b) as the collection asks for it: its invariant part when the
-    collection is equivariant.  With a K-only object only the Euler
-    characteristic is known, exactly, from the terms (KForm.chi)."""
-    if isinstance(a, KOnly) or isinstance(b, KOnly):
-        return Ambiguous(KForm.chi(a, b, eng), "K-only object")
+    collection is equivariant.  A K-only side is refused."""
+    _refuse_k_only(a, b)
     res = eng.ext(a, b)
     if col.equivariant and isinstance(res, ExtResult):
         return res.invariant_part()
@@ -168,25 +170,22 @@ def verify_exceptional(col: Collection, engine: ExtEngine) -> VerifyReport:
 
 
 def gram_matrix(col: Collection, engine: ExtEngine) -> tuple[tuple[int, ...], ...]:
-    """The table of KForm.chi over the collection: a bundle collection builds no K-form."""
+    """The table of KForm.chi over the collection; it builds no K-form."""
     return tuple(tuple(KForm.chi(a, b, engine) for b in col.objects) for a in col.objects)
 
 
 # --- K-theory --------------------------------------------------------------
 
 
-def _terms(obj: CollectionObject) -> Terms:
-    return obj.terms if isinstance(obj, KOnly) else ((1, obj),)
-
-
 class KForm(Frozen):
     """Classes in K-theory in the basis of the Kuznetsov collection.
 
     An object E is stored as its class kclass(E) = (chi(b, E) for b in
-    basis).  A mutation step records its result's class, and a recipe is
-    cross-checked against its cone's; no pairing reads a class.  chi, the one pairing of two
-    collection objects, is ExtEngine.euler, bilinear over the terms of a
-    K-only object, so it needs no form and no fullness of the basis.
+    basis).  A mutation step records its result's class, a K-only result
+    is its class, and a recipe is cross-checked against its cone's
+    (k_cone); no pairing reads a class.  chi, the one pairing of two
+    collection objects, is ExtEngine.euler of two bundles, so it needs no
+    form and no fullness of the basis.
 
     A form belongs to the engine that built it (`standard` keeps it as
     engine.kform), and `kclass` is asked with that engine.  Besides its
@@ -213,12 +212,11 @@ class KForm(Frozen):
 
     @staticmethod
     def chi(a: CollectionObject, b: CollectionObject, engine: ExtEngine) -> int:
-        """chi(a, b): ExtEngine.euler for two bundles, summed over the terms
-        of a K-only side.  Called on the class, never through an instance: a
-        tracer that rebinds it to a plain function (bench/spans.py) would
-        then bind the instance."""
-        if isinstance(a, KOnly) or isinstance(b, KOnly):
-            return sum(m * n * engine.euler(x, y) for m, x in _terms(a) for n, y in _terms(b))
+        """chi(a, b): ExtEngine.euler of two bundles; a K-only side is
+        refused.  Called on the class, never through an instance: a tracer
+        that rebinds it to a plain function (bench/spans.py) would then bind
+        the instance."""
+        _refuse_k_only(a, b)
         return engine.euler(a, b)
 
     def kclass(self, obj: CollectionObject, engine: ExtEngine) -> KVector:
@@ -231,18 +229,13 @@ class KForm(Frozen):
         return k
 
 
-def k_cone(direction: str, a: CollectionObject, b: CollectionObject, chi: int) -> Terms:
-    """The signed bundles of the cone a mutation of the pair (a, b) puts in,
-    given chi = chi(a, b): a - chi b for the right mutation ("R"), b - chi a
-    for the left, a K-only side read as its terms, like bundles merged."""
+def k_cone(direction: str, ka: KVector, kb: KVector, chi: int) -> KVector:
+    """The class of the cone a mutation of the pair (a, b) puts in, from
+    their classes ka and kb and chi = chi(a, b): a - chi b for the right
+    mutation ("R"), b - chi a for the left."""
     if direction == "L":
-        a, b = b, a
-    total: dict[BundleObject, int] = {}
-    for m, x in _terms(a):
-        total[x] = total.get(x, 0) + m
-    for n, y in _terms(b):
-        total[y] = total.get(y, 0) - chi * n
-    return tuple((m, x) for x, m in total.items() if m)
+        ka, kb = kb, ka
+    return tuple([x - chi * y for x, y in zip(ka, kb)])
 
 
 # --- mutation engine --------------------------------------------------------
@@ -256,7 +249,7 @@ class MutationStep(Record):
         direction: str,
         position: int,
         pair: tuple[CollectionObject, CollectionObject],
-        hypothesis: ExtResult | Ambiguous,
+        hypothesis: ExtResult,
         recipe: str,
         result: CollectionObject,
         shift: int,
@@ -272,11 +265,6 @@ class MutationStep(Record):
         self.shift = shift
         self.kclass = kclass
         self.notes = notes
-
-    def hypothesis_dims(self) -> dict[int, int]:
-        if isinstance(self.hypothesis, Ambiguous):
-            return {}
-        return self.hypothesis.dims()
 
 
 # A recipe reads a registered three-term sequence 0 -> A -> B -> C -> 0 at a
@@ -324,36 +312,36 @@ def _find_recipe(direction: str, E1: CollectionObject, E2: CollectionObject, hyp
 def mutate(col: Collection, direction: str, position: int, engine: ExtEngine) -> tuple[Collection, MutationStep]:
     """Mutate the adjacent pair at `position` (0-based, left object).
 
-    A DomainError refuses a cone whose terms cancel, as in the pair (O, O):
-    its class is 0, which no exceptional object has."""
+    A DomainError refuses a pair with a K-only side, and a cone of class 0,
+    as in the pair (O, O), which no exceptional object has."""
     if direction not in ("L", "R"):
         raise DomainError("direction must be 'L' or 'R'")
+    # Checked before indexing, which refuses 1.0 with a TypeError and reads True as 1.
+    if type(position) is not int:
+        raise DomainError(f"position {position!r} is not an integer")
     if not 0 <= position < len(col) - 1:
         raise DomainError(f"position {position} out of range")
     E1, E2 = col.objects[position], col.objects[position + 1]
 
     hyp = _hypothesis(col, E1, E2, engine)
-    if isinstance(hyp, Ambiguous) and not (isinstance(E1, KOnly) or isinstance(E2, KOnly)):
+    if isinstance(hyp, Ambiguous):
         raise AmbiguousMutation(f"Ext({E1}, {E2}) is ambiguous")
 
     form = KForm.standard(engine)
-    if not isinstance(hyp, Ambiguous) and hyp.is_zero:
+    if hyp.is_zero:
         recipe, shift = "transposition", 0
         result = E1 if direction == "R" else E2
         rk = form.kclass(result, engine)
     else:
-        terms = k_cone(direction, E1, E2, KForm.chi(E1, E2, engine))
-        if not terms:
+        cone_k = k_cone(direction, form.kclass(E1, engine), form.kclass(E2, engine), KForm.chi(E1, E2, engine))
+        if not any(cone_k):
             # An exceptional object E has chi(E, E) = 1, so its class is not 0.
             raise DomainError(
                 f"the {direction} mutation of ({E1}, {E2}) has class 0: the pair is not exceptional"
             )
-        cone_k = (0,) * len(form.basis)
-        for m, x in terms:
-            cone_k = tuple([c + m * k for c, k in zip(cone_k, form.kclass(x, engine))])
-        found = None if isinstance(hyp, Ambiguous) else _find_recipe(direction, E1, E2, hyp)
+        found = _find_recipe(direction, E1, E2, hyp)
         if found is None:
-            result, rk = KOnly(cone_k, terms), cone_k
+            result, rk = KOnly(cone_k), cone_k
             recipe, shift = "k-only", 0
         else:
             recipe, result, shift = found

@@ -46,6 +46,8 @@ CLI_RUNS = (
     ("gram-spinor-kp", ("gram", "spinor-kp")),
     ("corpus", ("corpus",)),
     ("corpus-json", ("corpus", "--json")),
+    ("mutate-spinor-kp-R-15", ("mutate", "spinor-kp", "R", "15")),
+    ("mutate-kuznetsov-L-1-json", ("mutate", "kuznetsov", "L", "1", "--json")),
     ("help", ("--help",)),
     ("replay-help", ("replay", "--help")),
 )

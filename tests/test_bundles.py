@@ -22,6 +22,14 @@ def test_concrete_weights():
     assert B.schur("R", "Wedge", 2).parts == (((0, 1, 0, -2), 1),)
 
 
+def test_schur_refuses_an_unknown_op_or_generator():
+    # The ops are exactly "Sym" and "Wedge", and the generators Uv, U, Rv and R.
+    for gen, op in (("Uv", "Foo"), ("Uv", "sym"), ("X", "Sym"), ("O", "Wedge"), ("W", "Sym")):
+        with pytest.raises(DomainError, match=f"no Schur power '{op}' of '{gen}'"):
+            B.schur(gen, op, 2)
+    assert B.schur("Uv", "Wedge", 2) == B.ATOMS["T"]
+
+
 def test_twist_and_dual_involutions():
     for obj in (B.U(), B.schur("Uv", "Sym", 2), B.Rv(3), B.Named("That", 2), B.Named("Ktilde", 2)):
         assert B.twist(B.twist(obj, 3), -3) == obj

@@ -103,6 +103,16 @@ def test_ls_chase_rejects_an_unknown_variance(eng):
         ls_chase(seq, B.O(), unknown=0, engine=eng, variance="Onto")
 
 
+def test_ls_chase_rejects_an_unknown_that_names_no_term(eng):
+    # taut-rank5 has three terms.  Python indexing would read -1 as the last
+    # term and True as term 1, and a chase past the end names no term.
+    seq = next(s for s in B.standard_sequences() if s.name == "taut-rank5")
+    assert len(seq.terms) == 3
+    for unknown in (3, 7, -1, True, 1.0, "0"):
+        with pytest.raises(roots.DomainError, match=f"unknown {unknown!r} is not a term of taut-rank5: 0..2"):
+            ls_chase(seq, B.O(), unknown=unknown, engine=eng)
+
+
 def test_ls_chase_five_term_consistency(eng):
     five = next(s for s in B.standard_sequences() if s.name == "five-term")
     assert ls_chase(five, B.Uv(), unknown=0, engine=eng) == trivial_result(0)

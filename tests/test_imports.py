@@ -211,12 +211,9 @@ def test_build_scan_catches_a_second_construction_path():
     assert _builds_outside_new(source) == [5, 7]
 
 
-def _calls_outside(source: str, callee: str, allowed: set[str], owner: str | None = None) -> list[int]:
-    """The lines of the calls of callee, by bare name or as an attribute
-    (of the name owner only, when owner is given), that sit outside the
-    definitions named in allowed: a module-level function by its name, a
-    method as Class.method."""
-    tree = ast.parse(source)
+def _scopes(tree: ast.Module) -> list[tuple[str, ast.FunctionDef]]:
+    """The definitions of a module by name: a module-level function by its
+    name, a method as Class.method."""
     scopes = [(d.name, d) for d in tree.body if isinstance(d, ast.FunctionDef)]
     scopes += [
         (f"{c.name}.{d.name}", d)
@@ -225,7 +222,15 @@ def _calls_outside(source: str, callee: str, allowed: set[str], owner: str | Non
         for d in c.body
         if isinstance(d, ast.FunctionDef)
     ]
-    inside = {id(node) for name, d in scopes if name in allowed for node in ast.walk(d)}
+    return scopes
+
+
+def _calls_outside(source: str, callee: str, allowed: set[str], owner: str | None = None) -> list[int]:
+    """The lines of the calls of callee, by bare name or as an attribute
+    (of the name owner only, when owner is given), that sit outside the
+    definitions named in allowed (see _scopes)."""
+    tree = ast.parse(source)
+    inside = {id(node) for name, d in _scopes(tree) if name in allowed for node in ast.walk(d)}
     return sorted(
         node.lineno
         for node in ast.walk(tree)
@@ -296,6 +301,58 @@ def test_kclass_scan_catches_a_second_caller():
     )
     assert _calls_outside(source, "kclass", {"kclass", "ExtEngine.euler"}, owner="bundles") == [7, 9]
     assert _calls_outside(source, "kclass", {"kclass", "ExtEngine.euler"}) == [7, 7, 9]
+
+
+def _names_inside(source: str, name: str, scopes: set[str]) -> list[int]:
+    """The lines that refer to name, bare or as an attribute, inside the definitions named in scopes."""
+    return sorted(
+        node.lineno
+        for scope, d in _scopes(ast.parse(source))
+        if scope in scopes
+        for node in ast.walk(d)
+        if (node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)) == name
+    )
+
+
+# A K-only object is a mutation result known by its class alone: mutate
+# builds it, and the two pairings of collection objects refuse it through
+# one guard, without a check of their own.
+K_ONLY_PAIRINGS = {"_hypothesis", "KForm.chi"}
+
+
+def test_only_mutate_builds_a_k_only_object_and_one_guard_refuses_it():
+    found = {
+        p.name: _calls_outside(
+            p.read_text(encoding="utf-8"), "KOnly", {"mutate"} if p.name == "mutations.py" else set()
+        )
+        for p in sorted(PACKAGE.glob("*.py"))
+    }
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    source = (PACKAGE / "mutations.py").read_text(encoding="utf-8")
+    assert _calls_outside(source, "KOnly", set())
+    assert _calls_outside(source, "_refuse_k_only", K_ONLY_PAIRINGS) == []
+    for scope in K_ONLY_PAIRINGS:
+        assert _calls_outside(source, "_refuse_k_only", K_ONLY_PAIRINGS - {scope}), scope
+    assert _names_inside(source, "KOnly", K_ONLY_PAIRINGS) == []
+
+
+def test_k_only_scan_catches_a_second_builder_and_a_second_check():
+    source = (
+        "def mutate(col):\n"
+        "    return KOnly(col.k)\n"
+        "def _hypothesis(a, b):\n"
+        "    _refuse_k_only(a, b)\n"
+        "    return 0 if isinstance(a, KOnly) else 1\n"
+        "class KForm:\n"
+        "    def chi(a, b):\n"
+        "        return mutations.KOnly(a.kclass)\n"
+        "    def kclass(self, obj):\n"
+        "        return _refuse_k_only(obj, obj)\n"
+    )
+    assert _calls_outside(source, "KOnly", {"mutate"}) == [8]
+    assert _calls_outside(source, "_refuse_k_only", K_ONLY_PAIRINGS) == [10]
+    assert _calls_outside(source, "_refuse_k_only", K_ONLY_PAIRINGS - {"KForm.chi"}) == [10]
+    assert _names_inside(source, "KOnly", K_ONLY_PAIRINGS) == [5, 8]
 
 
 # Where ext builds an ExtResult from a raw tuple of pieces: pieces that are

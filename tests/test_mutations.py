@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -119,27 +120,38 @@ def test_k_only_fallback(eng, form):
     assert step.result.kclass == tuple(a - 16 * b for a, b in zip(k_o, k_o1))
 
 
-def test_k_only_hypothesis_carries_the_exact_euler_characteristic(eng, form, ref):
+K_ONLY_REFUSED = r"K-only\[.*\] is known by its class alone"
+
+
+def test_a_k_only_side_is_refused_by_every_pairing(eng, form):
+    # A K-only result is final: the step that makes it has an exact
+    # hypothesis, and every pairing of it after that raises, on either side.
     col = Collection((B.schur("Rv", "Sym", 2, 2), B.Rv(2), B.O(3)))
     col, first = M.mutate(col, "R", 0, eng)
-    assert isinstance(first.result, KOnly)
+    assert isinstance(first.result, KOnly) and isinstance(first.hypothesis, X.ExtResult)
     k_only, o3 = col.objects[1], col.objects[2]
-    _, step = M.mutate(col, "R", 1, eng)
-    assert isinstance(step.hypothesis, X.Ambiguous)
-    chi = M.KForm.chi(k_only, o3, eng)
-    assert step.hypothesis.euler == chi == ref.chi(k_only.kclass, form.kclass(o3, eng)) == -16
-    report = M.verify_exceptional(col, eng)
-    for check in report.checks:
-        a, b = col.objects[check.row], col.objects[check.col]
-        if isinstance(a, KOnly) or isinstance(b, KOnly):
-            assert check.value.euler == ref.chi(form.kclass(a, eng), form.kclass(b, eng))
+    refused = [
+        lambda: M.mutate(col, "R", 1, eng),
+        lambda: M.mutate(col, "L", 0, eng),
+        lambda: M.verify_exceptional(col, eng),
+        lambda: M.gram_matrix(col, eng),
+        lambda: M.KForm.chi(k_only, o3, eng),
+        lambda: M.KForm.chi(o3, k_only, eng),
+        lambda: M.KForm.chi(k_only, k_only, eng),
+    ]
+    for call in refused:
+        with pytest.raises(DomainError, match=K_ONLY_REFUSED):
+            call()
+    assert form.kclass(k_only, eng) == k_only.kclass == first.kclass
 
 
 def test_mutation_rejects_bad_positions(eng):
+    # An int in 0..14 only: Python indexing refuses 1.0 with a TypeError and reads True as 1.
     col = M.kuznetsov_collection()
-    with pytest.raises(Exception):
-        M.mutate(col, "R", 15, eng)
-    with pytest.raises(Exception):
+    for position in (15, -1, 1.0, True, "1", None):
+        with pytest.raises(DomainError, match="position"):
+            M.mutate(col, "R", position, eng)
+    with pytest.raises(DomainError, match="direction"):
         M.mutate(col, "X", 0, eng)
 
 
@@ -398,39 +410,19 @@ def test_gram_matrix_is_the_table_of_euler_pairings(monkeypatch):
         assert M.gram_matrix(col, eng) == tuple(tuple(eng.euler(a, b) for b in objs) for a in objs)
 
 
-def class_of_terms(terms, form, eng):
-    """The class of a signed sum of bundles: the sum of their classes."""
-    total = [0] * len(form.basis)
-    for m, x in terms:
-        total = [t + m * c for t, c in zip(total, form.kclass(x, eng))]
-    return tuple(total)
-
-
-def k_only_by_relation(obj, form, eng):
-    """obj as a K-only object: the first registered sequence that has obj as
-    a term without coefficient, solved for that term in K-theory; so U(k)
-    is 10 O(k) - Uv(k), from taut-rank5."""
-    for seq, idx, t in B.sequence_matches(obj):
-        if not seq.terms[idx].coeff:
-            terms = tuple(
-                ((-1) ** (j - idx + 1) * B.coeff_dim(term.coeff), B.twist(term.obj, t))
-                for j, term in enumerate(seq.terms)
-                if j != idx
-            )
-            kclass = class_of_terms(terms, form, eng)
-            assert kclass == form.kclass(obj, eng), (obj, seq.name)
-            return KOnly(kclass, terms)
-    raise AssertionError(f"no relation solves for {obj}")
-
-
-def test_gram_matrix_reads_k_only_objects_by_their_class(eng, form):
+def test_gram_matrix_and_verify_refuse_a_k_only_object(eng, form):
+    # An object put in as its class alone, first, inside or last, is
+    # refused as a side of the Gram matrix and of the checks, equivariant or not.
     for make in COLLECTIONS:
         col = make()
-        expected = M.gram_matrix(col, eng)
         for i in (0, 5, len(col) - 1):
-            k_only = k_only_by_relation(col.objects[i], form, eng)
-            objs = col.objects[:i] + (k_only,) + col.objects[i + 1:]
-            assert M.gram_matrix(Collection(objs), eng) == expected, (col.label, i)
+            objs = col.objects[:i] + (KOnly(form.kclass(col.objects[i], eng)),) + col.objects[i + 1:]
+            for equivariant in (False, True):
+                with_k_only = Collection(objs, col.label, equivariant)
+                with pytest.raises(DomainError, match=K_ONLY_REFUSED):
+                    M.gram_matrix(with_k_only, eng)
+                with pytest.raises(DomainError, match=K_ONLY_REFUSED):
+                    M.verify_exceptional(with_k_only, eng)
 
 
 def test_gram_matrix_of_bundles_builds_no_kform(monkeypatch):
@@ -455,18 +447,22 @@ def test_cone_chi_is_the_k_form_pairing_of_the_classes(eng, form, ref, monkeypat
     cones = []
     k_cone = M.k_cone
 
-    def recorded(direction, a, b, chi):
-        cones.append((a, b, chi))
-        return k_cone(direction, a, b, chi)
+    def recorded(direction, ka, kb, chi):
+        cones.append((ka, kb, chi))
+        return k_cone(direction, ka, kb, chi)
 
     monkeypatch.setattr(M, "k_cone", recorded)
     steps = M.replay_main_proof(eng).steps
-    assert len(cones) == sum(s.recipe != "transposition" for s in steps) == 14
+    paired = [s.pair for s in steps if s.recipe != "transposition"]
+    assert len(cones) == len(paired) == 14
+    for (ka, kb, chi), (a, b) in zip(cones, paired):
+        assert (ka, kb) == (form.kclass(a, eng), form.kclass(b, eng)), (a, b)
+        assert chi == eng.euler(a, b), (a, b)
     for blocks in M.assemble_kp_collection(eng)[1]:
         steps += blocks
     assert len(cones) >= sum(s.recipe != "transposition" for s in steps) > 14
-    for a, b, chi in cones:
-        assert chi == eng.euler(a, b) == ref.chi(form.kclass(a, eng), form.kclass(b, eng)), (a, b)
+    for ka, kb, chi in cones:
+        assert chi == ref.chi(ka, kb), (ka, kb)
 
 
 WALK_OBJECTS = ("O({})", "Uv({})", "U({})", "That({})", "Sym2 Uv({})", "Rv({})", "Sym2 Rv(2)", "Wedge2 Rv(4)")
@@ -481,47 +477,52 @@ def random_walks(rng, count, steps):
         yield Collection(objs, "walk"), [(rng.choice("LR"), rng.randrange(size - 1)) for _ in range(steps)]
 
 
-def test_k_only_terms_sum_to_the_class_and_pair_as_the_reference(eng, form, ref):
-    # Random mutation walks make K-only results of K-only pairs too.  Each
-    # result's class is the reference's cone and the sum of its terms, and
-    # every pairing, with a K-only side or in the Gram matrix of a walk's
-    # last collection, is the reference's.
-    k_only_results = k_only_pairs = refused = 0
+def test_k_only_results_are_the_reference_cone_and_final(eng, form, ref):
+    # Random mutation walks.  Each K-only result's class is the reference's
+    # cone, and a later move on a pair with a K-only side is refused.  A
+    # move on two bundles is refused only when the reference's cone is 0.
+    # The Gram matrix of a walk's last collection is the reference's when
+    # it holds bundles alone, and refused otherwise.
+    k_only_results = k_only_refused = refused = k_only_grams = 0
     for col, moves in random_walks(random.Random(0), 300, 4):
         for direction, position in moves:
+            a, b = col.objects[position : position + 2]
+            cone = k_mutated([form.kclass(a, eng), form.kclass(b, eng)], direction, 0, ref)
+            cone = cone[1 if direction == "R" else 0]
             try:
                 col, step = M.mutate(col, direction, position, eng)
             except M.AmbiguousMutation:
+                assert not (isinstance(a, KOnly) or isinstance(b, KOnly)), (a, b)
                 continue
-            except DomainError:
-                # Refused: the pair's cone has no terms, so its class is 0.
-                a, b = col.objects[position : position + 2]
-                assert M.k_cone(direction, a, b, M.KForm.chi(a, b, eng)) == (), (a, b)
-                refused += 1
+            except DomainError as e:
+                if isinstance(a, KOnly) or isinstance(b, KOnly):
+                    assert re.search(K_ONLY_REFUSED, str(e)), (a, b)
+                    k_only_refused += 1
+                else:
+                    assert not any(cone) and "has class 0" in str(e), (a, b)
+                    refused += 1
                 continue
-            a, b = step.pair
-            if isinstance(a, KOnly) or isinstance(b, KOnly):
-                k_only_pairs += 1
-                assert step.hypothesis.euler == ref.chi(form.kclass(a, eng), form.kclass(b, eng)), step.pair
+            assert not (isinstance(a, KOnly) or isinstance(b, KOnly)), (a, b)
             if isinstance(step.result, KOnly):
                 k_only_results += 1
-                cone = k_mutated([form.kclass(a, eng), form.kclass(b, eng)], direction, 0, ref)
-                assert step.result.kclass == cone[1 if direction == "R" else 0], step.pair
-                terms = step.result.terms
-                assert all(m and not isinstance(x, KOnly) for m, x in terms)
-                assert len({x for _, x in terms}) == len(terms)
-                assert class_of_terms(terms, form, eng) == step.result.kclass, step.pair
-        classes = [form.kclass(x, eng) for x in col.objects]
-        assert M.gram_matrix(col, eng) == tuple(tuple(ref.chi(ka, kb) for kb in classes) for ka in classes)
-    assert k_only_results > 500 and k_only_pairs > 200 and refused
+                assert step.result.kclass == step.kclass == cone and any(cone), step.pair
+        if any(isinstance(x, KOnly) for x in col.objects):
+            k_only_grams += 1
+            with pytest.raises(DomainError, match=K_ONLY_REFUSED):
+                M.gram_matrix(col, eng)
+        else:
+            classes = [form.kclass(x, eng) for x in col.objects]
+            assert M.gram_matrix(col, eng) == tuple(tuple(ref.chi(ka, kb) for kb in classes) for ka in classes)
+    assert k_only_results > 250 and k_only_refused > 300 and refused and k_only_grams > 200
 
 
-def test_a_pair_whose_cone_cancels_is_refused(eng):
-    # chi(O(2), O(2)) = 1, so both cones are O(2) - O(2): no terms, class 0,
-    # which no exceptional object has.  A pair with a nonzero cone still mutates.
+def test_a_pair_whose_cone_cancels_is_refused(eng, form):
+    # chi(O(2), O(2)) = 1, so both cones are O(2) - O(2), of class 0, which
+    # no exceptional object has.  A pair with a nonzero cone still mutates.
     twice = Collection((B.O(2), B.O(2)))
+    k = form.kclass(B.O(2), eng)
     for direction in ("R", "L"):
-        assert M.k_cone(direction, B.O(2), B.O(2), M.KForm.chi(B.O(2), B.O(2), eng)) == ()
+        assert M.k_cone(direction, k, k, M.KForm.chi(B.O(2), B.O(2), eng)) == (0,) * len(k)
         with pytest.raises(DomainError, match=f"the {direction} mutation of .* has class 0"):
             M.mutate(twice, direction, 0, eng)
     assert M.mutate(Collection((B.O(2), B.O(3))), "R", 0, eng)[1].recipe == "k-only"
