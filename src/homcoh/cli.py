@@ -63,7 +63,7 @@ def _load_collection(path: str) -> Collection:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise UsageError(f"cannot read collection file: {e}") from None
     objs = bparser.parse_collection(text)
     if not objs:

@@ -257,6 +257,10 @@ class ExtEngine:
       on D5/P4 branched to B4/Q4 (_branched), filled when a pairing with a
       class on B4/Q4 first needs them: the classes the Euler form pairs.
 
+    One more table, which no Ext or Euler query reads, is mutations':
+    - kclasses: obj -> KForm.kclass(obj, engine), the tuple of Euler
+      pairings chi(b, obj) over the basis b of the Kuznetsov collection.
+
     The tables start empty and live exactly as long as the engine; they
     are not module-level caches.  A fresh engine recomputes through the
     roots, bbw and levi functions installed at that moment, so a fault
@@ -275,7 +279,7 @@ class ExtEngine:
         self._cohomology: dict = {}
         self._terms: dict = {}
         self._classes: dict = {}
-        self.kform = None  # mutations.KForm.standard: the K-classes of collection objects
+        self.kclasses: dict = {}
 
     # -- public surface ------------------------------------------------
 

@@ -7,10 +7,13 @@ fixed Kuznetsov basis alone.  Such a result is final: no pairing takes it,
 so a collection that holds one is not mutated, verified or tabled again.
 Every object-level mutation is cross-checked against the cone's class.
 Every pairing of collection objects, in the Gram matrix, the hypotheses and
-the cones alike, is KForm.chi: ExtEngine.euler of two bundles.
+the cones alike, is KForm.chi: ExtEngine.euler of two bundles.  KForm keeps
+no state: each engine keeps the classes it computed, in ExtEngine.kclasses.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from . import bundles, ext as ext_mod
 from .bundles import BundleObject
@@ -60,7 +63,9 @@ class Collection(Frozen):
         return Collection(tuple(objs), self.label, self.equivariant)
 
 
+@lru_cache(maxsize=None)
 def kuznetsov_collection() -> Collection:
+    """O(k), Uv(k) for k = 0..7: KForm's basis, built once, on first use."""
     objs: list[BundleObject] = []
     for k in range(8):
         objs += [bundles.O(k), bundles.Uv(k)]
@@ -115,10 +120,9 @@ class PairCheck(Record):
 
 
 class VerifyReport(Record):
-    _fields = ("collection", "checks")
+    _fields = ("checks",)
 
-    def __init__(self, collection: Collection, checks: list[PairCheck]) -> None:
-        self.collection = collection
+    def __init__(self, checks: list[PairCheck]) -> None:
         self.checks = checks
 
     @property
@@ -166,7 +170,7 @@ def verify_exceptional(col: Collection, engine: ExtEngine) -> VerifyReport:
             value = _hypothesis(col, col.objects[j], col.objects[i], engine)
             amb = isinstance(value, Ambiguous)
             checks.append(PairCheck(j, i, "zero", value, not amb and value.is_zero, amb))
-    return VerifyReport(col, checks)
+    return VerifyReport(checks)
 
 
 def gram_matrix(col: Collection, engine: ExtEngine) -> tuple[tuple[int, ...], ...]:
@@ -177,55 +181,32 @@ def gram_matrix(col: Collection, engine: ExtEngine) -> tuple[tuple[int, ...], ..
 # --- K-theory --------------------------------------------------------------
 
 
-class KForm(Frozen):
-    """Classes in K-theory in the basis of the Kuznetsov collection.
+class KForm:
+    """The Euler form on K-theory, in the basis of the Kuznetsov collection.
 
-    An object E is stored as its class kclass(E) = (chi(b, E) for b in
-    basis).  A mutation step records its result's class, a K-only result
-    is its class, and a recipe is cross-checked against its cone's
-    (k_cone); no pairing reads a class.  chi, the one pairing of two
-    collection objects, is ExtEngine.euler of two bundles, so it needs no
-    form and no fullness of the basis.
-
-    A form belongs to the engine that built it (`standard` keeps it as
-    engine.kform), and `kclass` is asked with that engine.  Besides its
-    basis it keeps one table, which is not among its _fields and so takes
-    no part in comparison, hashing or printing: _classes, object -> kclass,
-    filled by `kclass` from the engine's Euler pairings.  So each object
-    costs its basis pairings once per engine, and the table lives exactly
-    as long as the engine, as its kernel tables do: a fault injected below
-    reaches every engine built after it.
+    An object E's class is kclass(E) = (chi(b, E) for b in the basis).  A
+    mutation step records its result's class, a K-only result is its class,
+    and a recipe is cross-checked against its cone's (k_cone); no pairing
+    reads a class.  chi, the one pairing of two collection objects, is
+    ExtEngine.euler of two bundles, so it needs no fullness of the basis.
+    KForm keeps nothing: kclass keeps each class in engine.kclasses, once per
+    engine, so a fault injected below reaches every engine built after it.
     """
-
-    _fields = ("basis",)
-
-    def __init__(self, basis: tuple[BundleObject, ...]) -> None:
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "_classes", {})
-
-    @staticmethod
-    def standard(engine: ExtEngine) -> "KForm":
-        """The form of the engine, built from its Euler pairings on first use."""
-        if engine.kform is None:
-            engine.kform = KForm(kuznetsov_collection().objects)
-        return engine.kform
 
     @staticmethod
     def chi(a: CollectionObject, b: CollectionObject, engine: ExtEngine) -> int:
-        """chi(a, b): ExtEngine.euler of two bundles; a K-only side is
-        refused.  Called on the class, never through an instance: a tracer
-        that rebinds it to a plain function (bench/spans.py) would then bind
-        the instance."""
+        """chi(a, b): ExtEngine.euler of two bundles; a K-only side is refused."""
         _refuse_k_only(a, b)
         return engine.euler(a, b)
 
-    def kclass(self, obj: CollectionObject, engine: ExtEngine) -> KVector:
-        """A K-only object's own class, else its basis pairings, once per form."""
+    @staticmethod
+    def kclass(obj: CollectionObject, engine: ExtEngine) -> KVector:
+        """A K-only object's own class, else its basis pairings, once per engine."""
         if isinstance(obj, KOnly):
             return obj.kclass
-        k = self._classes.get(obj)
+        k = engine.kclasses.get(obj)
         if k is None:
-            k = self._classes[obj] = tuple(engine.euler(b, obj) for b in self.basis)
+            k = engine.kclasses[obj] = tuple(engine.euler(b, obj) for b in kuznetsov_collection().objects)
         return k
 
 
@@ -327,13 +308,12 @@ def mutate(col: Collection, direction: str, position: int, engine: ExtEngine) ->
     if isinstance(hyp, Ambiguous):
         raise AmbiguousMutation(f"Ext({E1}, {E2}) is ambiguous")
 
-    form = KForm.standard(engine)
     if hyp.is_zero:
         recipe, shift = "transposition", 0
         result = E1 if direction == "R" else E2
-        rk = form.kclass(result, engine)
+        rk = KForm.kclass(result, engine)
     else:
-        cone_k = k_cone(direction, form.kclass(E1, engine), form.kclass(E2, engine), KForm.chi(E1, E2, engine))
+        cone_k = k_cone(direction, KForm.kclass(E1, engine), KForm.kclass(E2, engine), KForm.chi(E1, E2, engine))
         if not any(cone_k):
             # An exceptional object E has chi(E, E) = 1, so its class is not 0.
             raise DomainError(
@@ -345,7 +325,7 @@ def mutate(col: Collection, direction: str, position: int, engine: ExtEngine) ->
             recipe, shift = "k-only", 0
         else:
             recipe, result, shift = found
-            rk = form.kclass(result, engine)
+            rk = KForm.kclass(result, engine)
             sign = -1 if shift % 2 else 1
             if tuple(sign * x for x in rk) != cone_k:
                 raise InternalConsistencyError(

@@ -14,7 +14,8 @@ second symmetric power twisted by 2.  Schur functors apply only to (twists
 of) the tautological generators U, Uv, R, Rv.  A B4 weight literal whose
 unmarked coordinates are zero, `B4 [0,0,0,k]`, reads as O(k), which lives
 on D5/P4 (see bundles); a sum or product of it with a B4/Q4 bundle is
-taken on B4/Q4.
+taken on B4/Q4.  Parentheses and prefix operators nest at most 100 deep
+(_MAX_NESTING); a deeper one is a BundleSyntaxError at its token.
 
 parse_bundle keeps each object it returns for the rest of the process,
 keyed by the text it was parsed from, as bundles.ATOMS keeps the atoms:
@@ -47,6 +48,8 @@ _TOKEN = re.compile(r"\s*(?:(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<int>-?\d+)|(?P<sy
 _SCHUR = re.compile(r"(Sym|Wedge)(\d+)")
 
 _PARSED: dict[str, BundleObject] = {}
+
+_MAX_NESTING = 100  # a level costs up to 6 stack frames: far inside the default limit of 1,000
 
 
 class BundleSyntaxError(ValueError):
@@ -84,6 +87,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0  # open parentheses and prefix operators around the current token
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -96,6 +100,15 @@ class _Parser:
             raise BundleSyntaxError(f"expected {text!r}, found {tok.text!r}", tok.pos)
         self.i += 1
         return tok
+
+    def nested(self, rule: Callable[[], BundleObject], tok: _Token) -> BundleObject:
+        """What rule reads one level deeper, in the level that tok opens."""
+        if self.depth == _MAX_NESTING:
+            raise BundleSyntaxError(f"expression nested deeper than {_MAX_NESTING} levels", tok.pos)
+        self.depth += 1
+        obj = rule()
+        self.depth -= 1
+        return obj
 
     def parse(self, rule: Callable[[_Parser], BundleObject | Weight]) -> BundleObject | Weight:
         """The text read by rule, a method of this class, to its end."""
@@ -140,7 +153,7 @@ class _Parser:
             power = _schur_op(op)
             if op in ("Sym", "Wedge"):
                 power = (op, int(self.take("int").text))
-            inner = self.prefixed()
+            inner = self.nested(self.prefixed, tok)
             if op == "dual":
                 return bundles.dual(inner)
             return _apply_schur(power, inner, tok.pos)
@@ -158,7 +171,7 @@ class _Parser:
         tok = self.peek()
         if tok.text == "(":
             self.take()
-            obj = self.expr()
+            obj = self.nested(self.expr, tok)
             self.take(text=")")
             return obj
         if tok.kind == "name":

@@ -43,11 +43,15 @@ CLI_RUNS = (
     ("verify-spinor-kp-json", ("verify", "spinor-kp", "--json")),
     ("verify-kuznetsov", ("verify", "kuznetsov")),
     ("gram-kuznetsov", ("gram", "kuznetsov")),
+    ("gram-kuznetsov-json", ("gram", "kuznetsov", "--json")),
     ("gram-spinor-kp", ("gram", "spinor-kp")),
     ("corpus", ("corpus",)),
     ("corpus-json", ("corpus", "--json")),
     ("mutate-spinor-kp-R-15", ("mutate", "spinor-kp", "R", "15")),
     ("mutate-kuznetsov-L-1-json", ("mutate", "kuznetsov", "L", "1", "--json")),
+    ("ext-equivariant", ("ext", "O", "O(1)", "--equivariant")),
+    ("coh-D5-P4", ("coh", "D5", "P4", "[0,0,1,-2,0]")),
+    ("tensor-D5-P4", ("tensor", "D5", "P4", "[1,0,0,0,0]", "[0,1,0,0,0]")),
     ("help", ("--help",)),
     ("replay-help", ("replay", "--help")),
 )

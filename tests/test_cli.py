@@ -1,4 +1,5 @@
 import json
+import random
 import os
 import subprocess
 import sys
@@ -562,3 +563,75 @@ def test_mutate_prints_a_k_only_result(tmp_path, capsys):
     lines = out.splitlines()
     assert lines[0] == "R at 1: recipe k-only"
     assert lines[2] == "result: K-only[4824, 8925, 704, 848, 53, 10, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]"
+
+
+def _outside_input(capsys, argv) -> tuple[int, str]:
+    """Run argv and check what any outside input may give: an exit code that
+    names an outcome (0-3) and at most one line of stderr, never an internal
+    error.  Returns the code and stderr."""
+    code = cli.main(list(argv))
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2, 3), (argv, code, err)
+    assert err.count("\n") <= 1 and "internal error" not in err, (argv, err)
+    return code, err
+
+
+def test_deep_nesting_is_a_usage_error(capsys):
+    # The parser recurses once per parenthesis and per prefix operator; past
+    # 100 levels it refuses the expression instead of running out of stack.
+    for text in ("(" * 600 + "O" + ")" * 600, "dual " * 1200 + "O"):
+        for argv in (("ext", text, "O"), ("ext", "O", text)):
+            code, err = _outside_input(capsys, argv)
+            assert code == 2 and err.startswith("error: "), err
+            assert "nested deeper than 100" in err
+    assert _outside_input(capsys, ("ext", "(" * 100 + "O(1)" + ")" * 100, "O")) == (0, "")
+    assert parse_bundle("dual " * 100 + "Uv") is parse_bundle("Uv")
+    assert _outside_input(capsys, ("ext", "(" * 101 + "O" + ")" * 101, "O")) == (
+        2,
+        "error: expression nested deeper than 100 levels (at position 100)\n",
+    )
+
+
+def test_a_collection_file_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
+    f = tmp_path / "binary.col"
+    f.write_bytes(b"O\n\xff\xfe\n")
+    for argv in (("verify", str(f)), ("mutate", str(f), "R", "1"), ("gram", str(f))):
+        code, err = _outside_input(capsys, argv)
+        assert code == 2, argv
+        assert err.startswith("error: cannot read collection file: ") and "codec can't decode" in err, err
+
+
+def test_malformed_outside_input_never_reaches_an_internal_error(tmp_path, capsys):
+    # Collection files that cannot be read or hold nothing, and seeded random
+    # bundle text and weights.
+    binary = tmp_path / "binary.col"
+    binary.write_bytes(b"\x7fELF\x02\x01\x01\x00\x00\xff\xfe\x00" * 8)
+    empty = tmp_path / "empty.col"
+    empty.write_text("")
+    comments = tmp_path / "comments.col"
+    comments.write_text("# O\n   # Uv\n\n")
+    for path in (binary, empty, comments, tmp_path):
+        for argv in (("verify", str(path)), ("mutate", str(path), "L", "1"), ("gram", str(path), "--json")):
+            assert _outside_input(capsys, argv)[0] == 2, argv
+    deep = "(" * 600 + "O" + ")" * 600
+    assert _outside_input(capsys, ("ext", deep, "dual " * 1200 + "O"))[0] == 2
+
+    rng = random.Random(7)
+    tokens = (
+        "O", "U", "Uv", "R", "Rv", "That", "Thatv", "Ktilde", "W", "T", "X", "dual", "Sym2", "Wedge2", "Sym", "D5",
+        "B4", "(", ")", "[", "]", ",", "+", "*", "1", "-2", "0", "3", "?",
+    )
+    codes = set()
+    for _ in range(200):
+        text = " ".join(rng.choice(tokens) for _ in range(rng.randint(0, 8)))
+        codes.add(_outside_input(capsys, ("ext", text, rng.choice(("O", "Uv(1)", text))))[0])
+    assert codes >= {0, 2}
+
+    def weight():
+        return "[" + ",".join(str(rng.randint(-3, 3)) for _ in range(rng.randint(1, 6))) + "]"
+
+    for _ in range(60):
+        datum, marked = rng.choice((("D5", "P4"), ("B4", "Q4"), ("A3", "P1"), ("D5", "P9"), ("B0", "Q4")))
+        _outside_input(capsys, ("coh", datum, marked, weight()))
+        _outside_input(capsys, ("dim", datum, weight()))
+        _outside_input(capsys, ("tensor", datum, marked, weight(), weight()))

@@ -560,7 +560,11 @@ def test_each_direct_answer_is_kept_once_in_the_ext_memo():
         E, F = parse_bundle(e), parse_bundle(f)
         eng.ext(E, F)
         eng.euler(E, F)
-    tables = {name: value for name, value in vars(eng).items() if isinstance(value, dict) and name != "_memo"}
+    # kclasses, the mutations' table, is no kernel table: no query fills it.
+    assert eng.kclasses == {}
+    tables = {
+        name: value for name, value in vars(eng).items() if isinstance(value, dict) and name not in ("_memo", "kclasses")
+    }
     assert len(tables) == 5
     for name, table in tables.items():
         assert table and not any(isinstance(value, ExtResult) for value in table.values()), name

@@ -1,5 +1,6 @@
 import ast
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -270,7 +271,7 @@ def test_engine_scan_catches_a_second_construction_site():
 
 # The one package caller of bundles.kclass besides its own recursion: the
 # Euler form, which keeps each class in its engine.  KForm.kclass is another
-# function of the same name, called as an attribute of the form.
+# function of the same name, called as an attribute of the class KForm.
 KCLASS_CALLERS = {"bundles.py": {"kclass"}, "ext.py": {"ExtEngine.euler"}}
 
 
@@ -295,7 +296,7 @@ def test_kclass_scan_catches_a_second_caller():
         "    def euler(self, E, F):\n"
         "        return bundles.kclass(E), bundles.kclass(F)\n"
         "    def ext(self, E, F):\n"
-        "        return self.kform.kclass(E, self), bundles.kclass(F)\n"
+        "        return KForm.kclass(E, self), bundles.kclass(F)\n"
         "def gram(objs):\n"
         "    return [kclass(x) for x in objs]\n"
     )
@@ -439,8 +440,8 @@ def test_placeholder_scan_catches_a_second_placeholder():
 
 def _undocumented_tables(doc: str, engine) -> set[str]:
     """The names that are a dict attribute of engine other than _memo, or a
-    "- _name:" bullet of doc, but not both."""
-    bullets = {line.split(":")[0][2:] for line in map(str.strip, doc.splitlines()) if line.startswith("- _")}
+    "- name:" bullet of doc, but not both."""
+    bullets = {line.split(":")[0][2:] for line in map(str.strip, doc.splitlines()) if re.match(r"- \w+:", line)}
     tables = {name for name, value in vars(engine).items() if isinstance(value, dict) and name != "_memo"}
     return bullets ^ tables
 

@@ -19,11 +19,6 @@ def eng():
     return ExtEngine()
 
 
-@pytest.fixture(scope="module")
-def form(eng):
-    return M.KForm.standard(eng)
-
-
 class ReferenceForm:
     """The Euler form as the package once paired K-only classes, kept as
     the reference: the Kuznetsov Gram matrix through ExtEngine.euler,
@@ -111,19 +106,19 @@ def test_transposition_on_zero_ext(eng):
     assert new.objects == (B.Uv(5), B.U(6))
 
 
-def test_k_only_fallback(eng, form):
+def test_k_only_fallback(eng):
     col = Collection((B.O(0), B.O(1)))
     new, step = M.mutate(col, "R", 0, eng)
     assert isinstance(step.result, KOnly)
-    k_o = form.kclass(B.O(0), eng)
-    k_o1 = form.kclass(B.O(1), eng)
+    k_o = M.KForm.kclass(B.O(0), eng)
+    k_o1 = M.KForm.kclass(B.O(1), eng)
     assert step.result.kclass == tuple(a - 16 * b for a, b in zip(k_o, k_o1))
 
 
 K_ONLY_REFUSED = r"K-only\[.*\] is known by its class alone"
 
 
-def test_a_k_only_side_is_refused_by_every_pairing(eng, form):
+def test_a_k_only_side_is_refused_by_every_pairing(eng):
     # A K-only result is final: the step that makes it has an exact
     # hypothesis, and every pairing of it after that raises, on either side.
     col = Collection((B.schur("Rv", "Sym", 2, 2), B.Rv(2), B.O(3)))
@@ -142,7 +137,7 @@ def test_a_k_only_side_is_refused_by_every_pairing(eng, form):
     for call in refused:
         with pytest.raises(DomainError, match=K_ONLY_REFUSED):
             call()
-    assert form.kclass(k_only, eng) == k_only.kclass == first.kclass
+    assert M.KForm.kclass(k_only, eng) == k_only.kclass == first.kclass
 
 
 def test_mutation_rejects_bad_positions(eng):
@@ -298,10 +293,10 @@ def k_mutated(vectors, direction, i, ref):
     return vectors[:i] + [tuple(y - chi * x for x, y in zip(a, b)), a] + vectors[i + 2 :]
 
 
-def test_k_mutation_involutivity(eng, form, ref):
+def test_k_mutation_involutivity(eng, ref):
     rng = random.Random(4)
     for col in (M.kp_collection(), M.kuznetsov_collection()):
-        vectors = [form.kclass(o, eng) for o in col.objects]
+        vectors = [M.KForm.kclass(o, eng) for o in col.objects]
         for _ in range(30):
             i = rng.randrange(len(vectors) - 1)
             assert k_mutated(k_mutated(vectors, "R", i, ref), "L", i, ref) == vectors
@@ -340,9 +335,9 @@ def hermite_normal_form(rows):
     return tuple(tuple(r) for r in m)
 
 
-def test_k_lattice_preserved_under_mutation(eng, form, ref):
+def test_k_lattice_preserved_under_mutation(eng, ref):
     rng = random.Random(8)
-    vectors = [form.kclass(o, eng) for o in M.kp_collection().objects]
+    vectors = [M.KForm.kclass(o, eng) for o in M.kp_collection().objects]
     base = hermite_normal_form(vectors)
     current = vectors
     for _ in range(25):
@@ -351,29 +346,29 @@ def test_k_lattice_preserved_under_mutation(eng, form, ref):
         assert hermite_normal_form(current) == base
 
 
-def test_object_mutation_matches_cone_class(eng, form, ref):
+def test_object_mutation_matches_cone_class(eng, ref):
     # the engine asserts this internally; spot-check one case by hand
     col = Collection((B.O(2), B.schur("Uv", "Sym", 2, 2)))
     _, step = M.mutate(col, "L", 0, eng)
     assert step.result == B.Named("Ktilde", 2)
-    k_res = form.kclass(B.Named("Ktilde", 2), eng)
-    k_o = form.kclass(B.O(2), eng)
-    k_s = form.kclass(B.schur("Uv", "Sym", 2, 2), eng)
+    k_res = M.KForm.kclass(B.Named("Ktilde", 2), eng)
+    k_o = M.KForm.kclass(B.O(2), eng)
+    k_s = M.KForm.kclass(B.schur("Uv", "Sym", 2, 2), eng)
     chi = M.KForm.chi(B.O(2), B.schur("Uv", "Sym", 2, 2), eng)
     assert chi == ref.chi(k_o, k_s)
     assert tuple(-x for x in k_res) == tuple(b - chi * a for a, b in zip(k_o, k_s))
 
 
-def test_registered_sequences_vanish_in_k_theory(eng, form):
+def test_registered_sequences_vanish_in_k_theory(eng):
     # The Kuznetsov collection is full, so its 16 pairings determine a class.
     # A named object's class is its first sequence's alternating sum, so only
     # that sequence cancels by construction; the 7 sequences with a B4/Q4
     # term check the Levi branching.
     for seq in B.standard_sequences():
-        total = [0] * len(form.basis)
+        total = [0] * len(M.kuznetsov_collection())
         for j, term in enumerate(seq.terms):
             n = (-1) ** j * B.coeff_dim(term.coeff)
-            total = [t + n * k for t, k in zip(total, form.kclass(term.obj, eng))]
+            total = [t + n * k for t, k in zip(total, M.KForm.kclass(term.obj, eng))]
         assert not any(total), seq.name
 
 
@@ -401,22 +396,22 @@ def test_gram_matrix_is_the_table_of_euler_pairings(monkeypatch):
     def forbidden(*args):
         raise AssertionError("a bundle pairing read the K-form")
 
-    monkeypatch.setattr(M.KForm, "standard", forbidden)
     monkeypatch.setattr(M.KForm, "kclass", forbidden)
     eng = ExtEngine()
     for col in (M.kp_collection(), M.kuznetsov_collection(), final):
         assert M.verify_exceptional(col, eng).passed
         objs = col.objects
         assert M.gram_matrix(col, eng) == tuple(tuple(eng.euler(a, b) for b in objs) for a in objs)
+    assert eng.kclasses == {}
 
 
-def test_gram_matrix_and_verify_refuse_a_k_only_object(eng, form):
+def test_gram_matrix_and_verify_refuse_a_k_only_object(eng):
     # An object put in as its class alone, first, inside or last, is
     # refused as a side of the Gram matrix and of the checks, equivariant or not.
     for make in COLLECTIONS:
         col = make()
         for i in (0, 5, len(col) - 1):
-            objs = col.objects[:i] + (KOnly(form.kclass(col.objects[i], eng)),) + col.objects[i + 1:]
+            objs = col.objects[:i] + (KOnly(M.KForm.kclass(col.objects[i], eng)),) + col.objects[i + 1:]
             for equivariant in (False, True):
                 with_k_only = Collection(objs, col.label, equivariant)
                 with pytest.raises(DomainError, match=K_ONLY_REFUSED):
@@ -429,18 +424,18 @@ def test_gram_matrix_of_bundles_builds_no_kform(monkeypatch):
     calls = []
     kclass = M.KForm.kclass
 
-    def counted(self, obj, engine):
+    def counted(obj, engine):
         calls.append(obj)
-        return kclass(self, obj, engine)
+        return kclass(obj, engine)
 
     monkeypatch.setattr(M.KForm, "kclass", counted)
     eng = ExtEngine()
     for make in COLLECTIONS:
         M.gram_matrix(make(), eng)
-    assert calls == [] and eng.kform is None
+    assert calls == [] and eng.kclasses == {}
 
 
-def test_cone_chi_is_the_k_form_pairing_of_the_classes(eng, form, ref, monkeypatch):
+def test_cone_chi_is_the_k_form_pairing_of_the_classes(eng, ref, monkeypatch):
     # Every cone of the paper's mutations pairs two bundles through the
     # engine; the reference reads the same chi(E1, E2) through the
     # coordinates of E1's class in the Kuznetsov basis.
@@ -456,7 +451,7 @@ def test_cone_chi_is_the_k_form_pairing_of_the_classes(eng, form, ref, monkeypat
     paired = [s.pair for s in steps if s.recipe != "transposition"]
     assert len(cones) == len(paired) == 14
     for (ka, kb, chi), (a, b) in zip(cones, paired):
-        assert (ka, kb) == (form.kclass(a, eng), form.kclass(b, eng)), (a, b)
+        assert (ka, kb) == (M.KForm.kclass(a, eng), M.KForm.kclass(b, eng)), (a, b)
         assert chi == eng.euler(a, b), (a, b)
     for blocks in M.assemble_kp_collection(eng)[1]:
         steps += blocks
@@ -477,7 +472,7 @@ def random_walks(rng, count, steps):
         yield Collection(objs, "walk"), [(rng.choice("LR"), rng.randrange(size - 1)) for _ in range(steps)]
 
 
-def test_k_only_results_are_the_reference_cone_and_final(eng, form, ref):
+def test_k_only_results_are_the_reference_cone_and_final(eng, ref):
     # Random mutation walks.  Each K-only result's class is the reference's
     # cone, and a later move on a pair with a K-only side is refused.  A
     # move on two bundles is refused only when the reference's cone is 0.
@@ -487,7 +482,7 @@ def test_k_only_results_are_the_reference_cone_and_final(eng, form, ref):
     for col, moves in random_walks(random.Random(0), 300, 4):
         for direction, position in moves:
             a, b = col.objects[position : position + 2]
-            cone = k_mutated([form.kclass(a, eng), form.kclass(b, eng)], direction, 0, ref)
+            cone = k_mutated([M.KForm.kclass(a, eng), M.KForm.kclass(b, eng)], direction, 0, ref)
             cone = cone[1 if direction == "R" else 0]
             try:
                 col, step = M.mutate(col, direction, position, eng)
@@ -511,16 +506,16 @@ def test_k_only_results_are_the_reference_cone_and_final(eng, form, ref):
             with pytest.raises(DomainError, match=K_ONLY_REFUSED):
                 M.gram_matrix(col, eng)
         else:
-            classes = [form.kclass(x, eng) for x in col.objects]
+            classes = [M.KForm.kclass(x, eng) for x in col.objects]
             assert M.gram_matrix(col, eng) == tuple(tuple(ref.chi(ka, kb) for kb in classes) for ka in classes)
     assert k_only_results > 250 and k_only_refused > 300 and refused and k_only_grams > 200
 
 
-def test_a_pair_whose_cone_cancels_is_refused(eng, form):
+def test_a_pair_whose_cone_cancels_is_refused(eng):
     # chi(O(2), O(2)) = 1, so both cones are O(2) - O(2), of class 0, which
     # no exceptional object has.  A pair with a nonzero cone still mutates.
     twice = Collection((B.O(2), B.O(2)))
-    k = form.kclass(B.O(2), eng)
+    k = M.KForm.kclass(B.O(2), eng)
     for direction in ("R", "L"):
         assert M.k_cone(direction, k, k, M.KForm.chi(B.O(2), B.O(2), eng)) == (0,) * len(k)
         with pytest.raises(DomainError, match=f"the {direction} mutation of .* has class 0"):
@@ -528,7 +523,7 @@ def test_a_pair_whose_cone_cancels_is_refused(eng, form):
     assert M.mutate(Collection((B.O(2), B.O(3))), "R", 0, eng)[1].recipe == "k-only"
 
 
-def test_step_kclass_is_the_class_of_the_result(eng, form):
+def test_step_kclass_is_the_class_of_the_result(eng):
     # Transpositions in both directions, an object-level recipe and a K-only cone.
     steps = [s for s in M.replay_main_proof(eng).steps]
     steps.append(M.mutate(Collection((B.U(6), B.Uv(5))), "L", 0, eng)[1])
@@ -536,15 +531,25 @@ def test_step_kclass_is_the_class_of_the_result(eng, form):
     assert {s.recipe for s in steps} == {"transposition", "left-kernel", "right-cokernel", "k-only"}
     assert {s.direction for s in steps if s.recipe == "transposition"} == {"L", "R"}
     for s in steps:
-        assert s.kclass == form.kclass(s.result, eng)
+        assert s.kclass == M.KForm.kclass(s.result, eng)
+
+
+def test_the_k_form_is_two_static_functions():
+    # KForm keeps nothing: each engine keeps the classes it computed.
+    assert not issubclass(M.KForm, roots.Record)
+    assert {k: type(v) for k, v in vars(M.KForm).items() if not k.startswith("__")} == {
+        "chi": staticmethod,
+        "kclass": staticmethod,
+    }
+    assert M.kuznetsov_collection() is M.kuznetsov_collection()
 
 
 def test_replay_computes_each_class_once_per_form(monkeypatch):
     # An object's class costs its 16 basis pairings on its first read, basis
     # objects included, and every KForm.kclass call after that reads the
-    # form's table without asking the engine for an Euler pairing.
+    # engine's kclasses without asking the engine for an Euler pairing.
     eng = ExtEngine()
-    form = M.KForm.standard(eng)
+    basis = M.kuznetsov_collection().objects
     asked = []
     per_object = {}
     euler, kclass = ExtEngine.euler, M.KForm.kclass
@@ -553,43 +558,43 @@ def test_replay_computes_each_class_once_per_form(monkeypatch):
         asked.append((E, F))
         return euler(self, E, F)
 
-    def counted_kclass(self, obj, engine):
+    def counted_kclass(obj, engine):
         before = len(asked)
-        k = kclass(self, obj, engine)
+        k = kclass(obj, engine)
         per_object.setdefault(obj, []).append(len(asked) - before)
         return k
 
     monkeypatch.setattr(ExtEngine, "euler", counted_euler)
     monkeypatch.setattr(M.KForm, "kclass", counted_kclass)
     M.replay_main_proof(eng)
-    for obj in M.kuznetsov_collection().objects:
-        form.kclass(obj, eng)
-    assert set(per_object) == set(form._classes)
-    assert set(form.basis) <= set(per_object)
+    for obj in basis:
+        M.KForm.kclass(obj, eng)
+    assert set(per_object) == set(eng.kclasses)
+    assert set(basis) <= set(per_object)
     first_reads = {obj: counts[0] for obj, counts in per_object.items()}
     assert first_reads == {obj: 16 for obj in per_object}
     assert not any(c for counts in per_object.values() for c in counts[1:])
     assert sum(len(counts) - 1 for counts in per_object.values()) > len(per_object)
 
     fresh = ExtEngine()
-    for obj, k in form._classes.items():
-        assert k == tuple(fresh.euler(b, obj) for b in form.basis), obj
+    for obj, k in eng.kclasses.items():
+        assert k == tuple(fresh.euler(b, obj) for b in basis), obj
     # A warm replay asks only each cone's chi(E1, E2), and computes nothing.
     computed = []
     monkeypatch.setattr(ExtEngine, "_compute", lambda self, E, F: computed.append((E, F)))
     sizes = {name: len(table) for name, table in vars(eng).items() if isinstance(table, dict)}
-    known = len(form._classes)
+    known = len(eng.kclasses)
     asked.clear()
     steps = M.replay_main_proof(eng).steps
     assert asked == [s.pair for s in steps if s.recipe != "transposition"]
     assert computed == []
     assert {name: len(table) for name, table in vars(eng).items() if isinstance(table, dict)} == sizes
-    assert len(form._classes) == known
+    assert len(eng.kclasses) == known
 
 
 def test_kclass_fault_reaches_a_fresh_engine_after_another_form_is_warm(monkeypatch):
-    # The form's tables live with its engine: a warm form keeps the classes
-    # it computed, and a fresh engine's form sees the fault.
+    # The classes live with their engine: a warm engine keeps the classes
+    # it computed, and a fresh engine sees the fault.
     warm = ExtEngine()
     col = M.kp_collection()
     before = M.gram_matrix(col, warm)
@@ -602,11 +607,10 @@ def test_kclass_fault_reaches_a_fresh_engine_after_another_form_is_warm(monkeypa
     monkeypatch.setattr(B, "kclass", faulty)
     assert M.gram_matrix(col, warm) == before
     fresh = ExtEngine()
-    form = M.KForm.standard(fresh)
-    basis = form.basis
-    assert [form.kclass(b, fresh) for b in basis] == [M.KForm.standard(warm).kclass(b, warm) for b in basis]
+    basis = M.kuznetsov_collection().objects
+    assert [M.KForm.kclass(b, fresh) for b in basis] == [M.KForm.kclass(b, warm) for b in basis]
     that5 = B.Named("That", 5)
-    assert form.kclass(that5, fresh) == tuple(-c for c in warm.kform.kclass(that5, warm))
+    assert M.KForm.kclass(that5, fresh) == tuple(-c for c in M.KForm.kclass(that5, warm))
     assert M.gram_matrix(col, fresh) != before
 
 

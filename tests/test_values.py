@@ -14,7 +14,7 @@ from homcoh import bundles as B
 from homcoh.bbw import Cohomology
 from homcoh.corpus import ENTRIES, CorpusEntry
 from homcoh.ext import Ambiguous, ExtResult
-from homcoh.mutations import Collection, KForm, KOnly, MutationStep, PairCheck
+from homcoh.mutations import Collection, KOnly, MutationStep, PairCheck
 from homcoh.roots import B4, B4_Q4, D5, D5_P4, LieDatum, Parabolic
 
 _PIECES = ((0, ((D5, (1, 0, 0, 0, 0)),), 1), (1, (), 2))
@@ -52,11 +52,6 @@ FROZEN = {
         lambda: Collection((B.O(), B.Uv()), "c", True),
         ("objects", "label", "equivariant"),
         Collection((B.O(), B.Uv()), "c"),
-    ),
-    KForm: (
-        lambda: KForm((B.O(), B.O(1))),
-        ("basis",),
-        KForm((B.O(), B.O(2))),
     ),
     CorpusEntry: (
         lambda: CorpusEntry("e", "D5", ENTRIES[0].run),
@@ -170,14 +165,6 @@ def test_lie_data_order_by_family_then_rank():
     assert B4 < D5 <= D5 and D5 > B4 >= B4
     with pytest.raises(TypeError):
         B4 < ("B", 4)
-
-
-def test_kform_tables_take_no_part_in_comparison_or_printing():
-    a, b = FROZEN[KForm][0](), FROZEN[KForm][0]()
-    a._classes[B.Uv()] = (3, 4)
-    assert a._classes and not b._classes
-    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
-    assert repr(a) == "KForm(basis=(O, O (1)))"
 
 
 def test_a_k_only_object_is_its_class_alone():
